@@ -22,6 +22,16 @@
 //! AVX2 hosts the run **asserts** that factor is at least 1.5×, so a
 //! regression in the engine fails the bench instead of shipping.
 //!
+//! `BENCH_simd.json` also carries the direct conv path stage by stage:
+//! `int2_direct_stages` times `pack_image_int2`, `gather_conv_windows_int2`
+//! and `gemm_int2` at the four width-8 CNV probe shapes the repo
+//! benchmark uses, each row joined with the parent commit's measurement
+//! (`baseline_int2_stages.json`, the same bench code run on the same
+//! host against the parent checkout) and its run-to-run spread; and
+//! `conv_route_crossover` times the engine against the f32-over-codes
+//! route across filter counts, the measurement
+//! `int2::ENGINE_MIN_ITEMS_DIRECT` is set from.
+//!
 //! `--simd-only` runs just the `BENCH_simd.json` section (including the
 //! int2 gate) and skips the epoch/cache benchmarks — the CI artifact leg.
 //!
@@ -41,7 +51,7 @@ use adapex_nn::layers::{Activation, QuantConv2d, QuantLinear};
 use adapex_nn::quant::QuantSpec;
 use adapex_nn::train::{TrainConfig, Trainer};
 use adapex_tensor::conv::{im2col, im2col_into, ConvGeometry};
-use adapex_tensor::gemm::{gemm, gemm_bias};
+use adapex_tensor::gemm::{gemm, gemm_bias, gemm_st};
 use adapex_tensor::parallel::num_threads;
 use adapex_tensor::int2::{self, OutMajor};
 use adapex_tensor::rng::{normal_tensor, rng_from_seed};
@@ -92,10 +102,48 @@ struct SimdKernelReport {
     speedup_vs_seed: Option<f64>,
 }
 
+/// Parent-commit stage timings for the `int2_direct_stages` join.
+const PARENT_STAGES: &str = include_str!("baseline_int2_stages.json");
+
+#[derive(Debug, Deserialize)]
+struct ParentStages {
+    kernels: Vec<KernelReport>,
+}
+
+/// One stage of the direct int2 conv path at one probe shape.
+#[derive(Debug, Serialize)]
+struct StageReport {
+    name: String,
+    /// Best of the timed batches, like every other row.
+    ns_per_op: f64,
+    median_ns_per_op: f64,
+    /// Interquartile range of the batches over their median.
+    spread: f64,
+    /// The same stage at the parent commit (`baseline_int2_stages.json`).
+    parent_ns_per_op: Option<f64>,
+    speedup_vs_parent: Option<f64>,
+}
+
+/// Engine vs f32-over-codes for one conv shape, whole per-image route.
+#[derive(Debug, Serialize)]
+struct CrossoverReport {
+    c_in: usize,
+    hw: usize,
+    c_out: usize,
+    engine_ns_per_op: f64,
+    f32_codes_ns_per_op: f64,
+    /// f32-over-codes / engine: above 1 the engine is the faster route.
+    engine_speedup: f64,
+    /// What `int2::conv_engine_profitable` answers for this shape.
+    auto_routes_engine: bool,
+}
+
 #[derive(Debug, Serialize)]
 struct SimdReport {
     schema_version: u32,
     threads: usize,
+    /// `std::thread::available_parallelism` of the measuring host.
+    host_cores: usize,
     avx2_available: bool,
     dispatched_backend: String,
     /// Dispatched f32 GEMM ns / dispatched int2 GEMM ns at the largest
@@ -107,6 +155,8 @@ struct SimdReport {
     /// packing. Asserted >= 1.3 on AVX2 hosts.
     direct_conv_speedup_vs_im2col_full: f64,
     kernels: Vec<SimdKernelReport>,
+    int2_direct_stages: Vec<StageReport>,
+    conv_route_crossover: Vec<CrossoverReport>,
 }
 
 /// Times `f` under the portable backend and under default dispatch.
@@ -132,20 +182,49 @@ fn time_both_int2_backends(mut f: impl FnMut(), samples: usize, iters: usize) ->
 /// Times `f`, returning ns per call: a few warmup calls, then the best
 /// of `samples` timed batches (best-of filters scheduler noise; the
 /// kernels themselves are deterministic).
-fn time_ns(mut f: impl FnMut(), samples: usize, iters: usize) -> f64 {
+fn time_ns(f: impl FnMut(), samples: usize, iters: usize) -> f64 {
+    time_stats(f, samples, iters).0
+}
+
+/// [`time_ns`] with the spread kept: `(best, median, IQR / median)` of
+/// the timed batches.
+fn time_stats(mut f: impl FnMut(), samples: usize, iters: usize) -> (f64, f64, f64) {
     for _ in 0..3 {
         f();
     }
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
-        best = best.min(ns);
-    }
-    best
+    let mut ns: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            t0.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    let q = |p: usize| ns[(ns.len() - 1) * p / 4];
+    (ns[0], q(2), (q(3) - q(1)) / q(2))
+}
+
+/// Deterministic inputs of a 3x3 int2 conv over a `c_in x hw x hw`
+/// image on the 2-bit activation grid: `(image, weight codes, packed
+/// weight planes)`.
+fn int2_conv3x3_inputs(
+    c_in: usize,
+    hw: usize,
+    c_out: usize,
+    ascale: f32,
+) -> (Vec<f32>, Vec<f32>, Vec<u64>) {
+    let kk = c_in * 9;
+    let img = (0..c_in * hw * hw)
+        .map(|i| ((i * 5 + i / 7) % 4) as f32 * ascale)
+        .collect();
+    let wts: Vec<f32> = (0..c_out * kk)
+        .map(|i| ((i * 7 + 3) % 4) as f32 - 2.0)
+        .collect();
+    let mut planes = Vec::new();
+    int2::pack_weights_int2(&wts, c_out, kk, &mut planes);
+    (img, wts, planes)
 }
 
 fn main() {
@@ -474,6 +553,147 @@ fn main() {
             push_simd(&format!("conv_int2_direct_{tag}"), times_direct);
         }
 
+        // The direct route stage by stage at the repo benchmark's four
+        // probe shapes (3x3, stride 1, no padding), against the parent
+        // commit's numbers for the same rows.
+        let parent: Vec<KernelReport> = serde_json::from_str::<ParentStages>(PARENT_STAGES)
+            .map(|p| p.kernels)
+            .unwrap_or_default();
+        let mut stages: Vec<StageReport> = Vec::new();
+        let mut push_stage = |name: String, (best, median, spread): (f64, f64, f64)| {
+            let base = parent.iter().find(|k| k.name == name).map(|k| k.ns_per_op);
+            eprintln!(
+                "{name:36} {best:>12.0} ns (median {median:.0}, spread {spread:.3}, parent {})",
+                base.map_or("-".into(), |b| format!("{b:.0} ns, {:.2}x", b / best))
+            );
+            stages.push(StageReport {
+                name,
+                ns_per_op: best,
+                median_ns_per_op: median,
+                spread,
+                parent_ns_per_op: base,
+                speedup_vs_parent: base.map(|b| b / best),
+            });
+        };
+        for (tag, c_in, hw, c_out, iters) in [
+            ("conv2", 8usize, 30usize, 8usize, 40usize),
+            ("exit1conv", 8, 28, 8, 40),
+            ("conv4", 16, 12, 16, 100),
+            ("conv6", 32, 3, 32, 2000),
+        ] {
+            let geom = ConvGeometry::new(3);
+            let (kk, pixels) = (c_in * 9, (hw - 2) * (hw - 2));
+            let ascale = 0.5f32;
+            let (img, _, planes) = int2_conv3x3_inputs(c_in, hw, c_out, ascale);
+            let (cs, bias) = (vec![1.0f32; c_out], vec![0.0f32; c_out]);
+            let (mut img_bits, mut win_bits) = (Vec::new(), Vec::new());
+            let mut y = vec![0.0f32; c_out * pixels];
+            let t = time_stats(
+                || int2::pack_image_int2(black_box(&img), ascale, c_in, hw, hw, 0, &mut img_bits),
+                15,
+                iters,
+            );
+            push_stage(format!("pack_image_{tag}"), t);
+            let t = time_stats(
+                || {
+                    int2::gather_conv_windows_int2(
+                        black_box(&img_bits),
+                        c_in,
+                        hw,
+                        hw,
+                        geom,
+                        &mut win_bits,
+                    )
+                },
+                15,
+                iters,
+            );
+            push_stage(format!("gather_{tag}"), t);
+            let t = time_stats(
+                || {
+                    int2::gemm_int2(
+                        c_out,
+                        kk,
+                        pixels,
+                        &planes,
+                        black_box(&win_bits),
+                        &cs,
+                        &bias,
+                        &mut y,
+                        OutMajor::Row,
+                    )
+                },
+                15,
+                iters,
+            );
+            push_stage(format!("gemm_{tag}"), t);
+        }
+
+        // Routing crossover: the engine's whole per-image route against
+        // the f32-over-codes route (im2col, code rounding, f32 GEMM,
+        // requantize) it competes with under `EnginePlan::Auto`, across
+        // the filter counts pruning leaves behind.
+        let mut crossover: Vec<CrossoverReport> = Vec::new();
+        for (c_in, hw) in [(8usize, 30usize), (4, 30), (2, 30), (16, 12), (4, 12)] {
+            for c_out in [2usize, 3, 4, 5, 6, 7, 8] {
+                let geom = ConvGeometry::new(3);
+                let (kk, pixels) = (c_in * 9, (hw - 2) * (hw - 2));
+                let ascale = 0.5f32;
+                let (img, wts, planes) = int2_conv3x3_inputs(c_in, hw, c_out, ascale);
+                let (cs, bias) = (vec![0.1f32; c_out], vec![0.2f32; c_out]);
+                let (mut img_bits, mut win_bits, mut cols) = (Vec::new(), Vec::new(), Vec::new());
+                let mut y = vec![0.0f32; c_out * pixels];
+                let engine = time_ns(
+                    || {
+                        int2::conv_int2_direct(
+                            black_box(&img),
+                            ascale,
+                            c_in,
+                            hw,
+                            hw,
+                            geom,
+                            &planes,
+                            c_out,
+                            &cs,
+                            &bias,
+                            &mut y,
+                            &mut img_bits,
+                            &mut win_bits,
+                        )
+                    },
+                    7,
+                    20,
+                );
+                let f32_codes = time_ns(
+                    || {
+                        im2col_into(black_box(&img), c_in, hw, hw, geom, &mut cols);
+                        int2::act_codes_in_place(&mut cols, ascale);
+                        gemm_st(c_out, kk, pixels, &wts, &cols, &mut y);
+                        int2::requantize_rows(&mut y, pixels, &cs, &bias);
+                    },
+                    7,
+                    20,
+                );
+                crossover.push(CrossoverReport {
+                    c_in,
+                    hw,
+                    c_out,
+                    engine_ns_per_op: engine,
+                    f32_codes_ns_per_op: f32_codes,
+                    engine_speedup: f32_codes / engine,
+                    auto_routes_engine: int2::conv_engine_profitable(c_out, 3),
+                });
+            }
+            let row: Vec<String> = crossover[crossover.len() - 7..]
+                .iter()
+                .map(|r| format!("{}:{:.2}x", r.c_out, r.engine_speedup))
+                .collect();
+            eprintln!(
+                "engine vs f32-codes, c_in={c_in:2} {hw}x{hw}, by c_out   {}",
+                row.join(" ")
+            );
+        }
+
         // Elementwise hot loops at a typical activation-slab size.
         const ELEMS: usize = 16_384;
         let src = normal_tensor(&[ELEMS], 0.0, 1.0, &mut rng).into_vec();
@@ -560,11 +780,14 @@ fn main() {
         let simd_report = SimdReport {
             schema_version: adapex_bench::BENCH_SCHEMA_VERSION,
             threads: num_threads(),
+            host_cores: adapex_bench::host_cores(),
             avx2_available,
             dispatched_backend: format!("{:?}", simd::active_backend()),
             int2_speedup_vs_f32_gemm_full: int2_speedup,
             direct_conv_speedup_vs_im2col_full: direct_conv_speedup,
             kernels: simd_kernels,
+            int2_direct_stages: stages,
+            conv_route_crossover: crossover,
         };
         let json = serde_json::to_string_pretty(&simd_report).expect("simd report serializes");
         std::fs::write("BENCH_simd.json", &json).expect("write BENCH_simd.json");

@@ -29,6 +29,13 @@ use std::path::PathBuf;
 /// layout changes; bump it when renaming or re-typing report fields.
 pub const BENCH_SCHEMA_VERSION: u32 = 1;
 
+/// Cores the measuring host offers this process
+/// (`std::thread::available_parallelism`), recorded beside `threads`
+/// in the reports so a timing can be read against its machine.
+pub fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {

@@ -223,7 +223,9 @@ impl QuantConv2d {
         }
         let qc = self.qcache.as_ref().expect("qcache just ensured");
 
-        let mut out = Activation::zeros(x.n, &out_dims);
+        // Every route below ends in a GEMM that overwrites its whole
+        // per-image output slice, so the buffer needs no zero-fill.
+        let mut out = Activation::for_overwrite(x.n, &out_dims);
         let sample_in = x.sample_len();
         let sample_out = self.c_out * pixels;
         let geom = self.geom;

@@ -19,7 +19,9 @@ pub use norm::BatchNorm;
 pub use pool::MaxPool2d;
 
 use adapex_tensor::simd;
-use adapex_tensor::workspace::{recycle_f32, recycle_usize, take_f32, take_f32_from, take_usize_from};
+use adapex_tensor::workspace::{
+    recycle_f32, recycle_usize, take_f32, take_f32_from, take_f32_uninit, take_usize_from,
+};
 use serde::{Deserialize, Serialize};
 
 /// Quantization-grid metadata attached to an [`Activation`] by the layer
@@ -80,6 +82,19 @@ impl Activation {
         let per: usize = dims.iter().product();
         Activation {
             data: take_f32(n * per),
+            n,
+            dims: take_usize_from(dims),
+            quant: None,
+        }
+    }
+
+    /// Pooled activation with *unspecified* contents (stale values of a
+    /// recycled buffer), for a layer that overwrites every element
+    /// before anything reads one: skips the zero-fill of [`Self::zeros`].
+    pub(crate) fn for_overwrite(n: usize, dims: &[usize]) -> Self {
+        let per: usize = dims.iter().product();
+        Activation {
+            data: take_f32_uninit(n * per),
             n,
             dims: take_usize_from(dims),
             quant: None,

@@ -501,9 +501,9 @@ mod tests {
     #[test]
     fn engine_plan_is_speed_only() {
         let net = tiny_net();
-        let split_at = |plan| {
+        let split_of = |net: &EarlyExitNetwork, plan| {
             BatchExecutor::new(
-                &net,
+                net,
                 &ExecutorConfig {
                     engine: plan,
                     ..ExecutorConfig::default()
@@ -511,13 +511,22 @@ mod tests {
             )
             .engine_split()
         };
+        let split_at = |plan| split_of(&net, plan);
         // With the direct path on, the once-per-image packing model
-        // routes tiny()'s 8/16-wide convs to the engine while the
-        // 4-wide ones (< ENGINE_MIN_ITEMS_DIRECT) keep the fallback.
+        // routes every tiny() conv (4 filters and up) to the engine;
+        // only layers below ENGINE_MIN_ITEMS_DIRECT keep the fallback,
+        // which takes a 2-wide net to reach.
         int2::override_direct_enabled(Some(true));
         let (engine, f32_codes) = split_at(EnginePlan::Auto);
-        assert!(engine > 0, "wide tiny() convs must route to the engine");
-        assert!(f32_codes > 0, "narrow tiny() convs must keep the fallback");
+        assert!(engine > 0, "tiny() convs must route to the engine");
+        assert_eq!(f32_codes, 0, "no tiny() conv is narrower than the floor");
+        let narrow = CnvConfig::scaled(2).build_early_exit(10, &ExitsConfig::paper_default(), 3);
+        let (engine, f32_codes) = split_of(&narrow, EnginePlan::Auto);
+        assert!(
+            engine > 0,
+            "the 4/8-wide convs of a 2-wide net route to the engine"
+        );
+        assert!(f32_codes > 0, "its 2-wide convs must keep the fallback");
         // Direct off: the per-column model, under which every tiny()
         // width is < ENGINE_MIN_ITEMS, prefers the fallback everywhere.
         int2::override_direct_enabled(Some(false));

@@ -25,41 +25,83 @@
 //! S = Σ w·a = pc(w0&a0) + 2·pc(w0&a1) - 2·pc(w1&a0) - 4·pc(w1&a1)
 //! ```
 //!
-//! where `pc` is population count — pure integer arithmetic, so the AVX2
-//! backend (Muła `vpshufb` nibble-LUT popcount) and the portable backend
-//! (`u64::count_ones`) are bit-identical by construction, with none of
-//! the FMA/ordering care the f32 kernels in [`crate::simd`] need.
+//! where `pc` is population count — pure integer arithmetic, so every
+//! backend form below is bit-identical by construction, with none of
+//! the FMA/ordering care the f32 kernels in [`crate::simd`] need. The
+//! portable backend is `u64::count_ones` per (weight item, activation
+//! item) pair. The AVX2 backend runs whole groups of four weight rows
+//! through a **row-lane microkernel** — the MVU shape: one activation
+//! word broadcast to four lanes that each hold a weight row, byte
+//! counts from `vpshufb` nibble LUTs (`×1` for activation plane 0, `×2`
+//! for plane 1) summed per weight plane and reduced by `vpsadbw` every
+//! 8 words (a word adds at most 24 to a byte, `24 · 8 < 256`), so each
+//! lane ends up holding its row's `S = P − 2N` with no horizontal sum —
+//! and leftover rows, and shapes that cannot amortize interleaving the
+//! rows, through a per-pair `dot` (Muła `vpshufb` popcount from four
+//! plane words up, plain hardware `POPCNT` below).
 //!
 //! # Requantize epilogue and exact agreement
 //!
 //! [`gemm_int2`] fuses the MVTU-style epilogue `y = (S as f32)*cs + bias`
-//! (two exactly-rounded f32 steps; `cs` is the combined weight×activation
-//! scale). `|S| ≤ 6k < 2^24` for every shape in play, so `S as f32` is
-//! exact — which means an f32 GEMM over the *code values* computes the
-//! same integer `S` exactly (every partial sum is an integer below 2^24
-//! and the f32 GEMM never contracts to FMA). That f32-over-codes route is
-//! the `ADAPEX_NO_INT2=1` escape hatch; the differential suites pin the
-//! two implementations against each other bit-for-bit.
+//! (two exactly-rounded f32 steps — the row lanes issue `mulps` then
+//! `addps`, never an FMA, so they round exactly like the scalar form;
+//! `cs` is the combined weight×activation scale). `|S| ≤ 6k < 2^24` for
+//! every shape in play, so `S as f32` is exact — which means an f32
+//! GEMM over the *code values* computes the same integer `S` exactly
+//! (every partial sum is an integer below 2^24 and the f32 GEMM never
+//! contracts to FMA). That f32-over-codes route is the
+//! `ADAPEX_NO_INT2=1` escape hatch; the differential suites pin the two
+//! implementations against each other bit-for-bit.
+//!
+//! # One quantize rule
+//!
+//! Every activation code in the engine — [`act_codes_in_place`] on the
+//! im2col and linear routes, both [`pack_image_int2`] bodies on the
+//! direct route — comes from three compares on `x = v / scale`:
+//!
+//! ```text
+//! g1 = x ≥ 0.5   g2 = x ≥ 1.5   g3 = x ≥ 2.5
+//! code = g1 + g2 + g3      plane0 = g1 ^ g2 ^ g3      plane1 = g2
+//! ```
+//!
+//! which equals `(x.round().clamp(0.0, 3.0) as i32) & 3` for all 2³²
+//! f32 bit patterns: `round` is half-away-from-zero, so on `x ≥ 0` it
+//! steps exactly at the three thresholds and the clamp holds 3 above;
+//! negatives, −0.0 and −∞ clamp to 0 and fail every compare; NaN fails
+//! every ordered compare just as `NaN as i32` is 0. The equivalence is
+//! verified exhaustively (an `#[ignore]`d sweep in `int2_identity.rs`),
+//! and the `round().clamp()` form survives only there, as the oracle.
+//! The division is kept — a reciprocal multiply rounds differently.
 //!
 //! # Direct convolution: pack once, gather windows
 //!
 //! The im2col route codes and packs every input pixel up to `k²` times
-//! (once per window it appears in). The direct path instead packs each
-//! image **once** into per-`(channel, row)` bit planes
-//! ([`pack_image_int2`]) and then lifts every window's operand straight
-//! out of the packed rows ([`gather_conv_windows_int2`]): per
-//! (channel, kernel-row) a `k`-bit segment is extracted with one
-//! two-word funnel shift and OR-ed into its fixed depth slot. The
-//! gathered operand words are **equal** to what
-//! `im2col → `[`act_codes_in_place`]` → `[`pack_acts_cols_int2`] would
-//! produce — not merely sum-equivalent — so [`conv_int2_direct`] feeds
-//! the unchanged [`gemm_int2`] and is bit-identical to the im2col path
-//! by construction (and bumps the same op counters).
+//! (once per window it appears in). The direct path — the software twin
+//! of FINN's sliding-window unit feeding a matrix-vector unit — packs
+//! each image **once** into per-`(channel, row)` bit planes
+//! ([`pack_image_int2`]: eight values per `vdivps` + three `vcmpps` +
+//! three `vmovmskps` on AVX2, a masked load for a row's ragged tail)
+//! and then lifts every window's operand straight out of the packed
+//! rows ([`gather_conv_windows_int2`]). The gather walks `(c, ky)` in
+//! depth order: the window's `k`-bit row segment is shifted down to bit
+//! 0, masked, shifted up to its depth slot `(c*k + ky)*k mod 64` and
+//! OR-ed into the one open operand word per plane held in a register;
+//! a word is stored once, when the walk leaves it, and the bits of a
+//! segment straddling the boundary open the next word. On AVX2 four
+//! output pixels share a vector (`vpsrlvq` of the broadcast row word by
+//! `[ox·s … (ox+3)·s]`), eight share each broadcast, and the finished
+//! words are scattered item-major; rows wider than one word keep the
+//! scalar two-word funnel read. The gathered operand words are
+//! **equal** to what `im2col → `[`act_codes_in_place`]` → `
+//! [`pack_acts_cols_int2`] would produce — not merely sum-equivalent —
+//! so [`conv_int2_direct`] feeds the same [`gemm_int2`] and is
+//! bit-identical to the im2col path by construction (and bumps the same
+//! op counters, which live in the dispatcher, above the backends).
 //!
 //! # Dispatch and escape hatches
 //!
-//! * `ADAPEX_NO_SIMD=1` (or [`override_backend`]) — portable popcount
-//!   instead of AVX2, same bits.
+//! * `ADAPEX_NO_SIMD=1` (or [`override_backend`]) — the portable pack,
+//!   gather and popcount bodies instead of AVX2, same bits.
 //! * `ADAPEX_NO_INT2=1` (or [`override_enabled`]) — callers consult
 //!   [`enabled`] and fall back to the f32 GEMM over code values, same
 //!   bits again.
@@ -232,10 +274,14 @@ pub const ENGINE_MIN_ITEMS: usize = 32;
 
 /// Minimum conv filter count for the engine when the direct path
 /// carries the packing: the once-per-image pack amortizes over every
-/// window, leaving only the gather's constant word traffic per output
-/// element, so far smaller filter banks already win. See
+/// window, so far smaller filter banks already win. Measured per image
+/// on 3×3 convs (`bench --simd-only`, `conv_route_crossover` in
+/// BENCH_simd.json): the engine beats f32-over-codes 1.7–3.6× at every
+/// `c_out` in 2..=8 once `c_in >= 4`; only at `c_in = 2` do the routes
+/// come near a tie (1.0–1.7×). Layers with fewer than four filters are
+/// that degenerate case in practice, so the floor sits there. See
 /// [`conv_engine_profitable`].
-pub const ENGINE_MIN_ITEMS_DIRECT: usize = 8;
+pub const ENGINE_MIN_ITEMS_DIRECT: usize = 4;
 
 /// Largest kernel the direct path supports: a window's row segment must
 /// come out of one two-word funnel read, so `k` must fit a word. CNV
@@ -254,11 +300,14 @@ pub const MAX_DIRECT_KERNEL: usize = 64;
 /// Setting the packing tax β against the per-MAC saving, profitability
 /// reduces to an `m` threshold independent of `k`:
 /// `m·k·α > k·β + m·k·γ/16  ⇔  m > β / (α − γ/16)`.
-/// Measured on CNV shapes: the engine loses ~2× at `m = 8..16`
-/// (k = 72..144) and wins ≥ 2× from `m = 32` up through the largest CNV
+/// Measured on CNV shapes with per-column packing (the im2col route):
+/// the `k²` quantize+pack passes make the engine the slower route below
+/// `m = 32` and the faster one from there up through the largest CNV
 /// shape (`m = 64`, `k = 576`, the BENCH_simd gate). This is the
 /// per-column model — right for linear layers and for convs with the
-/// direct path disabled; conv routing goes through
+/// direct path disabled, and no statement about the direct route, which
+/// wins from `m = 4` (see [`ENGINE_MIN_ITEMS_DIRECT`]); conv routing
+/// goes through
 /// [`conv_engine_profitable`], which divides the tax by the window
 /// reuse. Callers that want shape-aware routing (the serving executor)
 /// combine these with [`enabled`]; the default eval path routes every
@@ -275,9 +324,9 @@ pub fn engine_profitable(m: usize, _k: usize) -> bool {
 /// image** instead of once per im2col column, so the per-column packing
 /// tax β of the [`engine_profitable`] model is divided by the `k²`
 /// window reuse of every input pixel: the `c_out` threshold drops to
-/// `ENGINE_MIN_ITEMS / k²`, floored at [`ENGINE_MIN_ITEMS_DIRECT`]
-/// because the gather still spends a handful of word ops per output
-/// element. `k = 1` self-consistently stays at [`ENGINE_MIN_ITEMS`]
+/// `ENGINE_MIN_ITEMS / k²`, floored at [`ENGINE_MIN_ITEMS_DIRECT`],
+/// the smallest filter bank measured to win. `k = 1` self-consistently
+/// stays at [`ENGINE_MIN_ITEMS`]
 /// (a 1×1 window reuses nothing — pack-once equals pack-per-column),
 /// as do kernels past [`MAX_DIRECT_KERNEL`] or runs with the direct
 /// path disabled, where the per-column model still applies.
@@ -407,6 +456,27 @@ pub fn image_row_words(w: usize, pad: usize) -> usize {
     (w + 2 * pad).div_ceil(64) + 1
 }
 
+/// The engine's one activation quantize rule: the 2-bit code of a
+/// pre-scaled value `x = v / scale`, by three compares instead of
+/// `x.round().clamp(0, 3)`. The two agree on every f32 bit pattern
+/// (see the module doc); this one is branch-free, calls no libm
+/// `roundf` and is what `vcmpps` computes eight at a time.
+#[inline(always)]
+fn act_code(x: f32) -> u8 {
+    (x >= 0.5) as u8 + (x >= 1.5) as u8 + (x >= 2.5) as u8
+}
+
+/// Sizes `v` to `len` words whose contents the caller overwrites in
+/// full: a steady-state call reuses the previous call's words instead
+/// of zero-filling them.
+fn resize_for_overwrite(v: &mut Vec<u64>, len: usize) {
+    if v.len() > len {
+        v.truncate(len);
+    } else {
+        v.resize(len, 0);
+    }
+}
+
 /// Quantizes and bit-packs one CHW image **once** into per-`(channel,
 /// row)` bit planes for the direct conv path.
 ///
@@ -414,10 +484,14 @@ pub fn image_row_words(w: usize, pad: usize) -> usize {
 /// `[plane0 | plane1]` with `rw = image_row_words(w, pad)`; input
 /// column `ix` sits at bit `pad + ix`, so horizontal padding is the
 /// zero bits at each row edge — code 0, exactly the zeros im2col
-/// materializes. The quantize step is the same arithmetic as
-/// [`act_codes_in_place`] followed by the shared packer's masking
-/// (`clamp(round(v/scale), 0, 3)`, low 2 bits), so the packed codes
-/// equal the im2col route's codes bit for bit.
+/// materializes. The quantize step is the same compare rule as
+/// [`act_codes_in_place`] (`plane0 = g1^g2^g3` and `plane1 = g2` are
+/// the low and high bit of the code), so the packed codes equal the
+/// im2col route's codes bit for bit, on both backends.
+///
+/// # Panics
+///
+/// Panics when `img` is not `c*h*w` long.
 pub fn pack_image_int2(
     img: &[f32],
     ascale: f32,
@@ -427,19 +501,178 @@ pub fn pack_image_int2(
     pad: usize,
     out: &mut Vec<u64>,
 ) {
-    debug_assert_eq!(img.len(), c * h * w);
+    match active_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `active_backend` only reports Avx2 after runtime
+        // detection of AVX2 (or an override that re-checked it).
+        Backend::Avx2 => unsafe { avx2::pack_image_int2(img, ascale, c, h, w, pad, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => portable::pack_image_int2(img, ascale, c, h, w, pad, out),
+        Backend::Portable => portable::pack_image_int2(img, ascale, c, h, w, pad, out),
+    }
+}
+
+/// Checks the image and zero-fills `out` to the packed-image size
+/// (both pack bodies OR bits into it); returns the words per row plane.
+fn pack_image_setup(
+    img: &[f32],
+    ascale: f32,
+    c: usize,
+    h: usize,
+    w: usize,
+    pad: usize,
+    out: &mut Vec<u64>,
+) -> usize {
+    assert_eq!(
+        img.len(),
+        c * h * w,
+        "pack_image_int2: image length mismatch"
+    );
     debug_assert!(ascale > 0.0);
     let rw = image_row_words(w, pad);
     out.clear();
     out.resize(c * h * 2 * rw, 0);
-    for (row, dst) in img.chunks_exact(w).zip(out.chunks_exact_mut(2 * rw)) {
-        let (p0, p1) = dst.split_at_mut(rw);
-        for (ix, &v) in row.iter().enumerate() {
-            let code = (v / ascale).round().clamp(0.0, 3.0);
-            let bits = (code as i32 & 3) as u64;
-            let (word, bit) = ((pad + ix) / 64, (pad + ix) % 64);
-            p0[word] |= (bits & 1) << bit;
-            p1[word] |= (bits >> 1) << bit;
+    rw
+}
+
+/// Validated shape of one window gather, shared by both backend bodies.
+struct GatherShape {
+    c: usize,
+    h: usize,
+    oh: usize,
+    ow: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    /// Words per packed image-row plane ([`image_row_words`]).
+    rw: usize,
+    /// Words per operand plane (`plane_words(c·k²)`).
+    wpp: usize,
+    /// Whether a padded row fits one word, so that a window segment is
+    /// a single-word shift (no funnel read; the lane-parallel form's
+    /// precondition).
+    one_word_rows: bool,
+    seg_mask: u64,
+}
+
+impl GatherShape {
+    /// Checks the geometry against the packed image and sizes `out` to
+    /// the `oh·ow` operand items, every word of which the gather bodies
+    /// then store exactly once.
+    fn new(
+        image: &[u64],
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: ConvGeometry,
+        out: &mut Vec<u64>,
+    ) -> Self {
+        let k = geom.kernel;
+        assert!(
+            (1..=MAX_DIRECT_KERNEL).contains(&k),
+            "direct conv gather requires 1 <= kernel <= {MAX_DIRECT_KERNEL}, got {k}"
+        );
+        let shape = Self {
+            c,
+            h,
+            oh: geom.output_dim(h).expect("window must fit"),
+            ow: geom.output_dim(w).expect("window must fit"),
+            kernel: k,
+            stride: geom.stride,
+            pad: geom.padding,
+            rw: image_row_words(w, geom.padding),
+            wpp: plane_words(c * k * k),
+            one_word_rows: w + 2 * geom.padding <= 64,
+            seg_mask: if k == 64 { !0 } else { (1u64 << k) - 1 },
+        };
+        assert_eq!(
+            image.len(),
+            c * h * 2 * shape.rw,
+            "gather_conv_windows_int2: packed image length mismatch"
+        );
+        resize_for_overwrite(out, shape.oh * shape.ow * 2 * shape.wpp);
+        shape
+    }
+
+    /// Offset of the packed plane-0 row feeding kernel row `ky` of
+    /// output row `oy` in channel `ci` (plane 1 follows `rw` words
+    /// later), or `None` in vertical padding.
+    #[inline(always)]
+    fn row_base(&self, ci: usize, oy: usize, ky: usize) -> Option<usize> {
+        let iy = (oy * self.stride + ky).checked_sub(self.pad)?;
+        (iy < self.h).then_some((ci * self.h + iy) * 2 * self.rw)
+    }
+
+    /// Assembles the operand item of output pixel `(oy, ox)` into
+    /// `item` (`2·wpp` words): the depth walk in scalar form. `FUNNEL`
+    /// selects the two-word read that rows wider than a word need; with
+    /// one-word rows the window is a plain shift of the row word.
+    #[inline(always)]
+    fn gather_pixel<const FUNNEL: bool>(
+        &self,
+        image: &[u64],
+        oy: usize,
+        ox: usize,
+        item: &mut [u64],
+    ) {
+        let (k, rw, wpp) = (self.kernel, self.rw, self.wpp);
+        // The window row occupies bits [ox*s, ox*s + k) of the padded
+        // image row.
+        let (w0, sh) = (ox * self.stride / 64, ox * self.stride % 64);
+        let segment = |row: &[u64]| {
+            let bits = if FUNNEL {
+                // Funnel shift across the word pair; `<< 1 <<` keeps
+                // each shift < 64 when sh == 0 (the upper word then
+                // contributes nothing).
+                (row[w0] >> sh) | (row[w0 + 1] << 1 << (63 - sh))
+            } else {
+                row[0] >> sh
+            };
+            bits & self.seg_mask
+        };
+        let (mut a0, mut a1) = (0u64, 0u64);
+        // `ds` is the bit of the open word the next segment starts at:
+        // the depth `(ci*k + ky)*k` modulo 64, kept incrementally.
+        let (mut word, mut ds) = (0, 0);
+        for ci in 0..self.c {
+            for ky in 0..k {
+                let (seg0, seg1) = match self.row_base(ci, oy, ky) {
+                    Some(base) => (segment(&image[base..]), segment(&image[base + rw..])),
+                    None => (0, 0), // vertical padding: all-zero codes
+                };
+                a0 |= seg0 << ds;
+                a1 |= seg1 << ds;
+                ds += k;
+                if ds >= 64 {
+                    item[word] = a0;
+                    item[wpp + word] = a1;
+                    word += 1;
+                    ds -= 64;
+                    // Segment bits past the word boundary open the next
+                    // word; `k - ds` is in 1..=64, so `>> 1 >>` keeps
+                    // the shift in range.
+                    a0 = seg0 >> 1 >> (k - ds - 1);
+                    a1 = seg1 >> 1 >> (k - ds - 1);
+                }
+            }
+        }
+        if ds > 0 {
+            item[word] = a0;
+            item[wpp + word] = a1;
+        }
+    }
+
+    /// The whole gather one pixel at a time: the portable body, and the
+    /// AVX2 body's route for shapes its lanes do not cover.
+    #[inline(always)]
+    fn gather_pixels(&self, image: &[u64], out: &mut [u64]) {
+        for (p, item) in out.chunks_exact_mut(2 * self.wpp).enumerate() {
+            let (oy, ox) = (p / self.ow, p % self.ow);
+            if self.one_word_rows {
+                self.gather_pixel::<false>(image, oy, ox, item);
+            } else {
+                self.gather_pixel::<true>(image, oy, ox, item);
+            }
         }
     }
 }
@@ -449,19 +682,21 @@ pub fn pack_image_int2(
 /// `im2col_into` → [`act_codes_in_place`] → [`pack_acts_cols_int2`]
 /// would produce, without materializing any f32 column.
 ///
-/// Per (channel, kernel-row), each window's `k`-bit row segment is
-/// lifted with one two-word funnel shift and OR-ed into its fixed
-/// depth slot `(c*k + ky)*k` of the output item. Kernel rows falling
-/// in vertical padding are skipped — the destination stays zero,
-/// matching the zeros im2col writes — and horizontal padding is
-/// already zero bits in the packed rows. Output layout (items =
-/// `oh*ow` pixels of depth `c*k*k`, `[plane0 | plane1]`, zero tail
-/// bits) is exactly [`pack_acts_cols_int2`]'s.
+/// Each output pixel's operand is assembled in depth order: per
+/// (channel, kernel-row) the window's `k`-bit row segment is shifted
+/// out of the packed row into the open operand word at depth slot
+/// `(c*k + ky)*k`, and a word is stored once, when the depth walk
+/// leaves it. Kernel rows falling in vertical padding contribute zero
+/// segments — the zeros im2col writes — and horizontal padding is
+/// already zero bits in the packed rows. The AVX2 body builds four
+/// pixels per vector. Output layout (items = `oh*ow` pixels of depth
+/// `c*k*k`, `[plane0 | plane1]`, zero tail bits) is exactly
+/// [`pack_acts_cols_int2`]'s.
 ///
 /// # Panics
 ///
-/// Panics when `geom.kernel` exceeds [`MAX_DIRECT_KERNEL`] or the
-/// window doesn't fit the input.
+/// Panics when `geom.kernel` exceeds [`MAX_DIRECT_KERNEL`], the window
+/// doesn't fit the input, or `image` is not a packed `c×h×w` image.
 pub fn gather_conv_windows_int2(
     image: &[u64],
     c: usize,
@@ -470,59 +705,13 @@ pub fn gather_conv_windows_int2(
     geom: ConvGeometry,
     out: &mut Vec<u64>,
 ) {
-    let (k, s, pad) = (geom.kernel, geom.stride, geom.padding);
-    assert!(
-        (1..=MAX_DIRECT_KERNEL).contains(&k),
-        "direct conv gather requires 1 <= kernel <= {MAX_DIRECT_KERNEL}, got {k}"
-    );
-    let oh = geom.output_dim(h).expect("window must fit");
-    let ow = geom.output_dim(w).expect("window must fit");
-    let rw = image_row_words(w, pad);
-    debug_assert_eq!(image.len(), c * h * 2 * rw);
-    let kk = c * k * k;
-    let wpp = plane_words(kk);
-    out.clear();
-    out.resize(oh * ow * 2 * wpp, 0);
-    let seg_mask = if k == 64 { !0 } else { (1u64 << k) - 1 };
-    for ci in 0..c {
-        for ky in 0..k {
-            // Depth slot of this (channel, kernel-row)'s first element
-            // in the im2col ordering `(c*k + ky)*k + kx`.
-            let depth = (ci * k + ky) * k;
-            let (d0, ds) = (depth / 64, depth % 64);
-            let spill = ds + k > 64;
-            for oy in 0..oh {
-                let iy = (oy * s + ky) as isize - pad as isize;
-                if iy < 0 || iy >= h as isize {
-                    continue; // vertical padding: all-zero codes
-                }
-                let base = (ci * h + iy as usize) * 2 * rw;
-                let r0 = &image[base..base + rw];
-                let r1 = &image[base + rw..base + 2 * rw];
-                for ox in 0..ow {
-                    // The window row occupies bits [ox*s, ox*s + k) of
-                    // the padded image row.
-                    let b = ox * s;
-                    let (w0, sh) = (b / 64, b % 64);
-                    // Funnel shift across the word pair; `<< 1 <<`
-                    // keeps each shift < 64 when sh == 0 (the upper
-                    // word then contributes nothing).
-                    let seg0 = ((r0[w0] >> sh) | (r0[w0 + 1] << 1 << (63 - sh))) & seg_mask;
-                    let seg1 = ((r1[w0] >> sh) | (r1[w0 + 1] << 1 << (63 - sh))) & seg_mask;
-                    let item = &mut out[(oy * ow + ox) * 2 * wpp..][..2 * wpp];
-                    let (p0, p1) = item.split_at_mut(wpp);
-                    p0[d0] |= seg0 << ds;
-                    p1[d0] |= seg1 << ds;
-                    if spill {
-                        // Segment bits past the word boundary; spill
-                        // implies ds > 0, so `>> 1 >>` again keeps the
-                        // shift in range.
-                        p0[d0 + 1] |= seg0 >> 1 >> (63 - ds);
-                        p1[d0 + 1] |= seg1 >> 1 >> (63 - ds);
-                    }
-                }
-            }
-        }
+    match active_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `pack_image_int2`.
+        Backend::Avx2 => unsafe { avx2::gather_conv_windows_int2(image, c, h, w, geom, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => portable::gather_conv_windows_int2(image, c, h, w, geom, out),
+        Backend::Portable => portable::gather_conv_windows_int2(image, c, h, w, geom, out),
     }
 }
 
@@ -568,14 +757,15 @@ pub fn conv_int2_direct(
 }
 
 /// Rounds a quantized activation slice to its integer codes in place:
-/// `v = clamp(round(v / scale), 0, 3)`. Inputs lie on (or within float
-/// error of) the quantization grid `{0, s, 2s, 3s}`, so round-to-nearest
-/// recovers the code exactly. Plain scalar ops — deterministic, no
-/// dispatch needed.
+/// `v = clamp(round(v / scale), 0, 3)`, computed by the engine's one
+/// compare rule (the same codes [`pack_image_int2`] packs). Inputs lie
+/// on (or within float error of) the quantization grid
+/// `{0, s, 2s, 3s}`, so round-to-nearest recovers the code exactly.
+/// Plain branch-free scalar ops — deterministic, no dispatch needed.
 pub fn act_codes_in_place(v: &mut [f32], scale: f32) {
     debug_assert!(scale > 0.0);
     for x in v {
-        *x = (*x / scale).round().clamp(0.0, 3.0);
+        *x = f32::from(act_code(*x / scale));
     }
 }
 
@@ -637,10 +827,12 @@ pub fn requantize_cols(out: &mut [f32], cs: &[f32], bias: &[f32]) {
 /// written as `(S as f32)*cs[i] + bias[i]` at `out[i*n + j]`
 /// ([`OutMajor::Row`]) or `out[j*m + i]` ([`OutMajor::Col`]).
 ///
-/// Mirrors the f32 GEMM's panel shape loosely: activation items are
-/// walked in blocks of [`crate::gemm`]'s `NC=32` so a weight row streams
-/// against a cache-resident B panel. No threading — conv calls this
-/// per image inside its own parallel loop, and linear batches are small.
+/// On AVX2, groups of four weight rows stream every activation item
+/// through the row-lane microkernel (see the module doc); leftover rows
+/// and the portable backend walk activation items in blocks of
+/// [`crate::gemm`]'s `NC=32` so a weight row streams against a
+/// cache-resident B panel. No threading — conv calls this per image
+/// inside its own parallel loop, and linear batches are small.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_int2(
     m: usize,
@@ -676,11 +868,12 @@ pub fn gemm_int2(
     }
 }
 
-/// The shared blocked loop nest: only the dot-product kernel differs per
-/// backend, and it must be called inside the backend's `target_feature`
-/// region to inline, hence a macro rather than a generic.
+/// The shared blocked loop nest over weight rows `$rows`: only the
+/// dot-product kernel differs per backend, and it must be called inside
+/// the backend's `target_feature` region to inline, hence a macro
+/// rather than a generic.
 macro_rules! gemm_int2_body {
-    ($dot:path, $m:expr, $k:expr, $n:expr, $a:expr, $b:expr,
+    ($dot:path, $rows:expr, $m:expr, $k:expr, $n:expr, $a:expr, $b:expr,
      $cs:expr, $bias:expr, $out:expr, $major:expr) => {{
         // Same B-panel width as the f32 GEMM's NC: a 32-item panel of
         // packed CNV operands is a few KiB and stays L1-resident while
@@ -690,7 +883,7 @@ macro_rules! gemm_int2_body {
         let mut j0 = 0;
         while j0 < $n {
             let jn = ($n - j0).min(BN);
-            for i in 0..$m {
+            for i in $rows {
                 let wa = &$a[i * wpi..(i + 1) * wpi];
                 let (c, bi) = ($cs[i], $bias[i]);
                 for j in j0..j0 + jn {
@@ -710,7 +903,49 @@ macro_rules! gemm_int2_body {
 /// The scalar backend, public (like [`crate::simd::portable`]) so the
 /// bit-identity suite can pin it against AVX2 directly.
 pub mod portable {
-    use super::{requant, words_per_item, OutMajor};
+    use super::{
+        act_code, pack_image_setup, requant, words_per_item, ConvGeometry, GatherShape, OutMajor,
+    };
+
+    /// Single-backend entry with the same contract as
+    /// [`super::pack_image_int2`]: one division and three compares per
+    /// value, no branch and no libm call.
+    pub fn pack_image_int2(
+        img: &[f32],
+        ascale: f32,
+        c: usize,
+        h: usize,
+        w: usize,
+        pad: usize,
+        out: &mut Vec<u64>,
+    ) {
+        let rw = pack_image_setup(img, ascale, c, h, w, pad, out);
+        if w == 0 {
+            return;
+        }
+        for (row, dst) in img.chunks_exact(w).zip(out.chunks_exact_mut(2 * rw)) {
+            let (p0, p1) = dst.split_at_mut(rw);
+            for (ix, &v) in row.iter().enumerate() {
+                let code = u64::from(act_code(v / ascale));
+                let (word, bit) = ((pad + ix) / 64, (pad + ix) % 64);
+                p0[word] |= (code & 1) << bit;
+                p1[word] |= (code >> 1) << bit;
+            }
+        }
+    }
+
+    /// Single-backend entry with the same contract as
+    /// [`super::gather_conv_windows_int2`]: one output pixel at a time.
+    pub fn gather_conv_windows_int2(
+        image: &[u64],
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: ConvGeometry,
+        out: &mut Vec<u64>,
+    ) {
+        GatherShape::new(image, c, h, w, geom, out).gather_pixels(image, out);
+    }
 
     /// `S = pc(w0&a0) + 2·pc(w0&a1) - 2·pc(w1&a0) - 4·pc(w1&a1)` over
     /// `[plane0 | plane1]` packed items.
@@ -743,7 +978,7 @@ pub mod portable {
         out: &mut [f32],
         major: OutMajor,
     ) {
-        gemm_int2_body!(dot, m, k, n, a, b, cs, bias, out, major);
+        gemm_int2_body!(dot, 0..m, m, k, n, a, b, cs, bias, out, major);
     }
 }
 
@@ -751,8 +986,233 @@ pub mod portable {
 /// bit-identity suite. All functions require AVX2+POPCNT.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::{requant, words_per_item, OutMajor};
+    use super::{
+        pack_image_setup, plane_words, portable, requant, words_per_item, ConvGeometry,
+        GatherShape, OutMajor,
+    };
     use std::arch::x86_64::*;
+    use std::mem::MaybeUninit;
+
+    /// `maskload` masks for a row's last `1..=7` values: the window
+    /// starting at `8 - rem` has `rem` leading all-ones lanes.
+    static TAIL_MASK: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+    /// Single-backend entry with the same contract as
+    /// [`super::pack_image_int2`]: eight values become plane bits with
+    /// one `vdivps`, three `vcmpps` and three `vmovmskps`. A row's
+    /// ragged tail is a masked load whose dead lanes read as `0.0`,
+    /// which is code 0 and sets no bit.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn pack_image_int2(
+        img: &[f32],
+        ascale: f32,
+        c: usize,
+        h: usize,
+        w: usize,
+        pad: usize,
+        out: &mut Vec<u64>,
+    ) {
+        let rw = pack_image_setup(img, ascale, c, h, w, pad, out);
+        if w == 0 {
+            return;
+        }
+        let scale = _mm256_set1_ps(ascale);
+        let (t1, t2, t3) = (
+            _mm256_set1_ps(0.5),
+            _mm256_set1_ps(1.5),
+            _mm256_set1_ps(2.5),
+        );
+        for (row, dst) in img.chunks_exact(w).zip(out.chunks_exact_mut(2 * rw)) {
+            let (p0, p1) = dst.split_at_mut(rw);
+            for ix in (0..w).step_by(8) {
+                let src = row.as_ptr().add(ix);
+                let v = if w - ix >= 8 {
+                    // SAFETY: lanes `ix..ix + 8` lie inside `row`.
+                    _mm256_loadu_ps(src)
+                } else {
+                    let mask = TAIL_MASK.as_ptr().add(8 - (w - ix));
+                    // SAFETY: the mask window `8 - rem..16 - rem` lies
+                    // inside TAIL_MASK, and `maskload` touches only the
+                    // `rem = w - ix` selected lanes, all inside `row`.
+                    _mm256_maskload_ps(src, _mm256_loadu_si256(mask as *const __m256i))
+                };
+                // Ordered compares: NaN sets no bit, i.e. code 0, as
+                // `NaN.round().clamp(0, 3) as i32` gives.
+                let x = _mm256_div_ps(v, scale);
+                let g1 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(x, t1)) as u64;
+                let g2 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(x, t2)) as u64;
+                let g3 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(x, t3)) as u64;
+                let (b0, b1) = (g1 ^ g2 ^ g3, g2);
+                let (word, bit) = ((pad + ix) / 64, (pad + ix) % 64);
+                p0[word] |= b0 << bit;
+                p1[word] |= b1 << bit;
+                if bit > 56 {
+                    // The eight bits straddle a word; the guard word of
+                    // `image_row_words` keeps `word + 1` in the row.
+                    p0[word + 1] |= b0 >> (64 - bit);
+                    p1[word + 1] |= b1 >> (64 - bit);
+                }
+            }
+        }
+    }
+
+    /// Stores lane `l` of `a0[v]`/`a1[v]` as word `word` of plane 0/1
+    /// of operand item `4·v + l` of `items`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline(always)]
+    // Indexed on purpose: the iterator forms of the lane loop compile to
+    // a 9 % slower gather (7.1 -> 7.8 us at 8x30x30).
+    #[allow(clippy::needless_range_loop)]
+    unsafe fn store_lanes<const V: usize>(
+        items: &mut [u64],
+        wpp: usize,
+        word: usize,
+        a0: [__m256i; V],
+        a1: [__m256i; V],
+    ) {
+        for v in 0..V {
+            let mut lanes = [[0u64; 4]; 2];
+            // SAFETY: each destination is a 32-byte array.
+            _mm256_storeu_si256(lanes[0].as_mut_ptr() as *mut __m256i, a0[v]);
+            _mm256_storeu_si256(lanes[1].as_mut_ptr() as *mut __m256i, a1[v]);
+            for l in 0..4 {
+                let at = (4 * v + l) * 2 * wpp + word;
+                items[at] = lanes[0][l];
+                items[at + wpp] = lanes[1][l];
+            }
+        }
+    }
+
+    /// Gathers the operand items of the `4·V` output pixels
+    /// `(oy, ox..ox + 4·V)`, one pixel per 64-bit lane: the depth walk
+    /// of `GatherShape::gather_pixel` with the open operand words of
+    /// all pixels in registers. The row word is broadcast and `vpsrlvq`
+    /// shifts each lane's window down to bit 0.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `shape` must be `one_word_rows`, validated against
+    /// `image` and `out`, with `ox + 4·V <= ow`.
+    #[inline(always)]
+    unsafe fn gather_lanes<const V: usize>(
+        image: &[u64],
+        shape: &GatherShape,
+        oy: usize,
+        ox: usize,
+        out: &mut [u64],
+    ) {
+        let (k, s, rw, wpp) = (shape.kernel, shape.stride, shape.rw, shape.wpp);
+        let zero = _mm256_setzero_si256();
+        let mask = _mm256_set1_epi64x(shape.seg_mask as i64);
+        let lane_step = _mm256_setr_epi64x(0, s as i64, 2 * s as i64, 3 * s as i64);
+        // Window start bits: below 64 in every lane because the whole
+        // padded row fits one word.
+        let mut starts = [zero; V];
+        for (v, st) in starts.iter_mut().enumerate() {
+            *st = _mm256_add_epi64(_mm256_set1_epi64x(((ox + 4 * v) * s) as i64), lane_step);
+        }
+        let items = &mut out[(oy * shape.ow + ox) * 2 * wpp..][..4 * V * 2 * wpp];
+        let (mut a0, mut a1) = ([zero; V], [zero; V]);
+        let (mut word, mut ds) = (0, 0);
+        for ci in 0..shape.c {
+            for ky in 0..k {
+                let (mut seg0, mut seg1) = ([zero; V], [zero; V]);
+                if let Some(base) = shape.row_base(ci, oy, ky) {
+                    // SAFETY: `row_base` returns `(ci*h + iy) * 2*rw` with
+                    // `ci < c` and `iy < h`, and `GatherShape::new`
+                    // asserted `image.len() == c*h * 2*rw`, so both plane
+                    // words are in bounds. Unchecked because the checks
+                    // cost a fifth of this kernel (8.9 -> 7.1 us on the
+                    // 8x30x30 shape).
+                    let r0 = _mm256_set1_epi64x(*image.get_unchecked(base) as i64);
+                    let r1 = _mm256_set1_epi64x(*image.get_unchecked(base + rw) as i64);
+                    for v in 0..V {
+                        seg0[v] = _mm256_and_si256(_mm256_srlv_epi64(r0, starts[v]), mask);
+                        seg1[v] = _mm256_and_si256(_mm256_srlv_epi64(r1, starts[v]), mask);
+                    }
+                }
+                let slot = _mm_cvtsi64_si128(ds as i64);
+                for v in 0..V {
+                    a0[v] = _mm256_or_si256(a0[v], _mm256_sll_epi64(seg0[v], slot));
+                    a1[v] = _mm256_or_si256(a1[v], _mm256_sll_epi64(seg1[v], slot));
+                }
+                ds += k;
+                if ds >= 64 {
+                    store_lanes(items, wpp, word, a0, a1);
+                    word += 1;
+                    ds -= 64;
+                    // `k - ds` is in 1..=64; a count of 64 shifts
+                    // everything out — the empty spill of a segment
+                    // ending on the word boundary.
+                    let spill = _mm_cvtsi64_si128((k - ds) as i64);
+                    for v in 0..V {
+                        a0[v] = _mm256_srl_epi64(seg0[v], spill);
+                        a1[v] = _mm256_srl_epi64(seg1[v], spill);
+                    }
+                }
+            }
+        }
+        if ds > 0 {
+            store_lanes(items, wpp, word, a0, a1);
+        }
+    }
+
+    /// Single-backend entry with the same contract as
+    /// [`super::gather_conv_windows_int2`]: eight output pixels per
+    /// pass (two vectors), then four; a ragged row end re-gathers the
+    /// row's last four pixels (stores are whole words, so the overlap
+    /// is harmless). Rows wider than one word, and outputs narrower
+    /// than four pixels, take the scalar funnel form.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gather_conv_windows_int2(
+        image: &[u64],
+        c: usize,
+        h: usize,
+        w: usize,
+        geom: ConvGeometry,
+        out: &mut Vec<u64>,
+    ) {
+        let shape = GatherShape::new(image, c, h, w, geom, out);
+        let ow = shape.ow;
+        if !shape.one_word_rows || ow < 4 {
+            return shape.gather_pixels(image, out);
+        }
+        for oy in 0..shape.oh {
+            let mut ox = 0;
+            while ox + 8 <= ow {
+                gather_lanes::<2>(image, &shape, oy, ox, out);
+                ox += 8;
+            }
+            while ox < ow {
+                gather_lanes::<1>(image, &shape, oy, ox.min(ow - 4), out);
+                ox += 4;
+            }
+        }
+    }
+
+    /// The Muła nibble LUT: `vpshufb` by a nibble yields its popcount.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline(always)]
+    unsafe fn nibble_popcnt_lut() -> __m256i {
+        _mm256_setr_epi8(
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
+            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
+        )
+    }
 
     /// Byte-wise popcount of a 256-bit vector via the Muła `vpshufb`
     /// nibble-LUT method, reduced to four u64 lane sums with `vpsadbw`.
@@ -762,10 +1222,7 @@ pub mod avx2 {
     /// Requires AVX2.
     #[inline(always)]
     unsafe fn popcnt256(v: __m256i) -> __m256i {
-        let lut = _mm256_setr_epi8(
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, //
-            0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4,
-        );
+        let lut = nibble_popcnt_lut();
         let low = _mm256_set1_epi8(0x0f);
         let lo = _mm256_and_si256(v, low);
         let hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
@@ -776,8 +1233,10 @@ pub mod avx2 {
         _mm256_sad_epu8(cnt, _mm256_setzero_si256())
     }
 
-    /// Same contract as `portable::dot`; processes 4 plane words per
-    /// backend pair per iteration, hardware-POPCNT remainder.
+    /// Same contract as `portable::dot`. Depths of four or more plane
+    /// words run four words per iteration through `popcnt256` and pay
+    /// one horizontal sum per stream; shallower items (every CNV conv
+    /// below `k = 256`) are the hardware-POPCNT scalar loop alone.
     ///
     /// # Safety
     ///
@@ -786,6 +1245,9 @@ pub mod avx2 {
     #[inline]
     pub unsafe fn dot(w: &[u64], a: &[u64]) -> i32 {
         let wpp = w.len() / 2;
+        if wpp < 4 {
+            return portable::dot(w, a);
+        }
         let (w0, w1) = w.split_at(wpp);
         let (a0, a1) = a.split_at(wpp);
         let mut acc00 = _mm256_setzero_si256();
@@ -822,8 +1284,149 @@ pub mod avx2 {
         (c00 + 2 * c01 - 2 * c10 - 4 * c11) as i32
     }
 
+    /// Deepest operand (plane words) the row-lane microkernel
+    /// interleaves on the stack: `k = 4608`, the deepest CNV layer.
+    /// Deeper items take the per-pair [`dot`], whose horizontal sums
+    /// are long amortized at that depth.
+    const ROW_LANE_MAX_WORDS: usize = 72;
+
+    /// Fewest activation items that amortize interleaving four weight
+    /// rows (which costs about one item's lookups) at any supported
+    /// depth: against the vectorized [`dot`], measured at `m = 32`, the
+    /// row lanes break even at 7 plane words for one item (330 vs 362 ns
+    /// at 5 words, 480 vs 461 at 8, 3.8 vs 2.6 us at 72), at 25 words
+    /// for two, and tie at 72 words for three.
+    const ROW_LANE_MIN_ITEMS: usize = 3;
+
+    /// Depth (plane words) below which even a single activation item
+    /// amortizes the interleave — the one-item break-even above. Covers
+    /// the `n = 1` conv6 shape (5 words) and every item too shallow for
+    /// `dot`'s vector loop.
+    const ROW_LANE_ANY_ITEMS_WORDS: usize = 7;
+
+    /// Plane words between `vpsadbw` flushes of the byte accumulators:
+    /// one word adds at most `8 + 2·8 = 24` to a byte, and
+    /// `24 · 8 = 192 < 256`.
+    const FLUSH_WORDS: usize = 8;
+
+    /// The row-lane microkernel: weight rows `i0..i0 + 4` against all
+    /// `n` activation items, one row per 64-bit lane.
+    ///
+    /// The four rows are interleaved once into nibble vectors on the
+    /// stack (`[w0 lo, w0 hi, w1 lo, w1 hi]` per plane word). Per
+    /// activation word the broadcast nibbles are AND-ed against them
+    /// and counted with two `vpshufb` LUTs — `×1` for activation plane
+    /// 0, `×2` for plane 1 — summed as bytes per weight plane:
+    /// `P = pc(w0&a0) + 2·pc(w0&a1)` and `N = pc(w1&a0) + 2·pc(w1&a1)`.
+    /// One `vpsadbw` per [`FLUSH_WORDS`] words turns bytes into lane
+    /// sums, `S = P − 2N` is the row's dot product with no horizontal
+    /// reduction, and the epilogue is `cvtdq2ps`, `mulps`, `addps` —
+    /// the two exactly-rounded steps of [`requant`], never fused.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and `wpp <= ROW_LANE_MAX_WORDS` (the interleave
+    /// buffer's size); every slice access is bounds-checked.
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn gemm_rows4(
+        i0: usize,
+        m: usize,
+        wpp: usize,
+        n: usize,
+        a: &[u64],
+        b: &[u64],
+        cs: &[f32],
+        bias: &[f32],
+        out: &mut [f32],
+        major: OutMajor,
+    ) {
+        let low = _mm256_set1_epi8(0x0f);
+        let lut1 = nibble_popcnt_lut();
+        let lut2 = _mm256_add_epi8(lut1, lut1);
+        let zero = _mm256_setzero_si256();
+        let wpi = 2 * wpp;
+        let rows = &a[i0 * wpi..(i0 + 4) * wpi];
+        let mut lanes = [MaybeUninit::<__m256i>::uninit(); 4 * ROW_LANE_MAX_WORDS];
+        for t in 0..wpp {
+            for plane in 0..2 {
+                let at = plane * wpp + t;
+                let v = _mm256_setr_epi64x(
+                    rows[at] as i64,
+                    rows[wpi + at] as i64,
+                    rows[2 * wpi + at] as i64,
+                    rows[3 * wpi + at] as i64,
+                );
+                lanes[4 * t + 2 * plane].write(_mm256_and_si256(v, low));
+                lanes[4 * t + 2 * plane + 1].write(_mm256_and_si256(_mm256_srli_epi16(v, 4), low));
+            }
+        }
+        let cs4 = _mm_loadu_ps(cs[i0..i0 + 4].as_ptr());
+        let bias4 = _mm_loadu_ps(bias[i0..i0 + 4].as_ptr());
+        let low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+        let (row_stride, item_stride) = match major {
+            OutMajor::Row => (n, 1),
+            OutMajor::Col => (1, m),
+        };
+        for (j, item) in b.chunks_exact(wpi).enumerate() {
+            let (b0, b1) = item.split_at(wpp);
+            let (mut p, mut nn) = (zero, zero);
+            let mut t = 0;
+            while t < wpp {
+                let flush_at = (t + FLUSH_WORDS).min(wpp);
+                let (mut pb, mut nb) = (zero, zero);
+                while t < flush_at {
+                    // SAFETY: the interleave above initialized entries
+                    // `0..4 * wpp`, and `t < wpp`.
+                    let l = [
+                        lanes[4 * t].assume_init(),
+                        lanes[4 * t + 1].assume_init(),
+                        lanes[4 * t + 2].assume_init(),
+                        lanes[4 * t + 3].assume_init(),
+                    ];
+                    let a0 = _mm256_set1_epi64x(b0[t] as i64);
+                    let a1 = _mm256_set1_epi64x(b1[t] as i64);
+                    let a0lo = _mm256_and_si256(a0, low);
+                    let a0hi = _mm256_and_si256(_mm256_srli_epi16(a0, 4), low);
+                    let a1lo = _mm256_and_si256(a1, low);
+                    let a1hi = _mm256_and_si256(_mm256_srli_epi16(a1, 4), low);
+                    let cnt = |lut, x, y| _mm256_shuffle_epi8(lut, _mm256_and_si256(x, y));
+                    pb = _mm256_add_epi8(
+                        pb,
+                        _mm256_add_epi8(
+                            _mm256_add_epi8(cnt(lut1, l[0], a0lo), cnt(lut1, l[1], a0hi)),
+                            _mm256_add_epi8(cnt(lut2, l[0], a1lo), cnt(lut2, l[1], a1hi)),
+                        ),
+                    );
+                    nb = _mm256_add_epi8(
+                        nb,
+                        _mm256_add_epi8(
+                            _mm256_add_epi8(cnt(lut1, l[2], a0lo), cnt(lut1, l[3], a0hi)),
+                            _mm256_add_epi8(cnt(lut2, l[2], a1lo), cnt(lut2, l[3], a1hi)),
+                        ),
+                    );
+                    t += 1;
+                }
+                p = _mm256_add_epi64(p, _mm256_sad_epu8(pb, zero));
+                nn = _mm256_add_epi64(nn, _mm256_sad_epu8(nb, zero));
+            }
+            let s = _mm256_sub_epi64(p, _mm256_add_epi64(nn, nn));
+            // |S| <= 6k < 2^24: the low dword of each lane is S.
+            let s = _mm256_castsi256_si128(_mm256_permutevar8x32_epi32(s, low_dwords));
+            let y = _mm_add_ps(_mm_mul_ps(_mm_cvtepi32_ps(s), cs4), bias4);
+            let mut ys = [0.0f32; 4];
+            _mm_storeu_ps(ys.as_mut_ptr(), y);
+            for (l, &v) in ys.iter().enumerate() {
+                out[(i0 + l) * row_stride + j * item_stride] = v;
+            }
+        }
+    }
+
     /// Single-backend entry with the same contract as
-    /// [`super::gemm_int2`] (counters excluded).
+    /// [`super::gemm_int2`] (counters excluded). Whole groups of four
+    /// weight rows go through the row-lane microkernel where the shape
+    /// amortizes its interleave; leftover rows (`m mod 4`, pruned
+    /// widths) and the remaining shapes run the per-pair [`dot`].
     ///
     /// # Safety
     ///
@@ -841,7 +1444,17 @@ pub mod avx2 {
         out: &mut [f32],
         major: OutMajor,
     ) {
-        gemm_int2_body!(dot, m, k, n, a, b, cs, bias, out, major);
+        let wpp = plane_words(k);
+        let amortized = n >= ROW_LANE_MIN_ITEMS || wpp < ROW_LANE_ANY_ITEMS_WORDS;
+        let lane_rows = if amortized && (1..=ROW_LANE_MAX_WORDS).contains(&wpp) {
+            m / 4 * 4
+        } else {
+            0
+        };
+        for i0 in (0..lane_rows).step_by(4) {
+            gemm_rows4(i0, m, wpp, n, a, b, cs, bias, out, major);
+        }
+        gemm_int2_body!(dot, lane_rows..m, m, k, n, a, b, cs, bias, out, major);
     }
 }
 
@@ -1019,13 +1632,16 @@ mod tests {
     #[test]
     fn conv_profitability_crossover_models_once_per_image_packing() {
         override_direct_enabled(Some(true));
-        assert!(!conv_engine_profitable(4, 3));
-        assert!(conv_engine_profitable(8, 3)); // CNV widths 8+ now route
-        assert!(!conv_engine_profitable(7, 5));
-        assert!(conv_engine_profitable(8, 5));
+        assert!(!conv_engine_profitable(3, 3));
+        assert!(conv_engine_profitable(4, 3)); // pruned CNV widths 4..7 route
+        assert!(conv_engine_profitable(8, 3));
+        assert!(!conv_engine_profitable(3, 5));
+        assert!(conv_engine_profitable(4, 5));
+        assert!(!conv_engine_profitable(7, 2)); // 32 / k² = 8 above the floor
+        assert!(conv_engine_profitable(8, 2));
         assert!(!conv_engine_profitable(31, 1)); // 1×1: no window reuse
         assert!(conv_engine_profitable(32, 1));
-        assert!(conv_engine_profitable(8, MAX_DIRECT_KERNEL));
+        assert!(conv_engine_profitable(4, MAX_DIRECT_KERNEL));
         // Past the direct kernel bound the per-column model applies.
         assert!(!conv_engine_profitable(8, MAX_DIRECT_KERNEL + 1));
         assert!(conv_engine_profitable(32, MAX_DIRECT_KERNEL + 1));

@@ -7,8 +7,13 @@
 //! Coverage includes unaligned (offset) item views, remainder lanes
 //! (depths that are not multiples of 64 or 256 packed bits), all-zero
 //! planes, and sign-plane edge cases (operands dense in −2, the only
-//! code with a set high plane and a clear low plane). CI re-runs this
-//! suite under `ADAPEX_NO_INT2=1` and `ADAPEX_NO_SIMD=1`.
+//! code with a set high plane and a clear low plane). The direct-conv
+//! kernels are pinned the same way: both `pack_image_int2` bodies
+//! against the pre-compare-rule scalar loop kept here as the oracle,
+//! both window gathers against the im2col route's packed columns, and
+//! the row-lane GEMM microkernel against the naive sum at the shapes
+//! that cross its lane, tail-row and byte-flush boundaries. CI re-runs
+//! this suite under `ADAPEX_NO_INT2=1` and `ADAPEX_NO_SIMD=1`.
 
 use adapex_tensor::conv::{im2col_into, ConvGeometry};
 use adapex_tensor::int2::{self, portable, Backend, OutMajor};
@@ -281,4 +286,309 @@ fn dispatched_equals_forced_portable() {
     let forced = run();
     int2::override_backend(None);
     assert_eq!(bits(&dispatched), bits(&forced));
+}
+
+/// The quantize rule the engine used before the compare rule, kept as
+/// the oracle: `round`, `clamp`, low two bits of the integer.
+fn legacy_code(x: f32) -> u64 {
+    (x.round().clamp(0.0, 3.0) as i32 & 3) as u64
+}
+
+/// The pre-vectorization `pack_image_int2` body, kept as the oracle.
+fn legacy_pack_image(img: &[f32], ascale: f32, w: usize, pad: usize) -> Vec<u64> {
+    let rw = int2::image_row_words(w, pad);
+    let mut out = vec![0u64; img.len() / w * 2 * rw];
+    for (row, dst) in img.chunks_exact(w).zip(out.chunks_exact_mut(2 * rw)) {
+        let (p0, p1) = dst.split_at_mut(rw);
+        for (ix, &v) in row.iter().enumerate() {
+            let bits = legacy_code(v / ascale);
+            let (word, bit) = ((pad + ix) / 64, (pad + ix) % 64);
+            p0[word] |= (bits & 1) << bit;
+            p1[word] |= (bits >> 1) << bit;
+        }
+    }
+    out
+}
+
+/// Both pack bodies, called directly, against the legacy oracle.
+fn assert_pack_matches_legacy(img: &[f32], ascale: f32, c: usize, h: usize, w: usize, pad: usize) {
+    let want = legacy_pack_image(img, ascale, w, pad);
+    let tag = format!("ascale={ascale} c={c} h={h} w={w} pad={pad}");
+    let mut got = vec![!0u64; 3]; // stale contents must not survive
+    portable::pack_image_int2(img, ascale, c, h, w, pad, &mut got);
+    assert_eq!(got, want, "portable pack, {tag}");
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        let mut got = vec![!0u64; 3];
+        unsafe { avx2::pack_image_int2(img, ascale, c, h, w, pad, &mut got) };
+        assert_eq!(got, want, "avx2 pack, {tag}");
+    }
+}
+
+/// Values around every rounding tie of the code grid, plus the
+/// non-finite and signed-zero cases, for one activation scale.
+fn tie_values(ascale: f32) -> Vec<f32> {
+    let mut v = vec![
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -0.0,
+        0.0,
+        -0.3 * ascale,
+        -7.0 * ascale,
+        f32::MIN_POSITIVE,
+        1e-42, // subnormal
+        f32::MAX,
+        0.3 * ascale,
+        1.26 * ascale,
+        2.71 * ascale,
+        3.49 * ascale,
+        3.5 * ascale,
+        9.0 * ascale,
+    ];
+    for tie in [0.5f32, 1.5, 2.5] {
+        let t = tie * ascale;
+        v.extend([
+            t.next_down().next_down(),
+            t.next_down(),
+            t,
+            t.next_up(),
+            t.next_up().next_up(),
+        ]);
+    }
+    v
+}
+
+/// Compare rule == legacy rule on the ties (±1 ulp), off-grid values,
+/// negatives, NaN, ±inf and −0.0, across exact (power-of-two) and
+/// inexact scales, widths that are not a multiple of 8, all paddings
+/// and rows that cross a word — on both backends.
+#[test]
+fn pack_image_matches_legacy_oracle_on_ties_and_edges() {
+    for ascale in [1.0f32, 0.5, 2.0, 0.25, 2.0 / 3.0, 0.013, 0.37, 7.3e-3] {
+        let pool = tie_values(ascale);
+        for w in [1usize, 5, 7, 8, 9, 13, 30, 31, 62, 64, 70, 129] {
+            for pad in 0..3 {
+                let (c, h) = (2, 3);
+                // Slide the pool so every value meets every lane.
+                let img: Vec<f32> = (0..c * h * w)
+                    .map(|i| pool[(i * 7 + w + pad) % pool.len()])
+                    .collect();
+                assert_pack_matches_legacy(&img, ascale, c, h, w, pad);
+            }
+        }
+    }
+}
+
+/// `act_codes_in_place` applies the same rule: code values equal the
+/// legacy `round().clamp()` on the same pool (as integers — the legacy
+/// expression could return −0.0, which no consumer could tell from 0).
+#[test]
+fn act_codes_match_legacy_oracle_on_ties_and_edges() {
+    for ascale in [1.0f32, 0.5, 2.0 / 3.0, 0.013, 0.37] {
+        let pool = tie_values(ascale);
+        let mut got = pool.clone();
+        int2::act_codes_in_place(&mut got, ascale);
+        for (&v, &code) in pool.iter().zip(&got) {
+            assert_eq!(
+                code as u64,
+                legacy_code(v / ascale),
+                "v={v:e} ascale={ascale}"
+            );
+            assert_eq!(
+                code.to_bits(),
+                (code as u64 as f32).to_bits(),
+                "not a canonical code"
+            );
+        }
+    }
+}
+
+/// Every f32 bit pattern: compare rule == `round().clamp()`, through
+/// `act_codes_in_place` and both pack bodies (scale 1, so `x` is the
+/// pattern itself). Under a minute with `--release -- --ignored`.
+#[test]
+#[ignore = "exhaustive 2^32 sweep"]
+fn compare_rule_equals_round_clamp_for_every_f32() {
+    const CHUNK: usize = 1 << 20;
+    let mut vals = vec![0.0f32; CHUNK];
+    let mut codes = vec![0.0f32; CHUNK];
+    let (mut pp, mut pa) = (Vec::new(), Vec::new());
+    for base in (0..1u64 << 32).step_by(CHUNK) {
+        for (i, v) in vals.iter_mut().enumerate() {
+            *v = f32::from_bits((base + i as u64) as u32);
+        }
+        codes.copy_from_slice(&vals);
+        int2::act_codes_in_place(&mut codes, 1.0);
+        portable::pack_image_int2(&vals, 1.0, 1, 1, CHUNK, 0, &mut pp);
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            unsafe { avx2::pack_image_int2(&vals, 1.0, 1, 1, CHUNK, 0, &mut pa) };
+            assert_eq!(
+                pa, pp,
+                "avx2 pack diverges from portable in chunk {base:#x}"
+            );
+        }
+        let rw = int2::image_row_words(CHUNK, 0);
+        for (i, &v) in vals.iter().enumerate() {
+            let want = legacy_code(v);
+            assert_eq!(codes[i] as u64, want, "act code of {:#010x}", v.to_bits());
+            let packed = (pp[i / 64] >> (i % 64) & 1) | (pp[rw + i / 64] >> (i % 64) & 1) << 1;
+            assert_eq!(packed, want, "packed code of {:#010x}", v.to_bits());
+        }
+    }
+}
+
+/// Both gather bodies, called directly on the shapes that cross their
+/// internal boundaries, against the im2col route's packed columns:
+/// `ow mod 4` ∈ {0,1,2,3} on both sides of the 8-pixel pass, stride 2,
+/// vertical padding (skipped rows must still advance the depth walk),
+/// the bit-64 depth spill (`kk = 72`), a segment ending exactly on a
+/// word boundary (`kk = 64`), kernel 5 and rows wider than one word.
+/// `out` starts dirty: every operand word must be stored.
+#[test]
+fn gather_bodies_equal_im2col_packed_columns() {
+    let ascale = 2.0f32 / 3.0;
+    for &(c, h, w, k, s, p) in &[
+        (8usize, 6usize, 6usize, 3usize, 1usize, 0usize), // ow = 4, kk = 72
+        (8, 5, 7, 3, 1, 0),                               // ow = 5
+        (8, 5, 8, 3, 1, 0),                               // ow = 6
+        (8, 5, 9, 3, 1, 0),                               // ow = 7
+        (8, 5, 11, 3, 1, 0),                              // ow = 9: one 8-pixel pass + ragged 4
+        (8, 4, 13, 3, 1, 0),                              // ow = 11
+        (8, 30, 30, 3, 1, 0),                             // conv2 of the width-8 CNV
+        (3, 9, 12, 3, 2, 1),                              // stride 2 with padding, ow = 6
+        (2, 11, 21, 3, 2, 0),                             // stride 2, ow = 10
+        (4, 6, 9, 3, 1, 2),                               // pad 2: whole kernel rows in padding
+        (4, 9, 9, 5, 1, 2),                               // kernel 5, kk = 100
+        (1, 8, 12, 8, 1, 0),  // kk = 64: segments end on the word boundary
+        (2, 3, 70, 3, 1, 1),  // padded row wider than one word
+        (1, 2, 130, 2, 3, 0), // three-word rows, stride 3
+        (5, 2, 2, 2, 1, 0),   // ow = 1
+        (32, 3, 3, 3, 1, 0),  // conv6: one output pixel, kk = 288
+    ] {
+        let geom = ConvGeometry::new(k).with_stride(s).with_padding(p);
+        let (oh, ow) = (
+            geom.output_dim(h).expect("fits"),
+            geom.output_dim(w).expect("fits"),
+        );
+        let kk = c * k * k;
+        let vals: Vec<f32> = (0..c * h * w)
+            .map(|i| (((i * 2654435761usize) >> 7) % 4) as f32 * ascale)
+            .collect();
+        let mut cols = Vec::new();
+        im2col_into(&vals, c, h, w, geom, &mut cols);
+        int2::act_codes_in_place(&mut cols, ascale);
+        let mut want = Vec::new();
+        int2::pack_acts_cols_int2(&cols, oh * ow, kk, &mut want);
+
+        let mut image = Vec::new();
+        int2::pack_image_int2(&vals, ascale, c, h, w, p, &mut image);
+        let tag = format!("c={c} h={h} w={w} k={k} s={s} p={p}");
+        let dirty = vec![!0u64; want.len() + 5];
+        let mut got = dirty.clone();
+        portable::gather_conv_windows_int2(&image, c, h, w, geom, &mut got);
+        assert_eq!(got, want, "portable gather, {tag}");
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            let mut got = dirty.clone();
+            unsafe { avx2::gather_conv_windows_int2(&image, c, h, w, geom, &mut got) };
+            assert_eq!(got, want, "avx2 gather, {tag}");
+        }
+    }
+}
+
+/// The row-lane microkernel's boundaries, deterministically: `m mod 4`
+/// leftover rows (pruned widths 5 and 13), depths of 1..72 plane words
+/// (9 and 72 cross the byte-accumulator flush; 72 is the interleave
+/// buffer's last supported depth and 73 the first unsupported), item
+/// counts on both sides of the amortization gate, both output layouts;
+/// AVX2 == portable == naive, bit for bit.
+#[test]
+fn gemm_row_lane_boundaries_match_naive() {
+    for wpp in [1usize, 2, 3, 5, 9, 72, 73] {
+        let k = 64 * wpp - 7;
+        for m in [1usize, 4, 5, 8, 13] {
+            for n in [1usize, 2, 3, 6] {
+                let w: Vec<f32> = (0..m * k)
+                    .map(|i| ((i * 7 + i / 5) % 4) as f32 - 2.0)
+                    .collect();
+                let a: Vec<f32> = (0..n * k).map(|i| ((i * 5 + i / 3) % 4) as f32).collect();
+                let cs: Vec<f32> = (0..m).map(|i| 0.031 + i as f32 * 0.17).collect();
+                let bias: Vec<f32> = (0..m).map(|i| i as f32 * 0.4 - 1.1).collect();
+                let (mut pw, mut pa) = (Vec::new(), Vec::new());
+                int2::pack_weights_int2(&w, m, k, &mut pw);
+                int2::pack_acts_int2(&a, n, k, &mut pa);
+                for major in [OutMajor::Row, OutMajor::Col] {
+                    let mut want = vec![0.0f32; m * n];
+                    for i in 0..m {
+                        for j in 0..n {
+                            let s = naive_dot(&w[i * k..(i + 1) * k], &a[j * k..(j + 1) * k]);
+                            let y = (s as f32) * cs[i] + bias[i];
+                            match major {
+                                OutMajor::Row => want[i * n + j] = y,
+                                OutMajor::Col => want[j * m + i] = y,
+                            }
+                        }
+                    }
+                    let tag = format!("m={m} k={k} n={n} {major:?}");
+                    let mut got = vec![f32::NAN; m * n];
+                    portable::gemm_int2(m, k, n, &pw, &pa, &cs, &bias, &mut got, major);
+                    assert_eq!(bits(&got), bits(&want), "portable, {tag}");
+                    #[cfg(target_arch = "x86_64")]
+                    if has_avx2() {
+                        let mut got = vec![f32::NAN; m * n];
+                        unsafe { avx2::gemm_int2(m, k, n, &pw, &pa, &cs, &bias, &mut got, major) };
+                        assert_eq!(bits(&got), bits(&want), "avx2, {tag}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Saturated operands at the flush bound: all −2 × all 3 drives every
+/// byte accumulator to its maximum (`24` per word) for eight words, so
+/// an off-by-one in the flush interval would wrap a byte.
+#[test]
+fn gemm_row_lane_saturated_bytes_do_not_wrap() {
+    for wpp in [8usize, 9, 16, 17, 72] {
+        let (m, k, n) = (4, 64 * wpp, 3);
+        let (mut pw, mut pa) = (Vec::new(), Vec::new());
+        int2::pack_weights_int2(&vec![-2.0; m * k], m, k, &mut pw);
+        int2::pack_acts_int2(&vec![3.0; n * k], n, k, &mut pa);
+        let mut got = vec![0.0f32; m * n];
+        int2::gemm_int2(
+            m,
+            k,
+            n,
+            &pw,
+            &pa,
+            &[1.0; 4],
+            &[0.0; 4],
+            &mut got,
+            OutMajor::Row,
+        );
+        assert!(
+            got.iter().all(|&y| y == -6.0 * k as f32),
+            "wpp={wpp}: {got:?}"
+        );
+        // And the positive plane: all 1 × all 3.
+        int2::pack_weights_int2(&vec![1.0; m * k], m, k, &mut pw);
+        int2::gemm_int2(
+            m,
+            k,
+            n,
+            &pw,
+            &pa,
+            &[1.0; 4],
+            &[0.0; 4],
+            &mut got,
+            OutMajor::Row,
+        );
+        assert!(
+            got.iter().all(|&y| y == 3.0 * k as f32),
+            "wpp={wpp}: {got:?}"
+        );
+    }
 }
