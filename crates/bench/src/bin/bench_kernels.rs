@@ -10,8 +10,8 @@
 //! PRs without re-checking-out old revisions.
 //!
 //! `BENCH_simd.json` pits the runtime-dispatched SIMD backend against the
-//! portable fallback (forced via `adapex_tensor::simd::override_backend`,
-//! the programmatic equivalent of `ADAPEX_NO_SIMD=1`) on the GEMM CNV
+//! portable backend — the only one on hosts without AVX2, pinned here
+//! via `adapex_tensor::simd::override_backend` — on the GEMM CNV
 //! shapes and the elementwise hot loops, joining the previous revision's
 //! scalar numbers from the compiled-in baseline where the names match.
 //! Both backends produce bit-identical results, so the delta is pure
@@ -464,7 +464,7 @@ fn main() {
 
         // Full int2 conv forwards, per image: the direct route (pack
         // the image bit-planes once, gather each window's operand
-        // words) against the im2col route it replaces (im2col + code
+        // words) against the im2col composition it replaced (im2col + code
         // conversion + column packing), both ending in the same
         // popcount GEMM with the fused requant epilogue. These rows
         // time the whole per-image path — not just the GEMM — so the

@@ -41,7 +41,7 @@
 //! gated (min guards against one lucky run). Scale knobs:
 //! `ADAPEX_SERVE_REQUESTS` (real-tier requests per repetition, default
 //! 2048), `ADAPEX_SERVE_VIRTUAL_S` (virtual seconds per pattern,
-//! default 300 — ~4 M requests across the patterns). `ADAPEX_NO_INT2=1` exercises the f32 fallback.
+//! default 300 — ~4 M requests across the patterns).
 //! Run with `cargo run --release -p adapex-bench --bin bench-serving`.
 
 use adapex::serve::{
@@ -212,7 +212,6 @@ struct ServingBenchReport {
     threads: usize,
     /// `std::thread::available_parallelism` of the measuring host.
     host_cores: usize,
-    int2_enabled: bool,
     width: usize,
     num_exits: usize,
     threshold: f32,
@@ -302,8 +301,7 @@ fn main() {
     let net = build_net();
     let threshold = calibrate_threshold(&net, 512);
     eprintln!(
-        "serving: width {WIDTH}, int2 {}, calibrated CT {threshold:.4} (target {TARGET_EXIT1})",
-        adapex_tensor::int2::enabled()
+        "serving: width {WIDTH}, calibrated CT {threshold:.4} (target {TARGET_EXIT1})"
     );
 
     let single = request_batches(&net, requests, 1);
@@ -505,7 +503,6 @@ fn main() {
         schema_version: adapex_bench::BENCH_SCHEMA_VERSION,
         threads: adapex_tensor::parallel::num_threads(),
         host_cores: adapex_bench::host_cores(),
-        int2_enabled: adapex_tensor::int2::enabled(),
         width: WIDTH,
         num_exits: serve_exec.num_exits(),
         threshold,

@@ -73,8 +73,7 @@ USAGE:
                       [--servers N] [--cameras N] [--jobs N]
                       (--faults replays a deterministic fault plan —
                        reconfiguration aborts/overruns, camera dropouts,
-                       stale-frame floods, accuracy dips. Defaults to
-                       $ADAPEX_FAULT_PLAN when set. Mitigation —
+                       stale-frame floods, accuracy dips. Mitigation —
                        hysteresis, cooldown, retry backoff — is enabled
                        with faults unless --no-mitigation.
                        --scenario also accepts a scenario *file* (see
@@ -253,12 +252,11 @@ fn jobs_of(args: &Args) -> Result<usize, Box<dyn Error>> {
     })
 }
 
-/// Resolves the fault plan: `--faults FILE` wins, then
-/// `$ADAPEX_FAULT_PLAN`, then the empty (no-fault) plan.
-fn fault_plan(args: &Args) -> Result<FaultPlan, Box<dyn Error>> {
+/// Parses `--faults FILE` (a fault-plan JSON), if given.
+fn faults_arg(args: &Args) -> Result<Option<FaultPlan>, Box<dyn Error>> {
     match args.get("faults") {
-        Some(path) => Ok(FaultPlan::load_json(path)?),
-        None => Ok(FaultPlan::from_env()?.unwrap_or_else(FaultPlan::none)),
+        Some(path) => Ok(Some(FaultPlan::load_json(path)?)),
+        None => Ok(None),
     }
 }
 
@@ -355,10 +353,7 @@ fn resolve_run(
         }
         apply_workload_flags(args, &mut sim.workload)?;
         let spec = file.workload.with_config(sim.workload);
-        let plan = match args.get("faults") {
-            Some(path) => FaultPlan::load_json(path)?,
-            None => file.faults.clone(),
-        };
+        let plan = faults_arg(args)?.unwrap_or_else(|| file.faults.clone());
         let servers = args.get_or("servers", file.fleet.map_or(1, |f| f.servers))?;
         return Ok(RunSetup {
             banner: Some(format!(
@@ -393,7 +388,7 @@ fn resolve_run(
         banner: None,
         sim,
         source,
-        plan: fault_plan(args)?,
+        plan: faults_arg(args)?.unwrap_or_else(FaultPlan::none),
         seed: args.get_or("seed", default_seed)?,
         jobs,
         servers: args.get_or("servers", 1usize)?,
@@ -409,6 +404,9 @@ fn fleet_for(run: &RunSetup) -> Result<Fleet, Box<dyn Error>> {
                     per-camera workloads from the seed (use a scenario file \
                     for fleet workloads)"
             .into());
+    }
+    if run.sim.workload.cameras == 0 {
+        return Err("a fleet (--servers N > 1) needs at least one camera per server".into());
     }
     let (camera_spread, placement) = run
         .fleet
@@ -788,7 +786,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         cfg.serve = config.clone();
         cfg.class_weights = weights;
         cfg.workload.duration_s = duration;
-        cfg.faults = fault_plan(args)?;
         cfg.seed = seed;
         // A scenario/workload file replaces the synthetic camera
         // workload; explicit flags still win over the file afterwards.
@@ -819,8 +816,8 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         if let Some(v) = args.get("duration") {
             cfg.workload.duration_s = v.parse()?;
         }
-        if let Some(p) = args.get("faults") {
-            cfg.faults = FaultPlan::load_json(p)?;
+        if let Some(plan) = faults_arg(args)? {
+            cfg.faults = plan;
         }
         if let Some(rate) = args.get("rate") {
             let rate: f64 = rate.parse()?;
@@ -861,4 +858,23 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         print_serve_report(&config, &report);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_fleet_without_cameras_is_an_error_not_a_panic() {
+        let args = Args::parse(
+            ["simulate", "--servers", "2", "--cameras", "0"]
+                .iter()
+                .map(|s| s.to_string()),
+        )
+        .expect("parses");
+        let run = resolve_run(&args, 145.0, 1).expect("flags resolve");
+        assert_eq!(run.servers, 2);
+        let err = fleet_for(&run).expect_err("zero cameras must be rejected");
+        assert!(err.to_string().contains("camera"), "error: {err}");
+    }
 }

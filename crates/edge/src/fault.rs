@@ -27,12 +27,6 @@ use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
 
-/// Environment variable naming a JSON [`FaultPlan`] file; honoured by
-/// the CLI `simulate`/`trace` subcommands (when `--faults` is absent)
-/// and by the fault-scenario regression tests, so CI can re-run the
-/// suite under a canned plan. The core simulator API never reads it.
-pub const FAULT_PLAN_ENV: &str = "ADAPEX_FAULT_PLAN";
-
 /// Stream salt for the per-episode fault RNG (see
 /// `adapex_tensor::rng::derive_stream`); the derived seed is
 /// bit-identical to the original PR 5 longhand recipe, which the golden
@@ -222,19 +216,6 @@ impl FaultPlan {
     pub fn load_json(path: impl AsRef<Path>) -> io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
         serde_json::from_str(&json).map_err(io::Error::other)
-    }
-
-    /// Loads the plan named by [`FAULT_PLAN_ENV`], if set and non-empty.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error when the variable points at an unreadable
-    /// or unparsable file (`Ok(None)` when the variable is unset).
-    pub fn from_env() -> io::Result<Option<Self>> {
-        match std::env::var(FAULT_PLAN_ENV) {
-            Ok(path) if !path.is_empty() => Self::load_json(path).map(Some),
-            _ => Ok(None),
-        }
     }
 }
 

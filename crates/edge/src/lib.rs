@@ -39,7 +39,7 @@ mod workload_gen;
 pub use engine::DesStats;
 pub use fault::{
     AccuracyFault, CameraDropout, FaultCounters, FaultPlan, FaultState, FaultWindow,
-    ReconfigOutcome, StaleFlood, FAULT_PLAN_ENV, FAULT_STREAM_SALT,
+    ReconfigOutcome, StaleFlood, FAULT_STREAM_SALT,
 };
 pub use fleet::{
     Fleet, FleetConfig, FleetResult, FleetSummary, PlacementPolicy, ServerAssignment, FLEET_SALT,

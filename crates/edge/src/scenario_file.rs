@@ -216,6 +216,15 @@ impl ScenarioFile {
                 return Err("scenario.sim: monitor_period_s must be finite and > 0".into());
             }
         }
+        // `EdgeSimulation::new` needs the monitor period to cover a
+        // tick; either side may be an override or the paper default.
+        let effective = self.sim_config(0.0);
+        if effective.monitor_period_s < effective.tick_s {
+            return Err(format!(
+                "scenario.sim: monitor_period_s ({}) must be >= tick_s ({})",
+                effective.monitor_period_s, effective.tick_s
+            ));
+        }
         if let Some(f) = &self.fleet {
             if f.servers == 0 {
                 return Err("scenario.fleet: servers must be > 0".into());
@@ -527,6 +536,28 @@ mod tests {
                 ScenarioFile::from_json_str(prefix).is_err(),
                 "prefix of {cut} bytes parsed"
             );
+        }
+    }
+
+    #[test]
+    fn monitor_period_shorter_than_a_tick_is_rejected() {
+        // Each override alone undercuts the other side's paper default
+        // (tick 1 ms, monitor period 1 s); equal values are the bound.
+        for (tick_s, monitor_period_s, ok) in [
+            (None, Some(0.0001), false),
+            (Some(2.0), None, false),
+            (Some(0.5), Some(0.25), false),
+            (Some(0.5), Some(0.5), true),
+        ] {
+            let mut s = builtin_library()[0].clone();
+            s.sim.tick_s = tick_s;
+            s.sim.monitor_period_s = monitor_period_s;
+            let json = serde_json::to_string(&s).unwrap();
+            let parsed = ScenarioFile::from_json_str(&json);
+            assert_eq!(parsed.is_ok(), ok, "tick {tick_s:?} period {monitor_period_s:?}");
+            if let Err(e) = parsed {
+                assert!(e.contains("monitor_period_s"), "error: {e}");
+            }
         }
     }
 

@@ -378,18 +378,6 @@ impl EdgeSimulation {
         self.run_many_jobs(manager, repetitions, seed, num_threads())
     }
 
-    /// [`EdgeSimulation::run_many`] under a fault plan, on the default
-    /// worker pool.
-    pub fn run_many_with_faults(
-        &self,
-        manager: &RuntimeManager,
-        repetitions: usize,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> Vec<SimResult> {
-        self.run_many_jobs_with_faults(manager, repetitions, seed, num_threads(), plan)
-    }
-
     /// [`EdgeSimulation::run_many`] with an explicit worker count.
     /// `jobs == 1` runs the episodes inline on the calling thread; any
     /// job count produces the same results in the same order.

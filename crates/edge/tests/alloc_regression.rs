@@ -15,8 +15,8 @@
 //!    ~tick-count magnitude.
 //!
 //! 2. The inference data plane the simulated server models:
-//!    `BatchExecutor::run_batch` over an early-exit CNV with the direct
-//!    int2 conv route forced on must be zero-alloc per batch once the
+//!    `BatchExecutor::run_batch` over an early-exit CNV on the direct
+//!    int2 conv route must be zero-alloc per batch once the
 //!    pooled workspaces (including the once-packed image bit-planes)
 //!    are warm.
 
@@ -171,16 +171,6 @@ fn sim_loop_allocations_scale_with_events_not_ticks() {
 #[test]
 fn steady_state_direct_conv_serve_batch_does_not_allocate() {
     std::env::set_var("ADAPEX_THREADS", "1");
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            int2::override_enabled(None);
-            int2::override_direct_enabled(None);
-        }
-    }
-    let _restore = Restore;
-    int2::override_enabled(Some(true));
-    int2::override_direct_enabled(Some(true));
 
     let net = CnvConfig::tiny().build_early_exit(10, &ExitsConfig::paper_default(), 5);
     let batch = 8;

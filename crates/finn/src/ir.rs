@@ -119,10 +119,10 @@ impl IrOp {
     ///
     /// The count covers the **direct windowed conv path** exactly as
     /// well: its gather materializes, per output pixel, the same
-    /// `ceil(k/64)` plane words the im2col route packs (window rows
-    /// that fall in padding stay zero words, included in the padding-
-    /// tail over-coverage above), and it then streams them through the
-    /// identical GEMM — so the same formula counts both routes.
+    /// `ceil(k/64)` plane words packing im2col columns would (window
+    /// rows that fall in padding stay zero words, included in the
+    /// padding-tail over-coverage above), and it then streams them
+    /// through the same GEMM — so no windowed-read formula is needed.
     pub fn int2_popcount_ops(&self) -> u64 {
         match self {
             IrOp::Conv {
@@ -232,10 +232,10 @@ impl ModelIr {
     /// int2 engine's `op_counters` when a full all-exits inference runs
     /// in eval mode: every matrix node **except the first backbone node**
     /// (the stem consumes the raw, unquantized image, so it stays on the
-    /// f32 path) executes on the engine. Holds for both conv routes —
-    /// im2col+pack and the direct windowed gather read the same word
-    /// count per output pixel (`ADAPEX_INT2_DIRECT` never moves these
-    /// counters; the cross-check pins that on both settings).
+    /// f32 path) executes on the engine. The direct windowed gather
+    /// materializes `ceil(k/64)` plane words per output pixel, exactly
+    /// what packing im2col columns would, so the word-granularity model
+    /// needs no formula of its own (`mac_crosscheck` pins the equality).
     pub fn int2_engine_profile(&self) -> (u64, u64) {
         let mut macs = 0u64;
         let mut pops = 0u64;

@@ -22,36 +22,16 @@ use adapex_tensor::int2;
 use adapex_tensor::rng::{normal_tensor, rng_from_seed};
 use finn_dataflow::{IrOp, ModelIr};
 
-/// Serializes the tests: they override the global engine/direct routing
-/// and read global counters, so concurrent runs would cross-talk.
-static ENGINE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with the popcount engine forced on (so the cross-check also
-/// holds on the `ADAPEX_NO_INT2=1` CI leg) and the direct conv path
-/// pinned to `direct` (so each cross-check covers one route regardless
-/// of `ADAPEX_INT2_DIRECT`), restoring env routing after.
-fn with_engine_forced_on<T>(direct: bool, f: impl FnOnce() -> T) -> T {
-    let _guard = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            int2::override_enabled(None);
-            int2::override_direct_enabled(None);
-        }
-    }
-    let _restore = Restore;
-    int2::override_enabled(Some(true));
-    int2::override_direct_enabled(Some(direct));
-    f()
-}
+/// Serializes the tests: they read process-global counters, so
+/// concurrent runs would cross-talk.
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 /// One conv layer with a 2-bit-quantized input: engine counters ==
 /// the IR node's predictions, hand-checkable (4×6 ch, 3×3 kernel,
 /// 10×10 → 8×8; k = 36, so popcounts cover one padded word per output).
-/// Checked on both conv routes — the direct gather materializes the
-/// same `ceil(k/64)` plane words per output pixel the im2col route
-/// packs, so the word-granularity model covers its windowed reads
-/// exactly, with no extra formula.
+/// The direct gather materializes `ceil(k/64)` plane words per output
+/// pixel — what packing im2col columns would — so the word-granularity
+/// model covers its windowed reads exactly, with no extra formula.
 #[test]
 fn single_conv_counters_match_ir_prediction() {
     let mut conv = QuantConv2d::new(
@@ -81,22 +61,17 @@ fn single_conv_counters_match_ir_prediction() {
     };
     assert_eq!(node.macs(), 4 * 6 * 9 * 8 * 8);
     assert_eq!(node.int2_popcount_ops(), 4 * 6 * 8 * 8); // ceil(36/64) = 1 word
-    for direct in [true, false] {
-        let (macs, pops, calls) = with_engine_forced_on(direct, || {
-            int2::reset_op_counters();
-            conv.forward(&x, false);
-            let (m, p) = int2::op_counters();
-            (m, p, int2::direct_conv_calls())
-        });
-        assert_eq!(macs, batch as u64 * node.macs(), "direct={direct}");
-        assert_eq!(pops, batch as u64 * node.int2_popcount_ops(), "direct={direct}");
-        // Prove the intended route ran: one direct call per image when
-        // forced on, none when forced off.
-        assert_eq!(calls, if direct { batch as u64 } else { 0 });
-        // Constant-factor relation: 64 codes / 4 plane streams per word
-        // => up to 16 MACs per popcount op; k = 36 < 64 keeps it strict.
-        assert!(pops * 16 >= macs);
-    }
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    int2::reset_op_counters();
+    conv.forward(&x, false);
+    let (macs, pops) = int2::op_counters();
+    assert_eq!(macs, batch as u64 * node.macs());
+    assert_eq!(pops, batch as u64 * node.int2_popcount_ops());
+    // Prove the engine route ran: one direct call per image.
+    assert_eq!(int2::direct_conv_calls(), batch as u64);
+    // Constant-factor relation: 64 codes / 4 plane streams per word
+    // => up to 16 MACs per popcount op; k = 36 < 64 keeps it strict.
+    assert!(pops * 16 >= macs);
 }
 
 /// Full early-exit network: per-sample engine counters == the IR's
@@ -121,30 +96,22 @@ fn full_network_engine_counters_match_ir_profile() {
         ir.input_dims.clone(),
     );
 
-    for direct in [true, false] {
-        let (macs, pops, calls) = with_engine_forced_on(direct, || {
-            int2::reset_op_counters();
-            net.forward(&x, false);
-            let (m, p) = int2::op_counters();
-            (m, p, int2::direct_conv_calls())
-        });
-        assert_eq!(
-            macs,
-            batch as u64 * macs_per_sample,
-            "engine MACs diverge from the cycle model's matrix-node count (direct={direct})"
-        );
-        assert_eq!(
-            pops,
-            batch as u64 * pops_per_sample,
-            "engine popcount ops diverge from the word-granularity model (direct={direct})"
-        );
-        // The direct route must actually engage on the non-stem convs
-        // when forced on (the stem consumes the raw image and stays on
-        // the f32 path, so it never contributes a call either way).
-        if direct {
-            assert!(calls > 0, "direct conv path never engaged");
-        } else {
-            assert_eq!(calls, 0, "direct conv path ran while forced off");
-        }
-    }
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    int2::reset_op_counters();
+    net.forward(&x, false);
+    let (macs, pops) = int2::op_counters();
+    assert_eq!(
+        macs,
+        batch as u64 * macs_per_sample,
+        "engine MACs diverge from the cycle model's matrix-node count"
+    );
+    assert_eq!(
+        pops,
+        batch as u64 * pops_per_sample,
+        "engine popcount ops diverge from the word-granularity model"
+    );
+    // The direct route must actually engage on the non-stem convs (the
+    // stem consumes the raw image and stays on the f32 path, so it
+    // never contributes a call).
+    assert!(int2::direct_conv_calls() > 0, "direct conv path never engaged");
 }

@@ -7,12 +7,12 @@
 //! the library generator characterizes one pruned model at every
 //! threshold without re-running inference.
 //!
-//! Eval forwards here run `train = false`, so every 2-bit matrix layer
-//! whose input carries a 2-bit quantization grid dispatches to the
-//! bit-packed popcount engine (`adapex_tensor::int2`, DESIGN.md §11).
-//! `ADAPEX_NO_INT2=1` routes those layers to a bit-identical
-//! f32-over-codes fallback instead; evaluations agree exactly either way
-//! (pinned by `tests/int2_agreement.rs`).
+//! Every 2-bit matrix layer whose input carries a 2-bit quantization
+//! grid dispatches to the bit-packed popcount engine
+//! (`adapex_tensor::int2`, DESIGN.md §11). A conv whose
+//! `prefer_f32_codes` hint is set takes the bit-identical f32-over-codes
+//! route instead; evaluations agree exactly either way (pinned by
+//! `tests/int2_agreement.rs`).
 
 use crate::layers::Activation;
 use crate::loss::{confidence, softmax_into};

@@ -2,7 +2,7 @@ use super::{Activation, LayerInfo, Param};
 use crate::quant::{self, QuantSpec};
 use adapex_tensor::conv::{col2im_into, im2col_into, ConvGeometry};
 use adapex_tensor::gemm::{gemm_a_bt_st, gemm_at_b_st, gemm_bias_st, gemm_st};
-use adapex_tensor::int2::{self, OutMajor};
+use adapex_tensor::int2;
 use adapex_tensor::parallel::{num_threads, parallel_for_chunks};
 use adapex_tensor::rng::kaiming_tensor;
 use adapex_tensor::workspace::{
@@ -44,12 +44,12 @@ pub struct QuantConv2d {
     #[serde(skip)]
     qcache: Option<QCache>,
     /// Runtime routing hint: prefer the f32-over-codes path over the
-    /// popcount engine for this layer's int2-eligible eval forwards.
+    /// popcount engine for this layer's int2-eligible forwards.
     /// Both paths are bit-identical, so this is purely a speed choice —
     /// the serving executor sets it per layer from
-    /// [`int2::engine_profitable`] (activation packing costs more than
-    /// popcount saves at small `c_out`). Derived state: not serialized,
-    /// not part of equality.
+    /// [`int2::conv_engine_profitable`] (activation packing costs more
+    /// than popcount saves at small `c_out`). Derived state: not
+    /// serialized, not part of equality.
     #[serde(skip)]
     pub prefer_f32_codes: bool,
 }
@@ -204,13 +204,13 @@ impl QuantConv2d {
 
     /// The GEMM core shared by both forward entry points. With
     /// `int2_scale` set (a 2-bit-quantized input), each image runs the
-    /// code-domain path: either the direct windowed engine
+    /// code-domain path: the direct windowed engine
     /// ([`int2::conv_int2_direct`] — pack the image once, gather each
-    /// window's packed operand), the im2col+pack engine (behind
-    /// `ADAPEX_INT2_DIRECT=0`), or — behind `ADAPEX_NO_INT2` — the f32
-    /// GEMM over im2col'd code values; all three compute the same
-    /// integer sums, finished by one fused requantize+bias epilogue.
-    /// Bit-identical across backends and escape hatches.
+    /// window's packed operand), or — when `prefer_f32_codes` is set or
+    /// the kernel is past the gather's word bound — the f32 GEMM over
+    /// im2col'd code values; both compute the same integer sums,
+    /// finished by the same requantize+bias epilogue. Bit-identical
+    /// across backends and routes.
     fn run_forward(&mut self, x: &Activation, int2_scale: Option<f32>) -> Activation {
         let (oh, ow) = self.out_hw(&x.dims);
         let out_dims = [self.c_out, oh, ow];
@@ -244,12 +244,10 @@ impl QuantConv2d {
             v
         });
         let cs_ref = cs_buf.as_deref();
-        let use_engine = int2::enabled() && !self.prefer_f32_codes;
         // The direct path skips im2col entirely: pack the image once,
         // gather each window's operand words. Kernels past the gather's
-        // word bound keep the im2col route (CNV kernels are 3).
-        let use_direct =
-            use_engine && int2::direct_enabled() && geom.kernel <= int2::MAX_DIRECT_KERNEL;
+        // word bound keep the f32-over-codes route (CNV kernels are 3).
+        let use_direct = !self.prefer_f32_codes && geom.kernel <= int2::MAX_DIRECT_KERNEL;
         parallel_for_chunks(x.n, sample_out, &mut out.data, 1, |range, chunk| {
             with_workspace(|ws| {
                 for (local, i) in range.enumerate() {
@@ -276,23 +274,8 @@ impl QuantConv2d {
                         (Some(ascale), Some(cs)) => {
                             im2col_into(img, c_in, h, w, geom, &mut ws.cols);
                             int2::act_codes_in_place(&mut ws.cols, ascale);
-                            if use_engine {
-                                int2::pack_acts_cols_int2(&ws.cols, pixels, kk, &mut ws.bits);
-                                int2::gemm_int2(
-                                    c_out,
-                                    kk,
-                                    pixels,
-                                    planes,
-                                    &ws.bits,
-                                    cs,
-                                    bias,
-                                    y,
-                                    OutMajor::Row,
-                                );
-                            } else {
-                                gemm_st(c_out, kk, pixels, wcodes, &ws.cols, y);
-                                int2::requantize_rows(y, pixels, cs, bias);
-                            }
+                            gemm_st(c_out, kk, pixels, wcodes, &ws.cols, y);
+                            int2::requantize_rows(y, pixels, cs, bias);
                         }
                         _ => {
                             im2col_into(img, c_in, h, w, geom, &mut ws.cols);

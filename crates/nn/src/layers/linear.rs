@@ -60,13 +60,11 @@ struct QCache {
     version: u64,
     qweight: Vec<f32>,
     scales: Vec<f32>,
-    /// Exact integer weight codes (`qweight / scale`, each in
-    /// `{-2..1}`), derived lazily for the int2 eval path only.
-    wcodes: Vec<f32>,
-    /// Bit-plane packed `wcodes` for the popcount engine.
+    /// Bit-plane packed integer weight codes (`qweight / scale`, each
+    /// in `{-2..1}`) for the popcount engine.
     planes: Vec<u64>,
-    /// Weight version `wcodes`/`planes` were derived at (`None` until
-    /// the first int2 eval forward, so training never pays for them).
+    /// Weight version `planes` was derived at (`None` until the first
+    /// int2 forward, so f32-only layers never pay for it).
     int2_version: Option<u64>,
 }
 
@@ -110,17 +108,21 @@ impl QuantLinear {
         self.qcache = Some(qc);
     }
 
-    /// Extends the quantized-weight view with the int2 engine's derived
-    /// forms (integer codes + packed bit planes).
+    /// Extends the quantized-weight view with the int2 engine's packed
+    /// bit planes (the integer codes they are built from live only in
+    /// pooled scratch).
     fn ensure_int2(&mut self) {
         self.ensure_qweights();
         let version = self.weight.version();
+        let (m, k) = (self.out_features, self.in_features);
         let qc = self.qcache.as_mut().expect("qcache just ensured");
         if qc.int2_version == Some(version) {
             return;
         }
-        int2::weight_codes_into(&qc.qweight, &qc.scales, self.in_features, &mut qc.wcodes);
-        int2::pack_weights_int2(&qc.wcodes, self.out_features, self.in_features, &mut qc.planes);
+        with_workspace(|ws| {
+            int2::weight_codes_into(&qc.qweight, &qc.scales, k, &mut ws.scratch);
+            int2::pack_weights_int2(&ws.scratch, m, k, &mut qc.planes);
+        });
         qc.int2_version = Some(version);
     }
 
@@ -136,10 +138,9 @@ impl QuantLinear {
     }
 
     /// Code-domain forward (layer ↦ MVTU): exact integer dot products
-    /// over the 2-bit codes, then one fused requantize+bias epilogue.
-    /// The popcount engine and the `ADAPEX_NO_INT2` f32 fallback
-    /// compute the same integers, so this is bit-identical across
-    /// backends and escape hatches. Shared by eval and (via
+    /// over the 2-bit codes on the popcount engine, then its fused
+    /// requantize+bias epilogue — integer arithmetic, so bit-identical
+    /// across backends. Shared by eval and (via
     /// [`QuantLinear::forward`]) training forwards of stamped inputs;
     /// the caller owns the backward-cache bookkeeping.
     fn forward_int2(&mut self, x: &Activation, ascale: f32) -> Activation {
@@ -155,26 +156,18 @@ impl QuantLinear {
             ws.scratch.clear();
             ws.scratch.extend_from_slice(&x.data);
             int2::act_codes_in_place(&mut ws.scratch, ascale);
-            if int2::enabled() {
-                int2::pack_acts_int2(&ws.scratch, n, k, &mut ws.bits);
-                int2::gemm_int2(
-                    m,
-                    k,
-                    n,
-                    &qc.planes,
-                    &ws.bits,
-                    &ws.scratch2,
-                    &self.bias.value,
-                    &mut out.data,
-                    OutMajor::Col,
-                );
-            } else {
-                // Escape hatch: the f32 GEMM over code values computes
-                // the same integer sums exactly (all partials < 2^24,
-                // no FMA), then the identical epilogue.
-                gemm_a_bt(n, k, m, &ws.scratch, &qc.wcodes, &mut out.data);
-                int2::requantize_cols(&mut out.data, &ws.scratch2, &self.bias.value);
-            }
+            int2::pack_acts_int2(&ws.scratch, n, k, &mut ws.bits);
+            int2::gemm_int2(
+                m,
+                k,
+                n,
+                &qc.planes,
+                &ws.bits,
+                &ws.scratch2,
+                &self.bias.value,
+                &mut out.data,
+                OutMajor::Col,
+            );
         });
         out
     }

@@ -54,9 +54,9 @@ pub enum EnginePlan {
     /// elsewhere. The serving default.
     Auto,
     /// Leave routing as the eval path ships it (engine for every
-    /// eligible layer) — PR 7 behavior, the differential-testing axis.
+    /// eligible layer) — the differential-testing axis.
     Int2Always,
-    /// Force the f32-over-codes fallback everywhere.
+    /// Force the f32-over-codes route on every conv.
     F32Codes,
 }
 
@@ -240,10 +240,10 @@ impl BatchExecutor {
 
 /// Applies the engine routing plan to every conv layer of `net`.
 ///
-/// `Auto` consults [`int2::conv_engine_profitable`]: with the direct
-/// windowed path available the packing tax is paid once per image, so
-/// the profitable `c_out` threshold drops by the k² window reuse;
-/// behind `ADAPEX_INT2_DIRECT=0` it falls back to the per-column model.
+/// `Auto` consults [`int2::conv_engine_profitable`], a pure function
+/// of the layer's shape: the direct windowed path pays the packing tax
+/// once per image, so the profitable `c_out` threshold drops by the k²
+/// window reuse.
 fn apply_engine_plan(net: &mut EarlyExitNetwork, plan: EnginePlan) {
     let layers = net
         .backbone
@@ -512,11 +512,10 @@ mod tests {
             .engine_split()
         };
         let split_at = |plan| split_of(&net, plan);
-        // With the direct path on, the once-per-image packing model
-        // routes every tiny() conv (4 filters and up) to the engine;
-        // only layers below ENGINE_MIN_ITEMS_DIRECT keep the fallback,
-        // which takes a 2-wide net to reach.
-        int2::override_direct_enabled(Some(true));
+        // The once-per-image packing model routes every tiny() conv
+        // (4 filters and up) to the engine; only layers below
+        // ENGINE_MIN_ITEMS_DIRECT keep the f32-over-codes route, which
+        // takes a 2-wide net to reach.
         let (engine, f32_codes) = split_at(EnginePlan::Auto);
         assert!(engine > 0, "tiny() convs must route to the engine");
         assert_eq!(f32_codes, 0, "no tiny() conv is narrower than the floor");
@@ -526,14 +525,7 @@ mod tests {
             engine > 0,
             "the 4/8-wide convs of a 2-wide net route to the engine"
         );
-        assert!(f32_codes > 0, "its 2-wide convs must keep the fallback");
-        // Direct off: the per-column model, under which every tiny()
-        // width is < ENGINE_MIN_ITEMS, prefers the fallback everywhere.
-        int2::override_direct_enabled(Some(false));
-        let (engine, f32_codes) = split_at(EnginePlan::Auto);
-        assert_eq!(engine, 0);
-        assert!(f32_codes > 0);
-        int2::override_direct_enabled(None);
+        assert!(f32_codes > 0, "its 2-wide convs must keep the f32 route");
         let (engine, _) = split_at(EnginePlan::Int2Always);
         assert!(engine > 0);
     }

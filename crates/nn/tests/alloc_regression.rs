@@ -173,12 +173,20 @@ fn build_int2_stack() -> Vec<Layer> {
     ]
 }
 
+/// The convs here take the f32-over-codes route (`prefer_f32_codes`,
+/// what the serving plan picks for narrow layers) and the classifier
+/// the popcount engine; the direct conv route has its own test below.
 #[test]
 fn steady_state_int2_eval_forward_does_not_allocate() {
     let _guard = POOLS.lock().unwrap_or_else(|e| e.into_inner());
     std::env::set_var("ADAPEX_THREADS", "1");
 
     let mut layers = build_int2_stack();
+    for l in &mut layers {
+        if let Layer::Conv(c) = l {
+            c.prefer_f32_codes = true;
+        }
+    }
     let batch = 4;
     let mut rng = rng_from_seed(19);
     let x = Activation::new(
@@ -205,34 +213,23 @@ fn steady_state_int2_eval_forward_does_not_allocate() {
         "steady-state int2 eval forwards allocated {} times",
         after - before
     );
-    // Under default routing the popcount engine must actually have run
-    // (the ADAPEX_NO_INT2 CI leg exercises the fallback, which shares
-    // this zero-alloc contract).
-    if adapex_tensor::int2::enabled() {
-        let (macs, _) = adapex_tensor::int2::op_counters();
-        assert!(macs > 0, "int2 engine never engaged in eval");
-    }
+    let (macs, _) = adapex_tensor::int2::op_counters();
+    assert!(macs > 0, "int2 engine never engaged in the classifier");
+    assert_eq!(
+        adapex_tensor::int2::direct_conv_calls(),
+        0,
+        "a conv ignored prefer_f32_codes"
+    );
 }
 
-/// Same eval stack, direct conv route forced on: packing the image once
-/// (`Workspace::img_bits`) and gathering windows into the shared packing
-/// buffer must also come entirely from the pooled workspaces — the
-/// "skip im2col" path shares the zero-allocs-per-batch contract with
-/// the route it replaces.
+/// Same eval stack, checked for the direct conv route specifically:
+/// packing the image once (`Workspace::img_bits`) and gathering windows
+/// into the shared packing buffer must come entirely from the pooled
+/// workspaces, and the direct-call counter proves that route ran.
 #[test]
 fn steady_state_direct_conv_eval_forward_does_not_allocate() {
     let _guard = POOLS.lock().unwrap_or_else(|e| e.into_inner());
     std::env::set_var("ADAPEX_THREADS", "1");
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            adapex_tensor::int2::override_enabled(None);
-            adapex_tensor::int2::override_direct_enabled(None);
-        }
-    }
-    let _restore = Restore;
-    adapex_tensor::int2::override_enabled(Some(true));
-    adapex_tensor::int2::override_direct_enabled(Some(true));
 
     let mut layers = build_int2_stack();
     let batch = 4;

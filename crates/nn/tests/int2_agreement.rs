@@ -1,83 +1,87 @@
 //! Differential f32↔int2 agreement harness.
 //!
-//! The eval path of every 2-bit matrix layer is computed two materially
-//! different ways — the bit-packed popcount engine and, behind
-//! `ADAPEX_NO_INT2`, the f32 GEMM over the same integer code values —
-//! and the two must agree on every output **bit**, not just the argmax
-//! (see DESIGN.md §11 for the exactness argument). These tests pin that
-//! agreement for QuantLinear and QuantConv2d through the real
-//! quantizers, for a full early-exit network under `evaluate_exits`,
-//! and against an independent f64 reference of the fake-quant
-//! arithmetic so both implementations can't drift together.
+//! Every 2-bit matrix layer's code-domain forward can be computed two
+//! materially different ways — the bit-packed popcount engine and the
+//! f32 GEMM over the same integer code values — and the two must agree
+//! on every output **bit**, not just the argmax (see DESIGN.md §11 for
+//! the exactness argument). Convs ship both routes and pick per layer
+//! (`QuantConv2d::prefer_f32_codes`), so their differentials flip that
+//! field on a clone; linear layers ship the engine only, so theirs
+//! compares against a test-local f32-over-codes oracle composed from
+//! the public primitives. These tests pin that agreement for
+//! QuantLinear and QuantConv2d through the real quantizers, for a full
+//! early-exit network under `evaluate_exits`, and against an
+//! independent f64 reference of the fake-quant arithmetic so both
+//! implementations can't drift together.
 
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
 use adapex_nn::eval::evaluate_exits;
-use adapex_nn::layers::{Activation, QuantConv2d, QuantLinear, QuantReLU};
-use adapex_nn::quant::QuantSpec;
+use adapex_nn::layers::{Activation, Layer, QuantConv2d, QuantLinear, QuantReLU};
+use adapex_nn::network::EarlyExitNetwork;
+use adapex_nn::quant::{quantize_weights_per_row_into, QuantSpec};
 use adapex_dataset::{DatasetKind, SyntheticConfig};
 use adapex_tensor::conv::ConvGeometry;
+use adapex_tensor::gemm::gemm_a_bt;
 use adapex_tensor::int2;
 use adapex_tensor::rng::rng_from_seed;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard};
 
-/// `int2::override_enabled` is process-global; every test here flips it,
-/// so they serialize on one lock (poison-tolerant: a failed test must
-/// not cascade).
-static INT2_LOCK: Mutex<()> = Mutex::new(());
+/// The op counters are process-global: some tests here read them and
+/// every test here bumps them, so all serialize on one lock
+/// (poison-tolerant: a failed test must not cascade).
+static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
-fn int2_lock() -> MutexGuard<'static, ()> {
-    INT2_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+fn counter_lock() -> MutexGuard<'static, ()> {
+    COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Runs `f` once with the popcount engine forced on and once forced
-/// off, restoring env-based routing afterwards even on panic.
-fn with_both_modes<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            int2::override_enabled(None);
-        }
-    }
-    let _restore = Restore;
-    int2::override_enabled(Some(true));
-    let on = f();
-    int2::override_enabled(Some(false));
-    let off = f();
-    (on, off)
+/// Eval forward of `conv` on the engine route and, on a clone with
+/// `prefer_f32_codes` set, on the f32-over-codes route.
+fn conv_on_both_routes(conv: &QuantConv2d, x: &Activation) -> (Activation, Activation) {
+    let mut engine = conv.clone();
+    let mut f32_codes = conv.clone();
+    f32_codes.prefer_f32_codes = true;
+    (engine.forward(x, false), f32_codes.forward(x, false))
 }
 
-/// Runs `f` once with the direct conv path forced on and once forced
-/// off (the popcount engine itself forced on for both passes so the
-/// comparison isolates the im2col-vs-direct routing), restoring
-/// env-based routing afterwards even on panic.
-fn with_direct_modes<T>(mut f: impl FnMut() -> T) -> (T, T) {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            int2::override_enabled(None);
-            int2::override_direct_enabled(None);
+/// The f32-over-codes oracle for a 2-bit linear layer: integer weight
+/// and activation codes through the f32 GEMM (exact — every partial sum
+/// is an integer below 2^24, never FMA-contracted), then the same
+/// requantize+bias epilogue the engine fuses. Returns the layer's
+/// fake-quant weights too, for the f64 reference.
+fn linear_f32_codes_oracle(lin: &QuantLinear, x: &Activation) -> (Vec<f32>, Vec<f32>) {
+    let (m, k, n) = (lin.out_features, lin.in_features, x.n);
+    let ascale = x.quant.expect("input carries its 2-bit grid").scale;
+    let (mut qw, mut scales, mut wcodes) = (Vec::new(), Vec::new(), Vec::new());
+    quantize_weights_per_row_into(&lin.weight.value, k, lin.weight_spec, &mut qw, &mut scales);
+    int2::weight_codes_into(&qw, &scales, k, &mut wcodes);
+    let mut acodes = x.data.clone();
+    int2::act_codes_in_place(&mut acodes, ascale);
+    let cs: Vec<f32> = scales.iter().map(|&s| s * ascale).collect();
+    let mut y = vec![0.0; n * m];
+    gemm_a_bt(n, k, m, &acodes, &wcodes, &mut y);
+    int2::requantize_cols(&mut y, &cs, &lin.bias.value);
+    (y, qw)
+}
+
+/// `net` with every conv layer routed to f32-over-codes.
+fn with_f32_code_convs(net: &EarlyExitNetwork) -> EarlyExitNetwork {
+    let mut net = net.clone();
+    let layers = net
+        .backbone
+        .iter_mut()
+        .chain(net.exits.iter_mut().flat_map(|e| e.layers.iter_mut()));
+    for l in layers {
+        if let Layer::Conv(c) = l {
+            c.prefer_f32_codes = true;
         }
     }
-    let _restore = Restore;
-    int2::override_enabled(Some(true));
-    int2::override_direct_enabled(Some(true));
-    let direct = f();
-    int2::override_direct_enabled(Some(false));
-    let im2col = f();
-    (direct, im2col)
+    net
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
-}
-
-fn argmax(v: &[f32]) -> usize {
-    v.iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-        .map(|(i, _)| i)
-        .unwrap()
 }
 
 /// Raw pre-activation inputs pushed through the real activation
@@ -106,8 +110,8 @@ fn close_to_fake_quant_ref(got: f32, qw_row: &[f32], xq: &[f32], bias: f32) -> b
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// QuantLinear eval: popcount engine == f32-over-codes fallback,
-    /// bit for bit, and both track the fake-quant reference.
+    /// QuantLinear eval: popcount engine == f32-over-codes oracle, bit
+    /// for bit, and both track the fake-quant reference.
     #[test]
     fn linear_int2_and_f32_paths_agree_exactly(
         in_features in 1usize..96,
@@ -116,7 +120,7 @@ proptest! {
         seed in 0u64..1_000,
         wseed in 0u64..1_000,
     ) {
-        let _guard = int2_lock();
+        let _guard = counter_lock();
         let mut lin = QuantLinear::new(
             in_features,
             out_features,
@@ -133,30 +137,18 @@ proptest! {
         let x = quantized_input(raw, n, vec![in_features]);
 
         int2::reset_op_counters();
-        let (y_on, y_off) = with_both_modes(|| lin.forward(&x, false));
+        let y = lin.forward(&x, false);
         let (macs, _) = int2::op_counters();
-        // The engine must actually have run in the forced-on pass.
+        // The layer must actually have run on the engine.
         prop_assert_eq!(macs, (n * in_features * out_features) as u64);
-        prop_assert_eq!(bits(&y_on.data), bits(&y_off.data));
-        // Independent reference: re-derive the fake-quantized weights
-        // exactly as the layer does and check every logit against the
-        // f64 fake-quant dot product.
-        let (mut qw, mut scales) = (Vec::new(), Vec::new());
-        adapex_nn::quant::quantize_weights_per_row_into(
-            &lin.weight.value,
-            in_features,
-            lin.weight_spec,
-            &mut qw,
-            &mut scales,
-        );
+        let (y_oracle, qw) = linear_f32_codes_oracle(&lin, &x);
+        prop_assert_eq!(bits(&y.data), bits(&y_oracle));
+        // Independent reference: every logit against the f64
+        // fake-quant dot product over the layer's quantized weights.
         for s in 0..n {
-            prop_assert_eq!(
-                argmax(y_on.sample(s)),
-                argmax(y_off.sample(s))
-            );
             for o in 0..out_features {
                 prop_assert!(close_to_fake_quant_ref(
-                    y_on.sample(s)[o],
+                    y.sample(s)[o],
                     &qw[o * in_features..(o + 1) * in_features],
                     x.sample(s),
                     lin.bias.value[o],
@@ -165,8 +157,8 @@ proptest! {
         }
     }
 
-    /// QuantConv2d eval at CNV-like shapes: bitwise path agreement plus
-    /// the engine-ran MAC check.
+    /// QuantConv2d eval at CNV-like shapes: bitwise route agreement
+    /// plus the engine-ran MAC check (the f32 route counts nothing).
     #[test]
     fn conv_int2_and_f32_paths_agree_exactly(
         c_in in 1usize..5,
@@ -176,7 +168,7 @@ proptest! {
         seed in 0u64..1_000,
         wseed in 0u64..1_000,
     ) {
-        let _guard = int2_lock();
+        let _guard = counter_lock();
         let mut conv = QuantConv2d::new(
             c_in,
             c_out,
@@ -193,29 +185,30 @@ proptest! {
         let x = quantized_input(raw, n, vec![c_in, hw, hw]);
 
         int2::reset_op_counters();
-        let (y_on, y_off) = with_both_modes(|| conv.forward(&x, false));
+        let (y_engine, y_f32) = conv_on_both_routes(&conv, &x);
         let (macs, _) = int2::op_counters();
         let pixels = (hw - 2) * (hw - 2);
         prop_assert_eq!(macs, (n * c_out * c_in * 9 * pixels) as u64);
-        prop_assert_eq!(bits(&y_on.data), bits(&y_off.data));
+        prop_assert_eq!(bits(&y_engine.data), bits(&y_f32.data));
     }
 }
 
 /// Fixed CNV-scale shapes (the proptests stay small for CI time).
 #[test]
 fn cnv_shape_linear_agrees_exactly() {
-    let _guard = int2_lock();
+    let _guard = counter_lock();
     let mut lin = QuantLinear::new(576, 64, QuantSpec::signed(2), &mut rng_from_seed(7));
     let raw: Vec<f32> = (0..33 * 576).map(|i| (i as f32 * 0.0137).sin() * 3.0).collect();
     let x = quantized_input(raw, 33, vec![576]);
-    let (y_on, y_off) = with_both_modes(|| lin.forward(&x, false));
-    assert_eq!(bits(&y_on.data), bits(&y_off.data));
+    let y = lin.forward(&x, false);
+    let (y_oracle, _) = linear_f32_codes_oracle(&lin, &x);
+    assert_eq!(bits(&y.data), bits(&y_oracle));
 }
 
 #[test]
 fn cnv_shape_conv_agrees_exactly() {
-    let _guard = int2_lock();
-    let mut conv = QuantConv2d::new(
+    let _guard = counter_lock();
+    let conv = QuantConv2d::new(
         8,
         16,
         ConvGeometry::new(3),
@@ -224,19 +217,19 @@ fn cnv_shape_conv_agrees_exactly() {
     );
     let raw: Vec<f32> = (0..2 * 8 * 16 * 16).map(|i| (i as f32 * 0.0731).cos() * 2.2).collect();
     let x = quantized_input(raw, 2, vec![8, 16, 16]);
-    let (y_on, y_off) = with_both_modes(|| conv.forward(&x, false));
-    assert_eq!(bits(&y_on.data), bits(&y_off.data));
+    let (y_engine, y_f32) = conv_on_both_routes(&conv, &x);
+    assert_eq!(bits(&y_engine.data), bits(&y_f32.data));
 }
 
-/// Full-network differential test: a trained-ish (seeded, untrained
-/// weights are fine — they still quantize) early-exit CNV evaluated on
-/// a seeded GTSRB-like batch must produce identical exit decisions,
-/// confidences and correctness masks with the popcount engine on and
-/// off. This is the end-to-end pin for "evaluate_exits routes through
-/// int2 without changing a single bit".
+/// Full-network differential test: a seeded (untrained weights are
+/// fine — they still quantize) early-exit CNV evaluated on a seeded
+/// GTSRB-like batch must produce identical exit decisions, confidences
+/// and correctness masks with its convs on the popcount engine and, on
+/// a clone, on f32-over-codes. This is the end-to-end pin for
+/// "evaluate_exits routes through int2 without changing a single bit".
 #[test]
 fn evaluate_exits_is_bit_identical_across_int2_modes() {
-    let _guard = int2_lock();
+    let _guard = counter_lock();
     let data = SyntheticConfig::new(DatasetKind::GtsrbLike)
         .with_sizes(4, 24)
         .generate();
@@ -245,53 +238,19 @@ fn evaluate_exits_is_bit_identical_across_int2_modes() {
         &ExitsConfig::paper_default(),
         3,
     );
+    let mut net_f32 = with_f32_code_convs(&net);
 
     int2::reset_op_counters();
-    let (eval_on, eval_off) = with_both_modes(|| evaluate_exits(&mut net, &data.test));
-    let (macs, popcnts) = int2::op_counters();
-    assert!(macs > 0, "popcount engine never engaged during eval");
-    assert!(popcnts > 0);
+    let eval_engine = evaluate_exits(&mut net, &data.test);
+    let calls = int2::direct_conv_calls();
+    assert!(calls > 0, "direct conv path never engaged");
+    let eval_f32 = evaluate_exits(&mut net_f32, &data.test);
+    assert_eq!(int2::direct_conv_calls(), calls, "a conv ignored prefer_f32_codes");
 
-    assert_eq!(eval_on.samples, eval_off.samples);
-    assert_eq!(eval_on.correct, eval_off.correct);
-    assert_eq!(eval_on.confidence.len(), eval_off.confidence.len());
-    for (a, b) in eval_on.confidence.iter().zip(&eval_off.confidence) {
-        assert_eq!(bits(a), bits(b));
-    }
-}
-
-/// Same end-to-end pin for the direct conv route: `evaluate_exits` with
-/// `ADAPEX_INT2_DIRECT` on (pack the image once, gather windows) must
-/// match the im2col route bit for bit — exit decisions, correctness
-/// masks and every confidence value. The direct-call counter proves the
-/// forced-on pass really took the new path.
-#[test]
-fn evaluate_exits_is_bit_identical_across_direct_modes() {
-    let _guard = int2_lock();
-    let data = SyntheticConfig::new(DatasetKind::GtsrbLike)
-        .with_sizes(4, 24)
-        .generate();
-    let mut net = CnvConfig::tiny().build_early_exit(
-        data.num_classes(),
-        &ExitsConfig::paper_default(),
-        3,
-    );
-
-    int2::reset_op_counters();
-    let (eval_direct, eval_im2col) = with_direct_modes(|| {
-        let calls_before = int2::direct_conv_calls();
-        let eval = evaluate_exits(&mut net, &data.test);
-        (eval, int2::direct_conv_calls() - calls_before)
-    });
-    let (eval_direct, direct_calls) = eval_direct;
-    let (eval_im2col, im2col_calls) = eval_im2col;
-    assert!(direct_calls > 0, "direct conv path never engaged");
-    assert_eq!(im2col_calls, 0, "direct conv path ran while forced off");
-
-    assert_eq!(eval_direct.samples, eval_im2col.samples);
-    assert_eq!(eval_direct.correct, eval_im2col.correct);
-    assert_eq!(eval_direct.confidence.len(), eval_im2col.confidence.len());
-    for (a, b) in eval_direct.confidence.iter().zip(&eval_im2col.confidence) {
+    assert_eq!(eval_engine.samples, eval_f32.samples);
+    assert_eq!(eval_engine.correct, eval_f32.correct);
+    assert_eq!(eval_engine.confidence.len(), eval_f32.confidence.len());
+    for (a, b) in eval_engine.confidence.iter().zip(&eval_f32.confidence) {
         assert_eq!(bits(a), bits(b));
     }
 }

@@ -28,8 +28,8 @@
 //! kernel an *exact integer* machine whenever its inputs are small-integer
 //! code values: every partial sum stays below 2^24 and each add rounds to
 //! itself. [`crate::int2::gemm_int2`] leans on that — the f32 GEMM over
-//! 2-bit code values is the bit-identical `ADAPEX_NO_INT2` fallback for
-//! the popcount engine.
+//! 2-bit code values is the bit-identical route for conv layers too
+//! narrow for the popcount engine to pay off.
 
 use crate::parallel::parallel_for_chunks;
 use crate::simd::gemm_panel;

@@ -49,15 +49,16 @@
 //! every shape in play, so `S as f32` is exact — which means an f32
 //! GEMM over the *code values* computes the same integer `S` exactly
 //! (every partial sum is an integer below 2^24 and the f32 GEMM never
-//! contracts to FMA). That f32-over-codes route is the
-//! `ADAPEX_NO_INT2=1` escape hatch; the differential suites pin the two
+//! contracts to FMA). That f32-over-codes form is the route conv layers
+//! below the engine's profitability bar take (see
+//! [`conv_engine_profitable`]); the differential suites pin the two
 //! implementations against each other bit-for-bit.
 //!
 //! # One quantize rule
 //!
 //! Every activation code in the engine — [`act_codes_in_place`] on the
-//! im2col and linear routes, both [`pack_image_int2`] bodies on the
-//! direct route — comes from three compares on `x = v / scale`:
+//! linear and f32-over-codes routes, both [`pack_image_int2`] bodies on
+//! the direct conv route — comes from three compares on `x = v / scale`:
 //!
 //! ```text
 //! g1 = x ≥ 0.5   g2 = x ≥ 1.5   g3 = x ≥ 2.5
@@ -75,10 +76,10 @@
 //!
 //! # Direct convolution: pack once, gather windows
 //!
-//! The im2col route codes and packs every input pixel up to `k²` times
-//! (once per window it appears in). The direct path — the software twin
-//! of FINN's sliding-window unit feeding a matrix-vector unit — packs
-//! each image **once** into per-`(channel, row)` bit planes
+//! Packing im2col columns would code and pack every input pixel up to
+//! `k²` times (once per window it appears in). The direct path — the
+//! software twin of FINN's sliding-window unit feeding a matrix-vector
+//! unit — packs each image **once** into per-`(channel, row)` bit planes
 //! ([`pack_image_int2`]: eight values per `vdivps` + three `vcmpps` +
 //! three `vmovmskps` on AVX2, a masked load for a row's ragged tail)
 //! and then lifts every window's operand straight out of the packed
@@ -94,20 +95,19 @@
 //! scalar two-word funnel read. The gathered operand words are
 //! **equal** to what `im2col → `[`act_codes_in_place`]` → `
 //! [`pack_acts_cols_int2`] would produce — not merely sum-equivalent —
-//! so [`conv_int2_direct`] feeds the same [`gemm_int2`] and is
-//! bit-identical to the im2col path by construction (and bumps the same
-//! op counters, which live in the dispatcher, above the backends).
+//! so [`conv_int2_direct`] feeds [`gemm_int2`] the operands that
+//! composition would (the identity suite keeps it as its oracle), and
+//! the op counters live in the dispatcher, above the backends.
 //!
-//! # Dispatch and escape hatches
+//! # Dispatch
 //!
-//! * `ADAPEX_NO_SIMD=1` (or [`override_backend`]) — the portable pack,
-//!   gather and popcount bodies instead of AVX2, same bits.
-//! * `ADAPEX_NO_INT2=1` (or [`override_enabled`]) — callers consult
-//!   [`enabled`] and fall back to the f32 GEMM over code values, same
-//!   bits again.
-//! * `ADAPEX_INT2_DIRECT=0` (or [`override_direct_enabled`]) — conv
-//!   layers consult [`direct_enabled`] and fall back to im2col+pack in
-//!   front of the same GEMM, same bits a third time.
+//! CPU detection picks the AVX2 or the portable pack, gather and
+//! popcount bodies once per process; the portable bodies are the only
+//! path on hosts without AVX2+POPCNT, and [`override_backend`] is how
+//! tests and benches reach them elsewhere — same bits either way. Which
+//! *route* a layer takes is a property of its shape
+//! ([`conv_engine_profitable`], [`MAX_DIRECT_KERNEL`]), never of a
+//! process-level switch.
 
 use crate::conv::ConvGeometry;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -116,20 +116,12 @@ pub use crate::simd::Backend;
 
 /// Largest supported reduction depth: `6*k` must stay below 2^24 so the
 /// integer accumulator converts to `f32` exactly (and so the f32-over-
-/// codes fallback accumulates exactly). CNV shapes peak at `k = 4608`.
+/// codes route accumulates exactly). CNV shapes peak at `k = 4608`.
 pub const MAX_K: usize = (1 << 24) / 6;
 
 // Cached backend decision: 0 = undecided, 1 = AVX2, 2 = portable,
 // 3/4 = explicit override (AVX2/portable) from `override_backend`.
 static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-// Cached routing decision: 0 = undecided, 1 = on, 2 = off (env),
-// 3/4 = explicit override (on/off) from `override_enabled`.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-// Cached direct-conv routing decision, same encoding as ENABLED but
-// keyed off `ADAPEX_INT2_DIRECT` (the value "0" disables).
-static DIRECT: AtomicU8 = AtomicU8::new(0);
 
 // Logical multiply-accumulate count (m*n*k per GEMM call) and executed
 // popcount word-ops (4 per plane-pair word per dot product). The finn
@@ -143,9 +135,6 @@ static POPCNT_OPS: AtomicU64 = AtomicU64::new(0);
 static DIRECT_CONV_CALLS: AtomicU64 = AtomicU64::new(0);
 
 fn detect_backend() -> u8 {
-    if std::env::var_os("ADAPEX_NO_SIMD").is_some_and(|v| v == "1") {
-        return 2;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         // Unlike the f32 kernels, the remainder loop leans on a scalar
@@ -194,93 +183,21 @@ pub fn override_backend(backend: Option<Backend>) {
     BACKEND.store(v, Ordering::Relaxed);
 }
 
-fn detect_enabled() -> u8 {
-    if std::env::var_os("ADAPEX_NO_INT2").is_some_and(|v| v == "1") {
-        2
-    } else {
-        1
-    }
-}
-
-/// Whether eval layers should route through the bit-packed engine.
-///
-/// `ADAPEX_NO_INT2=1` turns routing off; the layers then run the same
-/// code-domain computation on the f32 GEMM, which is bit-identical, so
-/// this is purely an escape hatch / differential-testing axis.
-pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        1 | 3 => true,
-        2 | 4 => false,
-        _ => {
-            let e = detect_enabled();
-            let _ = ENABLED.compare_exchange(0, e, Ordering::Relaxed, Ordering::Relaxed);
-            enabled()
-        }
-    }
-}
-
-/// Forces int2 routing on/off (`Some`) or restores the `ADAPEX_NO_INT2`
-/// environment decision (`None`). Test hook for the differential suites.
-pub fn override_enabled(on: Option<bool>) {
-    let v = match on {
-        Some(true) => 3,
-        Some(false) => 4,
-        None => detect_enabled(),
-    };
-    ENABLED.store(v, Ordering::Relaxed);
-}
-
-fn detect_direct() -> u8 {
-    if std::env::var_os("ADAPEX_INT2_DIRECT").is_some_and(|v| v == "0") {
-        2
-    } else {
-        1
-    }
-}
-
-/// Whether engine-routed conv layers should use the direct windowed
-/// path ([`conv_int2_direct`]) instead of im2col+pack.
-///
-/// `ADAPEX_INT2_DIRECT=0` turns it off; the two paths hand the GEMM
-/// identical operand words, so like `ADAPEX_NO_INT2` this is purely an
-/// escape hatch / differential-testing axis, never a results knob.
-pub fn direct_enabled() -> bool {
-    match DIRECT.load(Ordering::Relaxed) {
-        1 | 3 => true,
-        2 | 4 => false,
-        _ => {
-            let e = detect_direct();
-            let _ = DIRECT.compare_exchange(0, e, Ordering::Relaxed, Ordering::Relaxed);
-            direct_enabled()
-        }
-    }
-}
-
-/// Forces direct-conv routing on/off (`Some`) or restores the
-/// `ADAPEX_INT2_DIRECT` environment decision (`None`). Test hook for
-/// the differential suites.
-pub fn override_direct_enabled(on: Option<bool>) {
-    let v = match on {
-        Some(true) => 3,
-        Some(false) => 4,
-        None => detect_direct(),
-    };
-    DIRECT.store(v, Ordering::Relaxed);
-}
-
-/// Minimum weight-item count (`c_out` for a conv) at which the popcount
-/// engine beats the f32-over-codes fallback. See [`engine_profitable`].
+/// Filter count (`c_out`) at which the popcount engine beats the
+/// bit-identical f32-over-codes route when every output pixel pays its
+/// own quantize+pack pass — the 1×1-kernel case, where a window reuses
+/// nothing. Wider kernels divide it by their `k²` window reuse; see
+/// [`conv_engine_profitable`].
 pub const ENGINE_MIN_ITEMS: usize = 32;
 
-/// Minimum conv filter count for the engine when the direct path
-/// carries the packing: the once-per-image pack amortizes over every
-/// window, so far smaller filter banks already win. Measured per image
-/// on 3×3 convs (`bench --simd-only`, `conv_route_crossover` in
-/// BENCH_simd.json): the engine beats f32-over-codes 1.7–3.6× at every
-/// `c_out` in 2..=8 once `c_in >= 4`; only at `c_in = 2` do the routes
-/// come near a tie (1.0–1.7×). Layers with fewer than four filters are
-/// that degenerate case in practice, so the floor sits there. See
-/// [`conv_engine_profitable`].
+/// Minimum conv filter count for the engine: the once-per-image pack
+/// amortizes over every window, so small filter banks already win.
+/// Measured per image on 3×3 convs (`bench --simd-only`,
+/// `conv_route_crossover` in BENCH_simd.json): the engine beats
+/// f32-over-codes 1.7–3.6× at every `c_out` in 2..=8 once `c_in >= 4`;
+/// only at `c_in = 2` do the routes come near a tie (1.0–1.7×). Layers
+/// with fewer than four filters are that degenerate case in practice,
+/// so the floor sits there. See [`conv_engine_profitable`].
 pub const ENGINE_MIN_ITEMS_DIRECT: usize = 4;
 
 /// Largest kernel the direct path supports: a window's row segment must
@@ -288,55 +205,26 @@ pub const ENGINE_MIN_ITEMS_DIRECT: usize = 4;
 /// kernels are 3.
 pub const MAX_DIRECT_KERNEL: usize = 64;
 
-/// Whether the popcount engine is expected to be *faster* than the
-/// bit-identical f32-over-codes fallback for a GEMM with `m` weight
-/// items of depth `k`.
+/// Whether the popcount engine ([`conv_int2_direct`]) is expected to be
+/// *faster* than the bit-identical f32-over-codes route for a conv with
+/// `c_out` filters of a `kernel × kernel` window — a pure function of
+/// the layer's shape.
 ///
-/// Both paths compute identical results (PR 7's differential suites pin
-/// that), so this is purely a speed model. Per output column the
-/// fallback costs `m·k` MACs while the engine costs `k` quantize+pack
-/// element ops **plus** `m·k/16` popcount word-ops — activation packing
-/// is a fixed per-column tax that only amortizes when `m` is large.
-/// Setting the packing tax β against the per-MAC saving, profitability
-/// reduces to an `m` threshold independent of `k`:
-/// `m·k·α > k·β + m·k·γ/16  ⇔  m > β / (α − γ/16)`.
-/// Measured on CNV shapes with per-column packing (the im2col route):
-/// the `k²` quantize+pack passes make the engine the slower route below
-/// `m = 32` and the faster one from there up through the largest CNV
-/// shape (`m = 64`, `k = 576`, the BENCH_simd gate). This is the
-/// per-column model — right for linear layers and for convs with the
-/// direct path disabled, and no statement about the direct route, which
-/// wins from `m = 4` (see [`ENGINE_MIN_ITEMS_DIRECT`]); conv routing
-/// goes through
-/// [`conv_engine_profitable`], which divides the tax by the window
-/// reuse. Callers that want shape-aware routing (the serving executor)
-/// combine these with [`enabled`]; the default eval path routes every
-/// eligible layer through the engine regardless, preserving PR 7
-/// behavior.
-#[inline]
-pub fn engine_profitable(m: usize, _k: usize) -> bool {
-    m >= ENGINE_MIN_ITEMS
-}
-
-/// Conv-shape-aware refinement of [`engine_profitable`].
-///
-/// With the direct path on, activation packing happens **once per
-/// image** instead of once per im2col column, so the per-column packing
-/// tax β of the [`engine_profitable`] model is divided by the `k²`
-/// window reuse of every input pixel: the `c_out` threshold drops to
-/// `ENGINE_MIN_ITEMS / k²`, floored at [`ENGINE_MIN_ITEMS_DIRECT`],
-/// the smallest filter bank measured to win. `k = 1` self-consistently
-/// stays at [`ENGINE_MIN_ITEMS`]
-/// (a 1×1 window reuses nothing — pack-once equals pack-per-column),
-/// as do kernels past [`MAX_DIRECT_KERNEL`] or runs with the direct
-/// path disabled, where the per-column model still applies.
+/// Both routes compute identical results (the differential suites pin
+/// that), so this is purely a speed model. The f32 route costs `c_out`
+/// MACs per window element; the engine costs a quantize+pack tax plus
+/// `c_out / 16` popcount word-ops. Activation packing happens **once
+/// per image**, so the tax is divided by the `k²` window reuse of every
+/// input pixel: the `c_out` threshold is `ENGINE_MIN_ITEMS / k²`,
+/// floored at [`ENGINE_MIN_ITEMS_DIRECT`], the smallest filter bank
+/// measured to win. `k = 1` self-consistently stays at
+/// [`ENGINE_MIN_ITEMS`] (a 1×1 window reuses nothing). Kernels past
+/// [`MAX_DIRECT_KERNEL`] cannot be gathered and always take the f32
+/// route.
 #[inline]
 pub fn conv_engine_profitable(c_out: usize, kernel: usize) -> bool {
-    if direct_enabled() && kernel <= MAX_DIRECT_KERNEL {
-        c_out >= (ENGINE_MIN_ITEMS / (kernel * kernel).max(1)).max(ENGINE_MIN_ITEMS_DIRECT)
-    } else {
-        c_out >= ENGINE_MIN_ITEMS
-    }
+    kernel <= MAX_DIRECT_KERNEL
+        && c_out >= (ENGINE_MIN_ITEMS / (kernel * kernel).max(1)).max(ENGINE_MIN_ITEMS_DIRECT)
 }
 
 /// `(logical MACs, popcount word-ops)` executed by [`gemm_int2`] since
@@ -487,7 +375,7 @@ fn resize_for_overwrite(v: &mut Vec<u64>, len: usize) {
 /// materializes. The quantize step is the same compare rule as
 /// [`act_codes_in_place`] (`plane0 = g1^g2^g3` and `plane1 = g2` are
 /// the low and high bit of the code), so the packed codes equal the
-/// im2col route's codes bit for bit, on both backends.
+/// codes of an im2col'd image bit for bit, on both backends.
 ///
 /// # Panics
 ///
@@ -785,7 +673,7 @@ pub fn weight_codes_into(q: &[f32], scales: &[f32], k: usize, out: &mut Vec<f32>
 }
 
 /// The fused requantize step shared (textually and numerically) by the
-/// int2 epilogue and the f32-fallback epilogues: two exactly-rounded f32
+/// int2 epilogue and the f32-over-codes epilogues: two exactly-rounded f32
 /// operations, never contracted to FMA (`-Cllvm-args` fast-math is never
 /// enabled in this workspace).
 #[inline(always)]
@@ -793,7 +681,7 @@ fn requant(acc: f32, cs: f32, bias: f32) -> f32 {
     (acc * cs) + bias
 }
 
-/// Requantizes a weight-item-major (`[m, n]`) f32-fallback accumulator
+/// Requantizes a weight-item-major (`[m, n]`) f32-over-codes accumulator
 /// in place: row `i` becomes `acc*cs[i] + bias[i]` — the exact epilogue
 /// [`gemm_int2`] fuses for [`OutMajor::Row`].
 pub fn requantize_rows(out: &mut [f32], n: usize, cs: &[f32], bias: &[f32]) {
@@ -806,9 +694,9 @@ pub fn requantize_rows(out: &mut [f32], n: usize, cs: &[f32], bias: &[f32]) {
     }
 }
 
-/// Requantizes an act-item-major (`[n, m]`) f32-fallback accumulator in
-/// place: element `i` of every item becomes `acc*cs[i] + bias[i]` — the
-/// exact epilogue [`gemm_int2`] fuses for [`OutMajor::Col`].
+/// Requantizes an act-item-major (`[n, m]`) f32-over-codes accumulator
+/// in place: element `i` of every item becomes `acc*cs[i] + bias[i]` —
+/// the exact epilogue [`gemm_int2`] fuses for [`OutMajor::Col`].
 pub fn requantize_cols(out: &mut [f32], cs: &[f32], bias: &[f32]) {
     debug_assert_eq!(out.len() % cs.len().max(1), 0);
     debug_assert_eq!(cs.len(), bias.len());
@@ -1544,7 +1432,7 @@ mod tests {
         assert_eq!(pc1 - pc0, (m * n * 4 * plane_words(k)) as u64);
     }
 
-    /// The gathered window operands must equal the im2col+pack route's
+    /// The gathered window operands must equal packed im2col
     /// words exactly, across stride/padding/kernel combinations
     /// (including all-padding windows and depth-slot word spills).
     #[test]
@@ -1617,7 +1505,7 @@ mod tests {
         );
         let (mac1, pc1) = op_counters();
         assert_eq!(direct_conv_calls() - calls0, 1);
-        // Same GEMM shape ⇒ same counter deltas as the im2col route.
+        // Same GEMM shape ⇒ same counter deltas as the im2col composition.
         assert_eq!(mac1 - mac0, (c_out * oh * ow * kk) as u64);
         assert_eq!(pc1 - pc0, (c_out * oh * ow * 4 * plane_words(kk)) as u64);
         let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
@@ -1625,13 +1513,13 @@ mod tests {
         assert_eq!(got_bits, want_bits);
     }
 
-    /// Pins the once-per-image profitability crossovers: the direct
-    /// path divides the per-column packing tax by k² (floored at
-    /// `ENGINE_MIN_ITEMS_DIRECT`); 1×1 kernels and direct-off fall back
-    /// to the per-column `ENGINE_MIN_ITEMS` threshold.
+    /// Pins the once-per-image profitability crossovers: the k² window
+    /// reuse divides the per-pixel packing tax (floored at
+    /// `ENGINE_MIN_ITEMS_DIRECT`), 1×1 kernels stay at
+    /// `ENGINE_MIN_ITEMS`, and kernels the gather cannot serve never
+    /// route to the engine.
     #[test]
     fn conv_profitability_crossover_models_once_per_image_packing() {
-        override_direct_enabled(Some(true));
         assert!(!conv_engine_profitable(3, 3));
         assert!(conv_engine_profitable(4, 3)); // pruned CNV widths 4..7 route
         assert!(conv_engine_profitable(8, 3));
@@ -1642,13 +1530,7 @@ mod tests {
         assert!(!conv_engine_profitable(31, 1)); // 1×1: no window reuse
         assert!(conv_engine_profitable(32, 1));
         assert!(conv_engine_profitable(4, MAX_DIRECT_KERNEL));
-        // Past the direct kernel bound the per-column model applies.
-        assert!(!conv_engine_profitable(8, MAX_DIRECT_KERNEL + 1));
-        assert!(conv_engine_profitable(32, MAX_DIRECT_KERNEL + 1));
-        override_direct_enabled(Some(false));
-        assert!(!conv_engine_profitable(8, 3));
-        assert!(conv_engine_profitable(32, 3));
-        override_direct_enabled(None);
+        assert!(!conv_engine_profitable(usize::MAX, MAX_DIRECT_KERNEL + 1));
     }
 
     #[test]

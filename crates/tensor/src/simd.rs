@@ -31,14 +31,14 @@
 //! (`t = trunc(x)` and `x - t` are both exact, so the tie comparison is
 //! exact too).
 //!
-//! Dispatch is resolved once and cached. Setting `ADAPEX_NO_SIMD=1`
-//! forces the portable backend (CI exercises the fallback this way), and
-//! [`override_backend`] lets benches/tests pin a path explicitly.
+//! Dispatch is CPU detection, resolved once and cached: the portable
+//! backend is the only path on hosts without AVX2, and
+//! [`override_backend`] is how benches/tests reach it elsewhere.
 //!
 //! The integer sibling of this module is [`crate::int2`]: the bit-packed
-//! popcount GEMM reuses the same [`Backend`]/override/`ADAPEX_NO_SIMD`
-//! dispatch scheme, but gets cross-backend bit-identity for free from
-//! integer arithmetic instead of the rules above.
+//! popcount GEMM reuses the same [`Backend`]/override dispatch scheme,
+//! but gets cross-backend bit-identity for free from integer arithmetic
+//! instead of the rules above.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -60,9 +60,6 @@ pub enum Backend {
 static BACKEND: AtomicU8 = AtomicU8::new(0);
 
 fn detect() -> u8 {
-    if std::env::var_os("ADAPEX_NO_SIMD").is_some_and(|v| v == "1") {
-        return 2;
-    }
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {

@@ -10,10 +10,11 @@
 //! code with a set high plane and a clear low plane). The direct-conv
 //! kernels are pinned the same way: both `pack_image_int2` bodies
 //! against the pre-compare-rule scalar loop kept here as the oracle,
-//! both window gathers against the im2col route's packed columns, and
-//! the row-lane GEMM microkernel against the naive sum at the shapes
-//! that cross its lane, tail-row and byte-flush boundaries. CI re-runs
-//! this suite under `ADAPEX_NO_INT2=1` and `ADAPEX_NO_SIMD=1`.
+//! both window gathers against packed im2col columns (the oracle
+//! composed here from `im2col_into` → `act_codes_in_place` →
+//! `pack_acts_cols_int2`), and the row-lane GEMM microkernel against
+//! the naive sum at the shapes that cross its lane, tail-row and
+//! byte-flush boundaries.
 
 use adapex_tensor::conv::{im2col_into, ConvGeometry};
 use adapex_tensor::int2::{self, portable, Backend, OutMajor};
@@ -162,7 +163,7 @@ proptest! {
         prop_assert_eq!(pc, pr);
     }
 
-    /// Direct conv vs the im2col route, operand words **and** output
+    /// Direct conv vs the im2col oracle, operand words **and** output
     /// bits, across stride/padding/kernel/channel combinations: the
     /// once-packed image + window gather must reproduce the packed
     /// im2col columns exactly (remainder depths whenever `c*k*k % 64 ≠
@@ -440,7 +441,7 @@ fn compare_rule_equals_round_clamp_for_every_f32() {
 }
 
 /// Both gather bodies, called directly on the shapes that cross their
-/// internal boundaries, against the im2col route's packed columns:
+/// internal boundaries, against packed im2col columns:
 /// `ow mod 4` ∈ {0,1,2,3} on both sides of the 8-pixel pass, stride 2,
 /// vertical padding (skipped rows must still advance the depth walk),
 /// the bit-64 depth spill (`kk = 72`), a segment ending exactly on a

@@ -235,19 +235,3 @@ fn faulted_shaped_runs_are_job_count_invariant() {
         "the canned plan must actually inject faults"
     );
 }
-
-#[test]
-fn fault_plan_env_round_trip_is_honoured() {
-    // The env var is read through FaultPlan::from_env (the CLI and the
-    // golden scenario suite go through it); the core simulator API
-    // never consults it.
-    let dir = std::env::temp_dir().join("adapex-fault-env-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("plan.json");
-    FaultPlan::canned().save_json(&path).unwrap();
-    std::env::set_var(adapex_edge::FAULT_PLAN_ENV, &path);
-    let loaded = FaultPlan::from_env().unwrap().expect("env var is set");
-    std::env::remove_var(adapex_edge::FAULT_PLAN_ENV);
-    assert_eq!(loaded, FaultPlan::canned());
-    assert_eq!(FaultPlan::from_env().unwrap(), None);
-}

@@ -13,11 +13,11 @@
 //! ADAPEX_BLESS=1 cargo test -p adapex-integration --test golden_scenarios
 //! ```
 //!
-//! The fault-laden scenario replays the plan named by
-//! `$ADAPEX_FAULT_PLAN` when set (CI points it at
-//! `tests/golden/fault_plan_canned.json`, which **is** the canned plan,
-//! so results are identical either way) and `FaultPlan::canned()`
-//! otherwise.
+//! The fault-laden scenarios replay the committed plan file
+//! `tests/golden/fault_plan_canned.json`, so the file-replay path
+//! (`FaultPlan::load_json`, what `--faults FILE` goes through) is
+//! exercised on every run; the file **is** `FaultPlan::canned()`,
+//! pinned by `canned_fault_plan_file_matches_the_code`.
 
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{MitigationConfig, RuntimeManager, SelectionPolicy};
@@ -89,7 +89,7 @@ fn check_golden(name: &str, result: &SimResult) {
     let path = golden_dir().join(format!("{name}.json"));
     let mut actual = serde_json::to_string_pretty(result).expect("serialize SimResult");
     actual.push('\n');
-    if std::env::var("ADAPEX_BLESS").is_ok_and(|v| v == "1") {
+    if blessing() {
         std::fs::create_dir_all(golden_dir()).expect("create golden dir");
         std::fs::write(&path, &actual).expect("bless golden snapshot");
         return;
@@ -108,20 +108,26 @@ fn check_golden(name: &str, result: &SimResult) {
     );
 }
 
-/// The plan used by the fault-laden golden: `$ADAPEX_FAULT_PLAN` when
-/// set (CI pins it to the canned plan's JSON), canned otherwise.
+fn blessing() -> bool {
+    std::env::var("ADAPEX_BLESS").is_ok_and(|v| v == "1")
+}
+
+/// The plan used by the fault-laden goldens: the committed canned-plan
+/// file (while blessing, the constructor that file is regenerated from).
 fn fault_plan() -> FaultPlan {
-    FaultPlan::from_env()
-        .expect("readable fault plan")
-        .unwrap_or_else(FaultPlan::canned)
+    if blessing() {
+        return FaultPlan::canned();
+    }
+    FaultPlan::load_json(golden_dir().join("fault_plan_canned.json"))
+        .expect("readable canned fault plan")
 }
 
 #[test]
 fn canned_fault_plan_file_matches_the_code() {
     // The committed JSON and FaultPlan::canned() must stay in lockstep:
-    // CI replays the file, the tests replay the constructor.
+    // the goldens replay the file, other suites the constructor.
     let path = golden_dir().join("fault_plan_canned.json");
-    if std::env::var("ADAPEX_BLESS").is_ok_and(|v| v == "1") {
+    if blessing() {
         std::fs::create_dir_all(golden_dir()).expect("create golden dir");
         FaultPlan::canned().save_json(&path).expect("bless canned plan");
         return;

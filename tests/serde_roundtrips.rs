@@ -163,8 +163,8 @@ mod sim_config_roundtrips {
 mod scenario_file_roundtrips {
     use adapex_edge::{
         builtin_library, ClusterReplayWorkload, CorrelatedBurstWorkload, DiurnalWorkload,
-        FlashCrowdWorkload, PiecewiseWorkload, ScenarioFile, SyntheticWorkload, WorkloadConfig,
-        WorkloadSpec, SCENARIO_SCHEMA_VERSION,
+        EdgeSimulation, FlashCrowdWorkload, PiecewiseWorkload, ScenarioFile, SyntheticWorkload,
+        WorkloadConfig, WorkloadSpec, SCENARIO_SCHEMA_VERSION,
     };
     use proptest::prelude::*;
 
@@ -278,6 +278,36 @@ mod scenario_file_roundtrips {
             prop_assert!(bumped != json, "replacement must hit");
             let err = ScenarioFile::from_json_str(&bumped).unwrap_err();
             prop_assert!(err.contains("schema_version"), "error: {}", err);
+        }
+
+        /// A file's `sim` timing overrides either fail to parse or
+        /// build a simulator: a monitor period shorter than the tick
+        /// (on either side override or paper default — 1 ms tick, 1 s
+        /// period) is a typed error, never the `EdgeSimulation::new`
+        /// assert.
+        #[test]
+        fn sim_timing_overrides_parse_or_error_but_never_panic(
+            file in scenario_strategy(),
+            tick_ms in 0u32..3_000,
+            period_tenth_ms in 0u32..30_000,
+            which in 1usize..4,
+        ) {
+            let mut file = file;
+            file.sim.tick_s = (which & 1 != 0).then_some(f64::from(tick_ms) / 1e3);
+            file.sim.monitor_period_s =
+                (which & 2 != 0).then_some(f64::from(period_tenth_ms) / 1e4);
+            let tick = file.sim.tick_s.unwrap_or(0.001);
+            let period = file.sim.monitor_period_s.unwrap_or(1.0);
+            let json = serde_json::to_string(&file).expect("serialize");
+            match ScenarioFile::from_json_str(&json) {
+                Ok(parsed) => {
+                    prop_assert!(tick > 0.0 && period >= tick, "accepted {} / {}", tick, period);
+                    EdgeSimulation::new(parsed.sim_config(145.0));
+                }
+                Err(e) => {
+                    prop_assert!(tick <= 0.0 || period < tick, "rejected {} / {}: {}", tick, period, e);
+                }
+            }
         }
 
         #[test]
