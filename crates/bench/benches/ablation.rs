@@ -14,7 +14,8 @@
 
 use adapex::runtime::{RuntimeManager, SelectionPolicy};
 use adapex_bench::{artifacts, datasets, print_table, repetitions};
-use adapex_edge::{mean_of, EdgeSimulation, SimConfig, WorkloadConfig};
+use adapex_edge::{mean_of, EdgeSimulation, RunSpec, SimConfig, WorkloadConfig};
+use adapex_tensor::parallel::num_threads;
 
 fn main() {
     let reps = repetitions().min(40);
@@ -42,7 +43,7 @@ fn main() {
                 workload: heavy,
                 ..SimConfig::paper_default(art.reconfig_time_ms)
             });
-            let results = sim.run_many(&manager, reps, 0xAB1A);
+            let results = sim.run_many(&manager, &RunSpec::synthetic(0xAB1A), reps, num_threads());
             rows.push(vec![
                 name.to_string(),
                 format!("{:.2}", mean_of(&results, |r| r.inference_loss_pct())),
@@ -75,7 +76,7 @@ fn main() {
                 workload: heavy,
                 ..SimConfig::paper_default(ms)
             });
-            let results = sim.run_many(&manager, reps, 0xAB1A);
+            let results = sim.run_many(&manager, &RunSpec::synthetic(0xAB1A), reps, num_threads());
             rows.push(vec![
                 label.to_string(),
                 format!("{:.2}", mean_of(&results, |r| r.inference_loss_pct())),

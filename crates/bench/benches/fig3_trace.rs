@@ -12,7 +12,7 @@
 
 use adapex::baselines::{manager_for, System};
 use adapex_bench::{artifacts, datasets, print_table};
-use adapex_edge::{EdgeSimulation, SimConfig, WorkloadConfig};
+use adapex_edge::{EdgeSimulation, RunSpec, SimConfig, WorkloadConfig};
 
 fn main() {
     for kind in datasets() {
@@ -37,7 +37,7 @@ fn main() {
                     && rates.last().copied().unwrap_or(0.0) > 1150.0
             })
             .unwrap_or(1);
-        let result = sim.run(&mut manager, seed);
+        let result = sim.run(&mut manager, &RunSpec::synthetic(seed));
         let rows: Vec<Vec<String>> = result
             .trace
             .iter()

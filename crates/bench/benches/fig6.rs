@@ -8,7 +8,8 @@
 
 use adapex::baselines::{manager_for, System};
 use adapex_bench::{artifacts, datasets, print_table, repetitions};
-use adapex_edge::{mean_of, EdgeSimulation, SimConfig};
+use adapex_edge::{mean_of, EdgeSimulation, RunSpec, SimConfig};
+use adapex_tensor::parallel::num_threads;
 
 fn main() {
     let reps = repetitions();
@@ -20,7 +21,7 @@ fn main() {
         let mut per_system = Vec::new();
         for system in System::all() {
             let manager = manager_for(system, &art, 0.10);
-            let results = sim.run_many(&manager, reps, 0xDA7E);
+            let results = sim.run_many(&manager, &RunSpec::synthetic(0xDA7E), reps, num_threads());
             let edp = mean_of(&results, |r| r.edp().unwrap_or(0.0));
             let qoe = mean_of(&results, |r| r.qoe());
             if system == System::Finn {

@@ -162,13 +162,13 @@ fn bench_library_select(c: &mut Criterion) {
 }
 
 fn bench_edge_episode(c: &mut Criterion) {
-    use adapex_edge::{EdgeSimulation, SimConfig};
+    use adapex_edge::{EdgeSimulation, RunSpec, SimConfig};
     let manager = demo_manager();
     let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
     c.bench_function("edge_sim_25s_episode", |bench| {
         bench.iter_batched(
             || manager.clone(),
-            |mut m| black_box(sim.run(&mut m, 7)),
+            |mut m| black_box(sim.run(&mut m, &RunSpec::synthetic(7))),
             BatchSize::SmallInput,
         );
     });

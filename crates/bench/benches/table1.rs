@@ -6,7 +6,8 @@
 
 use adapex::baselines::{manager_for, System};
 use adapex_bench::{artifacts, datasets, print_table, repetitions};
-use adapex_edge::{mean_of, EdgeSimulation, SimConfig};
+use adapex_edge::{mean_of, EdgeSimulation, RunSpec, SimConfig};
+use adapex_tensor::parallel::num_threads;
 
 fn main() {
     let reps = repetitions();
@@ -17,7 +18,7 @@ fn main() {
         let sim = EdgeSimulation::new(SimConfig::paper_default(art.reconfig_time_ms));
         for system in System::all() {
             let manager = manager_for(system, &art, max_loss);
-            let results = sim.run_many(&manager, reps, 0xDA7E);
+            let results = sim.run_many(&manager, &RunSpec::synthetic(0xDA7E), reps, num_threads());
             rows.push(vec![
                 system.label().to_string(),
                 kind.id().to_string(),

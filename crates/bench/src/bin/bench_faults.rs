@@ -26,8 +26,8 @@
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{MitigationConfig, RuntimeManager, SelectionPolicy};
 use adapex_edge::{
-    builtin_scenario, mean_of, EdgeSimulation, FaultPlan, Scenario, SimConfig, SimResult,
-    WorkloadConfig,
+    builtin_scenario, mean_of, EdgeSimulation, FaultPlan, RunSpec, Scenario, SimConfig, SimResult,
+    Traffic, WorkloadConfig,
 };
 use adapex_tensor::parallel::num_threads;
 use serde::Serialize;
@@ -162,7 +162,8 @@ fn main() {
     let jobs = num_threads();
 
     let run = |mitigation: MitigationConfig, plan: &FaultPlan| {
-        sim.run_many_shaped_jobs_with_faults(&manager(mitigation), &trace, REPS, SEED, jobs, plan)
+        let spec = RunSpec::new(Traffic::Shaped(&trace), plan, SEED);
+        sim.run_many(&manager(mitigation), &spec, REPS, jobs)
     };
 
     let fault_free = run(MitigationConfig::recommended(), &FaultPlan::none());
@@ -182,14 +183,8 @@ fn main() {
     let adv = builtin_scenario("adversarial-flash-faults").expect("shipped scenario");
     let adv_sim = EdgeSimulation::new(adv.sim_config(145.0));
     let adv_run = |mitigation: MitigationConfig, plan: &FaultPlan| {
-        adv_sim.run_many_workload_jobs_with_faults(
-            &manager(mitigation),
-            &adv.workload,
-            REPS,
-            adv.seed,
-            jobs,
-            plan,
-        )
+        let spec = RunSpec::new(Traffic::Spec(&adv.workload), plan, adv.seed);
+        adv_sim.run_many(&manager(mitigation), &spec, REPS, jobs)
     };
     let adv_free = adv_run(MitigationConfig::recommended(), &FaultPlan::none());
     let adv_mitigated = adv_run(MitigationConfig::recommended(), &adv.faults);

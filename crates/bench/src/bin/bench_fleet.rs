@@ -4,9 +4,8 @@
 //! (100,000 streams) on the event-driven engine and compares
 //! *per-server-second throughput* — simulated server-seconds per
 //! wall-clock second — against the legacy 1 ms tick loop
-//! (`run_tick_reference_with_faults`, the pre-event-engine simulation
-//! path, measured on a serial sample of the same fleet and
-//! extrapolated; both paths produce bit-identical `SimResult`s, so the
+//! (`run_tick_reference`, the pre-event-engine simulation path,
+//! measured on a serial sample of the same fleet and extrapolated; both paths produce bit-identical `SimResult`s, so the
 //! delta is pure throughput).
 //!
 //! The speedup has two independent factors:
@@ -35,8 +34,8 @@
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{RuntimeManager, SelectionPolicy};
 use adapex_edge::{
-    EdgeSimulation, FaultPlan, Fleet, FleetConfig, FleetResult, FleetSummary, SimConfig,
-    WorkloadConfig, FLEET_SALT,
+    EdgeSimulation, FaultPlan, Fleet, FleetConfig, FleetResult, FleetSummary, RunSpec, SimConfig,
+    Traffic, WorkloadConfig, FLEET_SALT,
 };
 use adapex_tensor::parallel::num_threads;
 use adapex_tensor::rng::derive_stream;
@@ -168,11 +167,12 @@ fn main() {
             workload,
             ..fleet.config().sim.clone()
         });
-        tick_results.push(sim.run_tick_reference_with_faults(
-            &mut m.clone(),
-            derive_stream(SEED, s as u64, FLEET_SALT),
+        let server = RunSpec::new(
+            Traffic::Synthetic,
             &plan,
-        ));
+            derive_stream(SEED, s as u64, FLEET_SALT),
+        );
+        tick_results.push(sim.run_tick_reference(&mut m.clone(), &server));
     }
     let tick_wall = t0.elapsed().as_secs_f64();
     let tick_rate = tick_servers as f64 * duration_s / tick_wall;
@@ -183,7 +183,7 @@ fn main() {
     // --- Event engine, jobs ∈ {1, 4}. -------------------------------
     let run_timed = |jobs: usize| -> (FleetResult, f64) {
         let t0 = Instant::now();
-        let r = fleet.run_jobs_with_faults(&m, SEED, jobs, &plan);
+        let r = fleet.run(&m, &RunSpec::new(Traffic::Synthetic, &plan, SEED), jobs);
         (r, t0.elapsed().as_secs_f64())
     };
     let (fleet_j1, wall_j1) = run_timed(1);

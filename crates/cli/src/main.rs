@@ -16,7 +16,8 @@ use adapex::runtime::{MitigationConfig, RuntimeManager};
 use adapex_dataset::DatasetKind;
 use adapex_edge::{
     mean_of, EdgeSimulation, FaultPlan, Fleet, FleetConfig, FleetOverrides, PlacementPolicy,
-    Scenario, ScenarioFile, SimConfig, SimResult, WorkloadConfig, WorkloadSpec,
+    RunSpec, Scenario, ScenarioFile, SimConfig, SimResult, Traffic, WorkloadConfig, WorkloadSpec,
+    WorkloadTrace,
 };
 use adapex_tensor::parallel::num_threads;
 use args::Args;
@@ -94,7 +95,7 @@ USAGE:
                       (--servers N > 1 prints one row per server instead
                        of the single-server time trace)
   adapex-cli serve    [--artifacts FILE] [--slo SPEC] [--max-batch N]
-                      [--batch-deadline-us N] [--workers N] [--fifo]
+                      [--batch-deadline-us N] [--workers N]
                       [--pattern steady|burst|ramp] [--rate F]
                       [--duration S] [--seed N] [--faults PLAN.json]
                       [--scenario SCENARIO.json] [--workload WORKLOAD.json]
@@ -110,8 +111,7 @@ USAGE:
                        and reconfig aborts into the run. --scenario and
                        --workload files (with --artifacts) replace the
                        synthetic camera workload with a trace-driven
-                       one. --fifo swaps the early-exit-aware admission
-                       for plain FIFO.)
+                       one.)
   adapex-cli synth    [--width N] [--rate F] [--prune-exits] [--classes N]
                       [--target-cycles N]";
 
@@ -230,20 +230,6 @@ fn systems_of(name: &str) -> Result<Vec<System>, Box<dyn Error>> {
     })
 }
 
-fn sim_config(args: &Args, reconfig_ms: f64) -> Result<SimConfig, Box<dyn Error>> {
-    let defaults = WorkloadConfig::paper_default();
-    let ips = args.get_or("ips-per-camera", 30.0f64)?;
-    let cameras = args.get_or("cameras", defaults.cameras)?;
-    Ok(SimConfig {
-        workload: WorkloadConfig {
-            ips_per_camera: ips,
-            cameras,
-            ..defaults
-        },
-        ..SimConfig::paper_default(reconfig_ms)
-    })
-}
-
 /// `--jobs N` with `0` (the default) meaning one worker per core.
 fn jobs_of(args: &Args) -> Result<usize, Box<dyn Error>> {
     Ok(match args.get_or("jobs", 0usize)? {
@@ -299,36 +285,55 @@ fn workload_arg(args: &Args) -> Result<Option<WorkloadSpec>, Box<dyn Error>> {
 /// Applies `--ips-per-camera` / `--cameras` only when given, so file
 /// scenarios keep their own workload shape under the default flags.
 fn apply_workload_flags(args: &Args, workload: &mut WorkloadConfig) -> Result<(), Box<dyn Error>> {
-    if let Some(v) = args.get("ips-per-camera") {
-        workload.ips_per_camera = v.parse()?;
-    }
-    if let Some(v) = args.get("cameras") {
-        workload.cameras = v.parse()?;
-    }
+    workload.ips_per_camera = args.get_or("ips-per-camera", workload.ips_per_camera)?;
+    workload.cameras = args.get_or("cameras", workload.cameras)?;
     Ok(())
-}
-
-/// Where the arrival process for `simulate`/`trace` comes from.
-enum WorkloadSource {
-    /// The paper's built-in ±deviation synthetic generator.
-    Synthetic,
-    /// A built-in shaped trace (`--scenario steady|ramp-up|...`).
-    Shaped(Scenario),
-    /// A workload spec from `--workload FILE` or a scenario file.
-    Spec(WorkloadSpec),
 }
 
 /// Everything `simulate`/`trace` need, resolved from flags plus an
 /// optional scenario file. Explicit flags always win over the file.
 struct RunSetup {
     sim: SimConfig,
-    source: WorkloadSource,
+    /// A workload spec from `--workload FILE` or a scenario file.
+    workload: Option<WorkloadSpec>,
+    /// A built-in shaped trace (`--scenario steady|ramp-up|...`); never
+    /// set together with `workload`. With neither, traffic is the
+    /// paper's synthetic generator.
+    shaped: Option<WorkloadTrace>,
     plan: FaultPlan,
     seed: u64,
     jobs: usize,
     servers: usize,
     fleet: Option<FleetOverrides>,
     banner: Option<String>,
+}
+
+impl RunSetup {
+    /// The episode this setup describes.
+    fn spec(&self) -> RunSpec<'_> {
+        let traffic = match (&self.workload, &self.shaped) {
+            (Some(workload), _) => Traffic::Spec(workload),
+            (None, Some(trace)) => Traffic::Shaped(trace),
+            (None, None) => Traffic::Synthetic,
+        };
+        RunSpec::new(traffic, &self.plan, self.seed)
+    }
+
+    /// The checks a workload *file* gets on load, applied to what the
+    /// flags resolved to (`--cameras 0`, `--ips-per-camera nan` land
+    /// here), plus `--servers 0`.
+    fn validate(&self) -> Result<(), Box<dyn Error>> {
+        if self.servers == 0 {
+            return Err("--servers must be > 0".into());
+        }
+        match &self.workload {
+            Some(workload) => workload.validate()?,
+            None => WorkloadSpec::paper_default()
+                .with_config(self.sim.workload)
+                .validate()?,
+        }
+        Ok(())
+    }
 }
 
 fn resolve_run(
@@ -345,68 +350,54 @@ fn resolve_run(
                 .into(),
         );
     }
-    let jobs = jobs_of(args)?;
-    if let Some(ScenarioArg::File(file)) = &scenario {
-        let mut sim = file.sim_config(reconfig_ms);
-        if let Some(f) = &file.fleet {
-            sim.workload.cameras = f.cameras_per_server;
-        }
-        apply_workload_flags(args, &mut sim.workload)?;
-        let spec = file.workload.with_config(sim.workload);
-        let plan = faults_arg(args)?.unwrap_or_else(|| file.faults.clone());
-        let servers = args.get_or("servers", file.fleet.map_or(1, |f| f.servers))?;
-        return Ok(RunSetup {
-            banner: Some(format!(
-                "scenario {} (seed {}): {}",
-                file.name, file.seed, file.description
-            )),
-            sim,
-            source: WorkloadSource::Spec(spec),
-            plan,
-            seed: args.get_or("seed", file.seed)?,
-            jobs,
-            servers,
-            fleet: file.fleet,
-        });
+    let file = match &scenario {
+        Some(ScenarioArg::File(file)) => Some(&**file),
+        _ => None,
+    };
+    let fleet = file.and_then(|f| f.fleet);
+    let mut sim = file.map_or_else(
+        || SimConfig::paper_default(reconfig_ms),
+        |f| f.sim_config(reconfig_ms),
+    );
+    if let Some(spec) = &workload {
+        sim.workload = *spec.config();
     }
-    let sim = match &workload {
-        Some(spec) => {
-            let mut sim = SimConfig::paper_default(reconfig_ms);
-            sim.workload = *spec.config();
-            apply_workload_flags(args, &mut sim.workload)?;
-            sim
-        }
-        None => sim_config(args, reconfig_ms)?,
-    };
-    let source = match (scenario, workload) {
-        (Some(ScenarioArg::Shaped(s)), None) => WorkloadSource::Shaped(s),
-        (None, Some(spec)) => WorkloadSource::Spec(spec.with_config(sim.workload)),
-        (None, None) => WorkloadSource::Synthetic,
-        _ => unreachable!("file and exclusivity cases handled above"),
-    };
-    Ok(RunSetup {
-        banner: None,
+    if let Some(f) = fleet {
+        sim.workload.cameras = f.cameras_per_server;
+    }
+    apply_workload_flags(args, &mut sim.workload)?;
+    let run = RunSetup {
+        banner: file.map(|f| format!("scenario {} (seed {}): {}", f.name, f.seed, f.description)),
+        workload: file
+            .map(|f| &f.workload)
+            .or(workload.as_ref())
+            .map(|spec| spec.with_config(sim.workload)),
+        shaped: match &scenario {
+            Some(ScenarioArg::Shaped(s)) => Some(s.trace(sim.workload)),
+            _ => None,
+        },
         sim,
-        source,
-        plan: faults_arg(args)?.unwrap_or_else(FaultPlan::none),
-        seed: args.get_or("seed", default_seed)?,
-        jobs,
-        servers: args.get_or("servers", 1usize)?,
-        fleet: None,
-    })
+        plan: match faults_arg(args)? {
+            Some(plan) => plan,
+            None => file.map_or_else(FaultPlan::none, |f| f.faults.clone()),
+        },
+        seed: args.get_or("seed", file.map_or(default_seed, |f| f.seed))?,
+        jobs: jobs_of(args)?,
+        servers: args.get_or("servers", fleet.map_or(1, |f| f.servers))?,
+        fleet,
+    };
+    run.validate()?;
+    Ok(run)
 }
 
 /// Builds the fleet for `--servers N` (N > 1): each server gets the
 /// resolved per-server stream count and the shared simulation template.
 fn fleet_for(run: &RunSetup) -> Result<Fleet, Box<dyn Error>> {
-    if matches!(run.source, WorkloadSource::Shaped(_)) {
+    if run.shaped.is_some() {
         return Err("--scenario applies to single-server runs; fleets draw \
                     per-camera workloads from the seed (use a scenario file \
                     for fleet workloads)"
             .into());
-    }
-    if run.sim.workload.cameras == 0 {
-        return Err("a fleet (--servers N > 1) needs at least one camera per server".into());
     }
     let (camera_spread, placement) = run
         .fleet
@@ -445,20 +436,6 @@ fn print_fault_summary(results: &[SimResult]) {
     );
 }
 
-/// Runs one fleet sweep honoring the resolved workload source.
-fn run_fleet(
-    fleet: &Fleet,
-    manager: &RuntimeManager,
-    run: &RunSetup,
-) -> adapex_edge::FleetResult {
-    match &run.source {
-        WorkloadSource::Spec(spec) => {
-            fleet.run_jobs_with_workload(manager, spec, run.seed, run.jobs, &run.plan)
-        }
-        _ => fleet.run_jobs_with_faults(manager, run.seed, run.jobs, &run.plan),
-    }
-}
-
 fn cmd_simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     let artifacts = Artifacts::load_json(args.require("artifacts")?)?;
     let reps = args.get_or("reps", 20usize)?;
@@ -478,20 +455,7 @@ fn cmd_simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     for system in systems_of(args.get_or("system", "all".to_string())?.as_str())? {
         let mut manager = manager_for(system, &artifacts, 0.10);
         apply_mitigation(&mut manager, &run.plan, args);
-        let results = match &run.source {
-            WorkloadSource::Shaped(s) => {
-                let trace = s.trace(sim.config().workload);
-                sim.run_many_shaped_jobs_with_faults(
-                    &manager, &trace, reps, run.seed, run.jobs, &run.plan,
-                )
-            }
-            WorkloadSource::Spec(spec) => sim.run_many_workload_jobs_with_faults(
-                &manager, spec, reps, run.seed, run.jobs, &run.plan,
-            ),
-            WorkloadSource::Synthetic => {
-                sim.run_many_jobs_with_faults(&manager, reps, run.seed, run.jobs, &run.plan)
-            }
-        };
+        let results = sim.run_many(&manager, &run.spec(), reps, run.jobs);
         println!(
             "{:>8} {:>9.2} {:>8.1} {:>8.1} {:>9.2} {:>9.2} {:>9.1}",
             system.label(),
@@ -528,7 +492,7 @@ fn simulate_fleet(args: &Args, artifacts: &Artifacts, run: &RunSetup) -> Result<
     for system in systems_of(args.get_or("system", "all".to_string())?.as_str())? {
         let mut manager = manager_for(system, artifacts, 0.10);
         apply_mitigation(&mut manager, &run.plan, args);
-        let result = run_fleet(&fleet, &manager, run);
+        let result = fleet.run(&manager, &run.spec(), run.jobs);
         let s = &result.summary;
         println!(
             "{:>8} {:>9.2} {:>8.1} {:>8.1} {:>9.2} {:>10.1} {:>9}",
@@ -552,7 +516,7 @@ fn trace_fleet(args: &Args, artifacts: &Artifacts, run: &RunSetup) -> Result<(),
     let fleet = fleet_for(run)?;
     let mut manager = manager_for(System::AdaPEx, artifacts, 0.10);
     apply_mitigation(&mut manager, &run.plan, args);
-    let result = run_fleet(&fleet, &manager, run);
+    let result = fleet.run(&manager, &run.spec(), run.jobs);
     let placement = fleet.placement(run.seed);
     println!(
         "{:>6} {:>7} {:>9} {:>9} {:>8} {:>8} {:>9}",
@@ -600,16 +564,7 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
     let mut manager = manager_for(System::AdaPEx, &artifacts, 0.10);
     apply_mitigation(&mut manager, &run.plan, args);
     let sim = EdgeSimulation::new(run.sim.clone());
-    let result = match &run.source {
-        WorkloadSource::Shaped(s) => {
-            let trace = s.trace(sim.config().workload);
-            sim.run_with_shaped_trace_and_faults(&mut manager, &trace, run.seed, &run.plan)
-        }
-        WorkloadSource::Spec(spec) => {
-            sim.run_with_workload_and_faults(&mut manager, spec, run.seed, &run.plan)
-        }
-        WorkloadSource::Synthetic => sim.run_with_faults(&mut manager, run.seed, &run.plan),
-    };
+    let result = sim.run(&mut manager, &run.spec());
     println!(
         "{:>5} {:>8} {:>8} {:>8} {:>8} {:>6} {:>5} {:>8}",
         "t[s]", "IPS", "P.R.[%]", "C.T.[%]", "Acc[%]", "queue", "deg", "backoff"
@@ -760,8 +715,7 @@ fn print_serve_report(config: &adapex::serve::ServeConfig, r: &adapex::serve::Se
 
 fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     use adapex::serve::{
-        generate_arrivals, AdmissionPolicy, ArrivalPattern, PointServiceModel, ServeConfig,
-        ServeSim,
+        generate_arrivals, ArrivalPattern, PointServiceModel, ServeConfig, ServeSim,
     };
     use adapex_edge::{ServeScenario, ServeScenarioConfig};
 
@@ -772,9 +726,6 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     config.max_batch = args.get_or("max-batch", config.max_batch)?;
     config.batch_deadline_us = args.get_or("batch-deadline-us", config.batch_deadline_us)?;
     config.workers = args.get_or("workers", config.workers)?;
-    if args.flag("fifo") {
-        config.admission = AdmissionPolicy::Fifo;
-    }
     let seed = args.get_or("seed", 0x5E17Eu64)?;
     let duration = args.get_or("duration", 30.0f64)?;
     let weights = vec![1.0; config.classes.len()];
@@ -864,17 +815,57 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
 mod tests {
     use super::*;
 
+    fn resolve(tokens: &[&str]) -> Result<RunSetup, Box<dyn Error>> {
+        let args = Args::parse(tokens.iter().map(|s| s.to_string())).expect("parses");
+        resolve_run(&args, 145.0, 1)
+    }
+
+    fn rejected(tokens: &[&str]) -> String {
+        match resolve(tokens) {
+            Ok(_) => panic!("{tokens:?} must be rejected"),
+            Err(e) => e.to_string(),
+        }
+    }
+
     #[test]
     fn a_fleet_without_cameras_is_an_error_not_a_panic() {
-        let args = Args::parse(
-            ["simulate", "--servers", "2", "--cameras", "0"]
-                .iter()
-                .map(|s| s.to_string()),
-        )
-        .expect("parses");
-        let run = resolve_run(&args, 145.0, 1).expect("flags resolve");
-        assert_eq!(run.servers, 2);
-        let err = fleet_for(&run).expect_err("zero cameras must be rejected");
-        assert!(err.to_string().contains("camera"), "error: {err}");
+        let err = rejected(&["simulate", "--servers", "2", "--cameras", "0"]);
+        assert!(err.contains("cameras must be > 0"), "error: {err}");
+    }
+
+    #[test]
+    fn flags_get_the_validation_workload_files_get() {
+        // Same messages as `WorkloadSpec::validate`, whichever traffic
+        // recipe the flags resolve to.
+        let err = rejected(&["simulate", "--cameras", "0"]);
+        assert!(err.contains("cameras must be > 0"), "error: {err}");
+        for bad in ["nan", "-5", "inf", "0"] {
+            for scenario in [&[][..], &["--scenario", "burst"]] {
+                let mut tokens = vec!["simulate", "--ips-per-camera", bad];
+                tokens.extend_from_slice(scenario);
+                let err = rejected(&tokens);
+                assert!(
+                    err.contains("ips_per_camera must be finite and > 0"),
+                    "{tokens:?}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_servers_is_an_error_not_one_server() {
+        let err = rejected(&["simulate", "--servers", "0"]);
+        assert!(err.contains("--servers"), "error: {err}");
+    }
+
+    #[test]
+    fn valid_flags_resolve_to_the_matching_traffic_recipe() {
+        let run = resolve(&["simulate", "--servers", "2", "--cameras", "5"]).expect("valid");
+        assert_eq!((run.servers, run.sim.workload.cameras), (2, 5));
+        assert!(matches!(run.spec().traffic, Traffic::Synthetic));
+        let run = resolve(&["trace", "--scenario", "burst", "--seed", "9"]).expect("valid");
+        assert!(matches!(run.spec().traffic, Traffic::Shaped(_)));
+        assert_eq!(run.spec().seed, 9);
+        assert!(fleet_for(&run).is_err(), "shaped traces are single-server");
     }
 }

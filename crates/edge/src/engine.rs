@@ -1,9 +1,10 @@
 //! The event-driven edge-server engine.
 //!
 //! This replaces the per-tick polling loop that `EdgeSimulation` used
-//! through PR 5 with a [`des::EventQueue`]-driven engine. The control
-//! events that the old loop re-checked on every 1 ms tick are now
-//! *scheduled*:
+//! through PR 5 with a [`des::EventQueue`]-driven engine; every
+//! `EdgeSimulation::run` lands here, and the old loop survives only as
+//! `EdgeSimulation::run_tick_reference`. The control events that the
+//! old loop re-checked on every 1 ms tick are now *scheduled*:
 //!
 //! - **Monitor decisions** — the monitor period covers a fixed number
 //!   of ticks (the elapsed-time accumulator resets to exactly `0.0`
@@ -66,6 +67,12 @@ fn key(tick: u64, phase: u64) -> u64 {
     tick * PHASES + phase
 }
 
+/// `SimConfig::queue_capacity` bounds the frame buffer, it does not size
+/// it: the queue is pre-sized to at most this many slots (so the default
+/// 8-deep buffer never reallocates) and grows on demand beyond, which
+/// lets any `usize` bound run.
+const QUEUE_PRESIZE_MAX: usize = 1024;
+
 /// Engine event payloads (entity is always 0: one server per engine;
 /// the fleet layer shards whole engines).
 #[derive(Debug, Clone, Copy)]
@@ -105,17 +112,6 @@ fn precompute(cfg: &SimConfig, trace: &WorkloadTrace, faults: &FaultState) -> Bo
     let dt = cfg.tick_s;
     let duration = cfg.workload.duration_s;
     let plan = faults.plan();
-
-    // Monitor cadence: replay the accumulator from its post-reset 0.0.
-    let mut elapsed = 0.0f64;
-    let mut ticks_per_monitor = 0u64;
-    loop {
-        elapsed += dt;
-        ticks_per_monitor += 1;
-        if elapsed + 1e-9 >= cfg.monitor_period_s {
-            break;
-        }
-    }
 
     let n_windows = plan.dropouts.len() + plan.floods.len() + plan.accuracy_faults.len();
     let mut rate_marks = Vec::with_capacity(trace.rates.len() + 1);
@@ -161,6 +157,19 @@ fn precompute(cfg: &SimConfig, trace: &WorkloadTrace, faults: &FaultState) -> Bo
         }
         t += dt;
         tick += 1;
+    }
+
+    // Monitor cadence: replay the accumulator from its post-reset 0.0,
+    // no further than the horizon — a period the episode never reaches
+    // (the tick loop then never decides) schedules no monitor at all.
+    let mut elapsed = 0.0f64;
+    let mut ticks_per_monitor = 0u64;
+    while ticks_per_monitor <= tick {
+        elapsed += dt;
+        ticks_per_monitor += 1;
+        if elapsed + 1e-9 >= cfg.monitor_period_s {
+            break;
+        }
     }
 
     Boundaries {
@@ -525,8 +534,8 @@ impl Engine<'_> {
 }
 
 /// Runs one episode on the event engine. Bit-identical to
-/// `EdgeSimulation::run_tick_reference_with_faults` by construction
-/// (see module docs).
+/// `EdgeSimulation::run_tick_reference` by construction (see module
+/// docs).
 pub(crate) fn run(
     cfg: &SimConfig,
     manager: &mut RuntimeManager,
@@ -608,7 +617,7 @@ pub(crate) fn run(
         residual: 0.0,
         aborting: false,
         reconfig_gen: 0,
-        queue: VecDeque::with_capacity(cfg.queue_capacity),
+        queue: VecDeque::with_capacity(cfg.queue_capacity.min(QUEUE_PRESIZE_MAX)),
         offered: 0,
         processed: 0,
         lost: 0,

@@ -136,7 +136,7 @@ impl Default for FaultPlan {
 
 impl FaultPlan {
     /// The empty plan: injects nothing, draws nothing.
-    pub fn none() -> Self {
+    pub const fn none() -> Self {
         FaultPlan {
             seed: 0,
             reconfig_failure_prob: 0.0,

@@ -10,7 +10,8 @@
 //! # Determinism and sharding
 //!
 //! Servers are mutually independent once placement is fixed, so the
-//! fleet shards across cores with `par_map`. Server `s` simulates with
+//! fleet shards across cores with `par_map`. [`Fleet::run`] is the one
+//! entry point: server `s` runs the caller's [`RunSpec`] at
 //! episode seed `derive_stream(fleet_seed, s, FLEET_SALT)` and camera
 //! `c` draws its nominal rate from
 //! `derive_stream(fleet_seed, c, CAMERA_SALT)` — every stream is a pure
@@ -20,11 +21,11 @@
 //! `tests/des_equivalence.rs` and the `bench_fleet` gate).
 
 use crate::fault::FaultPlan;
-use crate::sim::{EdgeSimulation, SimConfig, SimResult};
+use crate::sim::{EdgeSimulation, RunSpec, SimConfig, SimResult, Traffic};
 use crate::workload::WorkloadConfig;
 use crate::workload_gen::WorkloadSpec;
 use adapex::runtime::RuntimeManager;
-use adapex_tensor::parallel::{num_threads, par_map};
+use adapex_tensor::parallel::par_map;
 use adapex_tensor::rng::{derive_stream, rng_from_seed};
 use rand::RngExt;
 use serde::{Deserialize, Serialize};
@@ -97,7 +98,7 @@ pub struct ServerAssignment {
 
 /// Fleet-level aggregates (server results fold in index order, so the
 /// summary is as deterministic as the per-server results).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FleetSummary {
     /// Servers simulated.
     pub servers: usize,
@@ -219,58 +220,29 @@ impl Fleet {
         assignments
     }
 
-    /// Runs the fleet on the default worker pool.
-    pub fn run(&self, manager: &RuntimeManager, seed: u64) -> FleetResult {
-        self.run_jobs(manager, seed, num_threads())
-    }
-
-    /// Runs the fleet with an explicit worker count; any `jobs` value
-    /// produces byte-identical results.
-    pub fn run_jobs(&self, manager: &RuntimeManager, seed: u64, jobs: usize) -> FleetResult {
-        self.run_jobs_with_faults(manager, seed, jobs, &FaultPlan::none())
-    }
-
-    /// [`Fleet::run_jobs`] under a fault plan. Every server derives its
-    /// own fault stream from its per-server episode seed, so fault
-    /// realizations differ across servers but reproduce exactly.
-    pub fn run_jobs_with_faults(
-        &self,
-        manager: &RuntimeManager,
-        seed: u64,
-        jobs: usize,
-        plan: &FaultPlan,
-    ) -> FleetResult {
-        self.run_jobs_impl(manager, None, seed, jobs, plan)
-    }
-
-    /// [`Fleet::run_jobs_with_faults`] driven by a [`WorkloadSpec`]:
-    /// every server runs the spec re-based on its assigned cameras and
-    /// rates ([`WorkloadSpec::with_config`] — shape parameters are
-    /// multipliers of nominal, so the traffic *shape* is fleet-wide
-    /// while the *level* follows each server's placement). With a
-    /// Synthetic spec this is bit-identical to
-    /// [`Fleet::run_jobs_with_faults`].
-    pub fn run_jobs_with_workload(
-        &self,
-        manager: &RuntimeManager,
-        spec: &WorkloadSpec,
-        seed: u64,
-        jobs: usize,
-        plan: &FaultPlan,
-    ) -> FleetResult {
-        self.run_jobs_impl(manager, Some(spec), seed, jobs, plan)
-    }
-
-    fn run_jobs_impl(
-        &self,
-        manager: &RuntimeManager,
-        spec: Option<&WorkloadSpec>,
-        seed: u64,
-        jobs: usize,
-        plan: &FaultPlan,
-    ) -> FleetResult {
+    /// Runs the fleet: every server simulates `spec` at its own episode
+    /// seed `derive_stream(spec.seed, s, FLEET_SALT)` — so fault
+    /// realizations differ across servers but reproduce exactly — on
+    /// `jobs` workers; any `jobs` value produces byte-identical results.
+    ///
+    /// [`Traffic::Spec`] is re-based per server onto its assigned
+    /// cameras and rates ([`WorkloadSpec::with_config`] — shape
+    /// parameters are multipliers of nominal, so the traffic *shape* is
+    /// fleet-wide while the *level* follows each server's placement);
+    /// with a Synthetic spec that is bit-identical to
+    /// [`Traffic::Synthetic`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`Traffic::Shaped`]: a shaped trace carries absolute
+    /// rates for one server and cannot follow a placement.
+    pub fn run(&self, manager: &RuntimeManager, spec: &RunSpec, jobs: usize) -> FleetResult {
+        assert!(
+            !matches!(spec.traffic, Traffic::Shaped(_)),
+            "a fleet cannot re-base a shaped trace onto its placement"
+        );
         let cfg = &self.config;
-        let assignments = self.placement(seed);
+        let assignments = self.placement(spec.seed);
         let per_server = par_map(cfg.servers, jobs, |s| {
             let a = &assignments[s];
             let cameras = a.cameras.len();
@@ -287,35 +259,26 @@ impl Fleet {
                 workload,
                 ..cfg.sim.clone()
             });
-            let mut m = manager.clone();
-            let server_seed = derive_stream(seed, s as u64, FLEET_SALT);
-            match spec {
-                None => sim.run_with_faults_stats(&mut m, server_seed, plan),
-                Some(spec) => sim.run_with_workload_stats(
-                    &mut m,
-                    &spec.with_config(workload),
-                    server_seed,
-                    plan,
-                ),
-            }
+            let rebased;
+            let traffic = match spec.traffic {
+                Traffic::Spec(w) => {
+                    rebased = w.with_config(workload);
+                    Traffic::Spec(&rebased)
+                }
+                other => other,
+            };
+            let server = RunSpec {
+                traffic,
+                seed: derive_stream(spec.seed, s as u64, FLEET_SALT),
+                ..*spec
+            };
+            sim.run_stats(&mut manager.clone(), &server)
         });
 
         let mut summary = FleetSummary {
             servers: cfg.servers,
             streams: cfg.streams(),
-            offered: 0,
-            processed: 0,
-            lost: 0,
-            mean_accuracy: 0.0,
-            qoe: 0.0,
-            inference_loss_pct: 0.0,
-            energy_j: 0.0,
-            mean_power_w: 0.0,
-            reconfig_count: 0,
-            failed_reconfigs: 0,
-            degraded_periods: 0,
-            events: 0,
-            ticks: 0,
+            ..FleetSummary::default()
         };
         let mut accuracy_weighted = 0.0f64;
         let mut servers = Vec::with_capacity(per_server.len());
@@ -346,6 +309,19 @@ impl Fleet {
             summary.mean_power_w = summary.energy_j / (cfg.servers as f64 * duration);
         }
         FleetResult { servers, summary }
+    }
+
+    /// Harness shim, frozen because `benchmark/` calls it by name:
+    /// [`Fleet::run`] with [`Traffic::Spec`].
+    pub fn run_jobs_with_workload(
+        &self,
+        manager: &RuntimeManager,
+        spec: &WorkloadSpec,
+        seed: u64,
+        jobs: usize,
+        plan: &FaultPlan,
+    ) -> FleetResult {
+        self.run(manager, &RunSpec::new(Traffic::Spec(spec), plan, seed), jobs)
     }
 }
 
@@ -436,11 +412,11 @@ mod tests {
     fn fleet_runs_are_seed_deterministic_and_jobs_invariant() {
         let fleet = small_fleet(PlacementPolicy::LeastLoaded);
         let m = manager();
-        let serial = fleet.run_jobs(&m, 42, 1);
-        let parallel = fleet.run_jobs(&m, 42, 4);
+        let serial = fleet.run(&m, &RunSpec::synthetic(42), 1);
+        let parallel = fleet.run(&m, &RunSpec::synthetic(42), 4);
         assert_eq!(serial, parallel);
         assert_ne!(
-            fleet.run_jobs(&m, 43, 1).summary.offered,
+            fleet.run(&m, &RunSpec::synthetic(43), 1).summary.offered,
             serial.summary.offered
         );
     }
@@ -448,7 +424,7 @@ mod tests {
     #[test]
     fn summary_conserves_requests_and_aggregates() {
         let fleet = small_fleet(PlacementPolicy::RoundRobin);
-        let r = fleet.run_jobs(&manager(), 11, 2);
+        let r = fleet.run(&manager(), &RunSpec::synthetic(11), 2);
         assert_eq!(r.servers.len(), 4);
         assert_eq!(r.summary.streams, 80);
         assert_eq!(
@@ -469,15 +445,31 @@ mod tests {
         // the same assigned workload the plain path builds.
         let fleet = small_fleet(PlacementPolicy::LeastLoaded);
         let m = manager();
-        let plain = fleet.run_jobs(&m, 42, 2);
-        let via_spec = fleet.run_jobs_with_workload(
-            &m,
-            &WorkloadSpec::paper_default(),
-            42,
-            2,
-            &FaultPlan::none(),
-        );
+        let plain = fleet.run(&m, &RunSpec::synthetic(42), 2);
+        let workload = WorkloadSpec::paper_default();
+        let none = FaultPlan::none();
+        let via_spec = fleet.run(&m, &RunSpec::new(Traffic::Spec(&workload), &none, 42), 2);
         assert_eq!(plain, via_spec);
+    }
+
+    #[test]
+    fn harness_shim_is_run_on_the_same_spec() {
+        let fleet = small_fleet(PlacementPolicy::LeastLoaded);
+        let m = manager();
+        let workload = WorkloadSpec::paper_default();
+        let plan = FaultPlan::canned();
+        let via_run = fleet.run(&m, &RunSpec::new(Traffic::Spec(&workload), &plan, 42), 2);
+        let via_shim = fleet.run_jobs_with_workload(&m, &workload, 42, 2, &plan);
+        assert_eq!(via_run, via_shim);
+    }
+
+    #[test]
+    #[should_panic(expected = "shaped trace")]
+    fn a_shaped_trace_cannot_drive_a_fleet() {
+        let fleet = small_fleet(PlacementPolicy::LeastLoaded);
+        let trace = fleet.config().sim.workload.sample(1);
+        let none = FaultPlan::none();
+        fleet.run(&manager(), &RunSpec::new(Traffic::Shaped(&trace), &none, 1), 1);
     }
 
     #[test]
@@ -487,7 +479,7 @@ mod tests {
         // adds nothing.
         let fleet = small_fleet(PlacementPolicy::LeastLoaded);
         let seed = 42;
-        let r = fleet.run_jobs(&manager(), seed, 2);
+        let r = fleet.run(&manager(), &RunSpec::synthetic(seed), 2);
         let a = &fleet.placement(seed)[2];
         let mut workload = fleet.config().sim.workload;
         workload.cameras = a.cameras.len();
@@ -496,10 +488,9 @@ mod tests {
             workload,
             ..fleet.config().sim.clone()
         });
-        let standalone = sim.run_with_faults(
+        let standalone = sim.run(
             &mut manager(),
-            derive_stream(seed, 2, FLEET_SALT),
-            &FaultPlan::none(),
+            &RunSpec::synthetic(derive_stream(seed, 2, FLEET_SALT)),
         );
         assert_eq!(r.servers[2], standalone);
     }

@@ -9,19 +9,24 @@
 //! reconfiguration downtime, power/energy integration, and the paper's
 //! quality metrics (accuracy, latency, EDP, QoE).
 //!
+//! An episode is a [`RunSpec`] — a [`Traffic`] recipe, a [`FaultPlan`]
+//! and a seed — and there is one way to run it:
+//! [`EdgeSimulation::run`] for one server (`run_many` for the paper's
+//! seeded repetitions), [`Fleet::run`] for N of them.
+//!
 //! # Example
 //!
 //! ```no_run
 //! use adapex::baselines::{manager_for, System};
 //! use adapex::generator::{GeneratorConfig, LibraryGenerator};
 //! use adapex_dataset::DatasetKind;
-//! use adapex_edge::{EdgeSimulation, SimConfig};
+//! use adapex_edge::{EdgeSimulation, RunSpec, SimConfig};
 //!
 //! let artifacts =
 //!     LibraryGenerator::new(GeneratorConfig::fast(DatasetKind::Cifar10Like)).generate();
 //! let mut manager = manager_for(System::AdaPEx, &artifacts, 0.10);
 //! let sim = EdgeSimulation::new(SimConfig::paper_default(artifacts.reconfig_time_ms));
-//! let result = sim.run(&mut manager, 1);
+//! let result = sim.run(&mut manager, &RunSpec::synthetic(1));
 //! println!("loss {:.2}% accuracy {:.3}", result.inference_loss_pct(), result.mean_accuracy);
 //! ```
 
@@ -52,7 +57,7 @@ pub use scenario_file::{
 pub use serve_sim::{
     ServeEvent, ServeScenario, ServeScenarioConfig, ServeSimResult, SERVE_SIM_SALT,
 };
-pub use sim::{mean_of, EdgeSimulation, SimConfig, SimResult, TraceSample};
+pub use sim::{mean_of, EdgeSimulation, RunSpec, SimConfig, SimResult, TraceSample, Traffic};
 pub use workload::{WorkloadConfig, WorkloadTrace};
 pub use workload_gen::{
     ClusterReplayWorkload, CorrelatedBurstWorkload, DiurnalWorkload, FlashCrowdWorkload,

@@ -143,7 +143,8 @@ mod tests {
 
     #[test]
     fn scenario_traces_drive_the_simulator() {
-        use crate::sim::{EdgeSimulation, SimConfig};
+        use crate::fault::FaultPlan;
+        use crate::sim::{EdgeSimulation, RunSpec, SimConfig, Traffic};
         use adapex::library::{Library, LibraryEntry, OperatingPoint};
         use adapex::runtime::{RuntimeManager, SelectionPolicy};
 
@@ -178,16 +179,16 @@ mod tests {
         );
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
         // A 700-IPS server: fine when steady, loses during the burst.
-        let steady = sim.run_with_shaped_trace(
-            &mut manager.clone(),
-            &Scenario::Steady.trace(WorkloadConfig::paper_default()),
-            1,
-        );
-        let burst = sim.run_with_shaped_trace(
-            &mut manager.clone(),
-            &Scenario::Burst.trace(WorkloadConfig::paper_default()),
-            1,
-        );
+        let none = FaultPlan::none();
+        let run = |scenario: Scenario| {
+            let trace = scenario.trace(WorkloadConfig::paper_default());
+            sim.run(
+                &mut manager.clone(),
+                &RunSpec::new(Traffic::Shaped(&trace), &none, 1),
+            )
+        };
+        let steady = run(Scenario::Steady);
+        let burst = run(Scenario::Burst);
         assert!(
             steady.inference_loss_pct() + 3.0 < burst.inference_loss_pct(),
             "steady {} vs burst {}",

@@ -1,27 +1,87 @@
-//! The edge-server simulation: configuration, results, and the
-//! event-driven run loop (see `engine.rs` for the DES engine; the old
-//! fixed-step tick loop is retained as a reference implementation for
-//! differential tests and benchmarks).
+//! The edge-server simulation: configuration, results, and the one
+//! way to run an episode — [`EdgeSimulation::run`] on a [`RunSpec`]
+//! (traffic, fault plan, seed). `engine.rs` holds the event engine that
+//! runs it; the old fixed-step tick loop is retained here as a
+//! reference implementation for differential tests and benchmarks,
+//! reachable only as [`EdgeSimulation::run_tick_reference`].
 
 use crate::engine::{self, DesStats};
 use crate::fault::{FaultCounters, FaultPlan, FaultState};
 use crate::workload::{WorkloadConfig, WorkloadTrace};
 use crate::workload_gen::WorkloadSpec;
 use adapex::runtime::RuntimeManager;
-use adapex_tensor::parallel::{num_threads, par_map};
+use adapex_tensor::parallel::par_map;
 use adapex_tensor::rng::{derive_sequential, derive_stream, rng_from_seed};
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Stream salt for the Poisson arrival noise of seeded episodes
-/// (`run`/`run_with_faults`); `derive_stream(seed, 0, salt)` reduces to
-/// the historical `seed ^ salt` tag these streams were born with.
+/// Stream salt for the Poisson arrival noise of [`Traffic::Synthetic`]
+/// and [`Traffic::Spec`] episodes; `derive_stream(seed, 0, salt)`
+/// reduces to the historical `seed ^ salt` tag these streams were born
+/// with.
 const ARRIVAL_SALT: u64 = 0xE06E;
 
-/// Stream salt for shaped-trace episodes, decorrelated from
+/// Stream salt for [`Traffic::Shaped`] episodes, decorrelated from
 /// [`ARRIVAL_SALT`] so a shaped run at seed `s` never replays the
 /// synthetic run's noise.
 const SHAPED_SALT: u64 = 0x5A9E;
+
+/// The plan behind [`RunSpec::synthetic`].
+static NO_FAULTS: FaultPlan = FaultPlan::none();
+
+/// Where an episode's offered-rate trace comes from. Each variant is
+/// one recipe, and the recipes' bits are pinned by the golden and
+/// fingerprint suites:
+///
+/// | variant     | trace                       | episode workload config | arrival-noise salt |
+/// |-------------|-----------------------------|-------------------------|--------------------|
+/// | `Synthetic` | `cfg.workload.sample(seed)` | the simulator's own     | `ARRIVAL_SALT`     |
+/// | `Spec`      | `spec.generate(seed)`       | the generated trace's   | `ARRIVAL_SALT`     |
+/// | `Shaped`    | the caller's, as given      | the simulator's own     | `SHAPED_SALT`      |
+///
+/// A [`WorkloadSpec::Synthetic`] at the simulator's own workload
+/// config is therefore operation-for-operation the `Synthetic` recipe
+/// (`tests/workload_differential.rs` pins that bitwise), and a trace
+/// exported via [`WorkloadSpec::from_trace`] replays its originating
+/// run.
+#[derive(Debug, Clone, Copy)]
+pub enum Traffic<'a> {
+    /// The paper's built-in ±deviation generator.
+    Synthetic,
+    /// A workload spec (the simulator's own workload template is
+    /// ignored).
+    Spec(&'a WorkloadSpec),
+    /// A caller-supplied (e.g. [`crate::Scenario`]-shaped) trace; the
+    /// seed drives only the Poisson arrival noise.
+    Shaped(&'a WorkloadTrace),
+}
+
+/// One episode, fully specified: what arrives, what breaks, and the
+/// seed every stream derives from.
+#[derive(Debug, Clone, Copy)]
+pub struct RunSpec<'a> {
+    /// The traffic recipe.
+    pub traffic: Traffic<'a>,
+    /// The fault plan, replayed from its own stream
+    /// (`FaultState::new(faults, seed)`), so [`FaultPlan::none`] is
+    /// bit-identical to a run that never heard of faults.
+    pub faults: &'a FaultPlan,
+    /// Episode seed.
+    pub seed: u64,
+}
+
+impl<'a> RunSpec<'a> {
+    /// An episode of `traffic` under `faults` at `seed`.
+    pub fn new(traffic: Traffic<'a>, faults: &'a FaultPlan, seed: u64) -> Self {
+        RunSpec { traffic, faults, seed }
+    }
+
+    /// The paper's episode: synthetic traffic, no faults.
+    pub fn synthetic(seed: u64) -> RunSpec<'static> {
+        RunSpec::new(Traffic::Synthetic, &NO_FAULTS, seed)
+    }
+}
 
 /// Simulation parameters.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -197,65 +257,64 @@ impl EdgeSimulation {
         &self.config
     }
 
-    /// Runs one 25-second (configurable) episode against `manager`.
+    /// Runs one 25-second (configurable) episode of `spec` against
+    /// `manager` on the event engine.
     ///
     /// The manager keeps its library but its selection state resets so
     /// repeated runs are independent.
-    pub fn run(&self, manager: &mut RuntimeManager, seed: u64) -> SimResult {
-        self.run_with_faults(manager, seed, &FaultPlan::none())
+    pub fn run(&self, manager: &mut RuntimeManager, spec: &RunSpec) -> SimResult {
+        self.run_stats(manager, spec).0
     }
 
-    /// [`EdgeSimulation::run`] under a fault plan. With
-    /// [`FaultPlan::none`] this is bit-identical to [`EdgeSimulation::run`]:
-    /// faults draw from a dedicated RNG stream, so the workload draws
-    /// are untouched either way.
-    pub fn run_with_faults(
-        &self,
-        manager: &mut RuntimeManager,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> SimResult {
-        self.run_with_faults_stats(manager, seed, plan).0
+    /// [`EdgeSimulation::run`] plus the engine's event and tick counts
+    /// (for the fleet summary and throughput benchmarks; `SimResult`
+    /// itself stays byte-compatible with the tick loop).
+    pub fn run_stats(&self, manager: &mut RuntimeManager, spec: &RunSpec) -> (SimResult, DesStats) {
+        self.episode(manager, spec, engine::run)
     }
 
-    /// [`EdgeSimulation::run_with_faults`] plus the engine's event and
-    /// tick counts (for throughput benchmarks; `SimResult` itself stays
-    /// byte-compatible with the tick loop).
-    pub fn run_with_faults_stats(
-        &self,
-        manager: &mut RuntimeManager,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> (SimResult, DesStats) {
-        let cfg = &self.config;
-        let trace = cfg.workload.sample(seed);
-        let mut rng = rng_from_seed(derive_stream(seed, 0, ARRIVAL_SALT));
-        let mut faults = FaultState::new(plan, seed);
-        engine::run(cfg, manager, &trace, &mut rng, &mut faults)
-    }
-
-    /// Runs one episode from a [`WorkloadSpec`]: the offered-rate trace
-    /// is generated from the spec at `seed` and the episode's workload
-    /// shape follows the spec's config (the simulator's own workload
-    /// template is ignored).
+    /// Runs `repetitions` episodes of `spec` (the paper averages 100),
+    /// returning every result. Repetition `i` runs at seed
+    /// `derive_sequential(spec.seed, i)` against a fresh manager cloned
+    /// from `manager`, so one repetition is exactly
+    /// [`EdgeSimulation::run`].
     ///
-    /// For [`WorkloadSpec::Synthetic`] at this simulator's own workload
-    /// config, this is operation-for-operation identical to
-    /// [`EdgeSimulation::run`]: the same `sample(seed)` draws and the
-    /// same `ARRIVAL_SALT` arrival-noise stream — the synthetic↔spec
-    /// differential tests pin that bitwise. Trace replays exported via
-    /// [`WorkloadSpec::from_trace`] reproduce the originating synthetic
-    /// run for the same reason.
-    pub fn run_with_workload(
+    /// Episodes shard over `jobs` workers (`1` runs them inline on the
+    /// calling thread); results are byte-identical at any job count
+    /// because repetition `i` is a pure function of `(manager, spec, i)`
+    /// and `par_map` returns them in index order.
+    pub fn run_many(
         &self,
-        manager: &mut RuntimeManager,
-        spec: &WorkloadSpec,
-        seed: u64,
-    ) -> SimResult {
-        self.run_with_workload_and_faults(manager, spec, seed, &FaultPlan::none())
+        manager: &RuntimeManager,
+        spec: &RunSpec,
+        repetitions: usize,
+        jobs: usize,
+    ) -> Vec<SimResult> {
+        par_map(repetitions, jobs, |i| {
+            let mut m = manager.clone();
+            let rep = RunSpec {
+                seed: derive_sequential(spec.seed, i as u64),
+                ..*spec
+            };
+            self.run(&mut m, &rep)
+        })
     }
 
-    /// [`EdgeSimulation::run_with_workload`] under a fault plan.
+    /// [`EdgeSimulation::run`] on the reference fixed-step
+    /// implementation: the pre-DES 1 ms tick loop, polling every
+    /// condition on every tick.
+    ///
+    /// Retained — not as a fallback, the engine *is* the simulator —
+    /// but as the executable specification the engine is differentially
+    /// tested against (`tests/des_equivalence.rs` pins bit-identity for
+    /// all three [`Traffic`] recipes) and as the throughput baseline
+    /// `bench_fleet` measures speedup over.
+    pub fn run_tick_reference(&self, manager: &mut RuntimeManager, spec: &RunSpec) -> SimResult {
+        self.episode(manager, spec, Self::tick_loop)
+    }
+
+    /// Harness shim, frozen because `benchmark/` calls it by name:
+    /// [`EdgeSimulation::run`] with [`Traffic::Spec`].
     pub fn run_with_workload_and_faults(
         &self,
         manager: &mut RuntimeManager,
@@ -263,181 +322,49 @@ impl EdgeSimulation {
         seed: u64,
         plan: &FaultPlan,
     ) -> SimResult {
-        self.run_with_workload_stats(manager, spec, seed, plan).0
+        self.run(manager, &RunSpec::new(Traffic::Spec(spec), plan, seed))
     }
 
-    /// [`EdgeSimulation::run_with_workload_and_faults`] plus engine
-    /// stats (mirrors [`EdgeSimulation::run_with_faults_stats`]).
-    pub fn run_with_workload_stats(
+    /// Resolves `spec` into one episode's inputs and hands them to
+    /// `runner` (the engine or the tick loop). The three [`Traffic`]
+    /// recipes and the fault stream are spelled here and nowhere else.
+    fn episode<R>(
         &self,
         manager: &mut RuntimeManager,
-        spec: &WorkloadSpec,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> (SimResult, DesStats) {
-        let trace = spec.generate(seed);
-        let cfg = SimConfig {
-            workload: trace.config,
-            ..self.config.clone()
+        spec: &RunSpec,
+        runner: impl FnOnce(&SimConfig, &mut RuntimeManager, &WorkloadTrace, &mut StdRng, &mut FaultState) -> R,
+    ) -> R {
+        let generated;
+        let rebased;
+        let (cfg, trace, salt) = match spec.traffic {
+            Traffic::Synthetic => {
+                generated = self.config.workload.sample(spec.seed);
+                (&self.config, &generated, ARRIVAL_SALT)
+            }
+            Traffic::Spec(workload) => {
+                generated = workload.generate(spec.seed);
+                rebased = SimConfig {
+                    workload: generated.config,
+                    ..self.config.clone()
+                };
+                (&rebased, &generated, ARRIVAL_SALT)
+            }
+            Traffic::Shaped(trace) => (&self.config, trace, SHAPED_SALT),
         };
-        let mut rng = rng_from_seed(derive_stream(seed, 0, ARRIVAL_SALT));
-        let mut faults = FaultState::new(plan, seed);
-        engine::run(&cfg, manager, &trace, &mut rng, &mut faults)
-    }
-
-    /// Repeated workload-spec episodes under a fault plan; repetition
-    /// `i` runs at seed `derive_sequential(seed, i)` exactly like
-    /// [`EdgeSimulation::run_many_jobs_with_faults`], so results are
-    /// job-count-invariant and — for a Synthetic spec — bit-identical
-    /// to the synthetic path.
-    pub fn run_many_workload_jobs_with_faults(
-        &self,
-        manager: &RuntimeManager,
-        spec: &WorkloadSpec,
-        repetitions: usize,
-        seed: u64,
-        jobs: usize,
-        plan: &FaultPlan,
-    ) -> Vec<SimResult> {
-        par_map(repetitions, jobs, |i| {
-            let mut m = manager.clone();
-            self.run_with_workload_and_faults(&mut m, spec, derive_sequential(seed, i as u64), plan)
-        })
-    }
-
-    /// Runs one episode against a caller-supplied (e.g. shaped) workload
-    /// trace; `seed` drives only the Poisson arrival noise.
-    pub fn run_with_shaped_trace(
-        &self,
-        manager: &mut RuntimeManager,
-        trace: &WorkloadTrace,
-        seed: u64,
-    ) -> SimResult {
-        self.run_with_shaped_trace_and_faults(manager, trace, seed, &FaultPlan::none())
-    }
-
-    /// [`EdgeSimulation::run_with_shaped_trace`] under a fault plan.
-    pub fn run_with_shaped_trace_and_faults(
-        &self,
-        manager: &mut RuntimeManager,
-        trace: &WorkloadTrace,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> SimResult {
-        let mut rng = rng_from_seed(derive_stream(seed, 0, SHAPED_SALT));
-        let mut faults = FaultState::new(plan, seed);
-        engine::run(&self.config, manager, trace, &mut rng, &mut faults).0
-    }
-
-    /// Reference fixed-step implementation of
-    /// [`EdgeSimulation::run_with_faults`]: the pre-DES 1 ms tick loop,
-    /// polling every condition on every tick.
-    ///
-    /// Retained — not as a fallback, the engine *is* the simulator —
-    /// but as the executable specification the engine is differentially
-    /// tested against (`tests/des_equivalence.rs` pins bit-identity)
-    /// and as the throughput baseline `bench_fleet` measures speedup
-    /// over.
-    pub fn run_tick_reference_with_faults(
-        &self,
-        manager: &mut RuntimeManager,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> SimResult {
-        let cfg = &self.config;
-        let trace = cfg.workload.sample(seed);
-        let mut rng = rng_from_seed(derive_stream(seed, 0, ARRIVAL_SALT));
-        let mut faults = FaultState::new(plan, seed);
-        self.run_with_trace_tick(manager, &trace, &mut rng, &mut faults)
-    }
-
-    /// Reference fixed-step implementation of
-    /// [`EdgeSimulation::run_with_shaped_trace_and_faults`]; see
-    /// [`EdgeSimulation::run_tick_reference_with_faults`].
-    pub fn run_shaped_tick_reference_with_faults(
-        &self,
-        manager: &mut RuntimeManager,
-        trace: &WorkloadTrace,
-        seed: u64,
-        plan: &FaultPlan,
-    ) -> SimResult {
-        let mut rng = rng_from_seed(derive_stream(seed, 0, SHAPED_SALT));
-        let mut faults = FaultState::new(plan, seed);
-        self.run_with_trace_tick(manager, trace, &mut rng, &mut faults)
-    }
-
-    /// Runs `repetitions` seeded episodes (the paper averages 100),
-    /// returning every result. Each episode gets a fresh manager cloned
-    /// from `manager`.
-    ///
-    /// Episodes run in parallel across the default worker pool; results
-    /// are byte-identical to the sequential loop because repetition `i`
-    /// is a pure function of `(manager, seed + i)` and `par_map` returns
-    /// them in index order.
-    pub fn run_many(&self, manager: &RuntimeManager, repetitions: usize, seed: u64) -> Vec<SimResult> {
-        self.run_many_jobs(manager, repetitions, seed, num_threads())
-    }
-
-    /// [`EdgeSimulation::run_many`] with an explicit worker count.
-    /// `jobs == 1` runs the episodes inline on the calling thread; any
-    /// job count produces the same results in the same order.
-    pub fn run_many_jobs(
-        &self,
-        manager: &RuntimeManager,
-        repetitions: usize,
-        seed: u64,
-        jobs: usize,
-    ) -> Vec<SimResult> {
-        self.run_many_jobs_with_faults(manager, repetitions, seed, jobs, &FaultPlan::none())
-    }
-
-    /// [`EdgeSimulation::run_many_jobs`] under a fault plan. Each
-    /// repetition derives its fault stream from `(plan.seed, seed + i)`,
-    /// so results are job-count-invariant exactly like the fault-free
-    /// path.
-    pub fn run_many_jobs_with_faults(
-        &self,
-        manager: &RuntimeManager,
-        repetitions: usize,
-        seed: u64,
-        jobs: usize,
-        plan: &FaultPlan,
-    ) -> Vec<SimResult> {
-        par_map(repetitions, jobs, |i| {
-            let mut m = manager.clone();
-            self.run_with_faults(&mut m, derive_sequential(seed, i as u64), plan)
-        })
-    }
-
-    /// Repeated shaped-trace episodes under a fault plan (the fault
-    /// bench's entry point); job-count-invariant like
-    /// [`EdgeSimulation::run_many_jobs_with_faults`].
-    pub fn run_many_shaped_jobs_with_faults(
-        &self,
-        manager: &RuntimeManager,
-        trace: &WorkloadTrace,
-        repetitions: usize,
-        seed: u64,
-        jobs: usize,
-        plan: &FaultPlan,
-    ) -> Vec<SimResult> {
-        par_map(repetitions, jobs, |i| {
-            let mut m = manager.clone();
-            self.run_with_shaped_trace_and_faults(&mut m, trace, derive_sequential(seed, i as u64), plan)
-        })
+        let mut rng = rng_from_seed(derive_stream(spec.seed, 0, salt));
+        let mut faults = FaultState::new(spec.faults, spec.seed);
+        runner(cfg, manager, trace, &mut rng, &mut faults)
     }
 
     /// The pre-DES tick loop, kept verbatim as the engine's executable
-    /// specification (see
-    /// [`EdgeSimulation::run_tick_reference_with_faults`]).
-    fn run_with_trace_tick(
-        &self,
+    /// specification (see [`EdgeSimulation::run_tick_reference`]).
+    fn tick_loop(
+        cfg: &SimConfig,
         manager: &mut RuntimeManager,
         trace: &WorkloadTrace,
-        rng: &mut rand::rngs::StdRng,
+        rng: &mut StdRng,
         faults: &mut FaultState,
     ) -> SimResult {
-        let cfg = &self.config;
         let dt = cfg.tick_s;
         let duration = cfg.workload.duration_s;
         let mut queue: VecDeque<f64> = VecDeque::new(); // arrival timestamps
@@ -675,7 +602,7 @@ mod tests {
     fn overprovisioned_server_loses_nothing() {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
         let mut m = static_manager(2000.0);
-        let r = sim.run(&mut m, 1);
+        let r = sim.run(&mut m, &RunSpec::synthetic(1));
         assert!(r.offered > 10_000, "expected ~15k offered, got {}", r.offered);
         assert!(r.inference_loss_pct() < 0.5, "loss {}", r.inference_loss_pct());
         assert!((r.mean_accuracy - 0.9).abs() < 1e-9);
@@ -688,7 +615,7 @@ mod tests {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
         // Capacity 450 vs ~600 offered -> ~25 % loss.
         let mut m = static_manager(450.0);
-        let r = sim.run(&mut m, 1);
+        let r = sim.run(&mut m, &RunSpec::synthetic(1));
         assert!(
             r.inference_loss_pct() > 15.0 && r.inference_loss_pct() < 35.0,
             "loss {}",
@@ -722,7 +649,7 @@ mod tests {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
         let seed = seed_with_peak_above(700.0);
         let mut m = adaptive_manager();
-        let r = sim.run(&mut m, seed);
+        let r = sim.run(&mut m, &RunSpec::synthetic(seed));
         // The 650-IPS entry cannot hold the peak period, so the manager
         // must reconfigure to the 1200-IPS entry at some point.
         assert!(r.reconfig_count >= 1, "no reconfiguration at seed {seed}");
@@ -733,10 +660,10 @@ mod tests {
     #[test]
     fn results_are_seed_deterministic() {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let r1 = sim.run(&mut static_manager(700.0), 9);
-        let r2 = sim.run(&mut static_manager(700.0), 9);
+        let r1 = sim.run(&mut static_manager(700.0), &RunSpec::synthetic(9));
+        let r2 = sim.run(&mut static_manager(700.0), &RunSpec::synthetic(9));
         assert_eq!(r1, r2);
-        let r3 = sim.run(&mut static_manager(700.0), 10);
+        let r3 = sim.run(&mut static_manager(700.0), &RunSpec::synthetic(10));
         assert_ne!(r1.offered, r3.offered);
     }
 
@@ -744,7 +671,7 @@ mod tests {
     fn run_many_averages_cleanly() {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
         let m = static_manager(2000.0);
-        let results = sim.run_many(&m, 5, 100);
+        let results = sim.run_many(&m, &RunSpec::synthetic(100), 5, 2);
         assert_eq!(results.len(), 5);
         let loss = mean_of(&results, |r| r.inference_loss_pct());
         assert!(loss < 1.0);
@@ -759,11 +686,32 @@ mod tests {
         // per-repetition seeds and ordering byte-for-byte.
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
         let m = adaptive_manager();
-        let serial = sim.run_many_jobs(&m, 6, 42, 1);
-        let parallel = sim.run_many_jobs(&m, 6, 42, 4);
+        let serial = sim.run_many(&m, &RunSpec::synthetic(42), 6, 1);
+        let parallel = sim.run_many(&m, &RunSpec::synthetic(42), 6, 4);
         assert_eq!(serial, parallel);
-        // And the default entry point agrees with the explicit form.
-        assert_eq!(sim.run_many(&m, 6, 42), serial);
+    }
+
+    #[test]
+    fn one_repetition_is_the_single_episode() {
+        let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
+        let plan = FaultPlan::canned();
+        let spec = RunSpec::new(Traffic::Synthetic, &plan, 42);
+        let single = sim.run(&mut adaptive_manager(), &spec);
+        assert_eq!(sim.run_many(&adaptive_manager(), &spec, 1, 4), vec![single]);
+    }
+
+    #[test]
+    fn harness_shim_is_run_on_the_same_spec() {
+        let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
+        let plan = FaultPlan::canned();
+        let workload = WorkloadSpec::paper_default();
+        let via_run = sim.run(
+            &mut adaptive_manager(),
+            &RunSpec::new(Traffic::Spec(&workload), &plan, 42),
+        );
+        let via_shim =
+            sim.run_with_workload_and_faults(&mut adaptive_manager(), &workload, 42, &plan);
+        assert_eq!(via_run, via_shim);
     }
 
     #[test]
@@ -773,8 +721,8 @@ mod tests {
         let seed = seed_with_peak_above(700.0);
         let fast = EdgeSimulation::new(SimConfig::paper_default(10.0));
         let slow = EdgeSimulation::new(SimConfig::paper_default(3_000.0));
-        let rf = fast.run(&mut adaptive_manager(), seed);
-        let rs = slow.run(&mut adaptive_manager(), seed);
+        let rf = fast.run(&mut adaptive_manager(), &RunSpec::synthetic(seed));
+        let rs = slow.run(&mut adaptive_manager(), &RunSpec::synthetic(seed));
         assert!(
             rs.inference_loss_pct() > rf.inference_loss_pct(),
             "slow {} vs fast {}",
@@ -786,7 +734,7 @@ mod tests {
     #[test]
     fn edp_and_energy_metrics_are_consistent() {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let r = sim.run(&mut static_manager(2000.0), 1);
+        let r = sim.run(&mut static_manager(2000.0), &RunSpec::synthetic(1));
         let e_mj = r.energy_per_inference_mj().expect("processed > 0");
         assert!(e_mj > 0.0 && e_mj.is_finite());
         let edp = r.edp().expect("processed > 0");
@@ -820,8 +768,9 @@ mod tests {
     #[test]
     fn empty_fault_plan_is_bit_identical_to_plain_run() {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let plain = sim.run(&mut adaptive_manager(), 7);
-        let faulted = sim.run_with_faults(&mut adaptive_manager(), 7, &FaultPlan::none());
+        let plain = sim.run(&mut adaptive_manager(), &RunSpec::synthetic(7));
+        let none = FaultPlan::none();
+        let faulted = sim.run(&mut adaptive_manager(), &RunSpec::new(Traffic::Synthetic, &none, 7));
         assert_eq!(plain, faulted);
         assert!(faulted.faults.is_clean());
     }
@@ -830,7 +779,7 @@ mod tests {
     fn camera_dropout_reduces_offered_load() {
         use crate::fault::{CameraDropout, FaultWindow};
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let clean = sim.run(&mut static_manager(2000.0), 3);
+        let clean = sim.run(&mut static_manager(2000.0), &RunSpec::synthetic(3));
         let plan = FaultPlan {
             dropouts: vec![CameraDropout {
                 window: FaultWindow { start_s: 5.0, end_s: 15.0 },
@@ -838,7 +787,7 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let faulted = sim.run_with_faults(&mut static_manager(2000.0), 3, &plan);
+        let faulted = sim.run(&mut static_manager(2000.0), &RunSpec::new(Traffic::Synthetic, &plan, 3));
         assert!(
             faulted.offered < clean.offered,
             "dropout should lose frames at the source: {} vs {}",
@@ -855,7 +804,7 @@ mod tests {
     fn stale_flood_overloads_the_server() {
         use crate::fault::{FaultWindow, StaleFlood};
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let clean = sim.run(&mut static_manager(700.0), 3);
+        let clean = sim.run(&mut static_manager(700.0), &RunSpec::synthetic(3));
         let plan = FaultPlan {
             floods: vec![StaleFlood {
                 window: FaultWindow { start_s: 5.0, end_s: 15.0 },
@@ -863,7 +812,7 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let faulted = sim.run_with_faults(&mut static_manager(700.0), 3, &plan);
+        let faulted = sim.run(&mut static_manager(700.0), &RunSpec::new(Traffic::Synthetic, &plan, 3));
         assert!(faulted.offered > clean.offered, "flood adds arrivals");
         assert!(faulted.faults.flood_arrivals > 1000);
         assert!(
@@ -878,7 +827,7 @@ mod tests {
     fn accuracy_fault_degrades_delivered_accuracy() {
         use crate::fault::{AccuracyFault, FaultWindow};
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let clean = sim.run(&mut static_manager(2000.0), 3);
+        let clean = sim.run(&mut static_manager(2000.0), &RunSpec::synthetic(3));
         let plan = FaultPlan {
             accuracy_faults: vec![AccuracyFault {
                 window: FaultWindow { start_s: 0.0, end_s: 25.0 },
@@ -886,7 +835,7 @@ mod tests {
             }],
             ..FaultPlan::none()
         };
-        let faulted = sim.run_with_faults(&mut static_manager(2000.0), 3, &plan);
+        let faulted = sim.run(&mut static_manager(2000.0), &RunSpec::new(Traffic::Synthetic, &plan, 3));
         assert!(
             (clean.mean_accuracy - faulted.mean_accuracy - 0.10).abs() < 1e-6,
             "full-episode delta should shift mean accuracy by 0.10: {} vs {}",
@@ -910,7 +859,7 @@ mod tests {
             ..FaultPlan::none()
         };
         let mut m = adaptive_manager();
-        let r = sim.run_with_faults(&mut m, seed, &plan);
+        let r = sim.run(&mut m, &RunSpec::new(Traffic::Synthetic, &plan, seed));
         assert!(
             r.faults.failed_reconfigs >= 1,
             "peaked workload must attempt (and fail) a reconfig"
@@ -924,13 +873,13 @@ mod tests {
     fn reconfig_overrun_extends_downtime_and_loss() {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
         let seed = seed_with_peak_above(700.0);
-        let clean = sim.run(&mut adaptive_manager(), seed);
+        let clean = sim.run(&mut adaptive_manager(), &RunSpec::synthetic(seed));
         let plan = FaultPlan {
             reconfig_overrun_prob: 1.0,
             reconfig_overrun_factor: 8.0,
             ..FaultPlan::none()
         };
-        let faulted = sim.run_with_faults(&mut adaptive_manager(), seed, &plan);
+        let faulted = sim.run(&mut adaptive_manager(), &RunSpec::new(Traffic::Synthetic, &plan, seed));
         assert!(faulted.faults.overrun_reconfigs >= 1);
         assert!(
             faulted.lost > clean.lost,
@@ -945,8 +894,8 @@ mod tests {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
         let m = adaptive_manager();
         let plan = FaultPlan::canned();
-        let serial = sim.run_many_jobs_with_faults(&m, 6, 42, 1, &plan);
-        let parallel = sim.run_many_jobs_with_faults(&m, 6, 42, 4, &plan);
+        let serial = sim.run_many(&m, &RunSpec::new(Traffic::Synthetic, &plan, 42), 6, 1);
+        let parallel = sim.run_many(&m, &RunSpec::new(Traffic::Synthetic, &plan, 42), 6, 4);
         assert_eq!(serial, parallel);
     }
 }

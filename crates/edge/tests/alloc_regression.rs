@@ -25,7 +25,7 @@ use std::cell::Cell;
 
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{RuntimeManager, SelectionPolicy};
-use adapex_edge::{EdgeSimulation, FaultPlan, SimConfig};
+use adapex_edge::{EdgeSimulation, FaultPlan, RunSpec, SimConfig, Traffic};
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
 use adapex_nn::layers::Activation;
 use adapex_nn::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
@@ -125,7 +125,7 @@ fn measure(duration_s: f64, plan: &FaultPlan) -> (usize, u64) {
     let sim = EdgeSimulation::new(cfg);
     let mut m = manager();
     let before = thread_allocs();
-    let (result, stats) = sim.run_with_faults_stats(&mut m, 77, plan);
+    let (result, stats) = sim.run_stats(&mut m, &RunSpec::new(Traffic::Synthetic, plan, 77));
     let after = thread_allocs();
     assert!(result.processed > 0, "sim must actually run");
     drop(result);

@@ -50,7 +50,7 @@ pub fn derive_stream(base: u64, entity: u64, salt: u64) -> u64 {
 /// Per-repetition seed derivation for "run the same experiment `n` times"
 /// loops: repetition `i` uses `base + i`.
 ///
-/// This is the legacy recipe used by `EdgeSimulation::run_many*`; its
+/// This is the legacy recipe used by `EdgeSimulation::run_many`; its
 /// output streams are pinned by golden fingerprints, so it is kept
 /// verbatim rather than folded into [`derive_stream`]. Adjacent seeds are
 /// safe with [`rng_from_seed`] because SplitMix64 expansion decorrelates

@@ -14,7 +14,10 @@
 use adapex::baselines::{manager_for, System};
 use adapex_bench::{artifacts, repetitions};
 use adapex_dataset::DatasetKind;
-use adapex_edge::{mean_of, EdgeSimulation, ServeScenario, ServeScenarioConfig, SimConfig};
+use adapex_edge::{
+    mean_of, EdgeSimulation, RunSpec, ServeScenario, ServeScenarioConfig, SimConfig,
+};
+use adapex_tensor::parallel::num_threads;
 
 fn main() {
     let art = artifacts(DatasetKind::Cifar10Like);
@@ -36,7 +39,7 @@ fn main() {
     );
     for system in System::all() {
         let manager = manager_for(system, &art, 0.10);
-        let results = sim.run_many(&manager, reps, 0x5EED);
+        let results = sim.run_many(&manager, &RunSpec::synthetic(0x5EED), reps, num_threads());
         println!(
             "{:>8}  {:>9.2} {:>8.1} {:>8.1} {:>9.2} {:>7.2} {:>9.1}",
             system.label(),

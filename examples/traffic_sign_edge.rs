@@ -10,7 +10,7 @@
 use adapex::baselines::{manager_for, System};
 use adapex_bench::artifacts;
 use adapex_dataset::DatasetKind;
-use adapex_edge::{EdgeSimulation, SimConfig};
+use adapex_edge::{EdgeSimulation, RunSpec, SimConfig};
 
 fn main() {
     let art = artifacts(DatasetKind::GtsrbLike);
@@ -23,7 +23,7 @@ fn main() {
 
     let mut manager = manager_for(System::AdaPEx, &art, 0.10);
     let sim = EdgeSimulation::new(SimConfig::paper_default(art.reconfig_time_ms));
-    let result = sim.run(&mut manager, 2024);
+    let result = sim.run(&mut manager, &RunSpec::synthetic(2024));
 
     println!("\nruntime trace (one episode):");
     println!(

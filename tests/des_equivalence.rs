@@ -2,11 +2,13 @@
 //!
 //! The event-driven engine (`crates/edge/src/engine.rs`) replaced the
 //! 1 ms tick loop as the default simulation path; the legacy loop is
-//! kept as `run_*_tick_reference_*`. This suite pins the refactor's
-//! core contract: **bit-identical `SimResult`s** — same counters, same
-//! float bit patterns, same per-period trace — across seeds, shaped
-//! scenarios, fault plans and off-default configs. Results are compared
-//! both structurally and as serialized JSON bytes.
+//! kept as `EdgeSimulation::run_tick_reference`. This suite pins the
+//! refactor's core contract: **bit-identical `SimResult`s** — same
+//! counters, same float bit patterns, same per-period trace — as one
+//! table of `RunSpec`s over all three traffic recipes (synthetic seeds,
+//! shaped scenarios, the six scenario-library specs), fault plans and
+//! off-default configs. Results are compared both structurally and as
+//! serialized JSON bytes.
 //!
 //! It also pins the fleet layer's sharding contract: a fleet run is
 //! byte-identical at any `--jobs` value, and each shard equals a
@@ -15,8 +17,8 @@
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{MitigationConfig, RuntimeManager, SelectionPolicy};
 use adapex_edge::{
-    EdgeSimulation, FaultPlan, Fleet, FleetConfig, PlacementPolicy, Scenario, SimConfig, SimResult,
-    WorkloadConfig,
+    builtin_library, EdgeSimulation, FaultPlan, Fleet, FleetConfig, PlacementPolicy, RunSpec,
+    Scenario, ScenarioFile, SimConfig, SimResult, Traffic, WorkloadConfig,
 };
 use finn_dataflow::ResourceUsage;
 
@@ -74,15 +76,31 @@ fn assert_bit_identical(des: &SimResult, tick: &SimResult, what: &str) {
     assert_eq!(a, b, "{what}: serialized bytes differ");
 }
 
+/// One row of the table: the engine and the tick loop run the same
+/// `RunSpec` from identical managers and must agree to the bit.
+fn assert_engine_matches_tick_loop(
+    sim: &EdgeSimulation,
+    mitigation: MitigationConfig,
+    spec: &RunSpec,
+    what: &str,
+) -> SimResult {
+    let des = sim.run(&mut manager(mitigation), spec);
+    let tick = sim.run_tick_reference(&mut manager(mitigation), spec);
+    assert_bit_identical(&des, &tick, what);
+    des
+}
+
 #[test]
 fn des_matches_tick_loop_on_the_paper_scenario() {
     let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
     for plan in [FaultPlan::none(), FaultPlan::canned()] {
         for seed in [1, 7, 1213, 0xDEAD] {
-            let des = sim.run_with_faults(&mut manager(MitigationConfig::off()), seed, &plan);
-            let tick =
-                sim.run_tick_reference_with_faults(&mut manager(MitigationConfig::off()), seed, &plan);
-            assert_bit_identical(&des, &tick, &format!("paper seed {seed}"));
+            assert_engine_matches_tick_loop(
+                &sim,
+                MitigationConfig::off(),
+                &RunSpec::new(Traffic::Synthetic, &plan, seed),
+                &format!("paper seed {seed}"),
+            );
         }
     }
 }
@@ -97,19 +115,32 @@ fn des_matches_tick_loop_on_shaped_scenarios() {
             (FaultPlan::canned(), MitigationConfig::off()),
             (FaultPlan::canned(), MitigationConfig::recommended()),
         ] {
-            let des = sim.run_with_shaped_trace_and_faults(
-                &mut manager(mitigation),
-                &trace,
-                1213,
-                &plan,
+            assert_engine_matches_tick_loop(
+                &sim,
+                mitigation,
+                &RunSpec::new(Traffic::Shaped(&trace), &plan, 1213),
+                &format!("scenario {scenario}"),
             );
-            let tick = sim.run_shaped_tick_reference_with_faults(
-                &mut manager(mitigation),
-                &trace,
-                1213,
-                &plan,
+        }
+    }
+}
+
+#[test]
+fn des_matches_tick_loop_on_the_scenario_library() {
+    // The six committed scenario files, as `Traffic::Spec` — the recipe
+    // that re-bases the episode's workload config onto the generated
+    // trace's — each with their own fault plan, bare and mitigated.
+    let library = builtin_library();
+    assert_eq!(library.len(), 6);
+    for file in &library {
+        let sim = EdgeSimulation::new(file.sim_config(145.0));
+        for mitigation in [MitigationConfig::off(), MitigationConfig::recommended()] {
+            assert_engine_matches_tick_loop(
+                &sim,
+                mitigation,
+                &RunSpec::new(Traffic::Spec(&file.workload), &file.faults, file.seed),
+                &format!("library scenario {}", file.name),
             );
-            assert_bit_identical(&des, &tick, &format!("scenario {scenario}"));
         }
     }
 }
@@ -129,14 +160,62 @@ fn des_matches_tick_loop_off_the_default_config() {
     let sim = EdgeSimulation::new(cfg);
     for plan in [FaultPlan::none(), FaultPlan::canned()] {
         for seed in [2, 99] {
-            let des = sim.run_with_faults(&mut manager(MitigationConfig::recommended()), seed, &plan);
-            let tick = sim.run_tick_reference_with_faults(
-                &mut manager(MitigationConfig::recommended()),
-                seed,
-                &plan,
+            assert_engine_matches_tick_loop(
+                &sim,
+                MitigationConfig::recommended(),
+                &RunSpec::new(Traffic::Synthetic, &plan, seed),
+                &format!("off-default seed {seed}"),
             );
-            assert_bit_identical(&des, &tick, &format!("off-default seed {seed}"));
         }
+    }
+}
+
+#[test]
+fn des_matches_tick_loop_when_the_monitor_never_fires() {
+    // A monitor period past the horizon: the tick loop's accumulator
+    // never reaches it, so no decision fires and the trace is empty.
+    // The engine's cadence replay must stop at the horizon too — at
+    // 1e300 s it used to spin forever.
+    for period in [60.0, 1e300] {
+        let mut cfg = SimConfig::paper_default(145.0);
+        cfg.monitor_period_s = period;
+        let sim = EdgeSimulation::new(cfg);
+        let plan = FaultPlan::canned();
+        let result = assert_engine_matches_tick_loop(
+            &sim,
+            MitigationConfig::off(),
+            &RunSpec::new(Traffic::Synthetic, &plan, 7),
+            &format!("monitor period {period:e}"),
+        );
+        assert!(result.trace.is_empty(), "period {period:e} fired a monitor");
+        assert!(result.processed > 0);
+    }
+}
+
+#[test]
+fn an_oversized_queue_capacity_is_a_bound_not_an_allocation() {
+    // File-reachable: `"sim": {"queue_capacity": 100000000000}` validates
+    // and used to abort the process pre-sizing the frame buffer (and
+    // 4e18 panicked with "capacity overflow"). Any `usize` must run, and
+    // run like the tick loop, whose queue always grew on demand.
+    let base = serde_json::to_string(&builtin_library()[0]).expect("serialize");
+    for capacity in [100_000_000_000usize, 4_000_000_000_000_000_000, usize::MAX] {
+        let json = base.replacen(
+            "\"queue_capacity\":null",
+            &format!("\"queue_capacity\":{capacity}"),
+            1,
+        );
+        assert_ne!(json, base, "replacement must hit");
+        let file = ScenarioFile::from_json_str(&json).expect("a big bound is a valid bound");
+        let sim = EdgeSimulation::new(file.sim_config(145.0));
+        assert_eq!(sim.config().queue_capacity, capacity);
+        let result = assert_engine_matches_tick_loop(
+            &sim,
+            MitigationConfig::off(),
+            &RunSpec::new(Traffic::Spec(&file.workload), &file.faults, file.seed),
+            &format!("queue capacity {capacity}"),
+        );
+        assert!(result.processed > 0);
     }
 }
 
@@ -146,8 +225,8 @@ fn fleet_runs_are_byte_identical_across_job_counts() {
     cfg.sim.workload.duration_s = 5.0;
     let fleet = Fleet::new(cfg);
     let m = manager(MitigationConfig::off());
-    let serial = fleet.run_jobs(&m, 42, 1);
-    let sharded = fleet.run_jobs(&m, 42, 4);
+    let serial = fleet.run(&m, &RunSpec::synthetic(42), 1);
+    let sharded = fleet.run(&m, &RunSpec::synthetic(42), 4);
     assert_eq!(serial, sharded, "fleet result differs across job counts");
     assert_eq!(
         serde_json::to_string(&serial).expect("serialize"),
@@ -166,7 +245,8 @@ fn fleet_shards_equal_standalone_simulations() {
     cfg.placement = PlacementPolicy::RoundRobin;
     let fleet = Fleet::new(cfg);
     let m = manager(MitigationConfig::off());
-    let result = fleet.run_jobs_with_faults(&m, 7, 2, &FaultPlan::canned());
+    let plan = FaultPlan::canned();
+    let result = fleet.run(&m, &RunSpec::new(Traffic::Synthetic, &plan, 7), 2);
     let placement = fleet.placement(7);
     for (s, assignment) in placement.iter().enumerate() {
         let mut workload = fleet.config().sim.workload;
@@ -176,10 +256,9 @@ fn fleet_shards_equal_standalone_simulations() {
             workload,
             ..fleet.config().sim.clone()
         });
-        let standalone = sim.run_with_faults(
+        let standalone = sim.run(
             &mut manager(MitigationConfig::off()),
-            derive_stream(7, s as u64, FLEET_SALT),
-            &FaultPlan::canned(),
+            &RunSpec::new(Traffic::Synthetic, &plan, derive_stream(7, s as u64, FLEET_SALT)),
         );
         assert_bit_identical(&result.servers[s], &standalone, &format!("server {s}"));
     }

@@ -3,7 +3,7 @@
 
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{RuntimeManager, SelectionPolicy};
-use adapex_edge::{EdgeSimulation, SimConfig, WorkloadConfig};
+use adapex_edge::{EdgeSimulation, RunSpec, SimConfig, WorkloadConfig};
 use finn_dataflow::ResourceUsage;
 use proptest::prelude::*;
 
@@ -49,7 +49,7 @@ proptest! {
     #[test]
     fn requests_are_conserved(capacity in 100.0f64..2500.0, seed in 0u64..1000) {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let r = sim.run(&mut static_manager(capacity), seed);
+        let r = sim.run(&mut static_manager(capacity), &RunSpec::synthetic(seed));
         prop_assert_eq!(r.offered, r.processed + r.lost);
         prop_assert!(r.mean_power_w > 0.0);
         prop_assert!(r.qoe() <= r.mean_accuracy + 1e-12);
@@ -59,9 +59,9 @@ proptest! {
     #[test]
     fn loss_is_monotone_in_capacity(seed in 0u64..500) {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let slow = sim.run(&mut static_manager(350.0), seed);
-        let mid = sim.run(&mut static_manager(600.0), seed);
-        let fast = sim.run(&mut static_manager(1500.0), seed);
+        let slow = sim.run(&mut static_manager(350.0), &RunSpec::synthetic(seed));
+        let mid = sim.run(&mut static_manager(600.0), &RunSpec::synthetic(seed));
+        let fast = sim.run(&mut static_manager(1500.0), &RunSpec::synthetic(seed));
         prop_assert!(slow.lost >= mid.lost, "{} < {}", slow.lost, mid.lost);
         prop_assert!(mid.lost >= fast.lost, "{} < {}", mid.lost, fast.lost);
     }
@@ -71,8 +71,8 @@ proptest! {
     #[test]
     fn runs_are_deterministic(seed in 0u64..500) {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let a = sim.run(&mut static_manager(700.0), seed);
-        let b = sim.run(&mut static_manager(700.0), seed);
+        let a = sim.run(&mut static_manager(700.0), &RunSpec::synthetic(seed));
+        let b = sim.run(&mut static_manager(700.0), &RunSpec::synthetic(seed));
         prop_assert_eq!(a, b);
     }
 
@@ -81,8 +81,8 @@ proptest! {
     #[test]
     fn saturation_shows_in_latency(seed in 0u64..200) {
         let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-        let over = sim.run(&mut static_manager(2000.0), seed);
-        let under = sim.run(&mut static_manager(400.0), seed);
+        let over = sim.run(&mut static_manager(2000.0), &RunSpec::synthetic(seed));
+        let under = sim.run(&mut static_manager(400.0), &RunSpec::synthetic(seed));
         prop_assert!(under.mean_latency_ms > over.mean_latency_ms);
     }
 }
@@ -101,7 +101,7 @@ fn workload_mean_tracks_nominal() {
 #[test]
 fn trace_samples_cover_the_episode() {
     let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-    let r = sim.run(&mut static_manager(700.0), 5);
+    let r = sim.run(&mut static_manager(700.0), &RunSpec::synthetic(5));
     // 25 s at a 1 s monitor period: 24-25 samples.
     assert!(
         (24..=25).contains(&r.trace.len()),
@@ -116,7 +116,7 @@ fn trace_samples_cover_the_episode() {
 #[test]
 fn energy_integrates_power_over_time() {
     let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
-    let r = sim.run(&mut static_manager(900.0), 11);
+    let r = sim.run(&mut static_manager(900.0), &RunSpec::synthetic(11));
     // One static operating point at 1.1 W for 25 s ≈ 27.5 J.
     assert!(
         (r.energy_j - 1.1 * 25.0).abs() < 0.5,

@@ -6,7 +6,8 @@
 use adapex::baselines::{manager_for, System};
 use adapex::generator::{GeneratorConfig, LibraryGenerator};
 use adapex_dataset::DatasetKind;
-use adapex_edge::{mean_of, EdgeSimulation, SimConfig};
+use adapex_edge::{mean_of, EdgeSimulation, RunSpec, SimConfig};
+use adapex_tensor::parallel::num_threads;
 
 /// A small but *provisioning-realistic* configuration: the unpruned
 /// accelerator sustains ~465 IPS against a 600 IPS nominal workload, so
@@ -31,7 +32,7 @@ fn adapex_beats_static_finn_under_overload() {
 
     let run = |system: System| {
         let manager = manager_for(system, &artifacts, 0.10);
-        sim.run_many(&manager, reps, 77)
+        sim.run_many(&manager, &RunSpec::synthetic(77), reps, num_threads())
     };
     let adapex = run(System::AdaPEx);
     let finn = run(System::Finn);

@@ -8,7 +8,7 @@
 //!    fingerprints captured on the pre-fault-layer revision; any change
 //!    to an RNG draw, accounting order, or float expression on the
 //!    fault-free path shows up here.
-//! 2. **Fault-free plan ≡ plain run** — `run_with_faults(…,
+//! 2. **Fault-free plan ≡ plain run** — `run(…,
 //!    FaultPlan::none())` equals `run(…)` exactly, because an empty plan
 //!    performs zero draws on its dedicated stream.
 //! 3. **Job-count invariance under faults** — identical seeds and
@@ -18,7 +18,9 @@
 
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{MitigationConfig, RuntimeManager, SelectionPolicy};
-use adapex_edge::{EdgeSimulation, FaultPlan, Scenario, SimConfig, SimResult, WorkloadConfig};
+use adapex_edge::{
+    EdgeSimulation, FaultPlan, RunSpec, Scenario, SimConfig, SimResult, Traffic, WorkloadConfig,
+};
 use finn_dataflow::ResourceUsage;
 
 fn entry(id: usize, rate: f64, acc: f64, ips: f64) -> LibraryEntry {
@@ -123,7 +125,7 @@ fn fault_free_runs_match_pre_fault_layer_fingerprints() {
         ),
     ];
     for (seed, want) in expected {
-        let r = sim.run(&mut adaptive_manager(), seed);
+        let r = sim.run(&mut adaptive_manager(), &RunSpec::synthetic(seed));
         assert_eq!(fingerprint(&r), want, "fault-free run drifted at seed {seed}");
         assert_eq!(r.trace.len(), 25);
         assert!(r.faults.is_clean());
@@ -163,7 +165,11 @@ fn shaped_fault_free_runs_match_pre_fault_layer_fingerprints() {
     ];
     for (scenario, want) in cases {
         let trace = scenario.trace(WorkloadConfig::paper_default());
-        let r = sim.run_with_shaped_trace(&mut adaptive_manager(), &trace, 11);
+        let none = FaultPlan::none();
+        let r = sim.run(
+            &mut adaptive_manager(),
+            &RunSpec::new(Traffic::Shaped(&trace), &none, 11),
+        );
         assert_eq!(
             fingerprint(&r),
             want,
@@ -175,7 +181,7 @@ fn shaped_fault_free_runs_match_pre_fault_layer_fingerprints() {
 #[test]
 fn run_many_matches_pre_fault_layer_fingerprints() {
     let sim = sim();
-    let results = sim.run_many_jobs(&adaptive_manager(), 4, 42, 1);
+    let results = sim.run_many(&adaptive_manager(), &RunSpec::synthetic(42), 4, 1);
     let counts: Vec<(usize, usize, usize, usize)> = results
         .iter()
         .map(|r| (r.offered, r.processed, r.lost, r.reconfig_count))
@@ -193,17 +199,30 @@ fn run_many_matches_pre_fault_layer_fingerprints() {
 
 #[test]
 fn empty_plan_is_byte_identical_to_plain_runs() {
+    // An empty plan draws nothing from its stream, so not even its own
+    // seed may show in the result.
     let sim = sim();
+    let none = FaultPlan::none();
+    let reseeded = FaultPlan {
+        seed: 0xFA17,
+        ..FaultPlan::none()
+    };
     for seed in [7u64, 21, 1234] {
-        let plain = sim.run(&mut adaptive_manager(), seed);
-        let faulted = sim.run_with_faults(&mut adaptive_manager(), seed, &FaultPlan::none());
+        let plain = sim.run(&mut adaptive_manager(), &RunSpec::synthetic(seed));
+        let faulted = sim.run(
+            &mut adaptive_manager(),
+            &RunSpec::new(Traffic::Synthetic, &reseeded, seed),
+        );
         assert_eq!(plain, faulted, "empty plan perturbed seed {seed}");
     }
     let trace = Scenario::Burst.trace(WorkloadConfig::paper_default());
-    let plain = sim.run_with_shaped_trace(&mut adaptive_manager(), &trace, 11);
-    let faulted =
-        sim.run_with_shaped_trace_and_faults(&mut adaptive_manager(), &trace, 11, &FaultPlan::none());
-    assert_eq!(plain, faulted);
+    let shaped = |plan| {
+        sim.run(
+            &mut adaptive_manager(),
+            &RunSpec::new(Traffic::Shaped(&trace), plan, 11),
+        )
+    };
+    assert_eq!(shaped(&none), shaped(&reseeded));
 }
 
 #[test]
@@ -213,11 +232,12 @@ fn faulted_runs_are_job_count_invariant() {
     for mitigation in [MitigationConfig::off(), MitigationConfig::recommended()] {
         let mut manager = adaptive_manager();
         manager.set_mitigation(mitigation);
-        let serial = sim.run_many_jobs_with_faults(&manager, 6, 42, 1, &plan);
-        let parallel = sim.run_many_jobs_with_faults(&manager, 6, 42, 4, &plan);
+        let spec = RunSpec::new(Traffic::Synthetic, &plan, 42);
+        let serial = sim.run_many(&manager, &spec, 6, 1);
+        let parallel = sim.run_many(&manager, &spec, 6, 4);
         assert_eq!(serial, parallel, "jobs=4 diverged from jobs=1");
         // And re-running is reproducible outright.
-        assert_eq!(serial, sim.run_many_jobs_with_faults(&manager, 6, 42, 1, &plan));
+        assert_eq!(serial, sim.run_many(&manager, &spec, 6, 1));
     }
 }
 
@@ -227,8 +247,9 @@ fn faulted_shaped_runs_are_job_count_invariant() {
     let plan = FaultPlan::canned();
     let trace = Scenario::Burst.trace(WorkloadConfig::paper_default());
     let manager = adaptive_manager();
-    let serial = sim.run_many_shaped_jobs_with_faults(&manager, &trace, 5, 7, 1, &plan);
-    let parallel = sim.run_many_shaped_jobs_with_faults(&manager, &trace, 5, 7, 4, &plan);
+    let spec = RunSpec::new(Traffic::Shaped(&trace), &plan, 7);
+    let serial = sim.run_many(&manager, &spec, 5, 1);
+    let parallel = sim.run_many(&manager, &spec, 5, 4);
     assert_eq!(serial, parallel);
     assert!(
         serial.iter().any(|r| !r.faults.is_clean()),

@@ -19,7 +19,10 @@
 
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{MitigationConfig, RuntimeManager, SelectionPolicy};
-use adapex_edge::{builtin_library, builtin_scenario, EdgeSimulation, Fleet, ScenarioFile, SimResult};
+use adapex_edge::{
+    builtin_library, builtin_scenario, EdgeSimulation, Fleet, RunSpec, ScenarioFile, SimResult,
+    Traffic,
+};
 use finn_dataflow::ResourceUsage;
 use serde::Serialize;
 use std::path::{Path, PathBuf};
@@ -92,12 +95,18 @@ fn mitigation_for(file: &ScenarioFile) -> MitigationConfig {
     }
 }
 
+/// The episode a scenario file describes: its workload spec under its
+/// fault plan at its seed.
+fn episode(file: &ScenarioFile) -> RunSpec<'_> {
+    RunSpec::new(Traffic::Spec(&file.workload), &file.faults, file.seed)
+}
+
 /// Replays a (non-fleet) scenario exactly like `adapex-cli trace
 /// --scenario <file>` does, with the fixed golden manager.
 fn run_scenario_file(file: &ScenarioFile) -> SimResult {
     let sim = EdgeSimulation::new(file.sim_config(145.0));
     let mut manager = golden_manager(mitigation_for(file));
-    sim.run_with_workload_and_faults(&mut manager, &file.workload, file.seed, &file.faults)
+    sim.run(&mut manager, &episode(file))
 }
 
 fn check_golden<T: Serialize>(name: &str, result: &T) {
@@ -189,7 +198,7 @@ fn golden_cluster_replay_fleet() {
     let s = builtin_scenario("cluster-replay").expect("shipped");
     let fleet = Fleet::new(s.fleet_config(145.0).expect("fleet section"));
     let manager = golden_manager(mitigation_for(&s));
-    let result = fleet.run_jobs_with_workload(&manager, &s.workload, s.seed, 2, &s.faults);
+    let result = fleet.run(&manager, &episode(&s), 2);
     check_golden(&s.name, &result);
 }
 
@@ -202,17 +211,15 @@ fn scenario_replays_are_jobs_invariant() {
         let s = builtin_scenario(name).expect("shipped");
         let sim = EdgeSimulation::new(s.sim_config(145.0));
         let manager = golden_manager(mitigation_for(&s));
-        let serial =
-            sim.run_many_workload_jobs_with_faults(&manager, &s.workload, 3, s.seed, 1, &s.faults);
-        let sharded =
-            sim.run_many_workload_jobs_with_faults(&manager, &s.workload, 3, s.seed, 4, &s.faults);
+        let serial = sim.run_many(&manager, &episode(&s), 3, 1);
+        let sharded = sim.run_many(&manager, &episode(&s), 3, 4);
         assert_eq!(serial, sharded, "{name}: jobs changed the result");
     }
     let s = builtin_scenario("cluster-replay").expect("shipped");
     let fleet = Fleet::new(s.fleet_config(145.0).expect("fleet section"));
     let manager = golden_manager(mitigation_for(&s));
-    let serial = fleet.run_jobs_with_workload(&manager, &s.workload, s.seed, 1, &s.faults);
-    let sharded = fleet.run_jobs_with_workload(&manager, &s.workload, s.seed, 4, &s.faults);
+    let serial = fleet.run(&manager, &episode(&s), 1);
+    let sharded = fleet.run(&manager, &episode(&s), 4);
     assert_eq!(serial, sharded, "cluster-replay: jobs changed the result");
 }
 

@@ -21,7 +21,9 @@
 
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{MitigationConfig, RuntimeManager, SelectionPolicy};
-use adapex_edge::{EdgeSimulation, FaultPlan, Scenario, SimConfig, SimResult, WorkloadConfig};
+use adapex_edge::{
+    EdgeSimulation, FaultPlan, RunSpec, Scenario, SimConfig, SimResult, Traffic, WorkloadConfig,
+};
 use finn_dataflow::ResourceUsage;
 use std::path::{Path, PathBuf};
 
@@ -82,7 +84,10 @@ fn run_scenario(scenario: Scenario, plan: &FaultPlan, mitigation: MitigationConf
     let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
     let trace = scenario.trace(WorkloadConfig::paper_default());
     let mut manager = golden_manager(mitigation);
-    sim.run_with_shaped_trace_and_faults(&mut manager, &trace, GOLDEN_SEED, plan)
+    sim.run(
+        &mut manager,
+        &RunSpec::new(Traffic::Shaped(&trace), plan, GOLDEN_SEED),
+    )
 }
 
 fn check_golden(name: &str, result: &SimResult) {

@@ -325,6 +325,20 @@ mod scenario_file_roundtrips {
     }
 
     #[test]
+    fn any_queue_capacity_is_a_valid_bound() {
+        // A bound, not a size: the parser accepts every `usize` and the
+        // engine must not pre-size by it (`tests/des_equivalence.rs`
+        // runs these).
+        for capacity in [0usize, 100_000_000_000, usize::MAX] {
+            let mut file = builtin_library()[0].clone();
+            file.sim.queue_capacity = Some(capacity);
+            let json = serde_json::to_string(&file).expect("serialize");
+            let back = ScenarioFile::from_json_str(&json).expect("parse");
+            assert_eq!(back.sim_config(145.0).queue_capacity, capacity);
+        }
+    }
+
+    #[test]
     fn committed_library_roundtrips_and_validates() {
         for file in builtin_library() {
             file.validate().expect("valid builtin");

@@ -3,9 +3,9 @@
 //!
 //! Three equivalences, all byte-exact on the full `SimResult`:
 //!
-//! 1. `WorkloadSpec::Synthetic(paper_default)` through the new
-//!    workload-spec path ≡ the built-in `run_many` path, at any
-//!    `--jobs` (same arrival RNG stream, same trace sampling).
+//! 1. `WorkloadSpec::Synthetic(paper_default)` as `Traffic::Spec` ≡
+//!    `Traffic::Synthetic` through `run_many`, at any `--jobs` (same
+//!    arrival RNG stream, same trace sampling).
 //! 2. A synthetic run *exported* as a piecewise trace file and replayed
 //!    from disk ≡ the original run (per repetition, since each rep
 //!    samples its own ±30 % rates).
@@ -15,7 +15,8 @@
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{MitigationConfig, RuntimeManager, SelectionPolicy};
 use adapex_edge::{
-    builtin_scenario, EdgeSimulation, FaultPlan, SimConfig, WorkloadConfig, WorkloadSpec,
+    builtin_scenario, EdgeSimulation, FaultPlan, RunSpec, SimConfig, Traffic, WorkloadConfig,
+    WorkloadSpec,
 };
 use adapex_tensor::rng::derive_sequential;
 use finn_dataflow::ResourceUsage;
@@ -72,8 +73,8 @@ fn synthetic_spec_path_is_bit_identical_to_builtin_path() {
     let m = manager();
     let plan = FaultPlan::none();
     for jobs in [1usize, 4] {
-        let builtin = sim.run_many_jobs_with_faults(&m, 4, SEED, jobs, &plan);
-        let via_spec = sim.run_many_workload_jobs_with_faults(&m, &spec, 4, SEED, jobs, &plan);
+        let builtin = sim.run_many(&m, &RunSpec::new(Traffic::Synthetic, &plan, SEED), 4, jobs);
+        let via_spec = sim.run_many(&m, &RunSpec::new(Traffic::Spec(&spec), &plan, SEED), 4, jobs);
         assert_eq!(builtin, via_spec, "jobs={jobs}: spec path diverged");
     }
 }
@@ -88,8 +89,8 @@ fn synthetic_spec_path_is_bit_identical_under_faults() {
     m.set_mitigation(MitigationConfig::recommended());
     let plan = FaultPlan::canned();
     for jobs in [1usize, 4] {
-        let builtin = sim.run_many_jobs_with_faults(&m, 2, SEED, jobs, &plan);
-        let via_spec = sim.run_many_workload_jobs_with_faults(&m, &spec, 2, SEED, jobs, &plan);
+        let builtin = sim.run_many(&m, &RunSpec::new(Traffic::Synthetic, &plan, SEED), 2, jobs);
+        let via_spec = sim.run_many(&m, &RunSpec::new(Traffic::Spec(&spec), &plan, SEED), 2, jobs);
         assert_eq!(builtin, via_spec, "jobs={jobs}: spec path diverged under faults");
     }
 }
@@ -106,7 +107,7 @@ fn exported_trace_files_replay_each_repetition_bit_identically() {
     let m = manager();
     let plan = FaultPlan::none();
     let reps = 3usize;
-    let many = sim.run_many_jobs_with_faults(&m, reps, SEED, 1, &plan);
+    let many = sim.run_many(&m, &RunSpec::new(Traffic::Synthetic, &plan, SEED), reps, 1);
 
     let dir = std::env::temp_dir().join(format!("adapex-workload-diff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -120,7 +121,10 @@ fn exported_trace_files_replay_each_repetition_bit_identically() {
         assert_eq!(loaded, exported, "rep {i}: file roundtrip changed the spec");
 
         let mut mgr = manager();
-        let replayed = sim.run_with_workload_and_faults(&mut mgr, &loaded, rep_seed, &plan);
+        let replayed = sim.run(
+            &mut mgr,
+            &RunSpec::new(Traffic::Spec(&loaded), &plan, rep_seed),
+        );
         assert_eq!(&replayed, expected, "rep {i}: trace replay diverged");
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -131,9 +135,14 @@ fn paper_synthetic_scenario_matches_builtin_generator_at_its_seed() {
     let scenario = builtin_scenario("paper-synthetic").expect("shipped scenario");
     let sim = EdgeSimulation::new(scenario.sim_config(145.0));
     let mut a = manager();
-    let builtin = sim.run_with_faults(&mut a, scenario.seed, &scenario.faults);
+    let builtin = sim.run(
+        &mut a,
+        &RunSpec::new(Traffic::Synthetic, &scenario.faults, scenario.seed),
+    );
     let mut b = manager();
-    let via_file =
-        sim.run_with_workload_and_faults(&mut b, &scenario.workload, scenario.seed, &scenario.faults);
+    let via_file = sim.run(
+        &mut b,
+        &RunSpec::new(Traffic::Spec(&scenario.workload), &scenario.faults, scenario.seed),
+    );
     assert_eq!(builtin, via_file);
 }
