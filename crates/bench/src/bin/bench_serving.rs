@@ -5,13 +5,17 @@
 //! 1. **Real kernels** — a width-8 CNV early-exit net serves generated
 //!    requests through [`adapex_nn::serve::BatchExecutor`]. The
 //!    baseline is the pre-batching serve path: one request at a time,
-//!    full forward through every exit (the verdict needs all exit
-//!    confidences on that path) with the default int2 routing. The
-//!    optimized path batches `--max-batch` requests through the staged
-//!    executor with the `Auto` engine plan (shape-aware int2/f32-codes
-//!    routing) at a confidence threshold calibrated on a held-out
-//!    split. Verdict bit-identity between the two paths is pinned by
-//!    the `adapex-nn` serve tests; here only throughput differs.
+//!    full depth (the verdict needs all exit confidences on that path).
+//!    The optimized path batches `--max-batch` requests through the
+//!    staged executor at a confidence threshold calibrated on a
+//!    held-out split. Both run the `Auto` engine plan, i.e. the
+//!    streamlined executor (folded thresholds, packed code maps). The
+//!    same interleaved loop also times exit-1 and full-depth batches
+//!    under `Auto` and under `Int2Always` — the layer-by-layer loop the
+//!    streamlined path replaced — so the report carries that before /
+//!    after row from one run of one binary. Verdict bit-identity between
+//!    all of these is pinned by the `adapex-nn` tests; here only
+//!    throughput differs.
 //! 2. **Virtual time** — the measured per-exit service costs feed a
 //!    [`PointServiceModel`] and millions of generated arrivals run
 //!    through [`ServeSim`] under steady / burst / diurnal-ramp
@@ -28,6 +32,9 @@
 //!   retiring each request at its exit is worth when every stage costs
 //!   what it measures on its own (exit-1 cost from an all-retire-at-
 //!   exit-1 pass, full depth from the batch=1 baseline, exit 2 halfway).
+//!   Kernel threads are whatever `ADAPEX_THREADS` or the host gives
+//!   (`threads` in the report): the conv layers' work floor keeps
+//!   batches this small inline, so the default is the fast setting.
 //!   Staging, survivor compaction and batching overhead may eat a tenth
 //!   of that bound, not more — a bound, not a constant, because the
 //!   factor depends on how much of the net sits before the first exit
@@ -143,41 +150,66 @@ fn calibrate_threshold(net: &EarlyExitNetwork, samples: usize) -> f32 {
     confs[idx.min(confs.len() - 1)]
 }
 
-struct TierTiming {
+/// One timed configuration: an executor and the batches it serves.
+struct Tier<'a> {
+    exec: BatchExecutor,
+    batches: &'a [Activation],
     rates: Vec<f64>,
-    exit_counts: Vec<u64>,
 }
 
-/// Times `repeat` passes of `total` requests through the executor in
-/// `batch`-sized chunks; warmup passes are discarded.
-fn time_executor(
-    exec: &mut BatchExecutor,
-    batches: &[Activation],
-    total: usize,
-    warmup: usize,
-    repeat: usize,
-) -> TierTiming {
+impl<'a> Tier<'a> {
+    fn new(net: &EarlyExitNetwork, engine: EnginePlan, threshold: f32, batches: &'a [Activation]) -> Self {
+        let cfg = ExecutorConfig {
+            threshold,
+            workers: 1,
+            engine,
+        };
+        Tier {
+            exec: BatchExecutor::new(net, &cfg),
+            batches,
+            rates: Vec::new(),
+        }
+    }
+
+    fn median_rps(&self) -> f64 {
+        median(&mut self.rates.clone())
+    }
+
+    fn min_rps(&self) -> f64 {
+        self.rates.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// Requests per exit over one untimed pass (deterministic).
+    fn exit_counts(&mut self) -> Vec<u64> {
+        let mut out = BatchVerdicts::default();
+        let mut counts = vec![0u64; self.exec.num_exits()];
+        for x in self.batches {
+            self.exec.run_batch(x, &mut out);
+            for &e in &out.exit {
+                counts[e] += 1;
+            }
+        }
+        counts
+    }
+}
+
+/// Times `repeat` passes of `total` requests through every tier, the
+/// tiers taking turns pass by pass so that a slow phase of the host
+/// lands on all of them; warmup passes are discarded.
+fn time_interleaved(tiers: &mut [&mut Tier], total: usize, warmup: usize, repeat: usize) {
     let mut out = BatchVerdicts::default();
-    let mut rates = Vec::with_capacity(repeat);
     for rep in 0..warmup + repeat {
-        let t0 = Instant::now();
-        for x in batches {
-            exec.run_batch(x, &mut out);
-        }
-        let wall = t0.elapsed().as_secs_f64();
-        if rep >= warmup {
-            rates.push(total as f64 / wall);
-        }
-    }
-    // Untimed pass for the exit split (deterministic, so one suffices).
-    let mut exit_counts = vec![0u64; exec.num_exits()];
-    for x in batches {
-        exec.run_batch(x, &mut out);
-        for &e in &out.exit {
-            exit_counts[e] += 1;
+        for tier in tiers.iter_mut() {
+            let t0 = Instant::now();
+            for x in tier.batches {
+                tier.exec.run_batch(x, &mut out);
+            }
+            let wall = t0.elapsed().as_secs_f64();
+            if rep >= warmup {
+                tier.rates.push(total as f64 / wall);
+            }
         }
     }
-    TierTiming { rates, exit_counts }
 }
 
 #[derive(Debug, Serialize)]
@@ -208,7 +240,7 @@ struct PatternReport {
 #[derive(Debug, Serialize)]
 struct ServingBenchReport {
     schema_version: u32,
-    /// Kernel worker threads (`ADAPEX_THREADS`, pinned to 1 when unset).
+    /// Kernel worker threads (`ADAPEX_THREADS`, else the host's cores).
     threads: usize,
     /// `std::thread::available_parallelism` of the measuring host.
     host_cores: usize,
@@ -228,8 +260,17 @@ struct ServingBenchReport {
     /// exit-1 service cost behind `service_us_per_exit[0]`.
     exit1_rps_min: f64,
     exit1_rps_median: f64,
+    /// Microseconds per request at batch `max_batch`, all requests
+    /// retiring at exit 1 / none before the final exit, on the
+    /// streamlined executor (`EnginePlan::Auto`) ...
+    streamlined_us: [f64; 2],
+    /// ... and on the layer-by-layer loop (`EnginePlan::Int2Always`)
+    /// in the same interleaved run.
+    layer_path_us: [f64; 2],
+    /// `layer_path_us / streamlined_us` per column.
+    streamlined_gain: [f64; 2],
     /// Widest (max − min) / median over the timed repetitions of the
-    /// three real-tier rates.
+    /// real-tier rates.
     rps_spread: f64,
     speedup: f64,
     /// `service_us[last] / Σ share_e · service_us[e]` of this run.
@@ -280,14 +321,6 @@ fn pattern_report(pattern: &str, rate_rps: f64, requests: usize, r: &ServeReport
 }
 
 fn main() {
-    // The executors below are single-worker; kernel-level threads on
-    // 16-image batches of a width-8 net only add spawn cost and noise
-    // (measured: 8.2k rps on two threads, 11.0k on one), so the bench
-    // pins them off unless the caller asks for a count. `threads` in
-    // the report records what ran.
-    if std::env::var_os("ADAPEX_THREADS").is_none() {
-        std::env::set_var("ADAPEX_THREADS", "1");
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let warmup = arg_scale(&args, "--warmup", 1);
     let repeat = arg_scale(&args, "--repeat", 3);
@@ -307,63 +340,51 @@ fn main() {
     let single = request_batches(&net, requests, 1);
     let batched = request_batches(&net, requests, max_batch);
 
-    // Baseline: batch=1, full depth (threshold above any confidence so
-    // no sample retires early — the pre-batching serve path computes
-    // every exit), engine routing as shipped before this PR.
-    let mut base_exec = BatchExecutor::new(
-        &net,
-        &ExecutorConfig {
-            threshold: 2.0,
-            workers: 1,
-            engine: EnginePlan::Int2Always,
-        },
+    // Baseline: batch=1, full depth (a threshold above any confidence,
+    // so no sample retires early). Optimized: batched, staged early exit
+    // at the calibrated CT. Exit-1 service cost on its own: the same
+    // batches with a threshold every confidence clears. Then exit-1 and
+    // full-depth batches on both executors — streamlined and layer path.
+    let auto = EnginePlan::Auto;
+    let mut base = Tier::new(&net, auto, 2.0, &single);
+    let mut serve = Tier::new(&net, auto, threshold, &batched);
+    let mut exit1 = Tier::new(&net, auto, 0.0, &batched);
+    let mut full = Tier::new(&net, auto, 2.0, &batched);
+    let mut layer_exit1 = Tier::new(&net, EnginePlan::Int2Always, 0.0, &batched);
+    let mut layer_full = Tier::new(&net, EnginePlan::Int2Always, 2.0, &batched);
+    assert!(serve.exec.streamlined() && !layer_full.exec.streamlined());
+    time_interleaved(
+        &mut [&mut base, &mut serve, &mut exit1, &mut full, &mut layer_exit1, &mut layer_full],
+        requests,
+        warmup,
+        repeat,
     );
-    let base = time_executor(&mut base_exec, &single, requests, warmup, repeat);
 
-    // Optimized: batched, staged early exit at the calibrated CT,
-    // shape-aware engine plan.
-    let mut serve_exec = BatchExecutor::new(
-        &net,
-        &ExecutorConfig {
-            threshold,
-            workers: 1,
-            engine: EnginePlan::Auto,
-        },
-    );
-    let serve = time_executor(&mut serve_exec, &batched, requests, warmup, repeat);
-
-    let mut base_rates = base.rates.clone();
-    let mut serve_rates = serve.rates.clone();
-    let baseline_rps_median = median(&mut base_rates);
-    let serve_rps_median = median(&mut serve_rates);
+    let baseline_rps_median = base.median_rps();
+    let serve_rps_median = serve.median_rps();
     let speedup = serve_rps_median / baseline_rps_median;
-    // Exit-1 service cost on its own: the same batches with a threshold
-    // every confidence clears, so all of them retire at the first exit.
-    let mut exit1_exec = BatchExecutor::new(
-        &net,
-        &ExecutorConfig {
-            threshold: 0.0,
-            workers: 1,
-            engine: EnginePlan::Auto,
-        },
-    );
-    let exit1 = time_executor(&mut exit1_exec, &batched, requests, warmup, repeat);
-    let exit1_rps_median = median(&mut exit1.rates.clone());
-    let exit1_fraction =
-        serve.exit_counts[0] as f64 / serve.exit_counts.iter().sum::<u64>() as f64;
+    let exit1_rps_median = exit1.median_rps();
+    let exit_counts = serve.exit_counts();
+    let exit1_fraction = exit_counts[0] as f64 / exit_counts.iter().sum::<u64>() as f64;
+    let streamlined_us = [1e6 / exit1_rps_median, 1e6 / full.median_rps()];
+    let layer_path_us = [1e6 / layer_exit1.median_rps(), 1e6 / layer_full.median_rps()];
+    let streamlined_gain = [0, 1].map(|e| layer_path_us[e] / streamlined_us[e]);
     eprintln!(
         "real tier: baseline {baseline_rps_median:.0} rps, serve {serve_rps_median:.0} rps \
          ({speedup:.2}x), exit-1 {:.0}%",
         exit1_fraction * 100.0
+    );
+    eprintln!(
+        "batch-{max_batch} us/request [exit 1, full depth]: streamlined {streamlined_us:.1?}, \
+         layer path {layer_path_us:.1?} ({streamlined_gain:.2?}x)"
     );
 
     // --- Virtual tier from measured per-exit costs. -----------------
     // Two measured endpoints pin the cost model: the exit-1 cost from
     // the all-retire pass and the full-depth cost from the baseline;
     // exit 2 is interpolated halfway.
-    let exits = serve.exit_counts.iter().sum::<u64>() as f64;
-    let fractions: Vec<f64> = serve
-        .exit_counts
+    let exits = exit_counts.iter().sum::<u64>() as f64;
+    let fractions: Vec<f64> = exit_counts
         .iter()
         .map(|&c| (c as f64 / exits).max(1e-6))
         .collect();
@@ -504,22 +525,25 @@ fn main() {
         threads: adapex_tensor::parallel::num_threads(),
         host_cores: adapex_bench::host_cores(),
         width: WIDTH,
-        num_exits: serve_exec.num_exits(),
+        num_exits: serve.exec.num_exits(),
         threshold,
         exit1_fraction,
         max_batch,
         warmup,
         repeat,
         requests_per_rep: requests,
-        baseline_rps_min: base.rates.iter().copied().fold(f64::INFINITY, f64::min),
+        baseline_rps_min: base.min_rps(),
         baseline_rps_median,
-        serve_rps_min: serve.rates.iter().copied().fold(f64::INFINITY, f64::min),
+        serve_rps_min: serve.min_rps(),
         serve_rps_median,
-        exit1_rps_min: exit1.rates.iter().copied().fold(f64::INFINITY, f64::min),
+        exit1_rps_min: exit1.min_rps(),
         exit1_rps_median,
-        rps_spread: [&base.rates, &serve.rates, &exit1.rates]
+        streamlined_us,
+        layer_path_us,
+        streamlined_gain,
+        rps_spread: [&base, &serve, &exit1, &full, &layer_exit1, &layer_full]
             .into_iter()
-            .map(|r| spread(r))
+            .map(|t| spread(&t.rates))
             .fold(0.0, f64::max),
         speedup,
         early_exit_bound,

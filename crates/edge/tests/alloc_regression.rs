@@ -163,9 +163,10 @@ fn sim_loop_allocations_scale_with_events_not_ticks() {
 }
 
 /// The per-frame inference cost the simulator's service-rate model
-/// stands in for: serving a batch through an early-exit CNV with the
-/// direct int2 conv route (pack the image once, gather windows, skip
-/// im2col) must allocate nothing once the pools are warm. Runs here —
+/// stands in for: serving a batch through an early-exit CNV on the
+/// executor's streamlined path (folded thresholds, packed code maps,
+/// every conv behind the stem a direct windowed int2 conv) must
+/// allocate nothing once the pools and the worker's scratch are warm. Runs here —
 /// not only in `adapex-nn` — so the edge stack pins the contract it
 /// depends on for latency stability.
 #[test]
@@ -192,10 +193,11 @@ fn steady_state_direct_conv_serve_batch_does_not_allocate() {
             engine: EnginePlan::Auto,
         },
     );
+    assert!(exec.streamlined(), "Auto must streamline a CNV");
     let mut out = BatchVerdicts::default();
 
-    // Warmup: pooled activations, once-packed image planes (img_bits),
-    // window/packing scratch and verdict capacities all materialize here.
+    // Warmup: pooled activations, the worker's packed maps, window
+    // scratch and verdict capacities all materialize here.
     for _ in 0..3 {
         exec.run_batch(&x, &mut out);
     }

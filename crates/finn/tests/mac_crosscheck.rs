@@ -17,6 +17,7 @@ use std::sync::Mutex;
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
 use adapex_nn::layers::{Activation, QuantConv2d, QuantReLU};
 use adapex_nn::quant::QuantSpec;
+use adapex_nn::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
 use adapex_tensor::conv::ConvGeometry;
 use adapex_tensor::int2;
 use adapex_tensor::rng::{normal_tensor, rng_from_seed};
@@ -114,4 +115,52 @@ fn full_network_engine_counters_match_ir_profile() {
     // stem consumes the raw image and stays on the f32 path, so it
     // never contributes a call).
     assert!(int2::direct_conv_calls() > 0, "direct conv path never engaged");
+}
+
+/// The serving executor's streamlined path (thresholds folded, packed
+/// code maps — what `EnginePlan::Auto` runs on a CNV) executes exactly
+/// the operations the IR predicts, like the layer path: same MACs, same
+/// popcount words, one direct-conv call per non-stem conv and sample.
+/// A threshold no confidence reaches keeps every sample in the net to
+/// the final exit, so the per-sample profile applies to the whole batch.
+#[test]
+fn streamlined_executor_counters_match_ir_profile() {
+    let net = CnvConfig::tiny().build_early_exit(43, &ExitsConfig::paper_default(), 9);
+    let ir = ModelIr::from_summary(&net.summarize());
+    let (macs_per_sample, pops_per_sample) = ir.int2_engine_profile();
+    // Backbone convs behind the stem plus one per exit head.
+    let convs_per_sample = 5 + net.exits.len() as u64;
+
+    let batch = 6;
+    let numel: usize = ir.input_dims.iter().product();
+    let mut rng = rng_from_seed(33);
+    let x = Activation::new(
+        normal_tensor(&[batch * numel], 0.0, 1.0, &mut rng).into_vec(),
+        batch,
+        ir.input_dims.clone(),
+    );
+
+    let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for engine in [EnginePlan::Auto, EnginePlan::Int2Always] {
+        let mut exec = BatchExecutor::new(
+            &net,
+            &ExecutorConfig {
+                threshold: 2.0,
+                workers: 1,
+                engine,
+            },
+        );
+        assert_eq!(exec.streamlined(), engine == EnginePlan::Auto);
+        let mut out = BatchVerdicts::default();
+        int2::reset_op_counters();
+        exec.run_batch(&x, &mut out);
+        let (macs, pops) = int2::op_counters();
+        assert_eq!(macs, batch as u64 * macs_per_sample, "{engine:?} MACs");
+        assert_eq!(pops, batch as u64 * pops_per_sample, "{engine:?} popcount words");
+        assert_eq!(
+            int2::direct_conv_calls(),
+            batch as u64 * convs_per_sample,
+            "{engine:?} direct-conv calls"
+        );
+    }
 }

@@ -58,16 +58,29 @@ impl QuantReLU {
         QuantReLU::new(QuantSpec::unsigned(2), 2.0)
     }
 
-    /// Forward pass.
-    pub fn forward(&mut self, x: &Activation, train: bool) -> Activation {
-        let scale = self.clip / self.spec.q_max() as f32;
-        let mut out = Activation::zeros(x.n, &x.dims);
-        // Clip, then snap onto the grid with the SIMD-dispatched quantizer
-        // (bit-identical to `fake_quantize` per element on every path).
-        for (o, &v) in out.data.iter_mut().zip(&x.data) {
+    /// Grid step of the output: values lie on `{0, s, …, q_max·s}`.
+    pub(crate) fn grid_scale(&self) -> f32 {
+        self.clip / self.spec.q_max() as f32
+    }
+
+    /// The forward arithmetic on a slice: clip to `[0, clip]`, then snap
+    /// onto the grid with the SIMD-dispatched quantizer (bit-identical
+    /// to `fake_quantize` per element on every path). Shared by
+    /// [`QuantReLU::forward`] and the serving executor's streamlined
+    /// plan, which folds it into thresholds.
+    pub(crate) fn quantize_into(&self, out: &mut [f32], src: &[f32]) {
+        for (o, &v) in out.iter_mut().zip(src) {
             *o = v.clamp(0.0, self.clip);
         }
-        simd::fake_quant_slice(&mut out.data, scale, 0.0, self.spec.q_max() as f32);
+        simd::fake_quant_slice(out, self.grid_scale(), 0.0, self.spec.q_max() as f32);
+    }
+
+    /// Forward pass.
+    pub fn forward(&mut self, x: &Activation, train: bool) -> Activation {
+        let scale = self.grid_scale();
+        // `quantize_into` writes every element.
+        let mut out = Activation::for_overwrite(x.n, &x.dims);
+        self.quantize_into(&mut out.data, &x.data);
         // Stamp the grid the output now lies on (in train mode too, so
         // train/eval forwards stay exactly equal); downstream quantized
         // matrix layers use it to recover exact integer codes in eval.

@@ -191,6 +191,21 @@ impl QuantConv2d {
         qc.int2_version = Some(version);
     }
 
+    /// The f32 route's operand: fake-quantized weights,
+    /// `[c_out, c_in·k²]`, at the current weight version.
+    pub(crate) fn f32_weights(&mut self) -> &[f32] {
+        self.ensure_qweights();
+        &self.qcache.as_ref().expect("qcache just ensured").qweight
+    }
+
+    /// The popcount engine's operands at the current weight version:
+    /// packed weight planes and the per-filter weight scales.
+    pub(crate) fn int2_weights(&mut self) -> (&[u64], &[f32]) {
+        self.ensure_int2();
+        let qc = self.qcache.as_ref().expect("qcache just ensured");
+        (&qc.planes, &qc.scales)
+    }
+
     /// The activation grid step when this forward can take the
     /// code-domain int2 path: signed 2-bit weights and an input stamped
     /// as 2-bit quantized (train and eval — QuantReLU stamps both).
@@ -248,7 +263,10 @@ impl QuantConv2d {
         // gather each window's operand words. Kernels past the gather's
         // word bound keep the f32-over-codes route (CNV kernels are 3).
         let use_direct = !self.prefer_f32_codes && geom.kernel <= int2::MAX_DIRECT_KERNEL;
-        parallel_for_chunks(x.n, sample_out, &mut out.data, 1, |range, chunk| {
+        // Images per worker below which a scoped thread costs more than
+        // it saves (a 16-image batch of a width-8 layer runs inline).
+        let min_chunk = (PAR_MIN_MACS / (c_out * kk * pixels).max(1)).max(1);
+        parallel_for_chunks(x.n, sample_out, &mut out.data, min_chunk, |range, chunk| {
             with_workspace(|ws| {
                 for (local, i) in range.enumerate() {
                     let img = &input[i * sample_in..(i + 1) * sample_in];
@@ -277,10 +295,7 @@ impl QuantConv2d {
                             gemm_st(c_out, kk, pixels, wcodes, &ws.cols, y);
                             int2::requantize_rows(y, pixels, cs, bias);
                         }
-                        _ => {
-                            im2col_into(img, c_in, h, w, geom, &mut ws.cols);
-                            gemm_bias_st(c_out, kk, pixels, qw, &ws.cols, bias, y)
-                        }
+                        _ => conv_image_f32(img, c_in, (h, w), geom, qw, bias, &mut ws.cols, y),
                     }
                 }
             });
@@ -529,6 +544,36 @@ impl QuantConv2d {
         grad_in
     }
 }
+
+/// The f32 route of one image: im2col, then the GEMM over fake-quantized
+/// weights with the bias folded into its last step. `y` is
+/// `[bias.len(), pixels]`. The layer forward and the serving executor's
+/// fused stem both run exactly this.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn conv_image_f32(
+    img: &[f32],
+    c_in: usize,
+    (h, w): (usize, usize),
+    geom: ConvGeometry,
+    qweight: &[f32],
+    bias: &[f32],
+    cols: &mut Vec<f32>,
+    y: &mut [f32],
+) {
+    let (c_out, kk) = (bias.len(), c_in * geom.kernel * geom.kernel);
+    im2col_into(img, c_in, h, w, geom, cols);
+    gemm_bias_st(c_out, kk, y.len() / c_out.max(1), qweight, cols, bias, y);
+}
+
+/// Least work, in multiply-accumulates, worth handing a forward worker
+/// thread of its own: spawning and joining a scoped thread costs tens of
+/// microseconds, about what a million MACs of either GEMM take, so a
+/// chunk has to be several times that. Measured on the serving path
+/// before the floor existed: 16-image batches of a width-8 CNV (7 M MACs
+/// in its largest conv) served 8.2 k req/s split over two threads and
+/// 11.0 k inline. Chunking never changes a result bit — images are
+/// independent — only who computes them.
+const PAR_MIN_MACS: usize = 1 << 23;
 
 /// Fixed width of the batch chunks [`QuantConv2d::backward`] reduces
 /// over. Partial `(dW, db)` sums are accumulated per chunk and folded in

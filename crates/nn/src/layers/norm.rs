@@ -9,7 +9,14 @@ use serde::{Deserialize, Serialize};
 /// batch and spatial positions) and flat `[F]` activations (per-feature).
 /// On the FPGA, FINN folds BatchNorm into the MVTU's threshold memory, so
 /// this layer exists only in the training graph; the compiler reports it
-/// as threshold configuration, not as a module.
+/// as threshold configuration, not as a module. The serving executor
+/// does the same on the CPU: its streamlined plan
+/// (`crate::streamline`) tabulates this layer's eval arithmetic
+/// (`BatchNorm::eval_channel`) together with the QuantReLU behind it
+/// over every reachable integer accumulator and keeps only the three
+/// points where the 2-bit code steps, so a served batch never runs this
+/// forward. Training, `evaluate_exits` and nets the plan does not cover
+/// still do.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BatchNorm {
     /// Number of channels (4-D input) or features (flat input).
@@ -78,6 +85,18 @@ impl BatchNorm {
         }
     }
 
+    /// Eval-mode normalize of one channel's values against the running
+    /// statistics: `out = γ·((src − μ)·1/√(σ² + ε)) + β`, rounded step
+    /// by step as written. The one place that formula lives — the eval
+    /// forward applies it per sample, and the serving executor's
+    /// streamlined plan applies it to every reachable accumulator when
+    /// it folds this layer into thresholds.
+    pub(crate) fn eval_channel(&self, c: usize, out: &mut [f32], src: &[f32]) {
+        let inv_std = 1.0 / (self.running_var[c] + self.eps).sqrt();
+        let (g, b) = (self.gamma.value[c], self.beta.value[c]);
+        simd::normalize_affine(out, src, self.running_mean[c], inv_std, g, b);
+    }
+
     /// Forward pass: batch statistics in training, running statistics at
     /// eval.
     ///
@@ -88,28 +107,26 @@ impl BatchNorm {
         let spatial = self.spatial(&x.dims);
         assert_eq!(x.dims[0], self.channels, "batchnorm channels");
         let count = (x.n * spatial) as f32;
-        let mut out = Activation::zeros(x.n, &x.dims);
         let sample_len = x.sample_len();
 
         if !train {
             // Eval normalizes against the running statistics directly; no
-            // xhat buffer is materialized since no backward will run.
+            // xhat buffer is materialized since no backward will run, and
+            // every output element is written below.
             self.cache_valid = false;
+            let mut out = Activation::for_overwrite(x.n, &x.dims);
             for i in 0..x.n {
                 let s = &x.data[i * sample_len..(i + 1) * sample_len];
                 let o = &mut out.data[i * sample_len..(i + 1) * sample_len];
                 for c in 0..self.channels {
-                    let mean = self.running_mean[c];
-                    let inv_std = 1.0 / (self.running_var[c] + self.eps).sqrt();
-                    let g = self.gamma.value[c];
-                    let b = self.beta.value[c];
                     let ch = c * spatial..(c + 1) * spatial;
-                    simd::normalize_affine(&mut o[ch.clone()], &s[ch], mean, inv_std, g, b);
+                    self.eval_channel(c, &mut o[ch.clone()], &s[ch]);
                 }
             }
             return out;
         }
 
+        let mut out = Activation::zeros(x.n, &x.dims);
         with_workspace(|ws| {
             let mean = &mut ws.scratch;
             mean.clear();

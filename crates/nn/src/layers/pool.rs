@@ -91,7 +91,8 @@ impl MaxPool2d {
         let out_dims = [x.dims[0], oh, ow];
         let (c, h, w) = (x.dims[0], x.dims[1], x.dims[2]);
         let k = self.kernel;
-        let mut out = Activation::zeros(x.n, &out_dims);
+        // Every output element is written below.
+        let mut out = Activation::for_overwrite(x.n, &out_dims);
         // A max over grid values stays on the grid.
         out.quant = x.quant;
         let sample_in = x.sample_len();
@@ -107,24 +108,33 @@ impl MaxPool2d {
                 let plane = &img[ch * h * w..(ch + 1) * h * w];
                 for oy in 0..oh {
                     for ox in 0..ow {
+                        let o = base_out + (ch * oh + oy) * ow + ox;
                         let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
+                        if !train {
+                            // Eval needs the maximum only, not where it sat.
+                            for ky in 0..k {
+                                let at = (oy * k + ky) * w + ox * k;
+                                for &v in &plane[at..at + k] {
+                                    if v > best {
+                                        best = v;
+                                    }
+                                }
+                            }
+                            out.data[o] = best;
+                            continue;
+                        }
+                        let mut best_at = 0;
                         for ky in 0..k {
                             for kx in 0..k {
-                                let y = oy * k + ky;
-                                let xx = ox * k + kx;
-                                let v = plane[y * w + xx];
-                                if v > best {
-                                    best = v;
-                                    best_idx = i * sample_in + ch * h * w + y * w + xx;
+                                let at = (oy * k + ky) * w + ox * k + kx;
+                                if plane[at] > best {
+                                    best = plane[at];
+                                    best_at = at;
                                 }
                             }
                         }
-                        let o = base_out + (ch * oh + oy) * ow + ox;
                         out.data[o] = best;
-                        if train {
-                            argmax[o] = best_idx;
-                        }
+                        argmax[o] = i * sample_in + ch * h * w + best_at;
                     }
                 }
             }

@@ -46,6 +46,7 @@ pub mod network;
 pub mod optim;
 pub mod quant;
 pub mod serve;
+mod streamline;
 pub mod train;
 
 pub use cnv::{CnvConfig, ExitsConfig};

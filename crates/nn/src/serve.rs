@@ -12,14 +12,36 @@
 //! the tail past exit 1 is ~25–30 % of the forward, and the skipped
 //! exit-2 head is paid only by samples that reach it.
 //!
+//! A stage runs one of two ways, and which is a function of the net and
+//! the batch, never of a switch:
+//!
+//! - **Streamlined** (`crate::streamline`): under
+//!   [`EnginePlan::Auto`], for a net whose conv groups are all 2-bit and
+//!   engine-routed (every CNV the library serves), on an unstamped
+//!   batch. BatchNorm and QuantReLU are folded into per-channel integer
+//!   thresholds on the popcount accumulator when the executor is built;
+//!   each stage then runs **image-major** over bit-packed 2-bit code
+//!   maps — conv1 reads the caller's batch in place, the exit head and
+//!   the next stage read the same packed map, survivor compaction moves
+//!   a few KB of packed codes per image — and f32 exists only for the
+//!   `≤ 4·c` features an FC tail reads and for logits. This is the FINN
+//!   dataflow shape (MVTU → threshold unit → 2-bit stream) on a CPU.
+//! - **Layer by layer** over f32 [`Activation`]s: everything else —
+//!   [`EnginePlan::Int2Always`] / [`EnginePlan::F32Codes`], nets the
+//!   plan does not cover, stamped batches. It is the path training and
+//!   `evaluate_exits` run, and the reference the streamlined path is
+//!   differentially tested against (`tests/streamline_agreement.rs`).
+//!
 //! Two invariants make this serving-safe:
 //!
 //! - **Bit-identity with the reference path.** Every layer processes
 //!   samples independently (convs loop per sample; GEMM row results
 //!   never reassociate across rows), so compaction cannot change any
-//!   survivor's arithmetic. The verdicts (exit taken, class,
-//!   confidence) are exactly what [`ExitEvaluation::at_threshold`]
-//!   computes from a full forward — pinned by the tests below.
+//!   survivor's arithmetic, and the streamlined plan's thresholds are
+//!   tabulated from the layers' own arithmetic on every reachable
+//!   accumulator. The verdicts (exit taken, class, confidence) are
+//!   exactly what [`ExitEvaluation::at_threshold`] computes from a full
+//!   forward — pinned by the tests below.
 //! - **Worker-count invariance.** A batch is cut into
 //!   `ceil(n / workers)`-sample contiguous chunks, one per worker, each
 //!   with its own network clone; verdicts land in disjoint output
@@ -35,14 +57,16 @@
 //!
 //! Steady-state serving performs **zero heap allocations per batch**
 //! after warmup: activations and scratch cycle through the
-//! [`adapex_tensor::workspace`] pools and verdict vectors retain their
-//! capacity (pinned by `crates/nn/tests/alloc_regression.rs`).
+//! [`adapex_tensor::workspace`] pools, each worker keeps its packed-map
+//! buffers, and verdict vectors retain their capacity (pinned on both
+//! paths by `crates/nn/tests/alloc_regression.rs`).
 //!
 //! [`ExitEvaluation::at_threshold`]: crate::eval::ExitEvaluation::at_threshold
 
 use crate::layers::{Activation, Layer};
 use crate::loss::{confidence, softmax_into};
 use crate::network::EarlyExitNetwork;
+use crate::streamline::{StreamPlan, StreamScratch};
 use adapex_tensor::int2;
 use adapex_tensor::workspace::{recycle_f32, recycle_usize, take_f32_from, take_f32_uninit, take_usize_from};
 
@@ -51,12 +75,14 @@ use adapex_tensor::workspace::{recycle_f32, recycle_usize, take_f32_from, take_f
 pub enum EnginePlan {
     /// Shape-aware: popcount engine only where
     /// [`int2::conv_engine_profitable`] predicts a win, f32-over-codes
-    /// elsewhere. The serving default.
+    /// elsewhere — and, when that puts every conv behind the stem on the
+    /// engine, the streamlined path (see the module docs). The serving
+    /// default.
     Auto,
     /// Leave routing as the eval path ships it (engine for every
-    /// eligible layer) — the differential-testing axis.
+    /// eligible layer), layer by layer — the differential-testing axis.
     Int2Always,
-    /// Force the f32-over-codes route on every conv.
+    /// Force the f32-over-codes route on every conv, layer by layer.
     F32Codes,
 }
 
@@ -97,6 +123,14 @@ pub struct BatchVerdicts {
 }
 
 impl BatchVerdicts {
+    fn slots(&mut self) -> VerdictSlots<'_> {
+        VerdictSlots {
+            exit: &mut self.exit,
+            class: &mut self.class,
+            confidence: &mut self.confidence,
+        }
+    }
+
     /// Clears and resizes for `n` samples without shrinking capacity.
     fn reset(&mut self, n: usize) {
         self.exit.clear();
@@ -113,28 +147,49 @@ impl BatchVerdicts {
     }
 }
 
+/// One worker's private state: a network clone (layer caches are
+/// per-forward scratch) and the streamlined path's buffers.
+struct Worker {
+    net: EarlyExitNetwork,
+    scratch: StreamScratch,
+    /// The chunk's packed code maps: the stage being read and the one
+    /// being written, swapped as survivors advance.
+    maps: [Vec<u64>; 2],
+}
+
 /// Staged early-exit batch executor; see the module docs.
 pub struct BatchExecutor {
-    /// One network clone per worker; index `w` serves chunk `w`.
-    nets: Vec<EarlyExitNetwork>,
+    /// Index `w` serves chunk `w`.
+    workers: Vec<Worker>,
+    /// The streamlined plan, when the engine plan is `Auto` and the net
+    /// is one [`StreamPlan::build`] covers; shared read-only.
+    plan: Option<StreamPlan>,
     threshold: f32,
     num_exits: usize,
 }
 
 impl BatchExecutor {
-    /// Builds an executor around `net` (cloned per worker) and applies
-    /// the engine plan to every conv layer.
+    /// Builds an executor around `net` (cloned per worker), applies the
+    /// engine plan to every conv layer and, under [`EnginePlan::Auto`],
+    /// folds the net into its streamlined plan.
     pub fn new(net: &EarlyExitNetwork, cfg: &ExecutorConfig) -> Self {
         let mut template = net.clone();
         apply_engine_plan(&mut template, cfg.engine);
-        let workers = cfg.workers.max(1);
-        let mut nets = Vec::with_capacity(workers);
-        for _ in 0..workers.saturating_sub(1) {
-            nets.push(template.clone());
-        }
-        nets.push(template);
+        // Folded from a throwaway clone: the weight views the fold
+        // derives stay out of the per-worker copies.
+        let plan = (cfg.engine == EnginePlan::Auto)
+            .then(|| StreamPlan::build(&mut template.clone()))
+            .flatten();
+        let workers = (0..cfg.workers.max(1))
+            .map(|_| Worker {
+                net: template.clone(),
+                scratch: StreamScratch::default(),
+                maps: Default::default(),
+            })
+            .collect();
         BatchExecutor {
-            nets,
+            workers,
+            plan,
             threshold: cfg.threshold,
             num_exits: net.num_exits(),
         }
@@ -158,15 +213,23 @@ impl BatchExecutor {
 
     /// Worker count.
     pub fn workers(&self) -> usize {
-        self.nets.len()
+        self.workers.len()
+    }
+
+    /// Whether unstamped batches run the streamlined plan (thresholds
+    /// folded, packed code maps) rather than the layer-by-layer loop —
+    /// a property of the net and the engine plan, for reports.
+    pub fn streamlined(&self) -> bool {
+        self.plan.is_some()
     }
 
     /// How many conv layers the plan routes to the popcount engine vs
-    /// the f32-over-codes path, for reports.
+    /// the f32-over-codes path, for reports. (The streamlined path runs
+    /// only nets whose split has no f32-over-codes conv behind the stem.)
     pub fn engine_split(&self) -> (usize, usize) {
         let mut engine = 0;
         let mut f32_codes = 0;
-        let net = &self.nets[0];
+        let net = &self.workers[0].net;
         for l in net.backbone.iter().chain(net.exits.iter().flat_map(|e| e.layers.iter())) {
             if let Layer::Conv(c) = l {
                 if c.prefer_f32_codes {
@@ -187,7 +250,7 @@ impl BatchExecutor {
     /// Panics if `x.dims` doesn't match the network input shape.
     pub fn run_batch(&mut self, x: &Activation, out: &mut BatchVerdicts) {
         assert_eq!(
-            x.dims, self.nets[0].input_dims,
+            x.dims, self.workers[0].net.input_dims,
             "batch shape vs network input"
         );
         let n = x.n;
@@ -195,44 +258,35 @@ impl BatchExecutor {
         if n == 0 {
             return;
         }
-        let workers = self.nets.len();
+        // A stamped batch would send the stem down its int2 route; the
+        // plan's stem is the f32 one, so such a batch takes the layers.
+        let plan = self.plan.as_ref().filter(|_| x.quant.is_none());
         let threshold = self.threshold;
-        if workers == 1 || n == 1 {
-            run_chunk(
-                &mut self.nets[0],
-                x,
-                0,
-                n,
-                threshold,
-                &mut out.exit,
-                &mut out.class,
-                &mut out.confidence,
-            );
-            return;
-        }
         // Fixed chunking: depends only on (n, workers), so verdict
         // bytes are invariant across worker counts by per-sample
         // independence of every layer kernel.
-        let chunk = n.div_ceil(workers);
+        let chunk = if n == 1 { 1 } else { n.div_ceil(self.workers.len()) };
+        let mut jobs = self.workers.iter_mut().enumerate().filter_map(|(w, worker)| {
+            let (lo, hi) = (w * chunk, ((w + 1) * chunk).min(n));
+            (lo < hi).then_some(Chunk {
+                worker,
+                plan,
+                x,
+                lo,
+                hi,
+                threshold,
+            })
+        });
+        let mut verdicts = out.slots();
+        let first = jobs.next().expect("n > 0 fills the first chunk");
+        if first.hi == n {
+            return first.run(verdicts);
+        }
         std::thread::scope(|s| {
-            let mut exit_rest: &mut [usize] = &mut out.exit;
-            let mut class_rest: &mut [usize] = &mut out.class;
-            let mut conf_rest: &mut [f32] = &mut out.confidence;
-            for (w, net) in self.nets.iter_mut().enumerate() {
-                let lo = w * chunk;
-                if lo >= n {
-                    break;
-                }
-                let hi = (lo + chunk).min(n);
-                let (exit_c, er) = exit_rest.split_at_mut(hi - lo);
-                let (class_c, cr) = class_rest.split_at_mut(hi - lo);
-                let (conf_c, fr) = conf_rest.split_at_mut(hi - lo);
-                exit_rest = er;
-                class_rest = cr;
-                conf_rest = fr;
-                s.spawn(move || {
-                    run_chunk(net, x, lo, hi, threshold, exit_c, class_c, conf_c);
-                });
+            for job in std::iter::once(first).chain(jobs) {
+                let (mine, rest) = verdicts.split_at(job.hi - job.lo);
+                verdicts = rest;
+                s.spawn(move || job.run(mine));
             }
         });
     }
@@ -260,87 +314,225 @@ fn apply_engine_plan(net: &mut EarlyExitNetwork, plan: EnginePlan) {
     }
 }
 
-/// Staged forward over samples `lo..hi` of `x`. Verdict slices are
-/// indexed by position within the chunk.
-#[allow(clippy::too_many_arguments)]
-fn run_chunk(
-    net: &mut EarlyExitNetwork,
-    x: &Activation,
+/// A run of verdict slots, indexed by position within a chunk.
+struct VerdictSlots<'a> {
+    exit: &'a mut [usize],
+    class: &'a mut [usize],
+    confidence: &'a mut [f32],
+}
+
+impl<'a> VerdictSlots<'a> {
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (exit, exit_rest) = self.exit.split_at_mut(mid);
+        let (class, class_rest) = self.class.split_at_mut(mid);
+        let (confidence, confidence_rest) = self.confidence.split_at_mut(mid);
+        (
+            VerdictSlots {
+                exit,
+                class,
+                confidence,
+            },
+            VerdictSlots {
+                exit: exit_rest,
+                class: class_rest,
+                confidence: confidence_rest,
+            },
+        )
+    }
+}
+
+/// Samples `lo..hi` of a batch and the worker that runs them.
+struct Chunk<'a> {
+    worker: &'a mut Worker,
+    plan: Option<&'a StreamPlan>,
+    x: &'a Activation,
     lo: usize,
     hi: usize,
     threshold: f32,
-    exit_out: &mut [usize],
-    class_out: &mut [usize],
-    conf_out: &mut [f32],
-) {
-    let n0 = hi - lo;
-    let per = x.sample_len();
-    let final_exit = net.exits.len();
-    // The chunk's working activation and the survivors' chunk-local
-    // indices; both cycle through the workspace pools.
-    let mut cur = Activation {
-        data: take_f32_from(&x.data[lo * per..hi * per]),
-        n: n0,
-        dims: take_usize_from(&x.dims),
-        quant: x.quant,
-    };
-    let mut alive = take_usize_from(&[]);
-    alive.extend(0..n0);
-    let mut probs = take_f32_uninit(net.num_classes);
-    let mut seg_start = 0usize;
+}
 
-    for ei in 0..net.exits.len() {
-        let attach = net.exits[ei].attach_after;
-        for l in &mut net.backbone[seg_start..=attach] {
-            cur = l.forward_owned(cur, false);
+/// The confidence test behind every stage, shared by both chunk
+/// runners: which chunk-local samples are still alive, and where the
+/// verdicts of those that retire go.
+struct Retire<'a> {
+    threshold: f32,
+    final_exit: usize,
+    alive: Vec<usize>,
+    probs: Vec<f32>,
+    out: VerdictSlots<'a>,
+}
+
+impl<'a> Retire<'a> {
+    fn new(n: usize, net: &EarlyExitNetwork, threshold: f32, out: VerdictSlots<'a>) -> Self {
+        let mut alive = take_usize_from(&[]);
+        alive.extend(0..n);
+        Retire {
+            threshold,
+            final_exit: net.exits.len(),
+            alive,
+            probs: take_f32_uninit(net.num_classes),
+            out,
         }
-        seg_start = attach + 1;
-        let mut logits = cur.clone();
-        for l in &mut net.exits[ei].layers {
-            logits = l.forward_owned(logits, false);
-        }
-        // Retire confident samples, compact survivors in place.
-        let sample_len = cur.sample_len();
-        let mut keep = 0usize;
+    }
+
+    /// Retires the samples of `logits` (one row per live sample) whose
+    /// confidence clears the threshold — all of them at the final exit —
+    /// and compacts the survivors to the front of `alive`, calling
+    /// `keep(from, to)` for each one that moves so the caller moves its
+    /// carried state along. Returns the survivor count.
+    fn test(&mut self, exit: usize, logits: &Activation, mut keep: impl FnMut(usize, usize)) -> usize {
+        let mut kept = 0;
         for s in 0..logits.n {
-            softmax_into(logits.sample(s), &mut probs);
-            let conf = confidence(&probs);
-            let local = alive[s];
-            if conf >= threshold {
-                exit_out[local] = ei;
-                class_out[local] = argmax(&probs);
-                conf_out[local] = conf;
+            softmax_into(logits.sample(s), &mut self.probs);
+            let conf = confidence(&self.probs);
+            let local = self.alive[s];
+            if exit == self.final_exit || conf >= self.threshold {
+                self.out.exit[local] = exit;
+                self.out.class[local] = argmax(&self.probs);
+                self.out.confidence[local] = conf;
             } else {
-                if keep != s {
-                    cur.data
-                        .copy_within(s * sample_len..(s + 1) * sample_len, keep * sample_len);
-                    alive[keep] = local;
+                if kept != s {
+                    keep(s, kept);
+                    self.alive[kept] = local;
                 }
-                keep += 1;
+                kept += 1;
             }
         }
-        drop(logits);
-        if keep == 0 {
-            recycle_f32(probs);
-            recycle_usize(alive);
-            return;
+        self.alive.truncate(kept);
+        kept
+    }
+}
+
+impl Drop for Retire<'_> {
+    fn drop(&mut self) {
+        recycle_usize(std::mem::take(&mut self.alive));
+        recycle_f32(std::mem::take(&mut self.probs));
+    }
+}
+
+impl Chunk<'_> {
+    fn run(self, out: VerdictSlots<'_>) {
+        match self.plan {
+            Some(plan) => self.run_streamlined(plan, out),
+            None => self.run_layers(out),
         }
-        cur.data.truncate(keep * sample_len);
-        cur.n = keep;
-        alive.truncate(keep);
     }
 
-    for l in &mut net.backbone[seg_start..] {
-        cur = l.forward_owned(cur, false);
+    /// Staged forward, layer by layer over f32 activations: the path
+    /// training and `evaluate_exits` share, and the reference the
+    /// streamlined path is held to.
+    fn run_layers(self, out: VerdictSlots<'_>) {
+        let Chunk {
+            worker: Worker { net, .. },
+            x,
+            lo,
+            hi,
+            threshold,
+            ..
+        } = self;
+        let per = x.sample_len();
+        let mut retire = Retire::new(hi - lo, net, threshold, out);
+        // The chunk's working activation cycles through the workspace
+        // pools.
+        let mut cur = Activation {
+            data: take_f32_from(&x.data[lo * per..hi * per]),
+            n: hi - lo,
+            dims: take_usize_from(&x.dims),
+            quant: x.quant,
+        };
+        let mut seg_start = 0usize;
+        for ei in 0..net.exits.len() {
+            let attach = net.exits[ei].attach_after;
+            for l in &mut net.backbone[seg_start..=attach] {
+                cur = l.forward_owned(cur, false);
+            }
+            seg_start = attach + 1;
+            let mut logits = cur.clone();
+            for l in &mut net.exits[ei].layers {
+                logits = l.forward_owned(logits, false);
+            }
+            // Retire confident samples, compact survivors in place.
+            let len = cur.sample_len();
+            let data = &mut cur.data;
+            let kept = retire.test(ei, &logits, |from, to| {
+                data.copy_within(from * len..(from + 1) * len, to * len);
+            });
+            if kept == 0 {
+                return;
+            }
+            cur.data.truncate(kept * len);
+            cur.n = kept;
+        }
+        for l in &mut net.backbone[seg_start..] {
+            cur = l.forward_owned(cur, false);
+        }
+        retire.test(net.exits.len(), &cur, |_, _| {});
     }
-    for (s, &local) in alive.iter().enumerate() {
-        softmax_into(cur.sample(s), &mut probs);
-        exit_out[local] = final_exit;
-        class_out[local] = argmax(&probs);
-        conf_out[local] = confidence(&probs);
+
+    /// Staged forward on the streamlined plan: per stage, every live
+    /// image runs the stage's folded conv steps image-major over packed
+    /// code maps — stage 0 reads the caller's batch in place, the exit
+    /// head and the next stage read the same carried map — and only the
+    /// features an FC tail reads become f32, for the whole chunk at
+    /// once. Survivor compaction moves packed maps.
+    fn run_streamlined(self, plan: &StreamPlan, out: VerdictSlots<'_>) {
+        let Chunk {
+            worker:
+                Worker {
+                    net,
+                    scratch,
+                    maps: [cur, next],
+                },
+            x,
+            lo,
+            hi,
+            threshold,
+            ..
+        } = self;
+        let per = x.sample_len();
+        let mut retire = Retire::new(hi - lo, net, threshold, out);
+        let (mut n, mut cur_words) = (hi - lo, 0);
+        for s in 0..plan.num_stages() {
+            let fm = plan.feats(s);
+            let mut feats = Activation::for_overwrite(n, &[fm.c, fm.h, fm.w]);
+            feats.quant = Some(fm.quant());
+            let flen = feats.sample_len();
+            let advances = plan.advances(s);
+            let words = plan.carried(s).words();
+            if advances {
+                next.resize(n * words, 0);
+            }
+            for (i, f) in feats.data.chunks_exact_mut(flen).enumerate() {
+                let prev = &cur[i * cur_words..(i + 1) * cur_words];
+                if !advances {
+                    plan.head(s, prev, f, scratch);
+                    continue;
+                }
+                let carried = &mut next[i * words..(i + 1) * words];
+                if s == 0 {
+                    let img = &x.data[(lo + i) * per..(lo + i + 1) * per];
+                    plan.advance_image(img, carried, scratch);
+                } else {
+                    plan.advance_map(s, prev, carried, scratch);
+                }
+                plan.head(s, carried, f, scratch);
+            }
+            if advances {
+                std::mem::swap(cur, next);
+                cur_words = words;
+            }
+            let mut logits = feats;
+            for l in plan.tail(s, net) {
+                logits = l.forward_owned(logits, false);
+            }
+            n = retire.test(s, &logits, |from, to| {
+                cur.copy_within(from * cur_words..(from + 1) * cur_words, to * cur_words);
+            });
+            if n == 0 {
+                return;
+            }
+        }
     }
-    recycle_f32(probs);
-    recycle_usize(alive);
 }
 
 /// First-max argmax, exactly as the eval scorer computes predictions.

@@ -266,7 +266,9 @@ fn steady_state_direct_conv_eval_forward_does_not_allocate() {
 
 /// The serving hot loop: [`BatchExecutor::run_batch`] (staged forward,
 /// exit heads, survivor compaction, verdict writes) must be zero-alloc
-/// per batch once the workspace pools and verdict capacities are warm.
+/// per batch once the workspace pools, the worker's packed-map scratch
+/// and the verdict capacities are warm — on the streamlined path `Auto`
+/// runs a CNV on, and on the layer path `Int2Always` keeps.
 /// A mid-range threshold keeps both branches live — some samples retire
 /// at exit 1 (compaction path), some reach the final exit (tail path).
 #[test]
@@ -283,34 +285,44 @@ fn steady_state_serve_batch_does_not_allocate() {
         batch,
         net.input_dims.clone(),
     );
-    let mut exec = BatchExecutor::new(
-        &net,
-        &ExecutorConfig {
-            threshold: 0.3,
-            workers: 1,
-            engine: EnginePlan::Auto,
-        },
-    );
-    let mut out = BatchVerdicts::default();
-
-    // Warmup: pooled activations/scratch, quantized-weight caches, and
-    // the verdict vectors' capacity all materialize here.
-    for _ in 0..3 {
+    for engine in [EnginePlan::Auto, EnginePlan::Int2Always] {
+        let mut exec = BatchExecutor::new(
+            &net,
+            &ExecutorConfig {
+                threshold: 0.0,
+                workers: 1,
+                engine,
+            },
+        );
+        assert_eq!(exec.streamlined(), engine == EnginePlan::Auto);
+        let mut out = BatchVerdicts::default();
+        // The median exit-1 confidence as threshold: half the batch
+        // retires there, half carries on through compaction.
         exec.run_batch(&x, &mut out);
-    }
-    assert!(out.count_exit(0) > 0, "want the early-retire path live");
+        let mut seen = out.confidence.clone();
+        seen.sort_by(|a, b| a.partial_cmp(b).expect("confidences are finite"));
+        exec.set_threshold(seen[batch / 2]);
 
-    let before = thread_allocs();
-    for _ in 0..5 {
-        exec.run_batch(&x, &mut out);
+        // Warmup: pooled activations/scratch, quantized-weight caches, and
+        // the verdict vectors' capacity all materialize here.
+        for _ in 0..3 {
+            exec.run_batch(&x, &mut out);
+        }
+        assert!(out.count_exit(0) > 0, "want the early-retire path live");
+        assert!(out.count_exit(0) < batch, "want survivors past exit 1");
+
+        let before = thread_allocs();
+        for _ in 0..5 {
+            exec.run_batch(&x, &mut out);
+        }
+        let after = thread_allocs();
+        assert_eq!(
+            after - before,
+            0,
+            "steady-state {engine:?} serve batches allocated {} times",
+            after - before
+        );
     }
-    let after = thread_allocs();
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state serve batches allocated {} times",
-        after - before
-    );
 }
 
 #[test]

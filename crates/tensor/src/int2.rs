@@ -99,10 +99,39 @@
 //! composition would (the identity suite keeps it as its oracle), and
 //! the op counters live in the dispatcher, above the backends.
 //!
+//! # Staying in the code domain: the threshold unit
+//!
+//! [`conv_int2_direct`] hands back f32: the layers behind it run
+//! BatchNorm, QuantReLU and a max-pool as three more passes, and the
+//! next conv's [`pack_image_int2`] turns the result into the codes it
+//! started from. FINN's MVTU does none of that — the accumulator goes
+//! through a per-channel multi-threshold and leaves as a 2-bit code on
+//! a stream. [`conv_int2_codes`] is that pipeline for the serving
+//! executor: the same window gather, the same popcount GEMM (run at unit
+//! scale and zero bias, which makes the requantize epilogue the exact
+//! identity on `S`), then [`threshold_pool_pack_int2`] — each
+//! accumulator is compared against its channel's three integer steps
+//! ([`CodeSteps`]: `code = #{j : sign·S ≥ at[j]}`) and the code bits are
+//! written as `[plane0 | plane1]` row words in exactly the layout
+//! [`gather_conv_windows_int2`] reads, so the next conv gathers from
+//! them directly. A max-pool between the two moves in front of the
+//! threshold: `max` commutes with a weakly monotone code function, so
+//! the unit takes the window's largest `sign·S` (largest `S` for rising
+//! steps, smallest for falling ones) and thresholds once. The steps come
+//! from the caller, which tabulates its own f32 arithmetic over every
+//! reachable `S` ([`CodeSteps::from_table`] folds such a table and
+//! refuses one that is not a step function) — this module never decides
+//! what a threshold *should* be. A pool an exit head reads in front of
+//! cannot be fused; [`pool_image_int2`] runs it on the packed codes as
+//! an OR of thermometer planes. [`unpack_image_int2`] expands the few
+//! codes an FC layer reads back to grid values. `conv_int2_codes` bumps
+//! the op counters exactly as `conv_int2_direct` does: one direct-conv
+//! call, and the GEMM's own MAC and popcount-word counts.
+//!
 //! # Dispatch
 //!
-//! CPU detection picks the AVX2 or the portable pack, gather and
-//! popcount bodies once per process; the portable bodies are the only
+//! CPU detection picks the AVX2 or the portable pack, gather, threshold
+//! and popcount bodies once per process; the portable bodies are the only
 //! path on hosts without AVX2+POPCNT, and [`override_backend`] is how
 //! tests and benches reach them elsewhere — same bits either way. Which
 //! *route* a layer takes is a property of its shape
@@ -644,6 +673,359 @@ pub fn conv_int2_direct(
     gemm_int2(c_out, kk, oh * ow, wplanes, cols_ws, cs, bias, out, OutMajor::Row);
 }
 
+/// One output channel's map from the integer accumulator `S` to the
+/// 2-bit activation code the next layer consumes: the MVTU threshold
+/// unit. `code(S) = #{j : sign·S ≥ at[j]}` — three ascending integer
+/// steps on `S` itself (`sign = +1`, the code rises with `S`) or on `−S`
+/// (`sign = −1`, a negative BatchNorm scale makes it fall). A step that
+/// is never reached sits at `i32::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CodeSteps {
+    /// `+1` or `−1`: the direction the code moves with `S`.
+    pub sign: i32,
+    /// Ascending step positions on `sign·S`.
+    pub at: [i32; 3],
+}
+
+impl CodeSteps {
+    /// Folds a tabulated code function into steps: `codes[i]` (an exact
+    /// `0.0..=3.0` integer, as [`act_codes_in_place`] leaves it) is the
+    /// code at `S = lo + i`. `None` when the table is not weakly
+    /// monotone, i.e. no three steps reproduce it.
+    pub fn from_table(lo: i32, codes: &[f32]) -> Option<Self> {
+        let (&first, &last) = (codes.first()?, codes.last()?);
+        let sign = if first <= last { 1 } else { -1 };
+        let mut at = [i32::MAX; 3];
+        let mut prev = 0usize;
+        for step in 0..codes.len() {
+            // Walk in the direction `sign·S` ascends.
+            let i = if sign > 0 { step } else { codes.len() - 1 - step };
+            let code = codes[i] as usize;
+            debug_assert!(code <= 3 && codes[i] == code as f32);
+            if code < prev {
+                return None;
+            }
+            at[prev..code].fill(sign * (lo + i as i32));
+            prev = code;
+        }
+        Some(CodeSteps { sign, at })
+    }
+
+    /// The code at accumulator `s`.
+    #[inline]
+    pub fn code(&self, s: i32) -> u8 {
+        let v = self.sign * s;
+        self.at.iter().map(|&t| u8::from(v >= t)).sum()
+    }
+}
+
+/// Validated shape of one threshold-pool-pack pass, shared by both
+/// backend bodies.
+struct PoolPackShape {
+    h: usize,
+    w: usize,
+    pool: usize,
+    /// Pooled map extent (`⌊h/pool⌋ × ⌊w/pool⌋`, max-pool's floor rule).
+    ph: usize,
+    pw: usize,
+    /// Words per packed output row plane ([`image_row_words`]).
+    rw: usize,
+}
+
+impl PoolPackShape {
+    fn new(
+        acc: &[f32],
+        channels: usize,
+        h: usize,
+        w: usize,
+        pool: usize,
+        pad: usize,
+        out: &[u64],
+    ) -> Self {
+        assert!(pool >= 1, "threshold_pool_pack_int2: pool window must be positive");
+        assert_eq!(
+            acc.len(),
+            channels * h * w,
+            "threshold_pool_pack_int2: accumulator map length mismatch"
+        );
+        let shape = Self {
+            h,
+            w,
+            pool,
+            ph: h / pool,
+            pw: w / pool,
+            rw: image_row_words(w / pool, pad),
+        };
+        assert_eq!(
+            out.len(),
+            channels * shape.ph * 2 * shape.rw,
+            "threshold_pool_pack_int2: packed output length mismatch"
+        );
+        shape
+    }
+
+    /// Folds the `pool` input rows of pooled row `py` of channel `ch`
+    /// into the first of them, element-wise: `row[x] = max ±acc[..][x]`
+    /// with the channel's sign applied on the way in (`−0.0` compares
+    /// equal to `0.0`, so negating a zero accumulator is harmless). A
+    /// plain slice loop — it vectorizes in whichever backend inlines it.
+    /// Returns the offset of the folded row in `acc`.
+    #[inline(always)]
+    fn fold_rows(&self, acc: &mut [f32], ch: usize, py: usize, flip: bool) -> usize {
+        let base = (ch * self.h + py * self.pool) * self.w;
+        let (row, rest) = acc[base..base + self.pool * self.w].split_at_mut(self.w);
+        if flip {
+            for v in row.iter_mut() {
+                *v = -*v;
+            }
+        }
+        for other in rest.chunks_exact(self.w) {
+            for (d, &s) in row.iter_mut().zip(other) {
+                let s = if flip { -s } else { s };
+                if s > *d {
+                    *d = s;
+                }
+            }
+        }
+        base
+    }
+
+    /// Folds each `pool`-wide column window of a row into `row[px]`, in
+    /// place (the write index never passes the read index).
+    #[inline(always)]
+    fn fold_cols(&self, row: &mut [f32]) {
+        if self.pool == 1 {
+            return;
+        }
+        for px in 0..self.pw {
+            let mut best = row[px * self.pool];
+            for kx in 1..self.pool {
+                let v = row[px * self.pool + kx];
+                if v > best {
+                    best = v;
+                }
+            }
+            row[px] = best;
+        }
+    }
+}
+
+/// The MVTU threshold unit behind the popcount GEMM: turns one image's
+/// accumulator map into the packed 2-bit image the next conv's window
+/// gather reads, with the max-pool in between folded in.
+///
+/// `acc` is `[channels, h, w]` exact integer accumulators as `f32`
+/// ([`gemm_int2`] with unit scale and zero bias, [`OutMajor::Row`]) and
+/// is **clobbered**: each `pool × pool` window is reduced in place to
+/// `max sign·S`, then thresholded against the channel's [`CodeSteps`] —
+/// pool-then-threshold, which equals threshold-then-max-pool because a
+/// weakly monotone code function commutes with `max`. Row `(ch, py)` of
+/// the pooled `⌊h/pool⌋ × ⌊w/pool⌋` code map lands at
+/// `out[(ch·ph + py) · 2·rw ..]` as `[plane0 | plane1]`, column `px` at
+/// bit `pad + px`, every word written — exactly [`pack_image_int2`]'s
+/// layout for that map.
+///
+/// # Panics
+///
+/// Panics when `acc` or `out` does not match the shape.
+pub fn threshold_pool_pack_int2(
+    acc: &mut [f32],
+    steps: &[CodeSteps],
+    h: usize,
+    w: usize,
+    pool: usize,
+    pad: usize,
+    out: &mut [u64],
+) {
+    match active_backend() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `pack_image_int2`.
+        Backend::Avx2 => unsafe { avx2::threshold_pool_pack_int2(acc, steps, h, w, pool, pad, out) },
+        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 => portable::threshold_pool_pack_int2(acc, steps, h, w, pool, pad, out),
+        Backend::Portable => portable::threshold_pool_pack_int2(acc, steps, h, w, pool, pad, out),
+    }
+}
+
+/// Direct int2 convolution that never leaves the code domain: gathers
+/// every window's operand from an already packed image
+/// ([`gather_conv_windows_int2`]), runs the popcount GEMM to raw integer
+/// accumulators and sends them through the threshold unit
+/// ([`threshold_pool_pack_int2`]) straight into the next layer's packed
+/// image. The streamlined twin of [`conv_int2_direct`] → BatchNorm →
+/// QuantReLU → max-pool → [`pack_image_int2`]: same gather, same GEMM,
+/// same op-counter bumps (one direct-conv call, `c_out·pixels·k` MACs),
+/// no f32 activation in between. `cols_ws`/`acc_ws` are caller-provided
+/// scratch.
+///
+/// # Panics
+///
+/// Panics on shape mismatches, as the three stages do.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_int2_codes(
+    image: &[u64],
+    c_in: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeometry,
+    wplanes: &[u64],
+    steps: &[CodeSteps],
+    pool: usize,
+    out_pad: usize,
+    out: &mut [u64],
+    cols_ws: &mut Vec<u64>,
+    acc_ws: &mut Vec<f32>,
+) {
+    let k = geom.kernel;
+    let oh = geom.output_dim(h).expect("window must fit");
+    let ow = geom.output_dim(w).expect("window must fit");
+    let (c_out, pixels) = (steps.len(), oh * ow);
+    DIRECT_CONV_CALLS.fetch_add(1, Ordering::Relaxed);
+    gather_conv_windows_int2(image, c_in, h, w, geom, cols_ws);
+    // Unit scale and zero bias make the requantize epilogue the exact
+    // identity on `S` (|S| < 2^24); both ride behind the map in `acc_ws`.
+    // The GEMM overwrites the whole map, so stale contents are fine.
+    acc_ws.resize(c_out * (pixels + 2), 0.0);
+    let (acc, consts) = acc_ws.split_at_mut(c_out * pixels);
+    let (unit, zero) = consts.split_at_mut(c_out);
+    unit.fill(1.0);
+    zero.fill(0.0);
+    gemm_int2(c_out, c_in * k * k, pixels, wplanes, cols_ws, unit, zero, acc, OutMajor::Row);
+    threshold_pool_pack_int2(acc, steps, oh, ow, pool, out_pad, out);
+}
+
+/// Max-pools a packed 2-bit image without leaving the code domain, for
+/// the pool a fused [`threshold_pool_pack_int2`] cannot absorb (an exit
+/// head reads the un-pooled map first). Codes are compared as
+/// thermometers — `t1 = p0|p1` (code ≥ 1), `t2 = p1`, `t3 = p0&p1` — so
+/// the maximum over a window is a bitwise OR: 64 columns per word down
+/// the window's rows, then one masked test per pooled pixel across it.
+/// `image` is a packed `c×h×w` image with `pad_in`; `out` receives the
+/// `⌊h/pool⌋ × ⌊w/pool⌋` map packed with `pad_out`, every word written.
+/// `rows_ws` is scratch.
+///
+/// # Panics
+///
+/// Panics when `image`/`out` do not match the shapes or `pool` is not in
+/// `1..=64`.
+#[allow(clippy::too_many_arguments)]
+pub fn pool_image_int2(
+    image: &[u64],
+    c: usize,
+    h: usize,
+    w: usize,
+    pad_in: usize,
+    pool: usize,
+    pad_out: usize,
+    out: &mut [u64],
+    rows_ws: &mut Vec<u64>,
+) {
+    assert!((1..=64).contains(&pool), "pool_image_int2: pool window must be in 1..=64");
+    let (ph, pw) = (h / pool, w / pool);
+    let (rw_in, rw_out) = (image_row_words(w, pad_in), image_row_words(pw, pad_out));
+    assert_eq!(image.len(), c * h * 2 * rw_in, "pool_image_int2: packed image length mismatch");
+    assert_eq!(out.len(), c * ph * 2 * rw_out, "pool_image_int2: packed output length mismatch");
+    let win_mask = if pool == 64 { !0 } else { (1u64 << pool) - 1 };
+    resize_for_overwrite(rows_ws, 3 * rw_in);
+    let (t1, rest) = rows_ws.split_at_mut(rw_in);
+    let (t2, t3) = rest.split_at_mut(rw_in);
+    for (r, dst) in out.chunks_exact_mut(2 * rw_out).enumerate() {
+        let top = (r / ph * h + r % ph * pool) * 2 * rw_in;
+        for i in 0..rw_in {
+            let (mut a1, mut a2, mut a3) = (0, 0, 0);
+            for row in image[top..top + pool * 2 * rw_in].chunks_exact(2 * rw_in) {
+                let (p0, p1) = (row[i], row[rw_in + i]);
+                a1 |= p0 | p1;
+                a2 |= p1;
+                a3 |= p0 & p1;
+            }
+            (t1[i], t2[i], t3[i]) = (a1, a2, a3);
+        }
+        dst.fill(0);
+        let (d0, d1) = dst.split_at_mut(rw_out);
+        // 64 row bits starting at bit `at`; the guard word keeps the
+        // funnel read in bounds.
+        let bits_at = |t: &[u64], at: usize| {
+            let (i, sh) = (at / 64, at % 64);
+            (t[i] >> sh) | (t[i + 1] << 1 << (63 - sh))
+        };
+        if pool == 2 {
+            // Word-parallel: OR each column into its left neighbour and
+            // squeeze the even bits together, 32 pooled pixels a word.
+            for px in (0..pw).step_by(32) {
+                let live = if pw - px >= 32 { !0 >> 32 } else { (1u64 << (pw - px)) - 1 };
+                let fold = |t: &[u64]| {
+                    let x = bits_at(t, pad_in + 2 * px);
+                    even_bits(x | x >> 1) & live
+                };
+                let (g1, g2, g3) = (fold(t1), fold(t2), fold(t3));
+                let (word, bit) = ((pad_out + px) / 64, (pad_out + px) % 64);
+                let (b0, b1) = (g1 ^ g2 ^ g3, g2);
+                d0[word] |= b0 << bit;
+                d1[word] |= b1 << bit;
+                if bit > 32 {
+                    // The guard word keeps `word + 1` inside the plane.
+                    d0[word + 1] |= b0 >> (64 - bit);
+                    d1[word + 1] |= b1 >> (64 - bit);
+                }
+            }
+            continue;
+        }
+        for px in 0..pw {
+            let any = |t: &[u64]| u64::from(bits_at(t, pad_in + px * pool) & win_mask != 0);
+            let (g1, g2, g3) = (any(t1), any(t2), any(t3));
+            let (word, bit) = ((pad_out + px) / 64, (pad_out + px) % 64);
+            d0[word] |= (g1 ^ g2 ^ g3) << bit;
+            d1[word] |= g2 << bit;
+        }
+    }
+}
+
+/// Bits 0, 2, 4, … of `x`, squeezed into the low 32 bits.
+#[inline]
+fn even_bits(mut x: u64) -> u64 {
+    x &= 0x5555_5555_5555_5555;
+    x = (x | x >> 1) & 0x3333_3333_3333_3333;
+    x = (x | x >> 2) & 0x0f0f_0f0f_0f0f_0f0f;
+    x = (x | x >> 4) & 0x00ff_00ff_00ff_00ff;
+    x = (x | x >> 8) & 0x0000_ffff_0000_ffff;
+    (x | x >> 16) & 0x0000_0000_ffff_ffff
+}
+
+/// Expands a packed 2-bit image back to grid values, CHW order:
+/// `out[(ch·h + y)·w + x] = code · scale` — bit for bit what QuantReLU's
+/// `q · scale` wrote for that code. The streamlined path materializes
+/// f32 only through this, for the few features an FC tail reads.
+///
+/// # Panics
+///
+/// Panics when `image` is not a packed `c×h×w` image or `out` is not
+/// `c·h·w` long.
+pub fn unpack_image_int2(
+    image: &[u64],
+    c: usize,
+    h: usize,
+    w: usize,
+    pad: usize,
+    scale: f32,
+    out: &mut [f32],
+) {
+    let rw = image_row_words(w, pad);
+    assert_eq!(image.len(), c * h * 2 * rw, "unpack_image_int2: packed image length mismatch");
+    assert_eq!(out.len(), c * h * w, "unpack_image_int2: output length mismatch");
+    if w == 0 {
+        return;
+    }
+    for (row, dst) in image.chunks_exact(2 * rw).zip(out.chunks_exact_mut(w)) {
+        let (p0, p1) = row.split_at(rw);
+        for (x, v) in dst.iter_mut().enumerate() {
+            let (word, bit) = ((pad + x) / 64, (pad + x) % 64);
+            let code = (p0[word] >> bit & 1) + 2 * (p1[word] >> bit & 1);
+            *v = code as f32 * scale;
+        }
+    }
+}
+
 /// Rounds a quantized activation slice to its integer codes in place:
 /// `v = clamp(round(v / scale), 0, 3)`, computed by the engine's one
 /// compare rule (the same codes [`pack_image_int2`] packs). Inputs lie
@@ -792,7 +1174,8 @@ macro_rules! gemm_int2_body {
 /// bit-identity suite can pin it against AVX2 directly.
 pub mod portable {
     use super::{
-        act_code, pack_image_setup, requant, words_per_item, ConvGeometry, GatherShape, OutMajor,
+        act_code, pack_image_setup, requant, words_per_item, CodeSteps, ConvGeometry, GatherShape,
+        OutMajor, PoolPackShape,
     };
 
     /// Single-backend entry with the same contract as
@@ -835,6 +1218,37 @@ pub mod portable {
         GatherShape::new(image, c, h, w, geom, out).gather_pixels(image, out);
     }
 
+    /// Single-backend entry with the same contract as
+    /// [`super::threshold_pool_pack_int2`]: one pooled pixel at a time.
+    pub fn threshold_pool_pack_int2(
+        acc: &mut [f32],
+        steps: &[CodeSteps],
+        h: usize,
+        w: usize,
+        pool: usize,
+        pad: usize,
+        out: &mut [u64],
+    ) {
+        let shape = PoolPackShape::new(acc, steps.len(), h, w, pool, pad, out);
+        let (ph, pw, rw) = (shape.ph, shape.pw, shape.rw);
+        for (r, dst) in out.chunks_exact_mut(2 * rw).enumerate() {
+            let st = &steps[r / ph];
+            let at = st.at.map(|t| t as f32);
+            let base = shape.fold_rows(acc, r / ph, r % ph, st.sign < 0);
+            let row = &mut acc[base..base + w];
+            shape.fold_cols(row);
+            dst.fill(0);
+            let (p0, p1) = dst.split_at_mut(rw);
+            for (px, &v) in row[..pw].iter().enumerate() {
+                let code =
+                    u64::from(v >= at[0]) + u64::from(v >= at[1]) + u64::from(v >= at[2]);
+                let (word, bit) = ((pad + px) / 64, (pad + px) % 64);
+                p0[word] |= (code & 1) << bit;
+                p1[word] |= (code >> 1) << bit;
+            }
+        }
+    }
+
     /// `S = pc(w0&a0) + 2·pc(w0&a1) - 2·pc(w1&a0) - 4·pc(w1&a1)` over
     /// `[plane0 | plane1]` packed items.
     #[inline(always)]
@@ -875,8 +1289,8 @@ pub mod portable {
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use super::{
-        pack_image_setup, plane_words, portable, requant, words_per_item, ConvGeometry,
-        GatherShape, OutMajor,
+        pack_image_setup, plane_words, portable, requant, words_per_item, CodeSteps, ConvGeometry,
+        GatherShape, OutMajor, PoolPackShape,
     };
     use std::arch::x86_64::*;
     use std::mem::MaybeUninit;
@@ -1085,6 +1499,109 @@ pub mod avx2 {
             while ox < ow {
                 gather_lanes::<1>(image, &shape, oy, ox.min(ow - 4), out);
                 ox += 4;
+            }
+        }
+    }
+
+    /// Folds adjacent column pairs of a row into `row[..pw]` in place —
+    /// `PoolPackShape::fold_cols` for the 2×2 pool, eight pooled pixels
+    /// per pass: even and odd columns are split by `vshufps`, maxed, and
+    /// the 64-bit pairs put back in order.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline(always)]
+    unsafe fn fold_col_pairs(row: &mut [f32], pw: usize) {
+        debug_assert!(2 * pw <= row.len());
+        let mut px = 0;
+        while px + 8 <= pw {
+            let p = row.as_mut_ptr();
+            // SAFETY: `2·px + 16 <= 2·pw <= row.len()`; the store at
+            // `px..px + 8` lies below everything later passes read.
+            let a = _mm256_loadu_ps(p.add(2 * px));
+            let b = _mm256_loadu_ps(p.add(2 * px + 8));
+            let m = _mm256_max_ps(
+                _mm256_shuffle_ps::<0x88>(a, b),
+                _mm256_shuffle_ps::<0xDD>(a, b),
+            );
+            // Pairs arrive as [P0 P1, P4 P5 | P2 P3, P6 P7].
+            let m = _mm256_permute4x64_pd::<0xD8>(_mm256_castps_pd(m));
+            _mm256_storeu_ps(p.add(px), _mm256_castpd_ps(m));
+            px += 8;
+        }
+        for px in px..pw {
+            let (a, b) = (row[2 * px], row[2 * px + 1]);
+            row[px] = if b > a { b } else { a };
+        }
+    }
+
+    /// Single-backend entry with the same contract as
+    /// [`super::threshold_pool_pack_int2`]: the row fold vectorizes as
+    /// written, the 2×2 pool's column fold is `fold_col_pairs`, and
+    /// eight pooled pixels become plane bits with three `vcmpps` and
+    /// three `vmovmskps` — [`pack_image_int2`]'s deposit with per-channel
+    /// steps in place of the divide.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn threshold_pool_pack_int2(
+        acc: &mut [f32],
+        steps: &[CodeSteps],
+        h: usize,
+        w: usize,
+        pool: usize,
+        pad: usize,
+        out: &mut [u64],
+    ) {
+        let shape = PoolPackShape::new(acc, steps.len(), h, w, pool, pad, out);
+        let (ph, pw, rw) = (shape.ph, shape.pw, shape.rw);
+        for (r, dst) in out.chunks_exact_mut(2 * rw).enumerate() {
+            let st = &steps[r / ph];
+            let base = shape.fold_rows(acc, r / ph, r % ph, st.sign < 0);
+            let row = &mut acc[base..base + w];
+            if pool == 2 {
+                fold_col_pairs(row, pw);
+            } else {
+                shape.fold_cols(row);
+            }
+            let (t1, t2, t3) = (
+                _mm256_set1_ps(st.at[0] as f32),
+                _mm256_set1_ps(st.at[1] as f32),
+                _mm256_set1_ps(st.at[2] as f32),
+            );
+            dst.fill(0);
+            let (p0, p1) = dst.split_at_mut(rw);
+            for px in (0..pw).step_by(8) {
+                let src = row.as_ptr().add(px);
+                let v = if px + 8 <= w {
+                    // SAFETY: lanes `px..px + 8` lie inside `row`.
+                    _mm256_loadu_ps(src)
+                } else {
+                    let mask = TAIL_MASK.as_ptr().add(8 - (w - px));
+                    // SAFETY: as in `pack_image_int2`: the mask window
+                    // lies inside TAIL_MASK and only the `w - px`
+                    // selected lanes, all inside `row`, are touched.
+                    _mm256_maskload_ps(src, _mm256_loadu_si256(mask as *const __m256i))
+                };
+                // Lanes past the pooled row hold stale columns (or the
+                // masked load's zeros), which may clear a step: drop them.
+                let live = if pw - px >= 8 { 0xff } else { (1u64 << (pw - px)) - 1 };
+                let g1 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(v, t1)) as u64 & live;
+                let g2 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(v, t2)) as u64 & live;
+                let g3 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(v, t3)) as u64 & live;
+                let (b0, b1) = (g1 ^ g2 ^ g3, g2);
+                let (word, bit) = ((pad + px) / 64, (pad + px) % 64);
+                p0[word] |= b0 << bit;
+                p1[word] |= b1 << bit;
+                if bit > 56 {
+                    // As in `pack_image_int2`: the guard word keeps
+                    // `word + 1` inside the row plane.
+                    p0[word + 1] |= b0 >> (64 - bit);
+                    p1[word + 1] |= b1 >> (64 - bit);
+                }
             }
         }
     }

@@ -593,3 +593,260 @@ fn gemm_row_lane_saturated_bytes_do_not_wrap() {
         );
     }
 }
+
+/// A small deterministic generator for the threshold-unit tests below.
+fn lcg(state: &mut u64) -> u64 {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    *state >> 33
+}
+
+/// The threshold unit's oracle: code every accumulator on its own,
+/// max-pool the *codes* with the layer's floor rule, and pack the
+/// pooled map with `pack_image_int2` (itself pinned to the legacy
+/// oracle above) at unit scale.
+fn threshold_then_pool_then_pack(
+    acc: &[f32],
+    steps: &[int2::CodeSteps],
+    h: usize,
+    w: usize,
+    pool: usize,
+    pad: usize,
+) -> Vec<u64> {
+    let (c, ph, pw) = (steps.len(), h / pool, w / pool);
+    let mut pooled = vec![0.0f32; c * ph * pw];
+    for ch in 0..c {
+        for py in 0..ph {
+            for px in 0..pw {
+                let mut best = 0u8;
+                for ky in 0..pool {
+                    for kx in 0..pool {
+                        let s = acc[(ch * h + py * pool + ky) * w + px * pool + kx];
+                        best = best.max(steps[ch].code(s as i32));
+                    }
+                }
+                pooled[(ch * ph + py) * pw + px] = f32::from(best);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    portable::pack_image_int2(&pooled, 1.0, c, ph, pw, pad, &mut out);
+    out
+}
+
+/// Both threshold-unit bodies against the oracle: ragged and sub-vector
+/// widths, pooled rows wider than one word, windows that do not divide
+/// the map, both directions, and steps that are never or always
+/// reached.
+#[test]
+fn threshold_pool_pack_bodies_equal_pooled_code_oracle() {
+    let mut rng = 0x7e57_u64;
+    for &(c, h, w, pool, pad) in &[
+        (1usize, 1usize, 1usize, 1usize, 0usize),
+        (3, 5, 3, 1, 1),    // ow < 4
+        (2, 4, 7, 1, 0),    // one ragged vector
+        (8, 28, 28, 1, 0),  // conv2 of the width-8 CNV
+        (8, 26, 26, 13, 0), // its exit head: k = ⌊DIM/2⌋
+        (5, 9, 21, 2, 2),   // 2×2, odd extents: last row/column dropped
+        (2, 6, 37, 2, 1),   // 2×2, vector body plus scalar tail
+        (3, 8, 8, 4, 0),
+        (2, 7, 11, 3, 3),   // 3 does not divide 7 or 11
+        (1, 3, 70, 1, 0),   // pooled row wider than one word
+        (2, 4, 150, 2, 5),  // 75 pooled columns + padding: two words
+        (1, 2, 61, 1, 3),   // a vector's bits straddle the word boundary
+    ] {
+        let acc: Vec<f32> = (0..c * h * w)
+            .map(|_| (lcg(&mut rng) % 401) as f32 - 200.0)
+            .collect();
+        let steps: Vec<int2::CodeSteps> = (0..c)
+            .map(|ch| {
+                let mut at = [0i32; 3];
+                for t in &mut at {
+                    *t = (lcg(&mut rng) % 301) as i32 - 150;
+                }
+                at.sort_unstable();
+                match ch % 4 {
+                    2 => at[2] = i32::MAX,          // code 3 never reached
+                    3 => at = [-1000, -1000, -1000], // constant 3
+                    _ => {}
+                }
+                int2::CodeSteps {
+                    sign: if lcg(&mut rng) & 1 == 0 { 1 } else { -1 },
+                    at,
+                }
+            })
+            .collect();
+        let want = threshold_then_pool_then_pack(&acc, &steps, h, w, pool, pad);
+        let tag = format!("c={c} h={h} w={w} pool={pool} pad={pad}");
+        let mut got = vec![!0u64; want.len()]; // stale words must not survive
+        portable::threshold_pool_pack_int2(&mut acc.clone(), &steps, h, w, pool, pad, &mut got);
+        assert_eq!(got, want, "portable threshold unit, {tag}");
+        #[cfg(target_arch = "x86_64")]
+        if has_avx2() {
+            let mut got = vec![!0u64; want.len()];
+            unsafe {
+                avx2::threshold_pool_pack_int2(&mut acc.clone(), &steps, h, w, pool, pad, &mut got)
+            };
+            assert_eq!(got, want, "avx2 threshold unit, {tag}");
+        }
+    }
+}
+
+/// `CodeSteps::from_table` reproduces every weakly monotone table —
+/// rising, falling, constant, with skipped codes — and refuses the rest.
+#[test]
+fn code_steps_fold_exactly_the_monotone_tables() {
+    let mut rng = 0x57e9_u64;
+    for case in 0..400 {
+        let len = 1 + (lcg(&mut rng) % 60) as usize;
+        let lo = (lcg(&mut rng) % 200) as i32 - 150;
+        // Three sorted cut points (possibly equal or out of range) make
+        // a rising table; reversing it makes a falling one.
+        let mut cuts = [0usize; 3];
+        for cut in &mut cuts {
+            *cut = (lcg(&mut rng) % (len as u64 + 8)) as usize;
+        }
+        cuts.sort_unstable();
+        let mut table: Vec<f32> = (0..len)
+            .map(|i| cuts.iter().filter(|&&cut| i >= cut).count() as f32)
+            .collect();
+        if case % 2 == 1 {
+            table.reverse();
+        }
+        let steps = int2::CodeSteps::from_table(lo, &table).expect("monotone table");
+        for (i, &code) in table.iter().enumerate() {
+            assert_eq!(f32::from(steps.code(lo + i as i32)), code, "case {case} at {i}");
+        }
+        // A dip (or bump) in the interior is not a step function.
+        if len >= 3 && table[0] == table[len - 1] {
+            let mut broken = table.clone();
+            broken[len / 2] = if table[0] == 3.0 { 0.0 } else { table[0] + 1.0 };
+            assert_eq!(int2::CodeSteps::from_table(lo, &broken), None, "case {case}");
+        }
+    }
+    assert_eq!(int2::CodeSteps::from_table(0, &[]), None);
+}
+
+/// Code-domain max-pool and the f32 expansion against plain loops over
+/// the codes: word-parallel 2×2 (single- and multi-word rows, odd
+/// extents, padded input), the generic window, and pack → unpack.
+#[test]
+fn packed_pool_and_unpack_match_code_loops() {
+    let mut rng = 0x9001_u64;
+    for &(c, h, w, pool, pad_in, pad_out) in &[
+        (8usize, 28usize, 28usize, 2usize, 0usize, 0usize),
+        (16, 10, 10, 2, 0, 0),
+        (3, 7, 9, 2, 1, 2),    // odd extents, padded both sides
+        (2, 4, 140, 2, 3, 1),  // 70 pooled columns: more than 32 per row
+        (1, 6, 200, 2, 0, 60), // output straddles a word boundary
+        (2, 9, 9, 3, 2, 0),
+        (2, 26, 26, 13, 0, 0),
+        (1, 5, 5, 1, 1, 3),    // identity pool, re-padded
+    ] {
+        let codes: Vec<f32> = (0..c * h * w).map(|_| (lcg(&mut rng) % 4) as f32).collect();
+        let scale = 0.37f32;
+        let vals: Vec<f32> = codes.iter().map(|&q| q * scale).collect();
+        let mut image = Vec::new();
+        int2::pack_image_int2(&vals, scale, c, h, w, pad_in, &mut image);
+        let tag = format!("c={c} h={h} w={w} pool={pool} pads={pad_in}/{pad_out}");
+
+        let mut back = vec![f32::NAN; c * h * w];
+        int2::unpack_image_int2(&image, c, h, w, pad_in, scale, &mut back);
+        assert_eq!(bits(&back), bits(&vals), "unpack, {tag}");
+
+        let (ph, pw) = (h / pool, w / pool);
+        let mut pooled = vec![0.0f32; c * ph * pw];
+        for ch in 0..c {
+            for py in 0..ph {
+                for px in 0..pw {
+                    let window = (0..pool * pool).map(|i| {
+                        codes[(ch * h + py * pool + i / pool) * w + px * pool + i % pool]
+                    });
+                    pooled[(ch * ph + py) * pw + px] = window.fold(0.0, f32::max);
+                }
+            }
+        }
+        let mut want = Vec::new();
+        int2::pack_image_int2(&pooled, 1.0, c, ph, pw, pad_out, &mut want);
+        let mut got = vec![!0u64; want.len()];
+        let mut ws = vec![!0u64; 1];
+        int2::pool_image_int2(&image, c, h, w, pad_in, pool, pad_out, &mut got, &mut ws);
+        assert_eq!(got, want, "pool, {tag}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The code-domain conv against the f32 chain it replaces, stage by
+    /// stage: `conv_int2_direct` at unit scale yields the accumulators,
+    /// each is coded on its own, the codes are max-pooled and packed.
+    /// Dispatched and forced-portable runs must both equal it.
+    #[test]
+    fn code_domain_conv_equals_direct_conv_then_code_pool_pack(
+        c in 1usize..5,
+        h in 3usize..11,
+        w in 3usize..11,
+        kernel in 1usize..4,
+        stride in 1usize..3,
+        pad in 0usize..2,
+        pool in 1usize..4,
+        out_pad in 0usize..3,
+        c_out in 1usize..6,
+        seed in any::<u64>(),
+        a0 in acodes(4 * 10 * 10),
+        w0 in wcodes(5 * 4 * 3 * 3),
+    ) {
+        let geom = ConvGeometry::new(kernel).with_stride(stride).with_padding(pad);
+        let (Some(oh), Some(ow)) = (geom.output_dim(h), geom.output_dim(w)) else {
+            return Ok(());
+        };
+        if oh < pool || ow < pool {
+            return Ok(());
+        }
+        let kk = c * kernel * kernel;
+        let vals = &a0[..c * h * w]; // codes at unit scale
+        let mut wplanes = Vec::new();
+        int2::pack_weights_int2(&w0[..c_out * kk], c_out, kk, &mut wplanes);
+        let mut rng = seed;
+        let reach = 6 * kk as u64 + 2;
+        let steps: Vec<int2::CodeSteps> = (0..c_out)
+            .map(|_| {
+                let mut at = [0i32; 3];
+                for t in &mut at {
+                    *t = (lcg(&mut rng) % reach) as i32 - (reach / 2) as i32;
+                }
+                at.sort_unstable();
+                int2::CodeSteps { sign: if lcg(&mut rng) & 1 == 0 { 1 } else { -1 }, at }
+            })
+            .collect();
+
+        let mut acc = vec![0.0f32; c_out * oh * ow];
+        let (mut img_ws, mut cols_ws) = (Vec::new(), Vec::new());
+        int2::conv_int2_direct(
+            vals, 1.0, c, h, w, geom, &wplanes, c_out, &vec![1.0; c_out], &vec![0.0; c_out],
+            &mut acc, &mut img_ws, &mut cols_ws,
+        );
+        let want = threshold_then_pool_then_pack(&acc, &steps, oh, ow, pool, out_pad);
+
+        let mut image = Vec::new();
+        int2::pack_image_int2(vals, 1.0, c, h, w, pad, &mut image);
+        let run = || {
+            let mut got = vec![!0u64; want.len()];
+            let (mut cols, mut acc_ws) = (Vec::new(), Vec::new());
+            int2::conv_int2_codes(
+                &image, c, h, w, geom, &wplanes, &steps, pool, out_pad, &mut got, &mut cols,
+                &mut acc_ws,
+            );
+            got
+        };
+        prop_assert_eq!(&run(), &want, "dispatched");
+        // Same bits either way, so flipping the process-global backend
+        // under the other tests of this binary is harmless.
+        int2::override_backend(Some(Backend::Portable));
+        let portable = run();
+        int2::override_backend(None);
+        prop_assert_eq!(&portable, &want, "forced portable");
+    }
+}
