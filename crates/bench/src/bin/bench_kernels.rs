@@ -18,9 +18,20 @@
 //! throughput. The bit-packed int2 GEMM (`gemm_int2_*` rows) is measured
 //! at the same CNV shapes, and the report's
 //! `int2_speedup_vs_f32_gemm_full` field records how much the popcount
-//! engine buys over the dispatched f32 GEMM at the largest shape — on
-//! AVX2 hosts the run **asserts** that factor is at least 1.5×, so a
-//! regression in the engine fails the bench instead of shipping.
+//! engine buys over the dispatched f32 GEMM at the largest shape — where
+//! a vector int2 backend is dispatched the run **asserts** that factor
+//! is at least 1.5×, so a regression in the engine fails the bench
+//! instead of shipping. The header names the dispatched `simd` and
+//! `int2` backends (two dispatchers: the f32 kernels stop at AVX2) and
+//! the host's CPU features.
+//!
+//! `int2_backends` times the int2 kernels under **every** backend the
+//! host can force — portable, AVX2, AVX-512 — in one interleaved run
+//! (round-robin over the backends, best batch each), so its ratios
+//! compare bodies, not runs: no column comes from a compiled-in
+//! baseline, and a backend the host lacks is `null`. Where both vector
+//! backends exist the run asserts AVX-512 ≥ 1.8× AVX2 on
+//! `gemm_conv2_full`.
 //!
 //! `BENCH_simd.json` also carries the direct conv path stage by stage:
 //! `int2_direct_stages` times `pack_image_int2`, `gather_conv_windows_int2`
@@ -53,7 +64,7 @@ use adapex_nn::train::{TrainConfig, Trainer};
 use adapex_tensor::conv::{im2col, im2col_into, ConvGeometry};
 use adapex_tensor::gemm::{gemm, gemm_bias, gemm_st};
 use adapex_tensor::parallel::num_threads;
-use adapex_tensor::int2::{self, OutMajor};
+use adapex_tensor::int2::{self, CodeSteps, OutMajor};
 use adapex_tensor::rng::{normal_tensor, rng_from_seed};
 use adapex_tensor::simd::{self, Backend};
 use serde::{Deserialize, Serialize};
@@ -138,23 +149,44 @@ struct CrossoverReport {
     auto_routes_engine: bool,
 }
 
+/// One int2 kernel under every backend, from one interleaved run.
+#[derive(Debug, Serialize)]
+struct BackendRow {
+    name: String,
+    portable_ns_per_op: f64,
+    /// `null`: the host cannot run the backend.
+    avx2_ns_per_op: Option<f64>,
+    avx512_ns_per_op: Option<f64>,
+    /// AVX2 ns / AVX-512 ns, where the host has both.
+    avx512_speedup_vs_avx2: Option<f64>,
+}
+
 #[derive(Debug, Serialize)]
 struct SimdReport {
     schema_version: u32,
     threads: usize,
     /// `std::thread::available_parallelism` of the measuring host.
     host_cores: usize,
-    avx2_available: bool,
-    dispatched_backend: String,
+    /// `adapex_bench::cpu_features` of the measuring host.
+    cpu_features: Vec<&'static str>,
+    /// The backend the f32 kernels (`kernels` rows without `int2`)
+    /// dispatched to ...
+    simd_backend: String,
+    /// ... and the one the int2 kernels did: every `dispatched` number
+    /// of an int2 row, and both gated factors below, are of this backend.
+    int2_backend: String,
     /// Dispatched f32 GEMM ns / dispatched int2 GEMM ns at the largest
-    /// CNV shape (`gemm_conv2_full`). Asserted >= 1.5 on AVX2 hosts.
+    /// CNV shape (`gemm_conv2_full`). Asserted >= 1.5 where a vector
+    /// int2 backend is dispatched.
     int2_speedup_vs_f32_gemm_full: f64,
     /// Full per-image im2col-int2 conv path ns / direct conv path ns at
     /// the largest CNV shape (`conv_int2_*_conv2_full`): what packing
     /// the image once and gathering windows buys over im2col + column
-    /// packing. Asserted >= 1.3 on AVX2 hosts.
+    /// packing. Asserted >= 1.3 where a vector int2 backend is
+    /// dispatched.
     direct_conv_speedup_vs_im2col_full: f64,
     kernels: Vec<SimdKernelReport>,
+    int2_backends: Vec<BackendRow>,
     int2_direct_stages: Vec<StageReport>,
     conv_route_crossover: Vec<CrossoverReport>,
 }
@@ -177,6 +209,51 @@ fn time_both_int2_backends(mut f: impl FnMut(), samples: usize, iters: usize) ->
     int2::override_backend(None);
     let dispatched = time_ns(&mut f, samples, iters);
     (dispatched, scalar)
+}
+
+/// Times `f` under every int2 backend the host can force — the detected
+/// one and, `Backend` being ordered best first, every one after it — in
+/// one interleaved run: `samples` rounds over the backends, one batch of
+/// `iters` calls each, best batch per backend. A slow phase of the host
+/// then hits all columns alike instead of whichever ran in it.
+fn time_int2_backends(name: &str, mut f: impl FnMut(), samples: usize, iters: usize) -> BackendRow {
+    let all = [Backend::Avx512, Backend::Avx2, Backend::Portable];
+    int2::override_backend(None);
+    let detected = int2::active_backend();
+    let first = all.iter().position(|&b| b == detected).expect("all backends are listed");
+    let mut best = [f64::INFINITY; 3];
+    for round in 0..samples + 1 {
+        for (slot, &backend) in all.iter().enumerate().skip(first) {
+            int2::override_backend(Some(backend));
+            let t0 = Instant::now();
+            for _ in 0..iters {
+                f();
+            }
+            let ns = t0.elapsed().as_nanos() as f64 / iters as f64;
+            // Round 0 is the warm-up.
+            if round > 0 {
+                best[slot] = best[slot].min(ns);
+            }
+        }
+    }
+    int2::override_backend(None);
+    let column = |slot: usize| best[slot].is_finite().then_some(best[slot]);
+    let row = BackendRow {
+        name: name.to_string(),
+        portable_ns_per_op: best[2],
+        avx2_ns_per_op: column(1),
+        avx512_ns_per_op: column(0),
+        avx512_speedup_vs_avx2: column(0).zip(column(1)).map(|(avx512, avx2)| avx2 / avx512),
+    };
+    let show = |ns: Option<f64>| ns.map_or("unavailable".to_string(), |ns| format!("{ns:.0} ns"));
+    eprintln!(
+        "{name:36} portable {:>10.0} ns, avx2 {:>14}, avx512 {:>14}{}",
+        row.portable_ns_per_op,
+        show(row.avx2_ns_per_op),
+        show(row.avx512_ns_per_op),
+        row.avx512_speedup_vs_avx2.map_or(String::new(), |x| format!(" ({x:.2}x avx2)")),
+    );
+    row
 }
 
 /// Times `f`, returning ns per call: a few warmup calls, then the best
@@ -421,8 +498,8 @@ fn main() {
             push_simd(name, times);
         }
 
-        // Bit-packed int2 GEMM at the same CNV shapes: dispatched
-        // (vpshufb popcount) vs forced-portable (`count_ones`), over
+        // Bit-packed int2 GEMM at the same CNV shapes: dispatched (the
+        // detected vector backend) vs forced-portable (`count_ones`), over
         // pre-packed bit planes — the steady-state eval inner step,
         // where packing is amortized across output rows.
         let mut int2_gemm_full_ns = f64::NAN;
@@ -551,6 +628,118 @@ fn main() {
             }
             push_simd(&format!("conv_int2_im2col_{tag}"), times_im2col);
             push_simd(&format!("conv_int2_direct_{tag}"), times_direct);
+        }
+
+        // The three hot int2 kernels and the code-domain conv they make
+        // up, under every backend the host has, interleaved.
+        let mut backend_rows: Vec<BackendRow> = Vec::new();
+        for (tag, c_in, hw, c_out, samples, iters) in [
+            ("conv2_w8", 8usize, 30usize, 8usize, 15usize, 40usize),
+            ("conv4_w8", 16, 12, 16, 15, 100),
+            ("conv2_full", 64, 30, 64, 7, 3),
+        ] {
+            let geom = ConvGeometry::new(3);
+            let (kk, side) = (c_in * 9, hw - 2);
+            let pixels = side * side;
+            let ascale = 0.5f32;
+            let (img, _, planes) = int2_conv3x3_inputs(c_in, hw, c_out, ascale);
+            let cs: Vec<f32> = (0..c_out).map(|i| 0.01 + i as f32 * 0.003).collect();
+            let bias: Vec<f32> = (0..c_out).map(|i| i as f32 * 0.1 - 0.4).collect();
+            let (mut img_bits, mut win_bits) = (Vec::new(), Vec::new());
+            int2::pack_image_int2(&img, ascale, c_in, hw, hw, 0, &mut img_bits);
+            backend_rows.push(time_int2_backends(
+                &format!("gather_{tag}"),
+                || {
+                    int2::gather_conv_windows_int2(
+                        black_box(&img_bits),
+                        c_in,
+                        hw,
+                        hw,
+                        geom,
+                        &mut win_bits,
+                    )
+                },
+                samples,
+                iters,
+            ));
+            let mut y = vec![0.0f32; c_out * pixels];
+            backend_rows.push(time_int2_backends(
+                &format!("gemm_{tag}"),
+                || {
+                    int2::gemm_int2(
+                        c_out,
+                        kk,
+                        pixels,
+                        &planes,
+                        black_box(&win_bits),
+                        &cs,
+                        &bias,
+                        &mut y,
+                        OutMajor::Row,
+                    )
+                },
+                samples,
+                iters,
+            ));
+            // Steps a third of the way along the reachable accumulator
+            // range each, every third channel falling.
+            let steps: Vec<CodeSteps> = (0..c_out)
+                .map(|ch| CodeSteps {
+                    sign: if ch % 3 == 0 { -1 } else { 1 },
+                    at: [-(kk as i32), 0, kk as i32],
+                })
+                .collect();
+            let mut coded = vec![0u64; c_out * side * 2 * int2::image_row_words(side, 1)];
+            let (mut acc, mut acc_ws) = (vec![0.0f32; c_out * pixels], Vec::new());
+            let unit = vec![1.0f32; c_out];
+            int2::gemm_int2(c_out, kk, pixels, &planes, &win_bits, &unit, &vec![0.0; c_out], &mut acc, OutMajor::Row);
+            backend_rows.push(time_int2_backends(
+                &format!("threshold_{tag}"),
+                // The unit clobbers `acc` (some bodies negate a falling
+                // channel in place); its timing does not depend on the values.
+                || int2::threshold_pool_pack_int2(black_box(&mut acc), &steps, side, side, 1, 1, &mut coded),
+                samples,
+                iters,
+            ));
+            backend_rows.push(time_int2_backends(
+                &format!("conv_codes_{tag}"),
+                || {
+                    int2::conv_int2_codes(
+                        black_box(&img_bits),
+                        c_in,
+                        hw,
+                        hw,
+                        geom,
+                        &planes,
+                        &steps,
+                        1,
+                        1,
+                        &mut coded,
+                        &mut win_bits,
+                        &mut acc_ws,
+                    )
+                },
+                samples,
+                iters,
+            ));
+        }
+        // The AVX-512 promise, same run, same operands: native 64-bit
+        // lane popcounts must beat the emulated ones by 1.8x at the
+        // largest CNV GEMM. Skipped (and said so) where either backend
+        // is missing.
+        let full = backend_rows
+            .iter()
+            .find(|r| r.name == "gemm_conv2_full")
+            .expect("the gemm_conv2_full row was just timed");
+        match full.avx512_speedup_vs_avx2 {
+            Some(ratio) => {
+                eprintln!("avx512 vs avx2 int2 GEMM (conv2_full)   {ratio:>8.2}x (gate: >= 1.8x)");
+                assert!(
+                    ratio >= 1.8,
+                    "AVX-512 int2 GEMM regression: only {ratio:.2}x over AVX2 at conv2_full"
+                );
+            }
+            None => eprintln!("avx512 vs avx2 int2 GEMM: a backend is unavailable, gate skipped"),
         }
 
         // The direct route stage by stage at the repo benchmark's four
@@ -743,18 +932,19 @@ fn main() {
         );
         push_simd("fold_max_abs_16k", times);
 
-        let avx2_available = cfg!(target_arch = "x86_64")
-            && std::arch::is_x86_feature_detected!("avx2")
-            && std::arch::is_x86_feature_detected!("popcnt");
+        // Both gates below are of whichever vector backend the int2
+        // kernels dispatch to; a portable-only host reports, ungated.
+        let int2_backend = int2::active_backend();
+        let vector_int2 = int2_backend != Backend::Portable;
         let int2_speedup = f32_gemm_full_ns / int2_gemm_full_ns;
         eprintln!(
-            "int2 vs f32 GEMM (conv2_full)        {int2_speedup:>11.2}x (gate: >= 1.5x on AVX2)"
+            "int2 vs f32 GEMM (conv2_full)        {int2_speedup:>11.2}x (gate: >= 1.5x, on {int2_backend:?})"
         );
-        // The headline promise of the bit-packed engine: on AVX2 hosts
-        // the dispatched int2 GEMM must beat the dispatched f32 GEMM by
-        // at least 1.5x at the largest CNV shape. A regression here
-        // fails the bench run (and the CI leg that invokes it).
-        if avx2_available {
+        // The headline promise of the bit-packed engine: the dispatched
+        // int2 GEMM must beat the dispatched f32 GEMM by at least 1.5x
+        // at the largest CNV shape. A regression here fails the bench
+        // run (and the CI leg that invokes it).
+        if vector_int2 {
             assert!(
                 int2_speedup >= 1.5,
                 "int2 GEMM regression: only {int2_speedup:.2}x over f32 at conv2_full \
@@ -764,12 +954,12 @@ fn main() {
 
         let direct_conv_speedup = im2col_full_ns / direct_full_ns;
         eprintln!(
-            "direct vs im2col int2 conv (conv2_full) {direct_conv_speedup:>8.2}x (gate: >= 1.3x on AVX2)"
+            "direct vs im2col int2 conv (conv2_full) {direct_conv_speedup:>8.2}x (gate: >= 1.3x, on {int2_backend:?})"
         );
         // The tentpole promise of the direct route: packing the image
         // once and gathering windows must beat the full im2col-int2
         // path by at least 1.3x at the largest CNV conv shape.
-        if avx2_available {
+        if vector_int2 {
             assert!(
                 direct_conv_speedup >= 1.3,
                 "direct conv regression: only {direct_conv_speedup:.2}x over the im2col route \
@@ -781,11 +971,13 @@ fn main() {
             schema_version: adapex_bench::BENCH_SCHEMA_VERSION,
             threads: num_threads(),
             host_cores: adapex_bench::host_cores(),
-            avx2_available,
-            dispatched_backend: format!("{:?}", simd::active_backend()),
+            cpu_features: adapex_bench::cpu_features(),
+            simd_backend: format!("{:?}", simd::active_backend()),
+            int2_backend: format!("{int2_backend:?}"),
             int2_speedup_vs_f32_gemm_full: int2_speedup,
             direct_conv_speedup_vs_im2col_full: direct_conv_speedup,
             kernels: simd_kernels,
+            int2_backends: backend_rows,
             int2_direct_stages: stages,
             conv_route_crossover: crossover,
         };

@@ -36,6 +36,32 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// The vector CPU features of the measuring host that a kernel backend
+/// keys on (or could), in the order detection asks for them; recorded in
+/// the kernel reports so a backend column can be read against its
+/// machine. Empty off x86-64.
+pub fn cpu_features() -> Vec<&'static str> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        macro_rules! detected {
+            ($($feature:tt),*) => {
+                [$(($feature, std::arch::is_x86_feature_detected!($feature))),*]
+            };
+        }
+        detected!(
+            "avx2", "popcnt", "fma", "avx512f", "avx512vpopcntdq", "avx512bw", "avx512vl",
+            "avx512dq", "avx512bitalg", "avx512vbmi", "avx512vnni"
+        )
+        .into_iter()
+        .filter_map(|(feature, has)| has.then_some(feature))
+        .collect()
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        Vec::new()
+    }
+}
+
 /// Experiment scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {

@@ -719,6 +719,13 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     };
     use adapex_edge::{ServeScenario, ServeScenarioConfig};
 
+    // Which kernel bodies this host dispatches to: what the executor
+    // behind the served latencies runs on here.
+    println!(
+        "kernel backends: simd {:?}, int2 {:?}",
+        adapex_tensor::simd::active_backend(),
+        adapex_tensor::int2::active_backend()
+    );
     let mut config = ServeConfig::paper_default();
     if let Some(spec) = args.get("slo") {
         config.classes = parse_slo(spec)?;

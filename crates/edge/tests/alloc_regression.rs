@@ -211,8 +211,9 @@ fn steady_state_direct_conv_serve_batch_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state direct-conv serve batches allocated {} times",
-        after - before
+        "steady-state direct-conv serve batches allocated {} times on the {:?} backend",
+        after - before,
+        int2::active_backend()
     );
     assert!(
         int2::direct_conv_calls() > 0,

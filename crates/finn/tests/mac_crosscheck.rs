@@ -11,6 +11,10 @@
 //! reduction depth is a multiple of 64 — the gap is the zero-padded tail
 //! words, which the word-granularity model also counts, not a
 //! divergence.
+//!
+//! The counters sit in the dispatchers, above the backend bodies, so the
+//! counts must not depend on which body ran: every check repeats under
+//! each int2 backend the host can force.
 
 use std::sync::Mutex;
 
@@ -19,13 +23,30 @@ use adapex_nn::layers::{Activation, QuantConv2d, QuantReLU};
 use adapex_nn::quant::QuantSpec;
 use adapex_nn::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
 use adapex_tensor::conv::ConvGeometry;
-use adapex_tensor::int2;
+use adapex_tensor::int2::{self, Backend};
 use adapex_tensor::rng::{normal_tensor, rng_from_seed};
 use finn_dataflow::{IrOp, ModelIr};
 
-/// Serializes the tests: they read process-global counters, so
-/// concurrent runs would cross-talk.
+/// Serializes the tests: they read process-global counters and flip
+/// the process-global backend, so concurrent runs would cross-talk.
 static COUNTER_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs `check` under every int2 backend this host can force, best
+/// first — the detected one and, [`Backend`] being ordered best first,
+/// every one after it — and says which it could not. Call with
+/// [`COUNTER_LOCK`] held.
+fn under_every_backend(test: &str, mut check: impl FnMut(Backend)) {
+    int2::override_backend(None);
+    let all = [Backend::Avx512, Backend::Avx2, Backend::Portable];
+    let detected = int2::active_backend();
+    let first = all.iter().position(|&b| b == detected).expect("all backends are listed");
+    for &backend in &all[first..] {
+        int2::override_backend(Some(backend));
+        check(backend);
+    }
+    int2::override_backend(None);
+    println!("{test}: covered {:?}, unavailable on this host {:?}", &all[first..], &all[..first]);
+}
 
 /// One conv layer with a 2-bit-quantized input: engine counters ==
 /// the IR node's predictions, hand-checkable (4×6 ch, 3×3 kernel,
@@ -63,16 +84,18 @@ fn single_conv_counters_match_ir_prediction() {
     assert_eq!(node.macs(), 4 * 6 * 9 * 8 * 8);
     assert_eq!(node.int2_popcount_ops(), 4 * 6 * 8 * 8); // ceil(36/64) = 1 word
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    int2::reset_op_counters();
-    conv.forward(&x, false);
-    let (macs, pops) = int2::op_counters();
-    assert_eq!(macs, batch as u64 * node.macs());
-    assert_eq!(pops, batch as u64 * node.int2_popcount_ops());
-    // Prove the engine route ran: one direct call per image.
-    assert_eq!(int2::direct_conv_calls(), batch as u64);
-    // Constant-factor relation: 64 codes / 4 plane streams per word
-    // => up to 16 MACs per popcount op; k = 36 < 64 keeps it strict.
-    assert!(pops * 16 >= macs);
+    under_every_backend("single_conv_counters_match_ir_prediction", |backend| {
+        int2::reset_op_counters();
+        conv.forward(&x, false);
+        let (macs, pops) = int2::op_counters();
+        assert_eq!(macs, batch as u64 * node.macs(), "{backend:?}");
+        assert_eq!(pops, batch as u64 * node.int2_popcount_ops(), "{backend:?}");
+        // Prove the engine route ran: one direct call per image.
+        assert_eq!(int2::direct_conv_calls(), batch as u64, "{backend:?}");
+        // Constant-factor relation: 64 codes / 4 plane streams per word
+        // => up to 16 MACs per popcount op; k = 36 < 64 keeps it strict.
+        assert!(pops * 16 >= macs);
+    });
 }
 
 /// Full early-exit network: per-sample engine counters == the IR's
@@ -98,23 +121,25 @@ fn full_network_engine_counters_match_ir_profile() {
     );
 
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    int2::reset_op_counters();
-    net.forward(&x, false);
-    let (macs, pops) = int2::op_counters();
-    assert_eq!(
-        macs,
-        batch as u64 * macs_per_sample,
-        "engine MACs diverge from the cycle model's matrix-node count"
-    );
-    assert_eq!(
-        pops,
-        batch as u64 * pops_per_sample,
-        "engine popcount ops diverge from the word-granularity model"
-    );
-    // The direct route must actually engage on the non-stem convs (the
-    // stem consumes the raw image and stays on the f32 path, so it
-    // never contributes a call).
-    assert!(int2::direct_conv_calls() > 0, "direct conv path never engaged");
+    under_every_backend("full_network_engine_counters_match_ir_profile", |backend| {
+        int2::reset_op_counters();
+        net.forward(&x, false);
+        let (macs, pops) = int2::op_counters();
+        assert_eq!(
+            macs,
+            batch as u64 * macs_per_sample,
+            "{backend:?}: engine MACs diverge from the cycle model's matrix-node count"
+        );
+        assert_eq!(
+            pops,
+            batch as u64 * pops_per_sample,
+            "{backend:?}: engine popcount ops diverge from the word-granularity model"
+        );
+        // The direct route must actually engage on the non-stem convs
+        // (the stem consumes the raw image and stays on the f32 path, so
+        // it never contributes a call).
+        assert!(int2::direct_conv_calls() > 0, "{backend:?}: direct conv path never engaged");
+    });
 }
 
 /// The serving executor's streamlined path (thresholds folded, packed
@@ -141,26 +166,29 @@ fn streamlined_executor_counters_match_ir_profile() {
     );
 
     let _guard = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for engine in [EnginePlan::Auto, EnginePlan::Int2Always] {
-        let mut exec = BatchExecutor::new(
-            &net,
-            &ExecutorConfig {
-                threshold: 2.0,
-                workers: 1,
-                engine,
-            },
-        );
-        assert_eq!(exec.streamlined(), engine == EnginePlan::Auto);
-        let mut out = BatchVerdicts::default();
-        int2::reset_op_counters();
-        exec.run_batch(&x, &mut out);
-        let (macs, pops) = int2::op_counters();
-        assert_eq!(macs, batch as u64 * macs_per_sample, "{engine:?} MACs");
-        assert_eq!(pops, batch as u64 * pops_per_sample, "{engine:?} popcount words");
-        assert_eq!(
-            int2::direct_conv_calls(),
-            batch as u64 * convs_per_sample,
-            "{engine:?} direct-conv calls"
-        );
-    }
+    under_every_backend("streamlined_executor_counters_match_ir_profile", |backend| {
+        for engine in [EnginePlan::Auto, EnginePlan::Int2Always] {
+            let mut exec = BatchExecutor::new(
+                &net,
+                &ExecutorConfig {
+                    threshold: 2.0,
+                    workers: 1,
+                    engine,
+                },
+            );
+            assert_eq!(exec.streamlined(), engine == EnginePlan::Auto);
+            let mut out = BatchVerdicts::default();
+            int2::reset_op_counters();
+            exec.run_batch(&x, &mut out);
+            let (macs, pops) = int2::op_counters();
+            let tag = format!("{engine:?} under {backend:?}");
+            assert_eq!(macs, batch as u64 * macs_per_sample, "{tag} MACs");
+            assert_eq!(pops, batch as u64 * pops_per_sample, "{tag} popcount words");
+            assert_eq!(
+                int2::direct_conv_calls(),
+                batch as u64 * convs_per_sample,
+                "{tag} direct-conv calls"
+            );
+        }
+    });
 }

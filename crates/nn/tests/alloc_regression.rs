@@ -210,8 +210,9 @@ fn steady_state_int2_eval_forward_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state int2 eval forwards allocated {} times",
-        after - before
+        "steady-state int2 eval forwards allocated {} times on the {:?} backend",
+        after - before,
+        adapex_tensor::int2::active_backend()
     );
     let (macs, _) = adapex_tensor::int2::op_counters();
     assert!(macs > 0, "int2 engine never engaged in the classifier");
@@ -255,8 +256,9 @@ fn steady_state_direct_conv_eval_forward_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "steady-state direct-conv eval forwards allocated {} times",
-        after - before
+        "steady-state direct-conv eval forwards allocated {} times on the {:?} backend",
+        after - before,
+        adapex_tensor::int2::active_backend()
     );
     assert!(
         adapex_tensor::int2::direct_conv_calls() > 0,
@@ -319,8 +321,9 @@ fn steady_state_serve_batch_does_not_allocate() {
         assert_eq!(
             after - before,
             0,
-            "steady-state {engine:?} serve batches allocated {} times",
-            after - before
+            "steady-state {engine:?} serve batches allocated {} times on the {:?} backend",
+            after - before,
+            adapex_tensor::int2::active_backend()
         );
     }
 }

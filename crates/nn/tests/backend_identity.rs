@@ -1,16 +1,18 @@
 //! End-to-end cross-backend identity.
 //!
-//! `simd_identity` and `int2_identity` pin the AVX2 and portable bodies
-//! against each other kernel by kernel; this suite pins what that buys
-//! at the surfaces callers see. One SGD training step, a full
+//! `simd_identity` and `int2_identity` pin the AVX-512, AVX2 and portable
+//! bodies against each other kernel by kernel; this suite pins what that
+//! buys at the surfaces callers see. One SGD training step, a full
 //! `evaluate_exits` sweep and one `BatchExecutor::run_batch` on the same
 //! seeded net and data must come out `to_bits`-identical whether the
-//! f32 and int2 dispatchers use the detected backend or are pinned to
-//! the portable one (trivially equal on a host without AVX2, where
-//! detection already picks portable).
+//! f32 and int2 dispatchers use the detected backends or are pinned to
+//! any backend the host can run — on an AVX-512 host that is forced
+//! AVX-512 (the int2 `VPOPCNTDQ` bodies over the 8-lane f32 kernels),
+//! forced AVX2, which detection would otherwise never dispatch there,
+//! and forced portable.
 //!
-//! The backend overrides are process-global and never restored here,
-//! so this file holds a single test.
+//! The backend overrides are process-global, so this file holds a
+//! single test.
 
 use adapex_dataset::{DatasetKind, SyntheticConfig};
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
@@ -87,15 +89,39 @@ fn run_all_surfaces() -> Observed {
     }
 }
 
+/// The backends this host can force, best first: the detected one and,
+/// [`Backend`] being ordered best first, every one after it.
+fn forcible_backends() -> Vec<Backend> {
+    int2::override_backend(None);
+    let all = [Backend::Avx512, Backend::Avx2, Backend::Portable];
+    let detected = int2::active_backend();
+    let first = all.iter().position(|&b| b == detected).expect("all backends are listed");
+    for missing in &all[..first] {
+        println!("backend_identity: {missing:?} unavailable on this host");
+    }
+    all[first..].to_vec()
+}
+
+/// Named for its first form, which forced the portable backend only; it
+/// now forces every backend the host has, portable last.
 #[test]
 fn train_eval_and_serve_are_bit_identical_on_the_portable_backend() {
+    let backends = forcible_backends();
+    simd::override_backend(None);
     let detected = run_all_surfaces();
-    simd::override_backend(Some(Backend::Portable));
-    int2::override_backend(Some(Backend::Portable));
-    let portable = run_all_surfaces();
-
     assert!(!detected.trained_params.is_empty());
     assert_eq!(detected.eval_confidence[0].len(), 24);
     assert_eq!(detected.serve_exit.len(), 24);
-    assert_eq!(detected, portable);
+    println!(
+        "backend_identity: detected simd {:?} / int2 {:?}, forcing {backends:?}",
+        simd::active_backend(),
+        int2::active_backend()
+    );
+    for backend in backends {
+        simd::override_backend(Some(backend));
+        int2::override_backend(Some(backend));
+        assert_eq!(run_all_surfaces(), detected, "forced {backend:?} vs detected");
+    }
+    simd::override_backend(None);
+    int2::override_backend(None);
 }

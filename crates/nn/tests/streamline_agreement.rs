@@ -6,16 +6,19 @@
 //! layer-by-layer loop over f32 activations. The two must agree in
 //! every verdict bit — exit, class, confidence — for any BatchNorm
 //! parameters, batch size, threshold and worker count, and a stamped
-//! input batch must take the layer path under both.
+//! input batch must take the layer path under both — under the detected
+//! int2 backend and under every other one the host can force (AVX2 is
+//! never detected on an AVX-512 host, portable on neither).
 //!
-//! The last check reads the process-global direct-conv counter, so this
-//! file holds a single test.
+//! The last check reads the process-global direct-conv counter, and the
+//! backend override is process-global too, so this file holds a single
+//! test.
 
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
 use adapex_nn::layers::{ActQuant, Activation, Layer};
 use adapex_nn::network::EarlyExitNetwork;
 use adapex_nn::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
-use adapex_tensor::int2;
+use adapex_tensor::int2::{self, Backend};
 use adapex_tensor::rng::rng_from_seed;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -115,59 +118,84 @@ fn thresholds_for(net: &EarlyExitNetwork, x: &Activation) -> Vec<f32> {
     cuts
 }
 
+/// The backends this host can force, best first: the detected one and,
+/// [`Backend`] being ordered best first, every one after it.
+fn forcible_backends() -> Vec<Backend> {
+    int2::override_backend(None);
+    let all = [Backend::Avx512, Backend::Avx2, Backend::Portable];
+    let detected = int2::active_backend();
+    let first = all.iter().position(|&b| b == detected).expect("all backends are listed");
+    for missing in &all[..first] {
+        println!("streamline_agreement: {missing:?} unavailable on this host");
+    }
+    all[first..].to_vec()
+}
+
+/// One case under one forced int2 backend.
+fn check_case(seed: u64, wide: bool, backend: Backend) -> Result<(), TestCaseError> {
+    int2::override_backend(Some(backend));
+    let mut rng = rng_from_seed(seed);
+    let cfg = if wide { CnvConfig::scaled(8) } else { CnvConfig::tiny() };
+    let mut net = cfg.build_early_exit(10, &ExitsConfig::paper_default(), seed ^ 0x5eed);
+    randomize_norms(&mut net, &mut rng);
+    let final_exit = net.num_exits() - 1;
+
+    for n in [1usize, 7, 16] {
+        let x = batch(n, &net.input_dims, &mut rng);
+        let cuts = thresholds_for(&net, &x);
+        for &threshold in &cuts {
+            for workers in [1usize, 3] {
+                let tag = format!("n={n} CT={threshold} workers={workers} wide={wide} {backend:?}");
+                let (layers, on_plan) = run(&net, EnginePlan::Int2Always, threshold, workers, &x);
+                prop_assert!(!on_plan);
+                let (auto, on_plan) = run(&net, EnginePlan::Auto, threshold, workers, &x);
+                prop_assert!(on_plan, "CNV must get a streamlined plan");
+                assert_same_bits(&auto, &layers, &tag);
+                if threshold == 0.0 {
+                    prop_assert!(auto.exit.iter().all(|&e| e == 0), "{}", tag);
+                }
+                if threshold == 2.0 {
+                    prop_assert!(auto.exit.iter().all(|&e| e == final_exit), "{}", tag);
+                }
+            }
+        }
+
+        // A stamped batch: conv1 takes its int2 route on the layer
+        // path, which the plan's f32 stem would not reproduce — the
+        // executor must notice and take the layers under `Auto` too.
+        // Verdicts alone cannot tell the two stems apart reliably
+        // (both usually land on the same codes); the direct-conv
+        // counter can: only the layer path's conv1 bumps it.
+        let mut stamped = x.clone();
+        for v in &mut stamped.data {
+            *v = (*v * 4.0).round().clamp(0.0, 3.0) * 0.25;
+        }
+        stamped.quant = Some(ActQuant { scale: 0.25, bits: 2 });
+        int2::reset_op_counters();
+        let (layers, _) = run(&net, EnginePlan::Int2Always, cuts[1], 1, &stamped);
+        let layer_calls = int2::direct_conv_calls();
+        int2::reset_op_counters();
+        let (auto, _) = run(&net, EnginePlan::Auto, cuts[1], 1, &stamped);
+        assert_same_bits(&auto, &layers, &format!("stamped n={n} wide={wide} {backend:?}"));
+        prop_assert_eq!(
+            int2::direct_conv_calls(),
+            layer_calls,
+            "a stamped batch left the layer path"
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
     fn auto_and_layer_path_verdicts_are_bit_identical(seed in any::<u64>(), wide in any::<bool>()) {
-        let mut rng = rng_from_seed(seed);
-        let cfg = if wide { CnvConfig::scaled(8) } else { CnvConfig::tiny() };
-        let mut net = cfg.build_early_exit(10, &ExitsConfig::paper_default(), seed ^ 0x5eed);
-        randomize_norms(&mut net, &mut rng);
-        let final_exit = net.num_exits() - 1;
-
-        for n in [1usize, 7, 16] {
-            let x = batch(n, &net.input_dims, &mut rng);
-            let cuts = thresholds_for(&net, &x);
-            for &threshold in &cuts {
-                for workers in [1usize, 3] {
-                    let tag = format!("n={n} CT={threshold} workers={workers} wide={wide}");
-                    let (layers, on_plan) = run(&net, EnginePlan::Int2Always, threshold, workers, &x);
-                    prop_assert!(!on_plan);
-                    let (auto, on_plan) = run(&net, EnginePlan::Auto, threshold, workers, &x);
-                    prop_assert!(on_plan, "CNV must get a streamlined plan");
-                    assert_same_bits(&auto, &layers, &tag);
-                    if threshold == 0.0 {
-                        prop_assert!(auto.exit.iter().all(|&e| e == 0), "{}", tag);
-                    }
-                    if threshold == 2.0 {
-                        prop_assert!(auto.exit.iter().all(|&e| e == final_exit), "{}", tag);
-                    }
-                }
-            }
-
-            // A stamped batch: conv1 takes its int2 route on the layer
-            // path, which the plan's f32 stem would not reproduce — the
-            // executor must notice and take the layers under `Auto` too.
-            // Verdicts alone cannot tell the two stems apart reliably
-            // (both usually land on the same codes); the direct-conv
-            // counter can: only the layer path's conv1 bumps it.
-            let mut stamped = x.clone();
-            for v in &mut stamped.data {
-                *v = (*v * 4.0).round().clamp(0.0, 3.0) * 0.25;
-            }
-            stamped.quant = Some(ActQuant { scale: 0.25, bits: 2 });
-            int2::reset_op_counters();
-            let (layers, _) = run(&net, EnginePlan::Int2Always, cuts[1], 1, &stamped);
-            let layer_calls = int2::direct_conv_calls();
-            int2::reset_op_counters();
-            let (auto, _) = run(&net, EnginePlan::Auto, cuts[1], 1, &stamped);
-            assert_same_bits(&auto, &layers, &format!("stamped n={n} wide={wide}"));
-            prop_assert_eq!(
-                int2::direct_conv_calls(),
-                layer_calls,
-                "a stamped batch left the layer path"
-            );
+        let backends = forcible_backends();
+        println!("streamline_agreement: seed {seed:#x} wide={wide} under {backends:?}");
+        for backend in backends {
+            check_case(seed, wide, backend)?;
         }
+        int2::override_backend(None);
     }
 }

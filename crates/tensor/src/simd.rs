@@ -38,7 +38,10 @@
 //! The integer sibling of this module is [`crate::int2`]: the bit-packed
 //! popcount GEMM reuses the same [`Backend`]/override dispatch scheme,
 //! but gets cross-backend bit-identity for free from integer arithmetic
-//! instead of the rules above.
+//! instead of the rules above — which is why it can have a third,
+//! AVX-512 backend and these kernels cannot: sixteen lanes would
+//! reassociate the folds. [`Backend::Avx512`] exists here as an arm that
+//! runs the AVX2 bodies.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -46,73 +49,143 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// the same width so remainder handling is identical on every path.
 pub const LANES: usize = 8;
 
-/// Which implementation services the dispatched entry points.
+/// Which implementation services the dispatched entry points, best
+/// first: a host that has one backend has every backend after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
+    /// AVX-512 with `VPOPCNTDQ` (x86-64 only, runtime-detected): the
+    /// [`crate::int2`] kernels count 64-bit lanes natively. The f32
+    /// kernels of this module have no 512-bit bodies — eight lanes *are*
+    /// their bit-identity contract — so under this backend they run the
+    /// AVX2 ones, and detection never picks it for them.
+    Avx512,
     /// 8-wide AVX2 intrinsics (x86-64 only, runtime-detected).
     Avx2,
     /// Scalar lane-by-lane fallback; bit-identical to AVX2.
     Portable,
 }
 
-// Cached dispatch decision: 0 = undecided, 1 = AVX2, 2 = portable.
-// 3/4 = explicit override (AVX2/portable) from `override_backend`.
-static BACKEND: AtomicU8 = AtomicU8::new(0);
+impl Backend {
+    const ALL: [Backend; 3] = [Backend::Avx512, Backend::Avx2, Backend::Portable];
 
-fn detect() -> u8 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return 1;
+    /// The first CPU feature this host lacks for the backend's bodies,
+    /// `None` when it can run them. AVX-512 means the `VPOPCNTDQ`
+    /// subset: an AVX-512F part without it (Skylake-X, Cascade Lake)
+    /// would have to emulate the popcount as AVX2 does, on fewer vector
+    /// ports, so it stays on AVX2. AVX2 includes the scalar
+    /// `POPCNT` the int2 remainder loops lean on (every AVX2 part ships
+    /// it, but check anyway).
+    pub(crate) fn missing_feature(self) -> Option<&'static str> {
+        #[cfg(target_arch = "x86_64")]
+        {
+            macro_rules! first_missing {
+                ($($feature:tt),*) => {
+                    [$(($feature, std::arch::is_x86_feature_detected!($feature))),*]
+                        .into_iter()
+                        .find(|&(_, detected)| !detected)
+                        .map(|(feature, _)| feature)
+                };
+            }
+            match self {
+                Backend::Avx512 => first_missing!("avx2", "popcnt", "avx512f", "avx512vpopcntdq"),
+                Backend::Avx2 => first_missing!("avx2", "popcnt"),
+                Backend::Portable => None,
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        match self {
+            Backend::Portable => None,
+            _ => Some("x86_64"),
         }
     }
-    2
+
+    /// The best backend this host can run.
+    pub(crate) fn detect() -> Backend {
+        let runnable = |b: &Backend| b.missing_feature().is_none();
+        Backend::ALL.into_iter().find(runnable).expect("the portable backend runs anywhere")
+    }
 }
+
+/// One dispatcher's backend choice, cached: 0 until first use, then the
+/// chosen backend's discriminant + 1 — detected or forced, the
+/// dispatchers cannot tell and need not.
+pub(crate) struct BackendCell {
+    code: AtomicU8,
+    /// The dispatcher's detection rule: the best backend of this host
+    /// its kernels have bodies for.
+    detect: fn() -> Backend,
+}
+
+impl BackendCell {
+    pub(crate) const fn new(detect: fn() -> Backend) -> Self {
+        Self { code: AtomicU8::new(0), detect }
+    }
+
+    /// The cached backend, detected on first use.
+    #[inline]
+    pub(crate) fn get(&self) -> Backend {
+        match self.code.load(Ordering::Relaxed) {
+            0 => {
+                // Racing initializers compute the same value — but never
+                // clobber an explicit override.
+                let code = (self.detect)() as u8 + 1;
+                let _ = self.code.compare_exchange(0, code, Ordering::Relaxed, Ordering::Relaxed);
+                self.get()
+            }
+            code => Backend::ALL[code as usize - 1],
+        }
+    }
+
+    /// Pins the cell to `backend`, or back to detection for `None`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the missing CPU feature, when this host cannot
+    /// run `backend`.
+    pub(crate) fn set(&self, backend: Option<Backend>) {
+        let backend = backend.unwrap_or_else(self.detect);
+        if let Some(feature) = backend.missing_feature() {
+            panic!("{backend:?} backend unavailable on this host: no {feature}");
+        }
+        self.code.store(backend as u8 + 1, Ordering::Relaxed);
+    }
+}
+
+/// The f32 kernels stop at eight lanes, so detection stops at AVX2.
+static BACKEND: BackendCell = BackendCell::new(|| match Backend::detect() {
+    Backend::Avx512 => Backend::Avx2,
+    b => b,
+});
 
 /// The backend the dispatched operations currently use.
 pub fn active_backend() -> Backend {
-    match BACKEND.load(Ordering::Relaxed) {
-        1 | 3 => Backend::Avx2,
-        2 | 4 => Backend::Portable,
-        _ => {
-            let b = detect();
-            // Racing initializers compute the same value, so a plain
-            // store is fine — but never clobber an explicit override.
-            let _ = BACKEND.compare_exchange(0, b, Ordering::Relaxed, Ordering::Relaxed);
-            active_backend()
-        }
-    }
+    BACKEND.get()
 }
 
 /// Pins the dispatch to one backend (`Some`) or restores runtime
-/// detection (`None`). Bench/test hook: because both backends are
+/// detection (`None`). Bench/test hook: because the backends are
 /// bit-identical, flipping this never changes results, only which code
-/// path produces them.
+/// path produces them. Forcing [`Backend::Avx512`] is accepted where the
+/// host has it and runs the AVX2 bodies (see the enum).
 ///
 /// # Panics
 ///
-/// Panics when asked to force AVX2 on a host without it.
+/// Panics when asked to force a backend this host lacks a CPU feature
+/// for, naming the feature.
 pub fn override_backend(backend: Option<Backend>) {
-    let v = match backend {
-        Some(Backend::Avx2) => {
-            assert!(detect() == 1, "AVX2 backend unavailable on this host");
-            3
-        }
-        Some(Backend::Portable) => 4,
-        None => detect(),
-    };
-    BACKEND.store(v, Ordering::Relaxed);
+    BACKEND.set(backend);
 }
 
 macro_rules! dispatch {
     ($name:ident($($arg:expr),*)) => {
         match active_backend() {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `active_backend` only reports Avx2 after runtime
-            // feature detection (or an override that re-checked it).
-            Backend::Avx2 => unsafe { avx2::$name($($arg),*) },
+            // SAFETY: `active_backend` only reports a vector backend
+            // after runtime feature detection (or an override that
+            // re-checked it), and AVX-512 hosts have AVX2.
+            Backend::Avx512 | Backend::Avx2 => unsafe { avx2::$name($($arg),*) },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx2 => portable::$name($($arg),*),
+            Backend::Avx512 | Backend::Avx2 => portable::$name($($arg),*),
             Backend::Portable => portable::$name($($arg),*),
         }
     };
@@ -295,12 +368,12 @@ pub fn gemm_panel<const TRANS: bool>(
     debug_assert!(j0 <= j1 && j1 <= n);
     match active_backend() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2 is only reported after runtime feature detection.
-        Backend::Avx2 => unsafe {
+        // SAFETY: as in `dispatch!`.
+        Backend::Avx512 | Backend::Avx2 => unsafe {
             avx2::gemm_panel::<TRANS>(c, n, rr, a, lda, gr, b, k0, k1, j0, j1, init, bias)
         },
         #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx2 => {
+        Backend::Avx512 | Backend::Avx2 => {
             portable::gemm_panel::<TRANS>(c, n, rr, a, lda, gr, b, k0, k1, j0, j1, init, bias)
         }
         Backend::Portable => {

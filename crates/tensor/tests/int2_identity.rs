@@ -2,26 +2,30 @@
 //! `simd_identity.rs`.
 //!
 //! Every kernel is pinned three ways: a naive integer reference over the
-//! raw codes (inlined here), the portable `count_ones` backend, and — on
-//! hosts with AVX2 — the `vpshufb`-popcount backend called directly.
+//! raw codes (inlined here), the portable `count_ones` backend, and every
+//! vector backend the host has — the AVX2 `vpshufb`-popcount bodies and
+//! the AVX-512 `VPOPCNTDQ` ones — called directly, then once more
+//! through the dispatcher under each backend forced in turn. Each test
+//! prints the backends it covered; a host lacking one says so instead of
+//! passing silently.
 //! Coverage includes unaligned (offset) item views, remainder lanes
 //! (depths that are not multiples of 64 or 256 packed bits), all-zero
 //! planes, and sign-plane edge cases (operands dense in −2, the only
 //! code with a set high plane and a clear low plane). The direct-conv
-//! kernels are pinned the same way: both `pack_image_int2` bodies
+//! kernels are pinned the same way: the `pack_image_int2` bodies
 //! against the pre-compare-rule scalar loop kept here as the oracle,
-//! both window gathers against packed im2col columns (the oracle
+//! the window gathers against packed im2col columns (the oracle
 //! composed here from `im2col_into` → `act_codes_in_place` →
-//! `pack_acts_cols_int2`), and the row-lane GEMM microkernel against
-//! the naive sum at the shapes that cross its lane, tail-row and
-//! byte-flush boundaries.
+//! `pack_acts_cols_int2`), and the row-lane GEMM microkernels against
+//! the naive sum at the shapes that cross their lane, tail-row, depth
+//! slice and byte-flush boundaries.
 
 use adapex_tensor::conv::{im2col_into, ConvGeometry};
 use adapex_tensor::int2::{self, portable, Backend, OutMajor};
 use proptest::prelude::*;
 
 #[cfg(target_arch = "x86_64")]
-use adapex_tensor::int2::avx2;
+use adapex_tensor::int2::{avx2, avx512};
 
 fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -33,6 +37,110 @@ fn has_avx2() -> bool {
     {
         false
     }
+}
+
+/// The detection rule, restated: AVX-512F alone is not enough, the
+/// bodies count with `VPOPCNTDQ`.
+fn has_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        has_avx2()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The backends this host can force, best first.
+fn backends() -> Vec<Backend> {
+    let mut all = vec![Backend::Portable];
+    if has_avx2() {
+        all.insert(0, Backend::Avx2);
+    }
+    if has_avx512() {
+        all.insert(0, Backend::Avx512);
+    }
+    all
+}
+
+/// Serializes the tests that flip `int2::override_backend` and then
+/// assert on `active_backend`: the switch is process-global and the test
+/// threads share it. Tests that only compute need no lock — whichever
+/// backend they catch gives the same bits.
+static BACKEND_SWITCH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Prints, once per test, which of the backends `expected` of it the
+/// test covered, and which this host could not run.
+fn report_coverage(test: &str, expected: &[&str], covered: &[&str]) {
+    static REPORTED: std::sync::Mutex<Vec<String>> = std::sync::Mutex::new(Vec::new());
+    let mut reported = REPORTED.lock().expect("no reporter panics");
+    if reported.iter().any(|t| t == test) {
+        return;
+    }
+    reported.push(test.to_string());
+    let missing: Vec<&str> = expected
+        .iter()
+        .copied()
+        .filter(|b| !covered.contains(b))
+        .collect();
+    println!(
+        "{test}: covered {}{}",
+        covered.join(", "),
+        if missing.is_empty() {
+            String::new()
+        } else {
+            format!("; unavailable on this host: {}", missing.join(", "))
+        }
+    );
+}
+
+type PackFn = unsafe fn(&[f32], f32, usize, usize, usize, usize, &mut Vec<u64>);
+type GatherFn = unsafe fn(&[u64], usize, usize, usize, ConvGeometry, &mut Vec<u64>);
+type GemmFn = unsafe fn(usize, usize, usize, &[u64], &[u64], &[f32], &[f32], &mut [f32], OutMajor);
+type ThresholdFn = unsafe fn(&mut [f32], &[int2::CodeSteps], usize, usize, usize, usize, &mut [u64]);
+type DotFn = unsafe fn(&[u64], &[u64]) -> i32;
+
+/// Every body of one kernel this host can run, by backend name: the
+/// portable one, then `$module::$kernel` for each listed vector module
+/// the host has the features for. `test` is reported once.
+macro_rules! bodies {
+    ($test:expr, $ty:ty, $kernel:ident, [$($module:ident if $has:ident),*]) => {{
+        let mut all: Vec<(&'static str, $ty)> = vec![("portable", portable::$kernel as $ty)];
+        $(
+            #[cfg(target_arch = "x86_64")]
+            if $has() {
+                all.push((stringify!($module), $module::$kernel as $ty));
+            }
+        )*
+        let names: Vec<&str> = all.iter().map(|(name, _)| *name).collect();
+        report_coverage($test, &["portable", $(stringify!($module)),*], &names);
+        all
+    }};
+}
+
+fn pack_bodies(test: &str) -> Vec<(&'static str, PackFn)> {
+    // No 512-bit pack body: the AVX-512 backend runs the AVX2 one.
+    bodies!(test, PackFn, pack_image_int2, [avx2 if has_avx2])
+}
+
+fn gather_bodies(test: &str) -> Vec<(&'static str, GatherFn)> {
+    bodies!(test, GatherFn, gather_conv_windows_int2, [avx2 if has_avx2, avx512 if has_avx512])
+}
+
+fn gemm_bodies(test: &str) -> Vec<(&'static str, GemmFn)> {
+    bodies!(test, GemmFn, gemm_int2, [avx2 if has_avx2, avx512 if has_avx512])
+}
+
+fn threshold_bodies(test: &str) -> Vec<(&'static str, ThresholdFn)> {
+    bodies!(test, ThresholdFn, threshold_pool_pack_int2, [avx2 if has_avx2, avx512 if has_avx512])
+}
+
+fn dot_bodies(test: &str) -> Vec<(&'static str, DotFn)> {
+    // The AVX-512 GEMM has no per-pair form: every row runs in lanes.
+    bodies!(test, DotFn, dot, [avx2 if has_avx2])
 }
 
 /// Weight codes skewed towards the edge cases: `tag` 4 floods −2 (high
@@ -89,26 +197,20 @@ proptest! {
         let pw_item = &pw[item * wpi..(item + 1) * wpi];
         let pa_item = &pa[item * wpi..(item + 1) * wpi];
         let want = naive_dot(&w[item * k..(item + 1) * k], &a[item * k..(item + 1) * k]);
-        prop_assert_eq!(portable::dot(pw_item, pa_item), want, "portable k={}", k);
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            prop_assert_eq!(
-                unsafe { avx2::dot(pw_item, pa_item) },
-                want,
-                "avx2 k={}", k
-            );
+        for (name, dot) in dot_bodies("packed_dot_bit_identity") {
+            prop_assert_eq!(unsafe { dot(pw_item, pa_item) }, want, "{} k={}", name, k);
         }
     }
 
-    /// Full `gemm_int2` (portable vs AVX2, both output layouts) against
-    /// a naive reference that applies the identical fused epilogue.
+    /// Full `gemm_int2` (every body, both output layouts) against a
+    /// naive reference that applies the identical fused epilogue.
     #[test]
     fn gemm_int2_backends_agree_bitwise(
-        m in 1usize..7,
+        m in 1usize..12,
         k in 1usize..200,
         n in 1usize..12,
         col_major in any::<bool>(),
-        w0 in wcodes(6 * 200),
+        w0 in wcodes(11 * 200),
         a0 in acodes(11 * 200),
     ) {
         let w = &w0[..m * k];
@@ -120,25 +222,11 @@ proptest! {
         int2::pack_acts_int2(a, n, k, &mut pa);
         let major = if col_major { OutMajor::Col } else { OutMajor::Row };
 
-        let mut want = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                let s = naive_dot(&w[i * k..(i + 1) * k], &a[j * k..(j + 1) * k]);
-                let y = (s as f32) * cs[i] + bias[i];
-                match major {
-                    OutMajor::Row => want[i * n + j] = y,
-                    OutMajor::Col => want[j * m + i] = y,
-                }
-            }
-        }
-        let mut got = vec![0.0f32; m * n];
-        portable::gemm_int2(m, k, n, &pw, &pa, &cs, &bias, &mut got, major);
-        prop_assert_eq!(bits(&got), bits(&want), "portable gemm_int2");
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            let mut got = vec![0.0f32; m * n];
-            unsafe { avx2::gemm_int2(m, k, n, &pw, &pa, &cs, &bias, &mut got, major) };
-            prop_assert_eq!(bits(&got), bits(&want), "avx2 gemm_int2");
+        let want = naive_gemm(m, k, n, w, a, &cs, &bias, major);
+        for (name, gemm) in gemm_bodies("gemm_int2_backends_agree_bitwise") {
+            let mut got = vec![f32::NAN; m * n];
+            unsafe { gemm(m, k, n, &pw, &pa, &cs, &bias, &mut got, major) };
+            prop_assert_eq!(bits(&got), bits(&want), "{} gemm_int2", name);
         }
     }
 
@@ -225,28 +313,39 @@ proptest! {
 }
 
 /// All-zero planes and dense sign planes, pinned deterministically at
-/// word-boundary depths on both backends (the proptests above reach
-/// these through the flooding strategies; this nails the exact edges).
+/// word-boundary depths on every body — the per-pair dots, and the GEMMs
+/// as one-pair products at unit scale (the proptests above reach these
+/// through the flooding strategies; this nails the exact edges).
 #[test]
 fn zero_and_sign_plane_edges() {
-    for k in [1usize, 63, 64, 65, 128, 192, 256, 257] {
+    let dots = dot_bodies("zero_and_sign_plane_edges (dot)");
+    let gemms = gemm_bodies("zero_and_sign_plane_edges (gemm)");
+    for k in [1usize, 63, 64, 65, 128, 192, 256, 257, 512, 513, 4608] {
         let zeros = vec![0.0f32; k];
         let neg2 = vec![-2.0f32; k];
         let threes = vec![3.0f32; k];
         let (mut pw, mut pa) = (Vec::new(), Vec::new());
+        int2::pack_acts_int2(&threes, 1, k, &mut pa);
+        let check = |pw: &[u64], want: i32, what: &str| {
+            for (name, dot) in &dots {
+                assert_eq!(unsafe { dot(pw, &pa) }, want, "{name} dot, {what} k={k}");
+            }
+            for (name, gemm) in &gemms {
+                for major in [OutMajor::Row, OutMajor::Col] {
+                    let mut got = [f32::NAN];
+                    unsafe { gemm(1, k, 1, pw, &pa, &[1.0], &[0.0], &mut got, major) };
+                    assert_eq!(got[0], want as f32, "{name} gemm {major:?}, {what} k={k}");
+                }
+            }
+        };
 
         // all-zero weights x max acts -> 0
         int2::pack_weights_int2(&zeros, 1, k, &mut pw);
-        int2::pack_acts_int2(&threes, 1, k, &mut pa);
-        assert_eq!(portable::dot(&pw, &pa), 0, "zero planes k={k}");
+        check(&pw, 0, "zero planes");
 
         // all -2 weights x all 3 acts -> -6k (sign plane fully set)
         int2::pack_weights_int2(&neg2, 1, k, &mut pw);
-        assert_eq!(portable::dot(&pw, &pa), -6 * k as i32, "sign plane k={k}");
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            assert_eq!(unsafe { avx2::dot(&pw, &pa) }, -6 * k as i32);
-        }
+        check(&pw, -6 * k as i32, "sign plane");
 
         // Padding tail bits must be clear (they'd otherwise corrupt
         // every popcount): check the last word of each plane of the
@@ -263,12 +362,16 @@ fn zero_and_sign_plane_edges() {
     }
 }
 
-/// The public dispatched `gemm_int2` equals the forced-portable backend
-/// bit for bit. Serialized because `override_backend` is process-global
-/// state (mirrors `simd_identity::dispatched_equals_forced_portable`).
+/// Every public dispatched kernel gives the same words and bits under
+/// each backend the host can force as under detection — the dispatcher
+/// arms themselves, which the direct body calls elsewhere bypass. Flips
+/// process-global state, harmlessly: the backends are bit-identical
+/// (mirrors `simd_identity::dispatched_equals_forced_portable`, whose
+/// name it keeps; portable is the last of the backends forced here).
 #[test]
 fn dispatched_equals_forced_portable() {
-    let (m, k, n) = (8, 150, 17);
+    let _switch = BACKEND_SWITCH.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    let (m, k, n) = (13, 150, 37);
     let w: Vec<f32> = (0..m * k).map(|i| ((i * 7) % 4) as f32 - 2.0).collect();
     let a: Vec<f32> = (0..n * k).map(|i| ((i * 5) % 4) as f32).collect();
     let cs: Vec<f32> = (0..m).map(|i| 0.01 + i as f32 * 0.05).collect();
@@ -276,17 +379,63 @@ fn dispatched_equals_forced_portable() {
     let (mut pw, mut pa) = (Vec::new(), Vec::new());
     int2::pack_weights_int2(&w, m, k, &mut pw);
     int2::pack_acts_int2(&a, n, k, &mut pa);
+    let (c, h, wd) = (8, 11, 21);
+    let geom = ConvGeometry::new(3).with_padding(1);
+    let img: Vec<f32> = (0..c * h * wd).map(|i| ((i * 11 + i / 7) % 9) as f32 * 0.21).collect();
+    let steps: Vec<int2::CodeSteps> = (0..m)
+        .map(|i| int2::CodeSteps { sign: if i % 3 == 0 { -1 } else { 1 }, at: [-9, i as i32, 40] })
+        .collect();
 
+    // (gemm rows, gemm cols, packed image, gathered windows, coded map)
     let run = || {
-        let mut c = vec![0.0f32; m * n];
-        int2::gemm_int2(m, k, n, &pw, &pa, &cs, &bias, &mut c, OutMajor::Row);
-        c
+        let (mut row, mut col) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+        int2::gemm_int2(m, k, n, &pw, &pa, &cs, &bias, &mut row, OutMajor::Row);
+        int2::gemm_int2(m, k, n, &pw, &pa, &cs, &bias, &mut col, OutMajor::Col);
+        let (mut image, mut windows) = (Vec::new(), Vec::new());
+        int2::pack_image_int2(&img, 0.37, c, h, wd, 1, &mut image);
+        int2::gather_conv_windows_int2(&image, c, h, wd, geom, &mut windows);
+        let mut acc: Vec<f32> = (0..m * 6 * 6).map(|i| ((i * 13) % 101) as f32 - 50.0).collect();
+        let mut coded = vec![!0u64; m * 3 * 2 * int2::image_row_words(3, 1)];
+        int2::threshold_pool_pack_int2(&mut acc, &steps, 6, 6, 2, 1, &mut coded);
+        (bits(&row), bits(&col), image, windows, coded)
     };
-    let dispatched = run();
-    int2::override_backend(Some(Backend::Portable));
-    let forced = run();
     int2::override_backend(None);
-    assert_eq!(bits(&dispatched), bits(&forced));
+    let detected = int2::active_backend();
+    assert_eq!(detected, backends()[0], "detection picks the best backend the host has");
+    let dispatched = run();
+    let mut covered = Vec::new();
+    for backend in backends() {
+        int2::override_backend(Some(backend));
+        assert_eq!(int2::active_backend(), backend);
+        assert_eq!(run(), dispatched, "forced {backend:?} vs detected {detected:?}");
+        covered.push(format!("{backend:?}").to_lowercase());
+    }
+    int2::override_backend(None);
+    let covered: Vec<&str> = covered.iter().map(String::as_str).collect();
+    report_coverage("dispatched_equals_forced_portable", &["avx512", "avx2", "portable"], &covered);
+}
+
+/// Forcing a backend the host lacks a CPU feature for panics and names
+/// the feature; forcing one it has is accepted.
+#[test]
+fn forcing_a_missing_backend_panics_naming_the_feature() {
+    let _switch = BACKEND_SWITCH.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    for (backend, available) in [(Backend::Avx512, has_avx512()), (Backend::Avx2, has_avx2())] {
+        let forced = std::panic::catch_unwind(|| int2::override_backend(Some(backend)));
+        int2::override_backend(None);
+        match forced {
+            Ok(()) => assert!(available, "{backend:?} was accepted on a host without it"),
+            Err(panic) => {
+                assert!(!available, "{backend:?} was refused on a host that has it");
+                let message = panic.downcast_ref::<String>().expect("a formatted panic");
+                assert!(
+                    message.contains("unavailable on this host: no "),
+                    "panic does not name the missing feature: {message}"
+                );
+                println!("forcing_a_missing_backend: {message}");
+            }
+        }
+    }
 }
 
 /// The quantize rule the engine used before the compare rule, kept as
@@ -311,18 +460,14 @@ fn legacy_pack_image(img: &[f32], ascale: f32, w: usize, pad: usize) -> Vec<u64>
     out
 }
 
-/// Both pack bodies, called directly, against the legacy oracle.
+/// Every pack body, called directly, against the legacy oracle.
 fn assert_pack_matches_legacy(img: &[f32], ascale: f32, c: usize, h: usize, w: usize, pad: usize) {
     let want = legacy_pack_image(img, ascale, w, pad);
     let tag = format!("ascale={ascale} c={c} h={h} w={w} pad={pad}");
-    let mut got = vec![!0u64; 3]; // stale contents must not survive
-    portable::pack_image_int2(img, ascale, c, h, w, pad, &mut got);
-    assert_eq!(got, want, "portable pack, {tag}");
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        let mut got = vec![!0u64; 3];
-        unsafe { avx2::pack_image_int2(img, ascale, c, h, w, pad, &mut got) };
-        assert_eq!(got, want, "avx2 pack, {tag}");
+    for (name, pack) in pack_bodies("pack_image_matches_legacy_oracle") {
+        let mut got = vec![!0u64; 3]; // stale contents must not survive
+        unsafe { pack(img, ascale, c, h, w, pad, &mut got) };
+        assert_eq!(got, want, "{name} pack, {tag}");
     }
 }
 
@@ -415,6 +560,7 @@ fn compare_rule_equals_round_clamp_for_every_f32() {
     let mut vals = vec![0.0f32; CHUNK];
     let mut codes = vec![0.0f32; CHUNK];
     let (mut pp, mut pa) = (Vec::new(), Vec::new());
+    let packs = pack_bodies("compare_rule_equals_round_clamp_for_every_f32");
     for base in (0..1u64 << 32).step_by(CHUNK) {
         for (i, v) in vals.iter_mut().enumerate() {
             *v = f32::from_bits((base + i as u64) as u32);
@@ -422,13 +568,9 @@ fn compare_rule_equals_round_clamp_for_every_f32() {
         codes.copy_from_slice(&vals);
         int2::act_codes_in_place(&mut codes, 1.0);
         portable::pack_image_int2(&vals, 1.0, 1, 1, CHUNK, 0, &mut pp);
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            unsafe { avx2::pack_image_int2(&vals, 1.0, 1, 1, CHUNK, 0, &mut pa) };
-            assert_eq!(
-                pa, pp,
-                "avx2 pack diverges from portable in chunk {base:#x}"
-            );
+        for (name, pack) in &packs {
+            unsafe { pack(&vals, 1.0, 1, 1, CHUNK, 0, &mut pa) };
+            assert_eq!(pa, pp, "{name} pack diverges from portable in chunk {base:#x}");
         }
         let rw = int2::image_row_words(CHUNK, 0);
         for (i, &v) in vals.iter().enumerate() {
@@ -440,32 +582,50 @@ fn compare_rule_equals_round_clamp_for_every_f32() {
     }
 }
 
-/// Both gather bodies, called directly on the shapes that cross their
+/// Every gather body, called directly on the shapes that cross their
 /// internal boundaries, against packed im2col columns:
-/// `ow mod 4` ∈ {0,1,2,3} on both sides of the 8-pixel pass, stride 2,
-/// vertical padding (skipped rows must still advance the depth walk),
-/// the bit-64 depth spill (`kk = 72`), a segment ending exactly on a
-/// word boundary (`kk = 64`), kernel 5 and rows wider than one word.
-/// `out` starts dirty: every operand word must be stored.
+/// `ow mod 4` ∈ {0,1,2,3} on both sides of the AVX2 8-pixel pass and
+/// `ow` on both sides of the AVX-512 8- and 16-pixel ones (incl.
+/// `ow < 8` and ragged row ends), stride 2, vertical padding (skipped
+/// rows must still advance the depth walk), the bit-64 depth spill
+/// (`kk = 72`), a segment ending exactly on a word boundary (`kk = 64`),
+/// operands of 3, 5 and 9 plane words (the AVX-512 body transposes four
+/// per plane at a time), kernels 1 and 2 (most segments per word),
+/// kernel 5 and rows wider than one word. `out` starts dirty: every
+/// operand word must be stored.
 #[test]
 fn gather_bodies_equal_im2col_packed_columns() {
     let ascale = 2.0f32 / 3.0;
+    let gathers = gather_bodies("gather_bodies_equal_im2col_packed_columns");
     for &(c, h, w, k, s, p) in &[
         (8usize, 6usize, 6usize, 3usize, 1usize, 0usize), // ow = 4, kk = 72
         (8, 5, 7, 3, 1, 0),                               // ow = 5
         (8, 5, 8, 3, 1, 0),                               // ow = 6
         (8, 5, 9, 3, 1, 0),                               // ow = 7
-        (8, 5, 11, 3, 1, 0),                              // ow = 9: one 8-pixel pass + ragged 4
+        (8, 4, 10, 3, 1, 0),                              // ow = 8: one full vector
+        (8, 5, 11, 3, 1, 0),                              // ow = 9: one 8-pixel pass + ragged
         (8, 4, 13, 3, 1, 0),                              // ow = 11
-        (8, 30, 30, 3, 1, 0),                             // conv2 of the width-8 CNV
+        (8, 3, 17, 3, 1, 0),                              // ow = 15: a ragged 16-pixel pass
+        (8, 4, 18, 3, 1, 0),                              // ow = 16
+        (8, 3, 19, 3, 1, 0),                              // ow = 17: 16 + 1
+        (8, 30, 30, 3, 1, 0),                             // conv2 of the width-8 CNV, ow = 28
+        (8, 28, 28, 3, 1, 0),                             // its exit head's conv, ow = 26
         (3, 9, 12, 3, 2, 1),                              // stride 2 with padding, ow = 6
         (2, 11, 21, 3, 2, 0),                             // stride 2, ow = 10
+        (2, 7, 41, 3, 2, 1),                              // stride 2, ow = 21
         (4, 6, 9, 3, 1, 2),                               // pad 2: whole kernel rows in padding
+        (4, 7, 20, 3, 1, 3),                              // pad >= kernel: all-padding windows
         (4, 9, 9, 5, 1, 2),                               // kernel 5, kk = 100
         (1, 8, 12, 8, 1, 0),  // kk = 64: segments end on the word boundary
+        (16, 12, 12, 3, 1, 0), // conv4: kk = 144, three plane words
+        (32, 5, 12, 3, 1, 1), // kk = 288: five plane words, a block of 4 and one of 1
+        (64, 4, 11, 3, 1, 0), // kk = 576: nine plane words
+        (70, 3, 9, 1, 1, 0),  // kernel 1: 64 one-bit segments in word 0
+        (40, 4, 9, 2, 1, 0),  // kernel 2: kk = 160
         (2, 3, 70, 3, 1, 1),  // padded row wider than one word
         (1, 2, 130, 2, 3, 0), // three-word rows, stride 3
         (5, 2, 2, 2, 1, 0),   // ow = 1
+        (5, 3, 4, 3, 1, 0),   // two output pixels
         (32, 3, 3, 3, 1, 0),  // conv6: one output pixel, kk = 288
     ] {
         let geom = ConvGeometry::new(k).with_stride(s).with_padding(p);
@@ -487,30 +647,65 @@ fn gather_bodies_equal_im2col_packed_columns() {
         int2::pack_image_int2(&vals, ascale, c, h, w, p, &mut image);
         let tag = format!("c={c} h={h} w={w} k={k} s={s} p={p}");
         let dirty = vec![!0u64; want.len() + 5];
-        let mut got = dirty.clone();
-        portable::gather_conv_windows_int2(&image, c, h, w, geom, &mut got);
-        assert_eq!(got, want, "portable gather, {tag}");
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
+        for (name, gather) in &gathers {
             let mut got = dirty.clone();
-            unsafe { avx2::gather_conv_windows_int2(&image, c, h, w, geom, &mut got) };
-            assert_eq!(got, want, "avx2 gather, {tag}");
+            unsafe { gather(&image, c, h, w, geom, &mut got) };
+            assert_eq!(got, want, "{name} gather, {tag}");
         }
     }
 }
 
-/// The row-lane microkernel's boundaries, deterministically: `m mod 4`
-/// leftover rows (pruned widths 5 and 13), depths of 1..72 plane words
-/// (9 and 72 cross the byte-accumulator flush; 72 is the interleave
-/// buffer's last supported depth and 73 the first unsupported), item
-/// counts on both sides of the amortization gate, both output layouts;
-/// AVX2 == portable == naive, bit for bit.
+/// The reference of the GEMM tests: the naive sum over the codes with
+/// the identical two-step epilogue.
+#[allow(clippy::too_many_arguments)]
+fn naive_gemm(
+    m: usize,
+    k: usize,
+    n: usize,
+    w: &[f32],
+    a: &[f32],
+    cs: &[f32],
+    bias: &[f32],
+    major: OutMajor,
+) -> Vec<f32> {
+    let mut want = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let s = naive_dot(&w[i * k..(i + 1) * k], &a[j * k..(j + 1) * k]);
+            let y = (s as f32) * cs[i] + bias[i];
+            match major {
+                OutMajor::Row => want[i * n + j] = y,
+                OutMajor::Col => want[j * m + i] = y,
+            }
+        }
+    }
+    want
+}
+
+/// The row-lane microkernels' boundaries, deterministically: every row
+/// count from 1 to 40, so every `m mod 4` and `m mod 8` tail (pruned
+/// widths) under both lane widths; depths of 1..73 plane words (9 and 72
+/// cross the AVX2 byte-accumulator flush, 72 is its interleave buffer's
+/// last supported depth and 73 the first unsupported; 7, 8 and 9 sit
+/// around the AVX-512 body's eight-word slice, 72 is nine whole slices
+/// and 73 leaves a one-word ninth); item counts on both sides of the
+/// AVX2 amortization gate and of the AVX-512 sixteen-item row store,
+/// up to the 784 pixels of conv2; both output layouts. Every body ==
+/// naive, bit for bit, into an output that starts as NaN.
 #[test]
 fn gemm_row_lane_boundaries_match_naive() {
-    for wpp in [1usize, 2, 3, 5, 9, 72, 73] {
+    let gemms = gemm_bodies("gemm_row_lane_boundaries_match_naive");
+    for wpp in [1usize, 2, 3, 5, 7, 8, 9, 72, 73] {
         let k = 64 * wpp - 7;
-        for m in [1usize, 4, 5, 8, 13] {
-            for n in [1usize, 2, 3, 6] {
+        // Deep operands keep the tails and drop the rows in between.
+        let rows: Vec<usize> = if wpp < 72 { (1..=40).collect() } else { vec![1, 5, 8, 13, 40] };
+        for m in rows {
+            let items: &[usize] = match (m, wpp) {
+                (8 | 13, 2 | 73) => &[1, 2, 7, 8, 9, 784],
+                _ if m <= 13 => &[1, 2, 3, 6, 7, 8, 9, 15, 16, 17, 33],
+                _ => &[1, 2, 9, 17],
+            };
+            for &n in items {
                 let w: Vec<f32> = (0..m * k)
                     .map(|i| ((i * 7 + i / 5) % 4) as f32 - 2.0)
                     .collect();
@@ -521,26 +716,11 @@ fn gemm_row_lane_boundaries_match_naive() {
                 int2::pack_weights_int2(&w, m, k, &mut pw);
                 int2::pack_acts_int2(&a, n, k, &mut pa);
                 for major in [OutMajor::Row, OutMajor::Col] {
-                    let mut want = vec![0.0f32; m * n];
-                    for i in 0..m {
-                        for j in 0..n {
-                            let s = naive_dot(&w[i * k..(i + 1) * k], &a[j * k..(j + 1) * k]);
-                            let y = (s as f32) * cs[i] + bias[i];
-                            match major {
-                                OutMajor::Row => want[i * n + j] = y,
-                                OutMajor::Col => want[j * m + i] = y,
-                            }
-                        }
-                    }
-                    let tag = format!("m={m} k={k} n={n} {major:?}");
-                    let mut got = vec![f32::NAN; m * n];
-                    portable::gemm_int2(m, k, n, &pw, &pa, &cs, &bias, &mut got, major);
-                    assert_eq!(bits(&got), bits(&want), "portable, {tag}");
-                    #[cfg(target_arch = "x86_64")]
-                    if has_avx2() {
+                    let want = naive_gemm(m, k, n, &w, &a, &cs, &bias, major);
+                    for (name, gemm) in &gemms {
                         let mut got = vec![f32::NAN; m * n];
-                        unsafe { avx2::gemm_int2(m, k, n, &pw, &pa, &cs, &bias, &mut got, major) };
-                        assert_eq!(bits(&got), bits(&want), "avx2, {tag}");
+                        unsafe { gemm(m, k, n, &pw, &pa, &cs, &bias, &mut got, major) };
+                        assert_eq!(bits(&got), bits(&want), "{name}, m={m} k={k} n={n} {major:?}");
                     }
                 }
             }
@@ -549,48 +729,29 @@ fn gemm_row_lane_boundaries_match_naive() {
 }
 
 /// Saturated operands at the flush bound: all −2 × all 3 drives every
-/// byte accumulator to its maximum (`24` per word) for eight words, so
-/// an off-by-one in the flush interval would wrap a byte.
+/// AVX2 byte accumulator to its maximum (`24` per word) for eight words,
+/// so an off-by-one in the flush interval would wrap a byte — and every
+/// AVX-512 lane count to 64, across its eight-word slices, whose partial
+/// sums wait in the output as integers.
 #[test]
 fn gemm_row_lane_saturated_bytes_do_not_wrap() {
+    let gemms = gemm_bodies("gemm_row_lane_saturated_bytes_do_not_wrap");
     for wpp in [8usize, 9, 16, 17, 72] {
         let (m, k, n) = (4, 64 * wpp, 3);
         let (mut pw, mut pa) = (Vec::new(), Vec::new());
-        int2::pack_weights_int2(&vec![-2.0; m * k], m, k, &mut pw);
         int2::pack_acts_int2(&vec![3.0; n * k], n, k, &mut pa);
-        let mut got = vec![0.0f32; m * n];
-        int2::gemm_int2(
-            m,
-            k,
-            n,
-            &pw,
-            &pa,
-            &[1.0; 4],
-            &[0.0; 4],
-            &mut got,
-            OutMajor::Row,
-        );
-        assert!(
-            got.iter().all(|&y| y == -6.0 * k as f32),
-            "wpp={wpp}: {got:?}"
-        );
-        // And the positive plane: all 1 × all 3.
-        int2::pack_weights_int2(&vec![1.0; m * k], m, k, &mut pw);
-        int2::gemm_int2(
-            m,
-            k,
-            n,
-            &pw,
-            &pa,
-            &[1.0; 4],
-            &[0.0; 4],
-            &mut got,
-            OutMajor::Row,
-        );
-        assert!(
-            got.iter().all(|&y| y == 3.0 * k as f32),
-            "wpp={wpp}: {got:?}"
-        );
+        // The negative planes (all −2), then the positive one (all 1).
+        for (code, sum) in [(-2.0f32, -6.0f32), (1.0, 3.0)] {
+            int2::pack_weights_int2(&vec![code; m * k], m, k, &mut pw);
+            for (name, gemm) in &gemms {
+                let mut got = vec![0.0f32; m * n];
+                unsafe { gemm(m, k, n, &pw, &pa, &[1.0; 4], &[0.0; 4], &mut got, OutMajor::Row) };
+                assert!(
+                    got.iter().all(|&y| y == sum * k as f32),
+                    "{name} wpp={wpp} code={code}: {got:?}"
+                );
+            }
+        }
     }
 }
 
@@ -635,26 +796,36 @@ fn threshold_then_pool_then_pack(
     out
 }
 
-/// Both threshold-unit bodies against the oracle: ragged and sub-vector
-/// widths, pooled rows wider than one word, windows that do not divide
-/// the map, both directions, and steps that are never or always
-/// reached.
+/// Every threshold-unit body against the oracle: ragged and sub-vector
+/// widths (of 8 and of 16 lanes), pooled rows wider than one word and
+/// vectors whose bits straddle a word, windows that do not divide the
+/// map, both directions (`sign = −1` on never- and always-reached steps
+/// too), and 2×2 pools on either side of one 32-column load.
 #[test]
 fn threshold_pool_pack_bodies_equal_pooled_code_oracle() {
     let mut rng = 0x7e57_u64;
+    let units = threshold_bodies("threshold_pool_pack_bodies_equal_pooled_code_oracle");
     for &(c, h, w, pool, pad) in &[
         (1usize, 1usize, 1usize, 1usize, 0usize),
         (3, 5, 3, 1, 1),    // ow < 4
         (2, 4, 7, 1, 0),    // one ragged vector
         (8, 28, 28, 1, 0),  // conv2 of the width-8 CNV
         (8, 26, 26, 13, 0), // its exit head: k = ⌊DIM/2⌋
+        (9, 3, 16, 1, 1),   // exactly sixteen lanes
+        (9, 3, 17, 1, 0),   // sixteen and one
         (5, 9, 21, 2, 2),   // 2×2, odd extents: last row/column dropped
         (2, 6, 37, 2, 1),   // 2×2, vector body plus scalar tail
+        (8, 4, 32, 2, 0),   // 2×2, one full 32-column load
+        (8, 4, 34, 2, 1),   // ... and one pair more
+        (8, 5, 15, 2, 1),   // 2×2 inside the first of the two vectors
         (3, 8, 8, 4, 0),
         (2, 7, 11, 3, 3),   // 3 does not divide 7 or 11
+        (4, 9, 40, 3, 2),   // 3×3, folded row of two and a half vectors
         (1, 3, 70, 1, 0),   // pooled row wider than one word
         (2, 4, 150, 2, 5),  // 75 pooled columns + padding: two words
         (1, 2, 61, 1, 3),   // a vector's bits straddle the word boundary
+        (4, 2, 30, 1, 50),  // ... sixteen of them, two bits into the next word
+        (4, 4, 60, 2, 70),  // padding alone fills word 0
     ] {
         let acc: Vec<f32> = (0..c * h * w)
             .map(|_| (lcg(&mut rng) % 401) as f32 - 200.0)
@@ -671,24 +842,17 @@ fn threshold_pool_pack_bodies_equal_pooled_code_oracle() {
                     3 => at = [-1000, -1000, -1000], // constant 3
                     _ => {}
                 }
-                int2::CodeSteps {
-                    sign: if lcg(&mut rng) & 1 == 0 { 1 } else { -1 },
-                    at,
-                }
+                // Random directions, but both on the edge cases.
+                let falls = if ch >= 4 { ch % 8 < 4 } else { lcg(&mut rng) & 1 == 0 };
+                int2::CodeSteps { sign: if falls { -1 } else { 1 }, at }
             })
             .collect();
         let want = threshold_then_pool_then_pack(&acc, &steps, h, w, pool, pad);
         let tag = format!("c={c} h={h} w={w} pool={pool} pad={pad}");
-        let mut got = vec![!0u64; want.len()]; // stale words must not survive
-        portable::threshold_pool_pack_int2(&mut acc.clone(), &steps, h, w, pool, pad, &mut got);
-        assert_eq!(got, want, "portable threshold unit, {tag}");
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            let mut got = vec![!0u64; want.len()];
-            unsafe {
-                avx2::threshold_pool_pack_int2(&mut acc.clone(), &steps, h, w, pool, pad, &mut got)
-            };
-            assert_eq!(got, want, "avx2 threshold unit, {tag}");
+        for (name, unit) in &units {
+            let mut got = vec![!0u64; want.len()]; // stale words must not survive
+            unsafe { unit(&mut acc.clone(), &steps, h, w, pool, pad, &mut got) };
+            assert_eq!(got, want, "{name} threshold unit, {tag}");
         }
     }
 }
@@ -782,7 +946,8 @@ proptest! {
     /// The code-domain conv against the f32 chain it replaces, stage by
     /// stage: `conv_int2_direct` at unit scale yields the accumulators,
     /// each is coded on its own, the codes are max-pooled and packed.
-    /// Dispatched and forced-portable runs must both equal it.
+    /// The dispatched run and one under every forced backend must equal
+    /// it.
     #[test]
     fn code_domain_conv_equals_direct_conv_then_code_pool_pack(
         c in 1usize..5,
@@ -842,11 +1007,14 @@ proptest! {
             got
         };
         prop_assert_eq!(&run(), &want, "dispatched");
-        // Same bits either way, so flipping the process-global backend
+        // Same bits every way, so flipping the process-global backend
         // under the other tests of this binary is harmless.
-        int2::override_backend(Some(Backend::Portable));
-        let portable = run();
-        int2::override_backend(None);
-        prop_assert_eq!(&portable, &want, "forced portable");
+        let _switch = BACKEND_SWITCH.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        for backend in backends() {
+            int2::override_backend(Some(backend));
+            let forced = run();
+            int2::override_backend(None);
+            prop_assert_eq!(&forced, &want, "forced {:?}", backend);
+        }
     }
 }
