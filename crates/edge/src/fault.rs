@@ -10,16 +10,18 @@
 //!
 //! # Determinism
 //!
-//! Every random fault draw (abort/overrun coin flips, per-frame dropout
-//! draws, flood arrival counts) comes from a **dedicated RNG stream**
+//! Every random fault draw (abort/overrun coin flips, dropout
+//! thinnings, flood arrival counts) comes from a **dedicated RNG stream**
 //! seeded from `plan.seed` mixed with the episode seed — never from the
-//! workload stream. Injecting, removing, or re-ordering faults
-//! therefore cannot perturb the Poisson arrival draws of the underlying
-//! workload, and an empty plan performs no draws at all, which is what
-//! makes a fault-free run byte-identical to the plain simulator (pinned
-//! by `tests/fault_injection_determinism.rs`).
+//! workload stream — and an empty plan performs no draws at all, which
+//! is what makes a fault-free run byte-identical to the plain simulator
+//! (pinned by `tests/fault_injection_determinism.rs`). The hooks are
+//! asked once per segment between events, at a time inside the segment:
+//! every window edge is an event, so the answer holds for all of it.
+//! (Those edges re-segment the episode, so a plan with windows shares
+//! its clean twin's rate trace but not its arrival draws.)
 
-use crate::workload::poisson;
+use crate::sampling::{binomial, poisson};
 use adapex_tensor::rng::{derive_stream, rng_from_seed};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -301,59 +303,51 @@ impl FaultState {
         &self.plan
     }
 
-    /// How many of `produced` frames the active dropout loses at the
-    /// source at time `t`. Draws one Bernoulli per frame while a
-    /// dropout window is active; draws nothing otherwise.
-    pub fn dropped_at_source(&mut self, t: f64, produced: usize) -> usize {
-        if produced == 0 {
-            return 0;
-        }
-        let Some(d) = self
-            .plan
+    /// The dropout active at `t`, if any (first match in plan order).
+    fn dropout_at(&self, t: f64) -> Option<f64> {
+        self.plan
             .dropouts
             .iter()
             .find(|d| d.window.contains(t) && d.fraction > 0.0)
-            .copied()
-        else {
-            return 0;
-        };
-        self.dropped_frames(d.fraction, produced)
+            .map(|d| d.fraction)
     }
 
-    /// Window-resolved variant of [`FaultState::dropped_at_source`] for
-    /// the event-driven engine: the active dropout has already been
-    /// located by a scheduled window-toggle event, so only the draws
-    /// remain. Draw-for-draw identical to the polling hook.
-    pub(crate) fn dropped_frames(&mut self, fraction: f64, produced: usize) -> usize {
-        let dropped = (0..produced)
-            .filter(|_| self.rng.random_bool(fraction))
-            .count();
+    /// The flood multiplier active at `t`, if any (first match in plan
+    /// order).
+    fn flood_at(&self, t: f64) -> Option<f64> {
+        self.plan
+            .floods
+            .iter()
+            .find(|f| f.window.contains(t) && f.multiplier > 1.0)
+            .map(|f| f.multiplier)
+    }
+
+    /// Mean offered load at `t` per unit of produced load: what the
+    /// active dropout leaves plus what the active flood adds.
+    pub fn load_factor(&self, t: f64) -> f64 {
+        1.0 - self.dropout_at(t).unwrap_or(0.0) + self.flood_at(t).map_or(0.0, |m| m - 1.0)
+    }
+
+    /// How many of `produced` frames the dropout active at `t` loses at
+    /// the source: one binomial thinning while a dropout window is
+    /// active, no draw otherwise.
+    pub fn dropped_at_source(&mut self, t: f64, produced: usize) -> usize {
+        let Some(fraction) = self.dropout_at(t) else {
+            return 0;
+        };
+        let dropped = binomial(produced, fraction, &mut self.rng);
         self.counters.dropped_by_fault += dropped;
         dropped
     }
 
-    /// Extra stale-frame arrivals injected at time `t` for a tick of
-    /// `dt` seconds on top of the base `rate`. Zero (and no draw) when
-    /// no flood window is active.
+    /// Extra stale-frame arrivals the flood active at `t` injects over
+    /// `dt` seconds on top of the base `rate`: one Poisson draw, zero
+    /// (and no draw) when no flood window is active.
     pub fn flood_arrivals(&mut self, t: f64, dt: f64, rate: f64) -> usize {
-        let Some(f) = self
-            .plan
-            .floods
-            .iter()
-            .find(|f| f.window.contains(t) && f.multiplier > 1.0)
-            .copied()
-        else {
+        let Some(multiplier) = self.flood_at(t) else {
             return 0;
         };
-        self.flood_extra((f.multiplier - 1.0) * rate * dt)
-    }
-
-    /// Window-resolved variant of [`FaultState::flood_arrivals`]: the
-    /// active flood's `λ = (multiplier − 1) × rate × dt` is supplied by
-    /// the engine's window-toggle bookkeeping. Draw-for-draw identical
-    /// to the polling hook.
-    pub(crate) fn flood_extra(&mut self, lambda: f64) -> usize {
-        let extra = poisson(lambda, &mut self.rng);
+        let extra = poisson((multiplier - 1.0) * rate * dt, &mut self.rng);
         self.counters.flood_arrivals += extra;
         extra
     }

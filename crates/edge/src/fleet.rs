@@ -18,7 +18,7 @@
 //! function of `(fleet_seed, entity)`, placement is computed once
 //! up front, and `par_map` preserves index order, so a fleet run is
 //! **byte-identical at any job count** (pinned by
-//! `tests/des_equivalence.rs` and the `bench_fleet` gate).
+//! `tests/edge_sim_properties.rs` and the `bench_fleet` gate).
 
 use crate::fault::FaultPlan;
 use crate::sim::{EdgeSimulation, RunSpec, SimConfig, SimResult, Traffic};
@@ -130,7 +130,9 @@ pub struct FleetSummary {
     pub degraded_periods: usize,
     /// DES events processed across all servers.
     pub events: u64,
-    /// Simulated ticks advanced across all servers.
+    /// Ticks of virtual time covered across all servers (see
+    /// [`DesStats::ticks`](crate::DesStats); the engine does not iterate
+    /// them).
     pub ticks: u64,
 }
 

@@ -30,11 +30,13 @@
 //! println!("loss {:.2}% accuracy {:.3}", result.inference_loss_pct(), result.mean_accuracy);
 //! ```
 
+mod buffer;
 pub mod des;
 mod engine;
 mod fault;
 mod fleet;
 mod scenario;
+mod sampling;
 mod scenario_file;
 pub mod serve_sim;
 mod sim;

@@ -1,9 +1,7 @@
 //! The edge-server simulation: configuration, results, and the one
 //! way to run an episode — [`EdgeSimulation::run`] on a [`RunSpec`]
 //! (traffic, fault plan, seed). `engine.rs` holds the event engine that
-//! runs it; the old fixed-step tick loop is retained here as a
-//! reference implementation for differential tests and benchmarks,
-//! reachable only as [`EdgeSimulation::run_tick_reference`].
+//! runs it.
 
 use crate::engine::{self, DesStats};
 use crate::fault::{FaultCounters, FaultPlan, FaultState};
@@ -12,12 +10,11 @@ use crate::workload_gen::WorkloadSpec;
 use adapex::runtime::RuntimeManager;
 use adapex_tensor::parallel::par_map;
 use adapex_tensor::rng::{derive_sequential, derive_stream, rng_from_seed};
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 
-/// Stream salt for the Poisson arrival noise of [`Traffic::Synthetic`]
-/// and [`Traffic::Spec`] episodes; `derive_stream(seed, 0, salt)`
+/// Stream salt for the workload stream — the Poisson arrival counts
+/// and the buffer's loss thinnings — of [`Traffic::Synthetic`] and
+/// [`Traffic::Spec`] episodes; `derive_stream(seed, 0, salt)`
 /// reduces to the historical `seed ^ salt` tag these streams were born
 /// with.
 const ARRIVAL_SALT: u64 = 0xE06E;
@@ -122,7 +119,7 @@ impl SimConfig {
 /// One monitor-period sample of the runtime trace (Fig. 3 right).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TraceSample {
-    /// Sample time in seconds.
+    /// Sample time in seconds: the end of the monitor period.
     pub t: f64,
     /// Observed workload over the last period (inferences/second).
     pub workload_ips: f64,
@@ -132,7 +129,9 @@ pub struct TraceSample {
     pub confidence_threshold: f64,
     /// Expected accuracy of the selected operating point.
     pub accuracy: f64,
-    /// Queue occupancy at the sample instant.
+    /// Frames in the buffer at the sample instant: the expected backlog
+    /// of the buffer's distribution, rounded (the realised fill while
+    /// the FPGA reconfigures).
     pub queue_len: usize,
     /// The manager was in degraded mode at this decision (no entry met
     /// the accuracy floor at the observed load).
@@ -154,9 +153,9 @@ pub struct SimResult {
     /// Requests dropped on a full buffer.
     pub lost: usize,
     /// Frame-buffer depth high-water mark over the run — the
-    /// backpressure signal: `queue_high_water == queue_capacity` means
-    /// the buffer saturated and arrivals were (or were about to be)
-    /// dropped.
+    /// backpressure signal: `queue_capacity` as soon as one arrival was
+    /// blocked on a full buffer, otherwise the largest backlog (see
+    /// [`TraceSample::queue_len`]) any segment between events ended on.
     #[serde(default)]
     pub queue_high_water: usize,
     /// Mean expected accuracy over processed inferences.
@@ -267,10 +266,31 @@ impl EdgeSimulation {
     }
 
     /// [`EdgeSimulation::run`] plus the engine's event and tick counts
-    /// (for the fleet summary and throughput benchmarks; `SimResult`
-    /// itself stays byte-compatible with the tick loop).
+    /// (for the fleet summary and throughput benchmarks).
+    ///
+    /// The three [`Traffic`] recipes and the fault stream are spelled
+    /// here and nowhere else.
     pub fn run_stats(&self, manager: &mut RuntimeManager, spec: &RunSpec) -> (SimResult, DesStats) {
-        self.episode(manager, spec, engine::run)
+        let generated;
+        let rebased;
+        let (cfg, trace, salt) = match spec.traffic {
+            Traffic::Synthetic => {
+                generated = self.config.workload.sample(spec.seed);
+                (&self.config, &generated, ARRIVAL_SALT)
+            }
+            Traffic::Spec(workload) => {
+                generated = workload.generate(spec.seed);
+                rebased = SimConfig {
+                    workload: generated.config,
+                    ..self.config.clone()
+                };
+                (&rebased, &generated, ARRIVAL_SALT)
+            }
+            Traffic::Shaped(trace) => (&self.config, trace, SHAPED_SALT),
+        };
+        let mut rng = rng_from_seed(derive_stream(spec.seed, 0, salt));
+        let mut faults = FaultState::new(spec.faults, spec.seed);
+        engine::run(cfg, manager, trace, &mut rng, &mut faults)
     }
 
     /// Runs `repetitions` episodes of `spec` (the paper averages 100),
@@ -300,19 +320,6 @@ impl EdgeSimulation {
         })
     }
 
-    /// [`EdgeSimulation::run`] on the reference fixed-step
-    /// implementation: the pre-DES 1 ms tick loop, polling every
-    /// condition on every tick.
-    ///
-    /// Retained — not as a fallback, the engine *is* the simulator —
-    /// but as the executable specification the engine is differentially
-    /// tested against (`tests/des_equivalence.rs` pins bit-identity for
-    /// all three [`Traffic`] recipes) and as the throughput baseline
-    /// `bench_fleet` measures speedup over.
-    pub fn run_tick_reference(&self, manager: &mut RuntimeManager, spec: &RunSpec) -> SimResult {
-        self.episode(manager, spec, Self::tick_loop)
-    }
-
     /// Harness shim, frozen because `benchmark/` calls it by name:
     /// [`EdgeSimulation::run`] with [`Traffic::Spec`].
     pub fn run_with_workload_and_faults(
@@ -323,208 +330,6 @@ impl EdgeSimulation {
         plan: &FaultPlan,
     ) -> SimResult {
         self.run(manager, &RunSpec::new(Traffic::Spec(spec), plan, seed))
-    }
-
-    /// Resolves `spec` into one episode's inputs and hands them to
-    /// `runner` (the engine or the tick loop). The three [`Traffic`]
-    /// recipes and the fault stream are spelled here and nowhere else.
-    fn episode<R>(
-        &self,
-        manager: &mut RuntimeManager,
-        spec: &RunSpec,
-        runner: impl FnOnce(&SimConfig, &mut RuntimeManager, &WorkloadTrace, &mut StdRng, &mut FaultState) -> R,
-    ) -> R {
-        let generated;
-        let rebased;
-        let (cfg, trace, salt) = match spec.traffic {
-            Traffic::Synthetic => {
-                generated = self.config.workload.sample(spec.seed);
-                (&self.config, &generated, ARRIVAL_SALT)
-            }
-            Traffic::Spec(workload) => {
-                generated = workload.generate(spec.seed);
-                rebased = SimConfig {
-                    workload: generated.config,
-                    ..self.config.clone()
-                };
-                (&rebased, &generated, ARRIVAL_SALT)
-            }
-            Traffic::Shaped(trace) => (&self.config, trace, SHAPED_SALT),
-        };
-        let mut rng = rng_from_seed(derive_stream(spec.seed, 0, salt));
-        let mut faults = FaultState::new(spec.faults, spec.seed);
-        runner(cfg, manager, trace, &mut rng, &mut faults)
-    }
-
-    /// The pre-DES tick loop, kept verbatim as the engine's executable
-    /// specification (see [`EdgeSimulation::run_tick_reference`]).
-    fn tick_loop(
-        cfg: &SimConfig,
-        manager: &mut RuntimeManager,
-        trace: &WorkloadTrace,
-        rng: &mut StdRng,
-        faults: &mut FaultState,
-    ) -> SimResult {
-        let dt = cfg.tick_s;
-        let duration = cfg.workload.duration_s;
-        let mut queue: VecDeque<f64> = VecDeque::new(); // arrival timestamps
-
-        // Initial decision from the nominal rate (deployment-time sizing).
-        manager.decide(cfg.workload.nominal_ips());
-        let initial_reconfigs = manager.reconfig_count;
-        let initial_ct_changes = manager.ct_change_count;
-        let initial_failed = manager.failed_reconfig_count;
-        let initial_retries = manager.retry_count;
-
-        let mut offered = 0usize;
-        let mut processed = 0usize;
-        let mut lost = 0usize;
-        let mut queue_high_water = 0usize;
-        let mut accuracy_sum = 0.0f64;
-        let mut latency_sum_ms = 0.0f64;
-        let mut service_sum_ms = 0.0f64;
-        let mut energy_j = 0.0f64;
-        let mut service_credit = 0.0f64;
-        let mut reconfig_remaining_s = 0.0f64;
-        // The in-flight reconfiguration will abort (fault-injected):
-        // when its downtime elapses the old bitstream is still loaded.
-        let mut reconfig_aborting = false;
-        let mut monitor_arrivals = 0usize;
-        let mut monitor_elapsed = 0.0f64;
-        let mut samples = Vec::new();
-
-        let mut t = 0.0f64;
-        while t < duration {
-            // --- Arrivals. -------------------------------------------
-            // Camera dropouts lose frames at the source (never offered);
-            // stale-frame floods add arrivals beyond the ±30 % envelope.
-            // Both hooks are no-ops (no RNG draw) on an empty plan.
-            let produced = trace.arrivals(t, dt, rng);
-            let arrivals = produced - faults.dropped_at_source(t, produced)
-                + faults.flood_arrivals(t, dt, trace.rate_at(t));
-            offered += arrivals;
-            monitor_arrivals += arrivals;
-            for _ in 0..arrivals {
-                if queue.len() >= cfg.queue_capacity {
-                    lost += 1;
-                } else {
-                    queue.push_back(t);
-                    queue_high_water = queue_high_water.max(queue.len());
-                }
-            }
-
-            // --- Service (or reconfiguration downtime). --------------
-            let point = manager
-                .current_point()
-                .expect("decide ran at t=0")
-                .clone();
-            if reconfig_remaining_s > 0.0 {
-                reconfig_remaining_s -= dt;
-                energy_j += cfg.reconfig_power_w * dt;
-                service_credit = 0.0;
-                if reconfig_remaining_s <= 0.0 {
-                    // Downtime just elapsed: settle the attempt.
-                    if reconfig_aborting {
-                        manager.reconfig_aborted();
-                        reconfig_aborting = false;
-                    } else {
-                        manager.reconfig_completed();
-                    }
-                }
-            } else {
-                energy_j += point.power_w * dt;
-                service_credit += point.ips * dt;
-                while service_credit >= 1.0 {
-                    let Some(arrived_at) = queue.pop_front() else {
-                        // Idle headroom does not accumulate into bursts
-                        // beyond one tick's worth.
-                        service_credit = service_credit.min(point.ips * dt + 1.0);
-                        break;
-                    };
-                    if faults.is_stale(t, arrived_at) {
-                        // Stale-frame admission control: discard without
-                        // spending a service slot.
-                        lost += 1;
-                        faults.counters.stale_discarded += 1;
-                        continue;
-                    }
-                    service_credit -= 1.0;
-                    processed += 1;
-                    accuracy_sum += faults.delivered_accuracy(t, point.accuracy);
-                    latency_sum_ms += (t - arrived_at) * 1_000.0 + point.avg_latency_ms;
-                    service_sum_ms += point.avg_latency_ms;
-                }
-            }
-
-            // --- Monitor + adaptation. --------------------------------
-            monitor_elapsed += dt;
-            if monitor_elapsed + 1e-9 >= cfg.monitor_period_s {
-                let observed_ips = monitor_arrivals as f64 / monitor_elapsed;
-                let decision = manager.decide(observed_ips);
-                if decision.reconfig {
-                    let outcome = faults.reconfig_outcome(cfg.reconfig_time_ms / 1_000.0);
-                    reconfig_remaining_s += outcome.downtime_s;
-                    reconfig_aborting = outcome.aborted;
-                }
-                if decision.degraded {
-                    faults.counters.degraded_periods += 1;
-                    faults.counters.time_degraded_s += monitor_elapsed;
-                }
-                let entry = &manager.library().entries[decision.entry];
-                samples.push(TraceSample {
-                    t,
-                    workload_ips: observed_ips,
-                    pruning_rate: entry.achieved_rate,
-                    confidence_threshold: decision.threshold,
-                    accuracy: entry.points[decision.point].accuracy,
-                    queue_len: queue.len(),
-                    degraded: decision.degraded,
-                    backoff_remaining: manager.backoff_remaining(),
-                });
-                monitor_arrivals = 0;
-                monitor_elapsed = 0.0;
-            }
-
-            t += dt;
-        }
-
-        // Requests still queued at the end were neither processed nor
-        // lost; with a 25 s horizon they are a negligible sliver and are
-        // counted as lost (they missed the episode).
-        lost += queue.len();
-
-        let mut counters = faults.counters.clone();
-        counters.failed_reconfigs = manager.failed_reconfig_count - initial_failed;
-        counters.reconfig_retries = manager.retry_count - initial_retries;
-
-        SimResult {
-            offered,
-            processed,
-            lost,
-            queue_high_water,
-            mean_accuracy: if processed == 0 {
-                0.0
-            } else {
-                accuracy_sum / processed as f64
-            },
-            mean_power_w: energy_j / duration,
-            mean_latency_ms: if processed == 0 {
-                0.0
-            } else {
-                latency_sum_ms / processed as f64
-            },
-            mean_service_latency_ms: if processed == 0 {
-                0.0
-            } else {
-                service_sum_ms / processed as f64
-            },
-            energy_j,
-            reconfig_count: manager.reconfig_count - initial_reconfigs,
-            ct_change_count: manager.ct_change_count - initial_ct_changes,
-            duration_s: duration,
-            faults: counters,
-            trace: samples,
-        }
     }
 }
 

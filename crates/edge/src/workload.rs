@@ -4,9 +4,10 @@
 //! Every `deviation_period_s` the offered rate jumps to a new level
 //! drawn uniformly within ±`deviation` of nominal — the paper's "30 %
 //! random workload deviation every 5 seconds" capturing IPS
-//! fluctuation, congestion and camera churn. Per-tick arrivals are
-//! Poisson around the current level.
+//! fluctuation, congestion and camera churn. Arrivals are Poisson around
+//! the current level (drawn per segment by the engine).
 
+use crate::sampling::poisson;
 use adapex_tensor::rng::rng_from_seed;
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -114,7 +115,7 @@ impl WorkloadTrace {
         self.rates.get(idx).copied().unwrap_or(last)
     }
 
-    /// Poisson arrival count for a tick of `dt` seconds at time `t`.
+    /// Poisson arrival count over the `dt` seconds around time `t`.
     pub fn arrivals(&self, t: f64, dt: f64, rng: &mut StdRng) -> usize {
         poisson(self.rate_at(t) * dt, rng)
     }
@@ -127,32 +128,6 @@ impl WorkloadTrace {
             self.rates.iter().sum::<f64>() / self.rates.len() as f64
         }
     }
-}
-
-/// Knuth's Poisson sampler (fine for the per-tick λ ≈ 6 used here).
-pub(crate) fn poisson(lambda: f64, rng: &mut StdRng) -> usize {
-    if lambda <= 0.0 {
-        return 0;
-    }
-    poisson_with_limit((-lambda).exp(), rng)
-}
-
-/// [`poisson`] with the `exp(-λ)` acceptance limit precomputed by the
-/// caller: the event engine caches it per rate segment instead of
-/// paying the `exp` on every tick. For `limit == (-λ).exp()` the draw
-/// sequence is identical to [`poisson`]. The caller owns the `λ ≤ 0`
-/// short-circuit (which must draw nothing).
-pub(crate) fn poisson_with_limit(limit: f64, rng: &mut StdRng) -> usize {
-    let mut product: f64 = rng.random();
-    let mut count = 0usize;
-    while product > limit {
-        count += 1;
-        product *= rng.random::<f64>();
-        if count > 10_000 {
-            break; // guard against pathological λ
-        }
-    }
-    count
 }
 
 #[cfg(test)]

@@ -14,7 +14,8 @@
 //! rejected so a typo in a scenario file fails loudly instead of
 //! silently running the default shape.
 
-use crate::workload::{poisson, WorkloadConfig, WorkloadTrace};
+use crate::sampling::poisson;
+use crate::workload::{WorkloadConfig, WorkloadTrace};
 use adapex_tensor::rng::{derive_stream, rng_from_seed};
 use rand::RngExt;
 use serde::{Deserialize, Serialize, Value};

@@ -3,16 +3,14 @@
 //! A counting global allocator wraps `System`. Two hot loops are pinned:
 //!
 //! 1. The event-driven simulation: a full `EdgeSimulation` run is
-//!    measured at two durations. All per-run buffers (arrival queue,
-//!    trace samples, event heap, boundary tables) are pre-sized from
-//!    `SimConfig`, and the steady-state advance loop works entirely in
-//!    scalars — so the allocation count must be **independent of the
-//!    tick count**: growing the run 8× in simulated time (ticks) may
-//!    only add allocations proportional to the extra *events* (monitor
-//!    fires, rate segments), never the extra ticks. A regression that
-//!    puts an allocation back into the per-tick path (e.g. the old
-//!    per-tick `OperatingPoint` clone) fails this immediately with
-//!    ~tick-count magnitude.
+//!    measured at two durations. All per-run buffers (trace samples,
+//!    event heap) are pre-sized from `SimConfig` and the buffer model
+//!    lives in fixed arrays, so the allocation count must be
+//!    **independent of the simulated duration**: growing the run 8× in
+//!    simulated time adds ticks, monitor fires and rate segments, and
+//!    not one allocation. The same engine is then held to the stronger
+//!    pin its segment-level physics allows: at an equal *event* count,
+//!    8× the ticks may not cost 1.5× the host time.
 //!
 //! 2. The inference data plane the simulated server models:
 //!    `BatchExecutor::run_batch` over an early-exit CNV on the direct
@@ -118,7 +116,7 @@ fn manager() -> RuntimeManager {
 }
 
 /// Allocations for one full run (workload sampling, engine, result) at
-/// the given duration, plus the run's tick count.
+/// the given duration, plus the ticks of virtual time it covers.
 fn measure(duration_s: f64, plan: &FaultPlan) -> (usize, u64) {
     let mut cfg = SimConfig::paper_default(145.0);
     cfg.workload.duration_s = duration_s;
@@ -143,12 +141,11 @@ fn sim_loop_allocations_scale_with_events_not_ticks() {
         let (long_allocs, long_ticks) = measure(200.0, &plan);
         assert!(long_ticks - short_ticks >= 170_000, "8× duration must add ticks");
 
-        // Empirically a whole run costs a handful of allocations (trace,
-        // pre-sized buffers, boundary tables) — the same handful at 25 s
-        // and at 200 s, despite 8× the ticks, monitor fires and rate
-        // segments. Pin that exactly: any per-tick allocation (e.g. the
-        // old per-tick `OperatingPoint` clone) or under-sized buffer
-        // regrowth breaks equality.
+        // Empirically a whole run costs a handful of allocations (rate
+        // trace, fault plan copy, event heap, samples) — the same
+        // handful at 25 s and at 200 s, despite 8× the ticks, monitor
+        // fires and rate segments. Pin that exactly: any per-event
+        // allocation or under-sized buffer regrowth breaks equality.
         eprintln!(
             "plan faults={} short: {short_allocs} allocs/{short_ticks} ticks, \
              long: {long_allocs} allocs/{long_ticks} ticks",
@@ -157,9 +154,47 @@ fn sim_loop_allocations_scale_with_events_not_ticks() {
         assert_eq!(
             long_allocs, short_allocs,
             "allocation count must not grow with run length \
-             (per-tick allocation or buffer regrowth regression?)"
+             (per-event allocation or buffer regrowth regression?)"
         );
     }
+}
+
+/// The engine pays per event: stretching every period of an episode 8×
+/// (duration, monitor period, rate period) keeps its events and
+/// multiplies its ticks, and must not move its host time. A per-tick
+/// loop anywhere on the run path makes the long episode ~8× slower.
+#[test]
+fn host_time_follows_events_not_ticks() {
+    let fastest = |stretch: f64| {
+        let mut cfg = SimConfig::paper_default(145.0);
+        cfg.workload.duration_s *= stretch;
+        cfg.workload.deviation_period_s *= stretch;
+        cfg.monitor_period_s *= stretch;
+        let sim = EdgeSimulation::new(cfg);
+        let mut stats = None;
+        let mut floor = std::time::Duration::MAX;
+        for _ in 0..40 {
+            let mut m = manager();
+            let t0 = std::time::Instant::now();
+            let (result, s) = sim.run_stats(&mut m, &RunSpec::synthetic(77));
+            floor = floor.min(t0.elapsed());
+            assert!(result.processed > 0);
+            stats = Some(s);
+        }
+        (floor, stats.expect("ran"))
+    };
+    let _ = fastest(1.0); // warm-up
+    let (short, short_stats) = fastest(1.0);
+    let (long, long_stats) = fastest(8.0);
+    assert_eq!(long_stats.ticks, 8 * short_stats.ticks);
+    // Reconfigurations last 145 ms at either scale, so the settle events
+    // (and only they) may differ with the draws.
+    assert!(long_stats.events.abs_diff(short_stats.events) <= 6, "{long_stats:?} vs {short_stats:?}");
+    eprintln!("25 s: {short:?} / {short_stats:?}; 200 s: {long:?} / {long_stats:?}");
+    assert!(
+        long.as_secs_f64() <= 1.5 * short.as_secs_f64(),
+        "8x the ticks at the same event count cost {long:?} vs {short:?}"
+    );
 }
 
 /// The per-frame inference cost the simulator's service-rate model
