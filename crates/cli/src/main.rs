@@ -15,8 +15,8 @@ use adapex::generator::{Artifacts, GeneratorConfig, LibraryGenerator};
 use adapex::runtime::{MitigationConfig, RuntimeManager};
 use adapex_dataset::DatasetKind;
 use adapex_edge::{
-    mean_of, EdgeSimulation, FaultPlan, Fleet, FleetConfig, FleetOverrides, PlacementPolicy,
-    RunSpec, Scenario, ScenarioFile, SimConfig, SimResult, Traffic, WorkloadConfig, WorkloadSpec,
+    mean_of, EdgeSimulation, FaultPlan, Fleet, FleetConfig, PlacementPolicy, RunSpec, Scenario,
+    ScenarioFile, SimConfig, SimResult, Traffic, WorkloadConfig, WorkloadSpec,
     WorkloadTrace,
 };
 use adapex_tensor::parallel::num_threads;
@@ -98,7 +98,8 @@ USAGE:
                       [--batch-deadline-us N] [--workers N]
                       [--pattern steady|burst|ramp] [--rate F]
                       [--duration S] [--seed N] [--faults PLAN.json]
-                      [--scenario SCENARIO.json] [--workload WORKLOAD.json]
+                      [--scenario steady|ramp-up|burst|diurnal|SCENARIO.json]
+                      [--workload WORKLOAD.json]
                       (SPEC is `name:budget_us:priority[:capacity],...`,
                        default `gold:20000:2:64,best-effort:100000:1:256`.
                        Without --artifacts, a synthetic service model
@@ -109,9 +110,8 @@ USAGE:
                        the confidence threshold or reconfigure the FPGA
                        mid-serve, and --faults composes camera dropouts
                        and reconfig aborts into the run. --scenario and
-                       --workload files (with --artifacts) replace the
-                       synthetic camera workload with a trace-driven
-                       one.)
+                       --workload (with --artifacts) resolve as they do
+                       for simulate; --duration and --rate override.)
   adapex-cli synth    [--width N] [--rate F] [--prune-exits] [--classes N]
                       [--target-cycles N]";
 
@@ -238,34 +238,28 @@ fn jobs_of(args: &Args) -> Result<usize, Box<dyn Error>> {
     })
 }
 
-/// Parses `--faults FILE` (a fault-plan JSON), if given.
+/// Parses and validates `--faults FILE` (a fault-plan JSON), if given.
 fn faults_arg(args: &Args) -> Result<Option<FaultPlan>, Box<dyn Error>> {
-    match args.get("faults") {
-        Some(path) => Ok(Some(FaultPlan::load_json(path)?)),
-        None => Ok(None),
-    }
-}
-
-/// What `--scenario VALUE` named: one of the built-in shaped traces, or
-/// a scenario *file* bundling workload + faults + overrides.
-enum ScenarioArg {
-    Shaped(Scenario),
-    File(Box<ScenarioFile>),
-}
-
-/// Parses `--scenario`, if given. Shaped ids win; anything else is
-/// loaded as a scenario file.
-fn scenario_arg(args: &Args) -> Result<Option<ScenarioArg>, Box<dyn Error>> {
-    let Some(value) = args.get("scenario") else {
+    let Some(path) = args.get("faults") else {
         return Ok(None);
     };
+    let plan = FaultPlan::load_json(path)?;
+    plan.validate().map_err(|e| format!("{path}: {e}"))?;
+    Ok(Some(plan))
+}
+
+/// Parses `--scenario VALUE`, if given: one of the built-in shaped
+/// traces (ids win), or a scenario *file* bundling workload + faults +
+/// overrides.
+fn scenario_arg(args: &Args) -> Result<(Option<Scenario>, Option<ScenarioFile>), Box<dyn Error>> {
+    let Some(value) = args.get("scenario") else {
+        return Ok((None, None));
+    };
     if let Some(shaped) = Scenario::from_id(value) {
-        return Ok(Some(ScenarioArg::Shaped(shaped)));
+        return Ok((Some(shaped), None));
     }
     if std::path::Path::new(value).is_file() {
-        return Ok(Some(ScenarioArg::File(Box::new(ScenarioFile::load_json(
-            value,
-        )?))));
+        return Ok((None, Some(ScenarioFile::load_json(value)?)));
     }
     Err(format!(
         "unknown scenario `{value}`: not a shaped id (steady|ramp-up|burst|diurnal) \
@@ -282,16 +276,32 @@ fn workload_arg(args: &Args) -> Result<Option<WorkloadSpec>, Box<dyn Error>> {
     }
 }
 
-/// Applies `--ips-per-camera` / `--cameras` only when given, so file
-/// scenarios keep their own workload shape under the default flags.
-fn apply_workload_flags(args: &Args, workload: &mut WorkloadConfig) -> Result<(), Box<dyn Error>> {
+/// A command's workload-shape flags, applied on top of what the files
+/// resolved to (`from_file`: a scenario or workload file set the shape).
+type WorkloadFlags = fn(&Args, &mut WorkloadConfig, bool) -> Result<(), Box<dyn Error>>;
+
+/// `simulate`/`trace`: `--ips-per-camera` / `--cameras`, only when
+/// given, so file scenarios keep their own workload shape under the
+/// default flags.
+fn camera_flags(args: &Args, workload: &mut WorkloadConfig, _from_file: bool) -> Result<(), Box<dyn Error>> {
     workload.ips_per_camera = args.get_or("ips-per-camera", workload.ips_per_camera)?;
     workload.cameras = args.get_or("cameras", workload.cameras)?;
     Ok(())
 }
 
-/// Everything `simulate`/`trace` need, resolved from flags plus an
-/// optional scenario file. Explicit flags always win over the file.
+/// `serve`: `--duration` (30 s unless a file says otherwise) and the
+/// aggregate `--rate`, spread over the cameras.
+fn serve_flags(args: &Args, workload: &mut WorkloadConfig, from_file: bool) -> Result<(), Box<dyn Error>> {
+    let duration = if from_file { workload.duration_s } else { 30.0 };
+    workload.duration_s = args.get_or("duration", duration)?;
+    if let Some(rate) = args.get("rate") {
+        workload.ips_per_camera = rate.parse::<f64>()? / workload.cameras as f64;
+    }
+    Ok(())
+}
+
+/// Everything `simulate`/`trace`/`serve` need, resolved from flags plus
+/// an optional scenario file. Explicit flags always win over the file.
 struct RunSetup {
     sim: SimConfig,
     /// A workload spec from `--workload FILE` or a scenario file.
@@ -304,8 +314,8 @@ struct RunSetup {
     seed: u64,
     jobs: usize,
     servers: usize,
-    fleet: Option<FleetOverrides>,
-    banner: Option<String>,
+    /// The scenario file behind `--scenario FILE`, if any.
+    file: Option<ScenarioFile>,
 }
 
 impl RunSetup {
@@ -317,6 +327,13 @@ impl RunSetup {
             (None, None) => Traffic::Synthetic,
         };
         RunSpec::new(traffic, &self.plan, self.seed)
+    }
+
+    /// Announces the scenario file the run replays, if any.
+    fn print_banner(&self) {
+        if let Some(f) = &self.file {
+            println!("scenario {} (seed {}): {}", f.name, f.seed, f.description);
+        }
     }
 
     /// The checks a workload *file* gets on load, applied to what the
@@ -340,22 +357,19 @@ fn resolve_run(
     args: &Args,
     reconfig_ms: f64,
     default_seed: u64,
+    workload_flags: WorkloadFlags,
 ) -> Result<RunSetup, Box<dyn Error>> {
-    let scenario = scenario_arg(args)?;
+    let (shaped, file) = scenario_arg(args)?;
     let workload = workload_arg(args)?;
-    if scenario.is_some() && workload.is_some() {
+    if (shaped.is_some() || file.is_some()) && workload.is_some() {
         return Err(
             "--scenario and --workload are mutually exclusive (a scenario file \
              carries its own workload)"
                 .into(),
         );
     }
-    let file = match &scenario {
-        Some(ScenarioArg::File(file)) => Some(&**file),
-        _ => None,
-    };
-    let fleet = file.and_then(|f| f.fleet);
-    let mut sim = file.map_or_else(
+    let fleet = file.as_ref().and_then(|f| f.fleet);
+    let mut sim = file.as_ref().map_or_else(
         || SimConfig::paper_default(reconfig_ms),
         |f| f.sim_config(reconfig_ms),
     );
@@ -365,26 +379,23 @@ fn resolve_run(
     if let Some(f) = fleet {
         sim.workload.cameras = f.cameras_per_server;
     }
-    apply_workload_flags(args, &mut sim.workload)?;
+    workload_flags(args, &mut sim.workload, file.is_some() || workload.is_some())?;
     let run = RunSetup {
-        banner: file.map(|f| format!("scenario {} (seed {}): {}", f.name, f.seed, f.description)),
         workload: file
+            .as_ref()
             .map(|f| &f.workload)
             .or(workload.as_ref())
             .map(|spec| spec.with_config(sim.workload)),
-        shaped: match &scenario {
-            Some(ScenarioArg::Shaped(s)) => Some(s.trace(sim.workload)),
-            _ => None,
-        },
+        shaped: shaped.map(|s| s.trace(sim.workload)),
         sim,
         plan: match faults_arg(args)? {
             Some(plan) => plan,
-            None => file.map_or_else(FaultPlan::none, |f| f.faults.clone()),
+            None => file.as_ref().map_or_else(FaultPlan::none, |f| f.faults.clone()),
         },
-        seed: args.get_or("seed", file.map_or(default_seed, |f| f.seed))?,
+        seed: args.get_or("seed", file.as_ref().map_or(default_seed, |f| f.seed))?,
         jobs: jobs_of(args)?,
         servers: args.get_or("servers", fleet.map_or(1, |f| f.servers))?,
-        fleet,
+        file,
     };
     run.validate()?;
     Ok(run)
@@ -400,7 +411,9 @@ fn fleet_for(run: &RunSetup) -> Result<Fleet, Box<dyn Error>> {
             .into());
     }
     let (camera_spread, placement) = run
-        .fleet
+        .file
+        .as_ref()
+        .and_then(|f| f.fleet)
         .map_or((0.2, PlacementPolicy::LeastLoaded), |f| {
             (f.camera_spread, f.placement)
         });
@@ -439,10 +452,8 @@ fn print_fault_summary(results: &[SimResult]) {
 fn cmd_simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     let artifacts = Artifacts::load_json(args.require("artifacts")?)?;
     let reps = args.get_or("reps", 20usize)?;
-    let run = resolve_run(args, artifacts.reconfig_time_ms, 0xDA7E)?;
-    if let Some(banner) = &run.banner {
-        println!("{banner}");
-    }
+    let run = resolve_run(args, artifacts.reconfig_time_ms, 0xDA7E, camera_flags)?;
+    run.print_banner();
     if run.servers > 1 {
         return simulate_fleet(args, &artifacts, &run);
     }
@@ -554,10 +565,8 @@ fn trace_fleet(args: &Args, artifacts: &Artifacts, run: &RunSetup) -> Result<(),
 
 fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
     let artifacts = Artifacts::load_json(args.require("artifacts")?)?;
-    let run = resolve_run(args, artifacts.reconfig_time_ms, 21)?;
-    if let Some(banner) = &run.banner {
-        println!("{banner}");
-    }
+    let run = resolve_run(args, artifacts.reconfig_time_ms, 21, camera_flags)?;
+    run.print_banner();
     if run.servers > 1 {
         return trace_fleet(args, &artifacts, &run);
     }
@@ -734,54 +743,23 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     config.batch_deadline_us = args.get_or("batch-deadline-us", config.batch_deadline_us)?;
     config.workers = args.get_or("workers", config.workers)?;
     let seed = args.get_or("seed", 0x5E17Eu64)?;
-    let duration = args.get_or("duration", 30.0f64)?;
     let weights = vec![1.0; config.classes.len()];
 
     if let Some(path) = args.get("artifacts") {
         let artifacts = Artifacts::load_json(path)?;
         let manager = manager_for(System::AdaPEx, &artifacts, 0.10);
+        // The episode resolves as it does for `simulate`; a scenario
+        // file's serve section tunes the server on top.
+        let run = resolve_run(args, artifacts.reconfig_time_ms, seed, serve_flags)?;
+        run.print_banner();
         let mut cfg = ServeScenarioConfig::paper_default(artifacts.reconfig_time_ms);
         cfg.serve = config.clone();
         cfg.class_weights = weights;
-        cfg.workload.duration_s = duration;
-        cfg.seed = seed;
-        // A scenario/workload file replaces the synthetic camera
-        // workload; explicit flags still win over the file afterwards.
-        match (scenario_arg(args)?, workload_arg(args)?) {
-            (Some(_), Some(_)) => {
-                return Err("--scenario and --workload are mutually exclusive (a \
-                            scenario file carries its own workload)"
-                    .into());
-            }
-            (Some(ScenarioArg::Shaped(_)), None) => {
-                return Err("serve takes a scenario *file*; shaped ids \
-                            (steady|ramp-up|burst|diurnal) apply to simulate/trace"
-                    .into());
-            }
-            (Some(ScenarioArg::File(file)), None) => {
-                println!("scenario {} (seed {}): {}", file.name, file.seed, file.description);
-                file.apply_serve(&mut cfg);
-            }
-            (None, Some(spec)) => {
-                cfg.workload = *spec.config();
-                cfg.workload_spec = Some(spec);
-            }
-            (None, None) => {}
+        if let Some(file) = &run.file {
+            file.apply_serve(&mut cfg);
         }
-        if let Some(v) = args.get("seed") {
-            cfg.seed = v.parse()?;
-        }
-        if let Some(v) = args.get("duration") {
-            cfg.workload.duration_s = v.parse()?;
-        }
-        if let Some(plan) = faults_arg(args)? {
-            cfg.faults = plan;
-        }
-        if let Some(rate) = args.get("rate") {
-            let rate: f64 = rate.parse()?;
-            cfg.workload.ips_per_camera = rate / cfg.workload.cameras as f64;
-        }
-        let result = ServeScenario::run(&cfg, manager);
+        cfg.workload = run.sim.workload;
+        let result = ServeScenario::run(&cfg, manager, &run.spec());
         println!(
             "decisions {}  ct-changes {}  reconfigs {} ({} aborted, {:.1} ms down)  \
              fault-dropped {}",
@@ -801,6 +779,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
                 .into());
         }
         let rate = args.get_or("rate", 2_000.0f64)?;
+        let duration = args.get_or("duration", 30.0f64)?;
         let pattern_name = args.get_or("pattern", "steady".to_string())?;
         let pattern = ArrivalPattern::parse(&pattern_name)
             .ok_or_else(|| format!("unknown pattern `{pattern_name}` (steady|burst|ramp)"))?;
@@ -824,7 +803,8 @@ mod tests {
 
     fn resolve(tokens: &[&str]) -> Result<RunSetup, Box<dyn Error>> {
         let args = Args::parse(tokens.iter().map(|s| s.to_string())).expect("parses");
-        resolve_run(&args, 145.0, 1)
+        let flags = if args.command.as_deref() == Some("serve") { serve_flags } else { camera_flags };
+        resolve_run(&args, 145.0, 1, flags)
     }
 
     fn rejected(tokens: &[&str]) -> String {
@@ -874,5 +854,23 @@ mod tests {
         assert!(matches!(run.spec().traffic, Traffic::Shaped(_)));
         assert_eq!(run.spec().seed, 9);
         assert!(fleet_for(&run).is_err(), "shaped traces are single-server");
+    }
+
+    #[test]
+    fn serve_resolves_its_episode_like_simulate() {
+        let run = resolve(&["serve", "--scenario", "burst", "--rate", "400"]).expect("valid");
+        assert!(matches!(run.spec().traffic, Traffic::Shaped(_)));
+        assert_eq!((run.sim.workload.duration_s, run.sim.workload.ips_per_camera), (30.0, 20.0));
+        let err = rejected(&["serve", "--rate", "nan"]);
+        assert!(err.contains("ips_per_camera must be finite"), "error: {err}");
+    }
+
+    #[test]
+    fn an_out_of_range_fault_plan_is_an_error_not_a_clamp() {
+        let path = std::env::temp_dir().join(format!("adapex-bad-plan-{}.json", std::process::id()));
+        std::fs::write(&path, r#"{"dropouts":[{"window":{"start_s":1,"end_s":2},"fraction":1.5}]}"#).unwrap();
+        let err = rejected(&["simulate", "--faults", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains("dropouts[].fraction must be in [0, 1]"), "error: {err}");
     }
 }

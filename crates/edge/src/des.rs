@@ -1,45 +1,26 @@
-//! Generic discrete-event simulation core.
+//! The event queue both edge-server twins run on.
 //!
-//! The edge simulator (and, per the roadmap, future trace-driven and
-//! serving scenarios) runs on this module instead of a fixed-step tick
-//! loop. Three pieces, usable together or separately:
+//! [`EventQueue`] is a binary-heap priority queue of timestamped events
+//! with a **deterministic total order**: events pop in `(time, seq)`
+//! order, where `seq` is the queue's monotonically increasing schedule
+//! counter, so two runs that schedule the same events in the same order
+//! pop them in the same order on every platform, whatever the heap does
+//! inside. Who handles an event is the owner's business: each twin owns
+//! its queue and its RNG and dispatches with a plain `match`.
 //!
-//! - [`EventQueue`] — a binary-heap priority queue of timestamped events
-//!   with **deterministic total ordering**: events pop in
-//!   `(time, sequence, entity)` order, where `sequence` is a
-//!   monotonically increasing schedule counter. Two runs that schedule
-//!   the same events in the same order pop them in the same order, on
-//!   every platform, regardless of heap internals.
-//! - [`Component`] — the handler trait: a component receives an event
-//!   plus a [`Ctx`] through which it can schedule further events and
-//!   draw from its own private RNG stream.
-//! - [`Simulation`] — a registry of boxed components with per-component
-//!   RNG contexts (seeded via `derive_stream(seed, entity, DES_SALT)`)
-//!   and a run loop dispatching events to them by entity id.
+//! Time is a `u64` key in the owner's unit — tick-boundary indices for
+//! the frame engine (`engine.rs`), microseconds for the serve twin
+//! (`serve_sim.rs`). An integer key keeps ordering total by construction
+//! (no NaN, no tie-break-by-bits).
 //!
-//! Time is a `u64` key. Continuous-time users map their clock onto it
-//! however fits — the edge engine uses *phase-tagged tick indices*
-//! (`tick * PHASES + phase`) so that same-tick events fire in a defined
-//! intra-tick order (see `engine.rs`); a pure event-time user can use
-//! nanoseconds. A `u64` key rather than `f64` keeps ordering total and
-//! platform-independent by construction (no NaN, no tie-break-by-bits).
-//!
-//! Cancellation is by *generation*, not by queue surgery: schedule a
-//! payload carrying a generation counter and ignore stale generations at
-//! handling time. This keeps the heap append-only and the pop order
-//! trivially deterministic.
+//! Cancellation is by *generation*, not by queue surgery: a stale event
+//! stays in the heap and is recognised when it pops (a window generation
+//! in its payload; for a reconfiguration settle, its time against the
+//! pending one — `downtime.rs`). The heap stays append-only and the pop
+//! order trivially deterministic.
 
-use adapex_tensor::rng::{derive_stream, rng_from_seed};
-use rand::rngs::StdRng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Identifies the component an event is addressed to.
-pub type EntityId = u64;
-
-/// Stream salt for per-component DES RNGs (see
-/// `adapex_tensor::rng::derive_stream`).
-pub const DES_SALT: u64 = 0xD35_C0DE;
 
 /// An event popped from the queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +29,6 @@ pub struct Scheduled<E> {
     pub time: u64,
     /// Schedule-order sequence number (unique per queue).
     pub seq: u64,
-    /// Component the event is addressed to.
-    pub entity: EntityId,
     /// Caller-defined payload.
     pub payload: E,
 }
@@ -67,12 +46,8 @@ impl<E> Eq for HeapEntry<E> {}
 impl<E> Ord for HeapEntry<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest
-        // (time, seq, entity) first.
-        (other.0.time, other.0.seq, other.0.entity).cmp(&(
-            self.0.time,
-            self.0.seq,
-            self.0.entity,
-        ))
+        // (time, seq) first.
+        (other.0.time, other.0.seq).cmp(&(self.0.time, self.0.seq))
     }
 }
 impl<E> PartialOrd for HeapEntry<E> {
@@ -90,13 +65,8 @@ pub struct EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Empty queue at time 0.
-    pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Empty queue with pre-allocated heap storage (zero-realloc runs
-    /// when the event count is known up front).
+    /// Empty queue at time 0 with pre-allocated heap storage
+    /// (zero-realloc runs when the event count is known up front).
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             heap: BinaryHeap::with_capacity(cap),
@@ -106,21 +76,16 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `payload` for `entity` at `time`; returns the sequence
-    /// number assigned to the event.
+    /// Schedules `payload` at `time`; returns the sequence number
+    /// assigned to the event.
     ///
     /// Scheduling into the past (before the last popped event) is a
     /// logic error in the caller; it is caught in debug builds.
-    pub fn schedule(&mut self, time: u64, entity: EntityId, payload: E) -> u64 {
+    pub fn schedule(&mut self, time: u64, payload: E) -> u64 {
         debug_assert!(time >= self.now, "event scheduled in the past");
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(HeapEntry(Scheduled {
-            time,
-            seq,
-            entity,
-            payload,
-        }));
+        self.heap.push(HeapEntry(Scheduled { time, seq, payload }));
         seq
     }
 
@@ -129,7 +94,7 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.0.time)
     }
 
-    /// Pops the earliest event (by `(time, seq, entity)`) and advances
+    /// Pops the earliest event (by `(time, seq)`) and advances
     /// the queue clock to its time.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         let ev = self.heap.pop().map(|e| e.0)?;
@@ -147,170 +112,32 @@ impl<E> EventQueue<E> {
     pub fn processed(&self) -> u64 {
         self.processed
     }
-
-    /// Pending event count.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Execution context handed to a [`Component`] while it handles an
-/// event: the current time, the component's own deterministic RNG
-/// stream, and scheduling access to the shared queue.
-pub struct Ctx<'a, E> {
-    /// Time key of the event being handled.
-    pub now: u64,
-    /// Entity id of the handling component.
-    pub entity: EntityId,
-    /// The component's private RNG stream.
-    pub rng: &'a mut StdRng,
-    queue: &'a mut EventQueue<E>,
-}
-
-impl<E> Ctx<'_, E> {
-    /// Schedules an event at absolute time `time`.
-    pub fn schedule(&mut self, time: u64, entity: EntityId, payload: E) -> u64 {
-        self.queue.schedule(time, entity, payload)
-    }
-
-    /// Schedules an event `delay` time units from now, addressed to the
-    /// handling component itself.
-    pub fn schedule_self(&mut self, delay: u64, payload: E) -> u64 {
-        self.queue.schedule(self.now + delay, self.entity, payload)
-    }
-}
-
-/// An event handler owned by a [`Simulation`].
-pub trait Component<E> {
-    /// Handles one event addressed to this component.
-    fn on_event(&mut self, ev: &Scheduled<E>, ctx: &mut Ctx<'_, E>);
-}
-
-/// A registry of components plus the shared event queue: the generic
-/// simulation driver.
-///
-/// Entity ids are assigned densely by registration order; each
-/// component gets an RNG stream derived as
-/// `derive_stream(seed, entity, DES_SALT)`, so component draws are
-/// independent of scheduling interleavings and of each other.
-pub struct Simulation<E> {
-    queue: EventQueue<E>,
-    components: Vec<Box<dyn Component<E>>>,
-    rngs: Vec<StdRng>,
-    seed: u64,
-}
-
-impl<E> Simulation<E> {
-    /// New simulation with the given base seed.
-    pub fn new(seed: u64) -> Self {
-        Simulation {
-            queue: EventQueue::new(),
-            components: Vec::new(),
-            rngs: Vec::new(),
-            seed,
-        }
-    }
-
-    /// Registers a component; returns its entity id.
-    pub fn add_component(&mut self, c: Box<dyn Component<E>>) -> EntityId {
-        let id = self.components.len() as EntityId;
-        self.rngs
-            .push(rng_from_seed(derive_stream(self.seed, id, DES_SALT)));
-        self.components.push(c);
-        id
-    }
-
-    /// Schedules an event from outside any component (initial stimuli).
-    pub fn schedule(&mut self, time: u64, entity: EntityId, payload: E) -> u64 {
-        self.queue.schedule(time, entity, payload)
-    }
-
-    /// Pops and dispatches one event. Returns `false` when the queue is
-    /// empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event addresses an unregistered entity.
-    pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
-            return false;
-        };
-        let idx = ev.entity as usize;
-        assert!(idx < self.components.len(), "event for unknown entity");
-        let mut ctx = Ctx {
-            now: ev.time,
-            entity: ev.entity,
-            rng: &mut self.rngs[idx],
-            queue: &mut self.queue,
-        };
-        self.components[idx].on_event(&ev, &mut ctx);
-        true
-    }
-
-    /// Runs until the queue is empty or the next event is at or past
-    /// `t_end`; returns the number of events processed by this call.
-    pub fn run_until(&mut self, t_end: u64) -> u64 {
-        let mut n = 0;
-        while self.queue.peek_time().is_some_and(|t| t < t_end) {
-            self.step();
-            n += 1;
-        }
-        n
-    }
-
-    /// Time of the last dispatched event.
-    pub fn now(&self) -> u64 {
-        self.queue.now()
-    }
-
-    /// Total events dispatched over the simulation's lifetime.
-    pub fn events_processed(&self) -> u64 {
-        self.queue.processed()
-    }
-
-    /// Pending event count.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adapex_tensor::rng::rng_from_seed;
     use rand::RngExt;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[test]
     fn events_pop_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(30, 0, "c");
-        q.schedule(10, 0, "a");
-        q.schedule(20, 0, "b");
+        let mut q = EventQueue::with_capacity(4);
+        q.schedule(30, "c");
+        q.schedule(10, "a");
+        q.schedule(20, "b");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
 
     #[test]
     fn ties_break_by_schedule_sequence() {
-        // Same time, different entities scheduled out of entity order:
-        // pop order must follow the *schedule* order (seq), not entity id
-        // or heap internals.
-        let mut q = EventQueue::new();
-        q.schedule(5, 9, "first");
-        q.schedule(5, 1, "second");
-        q.schedule(5, 4, "third");
+        // Same time: pop order must follow the *schedule* order (seq),
+        // not payload or heap internals.
+        let mut q = EventQueue::with_capacity(4);
+        q.schedule(5, "first");
+        q.schedule(5, "second");
+        q.schedule(5, "third");
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
         assert_eq!(order, vec!["first", "second", "third"]);
     }
@@ -320,17 +147,17 @@ mod tests {
         // Schedule a pseudo-random pattern twice; pop sequences must be
         // identical element-for-element.
         let build = || {
-            let mut q = EventQueue::new();
+            let mut q = EventQueue::with_capacity(4);
             let mut rng = rng_from_seed(99);
             for i in 0..500u64 {
                 let t = q.now() + rng.random_range(0..50u64);
-                q.schedule(t, i % 7, i);
+                q.schedule(t, i);
                 if i % 3 == 0 {
                     q.pop();
                 }
             }
             std::iter::from_fn(move || q.pop())
-                .map(|e| (e.time, e.seq, e.entity, e.payload))
+                .map(|e| (e.time, e.seq, e.payload))
                 .collect::<Vec<_>>()
         };
         assert_eq!(build(), build());
@@ -338,82 +165,14 @@ mod tests {
 
     #[test]
     fn clock_follows_popped_events() {
-        let mut q = EventQueue::new();
-        q.schedule(7, 0, ());
-        q.schedule(12, 0, ());
+        let mut q = EventQueue::with_capacity(4);
+        q.schedule(7, ());
+        q.schedule(12, ());
         assert_eq!(q.now(), 0);
         q.pop();
         assert_eq!(q.now(), 7);
         q.pop();
         assert_eq!(q.now(), 12);
         assert_eq!(q.processed(), 2);
-    }
-
-    /// Ping-pong pair: each component reschedules to the other with a
-    /// delay drawn from its own RNG stream, recording its draw history.
-    struct Pinger {
-        other: EntityId,
-        hops_left: u32,
-        draws: Rc<RefCell<Vec<u64>>>,
-    }
-
-    impl Component<u32> for Pinger {
-        fn on_event(&mut self, ev: &Scheduled<u32>, ctx: &mut Ctx<'_, u32>) {
-            let delay = ctx.rng.random_range(1..10u64);
-            self.draws.borrow_mut().push(delay);
-            if self.hops_left > 0 {
-                self.hops_left -= 1;
-                ctx.schedule(ev.time + delay, self.other, ev.payload + 1);
-            }
-        }
-    }
-
-    fn run_ping_pong(seed: u64) -> (u64, Vec<u64>, Vec<u64>) {
-        let mut sim = Simulation::new(seed);
-        let d0 = Rc::new(RefCell::new(Vec::new()));
-        let d1 = Rc::new(RefCell::new(Vec::new()));
-        let a = sim.add_component(Box::new(Pinger {
-            other: 1,
-            hops_left: 20,
-            draws: d0.clone(),
-        }));
-        sim.add_component(Box::new(Pinger {
-            other: 0,
-            hops_left: 20,
-            draws: d1.clone(),
-        }));
-        sim.schedule(0, a, 0);
-        while sim.step() {}
-        let out = (sim.now(), d0.borrow().clone(), d1.borrow().clone());
-        out
-    }
-
-    #[test]
-    fn component_simulation_is_seed_deterministic() {
-        assert_eq!(run_ping_pong(7), run_ping_pong(7));
-        assert_ne!(run_ping_pong(7).0, run_ping_pong(8).0);
-    }
-
-    #[test]
-    fn components_draw_from_independent_streams() {
-        let (_, d0, d1) = run_ping_pong(7);
-        assert!(!d0.is_empty() && !d1.is_empty());
-        assert_ne!(d0, d1, "per-component RNG streams must differ");
-    }
-
-    #[test]
-    fn run_until_stops_before_horizon() {
-        let mut sim: Simulation<u32> = Simulation::new(1);
-        struct Nop;
-        impl Component<u32> for Nop {
-            fn on_event(&mut self, _: &Scheduled<u32>, _: &mut Ctx<'_, u32>) {}
-        }
-        let id = sim.add_component(Box::new(Nop));
-        for t in [5u64, 15, 25] {
-            sim.schedule(t, id, 0);
-        }
-        assert_eq!(sim.run_until(20), 2);
-        assert_eq!(sim.pending(), 1);
-        assert_eq!(sim.events_processed(), 2);
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The server's parameters only change at a handful of instants — a
 //! workload-rate change, a fault-window edge, a monitor decision, a
-//! reconfiguration settling — and each is an event on a
-//! [`des::EventQueue`](crate::des::EventQueue) keyed by tick boundary.
+//! reconfiguration settling — and each is an event on the
+//! [`EventQueue`] keyed by tick boundary.
 //! Between two events nothing changes, so the engine pays once per
 //! *segment*, whatever its length (DESIGN.md §12 has the equations):
 //!
@@ -25,6 +25,7 @@
 
 use crate::buffer::{tokens, FrameBuffer, CHAIN_MAX_DEPTH};
 use crate::des::EventQueue;
+use crate::downtime::Downtime;
 use crate::fault::FaultState;
 use crate::sampling::binomial;
 use crate::sim::{SimConfig, SimResult, TraceSample};
@@ -47,8 +48,7 @@ pub struct DesStats {
 enum Ev {
     /// A workload-rate change or fault-window edge: splits the segment.
     Edge,
-    /// Reconfiguration downtime elapses (ignored unless it is the
-    /// pending one: a later decision may have extended the downtime).
+    /// Reconfiguration downtime elapses (see [`Downtime`]).
     Settle,
     /// Monitor decision.
     Monitor,
@@ -85,10 +85,7 @@ struct Engine<'a> {
     backlog: usize,
     /// `Some` while the depth is within [`CHAIN_MAX_DEPTH`].
     buffer: Option<FrameBuffer>,
-    /// Tick the current downtime began at, and the tick it settles at.
-    down_since: Option<u64>,
-    settle_at: Option<u64>,
-    aborting: bool,
+    downtime: Downtime,
 
     offered: usize,
     processed: usize,
@@ -127,7 +124,7 @@ impl Engine<'_> {
         let held = self.backlog + arrivals;
         let credits = self.point.ips * self.dt;
         // (frames blocked, frames still buffered, frame·ticks waited)
-        let (lost, backlog, waiting) = if self.down_since.is_some() {
+        let (lost, backlog, waiting) = if self.downtime.since().is_some() {
             // No service: the buffer fills and the rest is lost. The
             // wait is charged at settle, to the frames that survive it.
             self.energy_j += self.reconfig_power_w * span;
@@ -176,17 +173,10 @@ impl Engine<'_> {
         let decision = manager.decide(observed_ips);
         if decision.reconfig {
             let outcome = self.faults.reconfig_outcome(self.reconfig_s);
-            self.aborting = outcome.aborted;
-            // A decision taken mid-downtime extends the pending settle.
-            let settle = self
-                .settle_at
-                .unwrap_or(self.tick)
-                .saturating_add(boundary(outcome.downtime_s, self.dt));
-            self.down_since.get_or_insert(self.tick);
-            self.settle_at = Some(settle);
+            let length = boundary(outcome.downtime_s, self.dt);
             // Scheduled before the next monitor, so a settle on a
             // monitor boundary is seen by that decision.
-            events.schedule(settle, 0, Ev::Settle);
+            events.schedule(self.downtime.begin(self.tick, length, outcome.aborted), Ev::Settle);
         }
         if decision.degraded {
             self.faults.counters.degraded_periods += 1;
@@ -207,16 +197,14 @@ impl Engine<'_> {
         self.point = current_point(manager);
         let next = self.tick.saturating_add(self.period_ticks);
         if next <= self.total_ticks {
-            events.schedule(next, 0, Ev::Monitor);
+            events.schedule(next, Ev::Monitor);
         }
     }
 
     fn on_settle(&mut self, manager: &mut RuntimeManager) {
-        if self.settle_at != Some(self.tick) {
+        let Some(since) = self.downtime.settle(self.tick, manager) else {
             return; // superseded by a later extension
-        }
-        self.settle_at = None;
-        let since = self.down_since.take().expect("a settle ends a downtime");
+        };
         // The buffer filled in the downtime's first ticks, so its frames
         // are as old as the downtime: all stale or none.
         let (now, then) = (self.seconds(self.tick), self.seconds(since));
@@ -229,11 +217,6 @@ impl Engine<'_> {
         }
         if let Some(buffer) = &mut self.buffer {
             buffer.reset(self.backlog);
-        }
-        if std::mem::take(&mut self.aborting) {
-            manager.reconfig_aborted();
-        } else {
-            manager.reconfig_completed();
         }
         self.point = current_point(manager);
     }
@@ -286,10 +269,10 @@ pub(crate) fn run(
             + 2,
     );
     for tick in edges {
-        events.schedule(tick, 0, Ev::Edge);
+        events.schedule(tick, Ev::Edge);
     }
     if period_ticks <= total_ticks {
-        events.schedule(period_ticks, 0, Ev::Monitor);
+        events.schedule(period_ticks, Ev::Monitor);
     }
 
     let mut eng = Engine {
@@ -306,9 +289,7 @@ pub(crate) fn run(
         point: current_point(manager),
         backlog: 0,
         buffer: (cfg.queue_capacity <= CHAIN_MAX_DEPTH).then(|| FrameBuffer::new(cfg.queue_capacity)),
-        down_since: None,
-        settle_at: None,
-        aborting: false,
+        downtime: Downtime::default(),
         offered: 0,
         processed: 0,
         lost: 0,

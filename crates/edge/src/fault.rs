@@ -35,6 +35,11 @@ use std::path::Path;
 /// fault scenarios pin.
 pub const FAULT_STREAM_SALT: u64 = 0xFA17_AB1E;
 
+/// Largest downtime multiplier [`FaultPlan::validate`] accepts: a
+/// million nominal reconfigurations outlast any episode, and beyond it
+/// a factor is a typo, not a fault model.
+const MAX_DOWNTIME_FACTOR: f64 = 1e6;
+
 /// A half-open time window `[start_s, end_s)` in episode seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultWindow {
@@ -199,6 +204,45 @@ impl FaultPlan {
         }
     }
 
+    /// Rejects values no replay can honour (scenario files and the CLI's
+    /// `--faults` loader call this): probabilities and dropout fractions
+    /// outside `[0, 1]`, negative or non-finite factors, multipliers and
+    /// staleness bounds, downtime factors above 10⁶ (a typo, not a fault),
+    /// and windows that are non-finite or end before they start.
+    ///
+    /// # Errors
+    ///
+    /// Names the first offending field.
+    pub fn validate(&self) -> Result<(), String> {
+        const UNIT: &str = "must be in [0, 1]";
+        const FACTOR: &str = "must be in [0, 1e6]";
+        const MAGNITUDE: &str = "must be finite and >= 0";
+        const FINITE: &str = "must be finite";
+        const WINDOW: &str = "must be finite with start_s <= end_s";
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        let factor = |x: f64| (0.0..=MAX_DOWNTIME_FACTOR).contains(&x);
+        let magnitude = |x: f64| x.is_finite() && x >= 0.0;
+        let window =
+            |w: &FaultWindow| w.start_s.is_finite() && w.end_s.is_finite() && w.start_s <= w.end_s;
+        let checks = [
+            (unit(self.reconfig_failure_prob), "reconfig_failure_prob", UNIT),
+            (unit(self.reconfig_overrun_prob), "reconfig_overrun_prob", UNIT),
+            (factor(self.reconfig_abort_fraction), "reconfig_abort_fraction", FACTOR),
+            (factor(self.reconfig_overrun_factor), "reconfig_overrun_factor", FACTOR),
+            (self.dropouts.iter().all(|d| window(&d.window)), "dropouts[].window", WINDOW),
+            (self.dropouts.iter().all(|d| unit(d.fraction)), "dropouts[].fraction", UNIT),
+            (self.floods.iter().all(|f| window(&f.window)), "floods[].window", WINDOW),
+            (self.floods.iter().all(|f| magnitude(f.multiplier)), "floods[].multiplier", MAGNITUDE),
+            (self.accuracy_faults.iter().all(|a| window(&a.window)), "accuracy_faults[].window", WINDOW),
+            (self.accuracy_faults.iter().all(|a| a.delta.is_finite()), "accuracy_faults[].delta", FINITE),
+            (self.max_staleness_ms.is_none_or(magnitude), "max_staleness_ms", MAGNITUDE),
+        ];
+        match checks.iter().find(|(ok, ..)| !ok) {
+            Some((_, field, want)) => Err(format!("faults: {field} {want}")),
+            None => Ok(()),
+        }
+    }
+
     /// Serializes the plan to pretty JSON.
     ///
     /// # Errors
@@ -229,8 +273,6 @@ pub struct ReconfigOutcome {
     /// The attempt aborts: after the downtime the old bitstream is
     /// still loaded.
     pub aborted: bool,
-    /// The attempt took longer than nominal (only set when not aborted).
-    pub overrun: bool,
 }
 
 /// Per-event fault accounting carried in
@@ -293,18 +335,15 @@ impl FaultState {
         }
     }
 
-    /// A no-op replay (empty plan).
-    pub fn disabled() -> Self {
-        FaultState::new(&FaultPlan::none(), 0)
-    }
-
     /// The active plan.
     pub fn plan(&self) -> &FaultPlan {
         &self.plan
     }
 
-    /// The dropout active at `t`, if any (first match in plan order).
-    fn dropout_at(&self, t: f64) -> Option<f64> {
+    /// The per-frame loss probability of the dropout active at `t`, if
+    /// any (first match in plan order — overlapping windows do not
+    /// compose).
+    pub(crate) fn dropout_at(&self, t: f64) -> Option<f64> {
         self.plan
             .dropouts
             .iter()
@@ -314,12 +353,18 @@ impl FaultState {
 
     /// The flood multiplier active at `t`, if any (first match in plan
     /// order).
-    fn flood_at(&self, t: f64) -> Option<f64> {
+    pub(crate) fn flood_at(&self, t: f64) -> Option<f64> {
         self.plan
             .floods
             .iter()
             .find(|f| f.window.contains(t) && f.multiplier > 1.0)
             .map(|f| f.multiplier)
+    }
+
+    /// The largest multiplier any flood window can return: the envelope
+    /// a thinned arrival process runs under.
+    pub(crate) fn peak_flood(&self) -> f64 {
+        self.plan.floods.iter().map(|f| f.multiplier).fold(1.0, f64::max)
     }
 
     /// Mean offered load at `t` per unit of produced load: what the
@@ -356,29 +401,18 @@ impl FaultState {
     /// reconfiguration faults configured this returns the nominal
     /// downtime without touching the RNG.
     pub fn reconfig_outcome(&mut self, nominal_s: f64) -> ReconfigOutcome {
-        if self.plan.reconfig_failure_prob > 0.0 && self.rng.random_bool(self.plan.reconfig_failure_prob)
-        {
+        let plan = &self.plan;
+        if plan.reconfig_failure_prob > 0.0 && self.rng.random_bool(plan.reconfig_failure_prob) {
             self.counters.failed_reconfigs += 1;
-            return ReconfigOutcome {
-                downtime_s: nominal_s * self.plan.reconfig_abort_fraction,
-                aborted: true,
-                overrun: false,
-            };
+            let downtime_s = nominal_s * plan.reconfig_abort_fraction;
+            return ReconfigOutcome { downtime_s, aborted: true };
         }
-        if self.plan.reconfig_overrun_prob > 0.0 && self.rng.random_bool(self.plan.reconfig_overrun_prob)
-        {
+        if plan.reconfig_overrun_prob > 0.0 && self.rng.random_bool(plan.reconfig_overrun_prob) {
             self.counters.overrun_reconfigs += 1;
-            return ReconfigOutcome {
-                downtime_s: nominal_s * self.plan.reconfig_overrun_factor,
-                aborted: false,
-                overrun: true,
-            };
+            let downtime_s = nominal_s * plan.reconfig_overrun_factor;
+            return ReconfigOutcome { downtime_s, aborted: false };
         }
-        ReconfigOutcome {
-            downtime_s: nominal_s,
-            aborted: false,
-            overrun: false,
-        }
+        ReconfigOutcome { downtime_s: nominal_s, aborted: false }
     }
 
     /// Delivered accuracy at time `t` for a frame served by a point of
@@ -419,12 +453,12 @@ mod tests {
 
     #[test]
     fn empty_plan_hooks_are_noops_and_draw_nothing() {
-        let mut s = FaultState::disabled();
+        let mut s = FaultState::new(&FaultPlan::none(), 0);
         let rng_before = format!("{:?}", s.rng);
         assert_eq!(s.dropped_at_source(1.0, 50), 0);
         assert_eq!(s.flood_arrivals(1.0, 0.001, 600.0), 0);
         let o = s.reconfig_outcome(0.145);
-        assert_eq!(o, ReconfigOutcome { downtime_s: 0.145, aborted: false, overrun: false });
+        assert_eq!(o, ReconfigOutcome { downtime_s: 0.145, aborted: false });
         assert_eq!(s.delivered_accuracy(1.0, 0.9).to_bits(), 0.9f64.to_bits());
         assert!(!s.is_stale(10.0, 0.0));
         assert_eq!(format!("{:?}", s.rng), rng_before, "no RNG draw may happen");
@@ -452,6 +486,67 @@ mod tests {
         assert!(w.contains(9.999));
         assert!(!w.contains(10.0));
         assert!(!w.contains(4.999));
+    }
+
+    #[test]
+    fn overlapping_windows_take_the_first_match_in_plan_order() {
+        // The rule both twins read windows by: no composition, no max.
+        let window = |start_s, end_s| FaultWindow { start_s, end_s };
+        let plan = FaultPlan {
+            dropouts: vec![
+                CameraDropout { window: window(1.0, 3.0), fraction: 0.2 },
+                CameraDropout { window: window(2.0, 4.0), fraction: 0.5 },
+                CameraDropout { window: window(0.0, 9.0), fraction: 0.0 }, // inert
+            ],
+            floods: vec![
+                StaleFlood { window: window(1.0, 3.0), multiplier: 1.5 },
+                StaleFlood { window: window(2.0, 4.0), multiplier: 3.0 },
+                StaleFlood { window: window(0.0, 9.0), multiplier: 1.0 }, // inert
+            ],
+            ..FaultPlan::none()
+        };
+        let s = FaultState::new(&plan, 1);
+        for (t, dropout, flood) in [
+            (0.5, None, None),
+            (1.5, Some(0.2), Some(1.5)),
+            (2.5, Some(0.2), Some(1.5)), // overlap: plan order wins
+            (3.5, Some(0.5), Some(3.0)),
+            (4.5, None, None),
+        ] {
+            assert_eq!((s.dropout_at(t), s.flood_at(t)), (dropout, flood), "t = {t}");
+        }
+        assert_eq!(s.load_factor(2.5), 1.0 - 0.2 + 0.5);
+        assert_eq!(s.peak_flood(), 3.0);
+        assert_eq!(FaultState::new(&FaultPlan::none(), 0).peak_flood(), 1.0);
+    }
+
+    #[test]
+    fn validate_accepts_shipped_plans_and_names_the_bad_field() {
+        FaultPlan::none().validate().expect("none");
+        FaultPlan::canned().validate().expect("canned");
+        let window = FaultWindow { start_s: 1.0, end_s: 2.0 };
+        type Taint = fn(&mut FaultPlan);
+        let bad: [(&str, Taint); 9] = [
+            ("reconfig_failure_prob", |p| p.reconfig_failure_prob = 1.5),
+            ("reconfig_overrun_prob", |p| p.reconfig_overrun_prob = f64::NAN),
+            ("reconfig_abort_fraction", |p| p.reconfig_abort_fraction = -1.0),
+            ("reconfig_overrun_factor", |p| p.reconfig_overrun_factor = 1e30),
+            ("dropouts[].fraction", |p| p.dropouts[0].fraction = 1.5),
+            ("dropouts[].window", |p| p.dropouts[0].window.end_s = 0.0),
+            ("floods[].multiplier", |p| p.floods[0].multiplier = f64::INFINITY),
+            ("accuracy_faults[].window", |p| p.accuracy_faults[0].window.start_s = f64::NAN),
+            ("max_staleness_ms", |p| p.max_staleness_ms = Some(-1.0)),
+        ];
+        for (field, taint) in bad {
+            let mut plan = FaultPlan::canned();
+            taint(&mut plan);
+            let err = plan.validate().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        // An empty window is valid (and inert).
+        let mut plan = FaultPlan::none();
+        plan.floods.push(StaleFlood { window: FaultWindow { end_s: 1.0, ..window }, multiplier: 0.0 });
+        plan.validate().expect("empty window");
     }
 
     #[test]
@@ -492,7 +587,7 @@ mod tests {
         plan.reconfig_overrun_factor = 4.0;
         let mut s = FaultState::new(&plan, 3);
         let o = s.reconfig_outcome(0.2);
-        assert!(!o.aborted && o.overrun);
+        assert!(!o.aborted);
         assert!((o.downtime_s - 0.8).abs() < 1e-12);
         assert_eq!(s.counters.overrun_reconfigs, 1);
     }

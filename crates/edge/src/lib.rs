@@ -10,9 +10,10 @@
 //! quality metrics (accuracy, latency, EDP, QoE).
 //!
 //! An episode is a [`RunSpec`] — a [`Traffic`] recipe, a [`FaultPlan`]
-//! and a seed — and there is one way to run it:
+//! and a seed — and there is one way to run it per model:
 //! [`EdgeSimulation::run`] for one server (`run_many` for the paper's
-//! seeded repetitions), [`Fleet::run`] for N of them.
+//! seeded repetitions), [`Fleet::run`] for N of them, and
+//! [`ServeScenario::run`] for the per-request serve twin of one server.
 //!
 //! # Example
 //!
@@ -31,7 +32,8 @@
 //! ```
 
 mod buffer;
-pub mod des;
+mod des;
+mod downtime;
 mod engine;
 mod fault;
 mod fleet;
@@ -56,9 +58,7 @@ pub use scenario_file::{
     builtin_library, builtin_scenario, FleetOverrides, ScenarioFile, ServeOverrides, SimOverrides,
     SCENARIO_SCHEMA_VERSION,
 };
-pub use serve_sim::{
-    ServeEvent, ServeScenario, ServeScenarioConfig, ServeSimResult, SERVE_SIM_SALT,
-};
+pub use serve_sim::{ServeScenario, ServeScenarioConfig, ServeSimResult, SERVE_SIM_SALT};
 pub use sim::{mean_of, EdgeSimulation, RunSpec, SimConfig, SimResult, TraceSample, Traffic};
 pub use workload::{WorkloadConfig, WorkloadTrace};
 pub use workload_gen::{

@@ -206,6 +206,7 @@ impl ScenarioFile {
             return Err("scenario: name must be non-empty".into());
         }
         self.workload.validate()?;
+        self.faults.validate()?;
         if let Some(t) = self.sim.tick_s {
             if !t.is_finite() || t <= 0.0 {
                 return Err("scenario.sim: tick_s must be finite and > 0".into());
@@ -288,28 +289,22 @@ impl ScenarioFile {
         })
     }
 
-    /// Applies this scenario to a serving config: workload spec +
-    /// shape, faults, seed, and the serve-section overrides. The
-    /// caller's `serve` data-plane config and any later CLI overrides
-    /// stay in charge of the rest.
+    /// Applies this scenario to a serve-twin server: workload shape,
+    /// monitor period, reconfiguration time and the serve-section
+    /// overrides. The episode (workload spec, faults, seed) travels in
+    /// the `RunSpec`, as it does for `sim_config`; the caller's `serve`
+    /// data-plane config and any later CLI overrides stay in charge of
+    /// the rest.
     pub fn apply_serve(&self, cfg: &mut ServeScenarioConfig) {
+        let serve = self.serve.as_ref();
         cfg.workload = *self.workload.config();
-        cfg.workload_spec = Some(self.workload.clone());
-        cfg.faults = self.faults.clone();
-        cfg.seed = self.seed;
-        if let Some(v) = self.sim.monitor_period_s {
-            cfg.monitor_period_s = v;
-        }
-        if let Some(v) = self.sim.reconfig_time_ms {
-            cfg.reconfig_time_ms = v;
-        }
-        if let Some(s) = &self.serve {
-            if let Some(w) = &s.class_weights {
-                cfg.class_weights = w.clone();
-            }
-            if let Some(v) = s.monitor_period_s {
-                cfg.monitor_period_s = v;
-            }
+        cfg.reconfig_time_ms = self.sim.reconfig_time_ms.unwrap_or(cfg.reconfig_time_ms);
+        cfg.monitor_period_s = serve
+            .and_then(|s| s.monitor_period_s)
+            .or(self.sim.monitor_period_s)
+            .unwrap_or(cfg.monitor_period_s);
+        if let Some(weights) = serve.and_then(|s| s.class_weights.clone()) {
+            cfg.class_weights = weights;
         }
     }
 
@@ -580,14 +575,36 @@ mod tests {
     }
 
     #[test]
-    fn apply_serve_threads_spec_faults_and_seed() {
-        let s = builtin_scenario("adversarial-flash-faults").unwrap();
+    fn apply_serve_threads_shape_and_overrides() {
+        let mut s = builtin_scenario("adversarial-flash-faults").unwrap();
+        s.sim.reconfig_time_ms = Some(80.0);
+        s.serve = Some(ServeOverrides {
+            class_weights: Some(vec![2.0, 1.0]),
+            monitor_period_s: Some(0.5),
+        });
         let mut cfg = ServeScenarioConfig::paper_default(145.0);
         s.apply_serve(&mut cfg);
-        assert_eq!(cfg.workload_spec.as_ref(), Some(&s.workload));
-        assert_eq!(cfg.faults, s.faults);
-        assert_eq!(cfg.seed, s.seed);
         assert_eq!(cfg.workload, *s.workload.config());
+        assert_eq!(cfg.reconfig_time_ms, 80.0);
+        assert_eq!(cfg.class_weights, vec![2.0, 1.0]);
+        assert_eq!(cfg.monitor_period_s, 0.5);
+    }
+
+    #[test]
+    fn out_of_range_fault_plans_are_rejected_with_the_field_named() {
+        let base = serde_json::to_string(&builtin_scenario("adversarial-flash-faults").unwrap())
+            .unwrap();
+        for (from, to, field) in [
+            ("\"reconfig_overrun_factor\":4.0", "\"reconfig_overrun_factor\":1e30", "overrun_factor"),
+            ("\"fraction\":0.5", "\"fraction\":1.5", "dropouts[].fraction"),
+            ("\"reconfig_failure_prob\":0.6", "\"reconfig_failure_prob\":-0.1", "failure_prob"),
+            ("\"start_s\":18.0", "\"start_s\":22.0", "dropouts[].window"),
+        ] {
+            let tainted = base.replacen(from, to, 1);
+            assert_ne!(base, tainted, "replacement must hit: {from}");
+            let err = ScenarioFile::from_json_str(&tainted).unwrap_err();
+            assert!(err.contains(field), "{to}: {err}");
+        }
     }
 
     #[test]

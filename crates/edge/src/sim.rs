@@ -1,7 +1,8 @@
 //! The edge-server simulation: configuration, results, and the one
-//! way to run an episode — [`EdgeSimulation::run`] on a [`RunSpec`]
-//! (traffic, fault plan, seed). `engine.rs` holds the event engine that
-//! runs it.
+//! way to describe an episode — a [`RunSpec`] (traffic, fault plan,
+//! seed). [`EdgeSimulation::run`] runs it on the frame engine
+//! (`engine.rs`), `ServeScenario::run` on the per-request serve twin
+//! (`serve_sim.rs`); both get their trace from [`Traffic::resolve`].
 
 use crate::engine::{self, DesStats};
 use crate::fault::{FaultCounters, FaultPlan, FaultState};
@@ -11,6 +12,7 @@ use adapex::runtime::RuntimeManager;
 use adapex_tensor::parallel::par_map;
 use adapex_tensor::rng::{derive_sequential, derive_stream, rng_from_seed};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Stream salt for the workload stream — the Poisson arrival counts
 /// and the buffer's loss thinnings — of [`Traffic::Synthetic`] and
@@ -52,6 +54,26 @@ pub enum Traffic<'a> {
     /// A caller-supplied (e.g. [`crate::Scenario`]-shaped) trace; the
     /// seed drives only the Poisson arrival noise.
     Shaped(&'a WorkloadTrace),
+}
+
+impl<'a> Traffic<'a> {
+    /// The table above, spelled here and nowhere else: the episode's
+    /// workload config, its offered-rate trace and its arrival-noise
+    /// salt, for a simulator whose own workload template is `own`.
+    pub(crate) fn resolve(
+        self,
+        own: &WorkloadConfig,
+        seed: u64,
+    ) -> (WorkloadConfig, Cow<'a, WorkloadTrace>, u64) {
+        match self {
+            Traffic::Synthetic => (*own, Cow::Owned(own.sample(seed)), ARRIVAL_SALT),
+            Traffic::Spec(workload) => {
+                let trace = workload.generate(seed);
+                (trace.config, Cow::Owned(trace), ARRIVAL_SALT)
+            }
+            Traffic::Shaped(trace) => (*own, Cow::Borrowed(trace), SHAPED_SALT),
+        }
+    }
 }
 
 /// One episode, fully specified: what arrives, what breaks, and the
@@ -267,30 +289,12 @@ impl EdgeSimulation {
 
     /// [`EdgeSimulation::run`] plus the engine's event and tick counts
     /// (for the fleet summary and throughput benchmarks).
-    ///
-    /// The three [`Traffic`] recipes and the fault stream are spelled
-    /// here and nowhere else.
     pub fn run_stats(&self, manager: &mut RuntimeManager, spec: &RunSpec) -> (SimResult, DesStats) {
-        let generated;
-        let rebased;
-        let (cfg, trace, salt) = match spec.traffic {
-            Traffic::Synthetic => {
-                generated = self.config.workload.sample(spec.seed);
-                (&self.config, &generated, ARRIVAL_SALT)
-            }
-            Traffic::Spec(workload) => {
-                generated = workload.generate(spec.seed);
-                rebased = SimConfig {
-                    workload: generated.config,
-                    ..self.config.clone()
-                };
-                (&rebased, &generated, ARRIVAL_SALT)
-            }
-            Traffic::Shaped(trace) => (&self.config, trace, SHAPED_SALT),
-        };
+        let (workload, trace, salt) = spec.traffic.resolve(&self.config.workload, spec.seed);
+        let cfg = SimConfig { workload, ..self.config.clone() };
         let mut rng = rng_from_seed(derive_stream(spec.seed, 0, salt));
         let mut faults = FaultState::new(spec.faults, spec.seed);
-        engine::run(cfg, manager, trace, &mut rng, &mut faults)
+        engine::run(&cfg, manager, &trace, &mut rng, &mut faults)
     }
 
     /// Runs `repetitions` episodes of `spec` (the paper averages 100),

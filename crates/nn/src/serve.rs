@@ -27,8 +27,8 @@
 //!   `≤ 4·c` features an FC tail reads and for logits. This is the FINN
 //!   dataflow shape (MVTU → threshold unit → 2-bit stream) on a CPU.
 //! - **Layer by layer** over f32 [`Activation`]s: everything else —
-//!   [`EnginePlan::Int2Always`] / [`EnginePlan::F32Codes`], nets the
-//!   plan does not cover, stamped batches. It is the path training and
+//!   [`EnginePlan::Int2Always`], nets the plan does not cover, stamped
+//!   batches. It is the path training and
 //!   `evaluate_exits` run, and the reference the streamlined path is
 //!   differentially tested against (`tests/streamline_agreement.rs`).
 //!
@@ -82,8 +82,6 @@ pub enum EnginePlan {
     /// Leave routing as the eval path ships it (engine for every
     /// eligible layer), layer by layer — the differential-testing axis.
     Int2Always,
-    /// Force the f32-over-codes route on every conv, layer by layer.
-    F32Codes,
 }
 
 /// Executor configuration, normally derived from the runtime manager's
@@ -308,7 +306,6 @@ fn apply_engine_plan(net: &mut EarlyExitNetwork, plan: EnginePlan) {
             c.prefer_f32_codes = match plan {
                 EnginePlan::Auto => !int2::conv_engine_profitable(c.c_out, c.geom.kernel),
                 EnginePlan::Int2Always => false,
-                EnginePlan::F32Codes => true,
             };
         }
     }
@@ -604,7 +601,7 @@ mod tests {
                 }
                 *slot = chosen;
             }
-            for plan in [EnginePlan::Auto, EnginePlan::Int2Always, EnginePlan::F32Codes] {
+            for plan in [EnginePlan::Auto, EnginePlan::Int2Always] {
                 let mut exec = BatchExecutor::new(
                     &net,
                     &ExecutorConfig {

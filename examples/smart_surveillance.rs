@@ -71,7 +71,8 @@ fn main() {
     serve_cfg.workload.ips_per_camera /= 2.0;
     for system in System::all() {
         let manager = manager_for(system, &art, 0.10);
-        let result = ServeScenario::run(&serve_cfg, manager);
+        // The same kind of episode `sim.run_many` ran above: a RunSpec.
+        let result = ServeScenario::run(&serve_cfg, manager, &RunSpec::synthetic(42));
         let r = &result.report;
         let worst_p99_ms = r
             .per_class

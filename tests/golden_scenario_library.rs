@@ -10,6 +10,9 @@
 //!    (`<name>.result.json` next to the scenario).
 //! 3. **Jobs invariance**: sharded replays at `--jobs 1` and `--jobs 4`
 //!    must agree byte-for-byte.
+//! 4. **Serve twin**: the same episode through `ServeScenario::run`
+//!    conserves requests, replays byte-identically, and treats a
+//!    synthetic spec as the synthetic recipe.
 //!
 //! To re-bless after an *intentional* behaviour change:
 //!
@@ -20,8 +23,8 @@
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{MitigationConfig, RuntimeManager, SelectionPolicy};
 use adapex_edge::{
-    builtin_library, builtin_scenario, EdgeSimulation, Fleet, RunSpec, ScenarioFile, SimResult,
-    Traffic,
+    builtin_library, builtin_scenario, EdgeSimulation, Fleet, RunSpec, ScenarioFile,
+    ServeScenario, ServeScenarioConfig, SimResult, Traffic, WorkloadSpec,
 };
 use finn_dataflow::ResourceUsage;
 use serde::Serialize;
@@ -221,6 +224,37 @@ fn scenario_replays_are_jobs_invariant() {
     let serial = fleet.run(&manager, &episode(&s), 1);
     let sharded = fleet.run(&manager, &episode(&s), 4);
     assert_eq!(serial, sharded, "cluster-replay: jobs changed the result");
+}
+
+/// The serve-side twin of `workload_differential.rs`: every library
+/// scenario, as `adapex-cli serve --scenario <file>` resolves it.
+#[test]
+fn library_scenarios_replay_through_the_serve_twin() {
+    for s in builtin_library() {
+        let mut cfg = ServeScenarioConfig::paper_default(145.0);
+        s.apply_serve(&mut cfg);
+        let run = |spec: &RunSpec| {
+            ServeScenario::run(&cfg, golden_manager(mitigation_for(&s)), spec)
+        };
+        let result = run(&episode(&s));
+        assert!(result.report.conservation_holds(), "{}: requests leaked", s.name);
+        assert!(result.report.completed > 0, "{}: nothing served", s.name);
+        assert_eq!(
+            serde_json::to_string(&result).expect("serialize"),
+            serde_json::to_string(&run(&episode(&s))).expect("serialize"),
+            "{}: replay drifted",
+            s.name
+        );
+        // A synthetic spec at the server's own workload config is the
+        // synthetic recipe, operation for operation.
+        let synthetic = WorkloadSpec::paper_default().with_config(cfg.workload);
+        assert_eq!(
+            run(&RunSpec::new(Traffic::Spec(&synthetic), &s.faults, s.seed)),
+            run(&RunSpec::new(Traffic::Synthetic, &s.faults, s.seed)),
+            "{}: Spec(Synthetic) is not Synthetic",
+            s.name
+        );
+    }
 }
 
 /// `f64::to_bits` fingerprints of the adversarial scenario, pinned as

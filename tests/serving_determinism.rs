@@ -7,8 +7,8 @@
 //!   pressure (full queues drop with accounting, never silently);
 //! * the **real executor** ([`BatchExecutor`]) produces byte-identical
 //!   verdicts at any worker count and for any batch split;
-//! * the **DES serving scenario** ([`ServeScenario`], the manager and
-//!   fault plan in the loop) replays byte-for-byte against golden
+//! * the **serve twin** ([`ServeScenario`], the manager and fault plan
+//!   in the loop) replays byte-for-byte against golden
 //!   snapshots under `tests/golden/`. Re-bless intentional changes
 //!   with `ADAPEX_BLESS=1 cargo test -p adapex-integration --test
 //!   serving_determinism`.
@@ -19,7 +19,10 @@ use adapex::serve::{
     generate_arrivals, AdmissionPolicy, Arrival, ArrivalPattern, PointServiceModel, ServeConfig,
     ServeSim, SloClass,
 };
-use adapex_edge::{CameraDropout, FaultWindow, ServeScenario, ServeScenarioConfig, WorkloadConfig};
+use adapex_edge::{
+    CameraDropout, FaultPlan, FaultWindow, RunSpec, ServeScenario, ServeScenarioConfig, Traffic,
+    WorkloadConfig, WorkloadTrace,
+};
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
 use adapex_nn::layers::Activation;
 use adapex_nn::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
@@ -243,9 +246,10 @@ fn scenario_config() -> ServeScenarioConfig {
         deviation: 0.3,
         deviation_period_s: 2.0,
     };
-    cfg.seed = 1213;
     cfg
 }
+
+const SCENARIO_SEED: u64 = 1213;
 
 fn check_golden(name: &str, value: &impl serde::Serialize) {
     let path = golden_dir().join(format!("{name}.json"));
@@ -271,32 +275,59 @@ fn check_golden(name: &str, value: &impl serde::Serialize) {
 
 #[test]
 fn golden_serve_steady() {
-    let result = ServeScenario::run(&scenario_config(), scenario_manager());
+    let spec = RunSpec::synthetic(SCENARIO_SEED);
+    let result = ServeScenario::run(&scenario_config(), scenario_manager(), &spec);
     assert!(result.report.conservation_holds());
     check_golden("serve_steady", &result);
 }
 
 #[test]
 fn golden_serve_dropout_fault() {
-    let mut cfg = scenario_config();
-    cfg.faults.dropouts.push(CameraDropout {
+    let mut plan = FaultPlan::none();
+    plan.dropouts.push(CameraDropout {
         window: FaultWindow {
             start_s: 2.0,
             end_s: 5.0,
         },
         fraction: 0.4,
     });
-    let result = ServeScenario::run(&cfg, scenario_manager());
+    let spec = RunSpec::new(Traffic::Synthetic, &plan, SCENARIO_SEED);
+    let result = ServeScenario::run(&scenario_config(), scenario_manager(), &spec);
     assert!(result.report.conservation_holds());
     assert!(result.dropped_by_fault > 0, "dropout window must lose frames");
     check_golden("serve_dropout_fault", &result);
 }
 
 #[test]
+fn golden_serve_reconfig_fault() {
+    // A load that swings across the accurate entry's 700 IPS every two
+    // seconds, under the canned plan: reconfigurations that abort and
+    // overrun (4 × 145 ms), the 8–11 s flood on top of a swing.
+    let mut cfg = scenario_config();
+    cfg.workload.duration_s = 14.0;
+    let rates = [400.0, 1_200.0].repeat(4)[..7].to_vec();
+    let trace = WorkloadTrace { config: cfg.workload, rates };
+    let plan = FaultPlan::canned();
+    // At this seed the plan's coins give both aborts and overruns.
+    let spec = RunSpec::new(Traffic::Shaped(&trace), &plan, 1209);
+    let result = ServeScenario::run(&cfg, scenario_manager(), &spec);
+    assert!(result.report.conservation_holds());
+    assert!(result.reconfigs >= 2, "the swing must reconfigure: {}", result.reconfigs);
+    assert!(result.reconfig_aborts > 0, "the canned plan aborts 60 %");
+    assert!(
+        result.reconfig_downtime_us > result.reconfigs * 145_000,
+        "and overruns half of the rest"
+    );
+    assert!(result.report.deferrals > 0, "windows closing mid-downtime defer");
+    check_golden("serve_reconfig_fault", &result);
+}
+
+#[test]
 fn des_scenario_replays_identically() {
     let cfg = scenario_config();
-    let a = ServeScenario::run(&cfg, scenario_manager());
-    let b = ServeScenario::run(&cfg, scenario_manager());
+    let spec = RunSpec::synthetic(SCENARIO_SEED);
+    let a = ServeScenario::run(&cfg, scenario_manager(), &spec);
+    let b = ServeScenario::run(&cfg, scenario_manager(), &spec);
     assert_eq!(
         serde_json::to_string(&a).expect("serialize"),
         serde_json::to_string(&b).expect("serialize"),
