@@ -29,7 +29,7 @@ use adapex_edge::{
     builtin_scenario, mean_of, EdgeSimulation, FaultPlan, RunSpec, Scenario, SimConfig, SimResult,
     Traffic, WorkloadConfig,
 };
-use adapex_tensor::parallel::num_threads;
+use adapex_bench::{write_report, Gated, ReportHeader, Summary};
 use serde::Serialize;
 
 const REPS: usize = 20;
@@ -128,17 +128,27 @@ fn arm(name: &'static str, mitigated: bool, faulted: bool, results: &[SimResult]
     }
 }
 
+/// Mean mitigated-under-faults QoE over mean fault-free QoE, with the
+/// spread of that ratio over the repetitions (repetition `i` of both
+/// arms is the same episode seed).
+fn retention_of(faulted: &[SimResult], fault_free: &[SimResult]) -> Gated {
+    let per_rep: Vec<f64> = faulted.iter().zip(fault_free).map(|(f, o)| f.qoe() / o.qoe()).collect();
+    Gated {
+        value: mean_of(faulted, |r| r.qoe()) / mean_of(fault_free, |r| r.qoe()),
+        spread: Summary::from_samples(&per_rep).spread,
+    }
+}
+
 #[derive(Debug, Serialize)]
 struct Report {
-    schema_version: u32,
+    header: ReportHeader,
     scenario: &'static str,
     reps: usize,
     seed: u64,
-    threads: usize,
     plan: FaultPlan,
     arms: Vec<Arm>,
     /// mitigated-under-faults QoE / fault-free QoE (gate: ≥ 0.90).
-    qoe_retention: f64,
+    qoe_retention: Gated,
     /// mitigated QoE − unmitigated QoE under the same faults (gate: > 0).
     mitigation_gain: f64,
     /// Same three arms and gates on the committed adversarial scenario
@@ -151,7 +161,7 @@ struct Section {
     scenario: String,
     seed: u64,
     arms: Vec<Arm>,
-    qoe_retention: f64,
+    qoe_retention: Gated,
     mitigation_gain: f64,
 }
 
@@ -159,7 +169,8 @@ fn main() {
     let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
     let trace = Scenario::Burst.trace(WorkloadConfig::paper_default());
     let plan = FaultPlan::canned();
-    let jobs = num_threads();
+    let header = ReportHeader::capture();
+    let jobs = header.threads;
 
     let run = |mitigation: MitigationConfig, plan: &FaultPlan| {
         let spec = RunSpec::new(Traffic::Shaped(&trace), plan, SEED);
@@ -175,7 +186,7 @@ fn main() {
         arm("faults+mitigation", true, true, &mitigated),
         arm("faults-no-mitigation", false, true, &unmitigated),
     ];
-    let qoe_retention = arms[1].qoe / arms[0].qoe;
+    let qoe_retention = retention_of(&mitigated, &fault_free);
     let mitigation_gain = arms[1].qoe - arms[2].qoe;
 
     // Adversarial section: the committed flash-crowd+faults scenario,
@@ -197,17 +208,16 @@ fn main() {
     let adversarial = Section {
         scenario: adv.name.clone(),
         seed: adv.seed,
-        qoe_retention: adv_arms[1].qoe / adv_arms[0].qoe,
+        qoe_retention: retention_of(&adv_mitigated, &adv_free),
         mitigation_gain: adv_arms[1].qoe - adv_arms[2].qoe,
         arms: adv_arms,
     };
 
     let report = Report {
-        schema_version: adapex_bench::BENCH_SCHEMA_VERSION,
+        header,
         scenario: "burst",
         reps: REPS,
         seed: SEED,
-        threads: jobs,
         plan,
         arms,
         qoe_retention,
@@ -215,8 +225,7 @@ fn main() {
         adversarial,
     };
 
-    let json = serde_json::to_string_pretty(&report).expect("serialize");
-    std::fs::write("BENCH_faults.json", &json).expect("write BENCH_faults.json");
+    write_report("faults", &report);
     for a in &report.arms {
         println!(
             "{:<22} QoE {:.3}  loss {:>5.2}%  acc {:.3}  reconfigs/run {:.1}  failed {}  retries {}",
@@ -225,8 +234,8 @@ fn main() {
         );
     }
     println!(
-        "QoE retention {:.3} (gate >= 0.90), mitigation gain {:+.4} (gate > 0)",
-        report.qoe_retention, report.mitigation_gain
+        "QoE retention {:.3} (gate >= 0.90, spread {:.3}), mitigation gain {:+.4} (gate > 0)",
+        report.qoe_retention.value, report.qoe_retention.spread, report.mitigation_gain
     );
     for a in &report.adversarial.arms {
         println!(
@@ -235,16 +244,17 @@ fn main() {
         );
     }
     println!(
-        "adversarial ({}) QoE retention {:.3} (gate >= 0.90), mitigation gain {:+.4} (gate > 0)",
-        report.adversarial.scenario, report.adversarial.qoe_retention,
+        "adversarial ({}) QoE retention {:.3} (gate >= 0.90, spread {:.3}), mitigation gain {:+.4} (gate > 0)",
+        report.adversarial.scenario,
+        report.adversarial.qoe_retention.value,
+        report.adversarial.qoe_retention.spread,
         report.adversarial.mitigation_gain
     );
-    println!("wrote BENCH_faults.json");
 
     assert!(
-        report.qoe_retention >= 0.90,
+        report.qoe_retention.value >= 0.90,
         "mitigated QoE under the canned fault plan fell below 90 % of fault-free: {:.3}",
-        report.qoe_retention
+        report.qoe_retention.value
     );
     assert!(
         report.mitigation_gain > 0.0,
@@ -252,9 +262,9 @@ fn main() {
         report.mitigation_gain
     );
     assert!(
-        report.adversarial.qoe_retention >= 0.90,
+        report.adversarial.qoe_retention.value >= 0.90,
         "mitigated QoE on the adversarial scenario fell below 90 % of fault-free: {:.3}",
-        report.adversarial.qoe_retention
+        report.adversarial.qoe_retention.value
     );
     assert!(
         report.adversarial.mitigation_gain > 0.0,

@@ -2,9 +2,8 @@
 //!
 //! Simulates a fleet of 10,000 edge servers × 100 camera streams each
 //! (1,000,000 streams, 250,000 server-seconds) on the segment-level
-//! engine and reports *per-server-second throughput* — simulated
-//! server-seconds per wall-clock second — at `jobs = 1` (repeated) and
-//! `jobs = 4`.
+//! engine at `jobs = 1` — [`ROUNDS`] timed passes after a discarded
+//! warm-up pass, on the shared timer — and once at `jobs = 4`.
 //!
 //! The engine pays per event, not per tick (~29 events per 25,000-tick
 //! episode here), so the cost of a server-second is a handful of
@@ -12,46 +11,38 @@
 //! slower path left to be faster than; the gates are absolute.
 //!
 //! Gates (asserted):
-//! - the fleet covers ≥ 1,000,000 streams at default scale;
-//! - fleet results at `jobs = 1` and `jobs = 4` are **byte-identical**
-//!   (serialized JSON compared, server by server);
+//! - the fleet covers ≥ 1,000,000 streams;
+//! - every `jobs = 1` pass returns the same result, and the `jobs = 4`
+//!   result is **byte-identical** to it (serialized JSON compared,
+//!   server by server);
 //! - the fastest `jobs = 1` pass costs ≤ [`NS_PER_SERVER_SECOND_BUDGET`]
 //!   host ns per simulated server-second and ≤ [`NS_PER_EVENT_BUDGET`]
 //!   per event. The tick-replay engine this one replaced cost
 //!   33,000–49,000 ns per server-second, so anything tick-proportional
 //!   creeping back in trips the first budget on any host.
 //!
-//! Scale knobs for quick local runs (gates still assert):
-//! `ADAPEX_FLEET_SERVERS` (default 10000), `ADAPEX_FLEET_CAMERAS`
-//! (default 100). Run with
-//! `cargo run --release -p adapex-bench --bin bench-fleet`.
+//! Run with `cargo run --release -p adapex-bench --bin bench-fleet`.
 
 use adapex::library::{Library, LibraryEntry, OperatingPoint};
 use adapex::runtime::{RuntimeManager, SelectionPolicy};
+use adapex_bench::{interleave, write_report, Gated, ReportHeader};
 use adapex_edge::{
     FaultPlan, Fleet, FleetConfig, FleetResult, FleetSummary, RunSpec, SimResult, Traffic,
 };
-use adapex_tensor::parallel::num_threads;
 use finn_dataflow::ResourceUsage;
 use serde::Serialize;
-use std::time::Instant;
 
 const SEED: u64 = 0xF1EE7;
-/// Timed `jobs = 1` passes; the fastest is gated, all are reported.
-const REPEATS: usize = 3;
+const SERVERS: usize = 10_000;
+const CAMERAS: usize = 100;
+/// Timed `jobs = 1` passes (after the discarded warm-up pass); the
+/// fastest is gated.
+const ROUNDS: usize = 3;
 /// Host time a simulated server-second may cost (measured: ≈ 3,300 ns
 /// on the 2-core development container).
 const NS_PER_SERVER_SECOND_BUDGET: f64 = 10_000.0;
 /// Host time an engine event may cost (measured: ≈ 2,800 ns).
 const NS_PER_EVENT_BUDGET: f64 = 8_000.0;
-
-fn env_scale(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
 
 fn entry(id: usize, rate: f64, acc: f64, ips: f64) -> LibraryEntry {
     LibraryEntry {
@@ -107,27 +98,21 @@ fn manager() -> RuntimeManager {
 
 #[derive(Debug, Serialize)]
 struct FleetBenchReport {
-    schema_version: u32,
+    header: ReportHeader,
     servers: usize,
     cameras_per_server: usize,
     streams: usize,
     duration_s: f64,
-    threads: usize,
-    host_cores: usize,
-    /// Timed `jobs = 1` passes and their wall times.
-    repeats: usize,
-    pass_wall_s: Vec<f64>,
-    /// `(max − min) / median` of the pass wall times.
-    pass_spread: f64,
-    /// Simulated server-seconds per wall second: fastest `jobs = 1`
-    /// pass, and the single `jobs = 4` pass.
+    /// Timed `jobs = 1` passes behind the two costs below.
+    rounds: usize,
+    /// Simulated server-seconds per wall second, fastest pass.
     server_seconds_per_s: f64,
-    jobs4_server_seconds_per_s: f64,
-    /// Host cost of the fastest `jobs = 1` pass, and the budgets it is
+    /// Host ns per simulated server-second and per engine event, fastest
+    /// pass, with the spread of the passes; and the budgets they are
     /// asserted against.
-    ns_per_server_second: f64,
+    ns_per_server_second: Gated,
     ns_per_server_second_budget: f64,
-    ns_per_event: f64,
+    ns_per_event: Gated,
     ns_per_event_budget: f64,
     /// `jobs = 1` vs `jobs = 4` serialized-JSON comparison.
     jobs_byte_identical: bool,
@@ -138,36 +123,34 @@ struct FleetBenchReport {
 }
 
 fn main() {
-    let servers = env_scale("ADAPEX_FLEET_SERVERS", 10_000);
-    let cameras = env_scale("ADAPEX_FLEET_CAMERAS", 100);
-    let threads = num_threads();
-    let mut config = FleetConfig::paper_default(servers, cameras, 145.0);
+    let mut config = FleetConfig::paper_default(SERVERS, CAMERAS, 145.0);
     config.sim.workload.ips_per_camera = 30.0;
     let duration_s = config.sim.workload.duration_s;
     let fleet = Fleet::new(config);
     let m = manager();
     let plan = FaultPlan::none();
-    let server_seconds = servers as f64 * duration_s;
-
+    let server_seconds = SERVERS as f64 * duration_s;
+    let header = ReportHeader::capture();
     eprintln!(
-        "fleet: {servers} servers x {cameras} cameras = {} streams, {threads} thread(s) on {} core(s)",
+        "fleet: {SERVERS} servers x {CAMERAS} cameras = {} streams, {} thread(s) on {} core(s)",
         fleet.config().streams(),
-        adapex_bench::host_cores()
+        header.threads,
+        header.host_cores
     );
 
-    let run_timed = |jobs: usize| -> (FleetResult, f64) {
-        let t0 = Instant::now();
-        let r = fleet.run(&m, &RunSpec::new(Traffic::Synthetic, &plan, SEED), jobs);
-        (r, t0.elapsed().as_secs_f64())
-    };
-    let (fleet_j1, first_wall) = run_timed(1);
-    let mut pass_wall_s = vec![first_wall];
-    for _ in 1..REPEATS {
-        let (again, wall) = run_timed(1);
-        assert!(again == fleet_j1, "a repeat at the same seed differs");
-        pass_wall_s.push(wall);
-    }
-    let (fleet_j4, wall_j4) = run_timed(4);
+    let run = |jobs: usize| fleet.run(&m, &RunSpec::new(Traffic::Synthetic, &plan, SEED), jobs);
+    // One arm: a repeat loop. Each pass is held until the next one has
+    // been compared with it.
+    let mut last: Option<FleetResult> = None;
+    let pass = interleave(1, ROUNDS, 1, |_| {
+        let result = run(1);
+        if let Some(previous) = &last {
+            assert!(*previous == result, "a repeat at the same seed differs");
+        }
+        last = Some(result);
+    })[0];
+    let fleet_j1 = last.expect("the timer ran a pass");
+    let fleet_j4 = run(4);
     // Server by server, so a million-stream fleet is never two whole
     // JSON documents in memory.
     let to_json = |r: &SimResult| serde_json::to_string(r).expect("serialize server");
@@ -181,57 +164,51 @@ fn main() {
             .all(|(a, b)| to_json(a) == to_json(b));
     drop(fleet_j4);
 
-    let mut sorted = pass_wall_s.clone();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let (best, median) = (sorted[0], sorted[sorted.len() / 2]);
     let summary = fleet_j1.summary;
-    eprintln!(
-        "engine: {servers} servers in {best:.3}s = {:.0} server-seconds/s, {:.0} ns per event",
-        server_seconds / best,
-        best * 1e9 / summary.events as f64
-    );
-
+    let cost_per = |units: f64| Gated {
+        value: pass.best / units,
+        spread: pass.spread,
+    };
     let report = FleetBenchReport {
-        schema_version: adapex_bench::BENCH_SCHEMA_VERSION,
-        servers,
-        cameras_per_server: cameras,
+        header,
+        servers: SERVERS,
+        cameras_per_server: CAMERAS,
         streams: fleet.config().streams(),
         duration_s,
-        threads,
-        host_cores: adapex_bench::host_cores(),
-        repeats: REPEATS,
-        pass_spread: (sorted[sorted.len() - 1] - best) / median,
-        pass_wall_s,
-        server_seconds_per_s: server_seconds / best,
-        jobs4_server_seconds_per_s: server_seconds / wall_j4,
-        ns_per_server_second: best * 1e9 / server_seconds,
+        rounds: ROUNDS,
+        server_seconds_per_s: server_seconds / (pass.best / 1e9),
+        ns_per_server_second: cost_per(server_seconds),
         ns_per_server_second_budget: NS_PER_SERVER_SECOND_BUDGET,
-        ns_per_event: best * 1e9 / summary.events as f64,
+        ns_per_event: cost_per(summary.events as f64),
         ns_per_event_budget: NS_PER_EVENT_BUDGET,
         jobs_byte_identical,
         events: summary.events,
         ticks: summary.ticks,
         summary,
     };
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_fleet.json");
+    eprintln!(
+        "engine: {SERVERS} servers in {:.3}s = {:.0} server-seconds/s, {:.0} ns per event (spread {:.3})",
+        pass.best / 1e9,
+        report.server_seconds_per_s,
+        report.ns_per_event.value,
+        pass.spread
+    );
+    println!("{}", write_report("fleet", &report));
 
     assert!(
-        report.streams >= 1_000_000 || servers < 10_000,
-        "default scale must cover >= 1M streams, got {}",
+        report.streams >= 1_000_000,
+        "the fleet must cover >= 1M streams, got {}",
         report.streams
     );
     assert!(report.jobs_byte_identical, "fleet results differ across job counts");
     assert!(
-        report.ns_per_server_second <= NS_PER_SERVER_SECOND_BUDGET,
+        report.ns_per_server_second.value <= NS_PER_SERVER_SECOND_BUDGET,
         "{:.0} host ns per server-second is over the {NS_PER_SERVER_SECOND_BUDGET:.0} ns budget",
-        report.ns_per_server_second
+        report.ns_per_server_second.value
     );
     assert!(
-        report.ns_per_event <= NS_PER_EVENT_BUDGET,
+        report.ns_per_event.value <= NS_PER_EVENT_BUDGET,
         "{:.0} host ns per event is over the {NS_PER_EVENT_BUDGET:.0} ns budget",
-        report.ns_per_event
+        report.ns_per_event.value
     );
 }

@@ -6,11 +6,11 @@
 //!    requests through [`adapex_nn::serve::BatchExecutor`]. The
 //!    baseline is the pre-batching serve path: one request at a time,
 //!    full depth (the verdict needs all exit confidences on that path).
-//!    The optimized path batches `--max-batch` requests through the
+//!    The optimized path batches `max_batch` requests through the
 //!    staged executor at a confidence threshold calibrated on a
 //!    held-out split. Both run the `Auto` engine plan, i.e. the
 //!    streamlined executor (folded thresholds, packed code maps). The
-//!    same interleaved loop also times exit-1 and full-depth batches
+//!    same [`interleave`] call also times exit-1 and full-depth batches
 //!    under `Auto` and under `Int2Always` — the layer-by-layer loop the
 //!    streamlined path replaced — so the report carries that before /
 //!    after row from one run of one binary. Verdict bit-identity between
@@ -49,12 +49,15 @@
 //!   while a request costs ≥ 63 µs; a faster executor drains them inside
 //!   the 20 ms budget, nothing is doomed, and the two policies tie.
 //!
-//! Flags: `--warmup N` (default 1) and `--repeat N` (default 3) timed
-//! repetitions; min and median rates are reported and the median is
-//! gated (min guards against one lucky run). Scale knobs:
-//! `ADAPEX_SERVE_REQUESTS` (real-tier requests per repetition, default
-//! 2048), `ADAPEX_SERVE_VIRTUAL_S` (virtual seconds per pattern,
-//! default 300 — ~4 M requests across the patterns).
+//! Every real-tier rate is the fastest of [`ROUNDS`] timed passes of
+//! [`REQUESTS`] requests (after one discarded warm-up pass), the six
+//! tiers taking turns pass by pass in one [`interleave`] call — the
+//! floor, like every other gate here and the repo benchmark: host noise
+//! only ever adds time, and this host's slow phases (1.5–2× for two or
+//! three seconds, uneven across tiers) moved a median of three by more
+//! than the gate's ≈ 10 % margin. The
+//! virtual tier runs [`VIRTUAL_S`] seconds per pattern — tens of millions
+//! of requests across the patterns. There are no scale knobs: CI runs this.
 //! Run with `cargo run --release -p adapex-bench --bin bench-serving`.
 
 use adapex::serve::{
@@ -66,10 +69,10 @@ use adapex_nn::cnv::{CnvConfig, ExitsConfig};
 use adapex_nn::network::EarlyExitNetwork;
 use adapex_nn::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
 use adapex_nn::layers::Activation;
+use adapex_bench::{interleave, write_report, Gated, ReportHeader, Summary};
 use adapex_tensor::rng::rng_from_seed;
 use rand::RngExt as _;
 use serde::Serialize;
-use std::time::Instant;
 
 const SEED: u64 = 0x5E17E;
 const WIDTH: usize = 8;
@@ -82,36 +85,14 @@ const OVERLOAD: f64 = 1.4;
 /// Depth of the overload leg's queues: how many of the tightest SLO
 /// budget they take to drain when full, at the measured capacity.
 const OVERLOAD_QUEUE_BUDGETS: f64 = 1.2;
-
-fn env_scale(key: &str, default: usize) -> usize {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
-
-fn arg_scale(args: &[String], key: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    xs[xs.len() / 2]
-}
-
-/// (max − min) / median of a set of rates.
-fn spread(xs: &[f64]) -> f64 {
-    let (lo, hi) = xs.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &x| {
-        (lo.min(x), hi.max(x))
-    });
-    (hi - lo) / median(&mut xs.to_vec())
-}
+/// Real-tier requests per pass.
+const REQUESTS: usize = 2_048;
+/// Timed passes per tier (after the discarded warm-up pass): enough
+/// wall time (≈ 5 s) to outlast a slow phase of the host, so that every
+/// tier gets a clean pass.
+const ROUNDS: usize = 7;
+/// Virtual seconds per arrival pattern.
+const VIRTUAL_S: f64 = 300.0;
 
 fn build_net() -> EarlyExitNetwork {
     CnvConfig::scaled(WIDTH).build_early_exit(10, &ExitsConfig::paper_default(), 3)
@@ -163,7 +144,6 @@ fn calibrate_threshold(net: &EarlyExitNetwork, samples: usize) -> f32 {
 struct Tier<'a> {
     exec: BatchExecutor,
     batches: &'a [Activation],
-    rates: Vec<f64>,
 }
 
 impl<'a> Tier<'a> {
@@ -176,16 +156,14 @@ impl<'a> Tier<'a> {
         Tier {
             exec: BatchExecutor::new(net, &cfg),
             batches,
-            rates: Vec::new(),
         }
     }
 
-    fn median_rps(&self) -> f64 {
-        median(&mut self.rates.clone())
-    }
-
-    fn min_rps(&self) -> f64 {
-        self.rates.iter().copied().fold(f64::INFINITY, f64::min)
+    /// One pass of [`REQUESTS`] requests.
+    fn pass(&mut self, out: &mut BatchVerdicts) {
+        for x in self.batches {
+            self.exec.run_batch(x, out);
+        }
     }
 
     /// Requests per exit over one untimed pass (deterministic).
@@ -202,23 +180,9 @@ impl<'a> Tier<'a> {
     }
 }
 
-/// Times `repeat` passes of `total` requests through every tier, the
-/// tiers taking turns pass by pass so that a slow phase of the host
-/// lands on all of them; warmup passes are discarded.
-fn time_interleaved(tiers: &mut [&mut Tier], total: usize, warmup: usize, repeat: usize) {
-    let mut out = BatchVerdicts::default();
-    for rep in 0..warmup + repeat {
-        for tier in tiers.iter_mut() {
-            let t0 = Instant::now();
-            for x in tier.batches {
-                tier.exec.run_batch(x, &mut out);
-            }
-            let wall = t0.elapsed().as_secs_f64();
-            if rep >= warmup {
-                tier.rates.push(total as f64 / wall);
-            }
-        }
-    }
+/// Microseconds per request of a tier's fastest pass (ns per pass).
+fn us_per_request(pass: &Summary) -> f64 {
+    pass.best / 1e3 / REQUESTS as f64
 }
 
 #[derive(Debug, Serialize)]
@@ -248,46 +212,36 @@ struct PatternReport {
 
 #[derive(Debug, Serialize)]
 struct ServingBenchReport {
-    schema_version: u32,
-    /// Kernel worker threads (`ADAPEX_THREADS`, else the host's cores).
-    threads: usize,
-    /// `std::thread::available_parallelism` of the measuring host.
-    host_cores: usize,
-    /// The int2 kernel backend the executor's convs dispatched to.
-    int2_backend: String,
+    header: ReportHeader,
     width: usize,
     num_exits: usize,
     threshold: f32,
     exit1_fraction: f64,
     max_batch: usize,
-    warmup: usize,
-    repeat: usize,
-    requests_per_rep: usize,
-    baseline_rps_min: f64,
-    baseline_rps_median: f64,
-    serve_rps_min: f64,
-    serve_rps_median: f64,
-    /// All requests retiring at exit 1 (threshold 0): the measured
-    /// exit-1 service cost behind `service_us_per_exit[0]`.
-    exit1_rps_min: f64,
-    exit1_rps_median: f64,
+    rounds: usize,
+    requests_per_pass: usize,
+    /// Requests/s of the fastest pass: batch 1 at full depth,
+    /// `max_batch` at the calibrated threshold, and `max_batch` with
+    /// every request retiring at exit 1 (the cost behind
+    /// `service_us_per_exit[0]`).
+    baseline_rps: f64,
+    serve_rps: f64,
+    exit1_rps: f64,
+    /// `serve_rps / baseline_rps` (gate: >= `speedup_gate`).
+    speedup: Gated,
+    /// `service_us[last] / Σ share_e · service_us[e]` of this run.
+    early_exit_bound: f64,
+    /// `0.9 × early_exit_bound`.
+    speedup_gate: f64,
     /// Microseconds per request at batch `max_batch`, all requests
     /// retiring at exit 1 / none before the final exit, on the
     /// streamlined executor (`EnginePlan::Auto`) ...
     streamlined_us: [f64; 2],
     /// ... and on the layer-by-layer loop (`EnginePlan::Int2Always`)
-    /// in the same interleaved run.
+    /// in the same interleaved call.
     layer_path_us: [f64; 2],
     /// `layer_path_us / streamlined_us` per column.
     streamlined_gain: [f64; 2],
-    /// Widest (max − min) / median over the timed repetitions of the
-    /// real-tier rates.
-    rps_spread: f64,
-    speedup: f64,
-    /// `service_us[last] / Σ share_e · service_us[e]` of this run.
-    early_exit_bound: f64,
-    /// `0.9 × early_exit_bound`.
-    speedup_gate: f64,
     service_us_per_exit: Vec<u64>,
     capacity_rps: f64,
     virtual_requests_total: u64,
@@ -335,11 +289,6 @@ fn pattern_report(pattern: &str, rate_rps: f64, requests: usize, r: &ServeReport
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let warmup = arg_scale(&args, "--warmup", 1);
-    let repeat = arg_scale(&args, "--repeat", 3);
-    let requests = env_scale("ADAPEX_SERVE_REQUESTS", 2_048);
-    let virtual_s = env_scale("ADAPEX_SERVE_VIRTUAL_S", 300);
     let config = ServeConfig::paper_default();
     let max_batch = config.max_batch;
     let class_weights = [1.0, 3.0];
@@ -351,8 +300,8 @@ fn main() {
         "serving: width {WIDTH}, calibrated CT {threshold:.4} (target {TARGET_EXIT1})"
     );
 
-    let single = request_batches(&net, requests, 1);
-    let batched = request_batches(&net, requests, max_batch);
+    let single = request_batches(&net, REQUESTS, 1);
+    let batched = request_batches(&net, REQUESTS, max_batch);
 
     // Baseline: batch=1, full depth (a threshold above any confidence,
     // so no sample retires early). Optimized: batched, staged early exit
@@ -360,32 +309,36 @@ fn main() {
     // batches with a threshold every confidence clears. Then exit-1 and
     // full-depth batches on both executors — streamlined and layer path.
     let auto = EnginePlan::Auto;
-    let mut base = Tier::new(&net, auto, 2.0, &single);
-    let mut serve = Tier::new(&net, auto, threshold, &batched);
-    let mut exit1 = Tier::new(&net, auto, 0.0, &batched);
-    let mut full = Tier::new(&net, auto, 2.0, &batched);
-    let mut layer_exit1 = Tier::new(&net, EnginePlan::Int2Always, 0.0, &batched);
-    let mut layer_full = Tier::new(&net, EnginePlan::Int2Always, 2.0, &batched);
-    assert!(serve.exec.streamlined() && !layer_full.exec.streamlined());
-    time_interleaved(
-        &mut [&mut base, &mut serve, &mut exit1, &mut full, &mut layer_exit1, &mut layer_full],
-        requests,
-        warmup,
-        repeat,
-    );
+    let layers = EnginePlan::Int2Always;
+    let mut tiers = [
+        Tier::new(&net, auto, 2.0, &single),
+        Tier::new(&net, auto, threshold, &batched),
+        Tier::new(&net, auto, 0.0, &batched),
+        Tier::new(&net, auto, 2.0, &batched),
+        Tier::new(&net, layers, 0.0, &batched),
+        Tier::new(&net, layers, 2.0, &batched),
+    ];
+    assert!(tiers[..4].iter().all(|t| t.exec.streamlined()));
+    assert!(tiers[4..].iter().all(|t| !t.exec.streamlined()));
+    let mut out = BatchVerdicts::default();
+    let passes = interleave(tiers.len(), ROUNDS, 1, |tier| tiers[tier].pass(&mut out));
+    let [base, serve, exit1, full, layer_exit1, layer_full] = passes[..] else {
+        unreachable!("one summary per tier");
+    };
 
-    let baseline_rps_median = base.median_rps();
-    let serve_rps_median = serve.median_rps();
-    let speedup = serve_rps_median / baseline_rps_median;
-    let exit1_rps_median = exit1.median_rps();
-    let exit_counts = serve.exit_counts();
+    let rps = |pass: &Summary| 1e6 / us_per_request(pass);
+    let (baseline_rps, serve_rps, exit1_rps) = (rps(&base), rps(&serve), rps(&exit1));
+    let speedup = Gated::best_ratio(&base, &serve);
+    let exit_counts = tiers[1].exit_counts();
     let exit1_fraction = exit_counts[0] as f64 / exit_counts.iter().sum::<u64>() as f64;
-    let streamlined_us = [1e6 / exit1_rps_median, 1e6 / full.median_rps()];
-    let layer_path_us = [1e6 / layer_exit1.median_rps(), 1e6 / layer_full.median_rps()];
+    let streamlined_us = [us_per_request(&exit1), us_per_request(&full)];
+    let layer_path_us = [us_per_request(&layer_exit1), us_per_request(&layer_full)];
     let streamlined_gain = [0, 1].map(|e| layer_path_us[e] / streamlined_us[e]);
     eprintln!(
-        "real tier: baseline {baseline_rps_median:.0} rps, serve {serve_rps_median:.0} rps \
-         ({speedup:.2}x), exit-1 {:.0}%",
+        "real tier: baseline {baseline_rps:.0} rps, serve {serve_rps:.0} rps \
+         ({:.2}x, spread {:.3}), exit-1 {:.0}%",
+        speedup.value,
+        speedup.spread,
         exit1_fraction * 100.0
     );
     eprintln!(
@@ -402,8 +355,8 @@ fn main() {
         .iter()
         .map(|&c| (c as f64 / exits).max(1e-6))
         .collect();
-    let cfull_us = 1e6 / baseline_rps_median;
-    let c1_us = (1e6 / exit1_rps_median).clamp(1.0, cfull_us);
+    let cfull_us = us_per_request(&base);
+    let c1_us = us_per_request(&exit1).clamp(1.0, cfull_us);
     let c2_us = (c1_us + cfull_us) / 2.0;
     let service_us: Vec<u64> = [c1_us, c2_us, cfull_us]
         .iter()
@@ -422,7 +375,8 @@ fn main() {
     let speedup_gate = 0.9 * early_exit_bound;
     eprintln!(
         "per-exit service {service_us:?} us: early-exit bound {early_exit_bound:.2}x, \
-         gate {speedup_gate:.2}x, measured {speedup:.2}x"
+         gate {speedup_gate:.2}x, measured {:.2}x",
+        speedup.value
     );
 
     let mut patterns = Vec::new();
@@ -434,7 +388,7 @@ fn main() {
         ("ramp", ArrivalPattern::DiurnalRamp, gated_rps),
     ] {
         let arrivals =
-            generate_arrivals(pat, rate, virtual_s as f64, &class_weights, SEED ^ rate as u64);
+            generate_arrivals(pat, rate, VIRTUAL_S, &class_weights, SEED ^ rate as u64);
         let report = ServeSim::run(config.clone(), &model, &arrivals);
         virtual_total += report.offered;
         assert!(report.conservation_holds(), "{name}: requests must balance");
@@ -515,7 +469,7 @@ fn main() {
     let overload_arrivals = generate_arrivals(
         ArrivalPattern::Burst { burst_x: 3.0 },
         capacity_rps * OVERLOAD,
-        virtual_s as f64,
+        VIRTUAL_S,
         &class_weights,
         SEED ^ 0xAD,
     );
@@ -548,34 +502,23 @@ fn main() {
     );
 
     let report = ServingBenchReport {
-        schema_version: adapex_bench::BENCH_SCHEMA_VERSION,
-        threads: adapex_tensor::parallel::num_threads(),
-        host_cores: adapex_bench::host_cores(),
-        int2_backend: format!("{:?}", adapex_tensor::int2::active_backend()),
+        header: ReportHeader::capture(),
         width: WIDTH,
-        num_exits: serve.exec.num_exits(),
+        num_exits: tiers[1].exec.num_exits(),
         threshold,
         exit1_fraction,
         max_batch,
-        warmup,
-        repeat,
-        requests_per_rep: requests,
-        baseline_rps_min: base.min_rps(),
-        baseline_rps_median,
-        serve_rps_min: serve.min_rps(),
-        serve_rps_median,
-        exit1_rps_min: exit1.min_rps(),
-        exit1_rps_median,
-        streamlined_us,
-        layer_path_us,
-        streamlined_gain,
-        rps_spread: [&base, &serve, &exit1, &full, &layer_exit1, &layer_full]
-            .into_iter()
-            .map(|t| spread(&t.rates))
-            .fold(0.0, f64::max),
+        rounds: ROUNDS,
+        requests_per_pass: REQUESTS,
+        baseline_rps,
+        serve_rps,
+        exit1_rps,
         speedup,
         early_exit_bound,
         speedup_gate,
+        streamlined_us,
+        layer_path_us,
+        streamlined_gain,
         service_us_per_exit: service_us,
         capacity_rps,
         virtual_requests_total: virtual_total,
@@ -589,16 +532,14 @@ fn main() {
         scenario_goodput_rps: scenario_goodput,
         scenario_fifo_goodput_rps: scenario_fifo_goodput,
     };
-
-    let json = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write("BENCH_serving.json", &json).expect("write BENCH_serving.json");
-    println!("{json}");
-    eprintln!("wrote BENCH_serving.json ({virtual_total} virtual requests)");
+    println!("{}", write_report("serving", &report));
+    eprintln!("{virtual_total} virtual requests");
 
     assert!(
-        speedup >= speedup_gate,
-        "serving speedup gate: {speedup:.2}x < {speedup_gate:.2}x \
-         (0.9 x the {early_exit_bound:.2}x early-exit bound of this run)"
+        speedup.value >= speedup_gate,
+        "serving speedup gate: {:.2}x < {speedup_gate:.2}x \
+         (0.9 x the {early_exit_bound:.2}x early-exit bound of this run)",
+        speedup.value
     );
     assert!(p99_within_budget, "steady-tier p99 must fit every SLO budget");
     assert!(

@@ -2,8 +2,8 @@
 //! generator.
 //!
 //! Every expensive work product of the design-space sweep — a trained
-//! checkpoint, an [`ExitEvaluation`], a FINN [`SynthesisReport`], a
-//! finished [`LibraryEntry`] — is stored under a **fingerprint**: the
+//! checkpoint, an [`ExitEvaluation`], a finished [`LibraryEntry`] — is
+//! stored under a **fingerprint**: the
 //! SHA-256 of a canonical JSON encoding of the exact inputs that
 //! determine it (dataset config and seed, network/exit configs, train
 //! and retrain configs, pruning rate and mode, folding and clock
@@ -34,7 +34,6 @@ use crate::library::LibraryEntry;
 use adapex_nn::checkpoint::{self, write_atomic};
 use adapex_nn::eval::ExitEvaluation;
 use adapex_nn::network::EarlyExitNetwork;
-use finn_dataflow::SynthesisReport;
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -345,32 +344,6 @@ impl ArtifactCache {
     /// Stores a finished `LibraryEntry` under `fp`.
     pub fn store_entry(&self, fp: &str, entry: &LibraryEntry) {
         self.store_json(fp, "entry.json", entry);
-    }
-
-    /// Loads the FINN `SynthesisReport` stored at `fp`, if intact.
-    /// (Not counted in hit/miss stats: reports ride along with entries
-    /// for inspection and external reuse.)
-    pub fn load_report(&self, fp: &str) -> Option<SynthesisReport> {
-        let path = self.path(fp, "report.json");
-        let text = std::fs::read_to_string(&path).ok()?;
-        match SynthesisReport::from_json(&text) {
-            Ok(r) => Some(r),
-            Err(e) => {
-                eprintln!(
-                    "[adapex-cache] corrupt {} ({e}); recomputing",
-                    path.display()
-                );
-                None
-            }
-        }
-    }
-
-    /// Stores a variant's FINN `SynthesisReport` under `fp`.
-    pub fn store_report(&self, fp: &str, report: &SynthesisReport) {
-        let path = self.path(fp, "report.json");
-        if let Err(e) = write_atomic(&path, report.to_json().as_bytes()) {
-            eprintln!("[adapex-cache] cannot write {}: {e}", path.display());
-        }
     }
 }
 

@@ -289,12 +289,6 @@ impl LibraryGenerator {
         }
     }
 
-    /// Overrides the target device.
-    pub fn with_device(mut self, device: FpgaDevice) -> Self {
-        self.device = device;
-        self
-    }
-
     /// Runs the full design-time pipeline (see module docs).
     ///
     /// The two base networks train sequentially; the PR-Only and
@@ -582,9 +576,6 @@ impl LibraryGenerator {
                 },
             ),
         };
-        if let (Some(c), Some(stem)) = (cache, stem.as_deref()) {
-            c.store_report(stem, acc.report());
-        }
         let points = thresholds
             .iter()
             .map(|&ct| {

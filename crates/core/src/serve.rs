@@ -526,15 +526,6 @@ impl ServeEngine {
         self.queues.iter().map(|q| q.len()).sum()
     }
 
-    /// Earliest queued arrival time, if any.
-    pub fn earliest_queued_us(&self) -> Option<u64> {
-        self.queues
-            .iter()
-            .filter_map(|q| q.front())
-            .map(|r| r.arrival_us)
-            .min()
-    }
-
     /// Expected per-sample service given the prior and observed exit
     /// counts (microseconds). This is the early-exit admission law: a
     /// high observed exit-1 rate pulls the estimate toward the cheap

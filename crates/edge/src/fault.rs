@@ -42,6 +42,7 @@ const MAX_DOWNTIME_FACTOR: f64 = 1e6;
 
 /// A half-open time window `[start_s, end_s)` in episode seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultWindow {
     /// Window start (inclusive), seconds.
     pub start_s: f64,
@@ -62,6 +63,7 @@ impl FaultWindow {
 /// accounted as [`FaultCounters::dropped_by_fault`], not as offered
 /// load, so QoE stays comparable across plans.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CameraDropout {
     /// When the dropout is active.
     pub window: FaultWindow,
@@ -74,6 +76,7 @@ pub struct CameraDropout {
 /// a burst beyond the paper's ±30 % envelope. The extra arrivals are
 /// Poisson at `(multiplier − 1) × rate`, drawn from the fault stream.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct StaleFlood {
     /// When the flood is active.
     pub window: FaultWindow,
@@ -85,6 +88,7 @@ pub struct StaleFlood {
 /// lighting change, distribution drift): inferences completed inside
 /// the window deliver `accuracy − delta` (clamped at 0).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct AccuracyFault {
     /// When the degradation is active.
     pub window: FaultWindow,
@@ -96,8 +100,11 @@ pub struct AccuracyFault {
 ///
 /// The default value (= [`FaultPlan::none`]) injects nothing and the
 /// simulator's fault hooks reduce to no-ops, byte-identical to the
-/// fault-free code path.
+/// fault-free code path. Every field may be omitted from a plan file,
+/// so a misspelt key would silently run fault-free: the plan and the
+/// structs inside it reject unknown keys instead.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FaultPlan {
     /// Seed of the dedicated fault RNG stream (mixed with the episode
     /// seed, so repetitions see independent but reproducible draws).

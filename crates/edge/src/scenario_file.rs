@@ -30,41 +30,26 @@ pub const SCENARIO_SCHEMA_VERSION: u32 = 1;
 /// Optional per-scenario overrides of [`SimConfig`] fields; absent
 /// fields keep the paper defaults (and the artifact-derived
 /// reconfiguration time).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SimOverrides {
     /// Simulation tick in seconds.
+    #[serde(default)]
     pub tick_s: Option<f64>,
     /// Seconds between runtime-manager decisions.
+    #[serde(default)]
     pub monitor_period_s: Option<f64>,
     /// Frame-buffer capacity.
+    #[serde(default)]
     pub queue_capacity: Option<usize>,
     /// FPGA reconfiguration downtime in milliseconds.
+    #[serde(default)]
     pub reconfig_time_ms: Option<f64>,
     /// Board static power during reconfiguration, watts.
+    #[serde(default)]
     pub reconfig_power_w: Option<f64>,
 }
 
-const SIM_FIELDS: &[&str] = &[
-    "tick_s",
-    "monitor_period_s",
-    "queue_capacity",
-    "reconfig_time_ms",
-    "reconfig_power_w",
-];
-
-impl Deserialize for SimOverrides {
-    fn from_value(value: &Value) -> Result<SimOverrides, serde::Error> {
-        let entries = expect_object(value, "scenario.sim")?;
-        deny_unknown(entries, SIM_FIELDS, "scenario.sim")?;
-        Ok(SimOverrides {
-            tick_s: opt_field(entries, "tick_s", "scenario.sim", None)?,
-            monitor_period_s: opt_field(entries, "monitor_period_s", "scenario.sim", None)?,
-            queue_capacity: opt_field(entries, "queue_capacity", "scenario.sim", None)?,
-            reconfig_time_ms: opt_field(entries, "reconfig_time_ms", "scenario.sim", None)?,
-            reconfig_power_w: opt_field(entries, "reconfig_power_w", "scenario.sim", None)?,
-        })
-    }
-}
 
 /// Fleet section: present means the scenario is a fleet run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -102,25 +87,15 @@ impl Deserialize for FleetOverrides {
 /// Serving section: overrides applied on top of
 /// [`ServeScenarioConfig::paper_default`] when the scenario drives the
 /// DES serving path.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ServeOverrides {
     /// Relative weight of each SLO class in the arrival mix.
+    #[serde(default)]
     pub class_weights: Option<Vec<f64>>,
     /// Seconds between runtime-manager monitoring decisions.
+    #[serde(default)]
     pub monitor_period_s: Option<f64>,
-}
-
-const SERVE_FIELDS: &[&str] = &["class_weights", "monitor_period_s"];
-
-impl Deserialize for ServeOverrides {
-    fn from_value(value: &Value) -> Result<ServeOverrides, serde::Error> {
-        let entries = expect_object(value, "scenario.serve")?;
-        deny_unknown(entries, SERVE_FIELDS, "scenario.serve")?;
-        Ok(ServeOverrides {
-            class_weights: opt_field(entries, "class_weights", "scenario.serve", None)?,
-            monitor_period_s: opt_field(entries, "monitor_period_s", "scenario.serve", None)?,
-        })
-    }
 }
 
 /// One fully-described run: workload + faults + parameters + seed.
@@ -512,6 +487,7 @@ mod tests {
             ("{", "{\"mystery\":1,"),                        // top level
             ("\"workload\":{", "\"workload\":{\"oops\":1,"), // workload
             ("\"sim\":{", "\"sim\":{\"typo_s\":1,"),         // sim section
+            ("\"faults\":{", "\"faults\":{\"reconfig_failure_prb\":0.9,"), // fault plan
         ] {
             let tainted = base.replacen(from, to, 1);
             assert_ne!(base, tainted, "replacement must hit: {from}");
@@ -519,6 +495,23 @@ mod tests {
                 ScenarioFile::from_json_str(&tainted).is_err(),
                 "accepted: {to}"
             );
+        }
+        // Inside the fault plan's own structs, and the serve section:
+        // the error names the stray key.
+        let mut faulted = builtin_scenario("adversarial-flash-faults").unwrap();
+        faulted.serve = Some(ServeOverrides::default());
+        let base = serde_json::to_string(&faulted).unwrap();
+        for (from, to, key) in [
+            ("\"window\":{", "\"window\":{\"oops\":1,", "oops"),
+            ("\"dropouts\":[{", "\"dropouts\":[{\"fractoin\":0.5,", "fractoin"),
+            ("\"floods\":[{", "\"floods\":[{\"multipler\":2,", "multipler"),
+            ("\"accuracy_faults\":[{", "\"accuracy_faults\":[{\"dleta\":0.1,", "dleta"),
+            ("\"serve\":{", "\"serve\":{\"class_wieghts\":[1],", "class_wieghts"),
+        ] {
+            let tainted = base.replacen(from, to, 1);
+            assert_ne!(base, tainted, "replacement must hit: {from}");
+            let err = ScenarioFile::from_json_str(&tainted).unwrap_err();
+            assert!(err.contains(&format!("`{key}`")), "{to}: {err}");
         }
     }
 

@@ -10,9 +10,9 @@
 //! Every 2-bit matrix layer whose input carries a 2-bit quantization
 //! grid dispatches to the bit-packed popcount engine
 //! (`adapex_tensor::int2`, DESIGN.md §11). A conv whose
-//! `prefer_f32_codes` hint is set takes the bit-identical f32-over-codes
-//! route instead; evaluations agree exactly either way (pinned by
-//! `tests/int2_agreement.rs`).
+//! `prefer_f32_codes` field is set takes the bit-identical f32-over-codes
+//! arm instead — only the differential suites set it; evaluations agree
+//! exactly either way (pinned by `tests/int2_agreement.rs`).
 
 use crate::layers::Activation;
 use crate::loss::{confidence, softmax_into};
@@ -247,28 +247,6 @@ fn eval_batch(
         }
     });
     (correct, conf)
-}
-
-/// Convenience: early-exit accuracy and exit fractions at one threshold.
-///
-/// Runs one full inference pass. To inspect several thresholds (or also
-/// the final-exit accuracy) of the same network, call [`evaluate_exits`]
-/// once and use [`ExitEvaluation::summary_at`] /
-/// [`ExitEvaluation::final_accuracy`] on the result.
-pub fn evaluate_early_exit(
-    net: &mut EarlyExitNetwork,
-    images: &LabeledImages,
-    threshold: f32,
-) -> EarlyExitSummary {
-    evaluate_exits(net, images).summary_at(threshold)
-}
-
-/// Convenience: final-exit (backbone) top-1 accuracy.
-///
-/// Runs one full inference pass; prefer [`ExitEvaluation::final_accuracy`]
-/// on an evaluation you already hold.
-pub fn evaluate_final(net: &mut EarlyExitNetwork, images: &LabeledImages) -> f64 {
-    evaluate_exits(net, images).final_accuracy()
 }
 
 /// Minimal early-exit evaluation result.

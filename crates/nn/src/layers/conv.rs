@@ -43,13 +43,12 @@ pub struct QuantConv2d {
     /// Quantized-weight view, keyed by the weight [`Param`] version.
     #[serde(skip)]
     qcache: Option<QCache>,
-    /// Runtime routing hint: prefer the f32-over-codes path over the
-    /// popcount engine for this layer's int2-eligible forwards.
-    /// Both paths are bit-identical, so this is purely a speed choice —
-    /// the serving executor sets it per layer from
-    /// [`int2::conv_engine_profitable`] (activation packing costs more
-    /// than popcount saves at small `c_out`). Derived state: not
-    /// serialized, not part of equality.
+    /// Sends this layer's int2-eligible forwards down the f32-over-codes
+    /// arm instead of the popcount engine. Both are bit-identical, and
+    /// nothing in the workspace sets it outside tests: the differential
+    /// suites flip it to get their reference, and the benchmark harness
+    /// assigns it from [`int2::conv_engine_profitable`]. Not serialized,
+    /// not part of equality.
     #[serde(skip)]
     pub prefer_f32_codes: bool,
 }

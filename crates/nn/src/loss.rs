@@ -35,24 +35,6 @@ pub fn softmax_into(logits: &[f32], out: &mut [f32]) {
     simd::div_scalar(out, sum);
 }
 
-/// Softmax applied row-wise to a batch of logits.
-///
-/// # Panics
-///
-/// Panics if the activation is not flat (`dims.len() != 1`).
-pub fn softmax_batch(logits: &Activation) -> Activation {
-    assert_eq!(logits.dims.len(), 1, "softmax expects flat logits");
-    let classes = logits.dims[0];
-    let mut out = Activation::zeros(logits.n, &logits.dims);
-    for i in 0..logits.n {
-        softmax_into(
-            logits.sample(i),
-            &mut out.data[i * classes..(i + 1) * classes],
-        );
-    }
-    out
-}
-
 /// Confidence of a softmax distribution: its maximum probability.
 ///
 /// The paper accepts an exit whenever this value clears the confidence

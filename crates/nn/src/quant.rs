@@ -103,14 +103,6 @@ pub fn fake_quantize(x: f32, scale: f32, spec: QuantSpec) -> f32 {
     q * scale
 }
 
-/// Fake-quantizes a buffer in place with a shared scale.
-///
-/// Runs on the SIMD-dispatched kernel; every dispatch path produces the
-/// same bits as mapping [`fake_quantize`] over the slice.
-pub fn fake_quantize_slice(values: &mut [f32], scale: f32, spec: QuantSpec) {
-    simd::fake_quant_slice(values, scale, spec.q_min() as f32, spec.q_max() as f32);
-}
-
 /// Quantizes full-precision weights into the forward-pass view:
 /// returns `(quantized, scale)` where `scale` derives from the tensor's
 /// max-abs (symmetric per-tensor quantization).

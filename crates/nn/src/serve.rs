@@ -49,11 +49,11 @@
 //!   `(n, workers)` and per-sample results only on the sample, so
 //!   output bytes are identical at any worker count.
 //!
-//! The executor also owns the **engine plan**: int2-eligible conv
-//! layers route to the popcount engine only where
-//! [`int2::conv_engine_profitable`] says the packing tax amortizes
-//! ([`EnginePlan::Auto`]); both engine choices are bit-identical, so
-//! the plan affects wall-clock only, never verdicts.
+//! The **engine plan** picks between those two walks and nothing else:
+//! conv layers route as evaluation and the generator route them (the
+//! popcount engine wherever the window gather serves the kernel), and
+//! both walks are bit-identical, so the plan affects wall-clock only,
+//! never verdicts.
 //!
 //! Steady-state serving performs **zero heap allocations per batch**
 //! after warmup: activations and scratch cycle through the
@@ -63,24 +63,21 @@
 //!
 //! [`ExitEvaluation::at_threshold`]: crate::eval::ExitEvaluation::at_threshold
 
-use crate::layers::{Activation, Layer};
+use crate::layers::Activation;
 use crate::loss::{confidence, softmax_into};
 use crate::network::EarlyExitNetwork;
 use crate::streamline::{StreamPlan, StreamScratch};
-use adapex_tensor::int2;
 use adapex_tensor::workspace::{recycle_f32, recycle_usize, take_f32_from, take_f32_uninit, take_usize_from};
 
-/// How the executor routes int2-eligible conv layers.
+/// Which walk of the net the executor runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePlan {
-    /// Shape-aware: popcount engine only where
-    /// [`int2::conv_engine_profitable`] predicts a win, f32-over-codes
-    /// elsewhere — and, when that puts every conv behind the stem on the
-    /// engine, the streamlined path (see the module docs). The serving
+    /// The streamlined path wherever [`StreamPlan::build`] covers the
+    /// net (see the module docs), the layer loop elsewhere. The serving
     /// default.
     Auto,
-    /// Leave routing as the eval path ships it (engine for every
-    /// eligible layer), layer by layer — the differential-testing axis.
+    /// The layer-by-layer loop, always — the path evaluation runs and
+    /// the differential-testing axis.
     Int2Always,
 }
 
@@ -167,20 +164,17 @@ pub struct BatchExecutor {
 }
 
 impl BatchExecutor {
-    /// Builds an executor around `net` (cloned per worker), applies the
-    /// engine plan to every conv layer and, under [`EnginePlan::Auto`],
-    /// folds the net into its streamlined plan.
+    /// Builds an executor around `net` (cloned per worker) and, under
+    /// [`EnginePlan::Auto`], folds the net into its streamlined plan.
     pub fn new(net: &EarlyExitNetwork, cfg: &ExecutorConfig) -> Self {
-        let mut template = net.clone();
-        apply_engine_plan(&mut template, cfg.engine);
         // Folded from a throwaway clone: the weight views the fold
         // derives stay out of the per-worker copies.
         let plan = (cfg.engine == EnginePlan::Auto)
-            .then(|| StreamPlan::build(&mut template.clone()))
+            .then(|| StreamPlan::build(&mut net.clone()))
             .flatten();
         let workers = (0..cfg.workers.max(1))
             .map(|_| Worker {
-                net: template.clone(),
+                net: net.clone(),
                 scratch: StreamScratch::default(),
                 maps: Default::default(),
             })
@@ -219,25 +213,6 @@ impl BatchExecutor {
     /// a property of the net and the engine plan, for reports.
     pub fn streamlined(&self) -> bool {
         self.plan.is_some()
-    }
-
-    /// How many conv layers the plan routes to the popcount engine vs
-    /// the f32-over-codes path, for reports. (The streamlined path runs
-    /// only nets whose split has no f32-over-codes conv behind the stem.)
-    pub fn engine_split(&self) -> (usize, usize) {
-        let mut engine = 0;
-        let mut f32_codes = 0;
-        let net = &self.workers[0].net;
-        for l in net.backbone.iter().chain(net.exits.iter().flat_map(|e| e.layers.iter())) {
-            if let Layer::Conv(c) = l {
-                if c.prefer_f32_codes {
-                    f32_codes += 1;
-                } else {
-                    engine += 1;
-                }
-            }
-        }
-        (engine, f32_codes)
     }
 
     /// Runs one batch, writing per-sample verdicts into `out` (resized
@@ -287,27 +262,6 @@ impl BatchExecutor {
                 s.spawn(move || job.run(mine));
             }
         });
-    }
-}
-
-/// Applies the engine routing plan to every conv layer of `net`.
-///
-/// `Auto` consults [`int2::conv_engine_profitable`], a pure function
-/// of the layer's shape: the direct windowed path pays the packing tax
-/// once per image, so the profitable `c_out` threshold drops by the k²
-/// window reuse.
-fn apply_engine_plan(net: &mut EarlyExitNetwork, plan: EnginePlan) {
-    let layers = net
-        .backbone
-        .iter_mut()
-        .chain(net.exits.iter_mut().flat_map(|e| e.layers.iter_mut()));
-    for l in layers {
-        if let Layer::Conv(c) = l {
-            c.prefer_f32_codes = match plan {
-                EnginePlan::Auto => !int2::conv_engine_profitable(c.c_out, c.geom.kernel),
-                EnginePlan::Int2Always => false,
-            };
-        }
     }
 }
 
@@ -682,40 +636,5 @@ mod tests {
                 "sample {s} confidence"
             );
         }
-    }
-
-    /// The Auto plan routes small convs to f32-over-codes and leaves
-    /// verdicts untouched relative to Int2Always (bit-identity of the
-    /// two engines).
-    #[test]
-    fn engine_plan_is_speed_only() {
-        let net = tiny_net();
-        let split_of = |net: &EarlyExitNetwork, plan| {
-            BatchExecutor::new(
-                net,
-                &ExecutorConfig {
-                    engine: plan,
-                    ..ExecutorConfig::default()
-                },
-            )
-            .engine_split()
-        };
-        let split_at = |plan| split_of(&net, plan);
-        // The once-per-image packing model routes every tiny() conv
-        // (4 filters and up) to the engine; only layers below
-        // ENGINE_MIN_ITEMS_DIRECT keep the f32-over-codes route, which
-        // takes a 2-wide net to reach.
-        let (engine, f32_codes) = split_at(EnginePlan::Auto);
-        assert!(engine > 0, "tiny() convs must route to the engine");
-        assert_eq!(f32_codes, 0, "no tiny() conv is narrower than the floor");
-        let narrow = CnvConfig::scaled(2).build_early_exit(10, &ExitsConfig::paper_default(), 3);
-        let (engine, f32_codes) = split_of(&narrow, EnginePlan::Auto);
-        assert!(
-            engine > 0,
-            "the 4/8-wide convs of a 2-wide net route to the engine"
-        );
-        assert!(f32_codes > 0, "its 2-wide convs must keep the f32 route");
-        let (engine, _) = split_at(EnginePlan::Int2Always);
-        assert!(engine > 0);
     }
 }

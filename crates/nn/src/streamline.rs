@@ -318,11 +318,10 @@ impl Step {
         let (conv, norm, act) = group_layers(layers, at);
         let (_, (h, w)) = group_extents(conv, norm, act, pool, (input.c, input.h, input.w))?;
         let depth = conv.c_in * conv.geom.kernel * conv.geom.kernel;
-        // The engine route, and only where the layer path would take it
-        // too: narrower filter banks keep their measured-faster
-        // f32-over-codes route, i.e. the layer loop.
+        // Only what the engine can run: 2-bit weights, a kernel the
+        // window gather serves, a depth the packed operand holds.
         if !conv.weight_spec.is_int2_weight()
-            || !int2::conv_engine_profitable(conv.c_out, conv.geom.kernel)
+            || conv.geom.kernel > int2::MAX_DIRECT_KERNEL
             || depth > int2::MAX_K
         {
             return None;
@@ -429,8 +428,9 @@ impl StreamPlan {
     /// covers a backbone that opens with a pool-free `Conv Norm Act`
     /// group on the raw image and continues in such groups and pools up
     /// to its FC tail, with every exit attached in that stretch; every
-    /// group behind the stem a 2-bit conv the engine route is profitable
-    /// for, with a 2-bit activation and a monotone threshold table;
+    /// group behind the stem a 2-bit conv the engine can run (kernel
+    /// within the gather's bound, at any filter count), with a 2-bit
+    /// activation and a monotone threshold table;
     /// readers of one map agreeing on its padding; and every FC tail
     /// opening with a 2-bit Linear.
     pub fn build(net: &mut EarlyExitNetwork) -> Option<Self> {
@@ -753,10 +753,9 @@ mod tests {
         // No exits: one stage, the whole backbone.
         let mut plain = CnvConfig::tiny().build(10, 3);
         assert_eq!(StreamPlan::build(&mut plain).map(|p| p.num_stages()), Some(1));
-        // 2-wide convs keep the f32-over-codes route under `Auto`, so
-        // the net keeps the layer loop.
+        // Filter count is no bar: a 2-wide net gets the same three stages.
         let mut narrow = CnvConfig::scaled(2).build_early_exit(10, &exits, 3);
-        assert!(StreamPlan::build(&mut narrow).is_none());
+        assert_eq!(StreamPlan::build(&mut narrow).map(|p| p.num_stages()), Some(3));
         // Non-2-bit weights or activations: not this plan's nets.
         let w8 = CnvConfig {
             weight_bits: 8,

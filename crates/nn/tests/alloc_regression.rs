@@ -173,9 +173,10 @@ fn build_int2_stack() -> Vec<Layer> {
     ]
 }
 
-/// The convs here take the f32-over-codes route (`prefer_f32_codes`,
-/// what the serving plan picks for narrow layers) and the classifier
-/// the popcount engine; the direct conv route has its own test below.
+/// The convs here take the f32-over-codes arm (`prefer_f32_codes` set
+/// by hand — the differential reference and the route past the gather's
+/// kernel bound) and the classifier the popcount engine; the direct conv
+/// route has its own test below.
 #[test]
 fn steady_state_int2_eval_forward_does_not_allocate() {
     let _guard = POOLS.lock().unwrap_or_else(|e| e.into_inner());

@@ -40,9 +40,10 @@
 //! which means an f32 GEMM over the *code values* computes the same
 //! integer `S` exactly (every partial sum is an integer below 2^24 and
 //! the f32 GEMM never contracts to FMA). That f32-over-codes form is the
-//! route conv layers below the engine's profitability bar take (see
-//! [`super::conv_engine_profitable`]); the differential suites pin the
-//! two implementations against each other bit-for-bit.
+//! route conv layers take past the gather's kernel bound (see
+//! [`super::conv_engine_profitable`]) and the differential suites'
+//! reference: they pin the two implementations against each other
+//! bit-for-bit.
 
 use super::layout::{plane_words, words_per_item, OutMajor, MAX_K};
 use super::{Backend, MAC_OPS, POPCNT_OPS};

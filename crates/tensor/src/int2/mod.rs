@@ -37,8 +37,9 @@
 //! runs the next one down ([`pack_image_int2`] has no 512-bit form).
 //! [`override_backend`] is how tests and benches reach the others — same
 //! bits every way, integer arithmetic sees to that. Which *route* a
-//! layer takes is a property of its shape ([`conv_engine_profitable`],
-//! [`MAX_DIRECT_KERNEL`]), never of a process-level switch.
+//! layer takes is a property of its kernel size ([`MAX_DIRECT_KERNEL`],
+//! asked through [`conv_engine_profitable`]), never of a process-level
+//! switch.
 
 use crate::conv::ConvGeometry;
 use crate::simd::BackendCell;
@@ -141,43 +142,21 @@ pub fn override_backend(backend: Option<Backend>) {
     BACKEND.set(backend);
 }
 
-/// Filter count (`c_out`) at which the popcount engine beats the
-/// bit-identical f32-over-codes route when every output pixel pays its
-/// own quantize+pack pass — the 1×1-kernel case, where a window reuses
-/// nothing. Wider kernels divide it by their `k²` window reuse; see
-/// [`conv_engine_profitable`].
-pub const ENGINE_MIN_ITEMS: usize = 32;
-
-/// Minimum conv filter count for the engine: the once-per-image pack
-/// amortizes over every window, so small filter banks already win.
-/// Measured per image on 3×3 convs (`bench --simd-only`,
-/// `conv_route_crossover` in BENCH_simd.json): the engine beats
-/// f32-over-codes 1.7–3.6× at every `c_out` in 2..=8 once `c_in >= 4`;
-/// only at `c_in = 2` do the routes come near a tie (1.0–1.7×). Layers
-/// with fewer than four filters are that degenerate case in practice,
-/// so the floor sits there. See [`conv_engine_profitable`].
-pub const ENGINE_MIN_ITEMS_DIRECT: usize = 4;
-
-/// Whether the popcount engine ([`conv_int2_direct`]) is expected to be
-/// *faster* than the bit-identical f32-over-codes route for a conv with
-/// `c_out` filters of a `kernel × kernel` window — a pure function of
-/// the layer's shape.
+/// Whether a conv with `kernel × kernel` windows can take the popcount
+/// engine ([`conv_int2_direct`]): the window gather serves kernels up to
+/// [`MAX_DIRECT_KERNEL`], and that bound is the whole rule. `c_out` is
+/// kept for the callers that pass it and no longer enters — the filter-
+/// count floor that used to sit here tracked no measured crossover on
+/// any backend (the vector bodies win from two filters up, the portable
+/// ones at no CNV width), and evaluation, the generator and
+/// `EnginePlan::Int2Always` never applied it.
 ///
-/// Both routes compute identical results (the differential suites pin
-/// that), so this is purely a speed model. The f32 route costs `c_out`
-/// MACs per window element; the engine costs a quantize+pack tax plus
-/// `c_out / 16` popcount word-ops. Activation packing happens **once
-/// per image**, so the tax is divided by the `k²` window reuse of every
-/// input pixel: the `c_out` threshold is `ENGINE_MIN_ITEMS / k²`,
-/// floored at [`ENGINE_MIN_ITEMS_DIRECT`], the smallest filter bank
-/// measured to win. `k = 1` self-consistently stays at
-/// [`ENGINE_MIN_ITEMS`] (a 1×1 window reuses nothing). Kernels past
-/// [`MAX_DIRECT_KERNEL`] cannot be gathered and always take the f32
-/// route.
+/// The f32-over-codes arm of the conv layer is bit-identical (the
+/// differential suites flip `prefer_f32_codes` to pin that) and is the
+/// only code-domain route past the bound.
 #[inline]
-pub fn conv_engine_profitable(c_out: usize, kernel: usize) -> bool {
+pub fn conv_engine_profitable(_c_out: usize, kernel: usize) -> bool {
     kernel <= MAX_DIRECT_KERNEL
-        && c_out >= (ENGINE_MIN_ITEMS / (kernel * kernel).max(1)).max(ENGINE_MIN_ITEMS_DIRECT)
 }
 
 /// `(logical MACs, popcount word-ops)` executed by [`gemm_int2`] since
@@ -463,24 +442,15 @@ mod tests {
         assert_eq!(got_bits, want_bits);
     }
 
-    /// Pins the once-per-image profitability crossovers: the k² window
-    /// reuse divides the per-pixel packing tax (floored at
-    /// `ENGINE_MIN_ITEMS_DIRECT`), 1×1 kernels stay at
-    /// `ENGINE_MIN_ITEMS`, and kernels the gather cannot serve never
-    /// route to the engine.
+    /// One routing rule: the gather's kernel bound, at any filter count.
     #[test]
-    fn conv_profitability_crossover_models_once_per_image_packing() {
-        assert!(!conv_engine_profitable(3, 3));
-        assert!(conv_engine_profitable(4, 3)); // pruned CNV widths 4..7 route
-        assert!(conv_engine_profitable(8, 3));
-        assert!(!conv_engine_profitable(3, 5));
-        assert!(conv_engine_profitable(4, 5));
-        assert!(!conv_engine_profitable(7, 2)); // 32 / k² = 8 above the floor
-        assert!(conv_engine_profitable(8, 2));
-        assert!(!conv_engine_profitable(31, 1)); // 1×1: no window reuse
-        assert!(conv_engine_profitable(32, 1));
-        assert!(conv_engine_profitable(4, MAX_DIRECT_KERNEL));
-        assert!(!conv_engine_profitable(usize::MAX, MAX_DIRECT_KERNEL + 1));
+    fn conv_engine_routing_is_the_gather_kernel_bound() {
+        for c_out in [1, 2, 3, 8, 31, usize::MAX] {
+            for kernel in 1..=MAX_DIRECT_KERNEL {
+                assert!(conv_engine_profitable(c_out, kernel));
+            }
+            assert!(!conv_engine_profitable(c_out, MAX_DIRECT_KERNEL + 1));
+        }
     }
 
     #[test]
