@@ -312,9 +312,28 @@ impl ArtifactCache {
         }
     }
 
-    /// Loads the `ExitEvaluation` stored at `fp`, if intact.
-    pub fn load_eval(&self, fp: &str) -> Option<ExitEvaluation> {
-        let got = self.load_json(fp, "eval.json");
+    /// Loads the `ExitEvaluation` stored at `fp`, if intact and shaped
+    /// for a net with `exits` exits over `samples` test images. A file
+    /// of any other shape is handled like a corrupt one: logged, and a
+    /// miss.
+    pub fn load_eval(&self, fp: &str, exits: usize, samples: usize) -> Option<ExitEvaluation> {
+        let got = self
+            .load_json::<ExitEvaluation>(fp, "eval.json")
+            .filter(|eval| {
+                let fits = eval.samples == samples
+                    && eval.correct.len() == exits
+                    && eval.confidence.len() == exits
+                    && eval.correct.iter().all(|c| c.len() == samples)
+                    && eval.confidence.iter().all(|c| c.len() == samples);
+                if !fits {
+                    eprintln!(
+                        "[adapex-cache] mis-shaped {} (want {exits} exits x {samples} \
+                         samples); recomputing",
+                        self.path(fp, "eval.json").display()
+                    );
+                }
+                fits
+            });
         let slot = if got.is_some() {
             &self.stats.eval_hits
         } else {
@@ -432,16 +451,19 @@ mod tests {
             confidence: vec![vec![0.25, 0.75]],
             samples: 2,
         };
-        assert!(cache.load_eval("aa").is_none());
+        assert!(cache.load_eval("aa", 1, 2).is_none());
         cache.store_eval("aa", &eval);
-        assert_eq!(cache.load_eval("aa"), Some(eval));
+        assert_eq!(cache.load_eval("aa", 1, 2), Some(eval));
+        // Intact JSON of another shape is a miss too.
+        assert!(cache.load_eval("aa", 2, 2).is_none(), "exit count");
+        assert!(cache.load_eval("aa", 1, 3).is_none(), "sample count");
 
         std::fs::write(cache.root().join("aa.eval.json"), b"{not json").unwrap();
-        assert!(cache.load_eval("aa").is_none(), "corrupt JSON is a miss");
+        assert!(cache.load_eval("aa", 1, 2).is_none(), "corrupt JSON is a miss");
 
         let stats = cache.stats();
         assert_eq!(stats.eval_hits, 1);
-        assert_eq!(stats.eval_misses, 2);
+        assert_eq!(stats.eval_misses, 4);
         assert!(!stats.all_hits());
         let _ = std::fs::remove_dir_all(&dir);
     }

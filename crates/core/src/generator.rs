@@ -345,7 +345,10 @@ impl LibraryGenerator {
         let plain_fp = fingerprint("model", &BaseModelKey::plain(cfg));
         let plain = LazyNet::new(Box::new(|| self.trained_base(None, &data, cache, &plain_fp)));
 
-        let reference_accuracy = match cache.and_then(|c| c.load_eval(&plain_fp)) {
+        let plain_eval = cache.and_then(|c| {
+            c.load_eval(&plain_fp, plain_shape.num_exits(), data.test.len())
+        });
+        let reference_accuracy = match plain_eval {
             Some(eval) => eval.exit_accuracy(0),
             None => {
                 let mut net = plain.get().clone();
@@ -554,27 +557,19 @@ impl LibraryGenerator {
         };
 
         let acc = self.synthesize(&net, folding);
+        let eval_cfg = EvalConfig {
+            jobs: eval_jobs,
+            ..EvalConfig::default()
+        };
         let eval = match (cache, stem.as_deref()) {
-            (Some(c), Some(stem)) => c.load_eval(stem).unwrap_or_else(|| {
-                let eval = evaluate_exits_with(
-                    &mut net,
-                    &data.test,
-                    EvalConfig {
-                        jobs: eval_jobs,
-                        ..EvalConfig::default()
-                    },
-                );
-                c.store_eval(stem, &eval);
-                eval
-            }),
-            _ => evaluate_exits_with(
-                &mut net,
-                &data.test,
-                EvalConfig {
-                    jobs: eval_jobs,
-                    ..EvalConfig::default()
-                },
-            ),
+            (Some(c), Some(stem)) => c
+                .load_eval(stem, net.num_exits(), data.test.len())
+                .unwrap_or_else(|| {
+                    let eval = evaluate_exits_with(&mut net, &data.test, eval_cfg);
+                    c.store_eval(stem, &eval);
+                    eval
+                }),
+            _ => evaluate_exits_with(&mut net, &data.test, eval_cfg),
         };
         let points = thresholds
             .iter()

@@ -7,19 +7,21 @@
 //! the library generator characterizes one pruned model at every
 //! threshold without re-running inference.
 //!
-//! Every 2-bit matrix layer whose input carries a 2-bit quantization
-//! grid dispatches to the bit-packed popcount engine
-//! (`adapex_tensor::int2`, DESIGN.md §11). A conv whose
-//! `prefer_f32_codes` field is set takes the bit-identical f32-over-codes
-//! arm instead — only the differential suites set it; evaluations agree
-//! exactly either way (pinned by `tests/int2_agreement.rs`).
+//! That one run is the serving executor's: [`evaluate_exits_with`] is a
+//! [`BatchExecutor`] under [`EnginePlan::Auto`] at a threshold of
+//! `f32::INFINITY`, which no softmax maximum clears (NaN included), so
+//! nothing retires before the final exit, every stage scores every
+//! sample, and the executor's confidence test records each exit's class
+//! and confidence. A library entry is therefore characterized on the
+//! walk it is served on — the streamlined plan for every CNV the library
+//! holds, the layer loop for the nets the plan does not cover — and the
+//! two walks agree bit for bit (`tests/streamline_agreement.rs`).
 
 use crate::layers::Activation;
-use crate::loss::{confidence, softmax_into};
 use crate::network::EarlyExitNetwork;
+use crate::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
 use adapex_dataset::LabeledImages;
-use adapex_tensor::parallel::{num_threads, par_map_init};
-use adapex_tensor::workspace::with_workspace;
+use adapex_tensor::parallel::num_threads;
 use serde::{Deserialize, Serialize};
 
 /// Default batch size used when sweeping a dataset through the network.
@@ -64,9 +66,6 @@ pub struct ThresholdReport {
     pub accuracy: f64,
     /// Fraction of samples classified at each exit (sums to 1).
     pub exit_fractions: Vec<f64>,
-    /// Accuracy of the samples taken at each exit (`None` if no sample
-    /// exited there).
-    pub per_exit_accuracy: Vec<Option<f64>>,
 }
 
 impl ExitEvaluation {
@@ -124,40 +123,7 @@ impl ExitEvaluation {
             threshold,
             accuracy: taken_correct.iter().sum::<usize>() as f64 / total,
             exit_fractions: taken.iter().map(|&t| t as f64 / total).collect(),
-            per_exit_accuracy: taken
-                .iter()
-                .zip(&taken_correct)
-                .map(|(&t, &c)| {
-                    if t == 0 {
-                        None
-                    } else {
-                        Some(c as f64 / t as f64)
-                    }
-                })
-                .collect(),
         }
-    }
-
-    /// [`ExitEvaluation::at_threshold`] reduced to the minimal
-    /// [`EarlyExitSummary`] — reuse this (and [`final_accuracy`]) when
-    /// you already hold an evaluation instead of re-running inference.
-    ///
-    /// [`final_accuracy`]: ExitEvaluation::final_accuracy
-    pub fn summary_at(&self, threshold: f32) -> EarlyExitSummary {
-        let report = self.at_threshold(threshold);
-        EarlyExitSummary {
-            overall_accuracy: report.accuracy,
-            exit_fractions: report.exit_fractions,
-        }
-    }
-
-    /// Standalone top-1 accuracy of the final (backbone) exit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the evaluation covers zero exits.
-    pub fn final_accuracy(&self) -> f64 {
-        self.exit_accuracy(self.num_exits() - 1)
     }
 }
 
@@ -169,93 +135,49 @@ pub fn evaluate_exits(net: &mut EarlyExitNetwork, images: &LabeledImages) -> Exi
 
 /// [`evaluate_exits`] with explicit batch size and worker count.
 ///
-/// Batches are fixed by `cfg.batch` alone and processed via the
-/// order-preserving [`par_map_init`], each worker forwarding through its
-/// own clone of `net` (eval-mode forward reads running statistics and
-/// never mutates parameters, so clones agree bit-for-bit with the shared
-/// network). Per-sample results are concatenated in batch order, so the
-/// output is identical for every `cfg.jobs` value.
+/// `cfg.batch`-sized slices of `images` go through one
+/// [`BatchExecutor`] with `cfg.jobs` workers at a threshold no exit
+/// clears (see the module docs), and every exit's recorded score fills
+/// that exit's column. Each slice is cut into the executor's fixed
+/// `(n, workers)` chunks and every per-sample result depends on the
+/// sample alone, so the output is identical for every `cfg.jobs` value
+/// — and for every `cfg.batch`.
 pub fn evaluate_exits_with(
     net: &mut EarlyExitNetwork,
     images: &LabeledImages,
     cfg: EvalConfig,
 ) -> ExitEvaluation {
     let exits = net.num_exits();
-    let batches: Vec<Vec<usize>> = images.batches(cfg.batch.max(1), None).collect();
     let jobs = if cfg.jobs == 0 { num_threads() } else { cfg.jobs };
-    let per_batch: Vec<BatchScores> = if jobs <= 1 || batches.len() <= 1 {
-        batches
-            .iter()
-            .map(|batch| eval_batch(net, images, batch, exits))
-            .collect()
-    } else {
-        let shared = &*net;
-        par_map_init(
-            batches.len(),
-            jobs,
-            || shared.clone(),
-            |local, i| eval_batch(local, images, &batches[i], exits),
-        )
-    };
+    let mut exec = BatchExecutor::new(
+        net,
+        &ExecutorConfig {
+            threshold: f32::INFINITY,
+            workers: jobs,
+            engine: EnginePlan::Auto,
+        },
+    );
+    let (c, h, w) = images.dims();
     let mut correct = vec![Vec::with_capacity(images.len()); exits];
-    let mut conf = vec![Vec::with_capacity(images.len()); exits];
-    for (batch_correct, batch_conf) in per_batch {
-        for e in 0..exits {
-            correct[e].extend_from_slice(&batch_correct[e]);
-            conf[e].extend_from_slice(&batch_conf[e]);
+    let mut confidence = vec![Vec::with_capacity(images.len()); exits];
+    let (mut verdicts, mut scores) = (BatchVerdicts::default(), Vec::new());
+    for batch in images.batches(cfg.batch.max(1), None) {
+        let (pixels, labels) = images.gather(&batch);
+        let x = Activation::new(pixels, batch.len(), vec![c, h, w]);
+        scores.resize(batch.len() * exits, (0, 0.0));
+        exec.run_scored(&x, &mut verdicts, &mut scores);
+        for (row, &label) in scores.chunks_exact(exits).zip(&labels) {
+            for (e, &(class, conf)) in row.iter().enumerate() {
+                correct[e].push(class == label);
+                confidence[e].push(conf);
+            }
         }
     }
     ExitEvaluation {
         correct,
-        confidence: conf,
+        confidence,
         samples: images.len(),
     }
-}
-
-/// Per-exit `(correct, confidence)` columns for one mini-batch.
-type BatchScores = (Vec<Vec<bool>>, Vec<Vec<f32>>);
-
-/// Forwards one mini-batch and scores every exit's argmax/confidence.
-fn eval_batch(
-    net: &mut EarlyExitNetwork,
-    images: &LabeledImages,
-    batch: &[usize],
-    exits: usize,
-) -> BatchScores {
-    let (c, h, w) = images.dims();
-    let (pixels, labels) = images.gather(batch);
-    let x = Activation::new(pixels, batch.len(), vec![c, h, w]);
-    let outputs = net.forward(&x, false);
-    let mut correct = vec![Vec::with_capacity(batch.len()); exits];
-    let mut conf = vec![Vec::with_capacity(batch.len()); exits];
-    with_workspace(|ws| {
-        let probs = &mut ws.scratch;
-        for (e, out) in outputs.iter().enumerate() {
-            probs.clear();
-            probs.resize(out.sample_len(), 0.0);
-            for (i, &label) in labels.iter().enumerate() {
-                softmax_into(out.sample(i), probs);
-                let mut best = 0;
-                for k in 1..probs.len() {
-                    if probs[k] > probs[best] {
-                        best = k;
-                    }
-                }
-                correct[e].push(best == label);
-                conf[e].push(confidence(probs));
-            }
-        }
-    });
-    (correct, conf)
-}
-
-/// Minimal early-exit evaluation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct EarlyExitSummary {
-    /// Top-1 accuracy with early exiting.
-    pub overall_accuracy: f64,
-    /// Fraction of samples classified at each exit.
-    pub exit_fractions: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -292,7 +214,6 @@ mod tests {
         let r = eval.at_threshold(1.01);
         assert_eq!(r.exit_fractions, vec![0.0, 1.0]);
         assert!((r.accuracy - 0.75).abs() < 1e-9);
-        assert_eq!(r.per_exit_accuracy[0], None);
     }
 
     #[test]
@@ -321,16 +242,6 @@ mod tests {
         assert!((eval.exit_accuracy(0) - 0.5).abs() < 1e-9);
         assert!((eval.exit_accuracy(1) - 0.75).abs() < 1e-9);
         assert!((eval.mean_exit_accuracy() - 0.625).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reusing_forms_match_threshold_report() {
-        let eval = synthetic_eval();
-        let summary = eval.summary_at(0.85);
-        let report = eval.at_threshold(0.85);
-        assert_eq!(summary.overall_accuracy, report.accuracy);
-        assert_eq!(summary.exit_fractions, report.exit_fractions);
-        assert_eq!(eval.final_accuracy(), eval.exit_accuracy(1));
     }
 
     #[test]

@@ -47,8 +47,10 @@ pub struct QuantConv2d {
     /// arm instead of the popcount engine. Both are bit-identical, and
     /// nothing in the workspace sets it outside tests: the differential
     /// suites flip it to get their reference, and the benchmark harness
-    /// assigns it from [`int2::conv_engine_profitable`]. Not serialized,
-    /// not part of equality.
+    /// assigns it from [`int2::conv_engine_profitable`]. A set field on
+    /// a conv the streamlined plan would fold keeps the whole net on the
+    /// executor's layer path, in serving and evaluation alike. Not
+    /// serialized, not part of equality.
     #[serde(skip)]
     pub prefer_f32_codes: bool,
 }

@@ -9,14 +9,14 @@ use serde::{Deserialize, Serialize};
 /// batch and spatial positions) and flat `[F]` activations (per-feature).
 /// On the FPGA, FINN folds BatchNorm into the MVTU's threshold memory, so
 /// this layer exists only in the training graph; the compiler reports it
-/// as threshold configuration, not as a module. The serving executor
-/// does the same on the CPU: its streamlined plan
+/// as threshold configuration, not as a module. The executor that
+/// serves and evaluates does the same on the CPU: its streamlined plan
 /// (`crate::streamline`) tabulates this layer's eval arithmetic
 /// (`BatchNorm::eval_channel`) together with the QuantReLU behind it
 /// over every reachable integer accumulator and keeps only the three
-/// points where the 2-bit code steps, so a served batch never runs this
-/// forward. Training, `evaluate_exits` and nets the plan does not cover
-/// still do.
+/// points where the 2-bit code steps, so neither a served batch nor
+/// `evaluate_exits` runs this forward behind a folded conv. Training,
+/// FC tails and nets the plan does not cover still do.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BatchNorm {
     /// Number of channels (4-D input) or features (flat input).

@@ -28,12 +28,12 @@
 //! let mut net = CnvConfig::tiny().build_early_exit(10, &ExitsConfig::paper_default(), 1);
 //! let trainer = Trainer::new(TrainConfig { epochs: 1, ..TrainConfig::fast() });
 //! trainer.fit(&mut net, &data, 42);
-//! // One inference pass; thresholds and final-exit accuracy are then
+//! // One inference pass; thresholds and per-exit accuracies are then
 //! // cheap post-processing on the ExitEvaluation.
 //! let eval = adapex_nn::eval::evaluate_exits(&mut net, &data.test);
-//! let summary = eval.summary_at(0.5);
-//! assert!(summary.overall_accuracy >= 0.0 && summary.overall_accuracy <= 1.0);
-//! assert!(eval.final_accuracy() >= 0.0);
+//! let report = eval.at_threshold(0.5);
+//! assert!(report.accuracy >= 0.0 && report.accuracy <= 1.0);
+//! assert!(eval.exit_accuracy(eval.num_exits() - 1) >= 0.0);
 //! ```
 
 pub mod checkpoint;

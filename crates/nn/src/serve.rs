@@ -1,16 +1,17 @@
-//! Staged, early-exit-aware batch executor for the serving data plane.
+//! Staged, early-exit-aware batch executor: the one inference walk,
+//! for serving and for evaluation alike.
 //!
-//! [`evaluate_exits`](crate::eval::evaluate_exits) runs the *full*
-//! network on every sample and picks the exit afterwards — right for
-//! threshold sweeps, wasteful for serving, where a request whose exit-1
-//! confidence clears the operating point's threshold never needs the
-//! deeper backbone. [`BatchExecutor`] runs a batch in **stages**: the
-//! backbone segment up to an exit's attachment point, the exit head,
-//! then a confidence test that retires confident samples and *compacts*
-//! the survivors before the next (more expensive) stage. Retired
-//! samples pay only for the stages they actually used — on CNV shapes
-//! the tail past exit 1 is ~25–30 % of the forward, and the skipped
-//! exit-2 head is paid only by samples that reach it.
+//! [`BatchExecutor`] runs a batch in **stages**: the backbone segment up
+//! to an exit's attachment point, the exit head, then a confidence test
+//! that retires confident samples and *compacts* the survivors before
+//! the next (more expensive) stage. Retired samples pay only for the
+//! stages they actually used — on CNV shapes the tail past exit 1 is
+//! ~25–30 % of the forward, and the skipped exit-2 head is paid only by
+//! samples that reach it. [`evaluate_exits`](crate::eval::evaluate_exits)
+//! is this executor at a threshold of `f32::INFINITY`, which no softmax
+//! maximum clears (NaN included): nothing retires before the final exit,
+//! every stage scores every sample, and the confidence test records each
+//! exit's class and confidence on the way.
 //!
 //! A stage runs one of two ways, and which is a function of the net and
 //! the batch, never of a switch:
@@ -27,10 +28,12 @@
 //!   `≤ 4·c` features an FC tail reads and for logits. This is the FINN
 //!   dataflow shape (MVTU → threshold unit → 2-bit stream) on a CPU.
 //! - **Layer by layer** over f32 [`Activation`]s: everything else —
-//!   [`EnginePlan::Int2Always`], nets the plan does not cover, stamped
-//!   batches. It is the path training and
-//!   `evaluate_exits` run, and the reference the streamlined path is
-//!   differentially tested against (`tests/streamline_agreement.rs`).
+//!   [`EnginePlan::Int2Always`], nets the plan does not cover (other bit
+//!   widths, a folded conv with `prefer_f32_codes` set, a refused
+//!   threshold table), stamped batches. Per sample it is the arithmetic
+//!   of [`EarlyExitNetwork::forward`], the walk training runs, and it is
+//!   the reference the streamlined path is differentially tested
+//!   against (`tests/streamline_agreement.rs`).
 //!
 //! Two invariants make this serving-safe:
 //!
@@ -40,8 +43,9 @@
 //!   survivor's arithmetic, and the streamlined plan's thresholds are
 //!   tabulated from the layers' own arithmetic on every reachable
 //!   accumulator. The verdicts (exit taken, class, confidence) are
-//!   exactly what [`ExitEvaluation::at_threshold`] computes from a full
-//!   forward — pinned by the tests below.
+//!   exactly what [`ExitEvaluation::at_threshold`] computes from the
+//!   `+∞` run, and what a full [`EarlyExitNetwork::forward`] scores —
+//!   pinned by the tests below.
 //! - **Worker-count invariance.** A batch is cut into
 //!   `ceil(n / workers)`-sample contiguous chunks, one per worker, each
 //!   with its own network clone; verdicts land in disjoint output
@@ -50,10 +54,10 @@
 //!   output bytes are identical at any worker count.
 //!
 //! The **engine plan** picks between those two walks and nothing else:
-//! conv layers route as evaluation and the generator route them (the
-//! popcount engine wherever the window gather serves the kernel), and
-//! both walks are bit-identical, so the plan affects wall-clock only,
-//! never verdicts.
+//! conv layers route as their own fields say (the popcount engine
+//! wherever the window gather serves the kernel and `prefer_f32_codes`
+//! is unset), in serving and evaluation alike, and both walks are
+//! bit-identical, so the plan affects wall-clock only, never verdicts.
 //!
 //! Steady-state serving performs **zero heap allocations per batch**
 //! after warmup: activations and scratch cycle through the
@@ -76,8 +80,7 @@ pub enum EnginePlan {
     /// net (see the module docs), the layer loop elsewhere. The serving
     /// default.
     Auto,
-    /// The layer-by-layer loop, always — the path evaluation runs and
-    /// the differential-testing axis.
+    /// The layer-by-layer loop, always — the differential-testing axis.
     Int2Always,
 }
 
@@ -118,11 +121,12 @@ pub struct BatchVerdicts {
 }
 
 impl BatchVerdicts {
-    fn slots(&mut self) -> VerdictSlots<'_> {
+    fn slots<'a>(&'a mut self, scores: &'a mut [(usize, f32)]) -> VerdictSlots<'a> {
         VerdictSlots {
             exit: &mut self.exit,
             class: &mut self.class,
             confidence: &mut self.confidence,
+            scores,
         }
     }
 
@@ -222,11 +226,29 @@ impl BatchExecutor {
     ///
     /// Panics if `x.dims` doesn't match the network input shape.
     pub fn run_batch(&mut self, x: &Activation, out: &mut BatchVerdicts) {
+        self.run_scored(x, out, &mut []);
+    }
+
+    /// [`BatchExecutor::run_batch`] that also records, for every exit a
+    /// sample reaches, the `(class, confidence)` its confidence test
+    /// scored, at `scores[s * num_exits + e]` — pass `x.n · num_exits`
+    /// slots, or none to record nothing. Slots of exits a sample never
+    /// reached keep what they held.
+    pub(crate) fn run_scored(
+        &mut self,
+        x: &Activation,
+        out: &mut BatchVerdicts,
+        scores: &mut [(usize, f32)],
+    ) {
         assert_eq!(
             x.dims, self.workers[0].net.input_dims,
             "batch shape vs network input"
         );
         let n = x.n;
+        assert!(
+            scores.is_empty() || scores.len() == n * self.num_exits,
+            "score slots vs batch"
+        );
         out.reset(n);
         if n == 0 {
             return;
@@ -250,7 +272,7 @@ impl BatchExecutor {
                 threshold,
             })
         });
-        let mut verdicts = out.slots();
+        let mut verdicts = out.slots(scores);
         let first = jobs.next().expect("n > 0 fills the first chunk");
         if first.hi == n {
             return first.run(verdicts);
@@ -270,23 +292,30 @@ struct VerdictSlots<'a> {
     exit: &'a mut [usize],
     class: &'a mut [usize],
     confidence: &'a mut [f32],
+    /// Every exit's `(class, confidence)`, `num_exits` per sample;
+    /// empty when the caller records nothing.
+    scores: &'a mut [(usize, f32)],
 }
 
 impl<'a> VerdictSlots<'a> {
     fn split_at(self, mid: usize) -> (Self, Self) {
+        let per = self.scores.len() / self.exit.len().max(1);
         let (exit, exit_rest) = self.exit.split_at_mut(mid);
         let (class, class_rest) = self.class.split_at_mut(mid);
         let (confidence, confidence_rest) = self.confidence.split_at_mut(mid);
+        let (scores, scores_rest) = self.scores.split_at_mut(mid * per);
         (
             VerdictSlots {
                 exit,
                 class,
                 confidence,
+                scores,
             },
             VerdictSlots {
                 exit: exit_rest,
                 class: class_rest,
                 confidence: confidence_rest,
+                scores: scores_rest,
             },
         )
     }
@@ -303,8 +332,9 @@ struct Chunk<'a> {
 }
 
 /// The confidence test behind every stage, shared by both chunk
-/// runners: which chunk-local samples are still alive, and where the
-/// verdicts of those that retire go.
+/// runners and the one scorer of every verdict and evaluation: which
+/// chunk-local samples are still alive, and where the verdicts of those
+/// that retire (and, when recording, every row's score) go.
 struct Retire<'a> {
     threshold: f32,
     final_exit: usize,
@@ -326,7 +356,8 @@ impl<'a> Retire<'a> {
         }
     }
 
-    /// Retires the samples of `logits` (one row per live sample) whose
+    /// Scores every row of `logits` (one per live sample), recording
+    /// each when the caller asked for scores; retires the samples whose
     /// confidence clears the threshold — all of them at the final exit —
     /// and compacts the survivors to the front of `alive`, calling
     /// `keep(from, to)` for each one that moves so the caller moves its
@@ -336,10 +367,14 @@ impl<'a> Retire<'a> {
         for s in 0..logits.n {
             softmax_into(logits.sample(s), &mut self.probs);
             let conf = confidence(&self.probs);
+            let class = argmax(&self.probs);
             let local = self.alive[s];
+            if let Some(slot) = self.out.scores.get_mut(local * (self.final_exit + 1) + exit) {
+                *slot = (class, conf);
+            }
             if exit == self.final_exit || conf >= self.threshold {
                 self.out.exit[local] = exit;
-                self.out.class[local] = argmax(&self.probs);
+                self.out.class[local] = class;
                 self.out.confidence[local] = conf;
             } else {
                 if kept != s {
@@ -369,9 +404,9 @@ impl Chunk<'_> {
         }
     }
 
-    /// Staged forward, layer by layer over f32 activations: the path
-    /// training and `evaluate_exits` share, and the reference the
-    /// streamlined path is held to.
+    /// Staged forward, layer by layer over f32 activations: per sample
+    /// the arithmetic of [`EarlyExitNetwork::forward`], and the reference
+    /// the streamlined path is held to.
     fn run_layers(self, out: VerdictSlots<'_>) {
         let Chunk {
             worker: Worker { net, .. },
@@ -486,7 +521,7 @@ impl Chunk<'_> {
     }
 }
 
-/// First-max argmax, exactly as the eval scorer computes predictions.
+/// First-max argmax: the predicted class of a verdict and a score.
 fn argmax(probs: &[f32]) -> usize {
     let mut best = 0;
     for k in 1..probs.len() {
@@ -501,7 +536,6 @@ fn argmax(probs: &[f32]) -> usize {
 mod tests {
     use super::*;
     use crate::cnv::{CnvConfig, ExitsConfig};
-    use crate::eval::{evaluate_exits_with, EvalConfig};
     use adapex_dataset::{Difficulty, LabeledImages};
     use adapex_tensor::rng::rng_from_seed;
     use rand::RngExt;
@@ -531,30 +565,53 @@ mod tests {
         Activation::new(pixels, idx.len(), dims)
     }
 
-    /// Staged verdicts == full-forward `at_threshold` verdicts, at
-    /// every engine plan and across thresholds.
+    /// `(class, confidence)` of every sample at every exit, from the
+    /// network's own full forward and a test-local softmax and first-max
+    /// — an oracle that shares neither walk nor scorer with the executor.
+    fn forward_scores(net: &EarlyExitNetwork, x: &Activation) -> Vec<Vec<(usize, f32)>> {
+        let outputs = net.clone().forward(x, false);
+        let score = |row: &[f32]| {
+            let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+            let mut probs: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
+            let mut sum = 0.0f32;
+            for &p in &probs {
+                sum += p;
+            }
+            for p in &mut probs {
+                *p /= sum;
+            }
+            let mut best = 0;
+            for k in 1..probs.len() {
+                if probs[k] > probs[best] {
+                    best = k;
+                }
+            }
+            (best, probs[best])
+        };
+        outputs
+            .iter()
+            .map(|out| (0..out.n).map(|s| score(out.sample(s))).collect())
+            .collect()
+    }
+
+    /// Staged verdicts == the first exit of a full forward whose
+    /// confidence clears the threshold, at every engine plan and across
+    /// thresholds — `+∞` (evaluation's) included.
     #[test]
     fn staged_matches_reference_at_threshold() {
         let net = tiny_net();
         let imgs = images(23, &net.input_dims, 7);
-        let reference = evaluate_exits_with(
-            &mut net.clone(),
-            &imgs,
-            EvalConfig { batch: 23, jobs: 1 },
-        );
         let x = batch_of(&imgs, net.input_dims.clone());
-        for threshold in [0.05f32, 0.2, 0.35, 0.9] {
-            let mut expected_exit = vec![0usize; imgs.len()];
-            for (s, slot) in expected_exit.iter_mut().enumerate() {
-                let mut chosen = reference.num_exits() - 1;
-                for e in 0..reference.num_exits() - 1 {
-                    if reference.confidence[e][s] >= threshold {
-                        chosen = e;
-                        break;
-                    }
-                }
-                *slot = chosen;
-            }
+        let reference = forward_scores(&net, &x);
+        let final_exit = net.num_exits() - 1;
+        for threshold in [0.05f32, 0.2, 0.35, 0.9, f32::INFINITY] {
+            let expected: Vec<usize> = (0..imgs.len())
+                .map(|s| {
+                    (0..final_exit)
+                        .find(|&e| reference[e][s].1 >= threshold)
+                        .unwrap_or(final_exit)
+                })
+                .collect();
             for plan in [EnginePlan::Auto, EnginePlan::Int2Always] {
                 let mut exec = BatchExecutor::new(
                     &net,
@@ -565,14 +622,23 @@ mod tests {
                     },
                 );
                 let mut out = BatchVerdicts::default();
-                exec.run_batch(&x, &mut out);
-                assert_eq!(out.exit, expected_exit, "plan {plan:?} CT {threshold}");
-                for s in 0..imgs.len() {
+                let mut scores = vec![(usize::MAX, f32::NAN); imgs.len() * net.num_exits()];
+                exec.run_scored(&x, &mut out, &mut scores);
+                assert_eq!(out.exit, expected, "plan {plan:?} CT {threshold}");
+                for (s, &e) in out.exit.iter().enumerate() {
+                    let (class, conf) = reference[e][s];
+                    assert_eq!(out.class[s], class, "sample {s} class, plan {plan:?}");
                     assert_eq!(
                         out.confidence[s].to_bits(),
-                        reference.confidence[out.exit[s]][s].to_bits(),
+                        conf.to_bits(),
                         "sample {s} confidence, plan {plan:?}"
                     );
+                    // Every exit the sample reached is recorded as scored.
+                    for (reached, want) in reference.iter().enumerate().take(e + 1) {
+                        let (class, conf) = scores[s * net.num_exits() + reached];
+                        assert_eq!(class, want[s].0, "sample {s} exit {reached} scored class");
+                        assert_eq!(conf.to_bits(), want[s].1.to_bits(), "sample {s} exit {reached}");
+                    }
                 }
             }
         }

@@ -6,10 +6,12 @@
 //! affine BatchNorm and the uniform activation quantizer behind every
 //! matrix layer collapse into a per-channel multi-threshold on the
 //! integer accumulator, and modules hand each other low-bit codes on a
-//! stream. [`StreamPlan`] is that transformation for the CPU executor.
-//! It is built once per [`BatchExecutor`](crate::serve::BatchExecutor)
-//! and covers every `Conv → Norm → Act [→ Pool]` group in front of the
-//! FC tails:
+//! stream. [`StreamPlan`] is that transformation for the CPU executor,
+//! applied to the graph every inference consumer runs: each
+//! [`BatchExecutor`](crate::serve::BatchExecutor) builds one, and
+//! serving and evaluation (`evaluate_exits`, the executor at a threshold
+//! no exit clears) are both executors. It covers every
+//! `Conv → Norm → Act [→ Pool]` group in front of the FC tails:
 //!
 //! - **Threshold folding.** For a post-stem group the popcount GEMM's
 //!   accumulator `S` is an integer in `[−6k, 3k]` (`k` the reduction
@@ -45,7 +47,10 @@
 //!   behind it sees the layer path's exact inputs.
 //!
 //! Whether a net gets a plan is a function of the net alone
-//! ([`StreamPlan::build`]); nets it does not cover, stamped input
+//! ([`StreamPlan::build`]), and it honours the per-layer route: a conv
+//! the plan would fold that has `prefer_f32_codes` set keeps the whole
+//! net on the layer path, so a net routes in serving and in evaluation
+//! the way its layers say. Nets the plan does not cover, stamped input
 //! batches and the non-`Auto` engine plans run the layer-by-layer loop,
 //! which is what the differential tests hold this module against.
 
@@ -319,8 +324,10 @@ impl Step {
         let (_, (h, w)) = group_extents(conv, norm, act, pool, (input.c, input.h, input.w))?;
         let depth = conv.c_in * conv.geom.kernel * conv.geom.kernel;
         // Only what the engine can run: 2-bit weights, a kernel the
-        // window gather serves, a depth the packed operand holds.
-        if !conv.weight_spec.is_int2_weight()
+        // window gather serves, a depth the packed operand holds — and
+        // only a conv whose own route is the engine.
+        if conv.prefer_f32_codes
+            || !conv.weight_spec.is_int2_weight()
             || conv.geom.kernel > int2::MAX_DIRECT_KERNEL
             || depth > int2::MAX_K
         {
@@ -430,7 +437,8 @@ impl StreamPlan {
     /// to its FC tail, with every exit attached in that stretch; every
     /// group behind the stem a 2-bit conv the engine can run (kernel
     /// within the gather's bound, at any filter count), with a 2-bit
-    /// activation and a monotone threshold table;
+    /// activation and a monotone threshold table, and not routed off the
+    /// engine by `prefer_f32_codes`;
     /// readers of one map agreeing on its padding; and every FC tail
     /// opening with a 2-bit Linear.
     pub fn build(net: &mut EarlyExitNetwork) -> Option<Self> {
@@ -767,6 +775,16 @@ mod tests {
             ..CnvConfig::tiny()
         };
         assert!(StreamPlan::build(&mut a4.build_early_exit(10, &exits, 3)).is_none());
+        // A folded conv routed to f32-over-codes keeps its net on the
+        // layers; the stem, never folded, does not.
+        let mut routed = CnvConfig::tiny().build_early_exit(10, &exits, 3);
+        for at in [0, 3] {
+            let Layer::Conv(c) = &mut routed.backbone[at] else {
+                unreachable!("CNV convs sit at 0 and 3")
+            };
+            c.prefer_f32_codes = true;
+            assert_eq!(StreamPlan::build(&mut routed).is_some(), at == 0, "conv at {at}");
+        }
         // An exit in the FC tail attaches behind no conv group.
         let mut late = CnvConfig::tiny().build_early_exit(10, &exits, 3);
         late.exits[1].attach_after = 22;

@@ -10,9 +10,10 @@
 //! compares against a test-local f32-over-codes oracle composed from
 //! the public primitives. These tests pin that agreement for
 //! QuantLinear and QuantConv2d through the real quantizers, for a full
-//! early-exit network under `evaluate_exits`, and against an
-//! independent f64 reference of the fake-quant arithmetic so both
-//! implementations can't drift together.
+//! early-exit network under `evaluate_exits` (the streamlined plan
+//! against the f32-over-codes layer path), and against an independent
+//! f64 reference of the fake-quant arithmetic so both implementations
+//! can't drift together.
 
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
 use adapex_nn::eval::evaluate_exits;
@@ -223,10 +224,13 @@ fn cnv_shape_conv_agrees_exactly() {
 
 /// Full-network differential test: a seeded (untrained weights are
 /// fine — they still quantize) early-exit CNV evaluated on a seeded
-/// GTSRB-like batch must produce identical exit decisions, confidences
-/// and correctness masks with its convs on the popcount engine and, on
-/// a clone, on f32-over-codes. This is the end-to-end pin for
-/// "evaluate_exits routes through int2 without changing a single bit".
+/// GTSRB-like batch must produce identical confidences and correctness
+/// masks with its convs on the popcount engine — folded into the
+/// streamlined plan, which `evaluate_exits` runs — and, on a clone with
+/// `prefer_f32_codes` set, on f32-over-codes — which the plan refuses,
+/// so that clone evaluates on the layer path. This is the end-to-end pin
+/// for "evaluate_exits routes through int2 without changing a single
+/// bit".
 #[test]
 fn evaluate_exits_is_bit_identical_across_int2_modes() {
     let _guard = counter_lock();

@@ -1,4 +1,4 @@
-//! Whole-net differential for the streamlined serving path.
+//! Whole-net differentials for the streamlined path.
 //!
 //! Under `EnginePlan::Auto` a CNV's `run_batch` runs the streamlined
 //! plan (BatchNorm + QuantReLU folded into integer thresholds, packed
@@ -10,11 +10,19 @@
 //! int2 backend and under every other one the host can force (AVX2 is
 //! never detected on an AVX-512 host, portable on neither).
 //!
-//! The last check reads the process-global direct-conv counter, and the
-//! backend override is process-global too, so this file holds a single
-//! test.
+//! `evaluate_exits_with` is that executor at a threshold no exit clears,
+//! so its `ExitEvaluation` is held to an oracle that shares neither
+//! walk nor scorer with it: the network's own `forward` scored by a
+//! test-local softmax and first-max — on the CNVs the plan covers and on
+//! a W4A4 net it refuses.
+//!
+//! The stamped-batch check reads the process-global direct-conv counter,
+//! and the backend override is process-global too, so the tests here
+//! serialize on one lock.
 
+use adapex_dataset::{Difficulty, LabeledImages};
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
+use adapex_nn::eval::{evaluate_exits_with, EvalConfig, ExitEvaluation};
 use adapex_nn::layers::{ActQuant, Activation, Layer};
 use adapex_nn::network::EarlyExitNetwork;
 use adapex_nn::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
@@ -24,6 +32,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Held by every test here (poison-tolerant: a failed test must not
+/// cascade).
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Replaces every BatchNorm's parameters and running statistics with
 /// draws that include negative and zero γ, large β and tiny variances.
@@ -197,7 +213,8 @@ proptest! {
 
     #[test]
     fn auto_and_layer_path_verdicts_are_bit_identical(seed in any::<u64>()) {
-        // The file's only test, its cases run in order: each width twice.
+        let _guard = lock();
+        // The cases run in order: each width twice.
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let width = WIDTHS[CASE.fetch_add(1, Ordering::Relaxed) % WIDTHS.len()];
         let backends = forcible_backends();
@@ -207,4 +224,107 @@ proptest! {
         }
         int2::override_backend(None);
     }
+}
+
+/// `n` random images with random labels out of ten classes.
+fn labeled_images(n: usize, dims: &[usize], rng: &mut StdRng) -> LabeledImages {
+    let x = batch(n, dims, rng);
+    let mut images = LabeledImages::new(dims[0], dims[1], dims[2]);
+    for s in 0..n {
+        images.push(x.sample(s), rng.random_range(0..10usize), Difficulty::Easy);
+    }
+    images
+}
+
+/// Predicted class and confidence of one logit row: softmax with the
+/// maximum subtracted, an in-order sum, true division, first maximum.
+fn score(row: &[f32]) -> (usize, f32) {
+    let max = row.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    let mut probs: Vec<f32> = row.iter().map(|&v| (v - max).exp()).collect();
+    let mut sum = 0.0f32;
+    for &p in &probs {
+        sum += p;
+    }
+    for p in &mut probs {
+        *p /= sum;
+    }
+    let mut best = 0;
+    for k in 1..probs.len() {
+        if probs[k] > probs[best] {
+            best = k;
+        }
+    }
+    (best, probs[best])
+}
+
+/// The layer-path oracle: one full `EarlyExitNetwork::forward` over all
+/// of `images`, every exit's rows scored by [`score`].
+fn layer_path_evaluation(net: &EarlyExitNetwork, images: &LabeledImages) -> ExitEvaluation {
+    let all: Vec<usize> = (0..images.len()).collect();
+    let (pixels, labels) = images.gather(&all);
+    let x = Activation::new(pixels, all.len(), net.input_dims.clone());
+    let mut eval = ExitEvaluation {
+        correct: Vec::new(),
+        confidence: Vec::new(),
+        samples: images.len(),
+    };
+    for out in net.clone().forward(&x, false) {
+        let (correct, confidence) = labels
+            .iter()
+            .enumerate()
+            .map(|(s, &label)| {
+                let (class, conf) = score(out.sample(s));
+                (class == label, conf)
+            })
+            .unzip();
+        eval.correct.push(correct);
+        eval.confidence.push(confidence);
+    }
+    eval
+}
+
+#[test]
+fn evaluate_exits_matches_the_layer_path_scorer() {
+    let _guard = lock();
+    let w4a4 = CnvConfig {
+        weight_bits: 4,
+        act_bits: 4,
+        ..CnvConfig::tiny()
+    };
+    let nets = [
+        ("tiny", CnvConfig::tiny(), true),
+        ("scaled(2)", CnvConfig::scaled(2), true),
+        ("scaled(4)", CnvConfig::scaled(4), true),
+        ("scaled(8)", CnvConfig::scaled(8), true),
+        ("W4A4", w4a4, false),
+    ];
+    let backends = forcible_backends();
+    println!("streamline_agreement: evaluations under {backends:?}");
+    for backend in backends {
+        int2::override_backend(Some(backend));
+        for (i, &(name, cfg, streamlined)) in nets.iter().enumerate() {
+            let seed = 0xe7a1 + i as u64;
+            let mut rng = rng_from_seed(seed);
+            let mut net = cfg.build_early_exit(10, &ExitsConfig::paper_default(), seed);
+            randomize_norms(&mut net, &mut rng);
+            let exec = BatchExecutor::new(&net, &ExecutorConfig::default());
+            assert_eq!(exec.streamlined(), streamlined, "{name}: which walk evaluation takes");
+            let images = labeled_images(70, &net.input_dims, &mut rng);
+            let want = layer_path_evaluation(&net, &images);
+            for batch in [1, 7, 64] {
+                for jobs in [1, 3] {
+                    let tag = format!("{name} batch={batch} jobs={jobs} {backend:?}");
+                    let got = evaluate_exits_with(&mut net, &images, EvalConfig { batch, jobs });
+                    assert_eq!(got.samples, want.samples, "samples, {tag}");
+                    assert_eq!(got.correct, want.correct, "correct, {tag}");
+                    assert_eq!(got.confidence.len(), want.confidence.len(), "exits, {tag}");
+                    for (e, (g, w)) in got.confidence.iter().zip(&want.confidence).enumerate() {
+                        let bits = |v: &[f32]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(g), bits(w), "exit {e} confidence, {tag}");
+                    }
+                }
+            }
+        }
+    }
+    int2::override_backend(None);
 }

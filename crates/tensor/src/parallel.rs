@@ -183,70 +183,6 @@ where
     tagged.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Like [`par_map`] but with per-worker state: each worker thread calls
-/// `init` exactly once and threads the resulting value through every
-/// index it processes.
-///
-/// This is the order-preserving map for closures that need a scratch
-/// resource too expensive to build per index — e.g. evaluating a network
-/// over many batches, where each worker forwards through its own clone.
-/// The same invariance contract as [`par_map`] applies: when
-/// `f(&mut state, i)` is a pure function of `i` (the state is scratch,
-/// not an accumulator), the output is identical for every worker count,
-/// and `workers == 1` is byte-for-byte the sequential
-/// `(0..n).map(|i| f(&mut init(), i))` with a single shared state.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-///
-/// ```
-/// use adapex_tensor::parallel::par_map_init;
-///
-/// let doubled = par_map_init(4, 2, || 2usize, |two, i| *two * i);
-/// assert_eq!(doubled, vec![0, 2, 4, 6]);
-/// ```
-pub fn par_map_init<S, T, I, F>(n: usize, workers: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let workers = workers.max(1).min(n.max(1));
-    if workers == 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, T)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut state = init();
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&mut state, i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| match h.join() {
-                Ok(local) => local,
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    tagged.sort_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, v)| v).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,35 +270,6 @@ mod tests {
     fn par_map_empty_input_yields_empty_output() {
         let out: Vec<u8> = par_map(0, 4, |_| panic!("must not be called"));
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn par_map_init_builds_one_state_per_worker() {
-        let inits = AtomicUsize::new(0);
-        let out = par_map_init(
-            64,
-            4,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                Vec::<usize>::new()
-            },
-            |scratch, i| {
-                scratch.push(i);
-                i + 1
-            },
-        );
-        assert_eq!(out, (1..=64).collect::<Vec<_>>());
-        let states = inits.load(Ordering::Relaxed);
-        assert!(states <= 4, "at most one state per worker, got {states}");
-    }
-
-    #[test]
-    fn par_map_init_output_is_worker_count_invariant() {
-        let run = |w| par_map_init(37, w, || 3usize, |k, i| i * *k);
-        let expect = run(1);
-        for w in [2, 3, 8] {
-            assert_eq!(run(w), expect);
-        }
     }
 
     #[test]

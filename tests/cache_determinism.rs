@@ -1,8 +1,9 @@
 //! Determinism and incrementality harness for the content-addressed
 //! artifact cache: cache hits must reproduce a cold run byte-for-byte
 //! (for any job count), a fully-warm re-run must touch no training at
-//! all, corruption must degrade to recompute, and extending the sweep
-//! must reuse every previously-built variant.
+//! all, corruption — a cached evaluation of the wrong shape included —
+//! must degrade to recompute, and extending the sweep must reuse every
+//! previously-built variant.
 
 use adapex::generator::{Artifacts, GeneratorConfig, LibraryGenerator};
 use adapex::CacheStats;
@@ -85,7 +86,10 @@ fn cache_is_byte_identical_incremental_and_corruption_tolerant() {
     // Corrupt one finished entry on disk: the run must log a miss,
     // rebuild that entry from the finer-grained artifacts, and still
     // produce byte-identical output.
-    let entry_file = find_artifact(tmp.path(), ".entry.json");
+    let entry_file = artifacts(tmp.path(), ".entry.json")
+        .into_iter()
+        .next()
+        .expect("a finished entry is cached");
     fs::write(&entry_file, b"{ definitely not json").unwrap();
     let (_, hurt_stats, hurt) = run(scenario(1, &rates, Some(tmp.path())));
     assert_eq!(hurt, cold, "corrupt-entry recompute diverged from cold run");
@@ -130,8 +134,56 @@ fn warm_cache_is_job_count_invariant_for_fresh_populations() {
     assert!(warm_stats.all_hits(), "{warm_stats:?}");
 }
 
-/// First file under the cache's epoch directory with the given suffix.
-fn find_artifact(cache_dir: &Path, suffix: &str) -> PathBuf {
+#[test]
+fn misshapen_cached_evaluations_are_recomputed() {
+    // A cached evaluation that parses but does not fit the net — no
+    // exits at all, or columns shorter than the sample count they claim
+    // — is a corrupt artifact: logged, recomputed, overwritten and
+    // counted as an eval miss, never indexed out of bounds.
+    let tmp = TempDir::new("misshapen-eval");
+    let rates = [0.0, 0.4];
+    let (_, _, cold) = run(scenario(1, &rates, Some(tmp.path())));
+    let evals = artifacts(tmp.path(), ".eval.json");
+    assert_eq!(evals.len(), 5, "the plain model's evaluation and four variants'");
+
+    // The empty shape everywhere. Finished entries still hit, so only
+    // the plain model's evaluation — read on every run — is probed.
+    for f in &evals {
+        fs::write(f, br#"{"correct":[],"confidence":[],"samples":0}"#).unwrap();
+    }
+    let (_, stats, rerun) = run(scenario(1, &rates, Some(tmp.path())));
+    assert_eq!(rerun, cold, "empty-eval recompute diverged from cold run");
+    assert_eq!((stats.eval_hits, stats.eval_misses), (0, 1), "{stats:?}");
+    assert_eq!(stats.entry_hits, 4, "{stats:?}");
+
+    // Three exits of one sample each, claiming forty, with the finished
+    // entries gone: every evaluation is probed and none fits — not the
+    // plain model's (one exit), not the variants' (one sample).
+    for f in &evals {
+        fs::write(
+            f,
+            br#"{"correct":[[true],[true],[true]],"confidence":[[0.5],[0.5],[0.5]],"samples":40}"#,
+        )
+        .unwrap();
+    }
+    for f in artifacts(tmp.path(), ".entry.json") {
+        fs::remove_file(f).unwrap();
+    }
+    let (_, stats, rerun) = run(scenario(1, &rates, Some(tmp.path())));
+    assert_eq!(rerun, cold, "short-eval recompute diverged from cold run");
+    assert_eq!((stats.eval_hits, stats.eval_misses), (0, 5), "{stats:?}");
+    assert_eq!(stats.entry_misses, 4, "{stats:?}");
+    assert_eq!(stats.checkpoint_misses, 0, "nothing retrains: {stats:?}");
+
+    // Every slot was overwritten: the next run is all hits.
+    let (_, stats, rerun) = run(scenario(1, &rates, Some(tmp.path())));
+    assert_eq!(rerun, cold);
+    assert!(stats.all_hits(), "{stats:?}");
+}
+
+/// Files under the cache's epoch directory with the given suffix,
+/// sorted.
+fn artifacts(cache_dir: &Path, suffix: &str) -> Vec<PathBuf> {
     let epoch_dir = fs::read_dir(cache_dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -143,7 +195,5 @@ fn find_artifact(cache_dir: &Path, suffix: &str) -> PathBuf {
         .filter(|p| p.to_string_lossy().ends_with(suffix))
         .collect();
     files.sort();
-    files.into_iter().next().unwrap_or_else(|| {
-        panic!("no {suffix} artifact found in {}", epoch_dir.display())
-    })
+    files
 }
