@@ -83,9 +83,7 @@ fn library() -> Library {
 }
 
 fn manager(mitigation: MitigationConfig) -> RuntimeManager {
-    let mut m = RuntimeManager::new(library(), 0.75, SelectionPolicy::ReconfigAware);
-    m.set_mitigation(mitigation);
-    m
+    RuntimeManager::new(library(), 0.75, SelectionPolicy::ReconfigAware).with_mitigation(mitigation)
 }
 
 #[derive(Debug, Serialize)]

@@ -426,11 +426,20 @@ fn fleet_for(run: &RunSetup) -> Result<Fleet, Box<dyn Error>> {
     }))
 }
 
-/// Enables graceful-degradation mitigation when a fault plan is active,
-/// unless `--no-mitigation` asks for the paper's bare manager.
-fn apply_mitigation(manager: &mut RuntimeManager, plan: &FaultPlan, args: &Args) {
+/// `system`'s manager, with graceful-degradation mitigation when a fault
+/// plan is active unless `--no-mitigation` asks for the paper's bare
+/// manager.
+fn manager_for_run(
+    system: System,
+    artifacts: &Artifacts,
+    plan: &FaultPlan,
+    args: &Args,
+) -> RuntimeManager {
+    let manager = manager_for(system, artifacts, 0.10);
     if !plan.is_none() && !args.flag("no-mitigation") {
-        manager.set_mitigation(MitigationConfig::recommended());
+        manager.with_mitigation(MitigationConfig::recommended())
+    } else {
+        manager
     }
 }
 
@@ -464,8 +473,7 @@ fn cmd_simulate(args: &Args) -> Result<(), Box<dyn Error>> {
     );
     let mut all_results = Vec::new();
     for system in systems_of(args.get_or("system", "all".to_string())?.as_str())? {
-        let mut manager = manager_for(system, &artifacts, 0.10);
-        apply_mitigation(&mut manager, &run.plan, args);
+        let manager = manager_for_run(system, &artifacts, &run.plan, args);
         let results = sim.run_many(&manager, &run.spec(), reps, run.jobs);
         println!(
             "{:>8} {:>9.2} {:>8.1} {:>8.1} {:>9.2} {:>9.2} {:>9.1}",
@@ -501,8 +509,7 @@ fn simulate_fleet(args: &Args, artifacts: &Artifacts, run: &RunSetup) -> Result<
         "System", "Loss[%]", "Acc[%]", "QoE[%]", "Power[W]", "Energy[J]", "Reconfigs"
     );
     for system in systems_of(args.get_or("system", "all".to_string())?.as_str())? {
-        let mut manager = manager_for(system, artifacts, 0.10);
-        apply_mitigation(&mut manager, &run.plan, args);
+        let manager = manager_for_run(system, artifacts, &run.plan, args);
         let result = fleet.run(&manager, &run.spec(), run.jobs);
         let s = &result.summary;
         println!(
@@ -525,8 +532,7 @@ fn simulate_fleet(args: &Args, artifacts: &Artifacts, run: &RunSetup) -> Result<
 /// Fleet-mode `trace`: one row per server instead of the time trace.
 fn trace_fleet(args: &Args, artifacts: &Artifacts, run: &RunSetup) -> Result<(), Box<dyn Error>> {
     let fleet = fleet_for(run)?;
-    let mut manager = manager_for(System::AdaPEx, artifacts, 0.10);
-    apply_mitigation(&mut manager, &run.plan, args);
+    let manager = manager_for_run(System::AdaPEx, artifacts, &run.plan, args);
     let result = fleet.run(&manager, &run.spec(), run.jobs);
     let placement = fleet.placement(run.seed);
     println!(
@@ -570,8 +576,7 @@ fn cmd_trace(args: &Args) -> Result<(), Box<dyn Error>> {
     if run.servers > 1 {
         return trace_fleet(args, &artifacts, &run);
     }
-    let mut manager = manager_for(System::AdaPEx, &artifacts, 0.10);
-    apply_mitigation(&mut manager, &run.plan, args);
+    let mut manager = manager_for_run(System::AdaPEx, &artifacts, &run.plan, args);
     let sim = EdgeSimulation::new(run.sim.clone());
     let result = sim.run(&mut manager, &run.spec());
     println!(

@@ -266,10 +266,47 @@ impl Artifacts {
     ///
     /// # Errors
     ///
-    /// Returns an I/O error when the file cannot be read or parsed.
+    /// Returns an I/O error when the file cannot be read or parsed, or
+    /// when it cannot build all four systems: a library is empty, an
+    /// entry has no operating point, or the FINN or CT-Only entry is
+    /// missing.
     pub fn load_json(path: impl AsRef<Path>) -> io::Result<Self> {
         let json = std::fs::read_to_string(path)?;
-        serde_json::from_str(&json).map_err(io::Error::other)
+        let artifacts: Artifacts = serde_json::from_str(&json).map_err(io::Error::other)?;
+        artifacts
+            .validate()
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("artifacts: {e}")))?;
+        Ok(artifacts)
+    }
+
+    /// What `RuntimeManager::new` needs of every system's library.
+    fn validate(&self) -> Result<(), String> {
+        for (name, library) in [("adapex", &self.adapex), ("pr_only", &self.pr_only)] {
+            if library.is_empty() {
+                return Err(format!("library `{name}` has no entries"));
+            }
+            if let Some((i, e)) = library
+                .entries
+                .iter()
+                .enumerate()
+                .find(|(_, e)| e.points.is_empty())
+            {
+                return Err(format!(
+                    "library `{name}` entry {i} (id {}) has no operating points",
+                    e.id
+                ));
+            }
+        }
+        if self.finn().is_empty() {
+            return Err("library `pr_only` has no rate-0 entry (the FINN baseline)".into());
+        }
+        if self.ct_only().is_empty() {
+            return Err(
+                "library `adapex` has no rate-0 entry with unpruned exits (the CT-Only baseline)"
+                    .into(),
+            );
+        }
+        Ok(())
     }
 }
 
@@ -890,6 +927,70 @@ mod tests {
         assert!(e1.achieved_rate > 0.0);
         assert!(e1.static_ips >= e0.static_ips);
         assert!(e1.resources.lut < e0.resources.lut);
+    }
+
+    /// Saves small artifacts every system can be built from, after
+    /// `edit`, and loads them back; what loads is driven through all
+    /// four systems, as `adapex-cli simulate --system all` does.
+    fn load_edited(name: &str, edit: impl FnOnce(&mut Artifacts)) -> Result<(), String> {
+        use crate::baselines::{manager_for, System};
+        use crate::library::tests::entry;
+        let library = || Library {
+            entries: vec![
+                entry(0, 0.0, 0.85, vec![(0.9, 0.86, 400.0), (0.3, 0.82, 520.0)]),
+                entry(1, 0.5, 0.78, vec![(0.9, 0.80, 700.0)]),
+            ],
+        };
+        let mut artifacts = Artifacts {
+            kind: DatasetKind::Cifar10Like,
+            adapex: library(),
+            pr_only: library(),
+            reference_accuracy: 0.9,
+            reconfig_time_ms: 145.0,
+            config: GeneratorConfig::fast(DatasetKind::Cifar10Like),
+        };
+        edit(&mut artifacts);
+        let path = std::env::temp_dir().join(format!("adapex-{name}-{}.json", std::process::id()));
+        artifacts.save_json(&path).expect("save");
+        let loaded = Artifacts::load_json(&path);
+        std::fs::remove_file(&path).ok();
+        let loaded = loaded.map_err(|e| e.to_string())?;
+        for system in System::all() {
+            manager_for(system, &loaded, 0.10).decide(100.0);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn an_empty_library_is_a_load_error() {
+        let err = load_edited("empty-library", |a| a.adapex.entries.clear());
+        assert_eq!(
+            err.unwrap_err(),
+            "artifacts: library `adapex` has no entries"
+        );
+    }
+
+    #[test]
+    fn an_entry_without_points_is_a_load_error() {
+        let err = load_edited("pointless-entry", |a| a.adapex.entries[0].points.clear());
+        assert_eq!(
+            err.unwrap_err(),
+            "artifacts: library `adapex` entry 0 (id 0) has no operating points"
+        );
+    }
+
+    #[test]
+    fn a_missing_baseline_entry_is_a_load_error() {
+        let err = load_edited("no-finn", |a| {
+            a.pr_only.entries.retain(|e| e.pruning_rate > 0.0)
+        });
+        assert_eq!(
+            err.unwrap_err(),
+            "artifacts: library `pr_only` has no rate-0 entry (the FINN baseline)"
+        );
+        let err = load_edited("no-ct-only", |a| a.adapex.entries[0].prune_exits = true);
+        assert!(err.unwrap_err().contains("(the CT-Only baseline)"));
+        load_edited("well-formed", |_| {}).expect("well-formed artifacts load and run");
     }
 
     #[test]

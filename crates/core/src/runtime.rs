@@ -8,19 +8,13 @@
 //! hard-wired to its CNN), so the default policy tries a free threshold
 //! move inside the current accelerator first.
 //!
-//! Beyond the paper's fault-free model, the manager supports **graceful
-//! degradation** (see DESIGN.md §10): an opt-in [`MitigationConfig`]
-//! adds a workload deadband (decision hysteresis against thrash), a
-//! post-reconfiguration cooldown, and retry-with-backoff after a failed
-//! reconfiguration — while backed off, only the paper's *free* knob
-//! (confidence-threshold retuning inside the current accelerator) is
-//! exercised. Independently of mitigation, the manager tracks
-//! *degraded mode*: it is in degraded mode exactly when no library
-//! entry satisfies the accuracy floor at the observed load, in which
-//! case selection relaxes to the nearest feasible operating point (the
-//! existing fallback tiers of [`Library::select_among`]). All
-//! mitigation defaults are off, so [`RuntimeManager::new`] behaves
-//! bit-identically to the fault-free manager.
+//! The manager is one pure transition over a `Copy` state: a monitored
+//! load is an observation, and so is the outcome of the in-flight
+//! reconfiguration. [`RuntimeManager::decide`] and
+//! [`RuntimeManager::settle`] feed it and tally the counters. DESIGN.md
+//! §10 has its state diagram and transition table, graceful degradation
+//! ([`MitigationConfig`]) and degraded mode included; the test module
+//! checks every state reachable from a fresh manager.
 
 use crate::library::{Library, OperatingPoint};
 use serde::{Deserialize, Serialize};
@@ -29,33 +23,21 @@ use serde::{Deserialize, Serialize};
 /// reconfiguration-aware policy leaves the current accelerator.
 pub const RECONFIG_HYSTERESIS: f64 = 0.01;
 
-/// Graceful-degradation knobs. The default ([`MitigationConfig::off`])
-/// disables every mechanism, reproducing the paper's fault-free
-/// manager bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// Graceful-degradation rules: [`MitigationConfig::off`] (the paper's
+/// fault-free manager, the default) or [`MitigationConfig::recommended`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationConfig {
-    /// Relative workload deadband: an observed load within
-    /// `±ips_deadband` of the last *acted-on* load is treated as
-    /// unchanged and the previous decision is held (no reselection, no
-    /// reconfiguration, no threshold move). 0 disables the deadband.
-    #[serde(default)]
-    pub ips_deadband: f64,
-    /// `decide` periods after a reconfiguration during which further
-    /// reconfigurations are suppressed (threshold-only moves inside the
-    /// new accelerator remain allowed). Prevents reconfiguration
-    /// thrash on workloads oscillating across an entry boundary.
-    #[serde(default)]
-    pub cooldown_periods: u32,
-    /// Backoff after a failed (aborted) reconfiguration: the first
-    /// failure suppresses reconfiguration attempts for this many
-    /// `decide` periods, doubling per consecutive failure. While backed
-    /// off the manager falls back to threshold-only retuning. 0
-    /// disables backoff (failed reconfigurations retry immediately).
-    #[serde(default)]
-    pub backoff_base_periods: u32,
-    /// Upper bound on the (doubling) backoff.
-    #[serde(default)]
-    pub backoff_max_periods: u32,
+    /// Relative deadband around the last freely acted-on load inside
+    /// which the previous decision is held (0: none).
+    ips_deadband: f64,
+    /// Decisions after a reconfiguration that may only move the
+    /// threshold inside the new accelerator.
+    cooldown_periods: u32,
+    /// Decisions after a failed reconfiguration that may only move the
+    /// threshold, doubling per consecutive failure (0: none).
+    backoff_base_periods: u32,
+    /// Upper bound on the doubling backoff.
+    backoff_max_periods: u32,
 }
 
 impl MitigationConfig {
@@ -84,15 +66,16 @@ impl MitigationConfig {
         }
     }
 
-    /// Whether any mechanism is enabled.
-    pub fn is_active(&self) -> bool {
-        *self != MitigationConfig::off()
+    /// Whether `ips` lies inside the deadband around `anchor`.
+    fn holds(&self, anchor: Option<f64>, ips: f64) -> bool {
+        anchor.is_some_and(|a| self.ips_deadband > 0.0 && (ips - a).abs() <= self.ips_deadband * a)
     }
-}
 
-impl Default for MitigationConfig {
-    fn default() -> Self {
-        MitigationConfig::off()
+    /// Backoff after the `failures`-th consecutive failed
+    /// reconfiguration (`failures >= 1`).
+    fn backoff(&self, failures: u32) -> u32 {
+        let doubled = u64::from(self.backoff_base_periods) << (failures - 1).min(16);
+        doubled.min(u64::from(self.backoff_max_periods)) as u32
     }
 }
 
@@ -134,7 +117,7 @@ pub struct PointScalars {
 }
 
 /// One adaptation decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Decision {
     /// Selected library entry index.
     pub entry: usize,
@@ -148,57 +131,67 @@ pub struct Decision {
     /// Whether the manager is in degraded mode: no library entry met
     /// the accuracy floor at the observed load, so the selection
     /// relaxed to the nearest feasible operating point.
-    #[serde(default)]
     pub degraded: bool,
     /// The observation fell inside the mitigation deadband and the
     /// previous decision was held without reselection.
-    #[serde(default)]
     pub held: bool,
 }
 
-/// The runtime manager: library + accuracy threshold + policy + state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// What the manager reacts to. An overrun is `Settled`: it only
+/// stretches the downtime.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Observation {
+    /// The monitored load, inferences per second.
+    Load(f64),
+    /// The in-flight reconfiguration completed.
+    Settled,
+    /// The in-flight reconfiguration failed; the old bitstream is still
+    /// loaded.
+    Aborted,
+}
+
+/// What the manager remembers between observations.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+struct State {
+    /// Selected `(entry, point)`; `None` before the first decision.
+    current: Option<(usize, usize)>,
+    /// The load last acted on freely: the deadband's centre.
+    anchor: Option<f64>,
+    /// Decisions left restricted to the current entry after a
+    /// reconfiguration.
+    cooldown: u32,
+    /// Decisions left restricted after a failed reconfiguration.
+    backoff: u32,
+    /// Consecutive failed reconfigurations (drives the doubling).
+    failures: u32,
+    /// The selection before the in-flight reconfiguration, restored if
+    /// it aborts; `Some` exactly while one is in flight.
+    pre_reconfig: Option<(usize, usize)>,
+    /// No point met the accuracy floor at the last observed load.
+    degraded: bool,
+}
+
+/// The runtime manager: fixed rules (library, accuracy floor, policy,
+/// mitigation), the state its transition evolves, and counters tallied
+/// from each transition.
+#[derive(Debug, Clone)]
 pub struct RuntimeManager {
     library: Library,
     min_accuracy: f64,
     policy: SelectionPolicy,
-    current: Option<(usize, usize)>,
+    mitigation: MitigationConfig,
+    /// The highest load a point meeting the floor sustains; decisions
+    /// above it, or with no such point, are degraded.
+    floor_capacity: Option<f64>,
+    state: State,
     /// Total reconfigurations decided so far.
     pub reconfig_count: usize,
     /// Total confidence-threshold-only changes decided so far.
     pub ct_change_count: usize,
-    /// Graceful-degradation configuration (default: everything off).
-    #[serde(default)]
-    mitigation: MitigationConfig,
-    /// The observed load the manager last acted on (deadband anchor).
-    #[serde(default)]
-    last_acted_ips: Option<f64>,
-    /// Remaining post-reconfiguration cooldown periods.
-    #[serde(default)]
-    cooldown_remaining: u32,
-    /// Remaining failure-backoff periods.
-    #[serde(default)]
-    backoff_remaining: u32,
-    /// Consecutive failed reconfigurations (drives backoff doubling).
-    #[serde(default)]
-    consecutive_failures: u32,
-    /// `(entry, point)` active before the in-flight reconfiguration,
-    /// restored if the reconfiguration aborts.
-    #[serde(default)]
-    pre_reconfig: Option<(usize, usize)>,
-    /// Whether the manager is currently in degraded mode.
-    #[serde(default)]
-    degraded: bool,
-    /// Reconfigurations reported as failed via
-    /// [`RuntimeManager::reconfig_aborted`].
-    #[serde(default)]
+    /// Reconfigurations settled as aborted.
     pub failed_reconfig_count: usize,
-    /// Reconfiguration attempts made while recovering from ≥ 1 failure.
-    #[serde(default)]
+    /// Reconfigurations decided while recovering from ≥ 1 failure.
     pub retry_count: usize,
-    /// Rising edges into degraded mode.
-    #[serde(default)]
-    pub degraded_enter_count: usize,
 }
 
 impl RuntimeManager {
@@ -211,54 +204,43 @@ impl RuntimeManager {
     ///
     /// # Panics
     ///
-    /// Panics on an empty library.
+    /// Panics on an empty library or an entry without operating points.
     pub fn new(library: Library, min_accuracy: f64, policy: SelectionPolicy) -> Self {
         assert!(!library.is_empty(), "runtime manager needs a library");
+        if let Some(e) = library.entries.iter().find(|e| e.points.is_empty()) {
+            panic!(
+                "runtime manager needs an operating point in every entry (entry {} has none)",
+                e.id
+            );
+        }
+        let floor_capacity = library
+            .design_space()
+            .filter(|(_, p)| p.accuracy >= min_accuracy)
+            .map(|(_, p)| p.ips)
+            .reduce(f64::max);
         RuntimeManager {
             library,
             min_accuracy,
             policy,
-            current: None,
+            mitigation: MitigationConfig::off(),
+            floor_capacity,
+            state: State::default(),
             reconfig_count: 0,
             ct_change_count: 0,
-            mitigation: MitigationConfig::off(),
-            last_acted_ips: None,
-            cooldown_remaining: 0,
-            backoff_remaining: 0,
-            consecutive_failures: 0,
-            pre_reconfig: None,
-            degraded: false,
             failed_reconfig_count: 0,
             retry_count: 0,
-            degraded_enter_count: 0,
         }
     }
 
-    /// Installs a graceful-degradation configuration (builder form).
+    /// Installs a graceful-degradation configuration.
     pub fn with_mitigation(mut self, mitigation: MitigationConfig) -> Self {
         self.mitigation = mitigation;
         self
     }
 
-    /// Installs a graceful-degradation configuration in place.
-    pub fn set_mitigation(&mut self, mitigation: MitigationConfig) {
-        self.mitigation = mitigation;
-    }
-
-    /// The active graceful-degradation configuration.
-    pub fn mitigation(&self) -> &MitigationConfig {
-        &self.mitigation
-    }
-
-    /// Whether the manager is currently in degraded mode (no library
-    /// entry met the accuracy floor at the last observed load).
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Remaining failure-backoff periods (0 when not backing off).
     pub fn backoff_remaining(&self) -> u32 {
-        self.backoff_remaining
+        self.state.backoff
     }
 
     /// The library being searched.
@@ -266,19 +248,14 @@ impl RuntimeManager {
         &self.library
     }
 
-    /// The accuracy floor.
-    pub fn min_accuracy(&self) -> f64 {
-        self.min_accuracy
-    }
-
     /// Currently selected `(entry, point)` if a decision was made.
     pub fn current(&self) -> Option<(usize, usize)> {
-        self.current
+        self.state.current
     }
 
-    /// The currently selected operating point.
-    pub fn current_point(&self) -> Option<&OperatingPoint> {
-        self.current
+    fn current_point(&self) -> Option<&OperatingPoint> {
+        self.state
+            .current
             .map(|(e, p)| &self.library.entries[e].points[p])
     }
 
@@ -299,164 +276,141 @@ impl RuntimeManager {
         })
     }
 
-    /// Reacts to an observed workload (incoming inferences per second):
-    /// picks the operating point per the policy, updating internal
-    /// state and counters. With mitigation enabled, observations inside
-    /// the deadband hold the previous decision, and while cooling down
-    /// or backing off after a failed reconfiguration only the free
-    /// confidence-threshold knob moves.
+    /// Reacts to an observed workload (incoming inferences per second).
     pub fn decide(&mut self, observed_ips: f64) -> Decision {
-        // Deadband hysteresis: small fluctuations around the last
-        // acted-on load change nothing — no reselection, no thrash.
-        if let (Some(anchor), Some((e, p))) = (self.last_acted_ips, self.current) {
-            let db = self.mitigation.ips_deadband;
-            if db > 0.0 && (observed_ips - anchor).abs() <= db * anchor {
-                self.tick_suppressions();
-                return Decision {
-                    entry: e,
-                    point: p,
-                    threshold: self.library.entries[e].points[p].confidence_threshold,
-                    reconfig: false,
-                    degraded: self.degraded,
-                    held: true,
-                };
-            }
-        }
-        // While cooling down after a reconfiguration, or backing off
-        // after a failed one, restrict the search to the current
-        // accelerator: threshold retuning stays free, reconfigurations
-        // are suppressed.
-        let restricted = (self.cooldown_remaining > 0 || self.backoff_remaining > 0)
-            .then_some(self.current)
-            .flatten();
-        self.tick_suppressions();
-        let pick = match restricted {
-            Some((cur, _)) => self
-                .library
-                .select_among(observed_ips, self.min_accuracy, Some(cur)),
-            None => self.policy_pick(observed_ips),
-        }
-        .expect("library is non-empty, a fallback point always exists");
+        self.observe(Observation::Load(observed_ips))
+            .expect("a load is always decided")
+    }
 
-        // Degraded mode: no entry meets the accuracy floor at this
-        // load, so whatever was picked is a relaxation to the nearest
-        // feasible point (select_among's fallback tiers).
-        let degraded_now = self
-            .library
-            .select_strict(observed_ips, self.min_accuracy, None)
-            .is_none();
-        if degraded_now && !self.degraded {
-            self.degraded_enter_count += 1;
-        }
-        self.degraded = degraded_now;
+    /// Reports how the in-flight reconfiguration ended: completed, or
+    /// `aborted` with the old bitstream still loaded.
+    pub fn settle(&mut self, aborted: bool) {
+        self.observe(if aborted {
+            Observation::Aborted
+        } else {
+            Observation::Settled
+        });
+    }
 
-        let reconfig = match self.current {
-            Some((cur_entry, cur_point)) => {
-                if cur_entry != pick.0 {
-                    self.reconfig_count += 1;
-                    if self.consecutive_failures > 0 {
-                        self.retry_count += 1;
-                    }
-                    self.pre_reconfig = Some((cur_entry, cur_point));
-                    self.cooldown_remaining = self.mitigation.cooldown_periods;
-                    true
-                } else {
-                    if cur_point != pick.1 {
-                        self.ct_change_count += 1;
-                    }
-                    false
-                }
+    /// Applies one transition and tallies the counters from (before,
+    /// observation, after).
+    fn observe(&mut self, obs: Observation) -> Option<Decision> {
+        let before = self.state;
+        let (after, decision) = self.step(before, obs);
+        let entry = |s: State| s.current.map(|(e, _)| e);
+        match obs {
+            Observation::Load(_) if before.current.is_none() => {} // deployment-time sizing
+            Observation::Load(_) if entry(before) != entry(after) => {
+                self.reconfig_count += 1;
+                self.retry_count += usize::from(before.failures > 0);
             }
-            None => false, // initial configuration, not a reconfiguration
+            Observation::Load(_) => {
+                self.ct_change_count += usize::from(before.current != after.current)
+            }
+            Observation::Aborted => self.failed_reconfig_count += 1,
+            Observation::Settled => {}
+        }
+        self.state = after;
+        decision
+    }
+
+    /// The manager's one transition (DESIGN.md §10): the state after
+    /// `obs`, and the decision when `obs` is a load.
+    fn step(&self, mut s: State, obs: Observation) -> (State, Option<Decision>) {
+        let ips = match obs {
+            Observation::Settled => {
+                // The fabric demonstrably reconfigures: the failure
+                // streak resets and any residual backoff is lifted.
+                s.failures = 0;
+                s.backoff = 0;
+                s.pre_reconfig = None;
+                return (s, None);
+            }
+            Observation::Aborted => {
+                // Back to the loaded bitstream; the switch's cooldown is
+                // moot, reconfigurations back off, and the next load is
+                // decided afresh whatever the deadband says.
+                s.current = s.pre_reconfig.take().or(s.current);
+                s.failures += 1;
+                s.cooldown = 0;
+                s.backoff = self.mitigation.backoff(s.failures);
+                s.anchor = None;
+                return (s, None);
+            }
+            Observation::Load(ips) => ips,
         };
-        self.current = Some(pick);
-        // The deadband anchors only on loads the manager could act on
-        // freely: a restricted (cooldown/backoff) selection must not
-        // arm the deadband, or a steady overload would be "held" and
-        // the post-backoff retry would never fire.
-        if restricted.is_none() {
-            self.last_acted_ips = Some(observed_ips);
+        // Cooling down or backing off: only the free knob (a threshold
+        // move inside the current accelerator) turns.
+        let restricted = s.current.filter(|_| s.cooldown > 0 || s.backoff > 0);
+        s.cooldown = s.cooldown.saturating_sub(1);
+        s.backoff = s.backoff.saturating_sub(1);
+        // Degraded mode: nothing meets the floor at this load, so the
+        // selection is one of select_among's relaxations.
+        s.degraded = self.floor_capacity.is_none_or(|c| c < ips);
+        if let Some(held) = s.current.filter(|_| self.mitigation.holds(s.anchor, ips)) {
+            return (s, Some(self.decision(held, false, s.degraded, true)));
         }
-        let threshold = self.library.entries[pick.0].points[pick.1].confidence_threshold;
+        let pick = match restricted {
+            Some((cur, _)) => self.library.select_among(ips, self.min_accuracy, Some(cur)),
+            None => self.policy_pick(ips, s.current),
+        }
+        .expect("every entry has an operating point");
+        let reconfig = s.current.is_some_and(|(entry, _)| entry != pick.0);
+        if reconfig {
+            s.pre_reconfig = s.current;
+            s.cooldown = self.mitigation.cooldown_periods;
+        }
+        s.current = Some(pick);
+        // Only a free decision anchors the deadband: a restricted one
+        // would hold a steady overload past its backoff forever.
+        if restricted.is_none() {
+            s.anchor = Some(ips);
+        }
+        (s, Some(self.decision(pick, reconfig, s.degraded, false)))
+    }
+
+    fn decision(
+        &self,
+        (entry, point): (usize, usize),
+        reconfig: bool,
+        degraded: bool,
+        held: bool,
+    ) -> Decision {
+        let threshold = self.library.entries[entry].points[point].confidence_threshold;
         Decision {
-            entry: pick.0,
-            point: pick.1,
+            entry,
+            point,
             threshold,
             reconfig,
-            degraded: degraded_now,
-            held: false,
+            degraded,
+            held,
         }
-    }
-
-    /// Reports that the in-flight reconfiguration aborted: the old
-    /// bitstream is still loaded, so the manager reverts to the
-    /// pre-reconfiguration operating point, counts the failure, and —
-    /// when backoff is configured — suppresses further reconfiguration
-    /// attempts for a doubling number of periods (threshold-only
-    /// retuning remains available meanwhile).
-    pub fn reconfig_aborted(&mut self) {
-        if let Some(prev) = self.pre_reconfig.take() {
-            self.current = Some(prev);
-        }
-        self.failed_reconfig_count += 1;
-        self.consecutive_failures += 1;
-        // The switch never happened; its cooldown is moot.
-        self.cooldown_remaining = 0;
-        if self.mitigation.backoff_base_periods > 0 {
-            let cap = self
-                .mitigation
-                .backoff_max_periods
-                .max(self.mitigation.backoff_base_periods) as u64;
-            let shift = (self.consecutive_failures - 1).min(16);
-            let backoff = (self.mitigation.backoff_base_periods as u64) << shift;
-            self.backoff_remaining = backoff.min(cap) as u32;
-        }
-        // Re-evaluate on the next observation regardless of deadband.
-        self.last_acted_ips = None;
-    }
-
-    /// Reports that the in-flight reconfiguration completed: the FPGA
-    /// demonstrably reconfigures again, so the failure streak resets
-    /// and any residual backoff is lifted.
-    pub fn reconfig_completed(&mut self) {
-        self.consecutive_failures = 0;
-        self.backoff_remaining = 0;
-        self.pre_reconfig = None;
-    }
-
-    fn tick_suppressions(&mut self) {
-        self.cooldown_remaining = self.cooldown_remaining.saturating_sub(1);
-        self.backoff_remaining = self.backoff_remaining.saturating_sub(1);
     }
 
     /// The unrestricted selection for the configured policy.
-    fn policy_pick(&self, observed_ips: f64) -> Option<(usize, usize)> {
+    fn policy_pick(
+        &self,
+        observed_ips: f64,
+        current: Option<(usize, usize)>,
+    ) -> Option<(usize, usize)> {
+        let fallback = || self.library.select(observed_ips, self.min_accuracy);
         match self.policy {
             SelectionPolicy::ReconfigAware => {
-                let global = self
-                    .library
-                    .select_strict(observed_ips, self.min_accuracy, None);
-                let within_current = self.current.and_then(|(cur, _)| {
+                let strict = |only| {
                     self.library
-                        .select_strict(observed_ips, self.min_accuracy, Some(cur))
-                });
-                match (within_current, global) {
-                    (Some(local), Some(best)) => {
-                        let acc = |(e, p): (usize, usize)| self.library.entries[e].points[p].accuracy;
-                        // Free threshold move unless the reconfiguration
-                        // buys a material accuracy gain.
-                        if acc(local) + RECONFIG_HYSTERESIS >= acc(best) {
-                            Some(local)
-                        } else {
-                            Some(best)
-                        }
+                        .select_strict(observed_ips, self.min_accuracy, only)
+                };
+                let acc = |(e, p): (usize, usize)| self.library.entries[e].points[p].accuracy;
+                match (current.and_then(|(cur, _)| strict(Some(cur))), strict(None)) {
+                    // Free threshold move unless the reconfiguration buys
+                    // a material accuracy gain.
+                    (Some(local), Some(best)) if acc(local) + RECONFIG_HYSTERESIS >= acc(best) => {
+                        Some(local)
                     }
-                    (local, best) => local
-                        .or(best)
-                        .or_else(|| self.library.select(observed_ips, self.min_accuracy)),
+                    (local, best) => best.or(local).or_else(fallback),
                 }
             }
-            SelectionPolicy::Oblivious => self.library.select(observed_ips, self.min_accuracy),
+            SelectionPolicy::Oblivious => fallback(),
             SelectionPolicy::ThroughputGreedy => self.fastest_qualified(),
             SelectionPolicy::AccuracyGreedy => self.most_accurate_fast_enough(observed_ips),
         }
@@ -502,6 +456,8 @@ impl RuntimeManager {
 mod tests {
     use super::*;
     use crate::library::tests::entry;
+    use crate::library::LibraryEntry;
+    use std::collections::HashSet;
 
     fn demo_library() -> Library {
         Library {
@@ -513,11 +469,17 @@ mod tests {
         }
     }
 
+    fn recommended() -> RuntimeManager {
+        RuntimeManager::new(demo_library(), 0.7, SelectionPolicy::ReconfigAware)
+            .with_mitigation(MitigationConfig::recommended())
+    }
+
     #[test]
     fn reconfig_aware_prefers_ct_moves() {
         let mut m = RuntimeManager::new(demo_library(), 0.7, SelectionPolicy::ReconfigAware);
         let d0 = m.decide(300.0);
-        assert_eq!((d0.entry, d0.reconfig), (0, false)); // initial config
+        // The initial configuration is not a reconfiguration.
+        assert_eq!((d0.entry, d0.reconfig), (0, false));
         // Workload rises to 500: entry 0 still has a qualifying point at
         // CT 0.3 (520 IPS) — a free threshold move, not a reconfig.
         let d1 = m.decide(500.0);
@@ -576,12 +538,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "entry 1 has none")]
+    fn rejects_an_entry_without_points() {
+        let mut library = demo_library();
+        library.entries[1].points.clear();
+        RuntimeManager::new(library, 0.5, SelectionPolicy::ReconfigAware);
+    }
+
+    #[test]
     fn deadband_holds_decisions_within_band() {
-        let mut m = RuntimeManager::new(demo_library(), 0.7, SelectionPolicy::ReconfigAware)
-            .with_mitigation(MitigationConfig {
-                ips_deadband: 0.10,
-                ..MitigationConfig::off()
-            });
+        let mut m = recommended();
         let d0 = m.decide(500.0);
         assert!(!d0.held);
         // ±10 % of 500: everything in [450, 550] is held verbatim.
@@ -601,62 +567,65 @@ mod tests {
 
     #[test]
     fn cooldown_suppresses_reconfig_thrash() {
-        let mit = MitigationConfig {
-            cooldown_periods: 3,
-            ..MitigationConfig::off()
-        };
-        let mut m = RuntimeManager::new(demo_library(), 0.7, SelectionPolicy::ReconfigAware)
-            .with_mitigation(mit);
+        let mut m = recommended();
         m.decide(300.0); // initial: entry 0
         let d = m.decide(800.0); // forced off entry 0
         assert!(d.reconfig);
-        // Load falls back: without cooldown this could bounce to entry 0
-        // (a higher-accuracy strict pick). With cooldown, the manager
-        // stays on entry 1 and only retunes the threshold.
-        let d = m.decide(300.0);
-        assert!(!d.reconfig, "cooldown must suppress the bounce-back");
-        assert_eq!(d.entry, 1);
+        m.settle(false);
+        // Load falls back: without cooldown this would bounce to entry 0
+        // (a higher-accuracy strict pick). For the two cooldown periods
+        // the manager stays on entry 1 and only retunes the threshold.
+        for _ in 0..2 {
+            let d = m.decide(300.0);
+            assert!(!d.reconfig, "cooldown must suppress the bounce-back");
+            assert_eq!(d.entry, 1);
+        }
         assert_eq!(m.reconfig_count, 1);
+        // Cooled down: the restricted decisions left the deadband
+        // unarmed, so the free decision takes the bounce-back.
+        assert!(m.decide(300.0).reconfig);
     }
 
     #[test]
     fn abort_reverts_and_backoff_doubles() {
-        let mit = MitigationConfig {
-            backoff_base_periods: 2,
-            backoff_max_periods: 16,
-            ..MitigationConfig::off()
-        };
-        let mut m = RuntimeManager::new(demo_library(), 0.7, SelectionPolicy::ReconfigAware)
-            .with_mitigation(mit);
+        let mut m = recommended();
         m.decide(300.0);
         let d = m.decide(800.0);
         assert!(d.reconfig);
         assert_eq!(d.entry, 1);
-        m.reconfig_aborted();
+        m.settle(true);
         assert_eq!(m.current(), Some((0, 0)), "old bitstream restored");
         assert_eq!(m.failed_reconfig_count, 1);
-        assert_eq!(m.backoff_remaining(), 2);
-        // While backed off (2 periods), the same overload yields only
+        assert_eq!(m.backoff_remaining(), 4);
+        // While backed off (4 periods), the same overload yields only
         // free moves inside the (old) current entry.
-        for _ in 0..2 {
+        for _ in 0..4 {
             let d = m.decide(800.0);
             assert!(!d.reconfig);
             assert_eq!(d.entry, 0);
         }
         // Backoff expired; the retry is counted.
-        let d = m.decide(800.0);
-        assert!(d.reconfig);
+        assert!(m.decide(800.0).reconfig);
         assert_eq!(m.retry_count, 1);
         // A second consecutive failure doubles the backoff.
-        m.reconfig_aborted();
-        assert_eq!(m.backoff_remaining(), 4);
-        m.reconfig_completed();
-        // A success resets the streak and lifts the backoff: the next
-        // failure starts over at the base backoff.
-        assert_eq!(m.backoff_remaining(), 0);
+        m.settle(true);
+        assert_eq!(m.backoff_remaining(), 8);
+        for _ in 0..8 {
+            assert!(!m.decide(800.0).reconfig);
+        }
+        // A success resets the streak: the next failure starts over at
+        // the base backoff.
         assert!(m.decide(800.0).reconfig);
-        m.reconfig_aborted();
-        assert_eq!(m.backoff_remaining(), 2);
+        assert_eq!(m.retry_count, 2);
+        m.settle(false);
+        assert_eq!(m.current(), Some((1, 1)));
+        for _ in 0..2 {
+            assert!(!m.decide(300.0).reconfig, "cooling down");
+        }
+        assert!(m.decide(300.0).reconfig);
+        assert_eq!(m.retry_count, 2, "no failure streak to recover from");
+        m.settle(true);
+        assert_eq!(m.backoff_remaining(), 4);
     }
 
     #[test]
@@ -664,7 +633,7 @@ mod tests {
         let mut m = RuntimeManager::new(demo_library(), 0.7, SelectionPolicy::ReconfigAware);
         m.decide(300.0);
         assert!(m.decide(800.0).reconfig);
-        m.reconfig_aborted();
+        m.settle(true);
         assert_eq!(m.backoff_remaining(), 0);
         assert!(m.decide(800.0).reconfig, "no backoff configured: retry now");
         assert_eq!(m.retry_count, 1);
@@ -673,24 +642,352 @@ mod tests {
     #[test]
     fn degraded_mode_tracks_floor_feasibility() {
         let mut m = RuntimeManager::new(demo_library(), 0.7, SelectionPolicy::ReconfigAware);
-        let d = m.decide(500.0);
-        assert!(!d.degraded);
-        assert!(!m.is_degraded());
+        assert!(!m.decide(500.0).degraded);
         // 1800 IPS is unreachable above the 0.7 floor: degraded.
         let d = m.decide(1800.0);
         assert!(d.degraded);
-        assert!(m.is_degraded());
-        assert_eq!(m.degraded_enter_count, 1);
-        // Load recovers: degraded mode exits; re-entry counts again.
+        assert!(
+            m.library.entries[d.entry].points[d.point].accuracy >= 0.7,
+            "the floor wins"
+        );
+        // Load recovers: degraded mode exits, and re-enters.
         assert!(!m.decide(500.0).degraded);
         assert!(m.decide(1800.0).degraded);
-        assert_eq!(m.degraded_enter_count, 2);
     }
 
     #[test]
     fn mitigation_off_is_bitwise_default() {
-        assert_eq!(MitigationConfig::default(), MitigationConfig::off());
-        assert!(!MitigationConfig::off().is_active());
-        assert!(MitigationConfig::recommended().is_active());
+        // `with_mitigation(off())` is the manager `new` builds: the same
+        // decisions and counters through reconfigurations and aborts.
+        let loads = [300.0, 800.0, 760.0, 300.0, 2000.0, 500.0, 820.0];
+        let mut plain = RuntimeManager::new(demo_library(), 0.7, SelectionPolicy::ReconfigAware);
+        let mut off = plain.clone().with_mitigation(MitigationConfig::off());
+        for (i, load) in loads.into_iter().enumerate() {
+            let d = plain.decide(load);
+            assert_eq!(d, off.decide(load), "load {load}");
+            if d.reconfig {
+                plain.settle(i % 2 == 0);
+                off.settle(i % 2 == 0);
+            }
+        }
+        assert_eq!(
+            (
+                plain.reconfig_count,
+                plain.ct_change_count,
+                plain.failed_reconfig_count,
+                plain.retry_count
+            ),
+            (
+                off.reconfig_count,
+                off.ct_change_count,
+                off.failed_reconfig_count,
+                off.retry_count
+            ),
+        );
+        assert!(plain.failed_reconfig_count > 0 && plain.retry_count > 0);
+        assert_ne!(MitigationConfig::off(), MitigationConfig::recommended());
+    }
+
+    // ---- Exhaustive check of the reachable states -------------------
+
+    const FLOOR: f64 = 0.75;
+    const POLICIES: [SelectionPolicy; 4] = [
+        SelectionPolicy::ReconfigAware,
+        SelectionPolicy::Oblivious,
+        SelectionPolicy::ThroughputGreedy,
+        SelectionPolicy::AccuracyGreedy,
+    ];
+
+    /// CT-Only 1×3, PR-Only 3×1 and AdaPEx 3 prune rates × 3
+    /// thresholds. Entry 2 sits below the floor, and entry 1's best
+    /// point is within `RECONFIG_HYSTERESIS` of entry 0's last, so
+    /// degraded mode and both sides of the hysteresis are reachable.
+    fn shapes() -> [(&'static str, Library); 3] {
+        type Points = [(f64, f64, f64); 3]; // (ct, accuracy, ips)
+        let rows: [(f64, f64, Points); 3] = [
+            (
+                0.0,
+                0.85,
+                [(0.9, 0.88, 700.0), (0.6, 0.85, 900.0), (0.3, 0.82, 1150.0)],
+            ),
+            (
+                0.5,
+                0.78,
+                [
+                    (0.9, 0.815, 1400.0),
+                    (0.6, 0.78, 1650.0),
+                    (0.3, 0.76, 1900.0),
+                ],
+            ),
+            (
+                0.8,
+                0.70,
+                [
+                    (0.9, 0.74, 2500.0),
+                    (0.6, 0.72, 2800.0),
+                    (0.3, 0.70, 3100.0),
+                ],
+            ),
+        ];
+        let library = |points: usize, entries: usize| Library {
+            entries: rows[..entries]
+                .iter()
+                .enumerate()
+                .map(|(id, (rate, mean, pts))| entry(id, *rate, *mean, pts[..points].to_vec()))
+                .collect::<Vec<LibraryEntry>>(),
+        };
+        [
+            ("CT-Only 1x3", library(3, 1)),
+            ("PR-Only 3x1", library(1, 3)),
+            ("AdaPEx 3x3", library(3, 3)),
+        ]
+    }
+
+    /// Every capacity ± ε, one load past every point and a pair inside
+    /// the ±10 % deadband.
+    fn load_alphabet(library: &Library) -> Vec<f64> {
+        let caps: Vec<f64> = library.design_space().map(|(_, p)| p.ips).collect();
+        let past = 1.5 * caps.iter().copied().fold(0.0, f64::max);
+        caps.iter()
+            .flat_map(|c| [c - 0.5, c + 0.5])
+            .chain([past, 1000.0, 1060.0])
+            .collect()
+    }
+
+    type Key = (
+        Option<(usize, usize)>,
+        Option<u64>,
+        u32,
+        u32,
+        u32,
+        Option<(usize, usize)>,
+        bool,
+    );
+
+    /// A state up to behaviour: a failure streak past 3 acts as 3 (the
+    /// next abort backs off at the cap, and `failures > 0` is all the
+    /// counters read), which keeps the reachable set finite.
+    fn key(s: &State) -> Key {
+        let State {
+            current,
+            anchor,
+            cooldown,
+            backoff,
+            failures,
+            pre_reconfig,
+            degraded,
+        } = *s;
+        (
+            current,
+            anchor.map(f64::to_bits),
+            cooldown,
+            backoff,
+            failures.min(3),
+            pre_reconfig,
+            degraded,
+        )
+    }
+
+    fn ensure(holds: bool, property: &'static str) -> Result<(), &'static str> {
+        if holds {
+            Ok(())
+        } else {
+            Err(property)
+        }
+    }
+
+    /// Whether `point` meets the floor at `load`.
+    fn meets(m: &RuntimeManager, point: &OperatingPoint, load: f64) -> bool {
+        point.ips >= load && point.accuracy >= m.min_accuracy
+    }
+
+    /// Properties (a)–(e) of one transition `s --obs--> t`.
+    fn check_edge(
+        m: &RuntimeManager,
+        s: State,
+        obs: Observation,
+        t: State,
+        d: Option<Decision>,
+    ) -> Result<(), &'static str> {
+        let strict = |load, only| m.library.select_strict(load, m.min_accuracy, only);
+        let acc = |(e, p): (usize, usize)| m.library.entries[e].points[p].accuracy;
+        match (obs, d) {
+            (Observation::Load(load), Some(d)) => {
+                ensure(
+                    t.current == Some((d.entry, d.point)),
+                    "the decision is the new selection",
+                )?;
+                ensure(
+                    !d.reconfig || (s.cooldown == 0 && s.backoff == 0),
+                    "(a) no reconfiguration in cooldown or backoff",
+                )?;
+                ensure(
+                    t.backoff == s.backoff.saturating_sub(1),
+                    "(b) backoff only counts down",
+                )?;
+                ensure(
+                    d.degraded == strict(load, None).is_none(),
+                    "(c) degraded iff nothing meets the floor",
+                )?;
+                if d.reconfig && m.policy == SelectionPolicy::ReconfigAware {
+                    let (cur, _) = s.current.expect("a reconfiguration leaves a selection");
+                    let forced = strict(load, Some(cur)).is_none_or(|local| {
+                        let bar = acc(local) + RECONFIG_HYSTERESIS;
+                        m.library
+                            .design_space()
+                            .any(|(_, p)| meets(m, p, load) && p.accuracy > bar)
+                    });
+                    ensure(
+                        forced,
+                        "(d) a threshold move is tried before a reconfiguration",
+                    )?;
+                }
+            }
+            (Observation::Settled, None) => {
+                ensure(t.backoff <= s.backoff, "(b) backoff only counts down")?
+            }
+            (Observation::Aborted, None) => {
+                let off = m.mitigation == MitigationConfig::off();
+                let doubled = if off {
+                    0
+                } else {
+                    (4u64 << (t.failures - 1).min(16)).min(16) as u32
+                };
+                ensure(
+                    t.failures == s.failures + 1 && t.backoff == doubled,
+                    "(b) an abort backs off 4·2^(k−1) ≤ 16",
+                )?;
+                ensure(
+                    t.current == s.pre_reconfig,
+                    "(e) an abort restores the pre-reconfiguration point",
+                )?;
+            }
+            _ => return Err("exactly a load decides"),
+        }
+        Ok(())
+    }
+
+    /// Property (f) from `s` at `load`: holding the load, every
+    /// reconfiguration settling, the decisions stop changing within
+    /// `bound` steps, and a load outside the deadband ends on a point
+    /// that meets the floor whenever one exists.
+    fn check_hold(m: &RuntimeManager, s: State, load: f64, bound: u32) -> Result<(), &'static str> {
+        let hold = |s: State| {
+            let s = if s.pre_reconfig.is_some() {
+                m.step(s, Observation::Settled).0
+            } else {
+                s
+            };
+            let (t, d) = m.step(s, Observation::Load(load));
+            (t, d.expect("a load decides"))
+        };
+        let mut t = s;
+        for _ in 0..bound {
+            t = hold(t).0;
+        }
+        let (next, d) = hold(t);
+        ensure(next == t && !d.reconfig, "(f) the decisions stop changing")?;
+        let free = !m.mitigation.holds(s.anchor, load);
+        let policy = matches!(
+            m.policy,
+            SelectionPolicy::ReconfigAware | SelectionPolicy::Oblivious
+        );
+        if free
+            && policy
+            && m.library
+                .select_strict(load, m.min_accuracy, None)
+                .is_some()
+        {
+            let point = &m.library.entries[d.entry].points[d.point];
+            ensure(
+                meets(m, point, load),
+                "(f) a held load ends on a point that meets the floor",
+            )?;
+        }
+        Ok(())
+    }
+
+    /// Breadth-first, to closure, over the deduplicated states reachable
+    /// from a fresh manager: loads from the alphabet, and
+    /// `Settled`/`Aborted` while a reconfiguration is in flight (what
+    /// the twins send through `Downtime`). Checks (a)–(e) on every edge
+    /// and (f) from every state; returns `(states, edges, depth)`, the
+    /// depth being the longest shortest path to a state.
+    fn explore(m: &RuntimeManager, loads: &[f64], label: &str) -> (usize, usize, usize) {
+        let MitigationConfig {
+            cooldown_periods,
+            backoff_max_periods,
+            ..
+        } = m.mitigation;
+        let bound = cooldown_periods + backoff_max_periods + 2;
+        let fresh = State::default();
+        let mut seen = HashSet::from([key(&fresh)]);
+        let mut frontier = vec![(fresh, Vec::new())];
+        let (mut edges, mut depth) = (0, 0);
+        loop {
+            let mut next = Vec::new();
+            for (s, path) in &frontier {
+                for &load in loads {
+                    if let Err(p) = check_hold(m, *s, load, bound) {
+                        panic!("{label}: {p}: holding {load} after {path:?}");
+                    }
+                }
+                let outcomes = [Observation::Settled, Observation::Aborted];
+                let in_flight = if s.pre_reconfig.is_some() {
+                    &outcomes[..]
+                } else {
+                    &[]
+                };
+                for obs in loads
+                    .iter()
+                    .map(|&l| Observation::Load(l))
+                    .chain(in_flight.iter().copied())
+                {
+                    let (t, d) = m.step(*s, obs);
+                    edges += 1;
+                    if let Err(p) = check_edge(m, *s, obs, t, d) {
+                        panic!("{label}: {p}: {obs:?} after {path:?} gave {d:?}, {t:?}");
+                    }
+                    if seen.insert(key(&t)) {
+                        let mut path = path.clone();
+                        path.push(obs);
+                        next.push((t, path));
+                    }
+                }
+            }
+            if next.is_empty() {
+                return (seen.len(), edges, depth);
+            }
+            frontier = next;
+            depth += 1;
+        }
+    }
+
+    /// Every reachable state, for every library shape, mitigation
+    /// setting and policy, keeps properties (a)–(f) (DESIGN.md §10 lists
+    /// them).
+    #[test]
+    fn every_reachable_state_keeps_the_manager_properties() {
+        let started = std::time::Instant::now();
+        let (mut states, mut edges) = (0, 0);
+        for (shape, library) in shapes() {
+            let loads = load_alphabet(&library);
+            for mitigation in [MitigationConfig::off(), MitigationConfig::recommended()] {
+                for policy in POLICIES {
+                    let m = RuntimeManager::new(library.clone(), FLOOR, policy)
+                        .with_mitigation(mitigation);
+                    let label =
+                        format!("{shape}, {policy:?}, deadband {}", mitigation.ips_deadband);
+                    let (s, e, d) = explore(&m, &loads, &label);
+                    println!("{label}: {s} states, {e} edges, depth {d}");
+                    states += s;
+                    edges += e;
+                }
+            }
+        }
+        println!(
+            "exhaustive check: {states} states, {edges} edges in {:.2?}",
+            started.elapsed()
+        );
     }
 }

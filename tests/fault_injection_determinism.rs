@@ -233,8 +233,7 @@ fn faulted_runs_are_job_count_invariant() {
     let sim = sim();
     let plan = FaultPlan::canned();
     for mitigation in [MitigationConfig::off(), MitigationConfig::recommended()] {
-        let mut manager = adaptive_manager();
-        manager.set_mitigation(mitigation);
+        let manager = adaptive_manager().with_mitigation(mitigation);
         let spec = RunSpec::new(Traffic::Synthetic, &plan, 42);
         let serial = sim.run_many(&manager, &spec, 6, 1);
         let parallel = sim.run_many(&manager, &spec, 6, 4);

@@ -83,9 +83,7 @@ fn golden_manager(mitigation: MitigationConfig) -> RuntimeManager {
             entry(2, 0.8, &[(0.9, 0.70, 2500.0)]),
         ],
     };
-    let mut m = RuntimeManager::new(library, 0.75, SelectionPolicy::ReconfigAware);
-    m.set_mitigation(mitigation);
-    m
+    RuntimeManager::new(library, 0.75, SelectionPolicy::ReconfigAware).with_mitigation(mitigation)
 }
 
 /// Mitigation mirrors the CLI default: recommended under a fault plan,

@@ -59,9 +59,7 @@ fn manager() -> RuntimeManager {
             entry(2, 0.8, &[(0.9, 0.70, 2500.0)]),
         ],
     };
-    let mut m = RuntimeManager::new(library, 0.75, SelectionPolicy::ReconfigAware);
-    m.set_mitigation(MitigationConfig::off());
-    m
+    RuntimeManager::new(library, 0.75, SelectionPolicy::ReconfigAware)
 }
 
 const SEED: u64 = 0xD1FF;
@@ -85,8 +83,7 @@ fn synthetic_spec_path_is_bit_identical_under_faults() {
     // layer must not perturb them either.
     let sim = EdgeSimulation::new(SimConfig::paper_default(145.0));
     let spec = WorkloadSpec::paper_default();
-    let mut m = manager();
-    m.set_mitigation(MitigationConfig::recommended());
+    let m = manager().with_mitigation(MitigationConfig::recommended());
     let plan = FaultPlan::canned();
     for jobs in [1usize, 4] {
         let builtin = sim.run_many(&m, &RunSpec::new(Traffic::Synthetic, &plan, SEED), 2, jobs);
