@@ -120,14 +120,26 @@ impl SyntheticConfig {
 
         let base = patterns.pattern(label);
         let mut img = vec![0.0f32; c * plane];
+        // Each row is the source row rotated left by `dx`:
+        // `dst[x] = src[(x + dx) mod w]`, copied as two contiguous runs.
+        // The wrap is resolved once per row rather than per pixel; the
+        // per-pixel form of this loop is miscompiled by rustc 1.95's loop
+        // vectorizer at opt-level 3, which rendered different pixels in
+        // release builds than in the test profile.
+        let sx0 = dx.rem_euclid(w as i32) as usize;
+        let jitter = |dst: &mut [f32], src: &[f32]| {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = contrast * s + brightness;
+            }
+        };
         for ch in 0..c {
             for y in 0..h {
-                for x in 0..w {
-                    let sy = (y as i32 + dy).rem_euclid(h as i32) as usize;
-                    let sx = (x as i32 + dx).rem_euclid(w as i32) as usize;
-                    img[ch * plane + y * w + x] =
-                        contrast * base[ch * plane + sy * w + sx] + brightness;
-                }
+                let sy = (y as i32 + dy).rem_euclid(h as i32) as usize;
+                let src = &base[ch * plane + sy * w..ch * plane + (sy + 1) * w];
+                let dst = &mut img[ch * plane + y * w..ch * plane + (y + 1) * w];
+                let (head, tail) = dst.split_at_mut(w - sx0);
+                jitter(head, &src[sx0..]);
+                jitter(tail, &src[..sx0]);
             }
         }
 
@@ -384,6 +396,49 @@ mod tests {
             same > cross,
             "same-class corr {same} should exceed cross-class {cross}"
         );
+    }
+
+    /// Noise-free easy samples are exactly `contrast·base[shifted] +
+    /// brightness`, checked against a per-pixel reference whose indices
+    /// go through `black_box` so no vectorizer rewrites it. Run under
+    /// `--release` this catches an optimizer-only divergence of the
+    /// render loop.
+    #[test]
+    fn shifted_render_matches_a_per_pixel_reference() {
+        use std::hint::black_box;
+        let mut cfg = SyntheticConfig::new(DatasetKind::Cifar10Like);
+        cfg.easy_noise = 0.0;
+        let patterns = ClassPatterns::new(cfg.kind, cfg.seed);
+        let (c, h, w) = cfg.kind.image_dims();
+        let mut rng = rng_from_seed(5);
+        let mut shifts = std::collections::BTreeSet::new();
+        for i in 0..200 {
+            let label = i % cfg.kind.num_classes();
+            let mut draws = rng.clone();
+            let contrast = 0.8 + 0.4 * draws.random::<f32>();
+            let brightness = 0.2 * (draws.random::<f32>() - 0.5);
+            let dy = draws.random_range(-2i32..=2);
+            let dx = draws.random_range(-2i32..=2);
+            shifts.insert((dy, dx));
+            let img = cfg.render_sample(&patterns, label, Difficulty::Easy, &mut rng);
+            let base = patterns.pattern(label);
+            for ch in 0..c {
+                for y in 0..h {
+                    for x in 0..w {
+                        let sy = black_box((y as i32 + dy).rem_euclid(h as i32) as usize);
+                        let sx = black_box((x as i32 + dx).rem_euclid(w as i32) as usize);
+                        let want = contrast * base[(ch * h + sy) * w + sx] + brightness;
+                        let got = img[(ch * h + y) * w + x];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "sample {i} shift ({dy},{dx}) ch {ch} y {y} x {x}: {got} vs {want}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(shifts.len(), 25, "every shift covered: {shifts:?}");
     }
 
     #[test]

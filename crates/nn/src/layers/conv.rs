@@ -360,8 +360,16 @@ impl QuantConv2d {
         out
     }
 
-    /// One image's contribution to the backward pass: accumulates `dW`
-    /// into `ws.dw`, `db` into `ws.db`, and writes `dX` into `dx_out`.
+    /// One image's contribution to the backward pass: accumulates `dWᵀ`
+    /// into `ws.dw`, `db` into `ws.db`, and — when `dx_out` is given —
+    /// writes `dX` into it.
+    ///
+    /// The weight gradient is computed transposed, `dWᵀ = cols · dYᵀ`
+    /// (`[kk, c_out]`): the kernel then repacks only `dY` (`c_out ×
+    /// pixels`) instead of the whole im2col matrix (`kk × pixels`). Each
+    /// element is still `Σ_p cols[t][p] · dY[co][p]` over ascending `p`
+    /// with the first term written — term for term the sum `dW = dY ·
+    /// colsᵀ` forms, so the bits are the same.
     #[allow(clippy::too_many_arguments)]
     fn backward_image(
         &self,
@@ -371,14 +379,14 @@ impl QuantConv2d {
         (h, w): (usize, usize),
         pixels: usize,
         kk: usize,
-        dx_out: &mut [f32],
+        dx_out: Option<&mut [f32]>,
     ) {
         let (c_in, c_out) = (self.c_in, self.c_out);
         im2col_into(img, c_in, h, w, self.geom, &mut ws.cols);
-        // dW += dY * cols^T
+        // dWᵀ += cols * dY^T
         ws.dw_img.clear();
-        ws.dw_img.resize(c_out * kk, 0.0);
-        gemm_a_bt_st(c_out, pixels, kk, dy, &ws.cols, &mut ws.dw_img);
+        ws.dw_img.resize(kk * c_out, 0.0);
+        gemm_a_bt_st(kk, pixels, c_out, &ws.cols, dy, &mut ws.dw_img);
         for (acc, &v) in ws.dw.iter_mut().zip(&ws.dw_img) {
             *acc += v;
         }
@@ -386,6 +394,9 @@ impl QuantConv2d {
         for co in 0..c_out {
             ws.db[co] += dy[co * pixels..(co + 1) * pixels].iter().sum::<f32>();
         }
+        let Some(dx_out) = dx_out else {
+            return;
+        };
         // dCols = W^T * dY ; dX = col2im(dCols)
         ws.dcols.clear();
         ws.dcols.resize(kk * pixels, 0.0);
@@ -394,19 +405,24 @@ impl QuantConv2d {
         dx_out.copy_from_slice(&ws.scratch);
     }
 
-    /// Folds one worker's `(dW, db)` partial into the parameter gradients
-    /// with the STE clipping mask (saturated weights stop receiving
-    /// gradient).
-    fn reduce_partial(&mut self, dw: &[f32], db: &[f32], kk: usize) {
+    /// Folds one worker's `(dWᵀ, db)` partial into the parameter
+    /// gradients with the STE clipping mask (saturated weights stop
+    /// receiving gradient). `dw_t` is `[kk, c_out]`; the gradient is
+    /// `[c_out, kk]`.
+    fn reduce_partial(&mut self, dw_t: &[f32], db: &[f32], kk: usize) {
         let spec = self.weight_spec;
-        for (i, (slot, (&g, &w0))) in self
+        let c_out = self.c_out;
+        for (co, (grads, weights)) in self
             .weight
             .grad
-            .iter_mut()
-            .zip(dw.iter().zip(&self.weight.value))
+            .chunks_exact_mut(kk)
+            .zip(self.weight.value.chunks_exact(kk))
             .enumerate()
         {
-            *slot += g * quant::ste_mask(w0, self.cache.scales[i / kk], spec);
+            let scale = self.cache.scales[co];
+            for (t, (slot, &w0)) in grads.iter_mut().zip(weights).enumerate() {
+                *slot += dw_t[t * c_out + co] * quant::ste_mask(w0, scale, spec);
+            }
         }
         for (slot, &g) in self.bias.grad.iter_mut().zip(db) {
             *slot += g;
@@ -420,6 +436,18 @@ impl QuantConv2d {
     /// Panics if no training-mode forward preceded this call.
     pub fn backward(&mut self, grad_out: &Activation) -> Activation {
         self.backward_with_workers(grad_out, num_threads())
+    }
+
+    /// [`QuantConv2d::backward`] for a layer whose input gradient nobody
+    /// reads (the network's stem): accumulates the parameter gradients
+    /// only, skipping the `Wᵀ·dY` GEMM and `col2im`. The parameter
+    /// gradients are the same bits either way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no training-mode forward preceded this call.
+    pub(crate) fn backward_params(&mut self, grad_out: &Activation) {
+        self.run_backward(grad_out, num_threads(), false);
     }
 
     /// [`QuantConv2d::backward`] with an explicit worker count.
@@ -438,6 +466,18 @@ impl QuantConv2d {
     ///
     /// Panics if no training-mode forward preceded this call.
     pub fn backward_with_workers(&mut self, grad_out: &Activation, workers: usize) -> Activation {
+        self.run_backward(grad_out, workers, true)
+            .expect("an input gradient was asked for")
+    }
+
+    /// The backward pass behind both entry points; computes and returns
+    /// the input gradient only when `want_dx`.
+    fn run_backward(
+        &mut self,
+        grad_out: &Activation,
+        workers: usize,
+        want_dx: bool,
+    ) -> Option<Activation> {
         assert!(self.cache_valid, "conv backward requires cached forward");
         self.cache_valid = false;
         let (h, w) = self.cache.in_hw;
@@ -451,7 +491,8 @@ impl QuantConv2d {
         let sample_in = self.c_in * h * w;
         let sample_out = self.c_out * pixels;
 
-        let mut grad_in = Activation::zeros(n, &[self.c_in, h, w]);
+        // Every sample's slice is overwritten by its `col2im` result.
+        let mut grad_in = want_dx.then(|| Activation::for_overwrite(n, &[self.c_in, h, w]));
         if n == 0 {
             return grad_in;
         }
@@ -472,7 +513,9 @@ impl QuantConv2d {
                     for i in start..end {
                         let img = &self.cache.input[i * sample_in..(i + 1) * sample_in];
                         let dy = &grad_out.data[i * sample_out..(i + 1) * sample_out];
-                        let dx = &mut grad_in.data[i * sample_in..(i + 1) * sample_in];
+                        let dx = grad_in
+                            .as_mut()
+                            .map(|g| &mut g.data[i * sample_in..(i + 1) * sample_in]);
                         self.backward_image(ws, img, dy, (h, w), pixels, kk, dx);
                     }
                     let Workspace { dw, db, .. } = ws;
@@ -486,18 +529,21 @@ impl QuantConv2d {
         // each chunk its disjoint dX slice, then reduce the collected
         // per-chunk partials in chunk-index order.
         // One unit of work: `(chunk index, sample range, dX slice)`.
-        type ChunkTask<'t> = (usize, Range<usize>, &'t mut [f32]);
+        type ChunkTask<'t> = (usize, Range<usize>, Option<&'t mut [f32]>);
         let this = &*self;
         let dy_all = &grad_out.data;
         let mut per_worker: Vec<Vec<ChunkTask<'_>>> =
             (0..workers).map(|_| Vec::new()).collect();
         {
-            let mut rest: &mut [f32] = &mut grad_in.data;
+            let mut rest = grad_in.as_mut().map(|g| &mut g.data[..]);
             for c in 0..chunks {
                 let start = c * BWD_CHUNK;
                 let end = (start + BWD_CHUNK).min(n);
-                let (head, tail) = rest.split_at_mut((end - start) * sample_in);
-                rest = tail;
+                let head = rest.take().map(|r| {
+                    let (head, tail) = r.split_at_mut((end - start) * sample_in);
+                    rest = Some(tail);
+                    head
+                });
                 per_worker[c % workers].push((c, start..end, head));
             }
         }
@@ -508,7 +554,7 @@ impl QuantConv2d {
                     scope.spawn(move || {
                         with_workspace(|ws| {
                             let mut out = Vec::with_capacity(tasks.len());
-                            for (c, range, head) in tasks {
+                            for (c, range, mut head) in tasks {
                                 ws.dw.clear();
                                 ws.dw.resize(this.c_out * kk, 0.0);
                                 ws.db.clear();
@@ -519,8 +565,9 @@ impl QuantConv2d {
                                         &this.cache.input[i * sample_in..(i + 1) * sample_in];
                                     let dy = &dy_all[i * sample_out..(i + 1) * sample_out];
                                     let local = i - base;
-                                    let dx =
-                                        &mut head[local * sample_in..(local + 1) * sample_in];
+                                    let dx = head.as_deref_mut().map(|hd| {
+                                        &mut hd[local * sample_in..(local + 1) * sample_in]
+                                    });
                                     this.backward_image(ws, img, dy, (h, w), pixels, kk, dx);
                                 }
                                 out.push((c, take_f32_from(&ws.dw), take_f32_from(&ws.db)));

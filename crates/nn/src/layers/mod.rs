@@ -373,6 +373,22 @@ impl Layer {
         }
     }
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads:
+    /// accumulates the same parameter gradients, and a conv skips the
+    /// input-gradient GEMM and `col2im` it would otherwise run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a training-mode [`Layer::forward`].
+    pub(crate) fn backward_params(&mut self, grad_out: &Activation) {
+        match self {
+            Layer::Conv(l) => l.backward_params(grad_out),
+            _ => {
+                self.backward(grad_out);
+            }
+        }
+    }
+
     /// Visits every trainable parameter.
     pub fn for_each_param(&mut self, f: &mut impl FnMut(&mut Param)) {
         match self {

@@ -126,7 +126,8 @@ impl BatchNorm {
             return out;
         }
 
-        let mut out = Activation::zeros(x.n, &x.dims);
+        // `out` and `xhat` are overwritten element for element below.
+        let mut out = Activation::for_overwrite(x.n, &x.dims);
         with_workspace(|ws| {
             let mean = &mut ws.scratch;
             mean.clear();
@@ -136,8 +137,11 @@ impl BatchNorm {
             var.resize(self.channels, 0.0);
             for i in 0..x.n {
                 let s = &x.data[i * sample_len..(i + 1) * sample_len];
-                for c in 0..self.channels {
-                    mean[c] += s[c * spatial..(c + 1) * spatial].iter().sum::<f32>();
+                for (c0, width) in channel_groups(self.channels) {
+                    match width {
+                        CHAINS => sum_chains::<CHAINS>(s, spatial, c0, mean, None),
+                        _ => sum_chains::<1>(s, spatial, c0, mean, None),
+                    }
                 }
             }
             for m in mean.iter_mut() {
@@ -145,11 +149,11 @@ impl BatchNorm {
             }
             for i in 0..x.n {
                 let s = &x.data[i * sample_len..(i + 1) * sample_len];
-                for c in 0..self.channels {
-                    var[c] += s[c * spatial..(c + 1) * spatial]
-                        .iter()
-                        .map(|&v| (v - mean[c]) * (v - mean[c]))
-                        .sum::<f32>();
+                for (c0, width) in channel_groups(self.channels) {
+                    match width {
+                        CHAINS => sum_chains::<CHAINS>(s, spatial, c0, var, Some(mean)),
+                        _ => sum_chains::<1>(s, spatial, c0, var, Some(mean)),
+                    }
                 }
             }
             for v in var.iter_mut() {
@@ -166,8 +170,12 @@ impl BatchNorm {
             self.cache
                 .inv_std
                 .extend(var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
-            self.cache.xhat.clear();
-            self.cache.xhat.resize(x.data.len(), 0.0);
+            let xhat = &mut self.cache.xhat;
+            if xhat.len() > x.data.len() {
+                xhat.truncate(x.data.len());
+            } else {
+                xhat.resize(x.data.len(), 0.0);
+            }
             for i in 0..x.n {
                 let s = &x.data[i * sample_len..(i + 1) * sample_len];
                 let o = &mut out.data[i * sample_len..(i + 1) * sample_len];
@@ -203,7 +211,8 @@ impl BatchNorm {
         let spatial = self.spatial(&self.cache.dims);
         let count = (self.cache.n * spatial) as f32;
         let sample_len: usize = self.cache.dims.iter().product();
-        let mut grad_in = Activation::zeros(self.cache.n, &self.cache.dims);
+        // Every element is written by `bn_backward_dx` below.
+        let mut grad_in = Activation::for_overwrite(self.cache.n, &self.cache.dims);
 
         with_workspace(|ws| {
             // Per-channel reductions: sum(dY) and sum(dY * xhat).
@@ -216,10 +225,10 @@ impl BatchNorm {
             for i in 0..self.cache.n {
                 let dy = &grad_out.data[i * sample_len..(i + 1) * sample_len];
                 let xh = &self.cache.xhat[i * sample_len..(i + 1) * sample_len];
-                for c in 0..self.channels {
-                    for j in c * spatial..(c + 1) * spatial {
-                        sum_dy[c] += dy[j];
-                        sum_dy_xhat[c] += dy[j] * xh[j];
+                for (c0, width) in channel_groups(self.channels) {
+                    match width {
+                        CHAINS => grad_chains::<CHAINS>(dy, xh, spatial, c0, sum_dy, sum_dy_xhat),
+                        _ => grad_chains::<1>(dy, xh, spatial, c0, sum_dy, sum_dy_xhat),
                     }
                 }
             }
@@ -249,6 +258,86 @@ impl BatchNorm {
         });
         grad_in
     }
+}
+
+/// Channels whose serial reductions run side by side. Each channel's
+/// statistic is one chain of dependent adds; eight independent chains
+/// keep the adder busy where one would wait out every add's latency.
+const CHAINS: usize = 8;
+
+/// `(first channel, width)` groups covering `0..channels`: full groups
+/// of [`CHAINS`], then the rest one channel at a time.
+fn channel_groups(channels: usize) -> impl Iterator<Item = (usize, usize)> {
+    let full = channels - channels % CHAINS;
+    (0..full)
+        .step_by(CHAINS)
+        .map(|c0| (c0, CHAINS))
+        .chain((full..channels).map(|c| (c, 1)))
+}
+
+/// Adds one sample's sum over each of channels `c0..c0 + L` onto
+/// `acc[c]`: `Σ x`, or `Σ (x − mean[c])²` when `mean` is given. Each
+/// channel's terms fold in order from −0.0, exactly as
+/// `Iterator::sum::<f32>` over that channel would, so the interleaving
+/// changes no bit.
+#[inline(always)]
+fn sum_chains<const L: usize>(
+    s: &[f32],
+    spatial: usize,
+    c0: usize,
+    acc: &mut [f32],
+    mean: Option<&[f32]>,
+) {
+    let rows: [&[f32]; L] = std::array::from_fn(|l| &s[(c0 + l) * spatial..][..spatial]);
+    let mut sums = [-0.0f32; L];
+    match mean {
+        None => {
+            for j in 0..spatial {
+                for (sum, row) in sums.iter_mut().zip(&rows) {
+                    *sum += row[j];
+                }
+            }
+        }
+        Some(mean) => {
+            let m: [f32; L] = std::array::from_fn(|l| mean[c0 + l]);
+            for j in 0..spatial {
+                for ((sum, row), &m) in sums.iter_mut().zip(&rows).zip(&m) {
+                    let d = row[j] - m;
+                    *sum += d * d;
+                }
+            }
+        }
+    }
+    for (a, s) in acc[c0..c0 + L].iter_mut().zip(sums) {
+        *a += s;
+    }
+}
+
+/// Continues the running `Σ dy` and `Σ dy·x̂` of channels `c0..c0 + L`
+/// over one sample, element by element in order — the same two chains
+/// per channel as a one-channel loop, `2L` of them in flight.
+#[inline(always)]
+fn grad_chains<const L: usize>(
+    dy: &[f32],
+    xh: &[f32],
+    spatial: usize,
+    c0: usize,
+    sum_dy: &mut [f32],
+    sum_dy_xhat: &mut [f32],
+) {
+    let dys: [&[f32]; L] = std::array::from_fn(|l| &dy[(c0 + l) * spatial..][..spatial]);
+    let xhs: [&[f32]; L] = std::array::from_fn(|l| &xh[(c0 + l) * spatial..][..spatial]);
+    let mut sd: [f32; L] = std::array::from_fn(|l| sum_dy[c0 + l]);
+    let mut sdx: [f32; L] = std::array::from_fn(|l| sum_dy_xhat[c0 + l]);
+    for j in 0..spatial {
+        for l in 0..L {
+            let d = dys[l][j];
+            sd[l] += d;
+            sdx[l] += d * xhs[l][j];
+        }
+    }
+    sum_dy[c0..c0 + L].copy_from_slice(&sd);
+    sum_dy_xhat[c0..c0 + L].copy_from_slice(&sdx);
 }
 
 #[cfg(test)]
@@ -316,6 +405,67 @@ mod tests {
                 dx.data[xi]
             );
         }
+    }
+
+    /// The channel-interleaved statistics against the one-channel loops
+    /// they replaced, bit for bit: 11 channels (one group of eight and
+    /// three single chains), data dense in ±0.0.
+    #[test]
+    fn interleaved_statistics_match_the_one_channel_loops() {
+        let (n, channels, spatial) = (3, 11, 6);
+        let sample = channels * spatial;
+        let pattern = |i: usize, k: usize| match (i * k) % 7 {
+            0 => 0.0,
+            1 => -0.0,
+            _ => ((i * 37 % 101) as f32 - 50.0) / 17.0,
+        };
+        let x: Vec<f32> = (0..n * sample).map(|i| pattern(i, 3)).collect();
+        let dy: Vec<f32> = (0..n * sample).map(|i| pattern(i + 5, 5)).collect();
+        let mut bn = BatchNorm::new(channels);
+        bn.gamma.value = (0..channels).map(|c| 0.5 + c as f32 * 0.1).collect();
+        bn.forward(&Activation::new(x.clone(), n, vec![channels, 2, 3]), true);
+        let dx = bn.backward(&Activation::new(dy.clone(), n, vec![channels, 2, 3]));
+
+        let at = |v: &[f32], i: usize, c: usize| v[i * sample + c * spatial..][..spatial].to_vec();
+        let count = (n * spatial) as f32;
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut want_dx = vec![0.0f32; n * sample];
+        for c in 0..channels {
+            let mut mean = 0.0f32;
+            for i in 0..n {
+                mean += at(&x, i, c).iter().sum::<f32>();
+            }
+            mean /= count;
+            let mut var = 0.0f32;
+            for i in 0..n {
+                var += at(&x, i, c).iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>();
+            }
+            var /= count;
+            let m = bn.momentum;
+            let want_mean = (1.0 - m) * 0.0 + m * mean;
+            let want_var = (1.0 - m) * 1.0 + m * var;
+            assert_eq!(bn.running_mean[c].to_bits(), want_mean.to_bits(), "mean {c}");
+            assert_eq!(bn.running_var[c].to_bits(), want_var.to_bits(), "var {c}");
+            let inv_std = 1.0 / (var + bn.eps).sqrt();
+            let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
+            for i in 0..n {
+                for (&d, &v) in at(&dy, i, c).iter().zip(&at(&x, i, c)) {
+                    sum_dy += d;
+                    sum_dy_xhat += d * ((v - mean) * inv_std);
+                }
+            }
+            assert_eq!(bn.beta.grad[c].to_bits(), (0.0 + sum_dy).to_bits(), "beta {c}");
+            assert_eq!(bn.gamma.grad[c].to_bits(), (0.0 + sum_dy_xhat).to_bits(), "gamma {c}");
+            let coeff = bn.gamma.value[c] * inv_std / count;
+            for i in 0..n {
+                for j in 0..spatial {
+                    let k = i * sample + c * spatial + j;
+                    let xh = (x[k] - mean) * inv_std;
+                    want_dx[k] = coeff * (count * dy[k] - sum_dy - xh * sum_dy_xhat);
+                }
+            }
+        }
+        assert_eq!(bits(&dx.data), bits(&want_dx));
     }
 
     #[test]

@@ -119,7 +119,9 @@ impl EarlyExitNetwork {
 
     /// Backpropagates one gradient per exit (same order as
     /// [`EarlyExitNetwork::forward`] outputs), accumulating parameter
-    /// gradients throughout the network.
+    /// gradients throughout the network. Nothing reads the gradient with
+    /// respect to the input images, so the stem (backbone layer 0)
+    /// computes its parameter gradients only.
     ///
     /// # Panics
     ///
@@ -148,7 +150,11 @@ impl EarlyExitNetwork {
                     }
                 }
             }
-            grad = self.backbone[j].backward(&grad);
+            if j == 0 {
+                self.backbone[0].backward_params(&grad);
+            } else {
+                grad = self.backbone[j].backward(&grad);
+            }
         }
     }
 

@@ -61,9 +61,6 @@ fn min_rows_per_worker(k: usize, n: usize) -> usize {
 enum Epilogue<'a> {
     /// `C = A * B`: the first `k` step writes, later steps accumulate.
     Store,
-    /// `C += A * B`: every step accumulates onto the existing values, so
-    /// the per-element addition order is `c + a_0*b_0 + a_1*b_1 + …`.
-    Accumulate,
     /// `C = A * B + bias[i]` broadcast along each row `i` (the conv bias
     /// epilogue, folded into the final `k` step).
     Bias(&'a [f32]),
@@ -86,15 +83,14 @@ fn gemm_rows<const TRANS: bool>(
     if rows == 0 || n == 0 {
         return;
     }
-    let (init, bias) = match ep {
-        Epilogue::Store => (true, None),
-        Epilogue::Accumulate => (false, None),
-        Epilogue::Bias(bs) => (true, Some(bs)),
+    let bias = match ep {
+        Epilogue::Store => None,
+        Epilogue::Bias(bs) => Some(bs),
     };
     let mut k0 = 0;
     while k0 < k {
         let k1 = (k0 + KC).min(k);
-        let panel_init = init && k0 == 0;
+        let panel_init = k0 == 0;
         let panel_bias = if k1 == k { bias } else { None };
         let mut j0 = 0;
         while j0 < n {
@@ -204,19 +200,6 @@ pub fn gemm_bias_st(
         return;
     }
     gemm_rows::<false>(k, k, n, a, 0, m, b, c, Epilogue::Bias(bias));
-}
-
-/// `C += A * B`; same layout contract as [`gemm`].
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with its dimensions.
-pub fn gemm_acc(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
-    check_ab(m, k, n, a, b, c);
-    if k == 0 {
-        return;
-    }
-    gemm_parallel(m, k, n, a, b, c, Epilogue::Accumulate);
 }
 
 /// `C = A^T * B` for row-major `A: [k, m]`, `B: [k, n]`, `C: [m, n]`.
@@ -468,15 +451,6 @@ mod tests {
         let mut fused = vec![0.0; m * n];
         gemm_bias(m, k, n, &a, &b, &bias, &mut fused);
         assert_eq!(plain, fused);
-    }
-
-    #[test]
-    fn gemm_acc_accumulates() {
-        let a = vec![1.0, 0.0, 0.0, 1.0];
-        let b = vec![2.0, 3.0, 4.0, 5.0];
-        let mut c = vec![1.0; 4];
-        gemm_acc(2, 2, 2, &a, &b, &mut c);
-        assert_eq!(c, vec![3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

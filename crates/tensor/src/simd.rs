@@ -330,10 +330,18 @@ fn a_elem<const TRANS: bool>(a: &[f32], lda: usize, row: usize, kk: usize) -> f3
 ///
 /// Semantics per element, identical on every backend:
 /// * when `init`, step `k0` *writes* `0.0 + a*b` (no read of `C`);
-/// * middle steps accumulate `c += a*b` in ascending-`k` order, skipping
-///   steps whose `A` element is exactly zero (data-dependent only);
+/// * middle steps accumulate `c += a*b` in ascending-`k` order, every
+///   step, whatever the data — no branch on the value of `A`;
 /// * when `bias` is given, the final step folds it as `(c + a*b) + bias`
 ///   (the bias row is indexed by the global row `gr + r`).
+///
+/// A zero `A` element costs a full step rather than being skipped. For
+/// finite `B` that cannot change a bit: a `c` the panel wrote is
+/// `0.0 + a*b`, never −0 (every `gemm` entry point writes its first
+/// step), and a sum of two values that are not both −0 is never −0, so
+/// each zero step adds ±0 to a `c` that is not −0 and returns it
+/// unchanged. Only a zero times a non-finite `B` element differs from a
+/// skip: it makes the element NaN.
 ///
 /// The AVX2 backend keeps the accumulators in registers across the whole
 /// `k` sweep (column tiles of 16/8 plus a scalar tail), which is where the
@@ -529,8 +537,8 @@ pub mod portable {
     }
 
     /// Portable [`super::gemm_panel`]: three straight-line phases — the
-    /// write step, the zero-skipping SAXPY middle, and the bias step — so
-    /// the hot loops carry no per-step dispatch.
+    /// write step, the SAXPY middle, and the bias step — so the hot loops
+    /// carry no per-step dispatch.
     #[allow(clippy::too_many_arguments)]
     #[inline]
     pub fn gemm_panel<const TRANS: bool>(
@@ -572,14 +580,7 @@ pub mod portable {
                 while kk < last {
                     let b_row = &b[kk * n + j0..kk * n + j1];
                     for (r, row) in rows.iter_mut().enumerate() {
-                        let ar = super::a_elem::<TRANS>(a, lda, gr + r, kk);
-                        // Exact zeros are common in `A` (2-bit quantized
-                        // weights, ReLU-masked gradients); skipping their
-                        // row sweep is per-element deterministic: it
-                        // depends only on the data.
-                        if ar != 0.0 {
-                            axpy(row, ar, b_row);
-                        }
+                        axpy(row, super::a_elem::<TRANS>(a, lda, gr + r, kk), b_row);
                     }
                     kk += 1;
                 }
@@ -920,8 +921,7 @@ pub mod avx2 {
     /// broadcast `A` element feeds a full tile row. Remaining columns run
     /// the scalar per-element sequence. Lanes map 1:1 onto `C` elements
     /// and every element still accumulates mul-then-add in ascending-`k`
-    /// order with the same zero-skip rule, so the result is bit-identical
-    /// to the portable panel.
+    /// order, so the result is bit-identical to the portable panel.
     ///
     /// # Safety
     /// Requires AVX2. `c.len() == rr * n`, `rr` in `1..=4`,
@@ -1016,11 +1016,7 @@ pub mod avx2 {
             while kk < last {
                 let bv = *b.get_unchecked(kk * n + jj);
                 for (r, v) in acc_s.iter_mut().enumerate() {
-                    let ar = a_elem_raw::<TRANS>(a, lda, gr + r, kk);
-                    // Same integer zero test as in `tile` (≡ `ar != 0.0`).
-                    if ar.to_bits() << 1 != 0 {
-                        *v += ar * bv;
-                    }
+                    *v += a_elem_raw::<TRANS>(a, lda, gr + r, kk) * bv;
                 }
                 kk += 1;
             }
@@ -1086,16 +1082,9 @@ pub mod avx2 {
             let bv: [__m256; NV] =
                 std::array::from_fn(|v| _mm256_loadu_ps(b.as_ptr().add(kk * n + j + v * LANES)));
             for (r, row) in acc.iter_mut().enumerate() {
-                let ar = a_elem_raw::<TRANS>(a, lda, gr + r, kk);
-                // `to_bits() << 1 != 0` is exactly `ar != 0.0` for the
-                // skip (false only for ±0.0; NaN still accumulates) but
-                // compiles to one integer test instead of `ucomiss` plus
-                // a NaN-parity branch pair.
-                if ar.to_bits() << 1 != 0 {
-                    let var = _mm256_set1_ps(ar);
-                    for (lane, &bvv) in row.iter_mut().zip(bv.iter()) {
-                        *lane = _mm256_add_ps(*lane, _mm256_mul_ps(var, bvv));
-                    }
+                let var = _mm256_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
+                for (lane, &bvv) in row.iter_mut().zip(bv.iter()) {
+                    *lane = _mm256_add_ps(*lane, _mm256_mul_ps(var, bvv));
                 }
             }
             kk += 1;

@@ -54,9 +54,10 @@ pub struct Workspace {
     pub cols: Vec<f32>,
     /// Gradient column buffer (input to `col2im`).
     pub dcols: Vec<f32>,
-    /// Weight-gradient accumulator (`[c_out, k*k*c_in]`).
+    /// Weight-gradient accumulator (a linear layer's `[out, in]`; a
+    /// conv layer's transposed `[k*k*c_in, c_out]`).
     pub dw: Vec<f32>,
-    /// Per-image weight gradient, accumulated into `dw`.
+    /// Per-image weight gradient, accumulated into `dw` (same layout).
     pub dw_img: Vec<f32>,
     /// Bias-gradient accumulator (`[c_out]`).
     pub db: Vec<f32>,

@@ -5,8 +5,9 @@
 //! fixed-width backend, and — on hosts with AVX2 — the vector backend
 //! called directly. Agreement is asserted on the raw bit patterns, over
 //! aligned and unaligned slices, lengths that exercise the remainder
-//! lanes, and inputs dense in exact zeros so the GEMM zero-skip fast
-//! path runs.
+//! lanes, and inputs dense in exact ±0.0 — where the GEMM panel, which
+//! has no zero-skip branch, must still equal a reference that skips
+//! every zero `A` term.
 
 use adapex_tensor::simd::{self, portable, Backend};
 use proptest::prelude::*;
@@ -25,7 +26,7 @@ fn has_avx2() -> bool {
     }
 }
 
-/// Finite values mixed with exact ±0.0 (the zero-skip trigger).
+/// Finite values mixed with exact ±0.0.
 fn vals(len: usize) -> impl Strategy<Value = Vec<f32>> {
     prop::collection::vec(
         (0u8..8, -3.0f32..3.0).prop_map(|(tag, v)| match tag {
@@ -289,8 +290,11 @@ proptest! {
 
     /// The register-tiled AVX2 GEMM panel agrees bit-for-bit with the
     /// portable three-phase panel for both A layouts, interior column
-    /// windows, bias folding, the first-k-step write (C starts as NaN
-    /// garbage when `init`), and zero-dense A (the skip fast path).
+    /// windows, bias folding, and the first-k-step write (C starts as NaN
+    /// garbage when `init`). Both equal a per-element reference that
+    /// skips every zero `A` term of the middle steps: on finite operands
+    /// and a C that does not start at −0, running those terms changes
+    /// no bit.
     #[test]
     fn gemm_panel_dispatch_paths_agree(
         rr in 1usize..5,
@@ -342,6 +346,29 @@ proptest! {
         };
 
         let want = run(false);
+        let a_at = |row: usize, kk: usize| if trans { a[kk * lda + row] } else { a[row * lda + kk] };
+        let mut skipping = c_start.clone();
+        for r in 0..rr {
+            for j in j0..j1 {
+                let c = &mut skipping[r * n + j];
+                for kk in 0..k {
+                    let av = a_at(gr + r, kk);
+                    let t = av * b[kk * n + j];
+                    let bias_step = with_bias && kk == k - 1;
+                    if init && kk == 0 {
+                        *c = 0.0 + t;
+                        if bias_step {
+                            *c += bias_vec[gr + r];
+                        }
+                    } else if bias_step {
+                        *c = (*c + t) + bias_vec[gr + r];
+                    } else if av != 0.0 {
+                        *c += t;
+                    }
+                }
+            }
+        }
+        prop_assert_eq!(bits(&want), bits(&skipping), "portable panel vs zero-skipping reference");
         if init {
             // First-k-step-write: every column inside the window must
             // have been overwritten.
