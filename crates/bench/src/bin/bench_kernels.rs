@@ -19,6 +19,9 @@
 //! third reads the `int2_backends` table: the hot int2 kernels under
 //! **every** backend the host can force — portable, AVX2, AVX-512 — as
 //! arms of one call per kernel, a backend the host lacks being `null`.
+//! Its last two rows are the served stem (`stem_conv1_w8`: direct f32
+//! conv into the threshold unit) and, beside it, the im2col + f32 GEMM
+//! route it replaced (`im2col_gemm_conv1_w8`), ungated.
 //!
 //! Absolute kernel times, per-stage and per-layer numbers and
 //! before/after history are the repo benchmark's (`tensor.int2.*`,
@@ -29,7 +32,7 @@
 
 use adapex_bench::{interleave, write_report, Gated, ReportHeader, Summary};
 use adapex_tensor::conv::{im2col_into, ConvGeometry};
-use adapex_tensor::gemm::gemm;
+use adapex_tensor::gemm::{gemm, gemm_bias_st};
 use adapex_tensor::int2::{self, CodeSteps, OutMajor};
 use adapex_tensor::rng::{normal_tensor, rng_from_seed};
 use adapex_tensor::simd::Backend;
@@ -265,7 +268,7 @@ fn int2_backend_table() -> Vec<BackendRow> {
         let steps: Vec<CodeSteps> = (0..c_out)
             .map(|ch| CodeSteps {
                 sign: if ch % 3 == 0 { -1 } else { 1 },
-                at: [-(kk as i32), 0, kk as i32],
+                at: [-(kk as f32), 0.0, kk as f32],
             })
             .collect();
         let mut coded = vec![0u64; c_out * side * 2 * int2::image_row_words(side, 1)];
@@ -305,10 +308,65 @@ fn int2_backend_table() -> Vec<BackendRow> {
     rows
 }
 
+/// The width-8 CNV stem (3×32×32 pixels, 3×3, 8 filters) as the served
+/// path runs it — `conv_f32_codes`, direct f32 conv into the threshold
+/// unit — and the route it replaced up to the f32 map, `im2col_into` +
+/// `gemm_bias_st`. The reference row's f32 kernels do not follow the
+/// int2 override, so each of its columns times the same code: the
+/// in-run baseline the stem column beside it is read against.
+fn stem_rows() -> [BackendRow; 2] {
+    let (c_in, hw, c_out, side) = (3usize, 32usize, 8usize, 30usize);
+    let geom = ConvGeometry::new(3);
+    let img: Vec<f32> = (0..c_in * hw * hw).map(|i| ((i * 37) % 101) as f32 / 50.0 - 1.0).collect();
+    let weight: Vec<f32> = (0..c_out * 27).map(|i| ((i * 7) % 4) as f32 * 0.0625 - 0.125).collect();
+    let bias: Vec<f32> = (0..c_out).map(|i| i as f32 * 0.01 - 0.04).collect();
+    let steps: Vec<CodeSteps> = (0..c_out)
+        .map(|ch| CodeSteps {
+            sign: if ch % 3 == 0 { -1 } else { 1 },
+            at: [-0.5, 0.0, 0.5],
+        })
+        .collect();
+    let domain = vec![[-1e30f32, 1e30]; c_out];
+    let mut coded = vec![0u64; c_out * side * 2 * int2::image_row_words(side, 0)];
+    let mut acc_ws = Vec::new();
+    let stem = time_int2_backends(
+        "stem_conv1_w8",
+        || {
+            let inside = int2::conv_f32_codes(
+                black_box(&img),
+                c_in,
+                hw,
+                hw,
+                geom,
+                &weight,
+                &bias,
+                &steps,
+                &domain,
+                0,
+                &mut coded,
+                &mut acc_ws,
+            );
+            assert!(inside, "the bench image stays in range");
+        },
+        200,
+    );
+    let (mut cols, mut y) = (Vec::new(), vec![0.0f32; c_out * side * side]);
+    let reference = time_int2_backends(
+        "im2col_gemm_conv1_w8",
+        || {
+            im2col_into(black_box(&img), c_in, hw, hw, geom, &mut cols);
+            gemm_bias_st(c_out, 27, side * side, &weight, &cols, &bias, &mut y);
+        },
+        200,
+    );
+    [stem, reference]
+}
+
 fn main() {
     let int2_speedup = int2_vs_f32_gemm();
     let direct_conv_speedup = direct_vs_im2col_conv();
-    let int2_backends = int2_backend_table();
+    let mut int2_backends = int2_backend_table();
+    int2_backends.extend(stem_rows());
     let full = int2_backends
         .iter()
         .find(|r| r.name == "gemm_conv2_full")

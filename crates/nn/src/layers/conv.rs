@@ -595,10 +595,12 @@ impl QuantConv2d {
 
 /// The f32 route of one image: im2col, then the GEMM over fake-quantized
 /// weights with the bias folded into its last step. `y` is
-/// `[bias.len(), pixels]`. The layer forward and the serving executor's
-/// fused stem both run exactly this.
+/// `[bias.len(), pixels]`. The layer forward runs it — training needs
+/// the columns, and the differential suites hold the serving
+/// executor's stem (`int2::conv_f32_acc`, the same accumulators bit for
+/// bit without the column buffer) to this route.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn conv_image_f32(
+fn conv_image_f32(
     img: &[f32],
     c_in: usize,
     (h, w): (usize, usize),

@@ -13,7 +13,6 @@ mod norm;
 mod pool;
 
 pub use act::QuantReLU;
-pub(crate) use conv::conv_image_f32;
 pub use conv::QuantConv2d;
 pub use linear::QuantLinear;
 pub use norm::BatchNorm;

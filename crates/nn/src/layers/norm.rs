@@ -13,10 +13,12 @@ use serde::{Deserialize, Serialize};
 /// serves and evaluates does the same on the CPU: its streamlined plan
 /// (`crate::streamline`) tabulates this layer's eval arithmetic
 /// (`BatchNorm::eval_channel`) together with the QuantReLU behind it
-/// over every reachable integer accumulator and keeps only the three
-/// points where the 2-bit code steps, so neither a served batch nor
-/// `evaluate_exits` runs this forward behind a folded conv. Training,
-/// FC tails and nets the plan does not cover still do.
+/// over every reachable integer accumulator — and bisects it over the
+/// stem's f32 ones — and keeps only the three points where the 2-bit
+/// code steps, so neither a served batch nor `evaluate_exits` runs this
+/// forward behind a folded conv (the stem runs it for an image whose
+/// accumulators leave the folded range). Training, FC tails and nets
+/// the plan does not cover still do.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BatchNorm {
     /// Number of channels (4-D input) or features (flat input).

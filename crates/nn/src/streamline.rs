@@ -35,16 +35,29 @@
 //!   maximum over accumulators; no code map is ever pooled.
 //! - **Packed maps.** A group reads a `[plane0 | plane1]` packed image
 //!   (`pack_image_int2`'s layout, padded for its consumer) and writes
-//!   one ([`int2::conv_int2_codes`]). The stem consumes the caller's f32
-//!   image, so it cannot be tabulated; it runs the layers' own f32
-//!   arithmetic per image (`conv_image_f32`, `eval_channel`,
-//!   `quantize_into`) on cache-resident scratch and packs the result
-//!   with `pack_image_int2`.
-//! - **What still becomes f32.** The `≤ 4·c` codes an FC tail reads are
+//!   one ([`int2::conv_int2_codes`]).
+//! - **The stem as a threshold unit.** The stem consumes the caller's
+//!   f32 image, so its accumulator is an f32 sum with no integer range
+//!   to tabulate — but its code is still a per-channel step function of
+//!   it. `fold_stem` finds each channel's three f32 steps by bisection
+//!   over the ordered f32 values ([`CodeSteps::bisect`]), running the
+//!   same `eval_channel → quantize_into →` pack-rule chain, on the
+//!   interval where `eval_channel` stays finite: there every step of the
+//!   chain is weakly monotone, the argument `fold_thresholds` makes for
+//!   an integer `S`. [`int2::conv_f32_codes`] then runs the direct f32
+//!   conv — the layer path's im2col + GEMM accumulators, bit for bit,
+//!   with no column buffer — into the threshold unit. An image with an
+//!   accumulator outside its channel's interval (an infinite or huge
+//!   pixel; a NaN) takes the layer path's epilogue on those same
+//!   accumulators instead: off the interval the chain need not be a
+//!   step function — a γ = 0 channel codes `β` on every finite
+//!   accumulator and 0 on ±∞.
+//! - **What still becomes f32.** Only the `≤ 4·c` codes an FC tail reads,
 //!   expanded to grid values (`unpack_image_int2`) and stamped, and the
 //!   tail — `Flatten → Linear → …` — runs on the layer calls: its first
 //!   Linear recovers the same codes from the same values, so everything
-//!   behind it sees the layer path's exact inputs.
+//!   behind it sees the layer path's exact inputs. The stem's
+//!   accumulators are the one f32 map, in L1-sized scratch.
 //!
 //! Whether a net gets a plan is a function of the net alone
 //! ([`StreamPlan::build`]), and it honours the per-layer route: a conv
@@ -54,7 +67,7 @@
 //! batches and the non-`Auto` engine plans run the layer-by-layer loop,
 //! which is what the differential tests hold this module against.
 
-use crate::layers::{conv_image_f32, ActQuant, BatchNorm, Layer, QuantConv2d, QuantReLU};
+use crate::layers::{ActQuant, BatchNorm, Layer, QuantConv2d, QuantReLU};
 use crate::network::EarlyExitNetwork;
 use adapex_tensor::conv::ConvGeometry;
 use adapex_tensor::int2::{self, CodeSteps};
@@ -95,6 +108,11 @@ struct Stem {
     geom: ConvGeometry,
     qweight: Vec<f32>,
     bias: Vec<f32>,
+    /// Each channel's chain folded into f32 steps ...
+    steps: Vec<CodeSteps>,
+    /// ... and the accumulator range they hold on.
+    domain: Vec<[f32; 2]>,
+    /// The epilogue of an image outside some channel's range.
     norm: BatchNorm,
     act: QuantReLU,
     out: CodeMap,
@@ -156,8 +174,8 @@ struct Stage {
 /// executor allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct StreamScratch {
-    cols: Vec<f32>,
-    y: Vec<f32>,
+    /// The stem epilogue's normalize buffer, one channel long; only an
+    /// image off the folded ranges touches it.
     z: Vec<f32>,
     windows: Vec<u64>,
     acc: Vec<f32>,
@@ -271,6 +289,30 @@ fn group_extents(
 /// Max-pool's floor rule; `None` when the window does not fit.
 fn pooled_extent((h, w): (usize, usize), pool: usize) -> Option<(usize, usize)> {
     (pool >= 1 && h >= pool && w >= pool).then(|| (h / pool, w / pool))
+}
+
+/// Folds each stem channel's BatchNorm → QuantReLU → code chain into f32
+/// steps by bisection ([`CodeSteps::bisect`]): the chain on one
+/// accumulator, the layers' own calls, `None` where `eval_channel`
+/// leaves the finite range. Returns the steps and their ranges.
+fn fold_stem(norm: &BatchNorm, act: &QuantReLU) -> (Vec<CodeSteps>, Vec<[f32; 2]>) {
+    let scale = act.grid_scale();
+    (0..norm.channels)
+        .map(|c| {
+            CodeSteps::bisect(|y| {
+                let mut z = [0.0f32];
+                norm.eval_channel(c, &mut z, &[y]);
+                if !z[0].is_finite() {
+                    return None;
+                }
+                let mut q = [0.0f32];
+                act.quantize_into(&mut q, &z);
+                // The pack rule, as `pack_image_int2` would apply it.
+                int2::act_codes_in_place(&mut q, scale);
+                Some(q[0] as u8)
+            })
+        })
+        .unzip()
 }
 
 /// Folds one group's requantize → BatchNorm → QuantReLU → code chain
@@ -492,11 +534,14 @@ impl StreamPlan {
             };
             let (conv, norm, act) = group_layers(&mut net.backbone, at);
             let ((h, w), _) = group_extents(conv, norm, act, 1, (c0, h0, w0))?;
+            let (steps, domain) = fold_stem(norm, act);
             Stem {
                 c_in: c0,
                 hw: (h0, w0),
                 geom: conv.geom,
                 bias: conv.bias.value.clone(),
+                steps,
+                domain,
                 norm: norm.clone(),
                 act: act.clone(),
                 out: CodeMap {
@@ -613,23 +658,29 @@ impl StreamPlan {
         int2::unpack_image_int2(&sc.head_out, m.c, m.h, m.w, m.pad, m.scale, feats);
     }
 
-    /// The stem on one image, into `sc.stem_out`: the layer path's conv,
-    /// BatchNorm and QuantReLU arithmetic on per-image scratch, packed
-    /// by the call the next conv would have made on the f32 map.
+    /// The stem on one image, into `sc.stem_out`: the direct f32 conv
+    /// into the threshold unit, or — for an image with an accumulator
+    /// off its channel's folded range — the layer path's BatchNorm and
+    /// QuantReLU on the same accumulators, packed by the call the next
+    /// conv would have made on the f32 map.
     fn run_stem(&self, img: &[f32], sc: &mut StreamScratch) {
         let st = &self.stem;
         let m = st.out;
+        let ((h, w), acc) = (st.hw, &mut sc.acc);
+        sc.stem_out.resize(m.words(), 0);
+        if int2::conv_f32_codes(
+            img, st.c_in, h, w, st.geom, &st.qweight, &st.bias, &st.steps, &st.domain, m.pad,
+            &mut sc.stem_out, acc,
+        ) {
+            return;
+        }
         let spatial = m.h * m.w;
-        sc.y.resize(m.c * spatial, 0.0);
         sc.z.resize(spatial, 0.0);
-        conv_image_f32(img, st.c_in, st.hw, st.geom, &st.qweight, &st.bias, &mut sc.cols, &mut sc.y);
-        // Channel by channel, so each one's values stay in L1 across
-        // the two passes.
-        for (c, y) in sc.y.chunks_exact_mut(spatial).enumerate() {
+        for (c, y) in acc.chunks_exact_mut(spatial).enumerate() {
             st.norm.eval_channel(c, &mut sc.z, y);
             st.act.quantize_into(y, &sc.z);
         }
-        int2::pack_image_int2(&sc.y, m.scale, m.c, m.h, m.w, m.pad, &mut sc.stem_out);
+        int2::pack_image_int2(acc, m.scale, m.c, m.h, m.w, m.pad, &mut sc.stem_out);
     }
 }
 
@@ -715,7 +766,7 @@ mod tests {
                         for (i, &code) in table.iter().enumerate() {
                             let s = lo + i as i32;
                             assert_eq!(
-                                f32::from(steps[c].code(s)),
+                                f32::from(steps[c].code(s as f32)),
                                 code,
                                 "case {case} channel {c} S={s}: {:?}",
                                 steps[c]
@@ -739,6 +790,79 @@ mod tests {
             }
         }
         assert!(folded >= 40, "only {folded} cases folded ({refused} refused)");
+    }
+
+    /// The stem's folded steps against the real `BatchNorm` and
+    /// `QuantReLU` eval forwards and the next layer's code recovery, on
+    /// accumulators drawn where a fold could slip: both sides of every
+    /// step, ±0, subnormals, the range's ends and what lies past them,
+    /// huge and non-finite values, and a spread in between — for random
+    /// statistics with γ of either sign and zero, tiny, zero and
+    /// negative variances and β past the clip. Inside its range a
+    /// channel's steps give the layers' code, bit for bit; a channel
+    /// whose chain is finite somewhere gets a range.
+    #[test]
+    fn stem_steps_equal_the_layer_chain_inside_their_range() {
+        let mut rng = rng_from_seed(0x57e3);
+        let channels = 8;
+        let mut folded = 0;
+        for case in 0..40 {
+            let mut norm = BatchNorm::new(channels);
+            for c in 0..channels {
+                norm.gamma.value[c] = match (case + c) % 5 {
+                    0 => 0.0,
+                    1 => -rng.random_range(0.05f32..3.0),
+                    _ => rng.random_range(0.05f32..3.0),
+                };
+                norm.beta.value[c] = match (case + c) % 7 {
+                    0 => 1e30,
+                    1 => 0.7,
+                    _ => rng.random_range(-2.0f32..2.0),
+                };
+                norm.running_mean[c] = rng.random_range(-5.0f32..5.0);
+                norm.running_var[c] = match (case + c) % 6 {
+                    0 => 1e-12,
+                    1 => -1.0, // sqrt of a negative: NaN everywhere
+                    2 => 0.0,
+                    _ => rng.random_range(0.01f32..20.0),
+                };
+            }
+            let mut act = QuantReLU::new(QuantSpec::unsigned(2), [2.0f32, 1.0, 6.0][case % 3]);
+            let (steps, domain) = fold_stem(&norm, &act);
+            for c in 0..channels {
+                let [lo, hi] = domain[c];
+                let mut probes = vec![
+                    -0.0, 0.0, 1e-40, -1e-40, lo, hi, lo.next_down(), hi.next_up(), 1e30, -1e30,
+                    f32::MAX, f32::MIN, f32::INFINITY, f32::NEG_INFINITY, f32::NAN,
+                ];
+                for t in steps[c].at.into_iter().filter(|t| t.is_finite()) {
+                    let y = if steps[c].sign < 0 { -t } else { t };
+                    probes.extend([y.next_down(), y, y.next_up()]);
+                }
+                probes.extend((0..200).map(|_| rng.random_range(-40.0f32..40.0)));
+                // Every channel of a one-image map holds the probes.
+                let n = probes.len();
+                let x = Activation::new(probes.repeat(channels), 1, vec![channels, n, 1]);
+                let out = act.forward(&norm.forward(&x, false), false);
+                let mut codes = out.data[c * n..(c + 1) * n].to_vec();
+                int2::act_codes_in_place(&mut codes, act.grid_scale());
+                for (&y, &code) in probes.iter().zip(&codes) {
+                    if lo <= y && y <= hi {
+                        assert_eq!(
+                            f32::from(steps[c].code(y)),
+                            code,
+                            "case {case} channel {c} y={y:e}: {:?} on [{lo:e}, {hi:e}]",
+                            steps[c]
+                        );
+                    }
+                }
+                if norm.running_var[c] > 0.0 && norm.beta.value[c] < 1e30 {
+                    assert!(lo < hi, "case {case} channel {c}: no range");
+                    folded += 1;
+                }
+            }
+        }
+        assert!(folded >= 100, "only {folded} channels folded");
     }
 
     #[test]

@@ -226,6 +226,74 @@ proptest! {
     }
 }
 
+/// Pixels no camera sends — NaN, ±∞, ±1e38, −0 and subnormals — through
+/// a net whose first stem channel has γ = 0 and β = 0.7: that channel
+/// codes β's grid point on every finite accumulator and 0 on ±∞ and NaN,
+/// so over the whole f32 line its code is no step function, and the
+/// plan's f32 steps hold only on the range where the normalize stays
+/// finite. An image with an accumulator outside it must take the
+/// layers' epilogue: `Auto` keeps the net on its plan and gives the
+/// layer path's verdicts bit for bit, at widths 4 and 8, under every
+/// backend the host can force.
+#[test]
+fn extreme_pixels_and_a_flat_stem_channel_keep_the_layer_path_bits() {
+    let _guard = lock();
+    const EDGES: [f32; 8] = [
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        1e38,
+        -1e38,
+        -0.0,
+        1e-40,
+        -3e-42,
+    ];
+    let backends = forcible_backends();
+    for width in [4usize, 8] {
+        let mut rng = rng_from_seed(0x7a9 ^ width as u64);
+        let cfg = CnvConfig::scaled(width);
+        let mut net = cfg.build_early_exit(10, &ExitsConfig::paper_default(), 0x7a9);
+        randomize_norms(&mut net, &mut rng);
+        let Layer::Norm(bn) = &mut net.backbone[1] else {
+            unreachable!("the CNV stem's BatchNorm sits at 1")
+        };
+        (bn.gamma.value[0], bn.beta.value[0]) = (0.0, 0.7);
+        let mut x = batch(16, &net.input_dims, &mut rng);
+        let per = x.sample_len();
+        for (s, img) in x.data.chunks_exact_mut(per).enumerate() {
+            match s % 4 {
+                // Clean images: the plan's threshold unit.
+                0 => {}
+                // One edge pixel.
+                1 => img[(s * 131) % per] = EDGES[s % EDGES.len()],
+                // Every edge, scattered.
+                2 => {
+                    for (i, v) in img.iter_mut().enumerate().filter(|(i, _)| i % 37 == s % 37) {
+                        *v = EDGES[i % EDGES.len()];
+                    }
+                }
+                // Huge but finite everywhere: accumulators overflow.
+                _ => {
+                    for (i, v) in img.iter_mut().enumerate() {
+                        *v = if i % 2 == 0 { 1e38 } else { -1e38 };
+                    }
+                }
+            }
+        }
+        for &backend in &backends {
+            int2::override_backend(Some(backend));
+            for threshold in [0.0f32, 0.3, 0.6, 2.0] {
+                let tag = format!("width={width} CT={threshold} {backend:?}");
+                let (layers, _) = run(&net, EnginePlan::Int2Always, threshold, 1, &x);
+                let (auto, on_plan) = run(&net, EnginePlan::Auto, threshold, 1, &x);
+                assert!(on_plan, "{tag}: the net must keep its plan");
+                assert_same_bits(&auto, &layers, &tag);
+            }
+        }
+        int2::override_backend(None);
+    }
+}
+
 /// `n` random images with random labels out of ten classes.
 fn labeled_images(n: usize, dims: &[usize], rng: &mut StdRng) -> LabeledImages {
     let x = batch(n, dims, rng);

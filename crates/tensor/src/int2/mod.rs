@@ -16,11 +16,14 @@
 //!   ([`gemm_int2`]);
 //! * [`threshold`] — the MVTU threshold unit that keeps the serving path
 //!   in the code domain ([`threshold_pool_pack_int2`], [`CodeSteps`]);
-//! * [`pool`] — max-pool on packed codes ([`pool_image_int2`]).
+//! * [`pool`] — max-pool on packed codes ([`pool_image_int2`]);
+//! * [`stem`] — the direct f32 convolution of a raw image
+//!   ([`conv_f32_acc`]), the one f32 kernel here.
 //!
 //! This file composes them — [`conv_int2_direct`] (pack → gather → GEMM,
-//! f32 out) and [`conv_int2_codes`] (gather → GEMM → threshold unit,
-//! packed codes out) — and owns what they share: backend dispatch, the
+//! f32 out), [`conv_int2_codes`] (gather → GEMM → threshold unit,
+//! packed codes out) and [`conv_f32_codes`] (direct f32 conv → threshold
+//! unit, the stem) — and owns what they share: backend dispatch, the
 //! route model and the op counters, which live here, above the backends,
 //! so every body reports the same work for the same shape.
 //! `conv_int2_codes` bumps the counters exactly as `conv_int2_direct`
@@ -36,7 +39,8 @@
 //! the portable bodies. A kernel without a body for the chosen backend
 //! runs the next one down ([`pack_image_int2`] has no 512-bit form).
 //! [`override_backend`] is how tests and benches reach the others — same
-//! bits every way, integer arithmetic sees to that. Which *route* a
+//! bits every way: integer arithmetic sees to that, and the stem's f32
+//! conv maps lanes 1:1 onto outputs. Which *route* a
 //! layer takes is a property of its kernel size ([`MAX_DIRECT_KERNEL`],
 //! asked through [`conv_engine_profitable`]), never of a process-level
 //! switch.
@@ -72,6 +76,7 @@ pub mod gemm;
 pub mod layout;
 pub mod pack;
 pub mod pool;
+pub mod stem;
 pub mod threshold;
 
 pub use gather::{gather_conv_windows_int2, MAX_DIRECT_KERNEL};
@@ -82,6 +87,7 @@ pub use pack::{
     unpack_image_int2, weight_codes_into,
 };
 pub use pool::pool_image_int2;
+pub use stem::conv_f32_acc;
 pub use threshold::{threshold_pool_pack_int2, CodeSteps};
 
 /// The scalar bodies, public (like [`crate::simd::portable`]) so the
@@ -90,6 +96,7 @@ pub mod portable {
     pub use super::gather::portable::*;
     pub use super::gemm::portable::*;
     pub use super::pack::portable::*;
+    pub use super::stem::portable::*;
     pub use super::threshold::portable::*;
 }
 
@@ -100,6 +107,7 @@ pub mod avx2 {
     pub use super::gather::avx2::*;
     pub use super::gemm::avx2::*;
     pub use super::pack::avx2::*;
+    pub use super::stem::avx2::*;
     pub use super::threshold::avx2::*;
 }
 
@@ -109,6 +117,7 @@ pub mod avx2 {
 pub mod avx512 {
     pub use super::gather::avx512::*;
     pub use super::gemm::avx512::*;
+    pub use super::stem::avx512::*;
     pub use super::threshold::avx512::*;
 }
 
@@ -273,6 +282,51 @@ pub fn conv_int2_codes(
     zero.fill(0.0);
     gemm_int2(c_out, c_in * k * k, pixels, wplanes, cols_ws, unit, zero, acc, OutMajor::Row);
     threshold_pool_pack_int2(acc, steps, oh, ow, pool, out_pad, out);
+}
+
+/// The stem as a threshold unit: a raw f32 image in, the packed 2-bit
+/// code map of its first `Conv → Norm → Act` group out. The direct f32
+/// conv ([`conv_f32_acc`], bit-identical to im2col + the f32 GEMM)
+/// writes the accumulators into `acc_ws` — `[steps.len(), oh·ow]`, a few
+/// KB that stay in L1 — and hands them to [`threshold_pool_pack_int2`]
+/// at pool 1, which writes `out` in [`pack_image_int2`]'s layout at
+/// padding `out_pad`. The streamlined twin of im2col → GEMM → BatchNorm
+/// → QuantReLU → [`pack_image_int2`], for steps folded by
+/// [`CodeSteps::bisect`].
+///
+/// Returns `false`, leaving `out` unwritten, when some accumulator lies
+/// outside its channel's `domain` — the range the steps hold on; `acc_ws`
+/// then holds the layer path's exact accumulators for the caller to run
+/// its own epilogue on. Bumps no op counter: the stem is f32 work.
+///
+/// # Panics
+///
+/// Panics on shape mismatches, as [`conv_f32_acc`] and the threshold
+/// unit do.
+#[allow(clippy::too_many_arguments)]
+pub fn conv_f32_codes(
+    img: &[f32],
+    c_in: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeometry,
+    weight: &[f32],
+    bias: &[f32],
+    steps: &[CodeSteps],
+    domain: &[[f32; 2]],
+    out_pad: usize,
+    out: &mut [u64],
+    acc_ws: &mut Vec<f32>,
+) -> bool {
+    let oh = geom.output_dim(h).expect("window must fit");
+    let ow = geom.output_dim(w).expect("window must fit");
+    // The conv writes every accumulator, so stale contents are fine.
+    acc_ws.resize(steps.len() * oh * ow, 0.0);
+    if !conv_f32_acc(img, c_in, h, w, geom, weight, bias, domain, acc_ws) {
+        return false;
+    }
+    threshold_pool_pack_int2(acc_ws, steps, oh, ow, 1, out_pad, out);
+    true
 }
 
 #[cfg(test)]

@@ -29,11 +29,14 @@
 //! unit — packs each image **once** into per-`(channel, row)` bit planes
 //! ([`pack_image_int2`]: eight values per `vdivps` + three `vcmpps` +
 //! three `vmovmskps` on AVX2, a masked load for a row's ragged tail; the
-//! AVX-512 backend runs the same body — the serving path packs once per
-//! image, behind the stem, and gathers from packed maps thereafter) and
-//! lifts every window's operand out of the packed rows
-//! ([`super::gather_conv_windows_int2`]). [`unpack_image_int2`] is the
-//! way back to f32, for the few codes an FC layer reads.
+//! AVX-512 backend runs the same body) and lifts every window's operand
+//! out of the packed rows ([`super::gather_conv_windows_int2`]).
+//! [`pack_image_int2`] serves the layer path's direct conv route and
+//! the benchmark harness; the streamlined serving path packs nothing —
+//! its stem writes packed codes through the threshold unit
+//! ([`super::conv_f32_codes`]) and calls it only for an image with an
+//! accumulator off its folded range. [`unpack_image_int2`] is the way
+//! back to f32, for the few codes an FC layer reads.
 
 use super::layout::{image_row_words, plane_words};
 use super::Backend;

@@ -21,7 +21,12 @@
 //! The steps come from the caller, which tabulates its own f32
 //! arithmetic over every reachable `S` ([`CodeSteps::from_table`] folds
 //! such a table and refuses one that is not a step function) — this
-//! module never decides what a threshold *should* be.
+//! module never decides what a threshold *should* be. The stem feeds the
+//! same unit ([`super::conv_f32_codes`], pool 1): its accumulator is an
+//! f32 sum of pixels with no integer range to tabulate, so its steps are
+//! f32 values found by bisection ([`CodeSteps::bisect`]) on the range
+//! where its chain stays finite, and an image with an accumulator outside
+//! that range never reaches the unit.
 //!
 //! The AVX2 body turns eight pooled values into plane bits with three
 //! `vcmpps` and three `vmovmskps`. The AVX-512 body compares sixteen
@@ -30,23 +35,61 @@
 //! word is built in a register and stored once, and without a pool or
 //! with the 2×2 one the sign flip and the fold happen on the way in
 //! (`vpxord`, `vmaxps`, and `vpermt2ps` splitting even and odd columns
-//! of 32 loaded values) instead of in passes of their own.
+//! of 32 loaded values) instead of in passes of their own. Without a
+//! pool and on rows that fit one word — every CNV map, the stem's
+//! included — both vector bodies take a path of their own: the row's
+//! bits gather in two registers and its four words are stored once,
+//! with none of the pooled cases' bookkeeping (nor a zero-fill call)
+//! in the loop.
 
 use super::layout::image_row_words;
 use super::Backend;
 
-/// One output channel's map from the integer accumulator `S` to the
-/// 2-bit activation code the next layer consumes: the MVTU threshold
-/// unit. `code(S) = #{j : sign·S ≥ at[j]}` — three ascending integer
-/// steps on `S` itself (`sign = +1`, the code rises with `S`) or on `−S`
-/// (`sign = −1`, a negative BatchNorm scale makes it fall). A step that
-/// is never reached sits at `i32::MAX`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One output channel's map from its accumulator `S` to the 2-bit
+/// activation code the next layer consumes: the MVTU threshold unit.
+/// `code(S) = #{j : sign·S ≥ at[j]}` — three ascending steps on `S`
+/// itself (`sign = +1`, the code rises with `S`) or on `−S` (`sign = −1`,
+/// a negative BatchNorm scale makes it fall). A step that is never
+/// reached sits at `+∞`. The steps are `f32`: integers, exactly, for a
+/// popcount GEMM's accumulator ([`CodeSteps::from_table`]), any value for
+/// the stem's f32 one ([`CodeSteps::bisect`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodeSteps {
     /// `+1` or `−1`: the direction the code moves with `S`.
     pub sign: i32,
     /// Ascending step positions on `sign·S`.
-    pub at: [i32; 3],
+    pub at: [f32; 3],
+}
+
+/// A position of `v` in the total order of the non-NaN `f32` values
+/// (`−∞ < … < −0 < +0 < … < +∞`, the zeros adjacent), as an integer to
+/// bisect over.
+fn order_key(v: f32) -> u32 {
+    let b = v.to_bits();
+    if b >> 31 == 1 {
+        !b
+    } else {
+        b | 1 << 31
+    }
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(k: u32) -> f32 {
+    f32::from_bits(if k >> 31 == 1 { k & !(1 << 31) } else { !k })
+}
+
+/// The first key of `lo..=hi` where `holds`, given that it holds at `hi`
+/// and, once it holds, holds above.
+fn first_key(mut lo: u32, mut hi: u32, holds: impl Fn(u32) -> bool) -> u32 {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
 }
 
 impl CodeSteps {
@@ -57,7 +100,7 @@ impl CodeSteps {
     pub fn from_table(lo: i32, codes: &[f32]) -> Option<Self> {
         let (&first, &last) = (codes.first()?, codes.last()?);
         let sign = if first <= last { 1 } else { -1 };
-        let mut at = [i32::MAX; 3];
+        let mut at = [f32::INFINITY; 3];
         let mut prev = 0usize;
         for step in 0..codes.len() {
             // Walk in the direction `sign·S` ascends.
@@ -67,16 +110,73 @@ impl CodeSteps {
             if code < prev {
                 return None;
             }
-            at[prev..code].fill(sign * (lo + i as i32));
+            // |S| < 2^24 (`MAX_K`): the step converts exactly.
+            at[prev..code].fill((sign * (lo + i as i32)) as f32);
             prev = code;
         }
         Some(CodeSteps { sign, at })
     }
 
+    /// Folds the code function of an f32 accumulator into steps by
+    /// bisection, for a chain no integer range can tabulate: the stem's,
+    /// whose accumulator is an f32 sum of pixels. `chain(y)` is the code
+    /// at `y`, `None` where the chain leaves its finite range. The caller
+    /// vouches that the `Some` values form an interval of the ordered
+    /// f32 values on which the code is weakly monotone in `y` — the
+    /// argument [`CodeSteps::from_table`] checks on every entry, made
+    /// once for the chain: each f32 step of it is weakly monotone on
+    /// finite values.
+    ///
+    /// Returns the steps and the accumulator range `[lo, hi]` they
+    /// reproduce `chain` on: the interval around zero, found by bisection
+    /// for its ends, each step then bisected inside it. Compares cannot
+    /// tell `−0` from `+0`, so the two must code alike. A chain that is
+    /// not finite at zero, or codes the two zeros differently, gets the
+    /// empty range `[+∞, −∞]`: no accumulator lies in it, so every image
+    /// takes the caller's exact path. NaN lies in no range at all.
+    pub fn bisect(chain: impl Fn(f32) -> Option<u8>) -> (Self, [f32; 2]) {
+        const NEVER: CodeSteps = CodeSteps {
+            sign: 1,
+            at: [f32::INFINITY; 3],
+        };
+        let code = |k: u32| chain(from_order_key(k));
+        match (chain(-0.0), chain(0.0)) {
+            (Some(neg), Some(pos)) if neg == pos => {}
+            _ => return (NEVER, [f32::INFINITY, f32::NEG_INFINITY]),
+        }
+        let (zero, bottom, top) = (order_key(0.0), order_key(f32::NEG_INFINITY), order_key(f32::INFINITY));
+        let lo = match code(bottom) {
+            Some(_) => bottom,
+            None => first_key(bottom, zero, |k| code(k).is_some()),
+        };
+        let hi = match code(top) {
+            Some(_) => top,
+            None => first_key(zero, top, |k| code(k).is_none()) - 1,
+        };
+        let at_least = |k: u32, j: u8| code(k).is_some_and(|c| c >= j);
+        let rising = code(lo) <= code(hi);
+        let mut at = [f32::INFINITY; 3];
+        for (j, t) in (1u8..=3).zip(&mut at) {
+            if rising && at_least(hi, j) {
+                // The first accumulator coding at least `j`.
+                *t = from_order_key(first_key(lo, hi, |k| at_least(k, j)));
+            } else if !rising && at_least(lo, j) {
+                // The last one, as a step on `−S`.
+                let last = match at_least(hi, j) {
+                    true => hi,
+                    false => first_key(lo, hi, |k| !at_least(k, j)) - 1,
+                };
+                *t = -from_order_key(last);
+            }
+        }
+        let sign = if rising { 1 } else { -1 };
+        (CodeSteps { sign, at }, [from_order_key(lo), from_order_key(hi)])
+    }
+
     /// The code at accumulator `s`.
     #[inline]
-    pub fn code(&self, s: i32) -> u8 {
-        let v = self.sign * s;
+    pub fn code(&self, s: f32) -> u8 {
+        let v = if self.sign < 0 { -s } else { s };
         self.at.iter().map(|&t| u8::from(v >= t)).sum()
     }
 }
@@ -176,9 +276,10 @@ impl PoolPackShape {
 /// accumulator map into the packed 2-bit image the next conv's window
 /// gather reads, with the max-pool in between folded in.
 ///
-/// `acc` is `[channels, h, w]` exact integer accumulators as `f32`
+/// `acc` is `[channels, h, w]` accumulators: exact integers as `f32`
 /// ([`super::gemm_int2`] with unit scale and zero bias,
-/// [`super::OutMajor::Row`]) and
+/// [`super::OutMajor::Row`]), or the stem's f32 sums
+/// ([`super::conv_f32_acc`]), never NaN. It
 /// is **clobbered**: each `pool × pool` window is reduced in place to
 /// `max sign·S`, then thresholded against the channel's [`CodeSteps`] —
 /// pool-then-threshold, which equals threshold-then-max-pool because a
@@ -222,7 +323,7 @@ pub mod portable {
         let (ph, pw, rw) = (shape.ph, shape.pw, shape.rw);
         for (r, dst) in out.chunks_exact_mut(2 * rw).enumerate() {
             let st = &steps[r / ph];
-            let at = st.at.map(|t| t as f32);
+            let at = st.at;
             let base = shape.fold_rows(acc, r / ph, r % ph, st.sign < 0);
             let row = &mut acc[base..base + w];
             shape.fold_cols(row);
@@ -301,6 +402,9 @@ pub mod avx2 {
     ) {
         let shape = PoolPackShape::new(acc, steps.len(), h, w, pool, pad, out);
         let (ph, pw, rw) = (shape.ph, shape.pw, shape.rw);
+        if pool == 1 && w + 2 * pad <= 64 {
+            return unpooled_one_word(acc, steps, h, w, pad, out);
+        }
         for (r, dst) in out.chunks_exact_mut(2 * rw).enumerate() {
             let st = &steps[r / ph];
             let base = shape.fold_rows(acc, r / ph, r % ph, st.sign < 0);
@@ -311,9 +415,9 @@ pub mod avx2 {
                 shape.fold_cols(row);
             }
             let (t1, t2, t3) = (
-                _mm256_set1_ps(st.at[0] as f32),
-                _mm256_set1_ps(st.at[1] as f32),
-                _mm256_set1_ps(st.at[2] as f32),
+                _mm256_set1_ps(st.at[0]),
+                _mm256_set1_ps(st.at[1]),
+                _mm256_set1_ps(st.at[2]),
             );
             dst.fill(0);
             let (p0, p1) = dst.split_at_mut(rw);
@@ -345,6 +449,56 @@ pub mod avx2 {
                     p0[word + 1] |= b0 >> (64 - bit);
                     p1[word + 1] |= b1 >> (64 - bit);
                 }
+            }
+        }
+    }
+
+    /// The window-free case on rows that fit one word, as the AVX-512
+    /// body's: eight values per three `vcmpps`, the row's bits built in
+    /// two registers and its four words stored once, the sign an XOR on
+    /// the loaded values. Same contract, `pool = 1`, `w + 2·pad <= 64`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn unpooled_one_word(
+        acc: &[f32],
+        steps: &[CodeSteps],
+        h: usize,
+        w: usize,
+        pad: usize,
+        out: &mut [u64],
+    ) {
+        let mut rows = out.chunks_exact_mut(4);
+        for (ch, st) in steps.iter().enumerate() {
+            let at = st.at.map(|t| _mm256_set1_ps(t));
+            let negate = _mm256_set1_ps(if st.sign < 0 { -0.0 } else { 0.0 });
+            for (py, dst) in (0..h).zip(&mut rows) {
+                let src = acc.as_ptr().add((ch * h + py) * w);
+                let (mut b0, mut b1) = (0u64, 0u64);
+                for px in (0..w).step_by(8) {
+                    let v = if px + 8 <= w {
+                        // SAFETY: columns `px..px + 8` of row `(ch, py)`,
+                        // which `PoolPackShape::new` checked lies in `acc`.
+                        _mm256_loadu_ps(src.add(px))
+                    } else {
+                        let mask = TAIL_MASK.as_ptr().add(8 - (w - px));
+                        // SAFETY: as in `pack_image_int2`: only the
+                        // `w - px` selected lanes, all in the row, load.
+                        _mm256_maskload_ps(src.add(px), _mm256_loadu_si256(mask as *const __m256i))
+                    };
+                    let v = _mm256_xor_ps(v, negate);
+                    // Dead lanes (the masked load's zeros) may clear a
+                    // step: drop them.
+                    let live = if w - px >= 8 { 0xff } else { (1u64 << (w - px)) - 1 };
+                    let g1 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(v, at[0])) as u64 & live;
+                    let g2 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(v, at[1])) as u64 & live;
+                    let g3 = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GE_OQ>(v, at[2])) as u64 & live;
+                    b0 |= (g1 ^ g2 ^ g3) << px;
+                    b1 |= g2 << px;
+                }
+                dst.copy_from_slice(&[b0 << pad, 0, b1 << pad, 0]);
             }
         }
     }
@@ -383,6 +537,9 @@ pub mod avx512 {
     ) {
         let shape = PoolPackShape::new(acc, steps.len(), h, w, pool, pad, out);
         let (ph, pw, rw) = (shape.ph, shape.pw, shape.rw);
+        if pool == 1 && w + 2 * pad <= 64 {
+            return unpooled_one_word(acc, steps, h, w, pad, out);
+        }
         let even = _mm512_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30);
         let odd = _mm512_add_epi32(even, _mm512_set1_epi32(1));
         let map = acc.as_mut_ptr();
@@ -390,7 +547,7 @@ pub mod avx512 {
         // Channel by channel rather than `r / ph, r % ph`: a division
         // per output row is a third of this body at CNV row lengths.
         for (ch, st) in steps.iter().enumerate() {
-            let at = st.at.map(|t| _mm512_set1_ps(t as f32));
+            let at = st.at.map(|t| _mm512_set1_ps(t));
             let negate = _mm512_set1_epi32(if st.sign < 0 { i32::MIN } else { 0 });
             for (py, dst) in (0..ph).zip(&mut rows) {
                 let top = map.add((ch * h + py * pool) * w);
@@ -442,8 +599,7 @@ pub mod avx512 {
                             _ => _mm512_maskz_loadu_ps(keep, top.add(px)),
                         };
                         // Ordered compares under the live-lane mask:
-                        // dead lanes (and NaN, which no accumulator is)
-                        // set no bit.
+                        // dead lanes set no bit.
                         let g1 = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(keep, v, at[0]);
                         let g2 = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(keep, v, at[1]);
                         let g3 = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(keep, v, at[2]);
@@ -453,6 +609,47 @@ pub mod avx512 {
                     }
                     (*d0, *d1) = (w0, w1);
                 }
+            }
+        }
+    }
+
+    /// The window-free case on rows that fit one word — the stem's map,
+    /// a conv's without a pool behind it, at CNV sizes — on its own: no
+    /// fold, so a row is a straight walk of sixteen values per compare
+    /// whose bits are built in two registers, and its four words
+    /// (`[plane0, guard | plane1, guard]`, `image_row_words` being 2)
+    /// are stored once, with none of the general path's word bookkeeping
+    /// in the loop. Same contract, `pool = 1`, `w + 2·pad <= 64`.
+    #[target_feature(enable = "avx512f")]
+    unsafe fn unpooled_one_word(
+        acc: &[f32],
+        steps: &[CodeSteps],
+        h: usize,
+        w: usize,
+        pad: usize,
+        out: &mut [u64],
+    ) {
+        let mut rows = out.chunks_exact_mut(4);
+        for (ch, st) in steps.iter().enumerate() {
+            let at = st.at.map(|t| _mm512_set1_ps(t));
+            let negate = _mm512_set1_epi32(if st.sign < 0 { i32::MIN } else { 0 });
+            for (py, dst) in (0..h).zip(&mut rows) {
+                let src = acc.as_ptr().add((ch * h + py) * w);
+                let (mut b0, mut b1) = (0u64, 0u64);
+                for px in (0..w).step_by(16) {
+                    let keep = low_bits((w - px).min(16));
+                    // SAFETY: the kept lanes are columns `px..` of row
+                    // `(ch, py)`, which `PoolPackShape::new` checked lies
+                    // in `acc`.
+                    let v = _mm512_castps_si512(_mm512_maskz_loadu_ps(keep, src.add(px)));
+                    let v = _mm512_castsi512_ps(_mm512_xor_si512(v, negate));
+                    let g1 = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(keep, v, at[0]);
+                    let g2 = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(keep, v, at[1]);
+                    let g3 = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(keep, v, at[2]);
+                    b0 |= u64::from(g1 ^ g2 ^ g3) << px;
+                    b1 |= u64::from(g2) << px;
+                }
+                dst.copy_from_slice(&[b0 << pad, 0, b1 << pad, 0]);
             }
         }
     }

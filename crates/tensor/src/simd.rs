@@ -38,10 +38,13 @@
 //! The integer sibling of this module is [`crate::int2`]: the bit-packed
 //! popcount GEMM reuses the same [`Backend`]/override dispatch scheme,
 //! but gets cross-backend bit-identity for free from integer arithmetic
-//! instead of the rules above — which is why it can have a third,
-//! AVX-512 backend and these kernels cannot: sixteen lanes would
-//! reassociate the folds. [`Backend::Avx512`] exists here as an arm that
-//! runs the AVX2 bodies.
+//! instead of the rules above. Sixteen lanes would reassociate only the
+//! two folds ([`fold_max`]/[`fold_max_abs`]), whose eight-lane
+//! accumulator the portable backend replicates; a kernel whose lanes
+//! map 1:1 onto outputs computes the same bits at any width — the
+//! stem's f32 conv ([`crate::int2::conv_f32_acc`]) runs sixteen on
+//! AVX-512. This module has no 512-bit bodies yet: [`Backend::Avx512`]
+//! exists here as an arm that runs the AVX2 ones.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -55,9 +58,11 @@ pub const LANES: usize = 8;
 pub enum Backend {
     /// AVX-512 with `VPOPCNTDQ` (x86-64 only, runtime-detected): the
     /// [`crate::int2`] kernels count 64-bit lanes natively. The f32
-    /// kernels of this module have no 512-bit bodies — eight lanes *are*
-    /// their bit-identity contract — so under this backend they run the
-    /// AVX2 ones, and detection never picks it for them.
+    /// kernels of this module have no 512-bit bodies — eight lanes are
+    /// the bit-identity contract of the two folds, and nobody has
+    /// written sixteen-lane bodies for the lane-per-output rest — so
+    /// under this backend they run the AVX2 ones, and detection never
+    /// picks it for them.
     Avx512,
     /// 8-wide AVX2 intrinsics (x86-64 only, runtime-detected).
     Avx2,

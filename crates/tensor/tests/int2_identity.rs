@@ -383,7 +383,7 @@ fn dispatched_equals_forced_portable() {
     let geom = ConvGeometry::new(3).with_padding(1);
     let img: Vec<f32> = (0..c * h * wd).map(|i| ((i * 11 + i / 7) % 9) as f32 * 0.21).collect();
     let steps: Vec<int2::CodeSteps> = (0..m)
-        .map(|i| int2::CodeSteps { sign: if i % 3 == 0 { -1 } else { 1 }, at: [-9, i as i32, 40] })
+        .map(|i| int2::CodeSteps { sign: if i % 3 == 0 { -1 } else { 1 }, at: [-9.0, i as f32, 40.0] })
         .collect();
 
     // (gemm rows, gemm cols, packed image, gathered windows, coded map)
@@ -784,7 +784,7 @@ fn threshold_then_pool_then_pack(
                 for ky in 0..pool {
                     for kx in 0..pool {
                         let s = acc[(ch * h + py * pool + ky) * w + px * pool + kx];
-                        best = best.max(steps[ch].code(s as i32));
+                        best = best.max(steps[ch].code(s));
                     }
                 }
                 pooled[(ch * ph + py) * pw + px] = f32::from(best);
@@ -837,9 +837,10 @@ fn threshold_pool_pack_bodies_equal_pooled_code_oracle() {
                     *t = (lcg(&mut rng) % 301) as i32 - 150;
                 }
                 at.sort_unstable();
+                let mut at = at.map(|t| t as f32);
                 match ch % 4 {
-                    2 => at[2] = i32::MAX,          // code 3 never reached
-                    3 => at = [-1000, -1000, -1000], // constant 3
+                    2 => at[2] = f32::INFINITY,               // code 3 never reached
+                    3 => at = [-1000.0, -1000.0, -1000.0], // constant 3
                     _ => {}
                 }
                 // Random directions, but both on the edge cases.
@@ -880,7 +881,7 @@ fn code_steps_fold_exactly_the_monotone_tables() {
         }
         let steps = int2::CodeSteps::from_table(lo, &table).expect("monotone table");
         for (i, &code) in table.iter().enumerate() {
-            assert_eq!(f32::from(steps.code(lo + i as i32)), code, "case {case} at {i}");
+            assert_eq!(f32::from(steps.code((lo + i as i32) as f32)), code, "case {case} at {i}");
         }
         // A dip (or bump) in the interior is not a step function.
         if len >= 3 && table[0] == table[len - 1] {
@@ -983,6 +984,7 @@ proptest! {
                     *t = (lcg(&mut rng) % reach) as i32 - (reach / 2) as i32;
                 }
                 at.sort_unstable();
+                let at = at.map(|t| t as f32);
                 int2::CodeSteps { sign: if lcg(&mut rng) & 1 == 0 { 1 } else { -1 }, at }
             })
             .collect();
@@ -1017,4 +1019,249 @@ proptest! {
             prop_assert_eq!(&forced, &want, "forced {:?}", backend);
         }
     }
+}
+
+/// One stem channel's BatchNorm statistics and QuantReLU grid: the
+/// epilogue `conv_f32_codes` folds, restated on the tensor calls the
+/// layers make (`BatchNorm::eval_channel` is `normalize_affine` at
+/// `1/√(σ² + ε)`, `QuantReLU::quantize_into` a clamp to the clip and
+/// `fake_quant_slice` onto the grid).
+#[derive(Debug, Clone, Copy)]
+struct StemChannel {
+    mean: f32,
+    var: f32,
+    gamma: f32,
+    beta: f32,
+    clip: f32,
+}
+
+impl StemChannel {
+    const EPS: f32 = 1e-5;
+
+    fn scale(&self) -> f32 {
+        self.clip / 3.0
+    }
+
+    /// The layers' epilogue over accumulators `y`: grid values into `q`,
+    /// and the normalized values into `z`.
+    fn epilogue(&self, y: &[f32], z: &mut [f32], q: &mut [f32]) {
+        let inv_std = 1.0 / (self.var + Self::EPS).sqrt();
+        adapex_tensor::simd::normalize_affine(z, y, self.mean, inv_std, self.gamma, self.beta);
+        for (q, &z) in q.iter_mut().zip(z.iter()) {
+            *q = z.clamp(0.0, self.clip);
+        }
+        adapex_tensor::simd::fake_quant_slice(q, self.scale(), 0.0, 3.0);
+    }
+
+    /// The chain `StreamPlan` folds: the code the pack rule gives the
+    /// epilogue's value, `None` where the normalize leaves the finite
+    /// range.
+    fn chain(&self, y: f32) -> Option<u8> {
+        let (mut z, mut q) = ([0.0f32], [0.0f32]);
+        self.epilogue(&[y], &mut z, &mut q);
+        if !z[0].is_finite() {
+            return None;
+        }
+        int2::act_codes_in_place(&mut q, self.scale());
+        Some(q[0] as u8)
+    }
+
+    /// Random statistics over the edge cases: γ of either sign and zero,
+    /// tiny and zero variances, β past the clip.
+    fn draw(rng: &mut u64) -> Self {
+        let unit = |rng: &mut u64| (lcg(rng) % 10_000) as f32 / 10_000.0;
+        let gamma = match lcg(rng) % 6 {
+            0 => 0.0,
+            1 | 2 => -(0.05 + 2.0 * unit(rng)),
+            _ => 0.05 + 2.0 * unit(rng),
+        };
+        let var = match lcg(rng) % 6 {
+            0 => 1e-12,
+            1 => 0.0,
+            _ => 0.01 + 4.0 * unit(rng),
+        };
+        StemChannel {
+            mean: 4.0 * unit(rng) - 2.0,
+            var,
+            gamma,
+            beta: 6.0 * unit(rng) - 3.0,
+            clip: [2.0f32, 1.0, 6.0][(lcg(rng) % 3) as usize],
+        }
+    }
+}
+
+/// Draws for pixels and weights: a value in `[-2, 2)`, the f32 edge case
+/// that may replace it, and the die [`with_edges`] rolls.
+fn stem_draws(len: usize) -> impl Strategy<Value = Vec<(u16, usize, f32)>> {
+    prop::collection::vec((0u16..1000, 0usize..STEM_EDGES.len(), -2.0f32..2.0), len..=len)
+}
+
+/// ±0, subnormals, huge and non-finite values.
+const STEM_EDGES: [f32; 11] = [
+    f32::NAN,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    1e38,
+    -1e38,
+    -0.0,
+    0.0,
+    1e-40,
+    -3e-42,
+    f32::MIN_POSITIVE,
+    f32::MAX,
+];
+
+/// The values of `draws`, an edge case in place of `per_mille` of them:
+/// a case with none mostly stays in every folded range, one with many
+/// mostly leaves it.
+fn with_edges(draws: &[(u16, usize, f32)], per_mille: u16) -> Vec<f32> {
+    draws.iter().map(|&(die, e, v)| if die < per_mille { STEM_EDGES[e] } else { v }).collect()
+}
+
+/// Accumulators equal bit for bit, every NaN counting as one.
+fn same_accumulators(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
+}
+
+type StemFn = unsafe fn(&[f32], usize, usize, usize, ConvGeometry, &[f32], &[f32], &[[f32; 2]], &mut [f32]) -> bool;
+
+fn stem_bodies(test: &str) -> Vec<(&'static str, StemFn)> {
+    bodies!(test, StemFn, conv_f32_acc, [avx2 if has_avx2, avx512 if has_avx512])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The stem as a threshold unit against the route it replaces:
+    /// `im2col_into` + `gemm_bias_st` for the accumulators, the layers'
+    /// epilogue per channel, `pack_image_int2` for the codes. Every body
+    /// writes the oracle's accumulators bit for bit and reports whether
+    /// they all lie in their channel's folded range; the dispatched
+    /// `conv_f32_codes`, under every forced backend, then writes the
+    /// oracle's packed codes exactly when they do — kernels 1–5,
+    /// strides 1–2, paddings 0–2, 1–4 input and 1–17 output channels,
+    /// rows ragged against 8, 16 and 32 lanes, over pixels and weights
+    /// that include ±0, subnormals, huge and non-finite values.
+    #[test]
+    fn stem_conv_codes_equal_im2col_gemm_epilogue_pack(
+        c_in in 1usize..5,
+        h in 1usize..9,
+        w in 1usize..38,
+        kernel in 1usize..6,
+        stride in 1usize..3,
+        pad in 0usize..3,
+        c_out in 1usize..18,
+        out_pad in 0usize..3,
+        seed in any::<u64>(),
+        edges in (0usize..4).prop_map(|i| [0u16, 0, 2, 30][i]),
+        img0 in stem_draws(4 * 8 * 37),
+        w0 in stem_draws(17 * 4 * 25),
+    ) {
+        let geom = ConvGeometry::new(kernel).with_stride(stride).with_padding(pad);
+        let (Some(oh), Some(ow)) = (geom.output_dim(h), geom.output_dim(w)) else {
+            return Ok(());
+        };
+        let (kk, pixels) = (c_in * kernel * kernel, oh * ow);
+        let img = &with_edges(&img0[..c_in * h * w], edges)[..];
+        // Weights on a fake-quant grid, but for the edge cases.
+        let weight: Vec<f32> = with_edges(&w0[..c_out * kk], edges)
+            .iter()
+            .map(|&v| if v.abs() < 2.0 { (v * 2.0).round() * 0.125 } else { v })
+            .collect();
+        let mut rng = seed;
+        let bias: Vec<f32> = (0..c_out).map(|_| (lcg(&mut rng) % 200) as f32 / 100.0 - 1.0).collect();
+        let chans: Vec<StemChannel> = (0..c_out).map(|_| StemChannel::draw(&mut rng)).collect();
+        let folds: Vec<(int2::CodeSteps, [f32; 2])> =
+            chans.iter().map(|ch| int2::CodeSteps::bisect(|y| ch.chain(y))).collect();
+        let steps: Vec<int2::CodeSteps> = folds.iter().map(|f| f.0).collect();
+        let domain: Vec<[f32; 2]> = folds.iter().map(|f| f.1).collect();
+
+        // The layer path.
+        let mut cols = Vec::new();
+        im2col_into(img, c_in, h, w, geom, &mut cols);
+        let mut y = vec![0.0f32; c_out * pixels];
+        adapex_tensor::gemm::gemm_bias_st(c_out, kk, pixels, &weight, &cols, &bias, &mut y);
+        let inside = y.chunks_exact(pixels).zip(&domain).all(|(ys, &[lo, hi])| ys.iter().all(|&v| lo <= v && v <= hi));
+        let (mut z, mut q) = (vec![0.0f32; pixels], vec![0.0f32; c_out * pixels]);
+        for ((ch, ys), qs) in chans.iter().zip(y.chunks_exact(pixels)).zip(q.chunks_exact_mut(pixels)) {
+            ch.epilogue(ys, &mut z, qs);
+        }
+        // Each channel packed at its own grid step, then interleaved.
+        let rw = int2::image_row_words(ow, out_pad);
+        let mut want = Vec::with_capacity(c_out * oh * 2 * rw);
+        for (ch, qs) in chans.iter().zip(q.chunks_exact(pixels)) {
+            let mut packed = Vec::new();
+            int2::pack_image_int2(qs, ch.scale(), 1, oh, ow, out_pad, &mut packed);
+            want.extend(packed);
+        }
+
+        for (name, body) in stem_bodies("stem_conv_codes_equal_im2col_gemm_epilogue_pack") {
+            let mut acc = vec![f32::NAN; c_out * pixels];
+            let ok = unsafe { body(img, c_in, h, w, geom, &weight, &bias, &domain, &mut acc) };
+            prop_assert!(same_accumulators(&acc, &y), "{} accumulators", name);
+            prop_assert_eq!(ok, inside, "{} range verdict", name);
+        }
+        let _switch = BACKEND_SWITCH.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+        for backend in backends() {
+            int2::override_backend(Some(backend));
+            let (mut got, mut acc_ws) = (vec![!0u64; want.len()], vec![f32::NAN; 3]);
+            let ok = int2::conv_f32_codes(
+                img, c_in, h, w, geom, &weight, &bias, &steps, &domain, out_pad, &mut got, &mut acc_ws,
+            );
+            int2::override_backend(None);
+            prop_assert_eq!(ok, inside, "{:?} range verdict", backend);
+            if ok {
+                prop_assert_eq!(&got, &want, "{:?} codes", backend);
+            } else {
+                // The caller's exact path reads them (the threshold unit
+                // clobbers them on the other branch).
+                prop_assert!(same_accumulators(&acc_ws, &y), "{:?} accumulators", backend);
+            }
+        }
+    }
+}
+
+/// The fold finds the range `chain` is finite on and three steps that
+/// reproduce it there, for a rising, a falling and a γ = 0 channel: in
+/// the range the steps equal the chain on **every** f32 accumulator,
+/// and the chain is finite on all of it. Also the edges the fold
+/// refuses: a chain that codes −0 and +0 apart, and one finite nowhere.
+/// A few minutes with `--release -- --ignored`.
+#[test]
+#[ignore = "exhaustive 2^32 sweep per channel"]
+fn stem_fold_equals_the_chain_on_every_f32() {
+    const CHUNK: usize = 1 << 20;
+    let channels = [
+        ("γ > 0", StemChannel { mean: 0.3, var: 0.7, gamma: 1.3, beta: 0.2, clip: 2.0 }),
+        ("γ < 0", StemChannel { mean: -0.4, var: 2.1, gamma: -0.8, beta: 1.1, clip: 2.0 }),
+        ("γ = 0", StemChannel { mean: 0.1, var: 0.5, gamma: 0.0, beta: 0.7, clip: 2.0 }),
+    ];
+    let (mut ys, mut z, mut q) = (vec![0.0f32; CHUNK], vec![0.0f32; CHUNK], vec![0.0f32; CHUNK]);
+    for (name, ch) in channels {
+        let (steps, [lo, hi]) = int2::CodeSteps::bisect(|y| ch.chain(y));
+        assert!(lo < 0.0 && hi > 0.0, "{name}: range [{lo}, {hi}] around zero");
+        let mut covered = 0u64;
+        for base in (0..1u64 << 32).step_by(CHUNK) {
+            for (i, y) in ys.iter_mut().enumerate() {
+                *y = f32::from_bits((base + i as u64) as u32);
+            }
+            ch.epilogue(&ys, &mut z, &mut q);
+            int2::act_codes_in_place(&mut q, ch.scale());
+            for ((&y, &z), &code) in ys.iter().zip(&z).zip(&q) {
+                if lo <= y && y <= hi {
+                    covered += 1;
+                    assert!(z.is_finite(), "{name}: not finite at {:#010x} inside the range", y.to_bits());
+                    assert_eq!(steps.code(y), code as u8, "{name}: code of {:#010x}", y.to_bits());
+                }
+            }
+        }
+        println!("{name}: {steps:?} on [{lo:e}, {hi:e}], {covered} accumulators");
+    }
+    // Mean 0 with zero variance: ±0 normalize to ∓∞·0 = NaN... and a
+    // positive γ with an infinite scale sends −0 and +0 to −∞ and +∞.
+    let split = StemChannel { mean: 0.0, var: -StemChannel::EPS, gamma: 1.0, beta: 0.0, clip: 2.0 };
+    assert_eq!(int2::CodeSteps::bisect(|y| split.chain(y)).1, [f32::INFINITY, f32::NEG_INFINITY]);
+    assert_eq!(int2::CodeSteps::bisect(|_| None).1, [f32::INFINITY, f32::NEG_INFINITY]);
+    let zeros_apart = |y: f32| Some(u8::from(y.is_sign_positive()));
+    assert_eq!(int2::CodeSteps::bisect(zeros_apart).1, [f32::INFINITY, f32::NEG_INFINITY]);
 }
