@@ -7,10 +7,11 @@
 //! SHA-256 of a canonical JSON encoding of the exact inputs that
 //! determine it (dataset config and seed, network/exit configs, train
 //! and retrain configs, pruning rate and mode, folding and clock
-//! parameters, target device, and [`CACHE_FORMAT_EPOCH`]). Re-running
-//! the generator with overlapping configuration therefore *loads*
-//! instead of retraining, and an extended sweep (say one new pruning
-//! rate) trains only the new variants.
+//! parameters, target device, [`CACHE_FORMAT_EPOCH`] and
+//! [`NUMERICS_VERSION`]). Re-running the generator with overlapping
+//! configuration therefore *loads* instead of retraining, and an
+//! extended sweep (say one new pruning rate) trains only the new
+//! variants.
 //!
 //! Invariants the cache maintains:
 //!
@@ -42,6 +43,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// part of the directory name: bump it whenever the meaning of a cached
 /// artifact changes (checkpoint wire format, entry semantics, …).
 pub const CACHE_FORMAT_EPOCH: u32 = 1;
+
+/// Version of the training and evaluation numerics: the bits a given
+/// configuration trains to. Hashed into every fingerprint (not into the
+/// directory name), so bumping it turns every cached checkpoint,
+/// evaluation and entry into a miss. `tests/training_fingerprint.rs`
+/// pins it beside the committed hash of a small generation: a change
+/// that re-blesses that hash bumps this constant with it, so no cache
+/// written under the old numerics can answer a run of the new ones.
+///
+/// Version 1 is the numerics since the data generator's release-build
+/// miscompile was fixed; caches written before it carry no numerics
+/// version and miss.
+pub const NUMERICS_VERSION: u32 = 1;
 
 /// SHA-256 of `bytes`, lower-case hex.
 pub fn sha256_hex(bytes: &[u8]) -> String {
@@ -131,7 +145,9 @@ fn sha256(bytes: &[u8]) -> [u8; 32] {
 }
 
 /// Fingerprints `key` under a `label` namespace: SHA-256 of
-/// `label \0 epoch \0 canonical-JSON(key)`, as lower-case hex.
+/// `label \0 epoch \0 numerics \0 canonical-JSON(key)`, as lower-case
+/// hex, where `epoch` is [`CACHE_FORMAT_EPOCH`] and `numerics` is
+/// [`NUMERICS_VERSION`], each as four little-endian bytes.
 ///
 /// The JSON encoding is canonical because every key type serializes
 /// fields in declaration order and any maps involved (e.g.
@@ -139,11 +155,17 @@ fn sha256(bytes: &[u8]) -> [u8; 32] {
 /// text exact. Two configs fingerprint equal iff they would produce the
 /// same artifact.
 pub fn fingerprint<T: Serialize>(label: &str, key: &T) -> String {
+    fingerprint_under(NUMERICS_VERSION, label, key)
+}
+
+fn fingerprint_under<T: Serialize>(numerics: u32, label: &str, key: &T) -> String {
     let json = serde_json::to_string(key).expect("cache keys are plain data");
     let mut buf = Vec::with_capacity(label.len() + json.len() + 16);
     buf.extend_from_slice(label.as_bytes());
     buf.push(0);
     buf.extend_from_slice(&CACHE_FORMAT_EPOCH.to_le_bytes());
+    buf.push(0);
+    buf.extend_from_slice(&numerics.to_le_bytes());
     buf.push(0);
     buf.extend_from_slice(json.as_bytes());
     sha256_hex(&buf)
@@ -348,9 +370,26 @@ impl ArtifactCache {
         self.store_json(fp, "eval.json", eval);
     }
 
-    /// Loads the finished `LibraryEntry` stored at `fp`, if intact.
-    pub fn load_entry(&self, fp: &str) -> Option<LibraryEntry> {
-        let got = self.load_json(fp, "entry.json");
+    /// Loads the finished `LibraryEntry` stored at `fp`, if intact and
+    /// shaped for sweep position `id` with `points` operating points. A
+    /// file of any other shape is handled like a corrupt one: logged,
+    /// and a miss, so the entry is rebuilt and its slot overwritten.
+    pub fn load_entry(&self, fp: &str, id: usize, points: usize) -> Option<LibraryEntry> {
+        let got = self
+            .load_json::<LibraryEntry>(fp, "entry.json")
+            .filter(|entry| {
+                let fits = entry.id == id && entry.points.len() == points;
+                if !fits {
+                    eprintln!(
+                        "[adapex-cache] mis-shaped {} (want id {id} with {points} points, \
+                         got id {} with {} points); recomputing",
+                        self.path(fp, "entry.json").display(),
+                        entry.id,
+                        entry.points.len()
+                    );
+                }
+                fits
+            });
         let slot = if got.is_some() {
             &self.stats.entry_hits
         } else {
@@ -407,6 +446,25 @@ mod tests {
         assert_ne!(a, b, "different keys must not collide");
         assert_ne!(a, c, "labels namespace the keys");
         assert_eq!(a, fingerprint("entry", &Key { rate: 0.3, id: 1 }));
+    }
+
+    #[test]
+    fn another_numerics_version_moves_every_fingerprint() {
+        // A numerics bump must retire checkpoints ("model", "variant"
+        // stems, evaluations stored beside them) and finished entries
+        // alike: no label may keep its address.
+        let key = [0.25_f64, 0.5];
+        for label in ["model", "variant", "entry"] {
+            let now = fingerprint(label, &key);
+            assert_eq!(now, fingerprint_under(NUMERICS_VERSION, label, &key));
+            for other in [0, NUMERICS_VERSION + 1, u32::MAX] {
+                assert_ne!(
+                    now,
+                    fingerprint_under(other, label, &key),
+                    "label {label:?} kept its address under numerics {other}"
+                );
+            }
+        }
     }
 
     #[test]

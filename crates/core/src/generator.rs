@@ -339,8 +339,13 @@ impl LibraryGenerator {
     /// first looked up in the content-addressed [`ArtifactCache`];
     /// because checkpoints preserve `f32` bits and the JSON codec
     /// round-trips floats exactly, cache hits produce byte-identical
-    /// artifacts to recomputation. Base networks train lazily: a fully
-    /// warm run never trains at all.
+    /// artifacts to recomputation. The dataset and the base networks
+    /// are produced lazily, on first demand: a fully warm run never
+    /// draws an image and never trains. It still pays for two untrained
+    /// shape builds (folding and pruning constraints derive from layer
+    /// shapes), the fingerprints, and one file read per finished entry
+    /// plus one for the reference model's evaluation (13 for a
+    /// 12-entry library).
     ///
     /// # Panics
     ///
@@ -357,7 +362,11 @@ impl LibraryGenerator {
         let cfg = &self.config;
         let cache = cfg.cache_dir.as_ref().map(ArtifactCache::new);
         let cache = cache.as_ref();
-        let data = cfg.dataset.generate();
+        // Four consumers need pixels: base training, the reference
+        // evaluation, a variant's retrain and a variant's evaluation.
+        // Each reaches them through this cell, so the dataset is drawn
+        // once if any of them misses the cache and never otherwise.
+        let data = Lazy::new(Box::new(|| cfg.dataset.generate()));
         let classes = cfg.kind.num_classes();
         let thresholds = cfg.thresholds();
         let jobs = cfg.effective_jobs();
@@ -380,17 +389,17 @@ impl LibraryGenerator {
         );
         let plain_constraints = derive_constraints(&plain_shape, &plain_folding);
         let plain_fp = fingerprint("model", &BaseModelKey::plain(cfg));
-        let plain = LazyNet::new(Box::new(|| self.trained_base(None, &data, cache, &plain_fp)));
+        let plain = Lazy::new(Box::new(|| self.trained_base(None, &data, cache, &plain_fp)));
 
         let plain_eval = cache.and_then(|c| {
-            c.load_eval(&plain_fp, plain_shape.num_exits(), data.test.len())
+            c.load_eval(&plain_fp, plain_shape.num_exits(), cfg.dataset.test_size)
         });
         let reference_accuracy = match plain_eval {
             Some(eval) => eval.exit_accuracy(0),
             None => {
                 let mut net = plain.get().clone();
                 let eval =
-                    evaluate_exits_with(&mut net, &data.test, EvalConfig::default());
+                    evaluate_exits_with(&mut net, &data.get().test, EvalConfig::default());
                 if let Some(c) = cache {
                     c.store_eval(&plain_fp, &eval);
                 }
@@ -434,7 +443,7 @@ impl LibraryGenerator {
         );
         let ee_constraints = derive_constraints(&ee_shape, &ee_folding);
         let ee_fp = fingerprint("model", &BaseModelKey::early_exit(cfg));
-        let ee = LazyNet::new(Box::new(|| {
+        let ee = Lazy::new(Box::new(|| {
             self.trained_base(Some(&cfg.exits), &data, cache, &ee_fp)
         }));
 
@@ -486,7 +495,7 @@ impl LibraryGenerator {
     fn trained_base(
         &self,
         exits: Option<&ExitsConfig>,
-        data: &SyntheticDataset,
+        data: &Lazy<'_, SyntheticDataset>,
         cache: Option<&ArtifactCache>,
         fp: &str,
     ) -> EarlyExitNetwork {
@@ -515,7 +524,7 @@ impl LibraryGenerator {
             }
         }
         self.log(&format!("training {what}"));
-        Trainer::new(train).fit(&mut net, data, fit_seed);
+        Trainer::new(train).fit(&mut net, data.get(), fit_seed);
         if let Some(c) = cache {
             c.store_checkpoint(fp, &net);
         }
@@ -535,13 +544,13 @@ impl LibraryGenerator {
     fn build_entry(
         &self,
         id: usize,
-        base: &LazyNet<'_>,
+        base: &Lazy<'_, EarlyExitNetwork>,
         base_fp: &str,
         rate: f64,
         prune_exits: bool,
         constraints: &ConstraintMap,
         folding: &FoldingConfig,
-        data: &SyntheticDataset,
+        data: &Lazy<'_, SyntheticDataset>,
         thresholds: &[f64],
         cache: Option<&ArtifactCache>,
         eval_jobs: usize,
@@ -566,7 +575,7 @@ impl LibraryGenerator {
         });
         if let (Some(c), Some(stem)) = (cache, stem.as_deref()) {
             let entry_fp = fingerprint("entry", &EntryKey { stem, thresholds });
-            if let Some(entry) = c.load_entry(&entry_fp) {
+            if let Some(entry) = c.load_entry(&entry_fp, id, thresholds.len()) {
                 return entry;
             }
         }
@@ -583,7 +592,7 @@ impl LibraryGenerator {
                     exit_loss_weights: Some(cfg.exits.loss_weights(pruned.num_exits())),
                     ..cfg.retrain.clone()
                 };
-                Trainer::new(retrain).fit(&mut pruned, data, cfg.seed ^ (id as u64) << 8);
+                Trainer::new(retrain).fit(&mut pruned, data.get(), cfg.seed ^ (id as u64) << 8);
                 if let (Some(c), Some(stem)) = (cache, stem.as_deref()) {
                     c.store_checkpoint(stem, &pruned);
                 }
@@ -600,13 +609,13 @@ impl LibraryGenerator {
         };
         let eval = match (cache, stem.as_deref()) {
             (Some(c), Some(stem)) => c
-                .load_eval(stem, net.num_exits(), data.test.len())
+                .load_eval(stem, net.num_exits(), cfg.dataset.test_size)
                 .unwrap_or_else(|| {
-                    let eval = evaluate_exits_with(&mut net, &data.test, eval_cfg);
+                    let eval = evaluate_exits_with(&mut net, &data.get().test, eval_cfg);
                     c.store_eval(stem, &eval);
                     eval
                 }),
-            _ => evaluate_exits_with(&mut net, &data.test, eval_cfg),
+            _ => evaluate_exits_with(&mut net, &data.get().test, eval_cfg),
         };
         let points = thresholds
             .iter()
@@ -663,26 +672,28 @@ impl LibraryGenerator {
     }
 }
 
-/// A base network that trains (or loads) at most once, on first demand.
+/// A value computed at most once, on first demand: the dataset, or a
+/// base network trained (or loaded) on it.
 ///
-/// Sweep workers share one `LazyNet` per base model; `OnceLock` makes
-/// the first `get` run the initializer while concurrent callers block,
-/// so a fully cache-warm sweep — where no worker ever needs weights —
-/// skips base training entirely.
-struct LazyNet<'a> {
-    cell: OnceLock<EarlyExitNetwork>,
-    init: Box<dyn Fn() -> EarlyExitNetwork + Send + Sync + 'a>,
+/// Sweep workers share one `Lazy` per value; `OnceLock` makes the first
+/// `get` run the initializer while concurrent callers block, so workers
+/// that race for it see one computation, and a fully cache-warm sweep —
+/// where nothing needs pixels or weights — never draws the dataset or
+/// trains a base network.
+struct Lazy<'a, T> {
+    cell: OnceLock<T>,
+    init: Box<dyn Fn() -> T + Send + Sync + 'a>,
 }
 
-impl<'a> LazyNet<'a> {
-    fn new(init: Box<dyn Fn() -> EarlyExitNetwork + Send + Sync + 'a>) -> Self {
-        LazyNet {
+impl<'a, T> Lazy<'a, T> {
+    fn new(init: Box<dyn Fn() -> T + Send + Sync + 'a>) -> Self {
+        Lazy {
             cell: OnceLock::new(),
             init,
         }
     }
 
-    fn get(&self) -> &EarlyExitNetwork {
+    fn get(&self) -> &T {
         self.cell.get_or_init(|| (self.init)())
     }
 }
@@ -1054,6 +1065,20 @@ mod tests {
         assert!(!json.contains("\"jobs\""));
         let back: GeneratorConfig = serde_json::from_str(&json).expect("parse");
         assert_eq!(back.jobs, 0, "deserialized configs fall back to auto");
+    }
+
+    #[test]
+    fn racing_workers_see_one_lazy_computation() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let runs = AtomicUsize::new(0);
+        let lazy = Lazy::new(Box::new(|| {
+            runs.fetch_add(1, Ordering::SeqCst);
+            std::thread::sleep(std::time::Duration::from_millis(5));
+            vec![7_u8; 3]
+        }));
+        let seen = par_map(16, 4, |_| lazy.get().as_ptr() as usize);
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "racing workers drew twice");
+        assert!(seen.iter().all(|&p| p == seen[0]), "workers saw different values");
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod report;
 pub mod runtime;
 pub mod serve;
 
-pub use cache::{ArtifactCache, CacheStats, CACHE_FORMAT_EPOCH};
+pub use cache::{ArtifactCache, CacheStats, CACHE_FORMAT_EPOCH, NUMERICS_VERSION};
 pub use generator::{Artifacts, GeneratorConfig, LibraryGenerator};
 pub use library::{Library, LibraryEntry, OperatingPoint};
 pub use runtime::{Decision, MitigationConfig, RuntimeManager, SelectionPolicy};

@@ -3,11 +3,14 @@
 //! (for any job count), a fully-warm re-run must touch no training at
 //! all, corruption — a cached evaluation of the wrong shape included —
 //! must degrade to recompute, and extending the sweep must reuse every
-//! previously-built variant.
+//! previously-built variant. The dataset is drawn only on demand, so the
+//! cases that rebuild from cached checkpoints also check that whichever
+//! consumer draws it first sees the same images.
 
 use adapex::generator::{Artifacts, GeneratorConfig, LibraryGenerator};
-use adapex::CacheStats;
+use adapex::{CacheStats, LibraryEntry};
 use adapex_dataset::DatasetKind;
+use adapex_nn::eval::ExitEvaluation;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -179,6 +182,72 @@ fn misshapen_cached_evaluations_are_recomputed() {
     let (_, stats, rerun) = run(scenario(1, &rates, Some(tmp.path())));
     assert_eq!(rerun, cold);
     assert!(stats.all_hits(), "{stats:?}");
+}
+
+#[test]
+fn misshapen_cached_entries_are_rebuilt() {
+    // A finished entry that parses but does not fit its sweep position
+    // — no operating points, or another variant's id — is a corrupt
+    // artifact: logged, rebuilt from the cached checkpoint and
+    // evaluation, overwritten and counted as an entry miss.
+    let tmp = TempDir::new("misshapen-entry");
+    let rates = [0.0, 0.4];
+    let (_, _, cold) = run(scenario(1, &rates, Some(tmp.path())));
+    let entry_file = artifacts(tmp.path(), ".entry.json")
+        .into_iter()
+        .next()
+        .expect("a finished entry is cached");
+    let intact: LibraryEntry = parse(&entry_file);
+
+    let mut pointless = intact.clone();
+    pointless.points.clear();
+    let mut misplaced = intact;
+    misplaced.id += 1;
+    for (what, entry) in [("no points", pointless), ("wrong id", misplaced)] {
+        fs::write(&entry_file, serde_json::to_string(&entry).unwrap()).unwrap();
+        let (_, stats, rerun) = run(scenario(1, &rates, Some(tmp.path())));
+        assert_eq!(rerun, cold, "{what}: rebuilt entry diverged from cold run");
+        assert_eq!((stats.entry_hits, stats.entry_misses), (3, 1), "{what}: {stats:?}");
+        assert_eq!(stats.misses(), 1, "{what}: only the entry rebuilds: {stats:?}");
+    }
+    let (_, stats, rerun) = run(scenario(1, &rates, Some(tmp.path())));
+    assert_eq!(rerun, cold);
+    assert!(stats.all_hits(), "the rebuilt slot was overwritten: {stats:?}");
+}
+
+#[test]
+fn an_evaluation_can_be_the_first_to_draw_the_dataset() {
+    // One pruning rate, so the AdaPEx sweep has one variant: the only
+    // entry with more than one operating point and the only
+    // three-exit evaluation. Without them, both base checkpoints and the
+    // variant's checkpoint hit, so nothing trains and the first
+    // consumer of the dataset is that variant's evaluation on the test
+    // split.
+    let tmp = TempDir::new("eval-draws-first");
+    let rates = [0.4];
+    let (_, _, cold) = run(scenario(1, &rates, Some(tmp.path())));
+    for jobs in [1, 4] {
+        let entries: Vec<PathBuf> = artifacts(tmp.path(), ".entry.json")
+            .into_iter()
+            .filter(|f| parse::<LibraryEntry>(f).points.len() > 1)
+            .collect();
+        let evals: Vec<PathBuf> = artifacts(tmp.path(), ".eval.json")
+            .into_iter()
+            .filter(|f| parse::<ExitEvaluation>(f).num_exits() == 3)
+            .collect();
+        assert_eq!((entries.len(), evals.len()), (1, 1), "one AdaPEx variant");
+        fs::remove_file(&entries[0]).unwrap();
+        fs::remove_file(&evals[0]).unwrap();
+
+        let (_, stats, rerun) = run(scenario(jobs, &rates, Some(tmp.path())));
+        assert_eq!(rerun, cold, "jobs={jobs}: evaluation-first draw diverged from cold run");
+        assert_eq!((stats.entry_misses, stats.eval_misses), (1, 1), "jobs={jobs}: {stats:?}");
+        assert_eq!(stats.misses(), 2, "jobs={jobs}: nothing retrains: {stats:?}");
+    }
+}
+
+fn parse<T: serde::Deserialize>(file: &Path) -> T {
+    serde_json::from_str(&fs::read_to_string(file).unwrap()).unwrap()
 }
 
 /// Files under the cache's epoch directory with the given suffix,

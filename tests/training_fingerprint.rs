@@ -10,12 +10,21 @@
 //! in the release profile alike.
 //!
 //! A change that is meant to move training numerics re-captures the
-//! constant from the failure message and says why in its description.
+//! constants from the failure message, bumps
+//! `adapex::cache::NUMERICS_VERSION` and records the new version in
+//! `NUMERICS` below, and says why in its description. The three are
+//! asserted as one tuple: the hash is blessed *for* a numerics version,
+//! so a re-blessed hash under an unchanged version reads as a mistake in
+//! review, and the bump retires every cached checkpoint, evaluation and
+//! entry trained under the old numerics.
 
 use adapex::generator::{GeneratorConfig, LibraryGenerator};
+use adapex::NUMERICS_VERSION;
 use adapex_dataset::{DatasetKind, SyntheticConfig};
 use adapex_nn::CnvConfig;
 
+/// The `NUMERICS_VERSION` the two constants below were captured under.
+const NUMERICS: u32 = 1;
 /// FNV-1a-64 of the compact artifact JSON.
 const ARTIFACTS_FNV: u64 = 0xae4f_71dd_5a72_7787;
 /// Length of that JSON in bytes, for a readable first failure.
@@ -41,9 +50,10 @@ fn small_library_generation_matches_its_committed_fingerprint() {
     let json = serde_json::to_string(&artifacts).expect("artifacts serialize");
     let got = fnv1a64(json.as_bytes());
     assert_eq!(
-        (json.len(), got),
-        (ARTIFACTS_LEN, ARTIFACTS_FNV),
-        "training fingerprint moved: {} bytes, fnv {got:#018x}",
+        (NUMERICS_VERSION, json.len(), got),
+        (NUMERICS, ARTIFACTS_LEN, ARTIFACTS_FNV),
+        "training fingerprint moved: numerics version {NUMERICS_VERSION}, {} bytes, \
+         fnv {got:#018x}",
         json.len()
     );
 }
