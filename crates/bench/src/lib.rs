@@ -1,6 +1,6 @@
-//! Shared support for the gate bins and the experiment benches: the one
-//! timer and report header every `BENCH_*.json` is made with, artifact
-//! caching, and simple table rendering.
+//! Shared support for the gate bins and the paper run: the one timer and
+//! report header every `BENCH_*.json` is made with, the cached library,
+//! and simple table rendering.
 //!
 //! # How this repo measures
 //!
@@ -18,29 +18,18 @@
 //! [`ReportHeader`]. A number no assertion reads is not in a report;
 //! history is `git log -p` of the committed reports.
 //!
-//! # Experiment benches
+//! # The paper run
 //!
-//! Generating the full AdaPEx library (two trained base CNNs plus ~50
-//! pruned/retrained variants per dataset) takes minutes on one CPU
-//! core, so the benches share a JSON artifact cache under
-//! `target/adapex-cache/`. Controls:
-//!
-//! * `ADAPEX_PROFILE=fast|repro` — experiment scale (default `repro`).
-//! * `ADAPEX_REGEN=1` — ignore the cache and regenerate.
-//! * `ADAPEX_DATASETS=cifar10,gtsrb` — restrict the dataset sweep.
-//! * `ADAPEX_REPS=N` — edge-simulation repetitions (default 100, the
-//!   paper's count).
-//! * `ADAPEX_JOBS=N` — worker threads for the variant sweep (default
-//!   0 = available parallelism; artifacts are byte-identical for any
-//!   value).
-//! * `ADAPEX_CACHE=DIR` — content-addressed artifact cache for the
-//!   generator itself (trained checkpoints, evaluations, finished
-//!   entries). Unlike the whole-artifact JSON above, it survives
-//!   config extensions: adding a pruning rate retrains only the new
-//!   variants. Unset = no cache; hits are byte-identical to recompute.
+//! The `paper` bin regenerates every table and figure of the paper
+//! (`cargo run --release -p adapex-bench --bin paper [-- --profile
+//! fast]`); it and the examples get their libraries from
+//! [`cached_artifacts`], which keeps the generator's content-addressed
+//! artifact cache under `target/adapex-cache/`. The cache is keyed by
+//! the generator configuration, `CACHE_FORMAT_EPOCH` and
+//! `NUMERICS_VERSION`, so a warm run is byte-identical to a cold one and
+//! a stale library is never loaded.
 
 use adapex::generator::{Artifacts, GeneratorConfig, LibraryGenerator};
-use adapex_dataset::DatasetKind;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -209,97 +198,8 @@ pub fn cpu_features() -> Vec<&'static str> {
     }
 }
 
-/// Experiment scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// Paper-scale sweep (18 rates × 2 modes × 21 thresholds).
-    Repro,
-    /// Reduced sweep for quick runs.
-    Fast,
-}
-
-impl Profile {
-    /// Reads `ADAPEX_PROFILE` (default `repro`).
-    pub fn from_env() -> Self {
-        match std::env::var("ADAPEX_PROFILE").as_deref() {
-            Ok("fast") => Profile::Fast,
-            _ => Profile::Repro,
-        }
-    }
-
-    /// Cache-key fragment.
-    pub fn id(self) -> &'static str {
-        match self {
-            Profile::Repro => "repro",
-            Profile::Fast => "fast",
-        }
-    }
-
-    /// Generator configuration for a dataset at this profile.
-    pub fn generator_config(self, kind: DatasetKind) -> GeneratorConfig {
-        let mut cfg = match self {
-            Profile::Repro => GeneratorConfig::repro_default(kind),
-            Profile::Fast => GeneratorConfig::fast(kind),
-        };
-        cfg.verbose = true;
-        cfg.jobs = jobs();
-        if let Some(dir) = artifact_cache_dir() {
-            cfg = cfg.with_cache_dir(dir);
-        }
-        cfg
-    }
-}
-
-/// Generator-level artifact cache directory (`ADAPEX_CACHE`), if set.
-pub fn artifact_cache_dir() -> Option<PathBuf> {
-    std::env::var("ADAPEX_CACHE")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-}
-
-/// Sweep worker threads (`ADAPEX_JOBS`, default 0 = auto). The job
-/// count only affects wall-clock time, never the generated artifacts.
-pub fn jobs() -> usize {
-    std::env::var("ADAPEX_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
-}
-
-/// The datasets selected via `ADAPEX_DATASETS` (default: both).
-pub fn datasets() -> Vec<DatasetKind> {
-    match std::env::var("ADAPEX_DATASETS") {
-        Ok(list) => {
-            let mut kinds = Vec::new();
-            for item in list.split(',') {
-                match item.trim() {
-                    "cifar10" => kinds.push(DatasetKind::Cifar10Like),
-                    "gtsrb" => kinds.push(DatasetKind::GtsrbLike),
-                    other => eprintln!("ignoring unknown dataset `{other}`"),
-                }
-            }
-            if kinds.is_empty() {
-                vec![DatasetKind::Cifar10Like, DatasetKind::GtsrbLike]
-            } else {
-                kinds
-            }
-        }
-        Err(_) => vec![DatasetKind::Cifar10Like, DatasetKind::GtsrbLike],
-    }
-}
-
-/// Edge-simulation repetitions (`ADAPEX_REPS`, default 100 as in the
-/// paper).
-pub fn repetitions() -> usize {
-    std::env::var("ADAPEX_REPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(100)
-}
-
-/// Cache directory (`target/adapex-cache` of this workspace).
+/// The artifact cache directory (`target/adapex-cache` of this
+/// workspace), created if missing.
 pub fn cache_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("../../target/adapex-cache");
@@ -307,25 +207,13 @@ pub fn cache_dir() -> PathBuf {
     dir
 }
 
-/// Loads or generates the artifacts for one dataset at the env-selected
-/// profile.
-pub fn artifacts(kind: DatasetKind) -> Artifacts {
-    let profile = Profile::from_env();
-    let path = cache_dir().join(format!("artifacts-{}-{}.json", kind.id(), profile.id()));
-    let regen = std::env::var("ADAPEX_REGEN").is_ok_and(|v| v == "1");
-    if !regen {
-        if let Ok(art) = Artifacts::load_json(&path) {
-            eprintln!("[cache] loaded {}", path.display());
-            return art;
-        }
-    }
-    eprintln!(
-        "[cache] generating artifacts for {kind} at profile {} (this trains ~50 CNN variants; minutes on one core)",
-        profile.id()
-    );
-    let art = LibraryGenerator::new(profile.generator_config(kind)).generate();
-    art.save_json(&path).expect("cache write");
-    eprintln!("[cache] saved {}", path.display());
+/// Generates the library `cfg` describes through the artifact cache in
+/// [`cache_dir`], logging progress and the cache's hit/miss line to
+/// stderr.
+pub fn cached_artifacts(cfg: GeneratorConfig) -> Artifacts {
+    let cfg = GeneratorConfig { verbose: true, ..cfg }.with_cache_dir(cache_dir());
+    let (art, stats) = LibraryGenerator::new(cfg).generate_with_stats();
+    eprintln!("cache: {stats}");
     art
 }
 
@@ -435,17 +323,6 @@ mod tests {
         assert_eq!(header.schema_version, BENCH_SCHEMA_VERSION);
         assert!(header.threads >= 1 && header.host_cores >= 1);
         assert!(!header.simd_backend.is_empty() && !header.int2_backend.is_empty());
-    }
-
-    #[test]
-    fn profile_ids() {
-        assert_eq!(Profile::Repro.id(), "repro");
-        assert_eq!(Profile::Fast.id(), "fast");
-    }
-
-    #[test]
-    fn cache_dir_exists() {
-        assert!(cache_dir().is_dir());
     }
 
     #[test]

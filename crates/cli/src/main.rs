@@ -61,9 +61,9 @@ adapex-cli — AdaPEx (DATE 2023) reproduction toolkit
 USAGE:
   adapex-cli generate --dataset cifar10|gtsrb [--profile fast|repro] --out FILE
                       [--jobs N]   (0 = auto; results are identical for any N)
-                      [--cache-dir DIR] [--no-cache]
-                      (DIR defaults to $ADAPEX_CACHE when set; caching is off
-                       otherwise. Cache hits are byte-identical to recompute.)
+                      [--cache-dir DIR]
+                      (caching is off without --cache-dir. Cache hits are
+                       byte-identical to recompute.)
   adapex-cli inspect  --artifacts FILE [--prune-exits]
   adapex-cli report   --artifacts FILE [--out FILE.md]
   adapex-cli simulate --artifacts FILE [--system adapex|pr-only|ct-only|finn|all]
@@ -126,19 +126,11 @@ fn dataset_of(name: &str) -> Result<DatasetKind, Box<dyn Error>> {
 fn cmd_generate(args: &Args) -> Result<(), Box<dyn Error>> {
     let kind = dataset_of(args.get_or("dataset", "cifar10".to_string())?.as_str())?;
     let out = args.require("out")?;
-    let mut cfg = match args.get_or("profile", "fast".to_string())?.as_str() {
-        "repro" => GeneratorConfig::repro_default(kind),
-        "fast" => GeneratorConfig::fast(kind),
-        other => return Err(format!("unknown profile `{other}` (fast|repro)").into()),
-    };
+    let profile = args.get_or("profile", "fast".to_string())?;
+    let mut cfg = GeneratorConfig::for_profile(&profile, kind)?;
     cfg.verbose = true;
     cfg.jobs = args.get_or("jobs", 0usize)?;
-    // --cache-dir wins over $ADAPEX_CACHE; --no-cache disables both.
-    let cache_dir = match args.get("cache-dir") {
-        Some(dir) => Some(dir.to_string()),
-        None => std::env::var("ADAPEX_CACHE").ok().filter(|v| !v.is_empty()),
-    };
-    if let Some(dir) = cache_dir.filter(|_| !args.flag("no-cache")) {
+    if let Some(dir) = args.get("cache-dir") {
         cfg = cfg.with_cache_dir(dir);
     }
     let cached = cfg.cache_dir.is_some();
@@ -151,17 +143,7 @@ fn cmd_generate(args: &Args) -> Result<(), Box<dyn Error>> {
         artifacts.reference_accuracy * 100.0
     );
     if cached {
-        println!(
-            "cache: {} hits / {} misses (entries {}/{}, checkpoints {}/{}, evals {}/{})",
-            stats.hits(),
-            stats.misses(),
-            stats.entry_hits,
-            stats.entry_misses,
-            stats.checkpoint_hits,
-            stats.checkpoint_misses,
-            stats.eval_hits,
-            stats.eval_misses,
-        );
+        println!("cache: {stats}");
     }
     Ok(())
 }

@@ -210,6 +210,25 @@ impl CacheStats {
     }
 }
 
+/// `N hits / M misses (entries h/m, checkpoints h/m, evals h/m)`, the
+/// line the CLI and the paper run print after a generation.
+impl std::fmt::Display for CacheStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} hits / {} misses (entries {}/{}, checkpoints {}/{}, evals {}/{})",
+            self.hits(),
+            self.misses(),
+            self.entry_hits,
+            self.entry_misses,
+            self.checkpoint_hits,
+            self.checkpoint_misses,
+            self.eval_hits,
+            self.eval_misses,
+        )
+    }
+}
+
 #[derive(Default)]
 struct StatCounters {
     checkpoint_hits: AtomicU64,
@@ -409,6 +428,22 @@ impl ArtifactCache {
 mod tests {
     use super::*;
     use adapex_nn::cnv::{CnvConfig, ExitsConfig};
+
+    #[test]
+    fn stats_print_totals_then_each_kind() {
+        let stats = CacheStats {
+            checkpoint_hits: 1,
+            checkpoint_misses: 2,
+            eval_hits: 3,
+            eval_misses: 4,
+            entry_hits: 5,
+            entry_misses: 6,
+        };
+        assert_eq!(
+            stats.to_string(),
+            "9 hits / 12 misses (entries 5/6, checkpoints 1/2, evals 3/4)"
+        );
+    }
 
     #[test]
     fn sha256_matches_known_vectors() {

@@ -64,7 +64,7 @@ pub struct GeneratorConfig {
     pub clock_mhz: f64,
     /// Master seed.
     pub seed: u64,
-    /// Print progress while generating.
+    /// Print progress to stderr while generating.
     pub verbose: bool,
     /// Worker threads for the variant sweep: 0 = auto (available
     /// parallelism), 1 = sequential. Excluded from serialization so the
@@ -148,6 +148,17 @@ impl GeneratorConfig {
             verbose: false,
             jobs: 0,
             cache_dir: None,
+        }
+    }
+
+    /// The configuration of a named profile: `"repro"`
+    /// ([`GeneratorConfig::repro_default`]) or `"fast"`
+    /// ([`GeneratorConfig::fast`]).
+    pub fn for_profile(profile: &str, kind: DatasetKind) -> Result<Self, String> {
+        match profile {
+            "repro" => Ok(GeneratorConfig::repro_default(kind)),
+            "fast" => Ok(GeneratorConfig::fast(kind)),
+            other => Err(format!("unknown profile `{other}` (fast|repro)")),
         }
     }
 
@@ -667,7 +678,7 @@ impl LibraryGenerator {
 
     fn log(&self, msg: &str) {
         if self.config.verbose {
-            println!("[adapex-gen:{}] {msg}", self.config.kind.id());
+            eprintln!("[adapex-gen:{}] {msg}", self.config.kind.id());
         }
     }
 }
@@ -908,6 +919,18 @@ fn lcm(a: usize, b: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn profiles_map_by_name() {
+        let kind = DatasetKind::GtsrbLike;
+        assert_eq!(GeneratorConfig::for_profile("fast", kind), Ok(GeneratorConfig::fast(kind)));
+        assert_eq!(
+            GeneratorConfig::for_profile("repro", kind),
+            Ok(GeneratorConfig::repro_default(kind))
+        );
+        let err = GeneratorConfig::for_profile("quick", kind).unwrap_err();
+        assert!(err.contains("`quick`"), "{err}");
+    }
 
     #[test]
     fn fast_profile_generates_consistent_artifacts() {

@@ -6,12 +6,13 @@
 //! cargo run --release -p adapex-bench --example design_space_explorer
 //! ```
 
+use adapex::generator::GeneratorConfig;
 use adapex::runtime::{RuntimeManager, SelectionPolicy};
-use adapex_bench::artifacts;
+use adapex_bench::cached_artifacts;
 use adapex_dataset::DatasetKind;
 
 fn main() {
-    let art = artifacts(DatasetKind::Cifar10Like);
+    let art = cached_artifacts(GeneratorConfig::fast(DatasetKind::Cifar10Like));
     let lib = &art.adapex;
 
     // Pareto front: points no other point beats on both accuracy and IPS.

@@ -8,11 +8,10 @@
 //! ```text
 //! cargo run --release -p adapex-bench --example smart_surveillance
 //! ```
-//!
-//! Set `ADAPEX_PROFILE=repro` for the full paper-scale library (slow).
 
 use adapex::baselines::{manager_for, System};
-use adapex_bench::{artifacts, repetitions};
+use adapex::generator::GeneratorConfig;
+use adapex_bench::cached_artifacts;
 use adapex_dataset::DatasetKind;
 use adapex_edge::{
     mean_of, EdgeSimulation, RunSpec, ServeScenario, ServeScenarioConfig, SimConfig,
@@ -20,7 +19,7 @@ use adapex_edge::{
 use adapex_tensor::parallel::num_threads;
 
 fn main() {
-    let art = artifacts(DatasetKind::Cifar10Like);
+    let art = cached_artifacts(GeneratorConfig::fast(DatasetKind::Cifar10Like));
     println!(
         "library: {} AdaPEx entries, {} PR-Only entries, reference accuracy {:.1}%",
         art.adapex.len(),
@@ -28,7 +27,7 @@ fn main() {
         art.reference_accuracy * 100.0
     );
 
-    let reps = repetitions().min(25);
+    let reps = 25;
     let sim = EdgeSimulation::new(SimConfig::paper_default(art.reconfig_time_ms));
     println!(
         "\nsimulating {reps} episodes of 25 s (20 cameras x 30 IPS, ±30% every 5 s)\n"

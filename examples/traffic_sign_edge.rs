@@ -1,5 +1,5 @@
 //! Traffic-sign recognition at the edge (the paper's GTSRB workload,
-//! 43 classes): generates GTSRB artifacts and walks through one
+//! 43 classes): generates a small GTSRB library and walks through one
 //! 25-second adaptive episode, printing the runtime trace — the
 //! behaviour sketched on the right side of the paper's Fig. 3.
 //!
@@ -8,12 +8,13 @@
 //! ```
 
 use adapex::baselines::{manager_for, System};
-use adapex_bench::artifacts;
+use adapex::generator::GeneratorConfig;
+use adapex_bench::cached_artifacts;
 use adapex_dataset::DatasetKind;
 use adapex_edge::{EdgeSimulation, RunSpec, SimConfig};
 
 fn main() {
-    let art = artifacts(DatasetKind::GtsrbLike);
+    let art = cached_artifacts(GeneratorConfig::fast(DatasetKind::GtsrbLike));
     println!(
         "GTSRB library: {} entries; reference accuracy {:.1}%; reconfig {:.0} ms",
         art.adapex.len(),
