@@ -1,6 +1,5 @@
 //! Minimal dependency-free argument parsing for the CLI.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Parsed command line: a subcommand plus `--key value` / `--flag` pairs.
@@ -8,7 +7,9 @@ use std::fmt;
 pub struct Args {
     /// The subcommand (first positional argument).
     pub command: Option<String>,
-    options: HashMap<String, String>,
+    /// `--key value` pairs in command-line order; a repeated key's last
+    /// value wins.
+    options: Vec<(String, String)>,
     flags: Vec<String>,
 }
 
@@ -50,7 +51,7 @@ impl Args {
             match iter.peek() {
                 Some(next) if !next.starts_with("--") => {
                     let value = iter.next().expect("peeked");
-                    args.options.insert(key.to_string(), value);
+                    args.options.push((key.to_string(), value));
                 }
                 _ => args.flags.push(key.to_string()),
             }
@@ -60,7 +61,25 @@ impl Args {
 
     /// String option by key.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+        self.options.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// Refuses every `--key` outside `known`, so a misspelt option is
+    /// an error instead of a silently kept default.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error naming the first unknown key (options before
+    /// flags) and the command.
+    pub fn reject_unknown(&self, known: &[&str]) -> Result<(), ParseArgsError> {
+        let mut keys = self.options.iter().map(|(k, _)| k).chain(&self.flags);
+        match keys.find(|k| !known.contains(&k.as_str())) {
+            Some(key) => Err(ParseArgsError(format!(
+                "unknown option --{key} for {}",
+                self.command.as_deref().unwrap_or_default()
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// Whether a bare `--flag` was given.
@@ -131,6 +150,21 @@ mod tests {
     fn rejects_stray_positional() {
         let err = Args::parse(vec!["gen".into(), "oops".into()]).unwrap_err();
         assert!(err.to_string().contains("oops"));
+    }
+
+    #[test]
+    fn unknown_keys_are_refused_by_name() {
+        let a = parse(&["serve", "--duration", "0.01", "--duratoin", "5", "--bogus"]);
+        let err = a.reject_unknown(&["duration"]).unwrap_err().to_string();
+        assert_eq!(err, "unknown option --duratoin for serve");
+        let err = a.reject_unknown(&["duration", "duratoin"]).unwrap_err().to_string();
+        assert_eq!(err, "unknown option --bogus for serve");
+        assert!(a.reject_unknown(&["duration", "duratoin", "bogus"]).is_ok());
+    }
+
+    #[test]
+    fn a_repeated_option_keeps_its_last_value() {
+        assert_eq!(parse(&["x", "--seed", "1", "--seed", "2"]).get("seed"), Some("2"));
     }
 
     #[test]

@@ -33,18 +33,16 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match args.command.as_deref() {
-        Some("generate") => cmd_generate(&args),
-        Some("inspect") => cmd_inspect(&args),
-        Some("report") => cmd_report(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("simulate") => cmd_simulate(&args),
-        Some("trace") => cmd_trace(&args),
-        Some("synth") => cmd_synth(&args),
-        _ => {
-            println!("{USAGE}");
-            Ok(())
-        }
+    let Some((_, run, known)) = COMMANDS
+        .iter()
+        .find(|(name, ..)| args.command.as_deref() == Some(*name))
+    else {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    };
+    let result = match args.reject_unknown(known) {
+        Ok(()) => run(&args),
+        Err(e) => Err(e.into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -54,6 +52,29 @@ fn main() -> ExitCode {
         }
     }
 }
+
+type Command = fn(&Args) -> Result<(), Box<dyn Error>>;
+
+/// Each subcommand with the option keys its usage text documents; any
+/// other key is refused before the command starts.
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    ("generate", cmd_generate, &["dataset", "profile", "out", "jobs", "cache-dir"]),
+    ("inspect", cmd_inspect, &["artifacts", "prune-exits"]),
+    ("report", cmd_report, &["artifacts", "out"]),
+    ("simulate", cmd_simulate, &[
+        "artifacts", "system", "reps", "ips-per-camera", "seed", "scenario", "workload",
+        "faults", "no-mitigation", "servers", "cameras", "jobs",
+    ]),
+    ("trace", cmd_trace, &[
+        "artifacts", "seed", "ips-per-camera", "scenario", "workload", "faults",
+        "no-mitigation", "servers", "cameras", "jobs",
+    ]),
+    ("serve", cmd_serve, &[
+        "artifacts", "slo", "max-batch", "batch-deadline-us", "workers", "pattern", "rate",
+        "duration", "seed", "faults", "scenario", "workload",
+    ]),
+    ("synth", cmd_synth, &["width", "rate", "prune-exits", "classes", "target-cycles"]),
+];
 
 const USAGE: &str = "\
 adapex-cli — AdaPEx (DATE 2023) reproduction toolkit

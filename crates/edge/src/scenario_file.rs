@@ -16,8 +16,8 @@ use crate::serve_sim::ServeScenarioConfig;
 use crate::sim::SimConfig;
 use crate::workload::WorkloadConfig;
 use crate::workload_gen::{
-    deny_unknown, expect_object, opt_field, req_field, ClusterReplayWorkload,
-    CorrelatedBurstWorkload, DiurnalWorkload, FlashCrowdWorkload, WorkloadSpec,
+    ClusterReplayWorkload, CorrelatedBurstWorkload, DiurnalWorkload, FlashCrowdWorkload,
+    WorkloadSpec,
 };
 use serde::{Deserialize, Serialize, Value};
 use std::io;
@@ -50,38 +50,28 @@ pub struct SimOverrides {
     pub reconfig_power_w: Option<f64>,
 }
 
-
 /// Fleet section: present means the scenario is a fleet run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FleetOverrides {
     /// Edge servers in the fleet.
     pub servers: usize,
     /// Camera streams per server.
     pub cameras_per_server: usize,
     /// Relative spread of per-camera nominal rates (0.2 = ±20 %).
+    #[serde(default = "default_camera_spread")]
     pub camera_spread: f64,
     /// Stream-placement policy.
+    #[serde(default = "default_placement")]
     pub placement: PlacementPolicy,
 }
 
-const FLEET_FIELDS: &[&str] = &["servers", "cameras_per_server", "camera_spread", "placement"];
+fn default_camera_spread() -> f64 {
+    0.2
+}
 
-impl Deserialize for FleetOverrides {
-    fn from_value(value: &Value) -> Result<FleetOverrides, serde::Error> {
-        let entries = expect_object(value, "scenario.fleet")?;
-        deny_unknown(entries, FLEET_FIELDS, "scenario.fleet")?;
-        Ok(FleetOverrides {
-            servers: req_field(entries, "servers", "scenario.fleet")?,
-            cameras_per_server: req_field(entries, "cameras_per_server", "scenario.fleet")?,
-            camera_spread: opt_field(entries, "camera_spread", "scenario.fleet", 0.2)?,
-            placement: opt_field(
-                entries,
-                "placement",
-                "scenario.fleet",
-                PlacementPolicy::LeastLoaded,
-            )?,
-        })
-    }
+fn default_placement() -> PlacementPolicy {
+    PlacementPolicy::LeastLoaded
 }
 
 /// Serving section: overrides applied on top of
@@ -99,63 +89,36 @@ pub struct ServeOverrides {
 }
 
 /// One fully-described run: workload + faults + parameters + seed.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+///
+/// Read it through [`ScenarioFile::from_json_str`] (or `load_json`),
+/// which checks `schema_version` before the typed parse.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ScenarioFile {
     /// Wire-format version; must equal [`SCENARIO_SCHEMA_VERSION`].
     pub schema_version: u32,
     /// Stable scenario name (doubles as the golden-snapshot key).
     pub name: String,
     /// Human-readable description of the traffic/fault story.
+    #[serde(default)]
     pub description: String,
     /// Base seed for the run (CLI `--seed` overrides).
+    #[serde(default)]
     pub seed: u64,
     /// The workload generator.
     pub workload: WorkloadSpec,
     /// Fault plan; defaults to fault-free.
+    #[serde(default)]
     pub faults: FaultPlan,
     /// Simulation-parameter overrides.
+    #[serde(default)]
     pub sim: SimOverrides,
     /// Fleet section (present ⇒ fleet run).
+    #[serde(default)]
     pub fleet: Option<FleetOverrides>,
     /// Serving-path overrides.
+    #[serde(default)]
     pub serve: Option<ServeOverrides>,
-}
-
-const SCENARIO_FIELDS: &[&str] = &[
-    "schema_version",
-    "name",
-    "description",
-    "seed",
-    "workload",
-    "faults",
-    "sim",
-    "fleet",
-    "serve",
-];
-
-impl Deserialize for ScenarioFile {
-    fn from_value(value: &Value) -> Result<ScenarioFile, serde::Error> {
-        let entries = expect_object(value, "scenario")?;
-        let schema_version: u32 = req_field(entries, "schema_version", "scenario")?;
-        if schema_version != SCENARIO_SCHEMA_VERSION {
-            return Err(serde::Error::custom(format!(
-                "scenario: unsupported schema_version {schema_version} \
-                 (this build reads version {SCENARIO_SCHEMA_VERSION})"
-            )));
-        }
-        deny_unknown(entries, SCENARIO_FIELDS, "scenario")?;
-        Ok(ScenarioFile {
-            schema_version,
-            name: req_field(entries, "name", "scenario")?,
-            description: opt_field(entries, "description", "scenario", String::new())?,
-            seed: opt_field(entries, "seed", "scenario", 0)?,
-            workload: req_field(entries, "workload", "scenario")?,
-            faults: opt_field(entries, "faults", "scenario", FaultPlan::none())?,
-            sim: opt_field(entries, "sim", "scenario", SimOverrides::default())?,
-            fleet: opt_field(entries, "fleet", "scenario", None)?,
-            serve: opt_field(entries, "serve", "scenario", None)?,
-        })
-    }
 }
 
 impl ScenarioFile {
@@ -284,8 +247,21 @@ impl ScenarioFile {
     }
 
     /// Parses and validates a scenario from a JSON string.
+    ///
+    /// The schema version is checked first, so a file from a future
+    /// version reports `schema_version` even when it also carries keys
+    /// this build does not know.
     pub fn from_json_str(text: &str) -> Result<ScenarioFile, String> {
-        let file: ScenarioFile = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        let value: Value = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        if let Some(version) = value.get("schema_version").and_then(Value::as_u64) {
+            if version != u64::from(SCENARIO_SCHEMA_VERSION) {
+                return Err(format!(
+                    "scenario: unsupported schema_version {version} \
+                     (this build reads version {SCENARIO_SCHEMA_VERSION})"
+                ));
+            }
+        }
+        let file = ScenarioFile::from_value(&value).map_err(|e| e.to_string())?;
         file.validate()?;
         Ok(file)
     }
@@ -478,6 +454,14 @@ mod tests {
         assert_ne!(json, bumped, "replacement must hit");
         let err = ScenarioFile::from_json_str(&bumped).unwrap_err();
         assert!(err.contains("schema_version"), "error: {err}");
+        // A future file may also carry keys this build does not know;
+        // the version is still what it reports (the unknown-key error
+        // lists `schema_version` among the accepted keys, so the key
+        // itself must not be named).
+        let future = bumped.replacen('{', "{\"added_in_v2\":1,", 1);
+        let err = ScenarioFile::from_json_str(&future).unwrap_err();
+        assert!(err.contains("schema_version 2"), "error: {err}");
+        assert!(!err.contains("added_in_v2"), "error: {err}");
     }
 
     #[test]
@@ -513,6 +497,39 @@ mod tests {
             let err = ScenarioFile::from_json_str(&tainted).unwrap_err();
             assert!(err.contains(&format!("`{key}`")), "{to}: {err}");
         }
+    }
+
+    /// The builtin scenario `name` with the entry at `path` set to
+    /// `null`, parsed.
+    fn parse_with_null(name: &str, path: &[&str]) -> Result<ScenarioFile, String> {
+        let mut value = builtin_scenario(name).unwrap().to_value();
+        let mut entry = &mut value;
+        for key in path {
+            let Value::Object(entries) = entry else { unreachable!("{path:?}") };
+            entry = &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1;
+        }
+        *entry = Value::Null;
+        ScenarioFile::from_json_str(&serde_json::to_string(&value).unwrap())
+    }
+
+    #[test]
+    fn null_reads_as_absent_only_for_option_fields() {
+        // A key left out takes its default; written as `null`, a key of
+        // a non-`Option` field is an error naming the field.
+        for (name, path) in [
+            ("paper-synthetic", &["description"][..]),
+            ("paper-synthetic", &["seed"]),
+            ("paper-synthetic", &["faults"]),
+            ("paper-synthetic", &["sim"]),
+            ("cluster-replay", &["fleet", "camera_spread"]),
+            ("cluster-replay", &["fleet", "placement"]),
+        ] {
+            let err = parse_with_null(name, path).unwrap_err();
+            assert!(err.starts_with(&format!("{}: ", path.join("."))), "{path:?}: {err}");
+        }
+        // An `Option` field reads `null` as `None`, as the golden files
+        // write `"serve": null`.
+        assert_eq!(parse_with_null("cluster-replay", &["fleet"]).unwrap().fleet, None);
     }
 
     #[test]

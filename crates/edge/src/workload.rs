@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 
 /// Workload shape parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct WorkloadConfig {
     /// Connected cameras.
     pub cameras: usize,

@@ -8,17 +8,17 @@
 //! the event engine already consumes, so no engine changes are needed
 //! and every trace inherits the engine's segment-event scheduling.
 //!
-//! [`WorkloadSpec`] is the serializable sum of all generators. Its
-//! wire format is a tagged object (`{"kind": "flash-crowd", ...}`)
-//! with *strict* parsing: unknown fields and unknown kinds are
-//! rejected so a typo in a scenario file fails loudly instead of
-//! silently running the default shape.
+//! [`WorkloadSpec`] is the serializable sum of all generators, derived
+//! as an internally tagged enum. Its wire format is a tagged object
+//! (`{"kind": "flash-crowd", ...}`) with *strict* parsing: unknown
+//! fields and unknown kinds are rejected so a typo in a scenario file
+//! fails loudly instead of silently running the default shape.
 
 use crate::sampling::poisson;
 use crate::workload::{WorkloadConfig, WorkloadTrace};
 use adapex_tensor::rng::{derive_stream, rng_from_seed};
 use rand::RngExt;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
 
@@ -36,8 +36,6 @@ pub const WORKLOAD_EVENT_SALT: u64 = 0xC0_11E1A7;
 pub trait WorkloadGenerator {
     /// Produce the offered-rate trace for one run.
     fn generate(&self, seed: u64) -> WorkloadTrace;
-    /// Stable short identifier (used as the serialized `kind` tag).
-    fn id(&self) -> &'static str;
     /// The base workload shape (cameras, duration, period).
     fn config(&self) -> &WorkloadConfig;
 }
@@ -45,6 +43,7 @@ pub trait WorkloadGenerator {
 /// The paper's synthetic generator: rate re-drawn uniformly within
 /// ±`deviation` of nominal every `deviation_period_s`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct SyntheticWorkload {
     /// Workload shape (cameras, IPS, duration, deviation, period).
     pub config: WorkloadConfig,
@@ -53,9 +52,6 @@ pub struct SyntheticWorkload {
 impl WorkloadGenerator for SyntheticWorkload {
     fn generate(&self, seed: u64) -> WorkloadTrace {
         self.config.sample(seed)
-    }
-    fn id(&self) -> &'static str {
-        "synthetic"
     }
     fn config(&self) -> &WorkloadConfig {
         &self.config
@@ -68,6 +64,7 @@ impl WorkloadGenerator for SyntheticWorkload {
 /// [`WorkloadTrace`] can be frozen into a `PiecewiseWorkload` and
 /// replayed bit-identically (see [`WorkloadSpec::from_trace`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct PiecewiseWorkload {
     /// Base shape; `deviation_period_s` gives each rate's duration.
     pub config: WorkloadConfig,
@@ -87,9 +84,6 @@ impl WorkloadGenerator for PiecewiseWorkload {
             rates,
         }
     }
-    fn id(&self) -> &'static str {
-        "piecewise"
-    }
     fn config(&self) -> &WorkloadConfig {
         &self.config
     }
@@ -99,6 +93,7 @@ impl WorkloadGenerator for PiecewiseWorkload {
 /// `max_multiplier` of nominal, completing `cycles` full periods over
 /// the run, sampled at deviation-period midpoints.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct DiurnalWorkload {
     /// Workload shape; `deviation_period_s` is the sampling step.
     pub config: WorkloadConfig,
@@ -120,9 +115,6 @@ impl WorkloadGenerator for DiurnalWorkload {
             mid + amp * (std::f64::consts::TAU * (self.cycles * x + self.phase)).sin()
         })
     }
-    fn id(&self) -> &'static str {
-        "diurnal"
-    }
     fn config(&self) -> &WorkloadConfig {
         &self.config
     }
@@ -132,6 +124,7 @@ impl WorkloadGenerator for DiurnalWorkload {
 /// `peak_multiplier` × nominal at `start_s`, a hold, and an
 /// exponential-style linear decay back to baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct FlashCrowdWorkload {
     /// Workload shape; `deviation_period_s` is the sampling step.
     pub config: WorkloadConfig,
@@ -170,9 +163,6 @@ impl WorkloadGenerator for FlashCrowdWorkload {
     fn generate(&self, _seed: u64) -> WorkloadTrace {
         shaped_abs(self.config, |t| self.multiplier(t))
     }
-    fn id(&self) -> &'static str {
-        "flash-crowd"
-    }
     fn config(&self) -> &WorkloadConfig {
         &self.config
     }
@@ -182,6 +172,7 @@ impl WorkloadGenerator for FlashCrowdWorkload {
 /// `utilization` bins spread evenly over the run, linearly
 /// interpolated and scaled so a bin value of 1.0 is `scale` × nominal.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct ClusterReplayWorkload {
     /// Workload shape; `deviation_period_s` is the sampling step.
     pub config: WorkloadConfig,
@@ -225,9 +216,6 @@ impl WorkloadGenerator for ClusterReplayWorkload {
     fn generate(&self, _seed: u64) -> WorkloadTrace {
         shaped(self.config, |x| self.scale * self.utilization_at(x))
     }
-    fn id(&self) -> &'static str {
-        "cluster-replay"
-    }
     fn config(&self) -> &WorkloadConfig {
         &self.config
     }
@@ -239,6 +227,7 @@ impl WorkloadGenerator for ClusterReplayWorkload {
 /// `burst_duration_s`. Overlapping events stack up to all cameras
 /// bursting at once.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(deny_unknown_fields)]
 pub struct CorrelatedBurstWorkload {
     /// Workload shape; `deviation_period_s` is the sampling step.
     pub config: WorkloadConfig,
@@ -272,9 +261,6 @@ impl WorkloadGenerator for CorrelatedBurstWorkload {
                 .sum();
             1.0 + active.min(1.0) * (self.burst_multiplier - 1.0)
         })
-    }
-    fn id(&self) -> &'static str {
-        "correlated-bursts"
     }
     fn config(&self) -> &WorkloadConfig {
         &self.config
@@ -311,11 +297,13 @@ fn shaped_abs(config: WorkloadConfig, multiplier: impl Fn(f64) -> f64) -> Worklo
 
 /// Serializable sum of all workload generators.
 ///
-/// Wire format: a single object tagged by `kind`, with the generator's
-/// fields inlined — e.g. `{"kind": "synthetic", "config": {...}}`.
-/// Parsing is strict: unknown kinds, unknown fields (including inside
-/// `config`), and missing required fields are errors.
-#[derive(Debug, Clone, PartialEq)]
+/// Wire format: a single object tagged by `kind` (the variant name in
+/// kebab case), with the generator's fields inlined — e.g.
+/// `{"kind": "synthetic", "config": {...}}`. Parsing is strict:
+/// unknown kinds, unknown fields (including inside `config`), and
+/// missing required fields are errors.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind", rename_all = "kebab-case")]
 pub enum WorkloadSpec {
     /// The paper's ±deviation synthetic generator.
     Synthetic(SyntheticWorkload),
@@ -347,11 +335,6 @@ impl WorkloadSpec {
     /// Produce the offered-rate trace for one run.
     pub fn generate(&self, seed: u64) -> WorkloadTrace {
         self.generator().generate(seed)
-    }
-
-    /// The spec's `kind` tag.
-    pub fn id(&self) -> &'static str {
-        self.generator().id()
     }
 
     /// The base workload shape.
@@ -474,173 +457,6 @@ impl WorkloadSpec {
     pub fn save_json(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let text = serde_json::to_string_pretty(self).map_err(io::Error::other)?;
         std::fs::write(path, text + "\n")
-    }
-}
-
-// ---------------------------------------------------------------------
-// Strict serde: tagged single-object wire format.
-// ---------------------------------------------------------------------
-
-const CONFIG_FIELDS: &[&str] = &[
-    "cameras",
-    "ips_per_camera",
-    "duration_s",
-    "deviation",
-    "deviation_period_s",
-];
-const SYNTHETIC_FIELDS: &[&str] = &["kind", "config"];
-const PIECEWISE_FIELDS: &[&str] = &["kind", "config", "rates"];
-const DIURNAL_FIELDS: &[&str] = &[
-    "kind",
-    "config",
-    "min_multiplier",
-    "max_multiplier",
-    "cycles",
-    "phase",
-];
-const FLASH_CROWD_FIELDS: &[&str] = &[
-    "kind",
-    "config",
-    "start_s",
-    "ramp_s",
-    "hold_s",
-    "decay_s",
-    "peak_multiplier",
-];
-const CLUSTER_REPLAY_FIELDS: &[&str] = &["kind", "config", "utilization", "scale"];
-const CORRELATED_BURSTS_FIELDS: &[&str] = &[
-    "kind",
-    "config",
-    "mean_events",
-    "burst_duration_s",
-    "burst_multiplier",
-    "camera_fraction",
-];
-
-/// Expect an object `Value`, with a contextual error otherwise.
-pub(crate) fn expect_object<'a>(
-    value: &'a Value,
-    what: &str,
-) -> Result<&'a [(String, Value)], serde::Error> {
-    match value {
-        Value::Object(entries) => Ok(entries),
-        other => Err(serde::Error::custom(format!(
-            "{what}: expected object, found {}",
-            other.kind()
-        ))),
-    }
-}
-
-/// Reject any key outside `allowed` — typos in scenario files must
-/// fail loudly, not silently fall back to defaults.
-pub(crate) fn deny_unknown(
-    entries: &[(String, Value)],
-    allowed: &[&str],
-    what: &str,
-) -> Result<(), serde::Error> {
-    for (key, _) in entries {
-        if !allowed.contains(&key.as_str()) {
-            return Err(serde::Error::custom(format!(
-                "{what}: unknown field `{key}` (expected one of: {})",
-                allowed.join(", ")
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Required field with contextual errors.
-pub(crate) fn req_field<T: Deserialize>(
-    entries: &[(String, Value)],
-    key: &str,
-    what: &str,
-) -> Result<T, serde::Error> {
-    match serde::__field(entries, key) {
-        Some(value) => {
-            T::from_value(value).map_err(|e| serde::Error::custom(format!("{what}.{key}: {e}")))
-        }
-        None => Err(serde::Error::custom(format!(
-            "{what}: missing required field `{key}`"
-        ))),
-    }
-}
-
-/// Optional field: absent (or null) yields the fallback.
-pub(crate) fn opt_field<T: Deserialize>(
-    entries: &[(String, Value)],
-    key: &str,
-    what: &str,
-    fallback: T,
-) -> Result<T, serde::Error> {
-    match serde::__field(entries, key) {
-        Some(Value::Null) | None => Ok(fallback),
-        Some(value) => {
-            T::from_value(value).map_err(|e| serde::Error::custom(format!("{what}.{key}: {e}")))
-        }
-    }
-}
-
-impl Serialize for WorkloadSpec {
-    fn to_value(&self) -> Value {
-        let payload = match self {
-            WorkloadSpec::Synthetic(g) => g.to_value(),
-            WorkloadSpec::Piecewise(g) => g.to_value(),
-            WorkloadSpec::Diurnal(g) => g.to_value(),
-            WorkloadSpec::FlashCrowd(g) => g.to_value(),
-            WorkloadSpec::ClusterReplay(g) => g.to_value(),
-            WorkloadSpec::CorrelatedBursts(g) => g.to_value(),
-        };
-        let mut entries = vec![("kind".to_string(), Value::String(self.id().to_string()))];
-        if let Value::Object(fields) = payload {
-            entries.extend(fields);
-        }
-        Value::Object(entries)
-    }
-}
-
-impl Deserialize for WorkloadSpec {
-    fn from_value(value: &Value) -> Result<WorkloadSpec, serde::Error> {
-        let entries = expect_object(value, "workload")?;
-        let kind: String = req_field(entries, "kind", "workload")?;
-        if let Some(config) = serde::__field(entries, "config") {
-            deny_unknown(
-                expect_object(config, "workload.config")?,
-                CONFIG_FIELDS,
-                "workload.config",
-            )?;
-        }
-        let what = format!("workload({kind})");
-        let body = Value::Object(entries.to_vec());
-        match kind.as_str() {
-            "synthetic" => {
-                deny_unknown(entries, SYNTHETIC_FIELDS, &what)?;
-                SyntheticWorkload::from_value(&body).map(WorkloadSpec::Synthetic)
-            }
-            "piecewise" => {
-                deny_unknown(entries, PIECEWISE_FIELDS, &what)?;
-                PiecewiseWorkload::from_value(&body).map(WorkloadSpec::Piecewise)
-            }
-            "diurnal" => {
-                deny_unknown(entries, DIURNAL_FIELDS, &what)?;
-                DiurnalWorkload::from_value(&body).map(WorkloadSpec::Diurnal)
-            }
-            "flash-crowd" => {
-                deny_unknown(entries, FLASH_CROWD_FIELDS, &what)?;
-                FlashCrowdWorkload::from_value(&body).map(WorkloadSpec::FlashCrowd)
-            }
-            "cluster-replay" => {
-                deny_unknown(entries, CLUSTER_REPLAY_FIELDS, &what)?;
-                ClusterReplayWorkload::from_value(&body).map(WorkloadSpec::ClusterReplay)
-            }
-            "correlated-bursts" => {
-                deny_unknown(entries, CORRELATED_BURSTS_FIELDS, &what)?;
-                CorrelatedBurstWorkload::from_value(&body).map(WorkloadSpec::CorrelatedBursts)
-            }
-            other => Err(serde::Error::custom(format!(
-                "workload: unknown kind `{other}` (expected one of: synthetic, piecewise, \
-                 diurnal, flash-crowd, cluster-replay, correlated-bursts)"
-            ))),
-        }
     }
 }
 

@@ -332,6 +332,16 @@ pub fn conv_f32_codes(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The op counters are process-wide and tests run on parallel
+    /// threads, so every test here that runs a counted kernel holds
+    /// this lock: a count read by one cannot take in another's calls.
+    static COUNTED_KERNELS: Mutex<()> = Mutex::new(());
+
+    fn counted_kernels() -> MutexGuard<'static, ()> {
+        COUNTED_KERNELS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn naive_dot(w: &[f32], a: &[f32]) -> i32 {
         w.iter().zip(a).map(|(&x, &y)| (x as i32) * (y as i32)).sum()
@@ -379,6 +389,7 @@ mod tests {
 
     #[test]
     fn gemm_int2_matches_naive_reference_in_both_layouts() {
+        let _counted = counted_kernels();
         let (m, k, n) = (5, 70, 9);
         let w = codes(1, m * k, -2, 1);
         let a = codes(2, n * k, 0, 3);
@@ -403,6 +414,7 @@ mod tests {
 
     #[test]
     fn op_counters_track_gemm_calls() {
+        let _counted = counted_kernels();
         let (m, k, n) = (3, 130, 4);
         let (mut pw, mut pa) = (Vec::new(), Vec::new());
         pack_weights_int2(&codes(3, m * k, -2, 1), m, k, &mut pw);
@@ -456,6 +468,7 @@ mod tests {
 
     #[test]
     fn direct_conv_matches_gemm_over_im2col_and_counts_calls() {
+        let _counted = counted_kernels();
         use crate::conv::{im2col_into, ConvGeometry};
         let (c_in, h, w, c_out) = (3, 8, 8, 5);
         let geom = ConvGeometry::new(3).with_padding(1);

@@ -167,6 +167,7 @@ mod scenario_file_roundtrips {
         WorkloadConfig, WorkloadSpec, SCENARIO_SCHEMA_VERSION,
     };
     use proptest::prelude::*;
+    use serde_json::Value;
 
     fn workload_strategy() -> impl Strategy<Value = WorkloadConfig> {
         (1usize..200, 1.0f64..120.0, 1.0f64..60.0, 0.0f64..0.9, 0.5f64..10.0).prop_map(
@@ -237,6 +238,73 @@ mod scenario_file_roundtrips {
 
     /// Injected keys that collide with no real field of any kind.
     const UNKNOWN_KEYS: &[&str] = &["mystery", "typo_s", "zz_extra", "not_a_field"];
+
+    /// Values a mutated key may be given in place of its own.
+    const REPLACEMENTS: &[&str] = &["null", "-1", "1e308", "\"x\"", "[]", "{}"];
+
+    /// The position of every object entry under `value`: child indices
+    /// (entry or element) from the root down to the entry.
+    fn entry_paths(value: &Value, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        let children: Vec<&Value> = match value {
+            Value::Object(entries) => entries.iter().map(|(_, v)| v).collect(),
+            Value::Array(items) => items.iter().collect(),
+            _ => return,
+        };
+        for (i, child) in children.into_iter().enumerate() {
+            path.push(i);
+            if matches!(value, Value::Object(_)) {
+                out.push(path.clone());
+            }
+            entry_paths(child, path, out);
+            path.pop();
+        }
+    }
+
+    /// The entries of the object that `path` (from [`entry_paths`])
+    /// points into, and the entry's index there.
+    fn entry_at<'a>(value: &'a mut Value, path: &[usize]) -> (&'a mut Vec<(String, Value)>, usize) {
+        let (&last, parents) = path.split_last().expect("non-empty path");
+        let mut v = value;
+        for &i in parents {
+            v = match v {
+                Value::Object(entries) => &mut entries[i].1,
+                Value::Array(items) => &mut items[i],
+                _ => unreachable!("paths run through containers"),
+            };
+        }
+        match v {
+            Value::Object(entries) => (entries, last),
+            _ => unreachable!("an entry path ends in an object"),
+        }
+    }
+
+    /// A builtin scenario's JSON under one mutation: a byte flipped, the
+    /// text truncated, a key deleted or a key's value replaced.
+    fn mutated_scenario(which: usize, mutation: usize, at: f64, flip: u8, replacement: usize) -> String {
+        let json = serde_json::to_string_pretty(&builtin_library()[which]).expect("serialize");
+        let pick = |len: usize| ((len as f64 * at) as usize).min(len - 1);
+        match mutation {
+            0 => {
+                let mut bytes = json.into_bytes();
+                let i = pick(bytes.len());
+                bytes[i] ^= flip;
+                String::from_utf8_lossy(&bytes).into_owned()
+            }
+            1 => String::from_utf8_lossy(&json.as_bytes()[..pick(json.len())]).into_owned(),
+            _ => {
+                let mut value: Value = serde_json::from_str(&json).expect("parse");
+                let mut paths = Vec::new();
+                entry_paths(&value, &mut Vec::new(), &mut paths);
+                let (entries, i) = entry_at(&mut value, &paths[pick(paths.len())]);
+                if mutation == 2 {
+                    entries.remove(i);
+                } else {
+                    entries[i].1 = serde_json::from_str(REPLACEMENTS[replacement]).expect("literal");
+                }
+                serde_json::to_string(&value).expect("serialize")
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
@@ -321,6 +389,27 @@ mod scenario_file_roundtrips {
                 ScenarioFile::from_json_str(&json[..cut]).is_err(),
                 "prefix of {} bytes parsed", cut
             );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// A mutated builtin scenario parses or is an error, never a
+        /// panic, and whatever parses survives its own re-parse.
+        #[test]
+        fn mutated_scenario_bytes_parse_or_error_but_never_panic(
+            which in 0usize..6,
+            mutation in 0usize..4,
+            at in 0.0f64..1.0,
+            flip in 1u8..=255,
+            replacement in 0usize..6,
+        ) {
+            let text = mutated_scenario(which, mutation, at, flip, replacement);
+            if let Ok(file) = ScenarioFile::from_json_str(&text) {
+                let again = serde_json::to_string(&file).expect("serialize");
+                prop_assert_eq!(ScenarioFile::from_json_str(&again), Ok(file), "{}", text);
+            }
         }
     }
 
