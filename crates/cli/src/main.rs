@@ -15,9 +15,9 @@ use adapex::generator::{Artifacts, GeneratorConfig, LibraryGenerator};
 use adapex::runtime::{MitigationConfig, RuntimeManager};
 use adapex_dataset::DatasetKind;
 use adapex_edge::{
-    mean_of, EdgeSimulation, FaultPlan, Fleet, FleetConfig, PlacementPolicy, RunSpec, Scenario,
-    ScenarioFile, SimConfig, SimResult, Traffic, WorkloadConfig, WorkloadSpec,
-    WorkloadTrace,
+    mean_of, EdgeSimulation, FaultPlan, Fleet, FleetConfig, RunSpec, Scenario, ScenarioFile,
+    SimConfig, SimResult, Traffic, WorkloadConfig, WorkloadSpec, WorkloadTrace,
+    DEFAULT_CAMERA_SPREAD, DEFAULT_PLACEMENT,
 };
 use adapex_tensor::parallel::num_threads;
 use args::Args;
@@ -33,12 +33,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some((_, run, known)) = COMMANDS
-        .iter()
-        .find(|(name, ..)| args.command.as_deref() == Some(*name))
-    else {
+    let Some(command) = args.command.as_deref() else {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
+    };
+    let Some((_, run, known)) = COMMANDS.iter().find(|(name, ..)| *name == command) else {
+        eprintln!("error: unknown command {command}");
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
     };
     let result = match args.reject_unknown(known) {
         Ok(()) => run(&args),
@@ -417,7 +419,7 @@ fn fleet_for(run: &RunSetup) -> Result<Fleet, Box<dyn Error>> {
         .file
         .as_ref()
         .and_then(|f| f.fleet)
-        .map_or((0.2, PlacementPolicy::LeastLoaded), |f| {
+        .map_or((DEFAULT_CAMERA_SPREAD, DEFAULT_PLACEMENT), |f| {
             (f.camera_spread, f.placement)
         });
     Ok(Fleet::new(FleetConfig {
@@ -737,12 +739,15 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
     use adapex_edge::{ServeScenario, ServeScenarioConfig};
 
     // Which kernel bodies this host dispatches to: what the executor
-    // behind the served latencies runs on here.
-    println!(
-        "kernel backends: simd {:?}, int2 {:?}",
-        adapex_tensor::simd::active_backend(),
-        adapex_tensor::int2::active_backend()
-    );
+    // behind the served latencies runs on here. Printed once every input
+    // has loaded, so a bad file fails with nothing on stdout.
+    let print_backends = || {
+        println!(
+            "kernel backends: simd {:?}, int2 {:?}",
+            adapex_tensor::simd::active_backend(),
+            adapex_tensor::int2::active_backend()
+        )
+    };
     let mut config = ServeConfig::paper_default();
     if let Some(spec) = args.get("slo") {
         config.classes = parse_slo(spec)?;
@@ -759,6 +764,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         // The episode resolves as it does for `simulate`; a scenario
         // file's serve section tunes the server on top.
         let run = resolve_run(args, artifacts.reconfig_time_ms, seed, serve_flags)?;
+        print_backends();
         run.print_banner();
         let mut cfg = ServeScenarioConfig::paper_default(artifacts.reconfig_time_ms);
         cfg.serve = config.clone();
@@ -791,6 +797,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn Error>> {
         let pattern_name = args.get_or("pattern", "steady".to_string())?;
         let pattern = ArrivalPattern::parse(&pattern_name)
             .ok_or_else(|| format!("unknown pattern `{pattern_name}` (steady|burst|ramp)"))?;
+        print_backends();
         // Synthetic three-exit service model: 70 % retire at a 300 µs
         // first exit, 20 % at 600 µs, the rest at full depth.
         let model = PointServiceModel::new(&[0.7, 0.2, 0.1], vec![300, 600, 1_000], seed);
@@ -871,6 +878,31 @@ mod tests {
         assert_eq!((run.sim.workload.duration_s, run.sim.workload.ips_per_camera), (30.0, 20.0));
         let err = rejected(&["serve", "--rate", "nan"]);
         assert!(err.contains("ips_per_camera must be finite"), "error: {err}");
+    }
+
+    #[test]
+    fn flag_and_file_fleets_share_the_defaults() {
+        // A scenario fleet section without `camera_spread`/`placement`
+        // resolves to the same fleet as the flags that spell its shape.
+        let text = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/golden/scenarios/paper-synthetic.json"
+        ))
+        .unwrap();
+        let text = text.replace(
+            r#""fleet": null"#,
+            r#""fleet": {"servers": 3, "cameras_per_server": 20}"#,
+        );
+        let path = std::env::temp_dir().join(format!("adapex-fleet-{}.json", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        let from_file = resolve(&["simulate", "--scenario", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).ok();
+        let from_file = fleet_for(&from_file.expect("valid")).expect("fleet");
+        let from_flags = resolve(&["simulate", "--servers", "3", "--cameras", "20"]);
+        let from_flags = fleet_for(&from_flags.expect("valid")).expect("fleet");
+        assert_eq!(from_file.config(), from_flags.config());
+        assert_eq!(from_flags.config().camera_spread, DEFAULT_CAMERA_SPREAD);
+        assert_eq!(from_flags.config().placement, DEFAULT_PLACEMENT);
     }
 
     #[test]

@@ -23,8 +23,7 @@ use crate::library::{Library, LibraryEntry, OperatingPoint};
 use adapex_dataset::{DatasetKind, SyntheticConfig, SyntheticDataset};
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
 use adapex_nn::eval::{evaluate_exits_with, EvalConfig};
-use adapex_nn::layers::Layer;
-use adapex_nn::network::EarlyExitNetwork;
+use adapex_nn::network::{EarlyExitNetwork, LayerInfo, NetworkSummary};
 use adapex_nn::train::{TrainConfig, Trainer};
 use adapex_prune::{ConstraintMap, LayerConstraint, PruneConfig, Pruner};
 use adapex_tensor::parallel::par_map;
@@ -352,11 +351,11 @@ impl LibraryGenerator {
     /// round-trips floats exactly, cache hits produce byte-identical
     /// artifacts to recomputation. The dataset and the base networks
     /// are produced lazily, on first demand: a fully warm run never
-    /// draws an image and never trains. It still pays for two untrained
-    /// shape builds (folding and pruning constraints derive from layer
-    /// shapes), the fingerprints, and one file read per finished entry
-    /// plus one for the reference model's evaluation (13 for a
-    /// 12-entry library).
+    /// draws an image, never trains and never instantiates a network:
+    /// folding and pruning constraints derive from the CNV's layer table
+    /// ([`CnvConfig::summary`]). It pays for the fingerprints and one
+    /// file read per finished entry plus one for the reference model's
+    /// evaluation (13 for a 12-entry library).
     ///
     /// # Panics
     ///
@@ -378,7 +377,6 @@ impl LibraryGenerator {
         // Each reaches them through this cell, so the dataset is drawn
         // once if any of them misses the cache and never otherwise.
         let data = Lazy::new(Box::new(|| cfg.dataset.generate()));
-        let classes = cfg.kind.num_classes();
         let thresholds = cfg.thresholds();
         let jobs = cfg.effective_jobs();
         // Evaluations nested inside a fanned-out sweep stay sequential
@@ -388,23 +386,16 @@ impl LibraryGenerator {
 
         // --- Plain CNV: FINN baseline + PR-Only sweep. -----------------
         // Folding and constraints depend only on layer shapes, never on
-        // weights, so they derive from a fresh untrained build; the
+        // weights, so they derive from the CNV's layer table; the
         // trained network itself is produced lazily (train or cached
         // checkpoint) the first time something actually needs weights.
-        let plain_shape = cfg.cnv.build(classes, cfg.seed);
-        let plain_ir = ModelIr::from_summary(&plain_shape.summarize());
-        let plain_folding = FoldingConfig::balanced(
-            &plain_ir,
-            cfg.folding_target_cycles,
-            1.0, // no exits, no junction bias
-        );
-        let plain_constraints = derive_constraints(&plain_shape, &plain_folding);
+        // No exits, so no junction bias.
+        let (plain_folding, plain_constraints) = self.shape_plan(None, 1.0);
         let plain_fp = fingerprint("model", &BaseModelKey::plain(cfg));
         let plain = Lazy::new(Box::new(|| self.trained_base(None, &data, cache, &plain_fp)));
 
-        let plain_eval = cache.and_then(|c| {
-            c.load_eval(&plain_fp, plain_shape.num_exits(), cfg.dataset.test_size)
-        });
+        // The plain CNV has one exit, the final one.
+        let plain_eval = cache.and_then(|c| c.load_eval(&plain_fp, 1, cfg.dataset.test_size));
         let reference_accuracy = match plain_eval {
             Some(eval) => eval.exit_accuracy(0),
             None => {
@@ -445,14 +436,8 @@ impl LibraryGenerator {
         });
 
         // --- Early-exit CNV: AdaPEx library (and CT-Only via rate 0). --
-        let ee_shape = cfg.cnv.build_early_exit(classes, &cfg.exits, cfg.seed);
-        let ee_ir = ModelIr::from_summary(&ee_shape.summarize());
-        let ee_folding = FoldingConfig::balanced(
-            &ee_ir,
-            cfg.folding_target_cycles,
-            cfg.pre_junction_speedup,
-        );
-        let ee_constraints = derive_constraints(&ee_shape, &ee_folding);
+        let (ee_folding, ee_constraints) =
+            self.shape_plan(Some(&cfg.exits), cfg.pre_junction_speedup);
         let ee_fp = fingerprint("model", &BaseModelKey::early_exit(cfg));
         let ee = Lazy::new(Box::new(|| {
             self.trained_base(Some(&cfg.exits), &data, cache, &ee_fp)
@@ -498,6 +483,23 @@ impl LibraryGenerator {
         };
         let stats = cache.map(|c| c.stats()).unwrap_or_default();
         (artifacts, stats)
+    }
+
+    /// The balanced folding of one base network and the pruner's
+    /// constraints under it (`exits = None`: the plain CNV). Both read
+    /// layer shapes only, so they derive from [`CnvConfig::summary`]
+    /// without instantiating the network.
+    fn shape_plan(
+        &self,
+        exits: Option<&ExitsConfig>,
+        pre_junction_speedup: f64,
+    ) -> (FoldingConfig, ConstraintMap) {
+        let cfg = &self.config;
+        let summary = cfg.cnv.summary(cfg.kind.num_classes(), exits);
+        let ir = ModelIr::from_summary(&summary);
+        let folding = FoldingConfig::balanced(&ir, cfg.folding_target_cycles, pre_junction_speedup);
+        let constraints = constraints_for(&summary, &ir, &folding);
+        (folding, constraints)
     }
 
     /// Produces one trained base network: loaded from its cached
@@ -824,15 +826,24 @@ impl Serialize for EntryKey<'_> {
 /// its output stream (next backbone matrix node plus any exit conv
 /// forking at its junction).
 pub fn derive_constraints(net: &EarlyExitNetwork, folding: &FoldingConfig) -> ConstraintMap {
-    let ir = ModelIr::from_summary(&net.summarize());
+    let summary = net.summarize();
+    constraints_for(&summary, &ModelIr::from_summary(&summary), folding)
+}
+
+/// [`derive_constraints`] on a network's summary and the IR built from it.
+fn constraints_for(
+    summary: &NetworkSummary,
+    ir: &ModelIr,
+    folding: &FoldingConfig,
+) -> ConstraintMap {
     let mut map = ConstraintMap::uniform(1, 1);
 
     // Pair nn backbone conv layer indices with IR conv nodes (same order).
-    let nn_conv_layers: Vec<usize> = net
+    let nn_conv_layers: Vec<usize> = summary
         .backbone
         .iter()
         .enumerate()
-        .filter_map(|(i, l)| matches!(l, Layer::Conv(_)).then_some(i))
+        .filter_map(|(i, l)| matches!(l, LayerInfo::Conv { .. }).then_some(i))
         .collect();
     let ir_conv_nodes: Vec<usize> = ir
         .backbone
@@ -1107,6 +1118,7 @@ mod tests {
     #[test]
     fn derived_constraints_match_folding() {
         use adapex_nn::cnv::{CnvConfig, ExitsConfig};
+        use adapex_nn::layers::Layer;
         let net = CnvConfig::scaled(8).build_early_exit(10, &ExitsConfig::paper_default(), 1);
         let ir = ModelIr::from_summary(&net.summarize());
         let folding = FoldingConfig::balanced(&ir, 100_000, 2.0);
@@ -1125,6 +1137,40 @@ mod tests {
         let exit0_conv_simd = folding.get("exit0_conv1").expect("exit conv folded").simd;
         let junction_constraint = constraints.for_backbone(3); // conv2 layer index
         assert_eq!(junction_constraint.simd_next % exit0_conv_simd, 0);
+    }
+
+    #[test]
+    fn layer_table_summary_matches_built_networks() {
+        // One topology: the weight-free summary the generator plans from
+        // must be exactly what a built network reports, and so must the
+        // pruner constraints derived from it.
+        use adapex_nn::cnv::{CnvConfig, ExitsConfig};
+        let exit_sets: [&[usize]; 5] = [&[], &[1], &[2], &[1, 2], &[2, 1]];
+        for width in 1..=16 {
+            let cnv = CnvConfig::scaled(width);
+            for classes in [10, 43] {
+                let plain = cnv.build(classes, 5);
+                let what = format!("w{width} c{classes} plain");
+                assert_eq!(cnv.summary(classes, None), plain.summarize(), "{what}");
+                for after_blocks in exit_sets {
+                    let exits = ExitsConfig {
+                        after_blocks: after_blocks.to_vec(),
+                        ..ExitsConfig::paper_default()
+                    };
+                    let what = format!("w{width} c{classes} exits {after_blocks:?}");
+                    let net = cnv.build_early_exit(classes, &exits, 5);
+                    let summary = cnv.summary(classes, Some(&exits));
+                    assert_eq!(summary, net.summarize(), "{what}");
+                    let ir = ModelIr::from_summary(&summary);
+                    let folding = FoldingConfig::balanced(&ir, 60_000, 2.0);
+                    assert_eq!(
+                        constraints_for(&summary, &ir, &folding),
+                        derive_constraints(&net, &folding),
+                        "{what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -48,6 +48,15 @@ pub enum PlacementPolicy {
     LeastLoaded,
 }
 
+/// Per-camera rate spread of a fleet whose configuration names none
+/// (±20 %): [`FleetConfig::paper_default`], a scenario file's fleet
+/// section without `camera_spread`, and the CLI's `--servers` fleets.
+pub const DEFAULT_CAMERA_SPREAD: f64 = 0.2;
+
+/// Placement policy of a fleet whose configuration names none (see
+/// [`DEFAULT_CAMERA_SPREAD`]).
+pub const DEFAULT_PLACEMENT: PlacementPolicy = PlacementPolicy::LeastLoaded;
+
 /// Fleet shape and per-server simulation template.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
@@ -75,8 +84,8 @@ impl FleetConfig {
         FleetConfig {
             servers,
             cameras_per_server,
-            camera_spread: 0.2,
-            placement: PlacementPolicy::LeastLoaded,
+            camera_spread: DEFAULT_CAMERA_SPREAD,
+            placement: DEFAULT_PLACEMENT,
             sim,
         }
     }

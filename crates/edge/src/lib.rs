@@ -51,7 +51,8 @@ pub use fault::{
     ReconfigOutcome, StaleFlood, FAULT_STREAM_SALT,
 };
 pub use fleet::{
-    Fleet, FleetConfig, FleetResult, FleetSummary, PlacementPolicy, ServerAssignment, FLEET_SALT,
+    Fleet, FleetConfig, FleetResult, FleetSummary, PlacementPolicy, ServerAssignment,
+    DEFAULT_CAMERA_SPREAD, DEFAULT_PLACEMENT, FLEET_SALT,
 };
 pub use scenario::Scenario;
 pub use scenario_file::{

@@ -11,7 +11,7 @@
 //! defaults.
 
 use crate::fault::FaultPlan;
-use crate::fleet::{FleetConfig, PlacementPolicy};
+use crate::fleet::{FleetConfig, PlacementPolicy, DEFAULT_CAMERA_SPREAD, DEFAULT_PLACEMENT};
 use crate::serve_sim::ServeScenarioConfig;
 use crate::sim::SimConfig;
 use crate::workload::WorkloadConfig;
@@ -67,11 +67,11 @@ pub struct FleetOverrides {
 }
 
 fn default_camera_spread() -> f64 {
-    0.2
+    DEFAULT_CAMERA_SPREAD
 }
 
 fn default_placement() -> PlacementPolicy {
-    PlacementPolicy::LeastLoaded
+    DEFAULT_PLACEMENT
 }
 
 /// Serving section: overrides applied on top of

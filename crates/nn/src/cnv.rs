@@ -8,13 +8,15 @@
 //! (DESIGN.md §1). `CnvConfig { width: 64 }` is bit-for-bit the paper's
 //! CNVW2A2 topology.
 
-use crate::layers::{BatchNorm, Layer, MaxPool2d, QuantConv2d, QuantLinear, QuantReLU};
-use crate::network::{EarlyExitNetwork, ExitBranch};
+use crate::layers::LayerSpec;
+use crate::network::{EarlyExitNetwork, ExitBranch, NetworkSummary};
 use crate::quant::QuantSpec;
 use adapex_tensor::conv::ConvGeometry;
 use adapex_tensor::rng::rng_from_seed;
-use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+
+/// Per-sample input shape: 32x32 RGB images.
+const INPUT_DIMS: [usize; 3] = [3, 32, 32];
 
 /// Width/precision configuration of a CNV instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -73,19 +75,9 @@ impl CnvConfig {
         8 * self.width
     }
 
-    fn wspec(&self) -> QuantSpec {
-        QuantSpec::signed(self.weight_bits)
-    }
-
-    fn act(&self) -> QuantReLU {
-        QuantReLU::new(QuantSpec::unsigned(self.act_bits), 2.0)
-    }
-
     /// Builds the plain (no-early-exit) CNV backbone.
     pub fn build(&self, num_classes: usize, seed: u64) -> EarlyExitNetwork {
-        let mut rng = rng_from_seed(seed);
-        let backbone = self.build_backbone(num_classes, &mut rng);
-        EarlyExitNetwork::new(backbone, Vec::new(), vec![3, 32, 32], num_classes)
+        self.instantiate(num_classes, None, seed)
     }
 
     /// Builds CNV with early exits attached per `exits`.
@@ -100,85 +92,147 @@ impl CnvConfig {
         exits: &ExitsConfig,
         seed: u64,
     ) -> EarlyExitNetwork {
+        self.instantiate(num_classes, Some(exits), seed)
+    }
+
+    /// The structural summary `build*(…).summarize()` would return
+    /// (`exits = None` for [`CnvConfig::build`]), derived from the layer
+    /// table without instantiating a layer or drawing a weight.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the exit blocks [`CnvConfig::build_early_exit`] rejects.
+    pub fn summary(&self, num_classes: usize, exits: Option<&ExitsConfig>) -> NetworkSummary {
+        let (backbone, branches) = self.table(num_classes, exits);
+        NetworkSummary::from_specs(&backbone, &branches, INPUT_DIMS.to_vec(), num_classes)
+    }
+
+    /// Instantiates the layer table. Weights are drawn from one stream
+    /// seeded by `seed`: backbone first, then the exits in
+    /// `after_blocks` order.
+    fn instantiate(
+        &self,
+        num_classes: usize,
+        exits: Option<&ExitsConfig>,
+        seed: u64,
+    ) -> EarlyExitNetwork {
         let mut rng = rng_from_seed(seed);
-        let backbone = self.build_backbone(num_classes, &mut rng);
-        let mut branches = Vec::new();
-        for &block in &exits.after_blocks {
-            branches.push(self.build_exit(block, num_classes, &mut rng));
-        }
+        let (backbone, branches) = self.table(num_classes, exits);
+        let backbone = backbone.iter().map(|l| l.instantiate(&mut rng)).collect();
+        let mut branches: Vec<ExitBranch> = branches
+            .into_iter()
+            .map(|(attach_after, layers)| ExitBranch {
+                attach_after,
+                layers: layers.iter().map(|l| l.instantiate(&mut rng)).collect(),
+            })
+            .collect();
         branches.sort_by_key(|b| b.attach_after);
-        EarlyExitNetwork::new(backbone, branches, vec![3, 32, 32], num_classes)
+        EarlyExitNetwork::new(backbone, branches, INPUT_DIMS.to_vec(), num_classes)
+    }
+
+    /// The topology, written once: the backbone's layers and, per entry
+    /// of `exits.after_blocks` (in that order), an exit's attachment
+    /// index and layers.
+    fn table(
+        &self,
+        num_classes: usize,
+        exits: Option<&ExitsConfig>,
+    ) -> (Vec<LayerSpec>, Vec<(usize, Vec<LayerSpec>)>) {
+        let branches = exits
+            .map(|e| {
+                e.after_blocks
+                    .iter()
+                    .map(|&b| self.exit_table(b, num_classes))
+                    .collect()
+            })
+            .unwrap_or_default();
+        (self.backbone_table(num_classes), branches)
+    }
+
+    fn conv(&self, c_in: usize, c_out: usize) -> LayerSpec {
+        LayerSpec::Conv {
+            c_in,
+            c_out,
+            geom: ConvGeometry::new(3), // CNV uses unpadded 3x3 convs
+            weight_spec: QuantSpec::signed(self.weight_bits),
+        }
+    }
+
+    fn linear(&self, in_features: usize, out_features: usize) -> LayerSpec {
+        LayerSpec::Linear {
+            in_features,
+            out_features,
+            weight_spec: QuantSpec::signed(self.weight_bits),
+        }
+    }
+
+    fn act(&self) -> LayerSpec {
+        LayerSpec::Act {
+            spec: QuantSpec::unsigned(self.act_bits),
+            clip: 2.0,
+        }
     }
 
     /// Backbone layers. Indices (documented because exits attach by
     /// index): conv activations after conv2 and conv4 sit at 5 and 12.
-    fn build_backbone(&self, num_classes: usize, rng: &mut StdRng) -> Vec<Layer> {
+    fn backbone_table(&self, num_classes: usize) -> Vec<LayerSpec> {
         let ch = self.conv_channels();
-        let ws = self.wspec();
-        let g = ConvGeometry::new(3); // CNV uses unpadded 3x3 convs
-        let mut layers = Vec::new();
-        let push_conv = |layers: &mut Vec<Layer>, cin: usize, cout: usize, rng: &mut StdRng| {
-            layers.push(Layer::Conv(QuantConv2d::new(cin, cout, g, ws, rng)));
-            layers.push(Layer::Norm(BatchNorm::new(cout)));
-            layers.push(Layer::Act(self.act()));
-        };
-        // Block 1: 32 -> 30 -> 28 -> pool -> 14
-        push_conv(&mut layers, 3, ch[0], rng);
-        push_conv(&mut layers, ch[0], ch[1], rng);
-        layers.push(Layer::Pool(MaxPool2d::new(2)));
-        // Block 2: 14 -> 12 -> 10 -> pool -> 5
-        push_conv(&mut layers, ch[1], ch[2], rng);
-        push_conv(&mut layers, ch[2], ch[3], rng);
-        layers.push(Layer::Pool(MaxPool2d::new(2)));
-        // Block 3: 5 -> 3 -> 1
-        push_conv(&mut layers, ch[3], ch[4], rng);
-        push_conv(&mut layers, ch[4], ch[5], rng);
-        // Classifier.
         let fc = self.fc_width();
-        layers.push(Layer::Flatten);
-        layers.push(Layer::Linear(QuantLinear::new(ch[5], fc, ws, rng)));
-        layers.push(Layer::Norm(BatchNorm::new(fc)));
-        layers.push(Layer::Act(self.act()));
-        layers.push(Layer::Linear(QuantLinear::new(fc, fc, ws, rng)));
-        layers.push(Layer::Norm(BatchNorm::new(fc)));
-        layers.push(Layer::Act(self.act()));
-        layers.push(Layer::Linear(QuantLinear::new(fc, num_classes, ws, rng)));
-        layers
+        let conv_block = |cin: usize, cout: usize| {
+            [self.conv(cin, cout), LayerSpec::Norm { channels: cout }, self.act()]
+        };
+        let pool = LayerSpec::Pool { kernel: 2 };
+        let fc_block = |fin: usize| {
+            [self.linear(fin, fc), LayerSpec::Norm { channels: fc }, self.act()]
+        };
+        [
+            // Block 1: 32 -> 30 -> 28 -> pool -> 14
+            &conv_block(3, ch[0])[..],
+            &conv_block(ch[0], ch[1]),
+            &[pool],
+            // Block 2: 14 -> 12 -> 10 -> pool -> 5
+            &conv_block(ch[1], ch[2]),
+            &conv_block(ch[2], ch[3]),
+            &[pool],
+            // Block 3: 5 -> 3 -> 1
+            &conv_block(ch[3], ch[4]),
+            &conv_block(ch[4], ch[5]),
+            // Classifier.
+            &[LayerSpec::Flatten],
+            &fc_block(ch[5]),
+            &fc_block(fc),
+            &[self.linear(fc, num_classes)],
+        ]
+        .concat()
     }
 
     /// One exit branch per the paper's recipe (Sec. IV-A1): a conv with
     /// the host block's configuration, a `k = ⌊DIM/2⌋` max-pool that
     /// shrinks the map to 2x2 (making FPGA synthesis of the following FCs
     /// feasible), then two FC layers configured like CNV's own.
-    fn build_exit(&self, block: usize, num_classes: usize, rng: &mut StdRng) -> ExitBranch {
+    fn exit_table(&self, block: usize, num_classes: usize) -> (usize, Vec<LayerSpec>) {
         let ch = self.conv_channels();
-        let ws = self.wspec();
-        let g = ConvGeometry::new(3);
         let fc = self.fc_width();
         // (attach index, channels, conv output DIM) per host block; see
-        // build_backbone for the index layout.
+        // backbone_table for the index layout.
         let (attach_after, c, dim_after_conv) = match block {
             1 => (5usize, ch[1], 26usize),  // 28x28 map -> conv -> 26
             2 => (12, ch[3], 8),            // 10x10 map -> conv -> 8
             other => panic!("exits are supported after blocks 1 and 2, not {other}"),
         };
-        let pool_k = dim_after_conv / 2; // paper: k = floor(DIM/2) -> 2x2 map
-        let features = c * 2 * 2;
         let layers = vec![
-            Layer::Conv(QuantConv2d::new(c, c, g, ws, rng)),
-            Layer::Norm(BatchNorm::new(c)),
-            Layer::Act(self.act()),
-            Layer::Pool(MaxPool2d::new(pool_k)),
-            Layer::Flatten,
-            Layer::Linear(QuantLinear::new(features, fc, ws, rng)),
-            Layer::Norm(BatchNorm::new(fc)),
-            Layer::Act(self.act()),
-            Layer::Linear(QuantLinear::new(fc, num_classes, ws, rng)),
+            self.conv(c, c),
+            LayerSpec::Norm { channels: c },
+            self.act(),
+            // paper: k = floor(DIM/2) -> 2x2 map
+            LayerSpec::Pool { kernel: dim_after_conv / 2 },
+            LayerSpec::Flatten,
+            self.linear(c * 2 * 2, fc),
+            LayerSpec::Norm { channels: fc },
+            self.act(),
+            self.linear(fc, num_classes),
         ];
-        ExitBranch {
-            attach_after,
-            layers,
-        }
+        (attach_after, layers)
     }
 }
 

@@ -1,4 +1,4 @@
-use super::{Activation, LayerInfo, Param};
+use super::{Activation, Param};
 use crate::quant::{self, QuantSpec};
 use adapex_tensor::conv::{col2im_into, im2col_into, ConvGeometry};
 use adapex_tensor::gemm::{gemm_a_bt_st, gemm_at_b_st, gemm_bias_st, gemm_st};
@@ -11,6 +11,22 @@ use adapex_tensor::workspace::{
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
+
+/// Output spatial extent of a conv with `c_in` input channels and
+/// geometry `geom` on a per-sample CHW input, shared by
+/// [`super::LayerSpec`]'s shape propagation and the allocation-free
+/// forward path.
+///
+/// # Panics
+///
+/// Panics unless `in_dims` is CHW with `c_in` channels and the window fits.
+pub(super) fn out_hw(c_in: usize, geom: ConvGeometry, in_dims: &[usize]) -> (usize, usize) {
+    assert_eq!(in_dims.len(), 3, "conv input must be CHW");
+    assert_eq!(in_dims[0], c_in, "conv input channels");
+    let oh = geom.output_dim(in_dims[1]).expect("window must fit");
+    let ow = geom.output_dim(in_dims[2]).expect("window must fit");
+    (oh, ow)
+}
 
 /// 2-D convolution with fake-quantized weights.
 ///
@@ -118,45 +134,6 @@ impl QuantConv2d {
         }
     }
 
-    /// Per-sample output shape `[c_out, out_h, out_w]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `in_dims` is `[c_in, h, w]` with a fitting window.
-    pub fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
-        let (oh, ow) = self.out_hw(in_dims);
-        vec![self.c_out, oh, ow]
-    }
-
-    /// Output spatial extent, shared by [`Self::out_dims`] and the
-    /// allocation-free forward path.
-    fn out_hw(&self, in_dims: &[usize]) -> (usize, usize) {
-        assert_eq!(in_dims.len(), 3, "conv input must be CHW");
-        assert_eq!(in_dims[0], self.c_in, "conv input channels");
-        let oh = self.geom.output_dim(in_dims[1]).expect("window must fit");
-        let ow = self.geom.output_dim(in_dims[2]).expect("window must fit");
-        (oh, ow)
-    }
-
-    /// Structural description.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `in_dims` is a valid CHW input shape.
-    pub fn info(&self, in_dims: &[usize]) -> LayerInfo {
-        let out = self.out_dims(in_dims);
-        LayerInfo::Conv {
-            c_in: self.c_in,
-            c_out: self.c_out,
-            kernel: self.geom.kernel,
-            stride: self.geom.stride,
-            padding: self.geom.padding,
-            in_hw: (in_dims[1], in_dims[2]),
-            out_hw: (out[1], out[2]),
-            weight_bits: self.weight_spec.bits,
-        }
-    }
-
     /// Refreshes the quantized-weight view if the weight param changed
     /// since it was last derived.
     fn ensure_qweights(&mut self) {
@@ -228,7 +205,7 @@ impl QuantConv2d {
     /// finished by the same requantize+bias epilogue. Bit-identical
     /// across backends and routes.
     fn run_forward(&mut self, x: &Activation, int2_scale: Option<f32>) -> Activation {
-        let (oh, ow) = self.out_hw(&x.dims);
+        let (oh, ow) = out_hw(self.c_in, self.geom, &x.dims);
         let out_dims = [self.c_out, oh, ow];
         let (h, w) = (x.dims[1], x.dims[2]);
         let pixels = oh * ow;
@@ -383,8 +360,8 @@ impl QuantConv2d {
     ) {
         let (c_in, c_out) = (self.c_in, self.c_out);
         im2col_into(img, c_in, h, w, self.geom, &mut ws.cols);
-        // dWᵀ += cols * dY^T
-        ws.dw_img.clear();
+        // dWᵀ += cols * dY^T. The GEMMs below store every element, so
+        // their outputs only get the right length, never a zero fill.
         ws.dw_img.resize(kk * c_out, 0.0);
         gemm_a_bt_st(kk, pixels, c_out, &ws.cols, dy, &mut ws.dw_img);
         for (acc, &v) in ws.dw.iter_mut().zip(&ws.dw_img) {
@@ -398,7 +375,6 @@ impl QuantConv2d {
             return;
         };
         // dCols = W^T * dY ; dX = col2im(dCols)
-        ws.dcols.clear();
         ws.dcols.resize(kk * pixels, 0.0);
         gemm_at_b_st(kk, c_out, pixels, &self.cache.qweight, dy, &mut ws.dcols);
         col2im_into(&ws.dcols, c_in, h, w, self.geom, &mut ws.scratch);

@@ -18,10 +18,13 @@ pub use linear::QuantLinear;
 pub use norm::BatchNorm;
 pub use pool::MaxPool2d;
 
+use crate::quant::QuantSpec;
+use adapex_tensor::conv::ConvGeometry;
 use adapex_tensor::simd;
 use adapex_tensor::workspace::{
     recycle_f32, recycle_usize, take_f32, take_f32_from, take_f32_uninit, take_usize_from,
 };
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// Quantization-grid metadata attached to an [`Activation`] by the layer
@@ -288,6 +291,142 @@ pub enum LayerInfo {
     Flatten,
 }
 
+/// A layer without its weights: everything [`LayerSpec::instantiate`]
+/// needs besides a random stream, and everything shape propagation
+/// reads. A model's topology is written once as a table of these (see
+/// `crate::cnv`), so building a network and summarizing it without
+/// building it walk the same description.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum LayerSpec {
+    /// Quantized convolution.
+    Conv {
+        /// Input channels.
+        c_in: usize,
+        /// Output channels (filters).
+        c_out: usize,
+        /// Kernel geometry.
+        geom: ConvGeometry,
+        /// Weight quantizer.
+        weight_spec: QuantSpec,
+    },
+    /// Quantized fully-connected layer.
+    Linear {
+        /// Input features.
+        in_features: usize,
+        /// Output features.
+        out_features: usize,
+        /// Weight quantizer.
+        weight_spec: QuantSpec,
+    },
+    /// Max pooling with stride equal to the window.
+    Pool {
+        /// Window size.
+        kernel: usize,
+    },
+    /// Batch normalization.
+    Norm {
+        /// Normalized channels/features.
+        channels: usize,
+    },
+    /// Quantized ReLU.
+    Act {
+        /// Activation quantizer (unsigned).
+        spec: QuantSpec,
+        /// Upper clipping bound.
+        clip: f32,
+    },
+    /// Flatten CHW to features.
+    Flatten,
+}
+
+impl LayerSpec {
+    /// Creates the layer, drawing its initial weights (convs and linears
+    /// only) from `rng`.
+    pub fn instantiate(&self, rng: &mut StdRng) -> Layer {
+        match *self {
+            LayerSpec::Conv {
+                c_in,
+                c_out,
+                geom,
+                weight_spec,
+            } => Layer::Conv(QuantConv2d::new(c_in, c_out, geom, weight_spec, rng)),
+            LayerSpec::Linear {
+                in_features,
+                out_features,
+                weight_spec,
+            } => Layer::Linear(QuantLinear::new(in_features, out_features, weight_spec, rng)),
+            LayerSpec::Pool { kernel } => Layer::Pool(MaxPool2d::new(kernel)),
+            LayerSpec::Norm { channels } => Layer::Norm(BatchNorm::new(channels)),
+            LayerSpec::Act { spec, clip } => Layer::Act(QuantReLU::new(spec, clip)),
+            LayerSpec::Flatten => Layer::Flatten,
+        }
+    }
+
+    /// Per-sample output shape for a per-sample input shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `in_dims` is incompatible with the layer.
+    pub fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
+        match *self {
+            LayerSpec::Conv { c_in, c_out, geom, .. } => {
+                let (oh, ow) = conv::out_hw(c_in, geom, in_dims);
+                vec![c_out, oh, ow]
+            }
+            LayerSpec::Linear { out_features, .. } => vec![out_features],
+            LayerSpec::Pool { kernel } => {
+                let (oh, ow) = pool::out_hw(kernel, in_dims);
+                vec![in_dims[0], oh, ow]
+            }
+            LayerSpec::Norm { .. } | LayerSpec::Act { .. } => in_dims.to_vec(),
+            LayerSpec::Flatten => vec![in_dims.iter().product()],
+        }
+    }
+
+    /// Structural description for the FPGA compiler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `in_dims` is incompatible with the layer.
+    pub fn info(&self, in_dims: &[usize]) -> LayerInfo {
+        match *self {
+            LayerSpec::Conv {
+                c_in,
+                c_out,
+                geom,
+                weight_spec,
+            } => LayerInfo::Conv {
+                c_in,
+                c_out,
+                kernel: geom.kernel,
+                stride: geom.stride,
+                padding: geom.padding,
+                in_hw: (in_dims[1], in_dims[2]),
+                out_hw: conv::out_hw(c_in, geom, in_dims),
+                weight_bits: weight_spec.bits,
+            },
+            LayerSpec::Linear {
+                in_features,
+                out_features,
+                weight_spec,
+            } => LayerInfo::Linear {
+                in_features,
+                out_features,
+                weight_bits: weight_spec.bits,
+            },
+            LayerSpec::Pool { kernel } => LayerInfo::MaxPool {
+                kernel,
+                channels: in_dims[0],
+                in_hw: (in_dims[1], in_dims[2]),
+                out_hw: pool::out_hw(kernel, in_dims),
+            },
+            LayerSpec::Norm { channels } => LayerInfo::BatchNorm { channels },
+            LayerSpec::Act { spec, .. } => LayerInfo::QuantAct { bits: spec.bits },
+            LayerSpec::Flatten => LayerInfo::Flatten,
+        }
+    }
+}
+
 /// A network layer (closed enum; see module docs).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Layer {
@@ -407,19 +546,39 @@ impl Layer {
         }
     }
 
+    /// The layer without its weights.
+    pub fn spec(&self) -> LayerSpec {
+        match self {
+            Layer::Conv(l) => LayerSpec::Conv {
+                c_in: l.c_in,
+                c_out: l.c_out,
+                geom: l.geom,
+                weight_spec: l.weight_spec,
+            },
+            Layer::Linear(l) => LayerSpec::Linear {
+                in_features: l.in_features,
+                out_features: l.out_features,
+                weight_spec: l.weight_spec,
+            },
+            Layer::Pool(l) => LayerSpec::Pool { kernel: l.kernel },
+            Layer::Norm(l) => LayerSpec::Norm {
+                channels: l.channels,
+            },
+            Layer::Act(l) => LayerSpec::Act {
+                spec: l.spec,
+                clip: l.clip,
+            },
+            Layer::Flatten => LayerSpec::Flatten,
+        }
+    }
+
     /// Per-sample output shape for a per-sample input shape.
     ///
     /// # Panics
     ///
     /// Panics if `in_dims` is incompatible with the layer.
     pub fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
-        match self {
-            Layer::Conv(l) => l.out_dims(in_dims),
-            Layer::Linear(l) => vec![l.out_features],
-            Layer::Pool(l) => l.out_dims(in_dims),
-            Layer::Norm(_) | Layer::Act(_) => in_dims.to_vec(),
-            Layer::Flatten => vec![in_dims.iter().product()],
-        }
+        self.spec().out_dims(in_dims)
     }
 
     /// Structural description for the FPGA compiler.
@@ -428,22 +587,7 @@ impl Layer {
     ///
     /// Panics if `in_dims` is incompatible with the layer.
     pub fn info(&self, in_dims: &[usize]) -> LayerInfo {
-        match self {
-            Layer::Conv(l) => l.info(in_dims),
-            Layer::Linear(l) => LayerInfo::Linear {
-                in_features: l.in_features,
-                out_features: l.out_features,
-                weight_bits: l.weight_spec.bits,
-            },
-            Layer::Pool(l) => l.info(in_dims),
-            Layer::Norm(l) => LayerInfo::BatchNorm {
-                channels: l.channels,
-            },
-            Layer::Act(l) => LayerInfo::QuantAct {
-                bits: l.spec.bits,
-            },
-            Layer::Flatten => LayerInfo::Flatten,
-        }
+        self.spec().info(in_dims)
     }
 
     /// Total trainable parameter count.

@@ -1,6 +1,21 @@
-use super::{Activation, LayerInfo};
+use super::Activation;
 use adapex_tensor::conv::ConvGeometry;
 use serde::{Deserialize, Serialize};
+
+/// Output spatial extent of a `kernel`-window, `kernel`-stride pool on a
+/// per-sample CHW input, shared by [`super::LayerSpec`]'s shape
+/// propagation and the allocation-free forward path.
+///
+/// # Panics
+///
+/// Panics unless `in_dims` is CHW with extents >= `kernel`.
+pub(super) fn out_hw(kernel: usize, in_dims: &[usize]) -> (usize, usize) {
+    assert_eq!(in_dims.len(), 3, "pool input must be CHW");
+    let g = ConvGeometry::new(kernel).with_stride(kernel);
+    let oh = g.output_dim(in_dims[1]).expect("pool window must fit");
+    let ow = g.output_dim(in_dims[2]).expect("pool window must fit");
+    (oh, ow)
+}
 
 /// Max pooling with stride equal to the window (the only flavour CNV and
 /// the paper's exit branches use; the exit's `k = ⌊DIM/2⌋` pool is an
@@ -46,48 +61,13 @@ impl MaxPool2d {
         }
     }
 
-    /// Per-sample output shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `in_dims` is CHW with extents >= kernel.
-    pub fn out_dims(&self, in_dims: &[usize]) -> Vec<usize> {
-        let (oh, ow) = self.out_hw(in_dims);
-        vec![in_dims[0], oh, ow]
-    }
-
-    /// Output spatial extent, shared by [`Self::out_dims`] and the
-    /// allocation-free forward path.
-    fn out_hw(&self, in_dims: &[usize]) -> (usize, usize) {
-        assert_eq!(in_dims.len(), 3, "pool input must be CHW");
-        let g = ConvGeometry::new(self.kernel).with_stride(self.kernel);
-        let oh = g.output_dim(in_dims[1]).expect("pool window must fit");
-        let ow = g.output_dim(in_dims[2]).expect("pool window must fit");
-        (oh, ow)
-    }
-
-    /// Structural description.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `in_dims` is a valid CHW shape.
-    pub fn info(&self, in_dims: &[usize]) -> LayerInfo {
-        let out = self.out_dims(in_dims);
-        LayerInfo::MaxPool {
-            kernel: self.kernel,
-            channels: in_dims[0],
-            in_hw: (in_dims[1], in_dims[2]),
-            out_hw: (out[1], out[2]),
-        }
-    }
-
     /// Forward pass, recording argmax positions when `train` is set.
     ///
     /// # Panics
     ///
     /// Panics on an input shape mismatch.
     pub fn forward(&mut self, x: &Activation, train: bool) -> Activation {
-        let (oh, ow) = self.out_hw(&x.dims);
+        let (oh, ow) = out_hw(self.kernel, &x.dims);
         let out_dims = [x.dims[0], oh, ow];
         let (c, h, w) = (x.dims[0], x.dims[1], x.dims[2]);
         let k = self.kernel;
@@ -185,11 +165,9 @@ mod tests {
 
     #[test]
     fn odd_dims_truncate_like_floor_division() {
-        let pool = MaxPool2d::new(2);
-        assert_eq!(pool.out_dims(&[3, 5, 5]), vec![3, 2, 2]);
+        assert_eq!(out_hw(2, &[3, 5, 5]), (2, 2));
         // The exit branch's aggressive pool: k = floor(8/2) = 4 on an 8x8 map.
-        let pool = MaxPool2d::new(4);
-        assert_eq!(pool.out_dims(&[64, 8, 8]), vec![64, 2, 2]);
+        assert_eq!(out_hw(4, &[64, 8, 8]), (2, 2));
     }
 
     #[test]

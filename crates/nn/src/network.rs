@@ -8,7 +8,7 @@
 //! backbone at their junctions, implementing the joint-loss training of
 //! Sec. IV-A1.
 
-use crate::layers::{Activation, Layer, Param};
+use crate::layers::{Activation, Layer, LayerSpec, Param};
 pub use crate::layers::LayerInfo;
 use serde::{Deserialize, Serialize};
 
@@ -190,29 +190,62 @@ impl EarlyExitNetwork {
     /// Panics if a layer rejects the propagated shape (network is
     /// malformed).
     pub fn summarize(&self) -> NetworkSummary {
-        let mut backbone = Vec::with_capacity(self.backbone.len());
-        let mut exits: Vec<(usize, Vec<LayerInfo>)> = Vec::with_capacity(self.exits.len());
-        let mut dims = self.input_dims.clone();
-        for (j, layer) in self.backbone.iter().enumerate() {
-            backbone.push(layer.info(&dims));
+        let specs = |layers: &[Layer]| layers.iter().map(Layer::spec).collect::<Vec<_>>();
+        let exits: Vec<(usize, Vec<LayerSpec>)> = self
+            .exits
+            .iter()
+            .map(|e| (e.attach_after, specs(&e.layers)))
+            .collect();
+        NetworkSummary::from_specs(
+            &specs(&self.backbone),
+            &exits,
+            self.input_dims.clone(),
+            self.num_classes,
+        )
+    }
+}
+
+impl NetworkSummary {
+    /// Summarizes a topology given as layer specs: propagates
+    /// `input_dims` through the backbone, and through each exit from
+    /// the output shape of the backbone layer it attaches after. `exits`
+    /// are `(attach_after, layers)` pairs; the summary lists them by
+    /// attachment point, ties in their given order (the order
+    /// [`EarlyExitNetwork::new`] requires).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a layer rejects the propagated shape (the topology is
+    /// malformed).
+    pub fn from_specs(
+        backbone: &[LayerSpec],
+        exits: &[(usize, Vec<LayerSpec>)],
+        input_dims: Vec<usize>,
+        num_classes: usize,
+    ) -> Self {
+        let mut infos = Vec::with_capacity(backbone.len());
+        let mut exit_infos: Vec<(usize, Vec<LayerInfo>)> = Vec::with_capacity(exits.len());
+        let mut dims = input_dims.clone();
+        for (j, layer) in backbone.iter().enumerate() {
+            infos.push(layer.info(&dims));
             dims = layer.out_dims(&dims);
-            for exit in &self.exits {
-                if exit.attach_after == j {
+            for (attach_after, layers) in exits {
+                if *attach_after == j {
                     let mut e_dims = dims.clone();
-                    let mut infos = Vec::with_capacity(exit.layers.len());
-                    for l in &exit.layers {
-                        infos.push(l.info(&e_dims));
+                    let mut e_infos = Vec::with_capacity(layers.len());
+                    for l in layers {
+                        e_infos.push(l.info(&e_dims));
                         e_dims = l.out_dims(&e_dims);
                     }
-                    exits.push((j, infos));
+                    exit_infos.push((j, e_infos));
                 }
             }
         }
         NetworkSummary {
-            backbone,
-            exits,
-            input_dims: self.input_dims.clone(),
-            num_classes: self.num_classes,
+            backbone: infos,
+            exits: exit_infos,
+            input_dims,
+            num_classes,
         }
     }
 }
