@@ -139,24 +139,14 @@ impl BatchNorm {
             var.resize(self.channels, 0.0);
             for i in 0..x.n {
                 let s = &x.data[i * sample_len..(i + 1) * sample_len];
-                for (c0, width) in channel_groups(self.channels) {
-                    match width {
-                        CHAINS => sum_chains::<CHAINS>(s, spatial, c0, mean, None),
-                        _ => sum_chains::<1>(s, spatial, c0, mean, None),
-                    }
-                }
+                add_channel_sums(s, spatial, mean, None);
             }
             for m in mean.iter_mut() {
                 *m /= count;
             }
             for i in 0..x.n {
                 let s = &x.data[i * sample_len..(i + 1) * sample_len];
-                for (c0, width) in channel_groups(self.channels) {
-                    match width {
-                        CHAINS => sum_chains::<CHAINS>(s, spatial, c0, var, Some(mean)),
-                        _ => sum_chains::<1>(s, spatial, c0, var, Some(mean)),
-                    }
-                }
+                add_channel_sums(s, spatial, var, Some(mean));
             }
             for v in var.iter_mut() {
                 *v /= count;
@@ -275,6 +265,20 @@ fn channel_groups(channels: usize) -> impl Iterator<Item = (usize, usize)> {
         .step_by(CHAINS)
         .map(|c0| (c0, CHAINS))
         .chain((full..channels).map(|c| (c, 1)))
+}
+
+/// Adds one sample's sum over each channel onto `acc[c]`: `Σ x`, or
+/// `Σ (x − mean[c])²` when `mean` is given, for the `[channels, spatial]`
+/// sample `s`, [`CHAINS`] channels' chains at a time (see
+/// [`sum_chains`]). Also the conv layer's bias gradient, `Σ dy` per
+/// output channel.
+pub(super) fn add_channel_sums(s: &[f32], spatial: usize, acc: &mut [f32], mean: Option<&[f32]>) {
+    for (c0, width) in channel_groups(acc.len()) {
+        match width {
+            CHAINS => sum_chains::<CHAINS>(s, spatial, c0, acc, mean),
+            _ => sum_chains::<1>(s, spatial, c0, acc, mean),
+        }
+    }
 }
 
 /// Adds one sample's sum over each of channels `c0..c0 + L` onto

@@ -1,15 +1,16 @@
 //! End-to-end cross-backend identity.
 //!
-//! `simd_identity` and `int2_identity` pin the AVX-512, AVX2 and portable
-//! bodies against each other kernel by kernel; this suite pins what that
-//! buys at the surfaces callers see. One SGD training step, a full
-//! `evaluate_exits` sweep and one `BatchExecutor::run_batch` on the same
-//! seeded net and data must come out `to_bits`-identical whether the
-//! f32 and int2 dispatchers use the detected backends or are pinned to
-//! any backend the host can run — on an AVX-512 host that is forced
-//! AVX-512 (the int2 `VPOPCNTDQ` bodies over the 8-lane f32 kernels),
-//! forced AVX2, which detection would otherwise never dispatch there,
-//! and forced portable.
+//! `simd_identity`, `conv_grad_identity` and `int2_identity` pin the
+//! AVX-512, AVX2 and portable bodies against each other kernel by
+//! kernel; this suite pins what that buys at the surfaces callers see.
+//! One SGD training step, a full `evaluate_exits` sweep and one
+//! `BatchExecutor::run_batch` on the same seeded net and data, plus one
+//! training step of a stack with channel counts as filter pruning
+//! leaves them (odd, unequal, one conv padded), must come out
+//! `to_bits`-identical whether the f32 and int2 dispatchers use the
+//! detected backends or are pinned to any backend the host can run —
+//! on an AVX-512 host that is forced AVX-512, forced AVX2, which
+//! detection would otherwise never dispatch there, and forced portable.
 //!
 //! The backend overrides are process-global, so this file holds a
 //! single test.
@@ -17,11 +18,14 @@
 use adapex_dataset::{DatasetKind, SyntheticConfig};
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
 use adapex_nn::eval::evaluate_exits;
-use adapex_nn::layers::Activation;
+use adapex_nn::layers::{Activation, BatchNorm, Layer, MaxPool2d, QuantConv2d, QuantLinear, QuantReLU};
 use adapex_nn::loss::cross_entropy_with_grad;
 use adapex_nn::optim::Sgd;
+use adapex_nn::quant::QuantSpec;
 use adapex_nn::serve::{BatchExecutor, BatchVerdicts, ExecutorConfig};
 use adapex_nn::train::default_exit_weights;
+use adapex_tensor::conv::ConvGeometry;
+use adapex_tensor::rng::{normal_tensor, rng_from_seed};
 use adapex_tensor::simd::Backend;
 use adapex_tensor::{int2, simd};
 
@@ -34,10 +38,64 @@ struct Observed {
     serve_exit: Vec<usize>,
     serve_class: Vec<usize>,
     serve_confidence: Vec<u32>,
+    pruned_params: Vec<u32>,
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// One SGD step of a conv stack shaped like a pruned CNV block chain:
+/// 3 → 5 → 7 → 13 → 7 → 5 channels, the third conv "same"-padded, the
+/// last one's map too narrow for the flat input-gradient route. Returns
+/// the updated parameters' bits.
+fn pruned_training_step() -> Vec<u32> {
+    let mut rng = rng_from_seed(21);
+    let spec = QuantSpec::signed(2);
+    let mut block = |c_in: usize, c_out: usize, pad: usize| {
+        let geom = ConvGeometry::new(3).with_padding(pad);
+        [
+            Layer::Conv(QuantConv2d::new(c_in, c_out, geom, spec, &mut rng)),
+            Layer::Norm(BatchNorm::new(c_out)),
+            Layer::Act(QuantReLU::a2()),
+        ]
+    };
+    let mut layers: Vec<Layer> = [
+        &block(3, 5, 0)[..],
+        &block(5, 7, 0),
+        &[Layer::Pool(MaxPool2d::new(2))],
+        &block(7, 13, 1),
+        &block(13, 7, 0),
+        &block(7, 5, 0),
+    ]
+    .into_iter()
+    .flat_map(|layers| layers.iter().cloned())
+    .collect();
+    layers.push(Layer::Flatten);
+    layers.push(Layer::Linear(QuantLinear::new(5 * 2 * 2, 10, spec, &mut rng)));
+
+    let batch = 6;
+    let mut cur = Activation::new(
+        normal_tensor(&[batch * 3 * 16 * 16], 0.0, 1.0, &mut rng).into_vec(),
+        batch,
+        vec![3, 16, 16],
+    );
+    for layer in layers.iter_mut() {
+        cur = layer.forward_owned(cur, true);
+    }
+    let labels: Vec<usize> = (0..batch).map(|i| i % 10).collect();
+    let mut grad = cross_entropy_with_grad(&cur, &labels, 1.0).1;
+    for layer in layers.iter_mut().rev() {
+        grad = layer.backward(&grad);
+    }
+    let mut params = Vec::new();
+    for layer in layers.iter_mut() {
+        layer.for_each_param(&mut |p| {
+            p.sgd_step(0.02, 0.9, 1e-4);
+            params.extend(bits(&p.value));
+        });
+    }
+    params
 }
 
 fn run_all_surfaces() -> Observed {
@@ -86,6 +144,7 @@ fn run_all_surfaces() -> Observed {
         serve_exit: verdicts.exit,
         serve_class: verdicts.class,
         serve_confidence: bits(&verdicts.confidence),
+        pruned_params: pruned_training_step(),
     }
 }
 

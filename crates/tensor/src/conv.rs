@@ -126,10 +126,14 @@ pub fn im2col_into(
                         // Unit stride: the in-bounds taps `ix = ox + kx - pad`
                         // form one contiguous run, so the row is a memcpy
                         // flanked by padding zeros.
+                        // An empty run (`lo == hi`) may sit left of the
+                        // row, where `lo + kx < pad`: copy only a real one.
                         let lo = pad.saturating_sub(kx).min(out_w);
                         let hi = (width + pad).saturating_sub(kx).min(out_w).max(lo);
                         dst[..lo].fill(0.0);
-                        dst[lo..hi].copy_from_slice(&src_row[lo + kx - pad..hi + kx - pad]);
+                        if lo < hi {
+                            dst[lo..hi].copy_from_slice(&src_row[lo + kx - pad..hi + kx - pad]);
+                        }
                         dst[hi..].fill(0.0);
                     } else {
                         for (ox, slot) in dst.iter_mut().enumerate() {
@@ -207,6 +211,9 @@ pub fn col2im_into(
                         // run, accumulated branch-free.
                         let lo = pad.saturating_sub(kx).min(out_w);
                         let hi = (width + pad).saturating_sub(kx).min(out_w).max(lo);
+                        if lo == hi {
+                            continue; // the whole run is padding (as in im2col)
+                        }
                         let dst = &mut image[dst_row + lo + kx - pad..dst_row + hi + kx - pad];
                         let src = &cols_data[src_row + lo..src_row + hi];
                         for (iv, &cv) in dst.iter_mut().zip(src) {

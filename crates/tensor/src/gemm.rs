@@ -1,11 +1,10 @@
 //! Single-precision matrix multiply.
 //!
-//! Convolutions (after [`crate::conv::im2col`] lowering) and fully-connected
-//! layers both reduce to `C = A * B`, which makes this kernel the hot path
-//! of the whole training engine. The kernel is a blocked `i-k-j` loop: the
-//! inner loop is a SAXPY over a row of `B` (dispatched through
-//! [`crate::simd`]: 8-lane AVX2 where available, a bit-identical portable
-//! fallback otherwise), each loaded
+//! Fully-connected layers, and convolutions after [`crate::conv::im2col`]
+//! lowering, reduce to `C = A * B`. The kernel is a blocked `i-k-j` loop:
+//! the inner loop is a SAXPY over a row of `B` (dispatched through
+//! [`crate::simd`]: 16-lane AVX-512 or 8-lane AVX2 where available, a
+//! bit-identical portable fallback otherwise), each loaded
 //! `B` row feeds [`MR`] consecutive `C` rows (quartering `B` traffic versus
 //! the classic one-row loop), and the reduction dimension is split into
 //! [`KC`]-sized panels so the active slab of `B` stays cache-resident. The

@@ -9,14 +9,17 @@
 //! * [`gemm`] — a cache-blocked, multithreaded single-precision matrix
 //!   multiply used by convolution (via im2col) and fully-connected layers.
 //! * [`conv`] — `im2col`/`col2im` lowering so convolutions run on the GEMM.
+//! * [`conv_grad`] — the conv layer's training backward (input and
+//!   weight gradients) computed from the image and `dY` directly,
+//!   bit-identical to the im2col/GEMM/col2im composition.
 //! * [`rng`] — deterministic weight initialisation (uniform, normal via
 //!   Box–Muller, Kaiming fan-in scaling).
 //! * [`parallel`] — a scoped-thread `parallel_for` used by the batch loops.
 //! * [`workspace`] — pooled scratch buffers so the steady-state training
 //!   loop allocates nothing per batch.
-//! * [`simd`] — 8-lane `f32` kernels (AVX2 with a bit-identical portable
-//!   fallback, runtime-dispatched) behind the GEMM SAXPYs and the
-//!   engine's elementwise hot loops.
+//! * [`simd`] — `f32` kernels (a 16-lane AVX-512 GEMM panel, 8-lane AVX2,
+//!   and a bit-identical portable fallback, runtime-dispatched) behind the
+//!   GEMM SAXPYs and the engine's elementwise hot loops.
 //! * [`int2`] — the bit-packed 2-bit integer GEMM (bit-plane packing +
 //!   popcount inner product, FINN-MVTU style) that eval-mode quantized
 //!   layers dispatch to, with the same AVX2/portable split.
@@ -36,6 +39,7 @@
 //! ```
 
 pub mod conv;
+pub mod conv_grad;
 pub mod gemm;
 pub mod int2;
 pub mod parallel;

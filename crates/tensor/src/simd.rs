@@ -1,22 +1,25 @@
-//! 8-lane `f32` SIMD kernels with deterministic lane semantics.
+//! `f32` SIMD kernels with deterministic lane semantics.
 //!
 //! Every hot elementwise loop in the engine — the GEMM SAXPY family, the
 //! fake-quantization grid snap, batch-norm's normalize/backward maps, the
-//! softmax epilogue and the SGD update — routes through this module. Two
-//! backends implement each operation:
+//! softmax epilogue and the SGD update — routes through this module. Three
+//! backends implement the GEMM panel, two every other operation:
 //!
+//! * **AVX-512** (`x86_64`, runtime-detected): the 16-lane GEMM panel
+//!   ([`avx512::gemm_panel`]); the elementwise maps and folds run their
+//!   AVX2 bodies under it.
 //! * **AVX2** (`x86_64`, selected at runtime via
 //!   `is_x86_feature_detected!`): 8-wide `std::arch` intrinsics.
 //! * **Portable**: plain scalar loops computing the *same lane-by-lane
 //!   operations in the same order*.
 //!
-//! Both paths are **bit-identical** for finite inputs, which keeps every
+//! All paths are **bit-identical** for finite inputs, which keeps every
 //! result thread-count- and dispatch-invariant (the repo-wide determinism
 //! contract). Three properties make that possible:
 //!
 //! 1. Every lane operation (`+`, `-`, `*`, `/`, `min`, `max`) is exactly
-//!    rounded per IEEE 754, so an 8-wide vector op produces the same bits
-//!    as eight scalar ops.
+//!    rounded per IEEE 754, so an 8- or 16-wide vector op produces the
+//!    same bits as eight or sixteen scalar ops.
 //! 2. **No FMA contraction**: multiply-then-add is kept as two exactly
 //!    rounded steps everywhere (a fused `a*b + c` rounds once and would
 //!    diverge from the scalar reference).
@@ -40,16 +43,17 @@
 //! but gets cross-backend bit-identity for free from integer arithmetic
 //! instead of the rules above. Sixteen lanes would reassociate only the
 //! two folds ([`fold_max`]/[`fold_max_abs`]), whose eight-lane
-//! accumulator the portable backend replicates; a kernel whose lanes
-//! map 1:1 onto outputs computes the same bits at any width — the
-//! stem's f32 conv ([`crate::int2::conv_f32_acc`]) runs sixteen on
-//! AVX-512. This module has no 512-bit bodies yet: [`Backend::Avx512`]
-//! exists here as an arm that runs the AVX2 ones.
+//! accumulator the portable backend replicates, so they stay at eight
+//! under [`Backend::Avx512`]; a kernel whose lanes map 1:1 onto outputs
+//! computes the same bits at any width — the GEMM panel here, the
+//! stem's f32 conv ([`crate::int2::conv_f32_acc`]) and the conv
+//! backward ([`crate::conv_grad`]) run sixteen on AVX-512.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Lane width of the vector abstraction. The portable backend emulates
-/// the same width so remainder handling is identical on every path.
+/// Lane width of the elementwise maps and folds. The portable backend
+/// emulates the same width so remainder handling is identical on every
+/// path.
 pub const LANES: usize = 8;
 
 /// Which implementation services the dispatched entry points, best
@@ -57,12 +61,10 @@ pub const LANES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
     /// AVX-512 with `VPOPCNTDQ` (x86-64 only, runtime-detected): the
-    /// [`crate::int2`] kernels count 64-bit lanes natively. The f32
-    /// kernels of this module have no 512-bit bodies — eight lanes are
-    /// the bit-identity contract of the two folds, and nobody has
-    /// written sixteen-lane bodies for the lane-per-output rest — so
-    /// under this backend they run the AVX2 ones, and detection never
-    /// picks it for them.
+    /// [`crate::int2`] kernels count 64-bit lanes natively, and the f32
+    /// GEMM panel and conv backward run sixteen lanes. The elementwise
+    /// maps and folds of this module run their AVX2 bodies under it —
+    /// eight lanes are the bit-identity contract of the two folds.
     Avx512,
     /// 8-wide AVX2 intrinsics (x86-64 only, runtime-detected).
     Avx2,
@@ -156,11 +158,7 @@ impl BackendCell {
     }
 }
 
-/// The f32 kernels stop at eight lanes, so detection stops at AVX2.
-static BACKEND: BackendCell = BackendCell::new(|| match Backend::detect() {
-    Backend::Avx512 => Backend::Avx2,
-    b => b,
-});
+static BACKEND: BackendCell = BackendCell::new(Backend::detect);
 
 /// The backend the dispatched operations currently use.
 pub fn active_backend() -> Backend {
@@ -170,8 +168,7 @@ pub fn active_backend() -> Backend {
 /// Pins the dispatch to one backend (`Some`) or restores runtime
 /// detection (`None`). Bench/test hook: because the backends are
 /// bit-identical, flipping this never changes results, only which code
-/// path produces them. Forcing [`Backend::Avx512`] is accepted where the
-/// host has it and runs the AVX2 bodies (see the enum).
+/// path produces them.
 ///
 /// # Panics
 ///
@@ -187,7 +184,8 @@ macro_rules! dispatch {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `active_backend` only reports a vector backend
             // after runtime feature detection (or an override that
-            // re-checked it), and AVX-512 hosts have AVX2.
+            // re-checked it), and AVX-512 hosts have AVX2: the
+            // elementwise maps and folds have no 512-bit bodies.
             Backend::Avx512 | Backend::Avx2 => unsafe { avx2::$name($($arg),*) },
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx512 | Backend::Avx2 => portable::$name($($arg),*),
@@ -327,6 +325,21 @@ fn a_elem<const TRANS: bool>(a: &[f32], lda: usize, row: usize, kk: usize) -> f3
     }
 }
 
+/// Unchecked [`a_elem`] for the vector panels: their preconditions
+/// guarantee the index is in bounds, and the checked form's
+/// `lea/cmp/jae` per `A` load otherwise sits in the middle of the
+/// port-bound k-loop.
+///
+/// # Safety
+/// `row`/`kk` must address a valid element of `a` under `lda`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn a_elem_raw<const TRANS: bool>(a: &[f32], lda: usize, row: usize, kk: usize) -> f32 {
+    let idx = if TRANS { kk * lda + row } else { row * lda + kk };
+    debug_assert!(idx < a.len());
+    *a.get_unchecked(idx)
+}
+
 /// The GEMM panel microkernel: sweeps columns `j0..j1` of one block of
 /// `rr <= 4` contiguous `C` rows (`c`, laid out `rr x n`, row 0 = global
 /// output row `gr`) over reduction steps `k0..k1` of `B: [.., n]`.
@@ -348,10 +361,11 @@ fn a_elem<const TRANS: bool>(a: &[f32], lda: usize, row: usize, kk: usize) -> f3
 /// unchanged. Only a zero times a non-finite `B` element differs from a
 /// skip: it makes the element NaN.
 ///
-/// The AVX2 backend keeps the accumulators in registers across the whole
-/// `k` sweep (column tiles of 16/8 plus a scalar tail), which is where the
+/// The vector backends keep the accumulators in registers across the
+/// whole `k` sweep (AVX2: column tiles of 16/8 plus a scalar tail;
+/// AVX-512: tiles of 32/16 plus one masked tile), which is where the
 /// GEMM speedup lives; the portable backend is the plain three-phase SAXPY
-/// loop. Both apply the exact same exactly-rounded operation sequence per
+/// loop. All apply the exact same exactly-rounded operation sequence per
 /// element, so they agree bit for bit.
 ///
 /// # Panics
@@ -381,8 +395,14 @@ pub fn gemm_panel<const TRANS: bool>(
     debug_assert!(j0 <= j1 && j1 <= n);
     match active_backend() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `dispatch!`.
-        Backend::Avx512 | Backend::Avx2 => unsafe {
+        // SAFETY: `active_backend` only reports a vector backend after
+        // runtime feature detection (or an override that re-checked it).
+        Backend::Avx512 => unsafe {
+            avx512::gemm_panel::<TRANS>(c, n, rr, a, lda, gr, b, k0, k1, j0, j1, init, bias)
+        },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Backend::Avx2 => unsafe {
             avx2::gemm_panel::<TRANS>(c, n, rr, a, lda, gr, b, k0, k1, j0, j1, init, bias)
         },
         #[cfg(not(target_arch = "x86_64"))]
@@ -617,7 +637,7 @@ pub mod portable {
 /// portable backend's scalar ops.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::LANES;
+    use super::{a_elem_raw, LANES};
     use std::arch::x86_64::*;
 
     /// Splits a mutable slice into LANES-sized body chunks plus a tail.
@@ -957,19 +977,6 @@ pub mod avx2 {
         }
     }
 
-    /// Unchecked [`super::a_elem`]: the panel's preconditions guarantee
-    /// the index is in bounds, and the checked form's `lea/cmp/jae` per
-    /// `A` load otherwise sits in the middle of the port-bound k-loop.
-    ///
-    /// # Safety
-    /// `row`/`kk` must address a valid element of `a` under `lda`.
-    #[inline(always)]
-    unsafe fn a_elem_raw<const TRANS: bool>(a: &[f32], lda: usize, row: usize, kk: usize) -> f32 {
-        let idx = if TRANS { kk * lda + row } else { row * lda + kk };
-        debug_assert!(idx < a.len());
-        *a.get_unchecked(idx)
-    }
-
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2")]
     #[inline]
@@ -1109,6 +1116,163 @@ pub mod avx2 {
         for (r, row) in acc.iter().enumerate() {
             for (v, &lane) in row.iter().enumerate() {
                 _mm256_storeu_ps(c.as_mut_ptr().add(r * n + j + v * LANES), lane);
+            }
+        }
+    }
+}
+
+/// The AVX-512 backend: the sixteen-lane GEMM panel. Its operation
+/// sequence per element is the AVX2 panel's — mul then add as separate
+/// intrinsics, never `_mm512_fmadd_ps` — so it agrees with the other
+/// backends bit for bit.
+#[cfg(target_arch = "x86_64")]
+pub mod avx512 {
+    use super::a_elem_raw;
+    use std::arch::x86_64::*;
+
+    /// Lanes of one vector.
+    const W: usize = 16;
+
+    /// AVX-512 [`super::gemm_panel`]: register tiles of 32 columns (two
+    /// vectors per row), then 16-column tiles whose last one is masked
+    /// to the ragged end, so no column runs scalar. The `C` accumulators
+    /// stay in registers across the whole `k0..k1` sweep, as in the
+    /// AVX2 panel.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `c.len() == rr * n`, `rr` in `1..=4`,
+    /// `b.len() >= k1 * n`, `bias` (when present) indexable at
+    /// `gr + rr - 1`, and `a` indexable per [`super::a_elem`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gemm_panel<const TRANS: bool>(
+        c: &mut [f32],
+        n: usize,
+        rr: usize,
+        a: &[f32],
+        lda: usize,
+        gr: usize,
+        b: &[f32],
+        k0: usize,
+        k1: usize,
+        j0: usize,
+        j1: usize,
+        init: bool,
+        bias: Option<&[f32]>,
+    ) {
+        match rr {
+            4 => panel_rr::<TRANS, 4>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
+            3 => panel_rr::<TRANS, 3>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
+            2 => panel_rr::<TRANS, 2>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
+            _ => panel_rr::<TRANS, 1>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn panel_rr<const TRANS: bool, const RR: usize>(
+        c: &mut [f32],
+        n: usize,
+        a: &[f32],
+        lda: usize,
+        gr: usize,
+        b: &[f32],
+        k0: usize,
+        k1: usize,
+        j0: usize,
+        j1: usize,
+        init: bool,
+        bias: Option<&[f32]>,
+    ) {
+        let mut j = j0;
+        while j + 2 * W <= j1 {
+            tile::<TRANS, RR, 2>(c, n, a, lda, gr, b, k0, k1, init, bias, j, [!0; 2]);
+            j += 2 * W;
+        }
+        while j < j1 {
+            let live = (j1 - j).min(W);
+            let mask = ((1u32 << live) - 1) as __mmask16;
+            tile::<TRANS, RR, 1>(c, n, a, lda, gr, b, k0, k1, init, bias, j, [mask]);
+            j += W;
+        }
+    }
+
+    /// One `RR x (NV*16)` register tile of `C` starting at column `j`,
+    /// swept over `k0..k1` entirely in registers. Vector `v` touches only
+    /// the columns its mask `m[v]` keeps; the masked-off lanes load
+    /// zeros, compute garbage nobody stores, and read no memory.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    #[inline]
+    unsafe fn tile<const TRANS: bool, const RR: usize, const NV: usize>(
+        c: &mut [f32],
+        n: usize,
+        a: &[f32],
+        lda: usize,
+        gr: usize,
+        b: &[f32],
+        k0: usize,
+        k1: usize,
+        init: bool,
+        bias: Option<&[f32]>,
+        j: usize,
+        m: [__mmask16; NV],
+    ) {
+        let last = if bias.is_some() { k1 - 1 } else { k1 };
+        let b_row = |kk: usize| -> [__m512; NV] {
+            std::array::from_fn(|v| _mm512_maskz_loadu_ps(m[v], b.as_ptr().add(kk * n + j + v * W)))
+        };
+        let mut kk = k0;
+        let mut acc: [[__m512; NV]; RR];
+        if init && kk < k1 {
+            let zero = _mm512_setzero_ps();
+            let bv = b_row(kk);
+            acc = std::array::from_fn(|r| {
+                let ar = _mm512_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
+                std::array::from_fn(|v| _mm512_add_ps(zero, _mm512_mul_ps(ar, bv[v])))
+            });
+            if kk == last {
+                let bs = bias.expect("bias step");
+                for (r, row) in acc.iter_mut().enumerate() {
+                    let vb = _mm512_set1_ps(*bs.get_unchecked(gr + r));
+                    for lane in row.iter_mut() {
+                        *lane = _mm512_add_ps(*lane, vb);
+                    }
+                }
+            }
+            kk += 1;
+        } else {
+            acc = std::array::from_fn(|r| {
+                std::array::from_fn(|v| {
+                    _mm512_maskz_loadu_ps(m[v], c.as_ptr().add(r * n + j + v * W))
+                })
+            });
+        }
+        while kk < last {
+            let bv = b_row(kk);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let var = _mm512_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
+                for (lane, &bvv) in row.iter_mut().zip(bv.iter()) {
+                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(var, bvv));
+                }
+            }
+            kk += 1;
+        }
+        if kk < k1 {
+            let bs = bias.expect("bias step");
+            let bv = b_row(kk);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let var = _mm512_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
+                let vb = _mm512_set1_ps(*bs.get_unchecked(gr + r));
+                for (lane, &bvv) in row.iter_mut().zip(bv.iter()) {
+                    *lane = _mm512_add_ps(_mm512_add_ps(*lane, _mm512_mul_ps(var, bvv)), vb);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &lane) in row.iter().enumerate() {
+                _mm512_mask_storeu_ps(c.as_mut_ptr().add(r * n + j + v * W), m[v], lane);
             }
         }
     }

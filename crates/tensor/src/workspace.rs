@@ -52,8 +52,6 @@ static WORKSPACES: Mutex<Vec<Workspace>> = Mutex::new(Vec::new());
 pub struct Workspace {
     /// im2col column buffer (`[k*k*c_in, pixels]`).
     pub cols: Vec<f32>,
-    /// Gradient column buffer (input to `col2im`).
-    pub dcols: Vec<f32>,
     /// Weight-gradient accumulator (a linear layer's `[out, in]`; a
     /// conv layer's transposed `[k*k*c_in, c_out]`).
     pub dw: Vec<f32>,
@@ -61,7 +59,8 @@ pub struct Workspace {
     pub dw_img: Vec<f32>,
     /// Bias-gradient accumulator (`[c_out]`).
     pub db: Vec<f32>,
-    /// General scratch (col2im output, softmax probabilities, …).
+    /// General scratch (the conv backward kernels' operands, softmax
+    /// probabilities, …).
     pub scratch: Vec<f32>,
     /// Second general scratch for kernels that need two.
     pub scratch2: Vec<f32>,

@@ -3,7 +3,8 @@
 //! Every kernel in `adapex_tensor::simd` is pinned three ways: the
 //! pre-SIMD scalar reference (inlined here as plain loops), the portable
 //! fixed-width backend, and — on hosts with AVX2 — the vector backend
-//! called directly. Agreement is asserted on the raw bit patterns, over
+//! called directly; the GEMM panel also against its sixteen-lane
+//! AVX-512 body where the host has it. Agreement is asserted on the raw bit patterns, over
 //! aligned and unaligned slices, lengths that exercise the remainder
 //! lanes, and inputs dense in exact ±0.0 — where the GEMM panel, which
 //! has no zero-skip branch, must still equal a reference that skips
@@ -13,12 +14,26 @@ use adapex_tensor::simd::{self, portable, Backend};
 use proptest::prelude::*;
 
 #[cfg(target_arch = "x86_64")]
-use adapex_tensor::simd::avx2;
+use adapex_tensor::simd::{avx2, avx512};
 
 fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
         std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The detection rule of the AVX-512 backend, restated.
+fn has_avx512() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        has_avx2()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vpopcntdq")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -288,10 +303,12 @@ proptest! {
         }
     }
 
-    /// The register-tiled AVX2 GEMM panel agrees bit-for-bit with the
-    /// portable three-phase panel for both A layouts, interior column
+    /// The register-tiled AVX2 and AVX-512 GEMM panels agree bit for bit
+    /// with the portable three-phase panel for both A layouts, interior
+    /// column
     /// windows, bias folding, and the first-k-step write (C starts as NaN
-    /// garbage when `init`). Both equal a per-element reference that
+    /// garbage when `init`), at widths on both sides of the 8-, 16- and
+    /// 32-column tiles. All equal a per-element reference that
     /// skips every zero `A` term of the middle steps: on finite operands
     /// and a C that does not start at −0, running those terms changes
     /// no bit.
@@ -299,14 +316,14 @@ proptest! {
     fn gemm_panel_dispatch_paths_agree(
         rr in 1usize..5,
         gr in 0usize..3,
-        n in 1usize..40,
+        n in 1usize..72,
         k in 1usize..16,
         trans in any::<bool>(),
         with_bias in any::<bool>(),
         init in any::<bool>(),
         window in any::<bool>(),
         a0 in vals(18 * 8),
-        b0 in vals(16 * 40),
+        b0 in vals(16 * 72),
     ) {
         let rows = gr + rr;
         // Row-major A is [rows, k]; the transposed layout is [k, rows].
@@ -326,26 +343,32 @@ proptest! {
             (0..rr * n).map(|i| (i % 7) as f32 * 0.5 - 1.0).collect()
         };
 
-        let run = |avx: bool| -> Vec<f32> {
+        let run = |backend: Backend| -> Vec<f32> {
             let mut c = c_start.clone();
-            if avx {
+            match (backend, trans) {
                 #[cfg(target_arch = "x86_64")]
-                unsafe {
-                    if trans {
-                        avx2::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias);
-                    } else {
-                        avx2::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias);
-                    }
-                }
-            } else if trans {
-                portable::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias);
-            } else {
-                portable::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias);
+                (Backend::Avx512, true) => unsafe {
+                    avx512::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias)
+                },
+                #[cfg(target_arch = "x86_64")]
+                (Backend::Avx512, false) => unsafe {
+                    avx512::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias)
+                },
+                #[cfg(target_arch = "x86_64")]
+                (Backend::Avx2, true) => unsafe {
+                    avx2::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias)
+                },
+                #[cfg(target_arch = "x86_64")]
+                (Backend::Avx2, false) => unsafe {
+                    avx2::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias)
+                },
+                (_, true) => portable::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias),
+                (_, false) => portable::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias),
             }
             c
         };
 
-        let want = run(false);
+        let want = run(Backend::Portable);
         let a_at = |row: usize, kk: usize| if trans { a[kk * lda + row] } else { a[row * lda + kk] };
         let mut skipping = c_start.clone();
         for r in 0..rr {
@@ -379,8 +402,10 @@ proptest! {
             }
         }
         if has_avx2() {
-            let got = run(true);
-            prop_assert_eq!(bits(&got), bits(&want), "avx2 panel vs portable");
+            prop_assert_eq!(bits(&run(Backend::Avx2)), bits(&want), "avx2 panel vs portable");
+        }
+        if has_avx512() {
+            prop_assert_eq!(bits(&run(Backend::Avx512)), bits(&want), "avx512 panel vs portable");
         }
     }
 }
