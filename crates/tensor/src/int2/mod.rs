@@ -322,7 +322,7 @@ pub fn conv_f32_codes(
     let ow = geom.output_dim(w).expect("window must fit");
     // The conv writes every accumulator, so stale contents are fine.
     acc_ws.resize(steps.len() * oh * ow, 0.0);
-    if !conv_f32_acc(img, c_in, h, w, geom, weight, bias, domain, acc_ws) {
+    if !conv_f32_acc(img, c_in, h, w, geom, weight, bias, Some(domain), acc_ws) {
         return false;
     }
     threshold_pool_pack_int2(acc_ws, steps, oh, ow, 1, out_pad, out);

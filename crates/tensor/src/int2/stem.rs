@@ -21,12 +21,14 @@
 //! image. A tile of output channels accumulates in registers over every
 //! tap and is stored once into the caller's map.
 //!
-//! Each channel comes with an accumulator range `[lo, hi]`: the range on
-//! which the caller's folded thresholds reproduce its epilogue (see
+//! Each channel may come with an accumulator range `[lo, hi]`: the range
+//! on which the caller's folded thresholds reproduce its epilogue (see
 //! [`super::CodeSteps::bisect`]). The bodies compare every accumulator
 //! against its channel's range on the way out of the registers and
 //! report whether all of them lie inside. NaN lies in no range (the
-//! compares are ordered).
+//! compares are ordered). A caller that only wants the accumulators
+//! (the layer path's f32 route) passes no ranges and nothing is
+//! compared.
 
 use super::Backend;
 use crate::conv::ConvGeometry;
@@ -56,7 +58,7 @@ impl StemShape {
         geom: ConvGeometry,
         weight: &[f32],
         bias: &[f32],
-        domain: &[[f32; 2]],
+        domain: Option<&[[f32; 2]]>,
         acc: &[f32],
     ) -> Self {
         let oh = geom
@@ -78,7 +80,10 @@ impl StemShape {
             c_out * kk,
             "conv_f32_acc: weight length mismatch"
         );
-        assert_eq!(domain.len(), c_out, "conv_f32_acc: one range per channel");
+        assert!(
+            domain.is_none_or(|d| d.len() == c_out),
+            "conv_f32_acc: one range per channel"
+        );
         assert_eq!(
             acc.len(),
             c_out * oh * ow,
@@ -123,8 +128,8 @@ impl StemShape {
 /// [`crate::gemm::gemm_bias_st`] over `weight` (`[c_out, c_in·k²]`
 /// row-major, im2col's depth order) for every input, non-finite ones
 /// included. Returns whether every accumulator lies in its channel's
-/// `domain[co] = [lo, hi]` (`lo <= y <= hi`; NaN never does). `acc` is
-/// written in full either way.
+/// `domain[co] = [lo, hi]` (`lo <= y <= hi`; NaN never does), `true`
+/// with no `domain`. `acc` is written in full either way.
 ///
 /// # Panics
 ///
@@ -139,7 +144,7 @@ pub fn conv_f32_acc(
     geom: ConvGeometry,
     weight: &[f32],
     bias: &[f32],
-    domain: &[[f32; 2]],
+    domain: Option<&[[f32; 2]]>,
     acc: &mut [f32],
 ) -> bool {
     dispatch!(
@@ -164,7 +169,7 @@ pub mod portable {
         geom: ConvGeometry,
         weight: &[f32],
         bias: &[f32],
-        domain: &[[f32; 2]],
+        domain: Option<&[[f32; 2]]>,
         acc: &mut [f32],
     ) -> bool {
         let sh = StemShape::new(img, c_in, h, w, geom, weight, bias, domain, acc);
@@ -172,7 +177,7 @@ pub mod portable {
         let mut inside = true;
         for (co, out) in acc.chunks_exact_mut(pixels).enumerate() {
             let taps = &weight[co * sh.kk..(co + 1) * sh.kk];
-            let [lo, hi] = domain[co];
+            let range = domain.map(|d| d[co]);
             for oy in 0..sh.oh {
                 for ox in 0..sh.ow {
                     let mut y = 0.0f32;
@@ -192,7 +197,7 @@ pub mod portable {
                         }
                     }
                     y += bias[co];
-                    inside &= lo <= y && y <= hi;
+                    inside &= range.is_none_or(|[lo, hi]| lo <= y && y <= hi);
                     out[oy * sh.ow + ox] = y;
                 }
             }
@@ -225,7 +230,7 @@ pub mod avx2 {
         geom: ConvGeometry,
         weight: &[f32],
         bias: &[f32],
-        domain: &[[f32; 2]],
+        domain: Option<&[[f32; 2]]>,
         acc: &mut [f32],
     ) -> bool {
         let sh = StemShape::new(img, c_in, h, w, geom, weight, bias, domain, acc);
@@ -268,7 +273,7 @@ pub mod avx2 {
         img: &[f32],
         weight: &[f32],
         bias: &[f32],
-        domain: &[[f32; 2]],
+        domain: Option<&[[f32; 2]]>,
         acc: &mut [f32],
         (co, oy, ox, n): (usize, usize, usize, usize),
     ) -> bool {
@@ -337,12 +342,14 @@ pub mod avx2 {
         let mut inside = true;
         for (j, &yj) in y.iter().enumerate() {
             let v = _mm256_add_ps(yj, _mm256_set1_ps(bias[co + j]));
-            let [lo, hi] = domain[co + j];
-            let ok = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_GE_OQ>(v, _mm256_set1_ps(lo)),
-                _mm256_cmp_ps::<_CMP_LE_OQ>(v, _mm256_set1_ps(hi)),
-            );
-            inside &= _mm256_movemask_ps(ok) & keep == keep;
+            if let Some(domain) = domain {
+                let [lo, hi] = domain[co + j];
+                let ok = _mm256_and_ps(
+                    _mm256_cmp_ps::<_CMP_GE_OQ>(v, _mm256_set1_ps(lo)),
+                    _mm256_cmp_ps::<_CMP_LE_OQ>(v, _mm256_set1_ps(hi)),
+                );
+                inside &= _mm256_movemask_ps(ok) & keep == keep;
+            }
             // SAFETY: the live lanes are pixels `ox..ox + n` of row `oy`
             // of channel `co + j`, inside `acc` (checked by the shape).
             _mm256_maskstore_ps(acc.as_mut_ptr().add((co + j) * pixels + at), live, v);
@@ -377,7 +384,7 @@ pub mod avx512 {
         geom: ConvGeometry,
         weight: &[f32],
         bias: &[f32],
-        domain: &[[f32; 2]],
+        domain: Option<&[[f32; 2]]>,
         acc: &mut [f32],
     ) -> bool {
         let sh = StemShape::new(img, c_in, h, w, geom, weight, bias, domain, acc);
@@ -417,7 +424,7 @@ pub mod avx512 {
         &'a [f32],
         &'a [f32],
         &'a [f32],
-        &'a [[f32; 2]],
+        Option<&'a [[f32; 2]]>,
     );
 
     /// Channels `co..co + CB` at output pixels `ox..ox + n` of row `oy`,
@@ -493,12 +500,14 @@ pub mod avx512 {
         let mut inside = true;
         for (j, yj) in y.iter().enumerate() {
             let b = _mm512_set1_ps(bias[co + j]);
-            let [lo, hi] = domain[co + j].map(|e| _mm512_set1_ps(e));
+            let range = domain.map(|d| d[co + j].map(|e| _mm512_set1_ps(e)));
             for (v, &yv) in yj.iter().enumerate() {
                 let (keep, out) = (lanes(v), _mm512_add_ps(yv, b));
-                let ok = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(keep, out, lo)
-                    & _mm512_mask_cmp_ps_mask::<_CMP_LE_OQ>(keep, out, hi);
-                inside &= ok == keep;
+                if let Some([lo, hi]) = range {
+                    let ok = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(keep, out, lo)
+                        & _mm512_mask_cmp_ps_mask::<_CMP_LE_OQ>(keep, out, hi);
+                    inside &= ok == keep;
+                }
                 // SAFETY: the kept lanes are pixels of row `oy` of
                 // channel `co + j`, inside `acc` (checked by the shape).
                 let dst = acc.as_mut_ptr().add((co + j) * pixels + at + 16 * v);

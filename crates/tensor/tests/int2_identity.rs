@@ -1123,7 +1123,7 @@ fn same_accumulators(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
-type StemFn = unsafe fn(&[f32], usize, usize, usize, ConvGeometry, &[f32], &[f32], &[[f32; 2]], &mut [f32]) -> bool;
+type StemFn = unsafe fn(&[f32], usize, usize, usize, ConvGeometry, &[f32], &[f32], Option<&[[f32; 2]]>, &mut [f32]) -> bool;
 
 fn stem_bodies(test: &str) -> Vec<(&'static str, StemFn)> {
     bodies!(test, StemFn, conv_f32_acc, [avx2 if has_avx2, avx512 if has_avx512])
@@ -1138,7 +1138,8 @@ proptest! {
     /// writes the oracle's accumulators bit for bit and reports whether
     /// they all lie in their channel's folded range; the dispatched
     /// `conv_f32_codes`, under every forced backend, then writes the
-    /// oracle's packed codes exactly when they do — kernels 1–5,
+    /// oracle's packed codes exactly when they do. With no ranges a body
+    /// writes the same accumulators and reports `true`. Kernels 1–5,
     /// strides 1–2, paddings 0–2, 1–4 input and 1–17 output channels,
     /// rows ragged against 8, 16 and 32 lanes, over pixels and weights
     /// that include ±0, subnormals, huge and non-finite values.
@@ -1197,9 +1198,13 @@ proptest! {
 
         for (name, body) in stem_bodies("stem_conv_codes_equal_im2col_gemm_epilogue_pack") {
             let mut acc = vec![f32::NAN; c_out * pixels];
-            let ok = unsafe { body(img, c_in, h, w, geom, &weight, &bias, &domain, &mut acc) };
+            let ok = unsafe { body(img, c_in, h, w, geom, &weight, &bias, Some(&domain), &mut acc) };
             prop_assert!(same_accumulators(&acc, &y), "{} accumulators", name);
             prop_assert_eq!(ok, inside, "{} range verdict", name);
+            let mut acc = vec![f32::NAN; c_out * pixels];
+            let ok = unsafe { body(img, c_in, h, w, geom, &weight, &bias, None, &mut acc) };
+            prop_assert!(same_accumulators(&acc, &y), "{} accumulators, no ranges", name);
+            prop_assert!(ok, "{} verdict with no ranges", name);
         }
         let _switch = BACKEND_SWITCH.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         for backend in backends() {
