@@ -9,23 +9,27 @@ use adapex_nn::eval::evaluate_exits;
 use adapex_nn::train::{TrainConfig, Trainer};
 use std::time::Instant;
 
+/// CNV channel width of the calibrated net.
+const WIDTH: usize = 16;
+/// Training epochs (GTSRB trains four more).
+const EPOCHS: usize = 8;
+/// CIFAR-10 training samples (GTSRB scales this by its class count).
+const TRAIN_N: usize = 2000;
+
 fn main() {
-    let width: usize = std::env::var("W").ok().and_then(|v| v.parse().ok()).unwrap_or(16);
-    let epochs: usize = std::env::var("E").ok().and_then(|v| v.parse().ok()).unwrap_or(8);
-    let train_n: usize = std::env::var("N").ok().and_then(|v| v.parse().ok()).unwrap_or(2000);
     for kind in [DatasetKind::Cifar10Like, DatasetKind::GtsrbLike] {
         // GTSRB has 4.3x more classes; keep samples-per-class comparable.
         let scale = kind.num_classes() as f64 / 10.0;
-        let n = (train_n as f64 * scale) as usize;
+        let n = (TRAIN_N as f64 * scale) as usize;
         let extra = if kind == DatasetKind::GtsrbLike { 4 } else { 0 };
         let data = SyntheticConfig::new(kind).with_sizes(n, 500).generate();
-        let mut net = CnvConfig::scaled(width).build_early_exit(
+        let mut net = CnvConfig::scaled(WIDTH).build_early_exit(
             kind.num_classes(),
             &ExitsConfig::paper_default(),
             42,
         );
         let cfg = TrainConfig {
-            epochs: epochs + extra,
+            epochs: EPOCHS + extra,
             ..TrainConfig::repro_default()
         };
         let t0 = Instant::now();

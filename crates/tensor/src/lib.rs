@@ -14,12 +14,14 @@
 //!   bit-identical to the im2col/GEMM/col2im composition.
 //! * [`rng`] — deterministic weight initialisation (uniform, normal via
 //!   Box–Muller, Kaiming fan-in scaling).
-//! * [`parallel`] — a scoped-thread `parallel_for` used by the batch loops.
+//! * [`parallel`] — scoped-thread `parallel_for_chunks` and `par_map`
+//!   used by the GEMM, the batch loops and the library generator.
 //! * [`workspace`] — pooled scratch buffers so the steady-state training
 //!   loop allocates nothing per batch.
-//! * [`simd`] — `f32` kernels (a 16-lane AVX-512 GEMM panel, 8-lane AVX2,
-//!   and a bit-identical portable fallback, runtime-dispatched) behind the
-//!   GEMM SAXPYs and the engine's elementwise hot loops.
+//! * [`simd`] — `f32` kernels (a 16-lane AVX-512 GEMM panel, an 8-lane
+//!   AVX2 one, and portable bodies, runtime-dispatched) behind the GEMM and
+//!   the engine's elementwise hot loops; each elementwise kernel has one
+//!   body, compiled for AVX2 too, bit-identical on every backend.
 //! * [`int2`] — the bit-packed 2-bit integer GEMM (bit-plane packing +
 //!   popcount inner product, FINN-MVTU style) that eval-mode quantized
 //!   layers dispatch to, with the same AVX2/portable split.

@@ -1,14 +1,14 @@
 //! Scoped-thread data parallelism for batch and GEMM loops.
 //!
 //! The CNN engine parallelizes over independent index ranges (rows of a
-//! matrix, images of a batch). [`parallel_for`] splits `0..n` into one
-//! contiguous chunk per worker and runs the closure on scoped threads, so no
-//! runtime or dependency is needed and borrows of stack data just work.
+//! matrix, images of a batch). [`parallel_for_chunks`] splits `0..n` into
+//! one contiguous chunk per worker and runs the closure on scoped threads, so
+//! no runtime or dependency is needed and borrows of stack data just work.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Number of worker threads used by [`parallel_for`].
+/// Number of worker threads used by [`parallel_for_chunks`].
 ///
 /// Defaults to [`std::thread::available_parallelism`], clamped to 16 (the
 /// kernels here stop scaling past that). Override with the
@@ -33,55 +33,30 @@ pub fn num_threads() -> usize {
     n
 }
 
-/// Runs `f` over contiguous sub-ranges of `0..n` on scoped worker threads.
+/// Runs `f` over contiguous sub-ranges of `0..n` on scoped worker
+/// threads, handing each worker a disjoint mutable chunk of `out` aligned
+/// to `stride` elements per index.
 ///
 /// The range is split into at most [`num_threads`] chunks, each at least
 /// `min_chunk` long; when `n <= min_chunk` (or only one worker is
 /// available) the closure runs inline on the calling thread, so the
 /// overhead for small problems is a single comparison.
 ///
-/// ```
-/// use adapex_tensor::parallel::parallel_for;
-/// use std::sync::atomic::{AtomicUsize, Ordering};
-///
-/// let sum = AtomicUsize::new(0);
-/// parallel_for(100, 8, |range| {
-///     sum.fetch_add(range.len(), Ordering::Relaxed);
-/// });
-/// assert_eq!(sum.load(Ordering::Relaxed), 100);
-/// ```
-pub fn parallel_for<F>(n: usize, min_chunk: usize, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let workers = num_threads().min(n.div_ceil(min_chunk.max(1))).max(1);
-    if workers == 1 {
-        f(0..n);
-        return;
-    }
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|scope| {
-        let f = &f;
-        for w in 0..workers {
-            let start = w * chunk;
-            let end = ((w + 1) * chunk).min(n);
-            if start >= end {
-                break;
-            }
-            scope.spawn(move || f(start..end));
-        }
-    });
-}
-
-/// Like [`parallel_for`] but hands each worker a disjoint mutable chunk of
-/// `out` aligned to `stride` elements per index.
-///
 /// `out.len()` must equal `n * stride`; worker `w` receives indices
 /// `[start, end)` and the matching sub-slice `&mut out[start*stride ..
 /// end*stride]`.
+///
+/// ```
+/// use adapex_tensor::parallel::parallel_for_chunks;
+///
+/// let mut squares = vec![0usize; 100];
+/// parallel_for_chunks(100, 1, &mut squares, 8, |range, chunk| {
+///     for (slot, i) in chunk.iter_mut().zip(range) {
+///         *slot = i * i;
+///     }
+/// });
+/// assert_eq!(squares[9], 81);
+/// ```
 ///
 /// # Panics
 ///
@@ -191,7 +166,8 @@ mod tests {
     #[test]
     fn covers_whole_range_once() {
         let hits = (0..1000).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
-        parallel_for(1000, 1, |range| {
+        let mut out: [u8; 0] = [];
+        parallel_for_chunks(1000, 0, &mut out, 1, |range, _| {
             for i in range {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -201,15 +177,18 @@ mod tests {
 
     #[test]
     fn empty_range_is_noop() {
-        parallel_for(0, 1, |_| panic!("must not be called"));
+        let mut out: [u8; 0] = [];
+        parallel_for_chunks(0, 1, &mut out, 1, |_, _| panic!("must not be called"));
     }
 
     #[test]
     fn small_range_runs_inline() {
         let tid = std::thread::current().id();
-        parallel_for(3, 100, |range| {
+        let mut out = [0u8; 3];
+        parallel_for_chunks(3, 1, &mut out, 100, |range, chunk| {
             assert_eq!(std::thread::current().id(), tid);
             assert_eq!(range, 0..3);
+            assert_eq!(chunk.len(), 3);
         });
     }
 

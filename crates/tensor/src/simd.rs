@@ -1,38 +1,42 @@
 //! `f32` SIMD kernels with deterministic lane semantics.
 //!
-//! Every hot elementwise loop in the engine — the GEMM SAXPY family, the
-//! fake-quantization grid snap, batch-norm's normalize/backward maps, the
-//! softmax epilogue and the SGD update — routes through this module. Three
-//! backends implement the GEMM panel, two every other operation:
+//! Every hot elementwise loop in the engine — the fake-quantization grid
+//! snap, the straight-through-estimator mask, batch-norm's
+//! normalize/backward maps, the softmax epilogue and the SGD update —
+//! and the GEMM panel route through this module. Three backends
+//! implement the GEMM panel, two every other operation:
 //!
 //! * **AVX-512** (`x86_64`, runtime-detected): the 16-lane GEMM panel
 //!   ([`avx512::gemm_panel`]); the elementwise maps and folds run their
-//!   AVX2 bodies under it.
+//!   AVX2 build under it.
 //! * **AVX2** (`x86_64`, selected at runtime via
-//!   `is_x86_feature_detected!`): 8-wide `std::arch` intrinsics.
-//! * **Portable**: plain scalar loops computing the *same lane-by-lane
-//!   operations in the same order*.
+//!   `is_x86_feature_detected!`): the register-tiled 8-wide GEMM panel
+//!   in `std::arch` intrinsics, and the portable source of every
+//!   elementwise map and fold compiled again with the `avx2` target
+//!   feature enabled.
+//! * **Portable**: plain scalar loops — the one body of each map and
+//!   fold, and the three-phase GEMM panel.
 //!
-//! All paths are **bit-identical** for finite inputs, which keeps every
-//! result thread-count- and dispatch-invariant (the repo-wide determinism
-//! contract). Three properties make that possible:
+//! All paths are **bit-identical** on every input, NaN and ±0 included,
+//! which keeps every result thread-count- and dispatch-invariant (the
+//! repo-wide determinism contract). Three properties make that possible:
 //!
-//! 1. Every lane operation (`+`, `-`, `*`, `/`, `min`, `max`) is exactly
-//!    rounded per IEEE 754, so an 8- or 16-wide vector op produces the
-//!    same bits as eight or sixteen scalar ops.
-//! 2. **No FMA contraction**: multiply-then-add is kept as two exactly
-//!    rounded steps everywhere (a fused `a*b + c` rounds once and would
-//!    diverge from the scalar reference).
+//! 1. Every lane operation is exactly rounded per IEEE 754 or fully
+//!    specified bitwise, so a vector op produces the same bits as the
+//!    scalar ops it replaces. The maps and folds use no operation whose
+//!    result Rust leaves unspecified: `f32::max`/`f32::min` may return
+//!    either zero for `max(-0.0, 0.0)`, so max is written
+//!    `if a > b { a } else { b }` and min `if a < b { a } else { b }` —
+//!    exactly `MAXPS`/`MINPS`, whatever width the compiler picks.
+//! 2. **No FMA contraction**: Rust never contracts `a * b + c` into a
+//!    fused multiply-add, and the intrinsic GEMM panels multiply and add
+//!    as separate instructions, so multiply-then-add stays two exactly
+//!    rounded steps everywhere.
 //! 3. Accumulation order never changes: lanes map 1:1 onto output
-//!    elements (no horizontal reductions on accumulation paths), and the
-//!    only folds exposed ([`fold_max`]/[`fold_max_abs`]) use `max`, which
-//!    is order-insensitive for finite values.
-//!
-//! Rounding in [`fake_quant_slice`] needs care: `f32::round` ties away
-//! from zero while the AVX2 rounding instruction ties to even, so the
-//! AVX2 path reconstructs round-half-away-from-zero from truncation
-//! (`t = trunc(x)` and `x - t` are both exact, so the tie comparison is
-//! exact too).
+//!    elements (no horizontal reductions on accumulation paths), and
+//!    the only folds ([`fold_max`]/[`fold_max_abs`]) spell out an
+//!    eight-accumulator lane loop, a lane-order fold and a sequential
+//!    tail, which the compiler may vectorize but not reorder.
 //!
 //! Dispatch is CPU detection, resolved once and cached: the portable
 //! backend is the only path on hosts without AVX2, and
@@ -41,19 +45,16 @@
 //! The integer sibling of this module is [`crate::int2`]: the bit-packed
 //! popcount GEMM reuses the same [`Backend`]/override dispatch scheme,
 //! but gets cross-backend bit-identity for free from integer arithmetic
-//! instead of the rules above. Sixteen lanes would reassociate only the
-//! two folds ([`fold_max`]/[`fold_max_abs`]), whose eight-lane
-//! accumulator the portable backend replicates, so they stay at eight
-//! under [`Backend::Avx512`]; a kernel whose lanes map 1:1 onto outputs
+//! instead of the rules above. A kernel whose lanes map 1:1 onto outputs
 //! computes the same bits at any width — the GEMM panel here, the
 //! stem's f32 conv ([`crate::int2::conv_f32_acc`]) and the conv
 //! backward ([`crate::conv_grad`]) run sixteen on AVX-512.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Lane width of the elementwise maps and folds. The portable backend
-/// emulates the same width so remainder handling is identical on every
-/// path.
+/// Lanes of one AVX2 vector: the AVX2 GEMM panel's tile unit, and the
+/// accumulator count the two max folds spell out in their one source,
+/// so every build of them reduces in the same order.
 pub const LANES: usize = 8;
 
 /// Which implementation services the dispatched entry points, best
@@ -63,12 +64,13 @@ pub enum Backend {
     /// AVX-512 with `VPOPCNTDQ` (x86-64 only, runtime-detected): the
     /// [`crate::int2`] kernels count 64-bit lanes natively, and the f32
     /// GEMM panel and conv backward run sixteen lanes. The elementwise
-    /// maps and folds of this module run their AVX2 bodies under it —
-    /// eight lanes are the bit-identity contract of the two folds.
+    /// maps and folds of this module run their AVX2 build under it (an
+    /// AVX-512F build of the same source would compute the same bits).
     Avx512,
-    /// 8-wide AVX2 intrinsics (x86-64 only, runtime-detected).
+    /// AVX2 (x86-64 only, runtime-detected): 8-wide intrinsic GEMM panel,
+    /// and the portable maps and folds compiled for AVX2.
     Avx2,
-    /// Scalar lane-by-lane fallback; bit-identical to AVX2.
+    /// Scalar fallback; bit-identical to AVX2.
     Portable,
 }
 
@@ -185,7 +187,7 @@ macro_rules! dispatch {
             // SAFETY: `active_backend` only reports a vector backend
             // after runtime feature detection (or an override that
             // re-checked it), and AVX-512 hosts have AVX2: the
-            // elementwise maps and folds have no 512-bit bodies.
+            // elementwise maps and folds have only an AVX2 build.
             Backend::Avx512 | Backend::Avx2 => unsafe { avx2::$name($($arg),*) },
             #[cfg(not(target_arch = "x86_64"))]
             Backend::Avx512 | Backend::Avx2 => portable::$name($($arg),*),
@@ -194,39 +196,11 @@ macro_rules! dispatch {
     };
 }
 
-/// `c[j] = 0.0 + a * b[j]` (the explicit `0.0 +` matches accumulating
-/// onto a zero-filled row, differing only in the sign of zero).
-#[inline]
-pub fn axpy_init(c: &mut [f32], a: f32, b: &[f32]) {
-    debug_assert_eq!(c.len(), b.len());
-    dispatch!(axpy_init(c, a, b))
-}
-
-/// `c[j] += a * b[j]`.
-#[inline]
-pub fn axpy(c: &mut [f32], a: f32, b: &[f32]) {
-    debug_assert_eq!(c.len(), b.len());
-    dispatch!(axpy(c, a, b))
-}
-
-/// `c[j] = (0.0 + a * b[j]) + bias`: single-step row with a folded bias.
-#[inline]
-pub fn axpy_init_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
-    debug_assert_eq!(c.len(), b.len());
-    dispatch!(axpy_init_bias(c, a, b, bias))
-}
-
-/// `c[j] = (c[j] + a * b[j]) + bias`: final accumulation step with the
-/// bias folded in, associating exactly like a separate bias pass.
-#[inline]
-pub fn axpy_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
-    debug_assert_eq!(c.len(), b.len());
-    dispatch!(axpy_bias(c, a, b, bias))
-}
-
 /// Fake-quantizes in place: `v = clamp(round(v / scale), lo, hi) * scale`
 /// with round-half-away-from-zero (exactly `f32::round`) and clamp
-/// realized as `max` then `min`.
+/// realized as the select max `q > lo ? q : lo` then the select min
+/// `q < hi ? q : hi` — so a `q` of −0 clamps to a `lo` of +0, and NaN
+/// to `lo`.
 #[inline]
 pub fn fake_quant_slice(v: &mut [f32], scale: f32, lo: f32, hi: f32) {
     dispatch!(fake_quant_slice(v, scale, lo, hi))
@@ -299,8 +273,11 @@ pub fn div_scalar(x: &mut [f32], d: f32) {
     dispatch!(div_scalar(x, d))
 }
 
-/// Fold of `max` over `xs` starting from `init`. Order-insensitive for
-/// finite inputs, so it equals the plain scalar fold bit for bit.
+/// Fold of the select max `acc > x ? acc : x` over `xs` starting from
+/// `init`: [`LANES`] accumulators seeded with `init` take the body in
+/// lane order, fold into `init` in lane order, then the tail follows.
+/// Away from NaN and zeros of both signs any fold order gives the same
+/// value; at those this fixed structure decides, on every backend.
 #[inline]
 pub fn fold_max(init: f32, xs: &[f32]) -> f32 {
     dispatch!(fold_max(init, xs))
@@ -415,65 +392,80 @@ pub fn gemm_panel<const TRANS: bool>(
     }
 }
 
-/// The portable backend: scalar loops whose per-element operations are
-/// exactly the lane operations of the AVX2 backend, in the same order.
-/// Elementwise maps carry no cross-lane state, so chunking is irrelevant
-/// to the result; the two folds replicate the vector backend's 8-lane
-/// accumulator and lane-order reduction explicitly.
+/// The portable backend: the one body of every elementwise map and fold
+/// (the AVX2 backend compiles these same functions for AVX2), plus the
+/// scalar GEMM panel. Elementwise maps carry no cross-lane state; the two
+/// folds keep an explicit [`LANES`]-accumulator structure so that any
+/// vector width the compiler chooses reduces in the same order.
 pub mod portable {
     use super::LANES;
 
     #[inline]
-    pub fn axpy_init(c: &mut [f32], a: f32, b: &[f32]) {
+    fn axpy_init(c: &mut [f32], a: f32, b: &[f32]) {
         for (cv, &bv) in c.iter_mut().zip(b) {
             *cv = 0.0 + a * bv;
         }
     }
 
     #[inline]
-    pub fn axpy(c: &mut [f32], a: f32, b: &[f32]) {
+    fn axpy(c: &mut [f32], a: f32, b: &[f32]) {
         for (cv, &bv) in c.iter_mut().zip(b) {
             *cv += a * bv;
         }
     }
 
     #[inline]
-    pub fn axpy_init_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
+    fn axpy_init_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
         for (cv, &bv) in c.iter_mut().zip(b) {
             *cv = (0.0 + a * bv) + bias;
         }
     }
 
     #[inline]
-    pub fn axpy_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
+    fn axpy_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
         for (cv, &bv) in c.iter_mut().zip(b) {
             *cv = (*cv + a * bv) + bias;
         }
     }
 
-    /// Round half away from zero — the lane op both backends implement.
-    /// `f32::round` has exactly these semantics.
-    #[inline]
-    pub(super) fn round_half_away(x: f32) -> f32 {
-        x.round()
+    /// `a > b ? a : b`, the `MAXPS` lane op: `b` whenever `a > b` is
+    /// false, so its result is specified at a ±0 tie and at NaN, where
+    /// `f32::max`'s is not.
+    #[inline(always)]
+    fn select_max(a: f32, b: f32) -> f32 {
+        if a > b {
+            a
+        } else {
+            b
+        }
     }
 
-    #[inline]
+    /// `a < b ? a : b`, the `MINPS` lane op.
+    #[inline(always)]
+    fn select_min(a: f32, b: f32) -> f32 {
+        if a < b {
+            a
+        } else {
+            b
+        }
+    }
+
+    #[inline(always)]
     pub fn fake_quant_slice(v: &mut [f32], scale: f32, lo: f32, hi: f32) {
         for x in v {
-            let q = round_half_away(*x / scale).max(lo).min(hi);
+            let q = select_min(select_max((*x / scale).round(), lo), hi);
             *x = q * scale;
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn range_mask_slice(mask: &mut [f32], x: &[f32], lo: f32, hi: f32) {
         for (m, &v) in mask.iter_mut().zip(x) {
             *m = if v > lo && v < hi { 1.0 } else { 0.0 };
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn normalize_affine(out: &mut [f32], src: &[f32], mean: f32, inv_std: f32, g: f32, b: f32) {
         for (o, &s) in out.iter_mut().zip(src) {
             *o = g * ((s - mean) * inv_std) + b;
@@ -481,7 +473,7 @@ pub mod portable {
     }
 
     #[allow(clippy::too_many_arguments)]
-    #[inline]
+    #[inline(always)]
     pub fn normalize_affine_xhat(
         out: &mut [f32],
         xhat: &mut [f32],
@@ -499,7 +491,7 @@ pub mod portable {
     }
 
     #[allow(clippy::too_many_arguments)]
-    #[inline]
+    #[inline(always)]
     pub fn bn_backward_dx(
         dx: &mut [f32],
         dy: &[f32],
@@ -514,7 +506,7 @@ pub mod portable {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn sgd_update(w: &mut [f32], g: &[f32], v: &mut [f32], lr: f32, momentum: f32, wd: f32) {
         for ((wv, &gv), vv) in w.iter_mut().zip(g).zip(v.iter_mut()) {
             *vv = momentum * *vv + gv + wd * *wv;
@@ -522,43 +514,39 @@ pub mod portable {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     pub fn div_scalar(x: &mut [f32], d: f32) {
         for v in x {
             *v /= d;
         }
     }
 
-    #[inline]
-    pub fn fold_max(init: f32, xs: &[f32]) -> f32 {
+    /// The fold behind [`fold_max`] and [`fold_max_abs`]: `f` maps each
+    /// element before it enters the select max.
+    #[inline(always)]
+    fn fold_select_max(init: f32, xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
         let mut chunks = xs.chunks_exact(LANES);
         let mut acc = [init; LANES];
         for chunk in &mut chunks {
             for (a, &v) in acc.iter_mut().zip(chunk) {
-                *a = a.max(v);
+                *a = select_max(*a, f(v));
             }
         }
-        let mut m = acc.into_iter().fold(init, f32::max);
-        for &v in chunks.remainder() {
-            m = m.max(v);
-        }
-        m
+        let m = acc.into_iter().fold(init, select_max);
+        chunks
+            .remainder()
+            .iter()
+            .fold(m, |m, &v| select_max(m, f(v)))
     }
 
-    #[inline]
+    #[inline(always)]
+    pub fn fold_max(init: f32, xs: &[f32]) -> f32 {
+        fold_select_max(init, xs, |v| v)
+    }
+
+    #[inline(always)]
     pub fn fold_max_abs(init: f32, xs: &[f32]) -> f32 {
-        let mut chunks = xs.chunks_exact(LANES);
-        let mut acc = [init; LANES];
-        for chunk in &mut chunks {
-            for (a, &v) in acc.iter_mut().zip(chunk) {
-                *a = a.max(v.abs());
-            }
-        }
-        let mut m = acc.into_iter().fold(init, f32::max);
-        for &v in chunks.remainder() {
-            m = m.max(v.abs());
-        }
-        m
+        fold_select_max(init, xs, f32::abs)
     }
 
     /// Portable [`super::gemm_panel`]: three straight-line phases — the
@@ -632,311 +620,59 @@ pub mod portable {
 /// caller, e.g. the bit-identity tests) must verify it first via
 /// `is_x86_feature_detected!("avx2")`.
 ///
-/// Multiplication and addition are always separate intrinsics — never
-/// `_mm256_fmadd_ps` — so every intermediate rounds exactly like the
-/// portable backend's scalar ops.
+/// The elementwise maps and folds are the portable bodies compiled again
+/// with AVX2 enabled: the same source, so the same bits. The GEMM panel is
+/// hand-tiled in intrinsics, multiplication and addition always separate
+/// — never `_mm256_fmadd_ps` — so every intermediate rounds exactly like
+/// the portable panel's scalar ops.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use super::{a_elem_raw, LANES};
     use std::arch::x86_64::*;
 
-    /// Splits a mutable slice into LANES-sized body chunks plus a tail.
-    #[inline(always)]
-    fn split_mut(c: &mut [f32]) -> (std::slice::ChunksExactMut<'_, f32>, usize) {
-        let tail_at = c.len() - c.len() % LANES;
-        (c.chunks_exact_mut(LANES), tail_at)
+    /// Emits, for each listed signature, an AVX2-enabled entry point that
+    /// calls the `#[inline(always)]` portable body of the same name, so
+    /// that body is compiled for AVX2 in place.
+    macro_rules! avx2_build {
+        ($(fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {$(
+            /// The portable body of the same name, compiled for AVX2.
+            ///
+            /// # Safety
+            /// Requires AVX2.
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = "avx2")]
+            pub unsafe fn $name($($arg: $ty),*) $(-> $ret)? {
+                super::portable::$name($($arg),*)
+            }
+        )*};
     }
 
-    /// # Safety
-    /// Requires AVX2. `c.len() == b.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_init(c: &mut [f32], a: f32, b: &[f32]) {
-        let va = _mm256_set1_ps(a);
-        let zero = _mm256_setzero_ps();
-        let (chunks, tail_at) = split_mut(c);
-        for (i, cv) in chunks.enumerate() {
-            let vb = _mm256_loadu_ps(b.as_ptr().add(i * LANES));
-            let r = _mm256_add_ps(zero, _mm256_mul_ps(va, vb));
-            _mm256_storeu_ps(cv.as_mut_ptr(), r);
-        }
-        super::portable::axpy_init(&mut c[tail_at..], a, &b[tail_at..]);
-    }
-
-    /// # Safety
-    /// Requires AVX2. `c.len() == b.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy(c: &mut [f32], a: f32, b: &[f32]) {
-        let va = _mm256_set1_ps(a);
-        let (chunks, tail_at) = split_mut(c);
-        for (i, cv) in chunks.enumerate() {
-            let vb = _mm256_loadu_ps(b.as_ptr().add(i * LANES));
-            let vc = _mm256_loadu_ps(cv.as_ptr());
-            let r = _mm256_add_ps(vc, _mm256_mul_ps(va, vb));
-            _mm256_storeu_ps(cv.as_mut_ptr(), r);
-        }
-        super::portable::axpy(&mut c[tail_at..], a, &b[tail_at..]);
-    }
-
-    /// # Safety
-    /// Requires AVX2. `c.len() == b.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_init_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
-        let va = _mm256_set1_ps(a);
-        let vbias = _mm256_set1_ps(bias);
-        let zero = _mm256_setzero_ps();
-        let (chunks, tail_at) = split_mut(c);
-        for (i, cv) in chunks.enumerate() {
-            let vb = _mm256_loadu_ps(b.as_ptr().add(i * LANES));
-            let r = _mm256_add_ps(_mm256_add_ps(zero, _mm256_mul_ps(va, vb)), vbias);
-            _mm256_storeu_ps(cv.as_mut_ptr(), r);
-        }
-        super::portable::axpy_init_bias(&mut c[tail_at..], a, &b[tail_at..], bias);
-    }
-
-    /// # Safety
-    /// Requires AVX2. `c.len() == b.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
-        let va = _mm256_set1_ps(a);
-        let vbias = _mm256_set1_ps(bias);
-        let (chunks, tail_at) = split_mut(c);
-        for (i, cv) in chunks.enumerate() {
-            let vb = _mm256_loadu_ps(b.as_ptr().add(i * LANES));
-            let vc = _mm256_loadu_ps(cv.as_ptr());
-            let r = _mm256_add_ps(_mm256_add_ps(vc, _mm256_mul_ps(va, vb)), vbias);
-            _mm256_storeu_ps(cv.as_mut_ptr(), r);
-        }
-        super::portable::axpy_bias(&mut c[tail_at..], a, &b[tail_at..], bias);
-    }
-
-    /// Round half away from zero, reconstructed from truncation because
-    /// `_mm256_round_ps` ties to even. `trunc(x)` and `x - trunc(x)` are
-    /// both exact, so comparing the fraction against 0.5 reproduces
-    /// `f32::round` bit for bit on every finite input.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn round_half_away(x: __m256) -> __m256 {
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
-        let frac = _mm256_sub_ps(x, t);
-        let abs_frac = _mm256_andnot_ps(sign_mask, frac);
-        let ge_half = _mm256_cmp_ps::<_CMP_GE_OQ>(abs_frac, _mm256_set1_ps(0.5));
-        let signed_one = _mm256_or_ps(_mm256_and_ps(x, sign_mask), _mm256_set1_ps(1.0));
-        // Blend rather than add a masked term: `-0.0 + 0.0` would flip the
-        // sign of zero on the not-taken lanes.
-        _mm256_blendv_ps(t, _mm256_add_ps(t, signed_one), ge_half)
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fake_quant_slice(v: &mut [f32], scale: f32, lo: f32, hi: f32) {
-        let vscale = _mm256_set1_ps(scale);
-        let vlo = _mm256_set1_ps(lo);
-        let vhi = _mm256_set1_ps(hi);
-        let (chunks, tail_at) = split_mut(v);
-        for xv in chunks {
-            let x = _mm256_loadu_ps(xv.as_ptr());
-            let q = round_half_away(_mm256_div_ps(x, vscale));
-            let q = _mm256_min_ps(_mm256_max_ps(q, vlo), vhi);
-            _mm256_storeu_ps(xv.as_mut_ptr(), _mm256_mul_ps(q, vscale));
-        }
-        super::portable::fake_quant_slice(&mut v[tail_at..], scale, lo, hi);
-    }
-
-    /// # Safety
-    /// Requires AVX2. `mask.len() == x.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn range_mask_slice(mask: &mut [f32], x: &[f32], lo: f32, hi: f32) {
-        let vlo = _mm256_set1_ps(lo);
-        let vhi = _mm256_set1_ps(hi);
-        let one = _mm256_set1_ps(1.0);
-        let (chunks, tail_at) = split_mut(mask);
-        for (i, mv) in chunks.enumerate() {
-            let xv = _mm256_loadu_ps(x.as_ptr().add(i * LANES));
-            let inside = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_GT_OQ>(xv, vlo),
-                _mm256_cmp_ps::<_CMP_LT_OQ>(xv, vhi),
-            );
-            _mm256_storeu_ps(mv.as_mut_ptr(), _mm256_and_ps(inside, one));
-        }
-        super::portable::range_mask_slice(&mut mask[tail_at..], &x[tail_at..], lo, hi);
-    }
-
-    /// # Safety
-    /// Requires AVX2. `out.len() == src.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn normalize_affine(
-        out: &mut [f32],
-        src: &[f32],
-        mean: f32,
-        inv_std: f32,
-        g: f32,
-        b: f32,
-    ) {
-        let vm = _mm256_set1_ps(mean);
-        let vistd = _mm256_set1_ps(inv_std);
-        let vg = _mm256_set1_ps(g);
-        let vb = _mm256_set1_ps(b);
-        let (chunks, tail_at) = split_mut(out);
-        for (i, ov) in chunks.enumerate() {
-            let s = _mm256_loadu_ps(src.as_ptr().add(i * LANES));
-            let h = _mm256_mul_ps(_mm256_sub_ps(s, vm), vistd);
-            _mm256_storeu_ps(ov.as_mut_ptr(), _mm256_add_ps(_mm256_mul_ps(vg, h), vb));
-        }
-        super::portable::normalize_affine(&mut out[tail_at..], &src[tail_at..], mean, inv_std, g, b);
-    }
-
-    /// # Safety
-    /// Requires AVX2. `out.len() == xhat.len() == src.len()`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn normalize_affine_xhat(
-        out: &mut [f32],
-        xhat: &mut [f32],
-        src: &[f32],
-        mean: f32,
-        inv_std: f32,
-        g: f32,
-        b: f32,
-    ) {
-        let vm = _mm256_set1_ps(mean);
-        let vistd = _mm256_set1_ps(inv_std);
-        let vg = _mm256_set1_ps(g);
-        let vb = _mm256_set1_ps(b);
-        let (chunks, tail_at) = split_mut(out);
-        for (i, ov) in chunks.enumerate() {
-            let s = _mm256_loadu_ps(src.as_ptr().add(i * LANES));
-            let h = _mm256_mul_ps(_mm256_sub_ps(s, vm), vistd);
-            _mm256_storeu_ps(xhat.as_mut_ptr().add(i * LANES), h);
-            _mm256_storeu_ps(ov.as_mut_ptr(), _mm256_add_ps(_mm256_mul_ps(vg, h), vb));
-        }
-        super::portable::normalize_affine_xhat(
-            &mut out[tail_at..],
-            &mut xhat[tail_at..],
-            &src[tail_at..],
-            mean,
-            inv_std,
-            g,
-            b,
+    avx2_build! {
+        fn fake_quant_slice(v: &mut [f32], scale: f32, lo: f32, hi: f32);
+        fn range_mask_slice(mask: &mut [f32], x: &[f32], lo: f32, hi: f32);
+        fn normalize_affine(out: &mut [f32], src: &[f32], mean: f32, inv_std: f32, g: f32, b: f32);
+        fn normalize_affine_xhat(
+            out: &mut [f32],
+            xhat: &mut [f32],
+            src: &[f32],
+            mean: f32,
+            inv_std: f32,
+            g: f32,
+            b: f32,
         );
-    }
-
-    /// # Safety
-    /// Requires AVX2. `dx.len() == dy.len() == xhat.len()`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn bn_backward_dx(
-        dx: &mut [f32],
-        dy: &[f32],
-        xhat: &[f32],
-        coeff: f32,
-        count: f32,
-        sum_dy: f32,
-        sum_dy_xhat: f32,
-    ) {
-        let vcoeff = _mm256_set1_ps(coeff);
-        let vcount = _mm256_set1_ps(count);
-        let vsdy = _mm256_set1_ps(sum_dy);
-        let vsdxh = _mm256_set1_ps(sum_dy_xhat);
-        let (chunks, tail_at) = split_mut(dx);
-        for (i, dv) in chunks.enumerate() {
-            let y = _mm256_loadu_ps(dy.as_ptr().add(i * LANES));
-            let xh = _mm256_loadu_ps(xhat.as_ptr().add(i * LANES));
-            let t = _mm256_sub_ps(_mm256_mul_ps(vcount, y), vsdy);
-            let t = _mm256_sub_ps(t, _mm256_mul_ps(xh, vsdxh));
-            _mm256_storeu_ps(dv.as_mut_ptr(), _mm256_mul_ps(vcoeff, t));
-        }
-        super::portable::bn_backward_dx(
-            &mut dx[tail_at..],
-            &dy[tail_at..],
-            &xhat[tail_at..],
-            coeff,
-            count,
-            sum_dy,
-            sum_dy_xhat,
+        fn bn_backward_dx(
+            dx: &mut [f32],
+            dy: &[f32],
+            xhat: &[f32],
+            coeff: f32,
+            count: f32,
+            sum_dy: f32,
+            sum_dy_xhat: f32,
         );
-    }
-
-    /// # Safety
-    /// Requires AVX2. `w.len() == g.len() == v.len()`.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn sgd_update(w: &mut [f32], g: &[f32], v: &mut [f32], lr: f32, momentum: f32, wd: f32) {
-        let vlr = _mm256_set1_ps(lr);
-        let vmom = _mm256_set1_ps(momentum);
-        let vwd = _mm256_set1_ps(wd);
-        let (chunks, tail_at) = split_mut(w);
-        for (i, wv) in chunks.enumerate() {
-            let wx = _mm256_loadu_ps(wv.as_ptr());
-            let gx = _mm256_loadu_ps(g.as_ptr().add(i * LANES));
-            let vx = _mm256_loadu_ps(v.as_ptr().add(i * LANES));
-            let vel = _mm256_add_ps(
-                _mm256_add_ps(_mm256_mul_ps(vmom, vx), gx),
-                _mm256_mul_ps(vwd, wx),
-            );
-            _mm256_storeu_ps(v.as_mut_ptr().add(i * LANES), vel);
-            _mm256_storeu_ps(wv.as_mut_ptr(), _mm256_sub_ps(wx, _mm256_mul_ps(vlr, vel)));
-        }
-        super::portable::sgd_update(&mut w[tail_at..], &g[tail_at..], &mut v[tail_at..], lr, momentum, wd);
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn div_scalar(x: &mut [f32], d: f32) {
-        let vd = _mm256_set1_ps(d);
-        let (chunks, tail_at) = split_mut(x);
-        for xv in chunks {
-            let v = _mm256_loadu_ps(xv.as_ptr());
-            _mm256_storeu_ps(xv.as_mut_ptr(), _mm256_div_ps(v, vd));
-        }
-        super::portable::div_scalar(&mut x[tail_at..], d);
-    }
-
-    /// Folds the 8 lanes of `acc` with `f32::max` in lane order, then the
-    /// scalar tail — the exact structure the portable backend mirrors.
-    ///
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    unsafe fn finish_fold(init: f32, acc: __m256, tail: &[f32], abs: bool) -> f32 {
-        let mut lanes = [0.0f32; LANES];
-        _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-        let mut m = lanes.into_iter().fold(init, f32::max);
-        for &v in tail {
-            m = m.max(if abs { v.abs() } else { v });
-        }
-        m
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fold_max(init: f32, xs: &[f32]) -> f32 {
-        let mut acc = _mm256_set1_ps(init);
-        let chunks = xs.chunks_exact(LANES);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            acc = _mm256_max_ps(acc, _mm256_loadu_ps(chunk.as_ptr()));
-        }
-        finish_fold(init, acc, tail, false)
-    }
-
-    /// # Safety
-    /// Requires AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn fold_max_abs(init: f32, xs: &[f32]) -> f32 {
-        let sign_mask = _mm256_set1_ps(-0.0);
-        let mut acc = _mm256_set1_ps(init);
-        let chunks = xs.chunks_exact(LANES);
-        let tail = chunks.remainder();
-        for chunk in chunks {
-            let v = _mm256_andnot_ps(sign_mask, _mm256_loadu_ps(chunk.as_ptr()));
-            acc = _mm256_max_ps(acc, v);
-        }
-        finish_fold(init, acc, tail, true)
+        fn sgd_update(w: &mut [f32], g: &[f32], v: &mut [f32], lr: f32, momentum: f32, wd: f32);
+        fn div_scalar(x: &mut [f32], d: f32);
+        fn fold_max(init: f32, xs: &[f32]) -> f32;
+        fn fold_max_abs(init: f32, xs: &[f32]) -> f32;
     }
 
     /// AVX2 [`super::gemm_panel`]: register-tiled. Columns are walked in
@@ -1307,12 +1043,12 @@ mod tests {
         // reference exactly — including remainder lanes (lengths chosen
         // to land off the 8-lane grid).
         for len in [0usize, 1, 5, 8, 13, 64, 100] {
-            let b = fill(len, 3);
+            let src = fill(len, 3);
             let mut c1 = fill(len, 4);
             let mut c2 = c1.clone();
-            axpy(&mut c1, 0.37, &b);
-            portable::axpy(&mut c2, 0.37, &b);
-            assert_eq!(c1, c2, "axpy len {len}");
+            normalize_affine(&mut c1, &src, 0.5, 1.7, -0.37, 0.25);
+            portable::normalize_affine(&mut c2, &src, 0.5, 1.7, -0.37, 0.25);
+            assert_eq!(c1, c2, "normalize_affine len {len}");
 
             let mut q1 = fill(len, 5);
             let mut q2 = q1.clone();

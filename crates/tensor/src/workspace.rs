@@ -7,9 +7,9 @@
 //!
 //! * [`with_workspace`] checks a [`Workspace`] — a bundle of named
 //!   kernel scratch vectors — out of a pool for the duration of a
-//!   closure. Worker threads spawned by `parallel_for` are ephemeral,
-//!   so `thread_local!` storage would never be re-hit; a shared pool
-//!   survives across scoped-thread lifetimes.
+//!   closure. Worker threads spawned by `parallel_for_chunks` are
+//!   ephemeral, so `thread_local!` storage would never be re-hit; a shared
+//!   pool survives across scoped-thread lifetimes.
 //! * [`take_f32`] / [`recycle_f32`] (and the `usize` twins) hand out
 //!   individual buffers for longer-lived storage such as activations,
 //!   whose lifetime doesn't nest inside one closure.

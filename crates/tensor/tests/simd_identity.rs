@@ -1,17 +1,21 @@
 //! Bit-identity proptests across the SIMD dispatch paths.
 //!
-//! Every kernel in `adapex_tensor::simd` is pinned three ways: the
-//! pre-SIMD scalar reference (inlined here as plain loops), the portable
-//! fixed-width backend, and — on hosts with AVX2 — the vector backend
-//! called directly; the GEMM panel also against its sixteen-lane
-//! AVX-512 body where the host has it. Agreement is asserted on the raw bit patterns, over
-//! aligned and unaligned slices, lengths that exercise the remainder
-//! lanes, and inputs dense in exact ±0.0 — where the GEMM panel, which
-//! has no zero-skip branch, must still equal a reference that skips
-//! every zero `A` term.
+//! Every kernel in `adapex_tensor::simd` is pinned three ways: a scalar
+//! reference (inlined here as plain loops), the portable backend, and —
+//! on hosts with AVX2 — the vector backend called directly; the GEMM
+//! panel also against its sixteen-lane AVX-512 body where the host has
+//! it, and the fake-quant, mask and fold kernels also through the
+//! dispatched entry point under every backend the host can force.
+//! Agreement is asserted on the raw bit patterns, over aligned and
+//! unaligned slices, lengths that exercise the remainder lanes, and
+//! inputs dense in exact ±0.0 — where the GEMM panel, which has no
+//! zero-skip branch, must still equal a reference that skips every zero
+//! `A` term, and where `max` must pick the same zero on every path — and
+//! inputs holding NaN.
 
 use adapex_tensor::simd::{self, portable, Backend};
 use proptest::prelude::*;
+use std::sync::{Mutex, PoisonError};
 
 #[cfg(target_arch = "x86_64")]
 use adapex_tensor::simd::{avx2, avx512};
@@ -53,50 +57,163 @@ fn vals(len: usize) -> impl Strategy<Value = Vec<f32>> {
     )
 }
 
+/// The fold and quantizer inputs, one of three kinds per case: finite
+/// values mixed with ±0.0 (as [`vals`]); non-positive values dense in
+/// zeros of both signs, so a zero is the maximum; or finite values mixed
+/// with ±0.0 and NaN.
+fn edge_vals(len: usize) -> impl Strategy<Value = Vec<f32>> {
+    (
+        0u8..3,
+        prop::collection::vec((0u8..8, 0.0f32..3.0, any::<bool>()), len..=len),
+    )
+        .prop_map(|(kind, raw)| {
+            raw.into_iter()
+                .map(|(tag, v, neg)| match (kind, tag) {
+                    (1, 0..=1) | (_, 6) => 0.0,
+                    (1, 2..=3) | (_, 7) => -0.0,
+                    (1, _) => -v,
+                    (2, 5) => f32::NAN,
+                    _ if neg => -v,
+                    _ => v,
+                })
+                .collect()
+        })
+}
+
+/// A fold input on which the portable `f32::max` fold and the
+/// hand-written AVX2 fold once returned different zeros (+0.0 and
+/// −0.0) from an `init` of −∞.
+const ZERO_SIGN_FOLD: [f32; 19] = [
+    0.0, -0.0, -1.5, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -2.0, -0.0, -0.0, -3.9, -0.0, -3.0, 0.0,
+    -0.0, -0.0, -1.6,
+];
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-// --- Pre-SIMD scalar references ------------------------------------------
+/// Serializes the tests that force the process-global backend.
+static FORCED_BACKEND: Mutex<()> = Mutex::new(());
 
-fn ref_axpy_init(c: &mut [f32], a: f32, b: &[f32]) {
-    for (cv, &bv) in c.iter_mut().zip(b) {
-        *cv = 0.0 + a * bv;
+/// Runs `check` under each backend this host can force, serialized
+/// against the other tests that force one, then restores detection.
+fn under_each_backend(
+    mut check: impl FnMut(Backend) -> Result<(), TestCaseError>,
+) -> Result<(), TestCaseError> {
+    let _serial = FORCED_BACKEND
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    let runnable = [
+        (Backend::Avx512, has_avx512()),
+        (Backend::Avx2, has_avx2()),
+        (Backend::Portable, true),
+    ];
+    let mut result = Ok(());
+    for (backend, _) in runnable.into_iter().filter(|&(_, can)| can) {
+        simd::override_backend(Some(backend));
+        result = check(backend);
+        if result.is_err() {
+            break;
+        }
+    }
+    simd::override_backend(None);
+    result
+}
+
+// --- Scalar references ---------------------------------------------------
+
+/// `a > b ? a : b`: the max every backend computes (`MAXPS`), specified
+/// at ±0 and NaN where `f32::max` is not.
+fn select_max(a: f32, b: f32) -> f32 {
+    if a > b {
+        a
+    } else {
+        b
     }
 }
 
-fn ref_axpy(c: &mut [f32], a: f32, b: &[f32]) {
-    for (cv, &bv) in c.iter_mut().zip(b) {
-        *cv += a * bv;
-    }
-}
-
-fn ref_axpy_init_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
-    for (cv, &bv) in c.iter_mut().zip(b) {
-        *cv = (0.0 + a * bv) + bias;
-    }
-}
-
-fn ref_axpy_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
-    for (cv, &bv) in c.iter_mut().zip(b) {
-        *cv = (*cv + a * bv) + bias;
+/// `a < b ? a : b` (`MINPS`).
+fn select_min(a: f32, b: f32) -> f32 {
+    if a < b {
+        a
+    } else {
+        b
     }
 }
 
 fn ref_fake_quant(v: &mut [f32], scale: f32, lo: f32, hi: f32) {
     for x in v {
-        *x = (*x / scale).round().clamp(lo, hi) * scale;
+        *x = select_min(select_max((*x / scale).round(), lo), hi) * scale;
     }
+}
+
+/// The fold contract: eight accumulators seeded with `init` take the
+/// body in lane order, fold into `init` in lane order, then the tail.
+fn ref_fold(init: f32, xs: &[f32], f: impl Fn(f32) -> f32) -> f32 {
+    let body = xs.len() - xs.len() % 8;
+    let mut acc = [init; 8];
+    for (i, &v) in xs[..body].iter().enumerate() {
+        acc[i % 8] = select_max(acc[i % 8], f(v));
+    }
+    let m = acc.into_iter().fold(init, select_max);
+    xs[body..].iter().fold(m, |m, &v| select_max(m, f(v)))
+}
+
+/// Reference == portable == AVX2 == the dispatched kernel under every
+/// forcible backend, for both folds (`fold_max_abs` from `|init|`).
+fn check_folds(init: f32, x: &[f32]) -> Result<(), TestCaseError> {
+    let want_max = ref_fold(init, x, |v| v).to_bits();
+    let want_abs = ref_fold(init.abs(), x, f32::abs).to_bits();
+    prop_assert_eq!(
+        portable::fold_max(init, x).to_bits(),
+        want_max,
+        "portable fold_max"
+    );
+    prop_assert_eq!(
+        portable::fold_max_abs(init.abs(), x).to_bits(),
+        want_abs,
+        "portable fold_max_abs"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        prop_assert_eq!(
+            unsafe { avx2::fold_max(init, x) }.to_bits(),
+            want_max,
+            "avx2 fold_max"
+        );
+        prop_assert_eq!(
+            unsafe { avx2::fold_max_abs(init.abs(), x) }.to_bits(),
+            want_abs,
+            "avx2 fold_max_abs"
+        );
+    }
+    under_each_backend(|backend| {
+        prop_assert_eq!(
+            simd::fold_max(init, x).to_bits(),
+            want_max,
+            "dispatched fold_max {:?}",
+            backend
+        );
+        prop_assert_eq!(
+            simd::fold_max_abs(init.abs(), x).to_bits(),
+            want_abs,
+            "dispatched fold_max_abs {:?}",
+            backend
+        );
+        Ok(())
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The SAXPY family: reference == portable == AVX2, bit for bit, on
-    /// aligned and unaligned (offset-1) slices of every tail length.
+    /// The SAXPY family — the one-step phases of the GEMM panel (write,
+    /// accumulate, write with bias, accumulate with bias): reference ==
+    /// portable == AVX2 == AVX-512 panel, bit for bit, on aligned and
+    /// unaligned (offset-1) rows of every tail length.
     #[test]
     fn axpy_family_bit_identity(
-        len in 0usize..130,
+        len in 1usize..130,
         off in 0usize..2,
         a in (0u8..5, -3.0f32..3.0).prop_map(|(t, v)| if t == 4 { 0.0 } else { v }),
         bias in -2.0f32..2.0,
@@ -105,51 +222,59 @@ proptest! {
     ) {
         let c0 = &c0[off..off + len];
         let b = &b0[off..off + len];
-        // (name, needs_bias) covering all four variants.
-        for variant in 0..4 {
-            let mut want = c0.to_vec();
-            let mut got_p = c0.to_vec();
-            match variant {
-                0 => { ref_axpy_init(&mut want, a, b); portable::axpy_init(&mut got_p, a, b); }
-                1 => { ref_axpy(&mut want, a, b); portable::axpy(&mut got_p, a, b); }
-                2 => {
-                    ref_axpy_init_bias(&mut want, a, b, bias);
-                    portable::axpy_init_bias(&mut got_p, a, b, bias);
+        for (init, with_bias) in [(true, false), (false, false), (true, true), (false, true)] {
+            let want: Vec<f32> = c0
+                .iter()
+                .zip(b)
+                .map(|(&c, &bv)| {
+                    let t = if init { 0.0 + a * bv } else { c + a * bv };
+                    if with_bias { t + bias } else { t }
+                })
+                .collect();
+            let bias_row = [bias];
+            let bias = with_bias.then_some(&bias_row[..]);
+            // One row (`rr = 1`, `A = [a]`) swept over the single step `k = 0`.
+            let run = |backend: Backend| -> Vec<f32> {
+                let (mut c, a) = (c0.to_vec(), [a]);
+                match backend {
+                    #[cfg(target_arch = "x86_64")]
+                    Backend::Avx512 => unsafe {
+                        avx512::gemm_panel::<false>(&mut c, len, 1, &a, 1, 0, b, 0, 1, 0, len, init, bias)
+                    },
+                    #[cfg(target_arch = "x86_64")]
+                    Backend::Avx2 => unsafe {
+                        avx2::gemm_panel::<false>(&mut c, len, 1, &a, 1, 0, b, 0, 1, 0, len, init, bias)
+                    },
+                    _ => portable::gemm_panel::<false>(&mut c, len, 1, &a, 1, 0, b, 0, 1, 0, len, init, bias),
                 }
-                _ => {
-                    ref_axpy_bias(&mut want, a, b, bias);
-                    portable::axpy_bias(&mut got_p, a, b, bias);
-                }
-            }
-            prop_assert_eq!(bits(&got_p), bits(&want), "portable variant {}", variant);
-            #[cfg(target_arch = "x86_64")]
+                c
+            };
+            let phase = (init, with_bias);
+            prop_assert_eq!(bits(&run(Backend::Portable)), bits(&want), "portable {:?}", phase);
             if has_avx2() {
-                let mut got_v = c0.to_vec();
-                unsafe {
-                    match variant {
-                        0 => avx2::axpy_init(&mut got_v, a, b),
-                        1 => avx2::axpy(&mut got_v, a, b),
-                        2 => avx2::axpy_init_bias(&mut got_v, a, b, bias),
-                        _ => avx2::axpy_bias(&mut got_v, a, b, bias),
-                    }
-                }
-                prop_assert_eq!(bits(&got_v), bits(&want), "avx2 variant {}", variant);
+                prop_assert_eq!(bits(&run(Backend::Avx2)), bits(&want), "avx2 {:?}", phase);
+            }
+            if has_avx512() {
+                prop_assert_eq!(bits(&run(Backend::Avx512)), bits(&want), "avx512 {:?}", phase);
             }
         }
     }
 
-    /// Fake-quant (incl. the round-half-away emulation), the STE window
-    /// mask, and softmax's scalar divide.
+    /// Fake-quant (incl. the round-half-away rounding and the select
+    /// clamp, at QuantReLU's `lo = 0` too), the STE window mask, and
+    /// softmax's scalar divide, on inputs with ±0 and NaN; the first two
+    /// also through the dispatcher under every forcible backend.
     #[test]
     fn quant_and_mask_bit_identity(
         len in 0usize..130,
         off in 0usize..2,
         scale in 0.05f32..2.0,
-        x0 in vals(131),
+        x0 in edge_vals(131),
+        relu_bounds in any::<bool>(),
         d in (0u8..5, 0.5f32..8.0).prop_map(|(t, v)| if t == 4 { 3.0 } else { v }),
     ) {
         let x = &x0[off..off + len];
-        let (lo, hi) = (-2.0f32, 1.0f32);
+        let (lo, hi) = if relu_bounds { (0.0f32, 3.0f32) } else { (-2.0, 1.0) };
 
         let mut want = x.to_vec();
         ref_fake_quant(&mut want, scale, lo, hi);
@@ -185,6 +310,16 @@ proptest! {
             unsafe { avx2::div_scalar(&mut got_div, d) };
             prop_assert_eq!(bits(&got_div), bits(&want_div), "avx2 div_scalar");
         }
+
+        under_each_backend(|backend| {
+            let mut got = x.to_vec();
+            simd::fake_quant_slice(&mut got, scale, lo, hi);
+            prop_assert_eq!(bits(&got), bits(&want), "dispatched fake_quant {:?}", backend);
+            let mut got_mask = vec![0.0f32; x.len()];
+            simd::range_mask_slice(&mut got_mask, x, lo, hi);
+            prop_assert_eq!(bits(&got_mask), bits(&want_mask), "dispatched range_mask {:?}", backend);
+            Ok(())
+        })?;
     }
 
     /// Batch-norm forward/backward maps and the SGD-with-momentum update.
@@ -273,34 +408,18 @@ proptest! {
         }
     }
 
-    /// The max folds equal the plain sequential fold (max over finite
-    /// values is order-insensitive) on every backend.
+    /// The max folds equal the select-rule reference ([`ref_fold`]) on
+    /// every backend, on inputs with ±0 and NaN and from every `init` —
+    /// and so does the fixed input [`ZERO_SIGN_FOLD`].
     #[test]
     fn folds_bit_identity(
         len in 0usize..130,
         off in 0usize..2,
-        x0 in vals(131),
-        init in any::<bool>().prop_map(|b| if b { f32::NEG_INFINITY } else { 0.0f32 }),
+        x0 in edge_vals(131),
+        init in (0usize..4).prop_map(|i| [f32::NEG_INFINITY, 0.0, -0.0, f32::NAN][i]),
     ) {
-        let x = &x0[off..off + len];
-        let want_max = x.iter().fold(init, |m, &v| m.max(v));
-        let want_abs = x.iter().fold(init.abs(), |m, &v| m.max(v.abs()));
-        prop_assert_eq!(portable::fold_max(init, x).to_bits(), want_max.to_bits());
-        prop_assert_eq!(
-            portable::fold_max_abs(init.abs(), x).to_bits(),
-            want_abs.to_bits()
-        );
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
-            prop_assert_eq!(
-                unsafe { avx2::fold_max(init, x) }.to_bits(),
-                want_max.to_bits()
-            );
-            prop_assert_eq!(
-                unsafe { avx2::fold_max_abs(init.abs(), x) }.to_bits(),
-                want_abs.to_bits()
-            );
-        }
+        check_folds(init, &x0[off..off + len])?;
+        check_folds(f32::NEG_INFINITY, &ZERO_SIGN_FOLD)?;
     }
 
     /// The register-tiled AVX2 and AVX-512 GEMM panels agree bit for bit
@@ -435,6 +554,9 @@ fn dispatched_equals_forced_portable() {
         v
     };
 
+    let _serial = FORCED_BACKEND
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let dispatched_gemm = run_gemm();
     let dispatched_quant = run_quant();
     simd::override_backend(Some(Backend::Portable));
