@@ -52,8 +52,8 @@ pub struct ReportHeader {
     pub cpu_features: Vec<&'static str>,
     /// The backend the f32 kernels dispatched to ...
     pub simd_backend: String,
-    /// ... and the one the int2 kernels did (two dispatchers: the f32
-    /// kernels stop at AVX2).
+    /// ... and the one the int2 kernels did (two dispatchers, each
+    /// caching its own choice; both detect AVX-512, AVX2 or portable).
     pub int2_backend: String,
 }
 

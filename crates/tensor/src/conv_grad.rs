@@ -21,13 +21,14 @@
 //!   im2col wrote there, so a non-finite `dy` poisons the same elements.
 //!
 //! Multiply and add round separately everywhere (no FMA), and vector
-//! lanes map 1:1 onto outputs, so the AVX-512 (16-lane), AVX2 (8-lane)
-//! and portable bodies agree bit for bit; they dispatch on
+//! lanes map 1:1 onto outputs, so one body per kernel, written once in
+//! portable Rust with a const lane width, computes the same bits in
+//! every build: AVX-512 (16 lanes), AVX2 (8) and portable (4), emitted
+//! by the `target_build!` macro of [`crate::simd`] and dispatched on
 //! [`crate::simd::active_backend`].
 //!
-//! The vector bodies of [`conv_input_grad`] take one of two routes,
-//! chosen from the geometry alone (the portable body always takes the
-//! second):
+//! [`conv_input_grad`] takes one of two routes, chosen from the
+//! geometry alone:
 //!
 //! * **flat** (unit stride, at most "same" padding, a kernel of at most
 //!   8, and an output map covering more than half the input): `dY` is
@@ -46,7 +47,7 @@
 //!   element from a smaller output pixel.
 
 use crate::conv::ConvGeometry;
-use crate::simd::{self, Backend};
+use crate::simd::{dispatch, each_row, target_build};
 
 /// Largest kernel the flat route serves; its per-tap lane masks live in
 /// a stack array of `FLAT_MAX_K²` entries.
@@ -102,7 +103,7 @@ impl GradShape {
         (k0, k1, (first + k0).saturating_sub(self.pad))
     }
 
-    /// Whether the vector bodies take the flat input-gradient route (see
+    /// Whether the input gradient takes the flat route (see
     /// the module docs). `2·pad < k` keeps every output row within the
     /// input width, so the widened `dY` rows never overlap. The flat
     /// route computes every lane of the input plane for every tap, the
@@ -155,23 +156,6 @@ impl GradShape {
             "conv_weight_grad: dw_t length mismatch"
         );
     }
-}
-
-macro_rules! dispatch {
-    ($name:ident($($arg:expr),*)) => {
-        match simd::active_backend() {
-            // SAFETY: `active_backend` only reports a vector backend
-            // after runtime detection of every CPU feature its bodies
-            // enable (or an override that re-checked them).
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx512 => unsafe { avx512::$name($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::$name($($arg),*) },
-            #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2 => portable::$name($($arg),*),
-            Backend::Portable => portable::$name($($arg),*),
-        }
-    };
 }
 
 /// The input gradient of one image: `dx` (`[c_in, h, w]`) from `dy`
@@ -254,7 +238,7 @@ type PanelFn = unsafe fn(
 ///
 /// # Safety
 ///
-/// `panel` must be a `gemm_panel::<true>` body this host can run.
+/// `panel` must be a `gemm_panel::<true>` build this host can run.
 unsafe fn pixel_route(
     sh: &GradShape,
     dy: &[f32],
@@ -309,14 +293,12 @@ unsafe fn pixel_route(
 /// the widened `dY` copy `d` — per output channel `span` floats holding
 /// `dy[co][oy][ox]` at `margin + oy·w + ox`, zeros elsewhere — so that
 /// tap `(ky, kx)` of lane `q` reads `d[co·span + tap_base(ky, kx) + q]`.
-#[cfg(target_arch = "x86_64")]
 struct Flat {
     nvec: usize,
     span: usize,
     margin: usize,
 }
 
-#[cfg(target_arch = "x86_64")]
 impl Flat {
     fn new(sh: &GradShape, lanes: usize, dy: &[f32], d: &mut Vec<f32>) -> Self {
         let (k, w, pad) = (sh.k, sh.w, sh.pad);
@@ -343,11 +325,12 @@ impl Flat {
         self.margin + sh.pad * (sh.w + 1) - ky * sh.w - kx
     }
 
-    /// Lane masks of the `lanes` lanes from `q0`, one per tap in `(ky,
-    /// kx)` order: bit `l` is set when lane `q0 + l` lies in the plane
-    /// and the tap's output pixel lies in the map.
-    fn tap_masks(&self, sh: &GradShape, q0: usize, lanes: usize) -> [u32; FLAT_MAX_K * FLAT_MAX_K] {
-        let (k, w, plane) = (sh.k, sh.w, sh.h * sh.w);
+    /// Lane masks of the `nv` vectors of `L` lanes from `q0`, one per
+    /// tap in `(ky, kx)` order, a word per vector: bit `l` of word `v`
+    /// is set when lane `q0 + L·v + l` lies in the plane and the tap's
+    /// output pixel lies in the map.
+    fn tap_masks<const L: usize>(&self, sh: &GradShape, q0: usize, nv: usize) -> [[u32; 2]; FLAT_MAX_K * FLAT_MAX_K] {
+        let (k, w, plane, lanes) = (sh.k, sh.w, sh.h * sh.w, nv * L);
         // Bits of the lanes in `[lo, hi)`.
         let span_bits = |lo: usize, hi: usize| -> u32 {
             let a = lo.saturating_sub(q0).min(lanes);
@@ -365,93 +348,18 @@ impl Flat {
                 row += w;
             }
         }
-        let mut masks = [0u32; FLAT_MAX_K * FLAT_MAX_K];
+        let mut masks = [[0u32; 2]; FLAT_MAX_K * FLAT_MAX_K];
         for ky in 0..k {
             // Input rows whose output row `iy + pad - ky` is in the map.
             let lo = ky.saturating_sub(sh.pad);
             let hi = (ky + sh.oh).saturating_sub(sh.pad).min(sh.h);
             let rows = span_bits(lo * w, hi * w);
             for kx in 0..k {
-                masks[ky * k + kx] = rows & cols[kx];
+                let bits = rows & cols[kx];
+                masks[ky * k + kx] = [bits & !(!0 << L), bits >> L];
             }
         }
         masks
-    }
-}
-
-/// The portable bodies: the pixel route on the portable GEMM panel for
-/// the input gradient, one SAXPY over the output channels per tap and
-/// output pixel for the weight gradient. Public for the bit-identity
-/// suite.
-pub mod portable {
-    use super::{GradShape, WgradOps};
-    use crate::conv::ConvGeometry;
-
-    /// Single-backend entry with the same contract as
-    /// [`super::conv_input_grad`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn conv_input_grad(
-        dy: &[f32],
-        c_out: usize,
-        weight: &[f32],
-        c_in: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeometry,
-        dx: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) {
-        let sh = GradShape::new(c_in, h, w, geom, c_out);
-        sh.check_input_grad(dy, weight, dx);
-        // SAFETY: the portable panel runs on any host.
-        unsafe {
-            super::pixel_route(
-                &sh,
-                dy,
-                weight,
-                dx,
-                scratch,
-                crate::simd::portable::gemm_panel::<true>,
-            )
-        }
-    }
-
-    /// Single-backend entry with the same contract as
-    /// [`super::conv_weight_grad`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn conv_weight_grad(
-        img: &[f32],
-        c_in: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeometry,
-        dy: &[f32],
-        c_out: usize,
-        dw_t: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) {
-        let sh = GradShape::new(c_in, h, w, geom, c_out);
-        sh.check_weight_grad(img, dy, dw_t);
-        if c_out == 0 {
-            return;
-        }
-        let ops = WgradOps::new(&sh, img, dy, c_out, scratch);
-        for (t, acc) in dw_t.chunks_exact_mut(c_out).enumerate() {
-            // Zero, then one `+=` per pixel: the first is `0.0 + x·dy`.
-            acc.fill(0.0);
-            let [origin] = ops.origins::<1>(t);
-            let mut rows = ops.dyt.chunks_exact(c_out);
-            for oy in 0..sh.oh {
-                let mut at = origin + oy * sh.stride * ops.row;
-                for _ in 0..sh.ow {
-                    let (x, b) = (ops.x[at], rows.next().expect("one dYᵀ row per pixel"));
-                    for (a, &bv) in acc.iter_mut().zip(b) {
-                        *a += x * bv;
-                    }
-                    at += sh.stride;
-                }
-            }
-        }
     }
 }
 
@@ -540,435 +448,282 @@ impl<'a> WgradOps<'a> {
     }
 }
 
-/// The AVX2 bodies. Public for the bit-identity suite.
-#[cfg(target_arch = "x86_64")]
-pub mod avx2 {
-    use super::{Flat, GradShape, WgradOps};
-    use crate::conv::ConvGeometry;
-    use std::arch::x86_64::*;
-
-    /// Lanes of one vector.
-    const L: usize = 8;
-
-    /// The lanes of `bits` as a vector mask.
-    #[inline(always)]
-    unsafe fn lane_mask(bits: u32) -> __m256i {
-        let sel = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
-        _mm256_cmpeq_epi32(_mm256_and_si256(_mm256_set1_epi32(bits as i32), sel), sel)
+/// The one body of [`conv_input_grad`] at `L` lanes: the flat route in
+/// groups of up to `V` vectors, a tile of up to four input channels in
+/// registers; the pixel route on `panel`, the GEMM panel of the same
+/// build.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn input_grad<const L: usize, const V: usize>(
+    dy: &[f32],
+    c_out: usize,
+    weight: &[f32],
+    c_in: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeometry,
+    dx: &mut [f32],
+    scratch: &mut Vec<f32>,
+    panel: PanelFn,
+) {
+    let sh = GradShape::new(c_in, h, w, geom, c_out);
+    sh.check_input_grad(dy, weight, dx);
+    if sh.c_out == 0 || !sh.flat_route() {
+        // SAFETY: each build passes the panel of its own feature.
+        return unsafe { pixel_route(&sh, dy, weight, dx, scratch, panel) };
     }
-
-    /// Single-backend entry with the same contract as
-    /// [`super::conv_input_grad`]: the flat route eight lanes at a time,
-    /// a tile of up to four input channels in registers; the pixel route
-    /// on the AVX2 GEMM panel.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn conv_input_grad(
-        dy: &[f32],
-        c_out: usize,
-        weight: &[f32],
-        c_in: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeometry,
-        dx: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) {
-        let sh = GradShape::new(c_in, h, w, geom, c_out);
-        sh.check_input_grad(dy, weight, dx);
-        if sh.c_out == 0 || !sh.flat_route() {
-            return super::pixel_route(
-                &sh,
-                dy,
-                weight,
-                dx,
-                scratch,
-                crate::simd::avx2::gemm_panel::<true>,
-            );
+    let fl = Flat::new(&sh, L, dy, scratch);
+    let mut vec = 0;
+    while vec < fl.nvec {
+        let nv = (fl.nvec - vec).min(V);
+        let masks = fl.tap_masks::<L>(&sh, vec * L, nv);
+        let mut ci = 0;
+        while ci < c_in {
+            let at = (ci, vec * L);
+            // `V == 1` drops the two-vector arms from builds that never
+            // take them.
+            ci += match (V == 1 || nv == 1, c_in - ci) {
+                (true, 4..) => flat_tile::<4, 1, L>(&sh, &fl, scratch, weight, &masks, dx, at),
+                (true, 2..=3) => flat_tile::<2, 1, L>(&sh, &fl, scratch, weight, &masks, dx, at),
+                (true, _) => flat_tile::<1, 1, L>(&sh, &fl, scratch, weight, &masks, dx, at),
+                (false, 4..) => flat_tile::<4, 2, L>(&sh, &fl, scratch, weight, &masks, dx, at),
+                (false, 2..=3) => flat_tile::<2, 2, L>(&sh, &fl, scratch, weight, &masks, dx, at),
+                (false, _) => flat_tile::<1, 2, L>(&sh, &fl, scratch, weight, &masks, dx, at),
+            };
         }
-        let fl = Flat::new(&sh, L, dy, scratch);
-        for vec in 0..fl.nvec {
-            let masks = fl.tap_masks(&sh, vec * L, L);
-            let mut ci = 0;
-            while ci < c_in {
-                let at = (ci, vec * L);
-                ci += match c_in - ci {
-                    4.. => flat_tile::<4>(&sh, &fl, scratch, weight, &masks, dx, at),
-                    2..=3 => flat_tile::<2>(&sh, &fl, scratch, weight, &masks, dx, at),
-                    _ => flat_tile::<1>(&sh, &fl, scratch, weight, &masks, dx, at),
-                };
-            }
-        }
-    }
-
-    /// Input channels `ci0..ci0 + CI` at plane lanes `q0..q0 + 8`;
-    /// returns `CI`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn flat_tile<const CI: usize>(
-        sh: &GradShape,
-        fl: &Flat,
-        d: &[f32],
-        weight: &[f32],
-        masks: &[u32],
-        dx: &mut [f32],
-        (ci0, q0): (usize, usize),
-    ) -> usize {
-        let (k, kk) = (sh.k, sh.kk);
-        let mut acc = [_mm256_setzero_ps(); CI];
-        for ky in 0..k {
-            for kx in 0..k {
-                let t = ky * k + kx;
-                if masks[t] == 0 {
-                    continue;
-                }
-                let mut s = [_mm256_setzero_ps(); CI];
-                // SAFETY (reads): every lane of `q0..q0 + 8` at any tap
-                // lies inside channel `co`'s span (`Flat::new`), and
-                // `(co, ci0 + j, t)` indexes `weight` for `j < CI`.
-                let base = d.as_ptr().add(fl.tap_base(sh, ky, kx) + q0);
-                let taps = weight.as_ptr().add(ci0 * k * k + t);
-                for co in 0..sh.c_out {
-                    let dv = _mm256_loadu_ps(base.add(co * fl.span));
-                    for (j, sj) in s.iter_mut().enumerate() {
-                        let wv = _mm256_set1_ps(*taps.add(co * kk + j * k * k));
-                        *sj = _mm256_add_ps(*sj, _mm256_mul_ps(wv, dv));
-                    }
-                }
-                let keep = _mm256_castsi256_ps(lane_mask(masks[t]));
-                for (aj, &sj) in acc.iter_mut().zip(&s) {
-                    *aj = _mm256_blendv_ps(*aj, _mm256_add_ps(*aj, sj), keep);
-                }
-            }
-        }
-        let plane = sh.h * sh.w;
-        let live = lane_mask(((1u64 << (plane - q0).min(L)) - 1) as u32);
-        for (j, &aj) in acc.iter().enumerate() {
-            // SAFETY: the live lanes are plane lanes of channel `ci0 + j`.
-            _mm256_maskstore_ps(dx.as_mut_ptr().add((ci0 + j) * plane + q0), live, aj);
-        }
-        CI
-    }
-
-    /// Single-backend entry with the same contract as
-    /// [`super::conv_weight_grad`]: eight output channels per vector,
-    /// a tile of up to six taps by two vectors in registers.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn conv_weight_grad(
-        img: &[f32],
-        c_in: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeometry,
-        dy: &[f32],
-        c_out: usize,
-        dw_t: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) {
-        let sh = GradShape::new(c_in, h, w, geom, c_out);
-        sh.check_weight_grad(img, dy, dw_t);
-        let ops = WgradOps::new(&sh, img, dy, c_out.next_multiple_of(L), scratch);
-        let mut co = 0;
-        while co < c_out {
-            let nv = if c_out - co > L { 2 } else { 1 };
-            let mut t = 0;
-            while t < sh.kk {
-                t += match (nv, sh.kk - t) {
-                    (1, 6..) => wgrad_tile::<6, 1>(ops, dw_t, (t, co)),
-                    (1, 3..) => wgrad_tile::<3, 1>(ops, dw_t, (t, co)),
-                    (1, _) => wgrad_tile::<1, 1>(ops, dw_t, (t, co)),
-                    (_, 4..) => wgrad_tile::<4, 2>(ops, dw_t, (t, co)),
-                    _ => wgrad_tile::<1, 2>(ops, dw_t, (t, co)),
-                };
-            }
-            co += nv * L;
-        }
-    }
-
-    /// Taps `t0..t0 + R` by output channels `co0..co0 + 8·NV` (those
-    /// below `c_out` stored); returns `R`. The AVX-512 body runs it for
-    /// a tile of at most eight channels, where sixteen lanes would idle
-    /// half of each vector.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    pub(super) unsafe fn wgrad_tile<const R: usize, const NV: usize>(
-        ops: WgradOps,
-        dw_t: &mut [f32],
-        (t0, co0): (usize, usize),
-    ) -> usize {
-        let sh = ops.sh;
-        // SAFETY (reads): `co0 + 8·NV <= ld`, so every vector lies in a
-        // row of `dYᵀ`; each tap's read lies in the (padded) image.
-        let xs: [*const f32; R] = ops.origins::<R>(t0).map(|at| ops.x.as_ptr().add(at));
-        let mut acc = [[_mm256_setzero_ps(); NV]; R];
-        let mut bp = ops.dyt.as_ptr().add(co0);
-        for oy in 0..sh.oh {
-            let mut off = oy * sh.stride * ops.row;
-            for _ in 0..sh.ow {
-                let bv: [__m256; NV] = std::array::from_fn(|v| _mm256_loadu_ps(bp.add(v * L)));
-                for (ar, &xp) in acc.iter_mut().zip(&xs) {
-                    let xv = _mm256_set1_ps(*xp.add(off));
-                    for (a, &b) in ar.iter_mut().zip(&bv) {
-                        *a = _mm256_add_ps(*a, _mm256_mul_ps(xv, b));
-                    }
-                }
-                off += sh.stride;
-                bp = bp.wrapping_add(ops.ld);
-            }
-        }
-        for (r, ar) in acc.iter().enumerate() {
-            for (v, &a) in ar.iter().enumerate() {
-                let live = sh.c_out.saturating_sub(co0 + v * L).min(L);
-                if live > 0 {
-                    // SAFETY: the live lanes are elements of row `t0 + r`
-                    // of `dWᵀ`.
-                    let dst = dw_t.as_mut_ptr().add((t0 + r) * sh.c_out + co0 + v * L);
-                    _mm256_maskstore_ps(dst, lane_mask(((1u64 << live) - 1) as u32), a);
-                }
-            }
-        }
-        R
+        vec += nv;
     }
 }
 
-/// The AVX-512 bodies. Public for the bit-identity suite.
-#[cfg(target_arch = "x86_64")]
-pub mod avx512 {
-    use super::{Flat, GradShape, WgradOps};
-    use crate::conv::ConvGeometry;
-    use std::arch::x86_64::*;
-
-    /// Lanes of one vector.
-    const L: usize = 16;
-
-    /// The low `n <= 32` bits set.
-    #[inline(always)]
-    fn low_bits(n: usize) -> u32 {
-        ((1u64 << n) - 1) as u32
-    }
-
-    /// Single-backend entry with the same contract as
-    /// [`super::conv_input_grad`]: the flat route sixteen lanes at a
-    /// time, a tile of up to four input channels by two vectors in
-    /// registers; the pixel route on the AVX-512 GEMM panel.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn conv_input_grad(
-        dy: &[f32],
-        c_out: usize,
-        weight: &[f32],
-        c_in: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeometry,
-        dx: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) {
-        let sh = GradShape::new(c_in, h, w, geom, c_out);
-        sh.check_input_grad(dy, weight, dx);
-        if sh.c_out == 0 || !sh.flat_route() {
-            return super::pixel_route(
-                &sh,
-                dy,
-                weight,
-                dx,
-                scratch,
-                crate::simd::avx512::gemm_panel::<true>,
-            );
-        }
-        let fl = Flat::new(&sh, L, dy, scratch);
-        let mut vec = 0;
-        while vec < fl.nvec {
-            let nv = (fl.nvec - vec).min(2);
-            let masks = fl.tap_masks(&sh, vec * L, nv * L);
-            let mut ci = 0;
-            while ci < c_in {
-                let at = (ci, vec * L);
-                ci += match (nv, c_in - ci) {
-                    (2, 4..) => flat_tile::<4, 2>(&sh, &fl, scratch, weight, &masks, dx, at),
-                    (2, 2..=3) => flat_tile::<2, 2>(&sh, &fl, scratch, weight, &masks, dx, at),
-                    (2, _) => flat_tile::<1, 2>(&sh, &fl, scratch, weight, &masks, dx, at),
-                    (_, 4..) => flat_tile::<4, 1>(&sh, &fl, scratch, weight, &masks, dx, at),
-                    (_, 2..=3) => flat_tile::<2, 1>(&sh, &fl, scratch, weight, &masks, dx, at),
-                    _ => flat_tile::<1, 1>(&sh, &fl, scratch, weight, &masks, dx, at),
-                };
+/// Input channels `ci0..ci0 + CI` at plane lanes `q0..q0 + L·V` (bit
+/// `l` of word `v` of a tap mask is lane `l` of vector `v`); returns
+/// `CI`.
+#[inline(always)]
+fn flat_tile<const CI: usize, const V: usize, const L: usize>(
+    sh: &GradShape,
+    fl: &Flat,
+    d: &[f32],
+    weight: &[f32],
+    masks: &[[u32; 2]],
+    dx: &mut [f32],
+    (ci0, q0): (usize, usize),
+) -> usize {
+    let (k, kk) = (sh.k, sh.kk);
+    let mut acc = [[[0.0f32; L]; V]; CI];
+    for ky in 0..k {
+        for kx in 0..k {
+            let t = ky * k + kx;
+            let m = masks[t];
+            if m == [0; 2] {
+                continue;
             }
-            vec += nv;
-        }
-    }
-
-    /// Input channels `ci0..ci0 + CI` at plane lanes `q0..q0 + 16·V`
-    /// (bit `16v + l` of a tap mask is lane `l` of vector `v`); returns
-    /// `CI`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn flat_tile<const CI: usize, const V: usize>(
-        sh: &GradShape,
-        fl: &Flat,
-        d: &[f32],
-        weight: &[f32],
-        masks: &[u32],
-        dx: &mut [f32],
-        (ci0, q0): (usize, usize),
-    ) -> usize {
-        let (k, kk) = (sh.k, sh.kk);
-        let mut acc = [[_mm512_setzero_ps(); V]; CI];
-        for ky in 0..k {
-            for kx in 0..k {
-                let t = ky * k + kx;
-                if masks[t] == 0 {
-                    continue;
-                }
-                let mut s = [[_mm512_setzero_ps(); V]; CI];
-                // SAFETY (reads): every lane of `q0..q0 + 16·V` at any
-                // tap lies inside channel `co`'s span (`Flat::new`), and
-                // `(co, ci0 + j, t)` indexes `weight` for `j < CI`.
-                let base = d.as_ptr().add(fl.tap_base(sh, ky, kx) + q0);
-                let taps = weight.as_ptr().add(ci0 * k * k + t);
-                for co in 0..sh.c_out {
-                    let at = base.add(co * fl.span);
-                    let dv: [__m512; V] = std::array::from_fn(|v| _mm512_loadu_ps(at.add(v * L)));
-                    for (j, sj) in s.iter_mut().enumerate() {
-                        let wv = _mm512_set1_ps(*taps.add(co * kk + j * k * k));
-                        for (sv, &dvv) in sj.iter_mut().zip(&dv) {
-                            *sv = _mm512_add_ps(*sv, _mm512_mul_ps(wv, dvv));
+            let mut s = [[[0.0f32; L]; V]; CI];
+            let (base, taps) = (fl.tap_base(sh, ky, kx) + q0, ci0 * k * k + t);
+            for co in 0..sh.c_out {
+                // SAFETY: every lane of `q0..q0 + L·V` at any tap lies
+                // inside channel `co`'s span (`Flat::new`), and `(co,
+                // ci0 + j, t)` indexes `weight` for `j < CI`.
+                let dv: [[f32; L]; V] = std::array::from_fn(|v| unsafe {
+                    d.as_ptr().add(base + co * fl.span + v * L).cast::<[f32; L]>().read_unaligned()
+                });
+                each_row!(j < CI, {
+                    let wv = unsafe { *weight.get_unchecked(taps + co * kk + j * k * k) };
+                    for (sv, dv) in s[j].iter_mut().zip(&dv) {
+                        for (x, &y) in sv.iter_mut().zip(dv) {
+                            *x += wv * y;
                         }
                     }
-                }
-                for (aj, sj) in acc.iter_mut().zip(&s) {
-                    for (v, (av, &sv)) in aj.iter_mut().zip(sj).enumerate() {
-                        let keep = (masks[t] >> (v * L)) as __mmask16;
-                        *av = _mm512_mask_add_ps(*av, keep, *av, sv);
+                });
+            }
+            each_row!(j < CI, {
+                each_row!(v < V, {
+                    let bits = if v == 0 { m[0] } else { m[1] };
+                    for (l, (x, &y)) in acc[j][v].iter_mut().zip(&s[j][v]).enumerate() {
+                        *x = if bits & 1 << l != 0 { *x + y } else { *x };
+                    }
+                });
+            });
+        }
+    }
+    let plane = sh.h * sh.w;
+    each_row!(j < CI, {
+        for (v, &lanes) in acc[j].iter().enumerate() {
+            let q = q0 + v * L;
+            let live = plane.saturating_sub(q).min(L);
+            if live > 0 {
+                store(&mut dx[(ci0 + j) * plane + q..], lanes, live);
+            }
+        }
+    });
+    CI
+}
+
+/// The one body of [`conv_weight_grad`] at `L` lanes: output channels
+/// in lanes, a tile of up to eight taps by up to two vectors in
+/// registers, and a tile of at most `N` channels at `N` lanes (a
+/// half-masked 512-bit op loses to a full 256-bit one).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn weight_grad<const L: usize, const N: usize>(
+    img: &[f32],
+    c_in: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeometry,
+    dy: &[f32],
+    c_out: usize,
+    dw_t: &mut [f32],
+    scratch: &mut Vec<f32>,
+) {
+    let sh = GradShape::new(c_in, h, w, geom, c_out);
+    sh.check_weight_grad(img, dy, dw_t);
+    // Tiles of `2L` channels, then one of `L` or `N`: `dYᵀ` rows are as
+    // wide as the tiles that read them.
+    let tile = |left: usize| match left {
+        _ if left <= N => (N, 0),
+        _ if left <= L => (L, 1),
+        _ => (2 * L, 2),
+    };
+    let full = c_out - c_out % (2 * L);
+    let ld = if c_out == full {
+        full
+    } else {
+        full + tile(c_out - full).0
+    };
+    let ops = WgradOps::new(&sh, img, dy, ld, scratch);
+    let mut co = 0;
+    while co < c_out {
+        let (width, nv) = tile(c_out - co);
+        let mut t = 0;
+        while t < sh.kk {
+            let at = (t, co);
+            t += match (nv, sh.kk - t) {
+                (0, 6..) => wgrad_tile::<6, 1, N>(ops, dw_t, at),
+                (0, 3..) => wgrad_tile::<3, 1, N>(ops, dw_t, at),
+                (0, _) => wgrad_tile::<1, 1, N>(ops, dw_t, at),
+                (1, 8..) => wgrad_tile::<8, 1, L>(ops, dw_t, at),
+                (1, 4..) => wgrad_tile::<4, 1, L>(ops, dw_t, at),
+                (1, _) => wgrad_tile::<1, 1, L>(ops, dw_t, at),
+                (_, 4..) => wgrad_tile::<4, 2, L>(ops, dw_t, at),
+                _ => wgrad_tile::<1, 2, L>(ops, dw_t, at),
+            };
+        }
+        co += width;
+    }
+}
+
+/// Taps `t0..t0 + R` by output channels `co0..co0 + L·NV` (those below
+/// `c_out` stored); returns `R`.
+#[inline(always)]
+fn wgrad_tile<const R: usize, const NV: usize, const L: usize>(
+    ops: WgradOps,
+    dw_t: &mut [f32],
+    (t0, co0): (usize, usize),
+) -> usize {
+    let sh = ops.sh;
+    // SAFETY (every read below): `co0 + L·NV <= ld`, so every vector
+    // lies in a row of `dYᵀ`; each tap's read lies in the (padded) image.
+    let xs = ops.origins::<R>(t0).map(|at| unsafe { ops.x.as_ptr().add(at) });
+    let mut acc = [[[0.0f32; L]; NV]; R];
+    let mut bp = unsafe { ops.dyt.as_ptr().add(co0) };
+    for oy in 0..sh.oh {
+        let mut off = oy * sh.stride * ops.row;
+        for _ in 0..sh.ow {
+            let bv: [[f32; L]; NV] =
+                std::array::from_fn(|v| unsafe { bp.add(v * L).cast::<[f32; L]>().read_unaligned() });
+            each_row!(r < R, {
+                let xv = unsafe { *xs[r].add(off) };
+                for (a, b) in acc[r].iter_mut().zip(&bv) {
+                    for (x, &y) in a.iter_mut().zip(b) {
+                        *x += xv * y;
                     }
                 }
-            }
+            });
+            off += sh.stride;
+            bp = bp.wrapping_add(ops.ld);
         }
-        let plane = sh.h * sh.w;
-        for (j, aj) in acc.iter().enumerate() {
-            for (v, &av) in aj.iter().enumerate() {
-                let q = q0 + v * L;
-                let live = low_bits(plane.saturating_sub(q).min(L)) as __mmask16;
-                // SAFETY: the live lanes are plane lanes of channel
-                // `ci0 + j`; the address is formed only inside the plane.
-                if live != 0 {
-                    _mm512_mask_storeu_ps(dx.as_mut_ptr().add((ci0 + j) * plane + q), live, av);
-                }
-            }
-        }
-        CI
     }
+    each_row!(r < R, {
+        for (v, &lanes) in acc[r].iter().enumerate() {
+            let live = sh.c_out.saturating_sub(co0 + v * L).min(L);
+            if live > 0 {
+                store(&mut dw_t[(t0 + r) * sh.c_out + co0 + v * L..], lanes, live);
+            }
+        }
+    });
+    R
+}
 
-    /// Single-backend entry with the same contract as
-    /// [`super::conv_weight_grad`]: sixteen output channels per vector,
-    /// a tile of up to eight taps by two vectors in registers; a tile of
-    /// at most eight channels runs the AVX2 body's eight-lane tile.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn conv_weight_grad(
-        img: &[f32],
-        c_in: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeometry,
-        dy: &[f32],
-        c_out: usize,
-        dw_t: &mut [f32],
-        scratch: &mut Vec<f32>,
-    ) {
-        let sh = GradShape::new(c_in, h, w, geom, c_out);
-        sh.check_weight_grad(img, dy, dw_t);
-        // Tiles of 32 channels, then one of 16 or 8: `dYᵀ` rows are as
-        // wide as the tiles that read them.
-        let tile = |left: usize| match left {
-            ..=8 => (8, 0),
-            9..=16 => (L, 1),
-            _ => (2 * L, 2),
-        };
-        let full = c_out - c_out % (2 * L);
-        let ld = if c_out == full {
-            full
-        } else {
-            full + tile(c_out - full).0
-        };
-        let ops = WgradOps::new(&sh, img, dy, ld, scratch);
-        let mut co = 0;
-        while co < c_out {
-            let (width, nv) = tile(c_out - co);
-            let mut t = 0;
-            while t < sh.kk {
-                let at = (t, co);
-                t += match (nv, sh.kk - t) {
-                    (0, 6..) => super::avx2::wgrad_tile::<6, 1>(ops, dw_t, at),
-                    (0, 3..) => super::avx2::wgrad_tile::<3, 1>(ops, dw_t, at),
-                    (0, _) => super::avx2::wgrad_tile::<1, 1>(ops, dw_t, at),
-                    (1, 8..) => wgrad_tile::<8, 1>(ops, dw_t, at),
-                    (1, 4..) => wgrad_tile::<4, 1>(ops, dw_t, at),
-                    (1, _) => wgrad_tile::<1, 1>(ops, dw_t, at),
-                    (_, 4..) => wgrad_tile::<4, 2>(ops, dw_t, at),
-                    _ => wgrad_tile::<1, 2>(ops, dw_t, at),
-                };
-            }
-            co += width;
-        }
+/// Stores the first `live` lanes of the by-value vector `lanes` to
+/// `dst`: one whole-vector write when that is every lane, else a copy
+/// out of line. Any lane-wise use of a tile's vector in line — a store
+/// through a reference with a runtime length, a per-lane select —
+/// splits the tile out of its vector registers.
+#[inline(always)]
+fn store<const L: usize>(dst: &mut [f32], lanes: [f32; L], live: usize) {
+    match dst.first_chunk_mut::<L>() {
+        Some(whole) if live == L => *whole = lanes,
+        _ => store_part(dst, &lanes, live),
     }
+}
 
-    /// Taps `t0..t0 + R` by output channels `co0..co0 + 16·NV` (those
-    /// below `c_out` stored); returns `R`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn wgrad_tile<const R: usize, const NV: usize>(
-        ops: WgradOps,
-        dw_t: &mut [f32],
-        (t0, co0): (usize, usize),
-    ) -> usize {
-        let sh = ops.sh;
-        // SAFETY (reads): `co0 + 16·NV <= ld`, so every vector lies in a
-        // row of `dYᵀ`; each tap's read lies in the (padded) image.
-        let xs: [*const f32; R] = ops.origins::<R>(t0).map(|at| ops.x.as_ptr().add(at));
-        let mut acc = [[_mm512_setzero_ps(); NV]; R];
-        let mut bp = ops.dyt.as_ptr().add(co0);
-        for oy in 0..sh.oh {
-            let mut off = oy * sh.stride * ops.row;
-            for _ in 0..sh.ow {
-                let bv: [__m512; NV] = std::array::from_fn(|v| _mm512_loadu_ps(bp.add(v * L)));
-                for (ar, &xp) in acc.iter_mut().zip(&xs) {
-                    let xv = _mm512_set1_ps(*xp.add(off));
-                    for (a, &b) in ar.iter_mut().zip(&bv) {
-                        *a = _mm512_add_ps(*a, _mm512_mul_ps(xv, b));
-                    }
-                }
-                off += sh.stride;
-                bp = bp.wrapping_add(ops.ld);
-            }
+#[cold]
+#[inline(never)]
+fn store_part<const L: usize>(dst: &mut [f32], lanes: &[f32; L], live: usize) {
+    dst[..live].copy_from_slice(&lanes[..live]);
+}
+
+/// The entry points of one backend: `$l` lanes, `$n` on weight-gradient
+/// tiles of at most `$n` channels, flat input-gradient groups of `$v`
+/// vectors, and the pixel route on `$panel`.
+macro_rules! conv_grad_backend {
+    ($feature:tt, $l:literal, $n:literal, $v:literal, $panel:expr) => {
+        target_build! { $feature;
+            fn conv_input_grad(
+                dy: &[f32],
+                c_out: usize,
+                weight: &[f32],
+                c_in: usize,
+                h: usize,
+                w: usize,
+                geom: ConvGeometry,
+                dx: &mut [f32],
+                scratch: &mut Vec<f32>,
+            ) = super::input_grad::<$l, $v>, $panel;
+            fn conv_weight_grad(
+                img: &[f32],
+                c_in: usize,
+                h: usize,
+                w: usize,
+                geom: ConvGeometry,
+                dy: &[f32],
+                c_out: usize,
+                dw_t: &mut [f32],
+                scratch: &mut Vec<f32>,
+            ) = super::weight_grad::<$l, $n>;
         }
-        for (r, ar) in acc.iter().enumerate() {
-            for (v, &a) in ar.iter().enumerate() {
-                let live = low_bits(sh.c_out.saturating_sub(co0 + v * L).min(L)) as __mmask16;
-                if live != 0 {
-                    // SAFETY: the live lanes are elements of row `t0 + r`
-                    // of `dWᵀ`.
-                    let dst = dw_t.as_mut_ptr().add((t0 + r) * sh.c_out + co0 + v * L);
-                    _mm512_mask_storeu_ps(dst, live, a);
-                }
-            }
-        }
-        R
-    }
+    };
+}
+
+/// The baseline build of both kernels, four lanes wide. Public for the
+/// bit-identity suite.
+pub mod portable {
+    use super::*;
+    conv_grad_backend!(portable, 4, 4, 1, crate::simd::portable::gemm_panel::<true>);
+}
+
+/// The AVX2 build of both kernels, eight lanes wide. Public for the
+/// bit-identity suite.
+#[cfg(target_arch = "x86_64")]
+pub mod avx2 {
+    use super::*;
+    conv_grad_backend!("avx2", 8, 8, 1, crate::simd::avx2::gemm_panel::<true>);
+}
+
+/// The AVX-512 build of both kernels, sixteen lanes wide (eight on
+/// tiles of at most eight channels). Public for the bit-identity suite.
+#[cfg(target_arch = "x86_64")]
+pub mod avx512 {
+    use super::*;
+    conv_grad_backend!("avx512f", 16, 8, 2, crate::simd::avx512::gemm_panel::<true>);
 }

@@ -5,9 +5,9 @@
 //! the inner loop is a SAXPY over a row of `B` (dispatched through
 //! [`crate::simd`]: 16-lane AVX-512 or 8-lane AVX2 where available, a
 //! bit-identical portable fallback otherwise), each loaded
-//! `B` row feeds [`MR`] consecutive `C` rows (quartering `B` traffic versus
+//! `B` row feeds `MR` consecutive `C` rows (quartering `B` traffic versus
 //! the classic one-row loop), and the reduction dimension is split into
-//! [`KC`]-sized panels so the active slab of `B` stays cache-resident. The
+//! `KC`-sized panels so the active slab of `B` stays cache-resident. The
 //! first `k` step of a `C` row *writes* instead of accumulating, so `C` is
 //! not zero-filled in a separate pass, and the conv bias epilogue is folded
 //! into the final `k` step ([`gemm_bias`]) instead of a second sweep.

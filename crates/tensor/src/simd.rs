@@ -3,19 +3,22 @@
 //! Every hot elementwise loop in the engine — the fake-quantization grid
 //! snap, the straight-through-estimator mask, batch-norm's
 //! normalize/backward maps, the softmax epilogue and the SGD update —
-//! and the GEMM panel route through this module. Three backends
-//! implement the GEMM panel, two every other operation:
+//! and the GEMM panel route through this module. Each kernel has one
+//! body, written once in portable Rust; the three backends are that
+//! body compiled three ways:
 //!
-//! * **AVX-512** (`x86_64`, runtime-detected): the 16-lane GEMM panel
-//!   ([`avx512::gemm_panel`]); the elementwise maps and folds run their
-//!   AVX2 build under it.
-//! * **AVX2** (`x86_64`, selected at runtime via
-//!   `is_x86_feature_detected!`): the register-tiled 8-wide GEMM panel
-//!   in `std::arch` intrinsics, and the portable source of every
-//!   elementwise map and fold compiled again with the `avx2` target
-//!   feature enabled.
-//! * **Portable**: plain scalar loops — the one body of each map and
-//!   fold, and the three-phase GEMM panel.
+//! * **AVX-512** (`x86_64`, runtime-detected): every body compiled with
+//!   `avx512f` enabled, the GEMM panel's register tile at sixteen lanes.
+//! * **AVX2** (`x86_64`, runtime-detected): every body compiled with
+//!   `avx2` enabled, the GEMM panel's tile at eight lanes.
+//! * **Portable**: the baseline build, the GEMM panel's tile at four
+//!   lanes.
+//!
+//! One macro, `target_build!`, emits a vector backend's entry points:
+//! for each listed signature an `unsafe fn` under `#[target_feature]`
+//! that calls the `#[inline(always)]` body, so the compiler builds that
+//! source in place for the feature. [`crate::conv_grad`] builds its
+//! kernels the same way, and one `dispatch!` picks a backend for both.
 //!
 //! All paths are **bit-identical** on every input, NaN and ±0 included,
 //! which keeps every result thread-count- and dispatch-invariant (the
@@ -23,15 +26,14 @@
 //!
 //! 1. Every lane operation is exactly rounded per IEEE 754 or fully
 //!    specified bitwise, so a vector op produces the same bits as the
-//!    scalar ops it replaces. The maps and folds use no operation whose
+//!    scalar ops it replaces. The bodies use no operation whose
 //!    result Rust leaves unspecified: `f32::max`/`f32::min` may return
 //!    either zero for `max(-0.0, 0.0)`, so max is written
 //!    `if a > b { a } else { b }` and min `if a < b { a } else { b }` —
 //!    exactly `MAXPS`/`MINPS`, whatever width the compiler picks.
 //! 2. **No FMA contraction**: Rust never contracts `a * b + c` into a
-//!    fused multiply-add, and the intrinsic GEMM panels multiply and add
-//!    as separate instructions, so multiply-then-add stays two exactly
-//!    rounded steps everywhere.
+//!    fused multiply-add, so multiply-then-add stays two exactly
+//!    rounded steps in every build.
 //! 3. Accumulation order never changes: lanes map 1:1 onto output
 //!    elements (no horizontal reductions on accumulation paths), and
 //!    the only folds ([`fold_max`]/[`fold_max_abs`]) spell out an
@@ -45,16 +47,13 @@
 //! The integer sibling of this module is [`crate::int2`]: the bit-packed
 //! popcount GEMM reuses the same [`Backend`]/override dispatch scheme,
 //! but gets cross-backend bit-identity for free from integer arithmetic
-//! instead of the rules above. A kernel whose lanes map 1:1 onto outputs
-//! computes the same bits at any width — the GEMM panel here, the
-//! stem's f32 conv ([`crate::int2::conv_f32_acc`]) and the conv
-//! backward ([`crate::conv_grad`]) run sixteen on AVX-512.
+//! instead of the rules above, and keeps hand-written intrinsic bodies.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Lanes of one AVX2 vector: the AVX2 GEMM panel's tile unit, and the
-/// accumulator count the two max folds spell out in their one source,
-/// so every build of them reduces in the same order.
+/// The accumulator count the two max folds spell out in their one
+/// source, so every build of them reduces in the same order (eight, the
+/// lanes of one AVX2 vector).
 pub const LANES: usize = 8;
 
 /// Which implementation services the dispatched entry points, best
@@ -63,12 +62,11 @@ pub const LANES: usize = 8;
 pub enum Backend {
     /// AVX-512 with `VPOPCNTDQ` (x86-64 only, runtime-detected): the
     /// [`crate::int2`] kernels count 64-bit lanes natively, and the f32
-    /// GEMM panel and conv backward run sixteen lanes. The elementwise
-    /// maps and folds of this module run their AVX2 build under it (an
-    /// AVX-512F build of the same source would compute the same bits).
+    /// kernels of this module and of [`crate::conv_grad`] run their
+    /// `avx512f` build, sixteen lanes wide.
     Avx512,
-    /// AVX2 (x86-64 only, runtime-detected): 8-wide intrinsic GEMM panel,
-    /// and the portable maps and folds compiled for AVX2.
+    /// AVX2 (x86-64 only, runtime-detected): the f32 kernels' `avx2`
+    /// build, eight lanes wide.
     Avx2,
     /// Scalar fallback; bit-identical to AVX2.
     Portable,
@@ -180,21 +178,63 @@ pub fn override_backend(backend: Option<Backend>) {
     BACKEND.set(backend);
 }
 
+/// Calls kernel `$name` of the active backend's module — `avx512`,
+/// `avx2` or `portable`, resolved where the macro is invoked, so every
+/// f32 kernel family dispatches through this one match.
 macro_rules! dispatch {
-    ($name:ident($($arg:expr),*)) => {
-        match active_backend() {
-            #[cfg(target_arch = "x86_64")]
+    ($name:ident $(::<$($gen:tt),*>)? ($($arg:expr),* $(,)?)) => {
+        match $crate::simd::active_backend() {
             // SAFETY: `active_backend` only reports a vector backend
-            // after runtime feature detection (or an override that
-            // re-checked it), and AVX-512 hosts have AVX2: the
-            // elementwise maps and folds have only an AVX2 build.
-            Backend::Avx512 | Backend::Avx2 => unsafe { avx2::$name($($arg),*) },
+            // after runtime detection of every CPU feature its bodies
+            // enable (or an override that re-checked them).
+            #[cfg(target_arch = "x86_64")]
+            $crate::simd::Backend::Avx512 => unsafe { avx512::$name $(::<$($gen),*>)? ($($arg),*) },
+            #[cfg(target_arch = "x86_64")]
+            $crate::simd::Backend::Avx2 => unsafe { avx2::$name $(::<$($gen),*>)? ($($arg),*) },
             #[cfg(not(target_arch = "x86_64"))]
-            Backend::Avx512 | Backend::Avx2 => portable::$name($($arg),*),
-            Backend::Portable => portable::$name($($arg),*),
+            $crate::simd::Backend::Avx512 | $crate::simd::Backend::Avx2 => {
+                portable::$name $(::<$($gen),*>)? ($($arg),*)
+            }
+            $crate::simd::Backend::Portable => portable::$name $(::<$($gen),*>)? ($($arg),*),
         }
     };
 }
+pub(crate) use dispatch;
+
+/// Emits one backend's entry points: for each listed signature a `pub`
+/// function that calls the `#[inline(always)]` body after `=` with the
+/// same arguments, then any expressions listed after the body, so that
+/// one source is compiled in place for the backend. Under a feature
+/// name each is an `unsafe fn` with `#[target_feature(enable = ...)]`;
+/// under `portable` it is the safe baseline build.
+macro_rules! target_build {
+    (portable; $(
+        fn $name:ident $(<$(const $g:ident: $gt:ty),*>)? ($($arg:ident: $ty:ty),* $(,)?)
+            = $body:expr $(, $extra:expr)*;
+    )*) => {$(
+        /// The one body, compiled for the baseline target.
+        #[allow(clippy::too_many_arguments)]
+        pub fn $name $(<$(const $g: $gt),*>)? ($($arg: $ty),*) {
+            $body($($arg,)* $($extra),*)
+        }
+    )*};
+    ($feature:literal; $(
+        fn $name:ident $(<$(const $g:ident: $gt:ty),*>)? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
+            = $body:expr $(, $extra:expr)*;
+    )*) => {$(
+        #[doc = concat!("The one body, compiled with `", $feature, "` enabled.")]
+        ///
+        /// # Safety
+        ///
+        /// Requires that CPU feature.
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = $feature)]
+        pub unsafe fn $name $(<$(const $g: $gt),*>)? ($($arg: $ty),*) $(-> $ret)? {
+            $body($($arg,)* $($extra),*)
+        }
+    )*};
+}
+pub(crate) use target_build;
 
 /// Fake-quantizes in place: `v = clamp(round(v / scale), lo, hi) * scale`
 /// with round-half-away-from-zero (exactly `f32::round`) and clamp
@@ -292,26 +332,15 @@ pub fn fold_max_abs(init: f32, xs: &[f32]) -> f32 {
 
 /// The `A` element feeding output row `row` at reduction step `kk`:
 /// `a[row*lda + kk]` for row-major `A` or, with `TRANS`, `a[kk*lda + row]`
-/// for the transposed layout the backward passes use.
-#[inline(always)]
-fn a_elem<const TRANS: bool>(a: &[f32], lda: usize, row: usize, kk: usize) -> f32 {
-    if TRANS {
-        a[kk * lda + row]
-    } else {
-        a[row * lda + kk]
-    }
-}
-
-/// Unchecked [`a_elem`] for the vector panels: their preconditions
-/// guarantee the index is in bounds, and the checked form's
-/// `lea/cmp/jae` per `A` load otherwise sits in the middle of the
+/// for the transposed layout the backward passes use. Unchecked: a
+/// bounds check's `lea/cmp/jae` per load would sit in the middle of the
 /// port-bound k-loop.
 ///
 /// # Safety
-/// `row`/`kk` must address a valid element of `a` under `lda`.
-#[cfg(target_arch = "x86_64")]
+/// `row`/`kk` must address an element of `a` under `lda`, as
+/// [`gemm_tile`]'s entry asserts establish for its whole panel.
 #[inline(always)]
-unsafe fn a_elem_raw<const TRANS: bool>(a: &[f32], lda: usize, row: usize, kk: usize) -> f32 {
+unsafe fn a_elem<const TRANS: bool>(a: &[f32], lda: usize, row: usize, kk: usize) -> f32 {
     let idx = if TRANS { kk * lda + row } else { row * lda + kk };
     debug_assert!(idx < a.len());
     *a.get_unchecked(idx)
@@ -338,17 +367,14 @@ unsafe fn a_elem_raw<const TRANS: bool>(a: &[f32], lda: usize, row: usize, kk: u
 /// unchanged. Only a zero times a non-finite `B` element differs from a
 /// skip: it makes the element NaN.
 ///
-/// The vector backends keep the accumulators in registers across the
-/// whole `k` sweep (AVX2: column tiles of 16/8 plus a scalar tail;
-/// AVX-512: tiles of 32/16 plus one masked tile), which is where the
-/// GEMM speedup lives; the portable backend is the plain three-phase SAXPY
-/// loop. All apply the exact same exactly-rounded operation sequence per
-/// element, so they agree bit for bit.
+/// Every backend runs one body, `gemm_tile`, at its own lane width.
 ///
 /// # Panics
 ///
-/// Panics (in debug) when `c` is not `rr * n` long or `rr` is outside
-/// `1..=4`.
+/// Panics when `c` is not `rr * n` long, `rr` is outside `1..=4`, `b`
+/// holds fewer than `k1` rows of `n`, the window `j0..j1` is not inside
+/// `0..n`, or (when a step and a column remain) `a` or `bias` lacks an
+/// element the panel reads.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_panel<const TRANS: bool>(
@@ -366,67 +392,245 @@ pub fn gemm_panel<const TRANS: bool>(
     init: bool,
     bias: Option<&[f32]>,
 ) {
-    debug_assert_eq!(c.len(), rr * n);
-    debug_assert!((1..=4).contains(&rr));
-    debug_assert!(b.len() >= k1 * n);
-    debug_assert!(j0 <= j1 && j1 <= n);
-    match active_backend() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `active_backend` only reports a vector backend after
-        // runtime feature detection (or an override that re-checked it).
-        Backend::Avx512 => unsafe {
-            avx512::gemm_panel::<TRANS>(c, n, rr, a, lda, gr, b, k0, k1, j0, j1, init, bias)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Backend::Avx2 => unsafe {
-            avx2::gemm_panel::<TRANS>(c, n, rr, a, lda, gr, b, k0, k1, j0, j1, init, bias)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        Backend::Avx512 | Backend::Avx2 => {
-            portable::gemm_panel::<TRANS>(c, n, rr, a, lda, gr, b, k0, k1, j0, j1, init, bias)
+    dispatch!(gemm_panel::<TRANS>(c, n, rr, a, lda, gr, b, k0, k1, j0, j1, init, bias))
+}
+
+/// The operands of one panel call, as every tile of it reads them.
+#[derive(Clone, Copy)]
+struct Panel<'a> {
+    n: usize,
+    a: &'a [f32],
+    lda: usize,
+    gr: usize,
+    b: &'a [f32],
+    k0: usize,
+    k1: usize,
+    init: bool,
+    bias: Option<&'a [f32]>,
+}
+
+/// The one body of [`gemm_panel`]: `RR x (NV·L)` register tiles whose
+/// accumulators stay in registers across the whole `k0..k1` sweep, so
+/// `C` is loaded and stored once per tile, and one `A` element feeds a
+/// whole tile row. Columns go in tiles of two `L`-lane vectors; the
+/// ragged end is one more tile whose last vector is shifted left to end
+/// inside the row (its lanes over columns already done are computed
+/// and dropped). A row narrower than `L` runs the same plan at `N`
+/// lanes, and one narrower than `N` a column at a time. Lanes map 1:1
+/// onto `C` elements and each element takes the per-element sequence
+/// of [`gemm_panel`], so every `L` gives the same bits.
+///
+/// The asserts at entry are the panel's preconditions; they make every
+/// unchecked load in the tiles sound.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_tile<const TRANS: bool, const L: usize, const N: usize>(
+    c: &mut [f32],
+    n: usize,
+    rr: usize,
+    a: &[f32],
+    lda: usize,
+    gr: usize,
+    b: &[f32],
+    k0: usize,
+    k1: usize,
+    j0: usize,
+    j1: usize,
+    init: bool,
+    bias: Option<&[f32]>,
+) {
+    // Checked products: a wrapped one could pass an assert and let a
+    // tile read out of bounds.
+    let holds = |len: usize, rows: usize, cols: usize| rows.checked_mul(cols).is_some_and(|l| len >= l);
+    assert!((1..=4).contains(&rr), "gemm_panel: rr must be in 1..=4");
+    assert!(holds(c.len(), rr, n) && c.len() == rr * n, "gemm_panel: c must hold rr rows of n");
+    assert!(holds(b.len(), k1, n), "gemm_panel: b must hold k1 rows of n");
+    assert!(j0 <= j1 && j1 <= n, "gemm_panel: columns j0..j1 must lie in 0..n");
+    if k0 >= k1 || j0 == j1 {
+        return;
+    }
+    // The last row and step address the largest `A` index read.
+    let row = gr.checked_add(rr - 1).expect("gemm_panel: gr + rr overflows");
+    let (major, minor) = if TRANS { (k1 - 1, row) } else { (row, k1 - 1) };
+    assert!(
+        holds(a.len(), major, lda) && a.len() - major * lda > minor,
+        "gemm_panel: a must hold rows gr..gr + rr"
+    );
+    assert!(bias.is_none_or(|bs| bs.len() > row), "gemm_panel: bias must hold rows gr..gr + rr");
+    let p = Panel { n, a, lda, gr, b, k0, k1, init, bias };
+    macro_rules! columns {
+        ($lanes:expr) => {
+            match rr {
+                4 => columns::<TRANS, 4, $lanes>(c, &p, j0, j1),
+                3 => columns::<TRANS, 3, $lanes>(c, &p, j0, j1),
+                2 => columns::<TRANS, 2, $lanes>(c, &p, j0, j1),
+                _ => columns::<TRANS, 1, $lanes>(c, &p, j0, j1),
+            }
+        };
+    }
+    if n >= L {
+        columns!(L)
+    } else if n >= N {
+        columns!(N)
+    } else {
+        columns!(1)
+    }
+}
+
+/// Columns `j0..j1` of the panel in tiles of `RR` rows by up to two
+/// `L`-lane vectors; needs `n >= L`. The ragged end is one tile whose
+/// last vector is shifted left if it would run past the row, and stores
+/// only the lanes from `j` on.
+#[inline(always)]
+fn columns<const TRANS: bool, const RR: usize, const L: usize>(
+    c: &mut [f32],
+    p: &Panel,
+    j0: usize,
+    j1: usize,
+) {
+    let mut j = j0;
+    while j + 2 * L <= j1 {
+        tile::<TRANS, RR, 2, L, false>(c, p, [j, j + L], (0, L));
+        j += 2 * L;
+    }
+    let left = j1 - j;
+    if left > L {
+        let at = (j + L).min(p.n - L);
+        tile::<TRANS, RR, 2, L, true>(c, p, [j, at], (j + L - at, j1 - at));
+    } else if left == L {
+        tile::<TRANS, RR, 1, L, false>(c, p, [j], (0, L));
+    } else if left > 0 {
+        let at = j.min(p.n - L);
+        tile::<TRANS, RR, 1, L, true>(c, p, [at], (j - at, j1 - at));
+    }
+}
+
+/// Expands `$body` once per index `$r` below `$rows` (at most eight), as
+/// straight-line code: LLVM leaves a loop over a tile of more than 64
+/// accumulator floats rolled, and a rolled loop keeps the tile in
+/// memory.
+macro_rules! each_row {
+    ($r:ident < $rows:expr, $body:block) => {
+        const { assert!($rows <= 8, "each_row! expands eight indices") };
+        $crate::simd::each_row!(@ $r < $rows, $body, 0 1 2 3 4 5 6 7)
+    };
+    (@ $r:ident < $rows:expr, $body:block, $($i:literal)*) => {$({
+        let $r: usize = $i;
+        if $r < $rows $body
+    })*};
+}
+pub(crate) use each_row;
+
+/// One register tile: vector `v` covers columns `at[v]..at[v] + L`;
+/// with `PART`, the last one stores only its lanes `keep.0..keep.1` (a
+/// read of the vector, a lane select, a whole write back), and its
+/// other lanes compute values nobody stores. Every vector lies inside
+/// its row of `C` and of `B`.
+#[inline(always)]
+fn tile<const TRANS: bool, const RR: usize, const NV: usize, const L: usize, const PART: bool>(
+    c: &mut [f32],
+    p: &Panel,
+    at: [usize; NV],
+    (lo, hi): (usize, usize),
+) {
+    let Panel { n, k0, k1, init, bias, .. } = *p;
+    // SAFETY (every unchecked access below): `at[v] + L <= n`,
+    // `b.len() >= k1·n` and `c.len() == RR·n`, so each vector lies in a
+    // row of `B` or of `C`; `gemm_tile`'s asserts cover `a` and `bias`
+    // for rows `gr..gr + RR` and steps `k0..k1`.
+    let b_row = |kk: usize| -> [[f32; L]; NV] {
+        std::array::from_fn(|v| unsafe { p.b.as_ptr().add(kk * n + at[v]).cast::<[f32; L]>().read_unaligned() })
+    };
+    let c = c.as_mut_ptr();
+    let c_at = |r: usize, v: usize| unsafe { c.add(r * n + at[v]).cast::<[f32; L]>() };
+    let a_at = |r: usize, kk: usize| unsafe { a_elem::<TRANS>(p.a, p.lda, p.gr + r, kk) };
+    let bias_at = |bs: &[f32], r: usize| unsafe { *bs.get_unchecked(p.gr + r) };
+    let last = if bias.is_some() { k1 - 1 } else { k1 };
+    let mut kk = k0;
+    let mut acc = [[[0.0f32; L]; NV]; RR];
+    if init {
+        let bv = b_row(kk);
+        each_row!(r < RR, {
+            let ar = a_at(r, kk);
+            lanes(&mut acc[r], |v, l, x| *x = 0.0 + ar * bv[v][l]);
+        });
+        if kk == last {
+            let bs = bias.expect("bias step");
+            each_row!(r < RR, {
+                let br = bias_at(bs, r);
+                lanes(&mut acc[r], |_, _, x| *x += br);
+            });
         }
-        Backend::Portable => {
-            portable::gemm_panel::<TRANS>(c, n, rr, a, lda, gr, b, k0, k1, j0, j1, init, bias)
+        kk += 1;
+    } else {
+        each_row!(r < RR, {
+            for (v, row) in acc[r].iter_mut().enumerate() {
+                // SAFETY: as above.
+                *row = unsafe { c_at(r, v).read_unaligned() };
+            }
+        });
+    }
+    while kk < last {
+        let bv = b_row(kk);
+        each_row!(r < RR, {
+            let ar = a_at(r, kk);
+            lanes(&mut acc[r], |v, l, x| *x += ar * bv[v][l]);
+        });
+        kk += 1;
+    }
+    if kk < k1 {
+        let bs = bias.expect("bias step");
+        let bv = b_row(kk);
+        each_row!(r < RR, {
+            let (ar, br) = (a_at(r, kk), bias_at(bs, r));
+            lanes(&mut acc[r], |v, l, x| *x = (*x + ar * bv[v][l]) + br);
+        });
+    }
+    // The lanes the last vector stores, as one vector select.
+    let mut keep = [true; L];
+    if PART {
+        for (l, k) in keep.iter_mut().enumerate() {
+            *k = lo <= l && l < hi;
+        }
+    }
+    each_row!(r < RR, {
+        each_row!(v < NV, {
+            let mut out = acc[r][v];
+            if PART && v == NV - 1 {
+                // SAFETY: as above.
+                let old = unsafe { c_at(r, v).read_unaligned() };
+                for ((o, &x), &k) in out.iter_mut().zip(&old).zip(&keep) {
+                    *o = if k { *o } else { x };
+                }
+            }
+            // SAFETY: as above.
+            unsafe { c_at(r, v).write_unaligned(out) };
+        });
+    });
+}
+
+/// Applies `f(v, l, lane)` to every lane of one tile row, as
+/// constant-bound index loops the compiler unrolls into vector ops.
+#[inline(always)]
+fn lanes<const NV: usize, const L: usize>(
+    row: &mut [[f32; L]; NV],
+    mut f: impl FnMut(usize, usize, &mut f32),
+) {
+    for (v, vector) in row.iter_mut().enumerate() {
+        for (l, x) in vector.iter_mut().enumerate() {
+            f(v, l, x);
         }
     }
 }
 
 /// The portable backend: the one body of every elementwise map and fold
-/// (the AVX2 backend compiles these same functions for AVX2), plus the
-/// scalar GEMM panel. Elementwise maps carry no cross-lane state; the two
-/// folds keep an explicit [`LANES`]-accumulator structure so that any
-/// vector width the compiler chooses reduces in the same order.
+/// (the vector backends compile these same functions for their
+/// features), and the baseline build of the GEMM panel. Elementwise
+/// maps carry no cross-lane state; the two folds keep an explicit
+/// [`LANES`]-accumulator structure so that any vector width the
+/// compiler chooses reduces in the same order.
 pub mod portable {
     use super::LANES;
-
-    #[inline]
-    fn axpy_init(c: &mut [f32], a: f32, b: &[f32]) {
-        for (cv, &bv) in c.iter_mut().zip(b) {
-            *cv = 0.0 + a * bv;
-        }
-    }
-
-    #[inline]
-    fn axpy(c: &mut [f32], a: f32, b: &[f32]) {
-        for (cv, &bv) in c.iter_mut().zip(b) {
-            *cv += a * bv;
-        }
-    }
-
-    #[inline]
-    fn axpy_init_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
-        for (cv, &bv) in c.iter_mut().zip(b) {
-            *cv = (0.0 + a * bv) + bias;
-        }
-    }
-
-    #[inline]
-    fn axpy_bias(c: &mut [f32], a: f32, b: &[f32], bias: f32) {
-        for (cv, &bv) in c.iter_mut().zip(b) {
-            *cv = (*cv + a * bv) + bias;
-        }
-    }
 
     /// `a > b ? a : b`, the `MAXPS` lane op: `b` whenever `a > b` is
     /// false, so its result is specified at a ±0 tie and at NaN, where
@@ -549,469 +753,94 @@ pub mod portable {
         fold_select_max(init, xs, f32::abs)
     }
 
-    /// Portable [`super::gemm_panel`]: three straight-line phases — the
-    /// write step, the SAXPY middle, and the bias step — so the hot loops
-    /// carry no per-step dispatch.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn gemm_panel<const TRANS: bool>(
-        c: &mut [f32],
-        n: usize,
-        rr: usize,
-        a: &[f32],
-        lda: usize,
-        gr: usize,
-        b: &[f32],
-        k0: usize,
-        k1: usize,
-        j0: usize,
-        j1: usize,
-        init: bool,
-        bias: Option<&[f32]>,
-    ) {
-        let mut it = c.chunks_exact_mut(n);
-        macro_rules! run {
-            ($RR:literal) => {{
-                let mut rows: [&mut [f32]; $RR] =
-                    std::array::from_fn(|_| &mut it.next().expect("rr rows of C")[j0..j1]);
-                let mut kk = k0;
-                let last = if bias.is_some() { k1 - 1 } else { k1 };
-                if init && kk < k1 {
-                    let b_row = &b[kk * n + j0..kk * n + j1];
-                    if kk == last {
-                        let bs = bias.expect("bias step");
-                        for (r, row) in rows.iter_mut().enumerate() {
-                            axpy_init_bias(row, super::a_elem::<TRANS>(a, lda, gr + r, kk), b_row, bs[gr + r]);
-                        }
-                    } else {
-                        for (r, row) in rows.iter_mut().enumerate() {
-                            axpy_init(row, super::a_elem::<TRANS>(a, lda, gr + r, kk), b_row);
-                        }
-                    }
-                    kk += 1;
-                }
-                while kk < last {
-                    let b_row = &b[kk * n + j0..kk * n + j1];
-                    for (r, row) in rows.iter_mut().enumerate() {
-                        axpy(row, super::a_elem::<TRANS>(a, lda, gr + r, kk), b_row);
-                    }
-                    kk += 1;
-                }
-                if kk < k1 {
-                    let b_row = &b[kk * n + j0..kk * n + j1];
-                    let bs = bias.expect("bias step");
-                    for (r, row) in rows.iter_mut().enumerate() {
-                        axpy_bias(row, super::a_elem::<TRANS>(a, lda, gr + r, kk), b_row, bs[gr + r]);
-                    }
-                }
-            }};
-        }
-        match rr {
-            4 => run!(4),
-            3 => run!(3),
-            2 => run!(2),
-            _ => run!(1),
-        }
+    target_build! { portable;
+        fn gemm_panel<const TRANS: bool>(
+            c: &mut [f32],
+            n: usize,
+            rr: usize,
+            a: &[f32],
+            lda: usize,
+            gr: usize,
+            b: &[f32],
+            k0: usize,
+            k1: usize,
+            j0: usize,
+            j1: usize,
+            init: bool,
+            bias: Option<&[f32]>,
+        ) = super::gemm_tile::<TRANS, 4, 4>;
     }
 }
 
-/// The AVX2 backend. Every function is `unsafe` because it requires the
-/// `avx2` target feature at runtime; the dispatcher (and any direct
-/// caller, e.g. the bit-identity tests) must verify it first via
-/// `is_x86_feature_detected!("avx2")`.
-///
-/// The elementwise maps and folds are the portable bodies compiled again
-/// with AVX2 enabled: the same source, so the same bits. The GEMM panel is
-/// hand-tiled in intrinsics, multiplication and addition always separate
-/// — never `_mm256_fmadd_ps` — so every intermediate rounds exactly like
-/// the portable panel's scalar ops.
+/// The entry points of one vector backend, `$lanes` lanes wide: the
+/// maps and folds of [`portable`], and the GEMM panel's tile at
+/// `$lanes` lanes (eight on rows narrower than that: a half-masked
+/// 512-bit op loses to a full 256-bit one).
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_macros))]
+macro_rules! vector_backend {
+    ($feature:literal, $lanes:literal) => {
+        target_build! { $feature;
+            fn fake_quant_slice(v: &mut [f32], scale: f32, lo: f32, hi: f32)
+                = super::portable::fake_quant_slice;
+            fn range_mask_slice(mask: &mut [f32], x: &[f32], lo: f32, hi: f32)
+                = super::portable::range_mask_slice;
+            fn normalize_affine(out: &mut [f32], src: &[f32], mean: f32, inv_std: f32, g: f32, b: f32)
+                = super::portable::normalize_affine;
+            fn normalize_affine_xhat(
+                out: &mut [f32],
+                xhat: &mut [f32],
+                src: &[f32],
+                mean: f32,
+                inv_std: f32,
+                g: f32,
+                b: f32,
+            ) = super::portable::normalize_affine_xhat;
+            fn bn_backward_dx(
+                dx: &mut [f32],
+                dy: &[f32],
+                xhat: &[f32],
+                coeff: f32,
+                count: f32,
+                sum_dy: f32,
+                sum_dy_xhat: f32,
+            ) = super::portable::bn_backward_dx;
+            fn sgd_update(w: &mut [f32], g: &[f32], v: &mut [f32], lr: f32, momentum: f32, wd: f32)
+                = super::portable::sgd_update;
+            fn div_scalar(x: &mut [f32], d: f32) = super::portable::div_scalar;
+            fn fold_max(init: f32, xs: &[f32]) -> f32 = super::portable::fold_max;
+            fn fold_max_abs(init: f32, xs: &[f32]) -> f32 = super::portable::fold_max_abs;
+            fn gemm_panel<const TRANS: bool>(
+                c: &mut [f32],
+                n: usize,
+                rr: usize,
+                a: &[f32],
+                lda: usize,
+                gr: usize,
+                b: &[f32],
+                k0: usize,
+                k1: usize,
+                j0: usize,
+                j1: usize,
+                init: bool,
+                bias: Option<&[f32]>,
+            ) = super::gemm_tile::<TRANS, $lanes, 8>;
+        }
+    };
+}
+
+/// The AVX2 backend: every body compiled with `avx2` enabled. Public
+/// for the bit-identity suite; the caller must verify the feature.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::{a_elem_raw, LANES};
-    use std::arch::x86_64::*;
-
-    /// Emits, for each listed signature, an AVX2-enabled entry point that
-    /// calls the `#[inline(always)]` portable body of the same name, so
-    /// that body is compiled for AVX2 in place.
-    macro_rules! avx2_build {
-        ($(fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {$(
-            /// The portable body of the same name, compiled for AVX2.
-            ///
-            /// # Safety
-            /// Requires AVX2.
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx2")]
-            pub unsafe fn $name($($arg: $ty),*) $(-> $ret)? {
-                super::portable::$name($($arg),*)
-            }
-        )*};
-    }
-
-    avx2_build! {
-        fn fake_quant_slice(v: &mut [f32], scale: f32, lo: f32, hi: f32);
-        fn range_mask_slice(mask: &mut [f32], x: &[f32], lo: f32, hi: f32);
-        fn normalize_affine(out: &mut [f32], src: &[f32], mean: f32, inv_std: f32, g: f32, b: f32);
-        fn normalize_affine_xhat(
-            out: &mut [f32],
-            xhat: &mut [f32],
-            src: &[f32],
-            mean: f32,
-            inv_std: f32,
-            g: f32,
-            b: f32,
-        );
-        fn bn_backward_dx(
-            dx: &mut [f32],
-            dy: &[f32],
-            xhat: &[f32],
-            coeff: f32,
-            count: f32,
-            sum_dy: f32,
-            sum_dy_xhat: f32,
-        );
-        fn sgd_update(w: &mut [f32], g: &[f32], v: &mut [f32], lr: f32, momentum: f32, wd: f32);
-        fn div_scalar(x: &mut [f32], d: f32);
-        fn fold_max(init: f32, xs: &[f32]) -> f32;
-        fn fold_max_abs(init: f32, xs: &[f32]) -> f32;
-    }
-
-    /// AVX2 [`super::gemm_panel`]: register-tiled. Columns are walked in
-    /// tiles of 16 (two vectors per row) then 8, with the `C` accumulators
-    /// held in registers across the entire `k0..k1` sweep — `C` is loaded
-    /// and stored once per tile instead of once per `k` step, and one
-    /// broadcast `A` element feeds a full tile row. Remaining columns run
-    /// the scalar per-element sequence. Lanes map 1:1 onto `C` elements
-    /// and every element still accumulates mul-then-add in ascending-`k`
-    /// order, so the result is bit-identical to the portable panel.
-    ///
-    /// # Safety
-    /// Requires AVX2. `c.len() == rr * n`, `rr` in `1..=4`,
-    /// `b.len() >= k1 * n`, `bias` (when present) indexable at
-    /// `gr + rr - 1`, and `a` indexable per [`super::a_elem`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_panel<const TRANS: bool>(
-        c: &mut [f32],
-        n: usize,
-        rr: usize,
-        a: &[f32],
-        lda: usize,
-        gr: usize,
-        b: &[f32],
-        k0: usize,
-        k1: usize,
-        j0: usize,
-        j1: usize,
-        init: bool,
-        bias: Option<&[f32]>,
-    ) {
-        match rr {
-            4 => panel_rr::<TRANS, 4>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
-            3 => panel_rr::<TRANS, 3>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
-            2 => panel_rr::<TRANS, 2>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
-            _ => panel_rr::<TRANS, 1>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn panel_rr<const TRANS: bool, const RR: usize>(
-        c: &mut [f32],
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        gr: usize,
-        b: &[f32],
-        k0: usize,
-        k1: usize,
-        j0: usize,
-        j1: usize,
-        init: bool,
-        bias: Option<&[f32]>,
-    ) {
-        let mut j = j0;
-        while j + 2 * LANES <= j1 {
-            tile::<TRANS, RR, 2>(c, n, a, lda, gr, b, k0, k1, init, bias, j);
-            j += 2 * LANES;
-        }
-        if j + LANES <= j1 {
-            tile::<TRANS, RR, 1>(c, n, a, lda, gr, b, k0, k1, init, bias, j);
-            j += LANES;
-        }
-        // Scalar tail columns: the same per-element phase sequence, with
-        // the `RR` per-row accumulators carried together (k outermost) so
-        // the rows' add chains interleave instead of serializing.
-        let last = if bias.is_some() { k1 - 1 } else { k1 };
-        for jj in j..j1 {
-            let mut kk = k0;
-            let mut acc_s: [f32; RR];
-            if init && kk < k1 {
-                let bv = *b.get_unchecked(kk * n + jj);
-                acc_s = std::array::from_fn(|r| {
-                    0.0 + a_elem_raw::<TRANS>(a, lda, gr + r, kk) * bv
-                });
-                if kk == last {
-                    let bs = bias.expect("bias step");
-                    for (r, v) in acc_s.iter_mut().enumerate() {
-                        *v += *bs.get_unchecked(gr + r);
-                    }
-                }
-                kk += 1;
-            } else {
-                acc_s = std::array::from_fn(|r| *c.get_unchecked(r * n + jj));
-            }
-            while kk < last {
-                let bv = *b.get_unchecked(kk * n + jj);
-                for (r, v) in acc_s.iter_mut().enumerate() {
-                    *v += a_elem_raw::<TRANS>(a, lda, gr + r, kk) * bv;
-                }
-                kk += 1;
-            }
-            if kk < k1 {
-                let bs = bias.expect("bias step");
-                let bv = *b.get_unchecked(kk * n + jj);
-                for (r, v) in acc_s.iter_mut().enumerate() {
-                    let ar = a_elem_raw::<TRANS>(a, lda, gr + r, kk);
-                    *v = (*v + ar * bv) + *bs.get_unchecked(gr + r);
-                }
-            }
-            for (r, &v) in acc_s.iter().enumerate() {
-                *c.get_unchecked_mut(r * n + jj) = v;
-            }
-        }
-    }
-
-    /// One `RR x (NV*8)` register tile of `C` starting at column `j`,
-    /// swept over `k0..k1` entirely in registers.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn tile<const TRANS: bool, const RR: usize, const NV: usize>(
-        c: &mut [f32],
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        gr: usize,
-        b: &[f32],
-        k0: usize,
-        k1: usize,
-        init: bool,
-        bias: Option<&[f32]>,
-        j: usize,
-    ) {
-        let last = if bias.is_some() { k1 - 1 } else { k1 };
-        let mut kk = k0;
-        let mut acc: [[__m256; NV]; RR];
-        if init && kk < k1 {
-            let zero = _mm256_setzero_ps();
-            let bv: [__m256; NV] =
-                std::array::from_fn(|v| _mm256_loadu_ps(b.as_ptr().add(kk * n + j + v * LANES)));
-            acc = std::array::from_fn(|r| {
-                let ar = _mm256_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
-                std::array::from_fn(|v| _mm256_add_ps(zero, _mm256_mul_ps(ar, bv[v])))
-            });
-            if kk == last {
-                let bs = bias.expect("bias step");
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let vb = _mm256_set1_ps(*bs.get_unchecked(gr + r));
-                    for lane in row.iter_mut() {
-                        *lane = _mm256_add_ps(*lane, vb);
-                    }
-                }
-            }
-            kk += 1;
-        } else {
-            acc = std::array::from_fn(|r| {
-                std::array::from_fn(|v| _mm256_loadu_ps(c.as_ptr().add(r * n + j + v * LANES)))
-            });
-        }
-        while kk < last {
-            let bv: [__m256; NV] =
-                std::array::from_fn(|v| _mm256_loadu_ps(b.as_ptr().add(kk * n + j + v * LANES)));
-            for (r, row) in acc.iter_mut().enumerate() {
-                let var = _mm256_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
-                for (lane, &bvv) in row.iter_mut().zip(bv.iter()) {
-                    *lane = _mm256_add_ps(*lane, _mm256_mul_ps(var, bvv));
-                }
-            }
-            kk += 1;
-        }
-        if kk < k1 {
-            let bs = bias.expect("bias step");
-            let bv: [__m256; NV] =
-                std::array::from_fn(|v| _mm256_loadu_ps(b.as_ptr().add(kk * n + j + v * LANES)));
-            for (r, row) in acc.iter_mut().enumerate() {
-                let var = _mm256_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
-                let vb = _mm256_set1_ps(*bs.get_unchecked(gr + r));
-                for (lane, &bvv) in row.iter_mut().zip(bv.iter()) {
-                    *lane = _mm256_add_ps(_mm256_add_ps(*lane, _mm256_mul_ps(var, bvv)), vb);
-                }
-            }
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (v, &lane) in row.iter().enumerate() {
-                _mm256_storeu_ps(c.as_mut_ptr().add(r * n + j + v * LANES), lane);
-            }
-        }
-    }
+    vector_backend!("avx2", 8);
 }
 
-/// The AVX-512 backend: the sixteen-lane GEMM panel. Its operation
-/// sequence per element is the AVX2 panel's — mul then add as separate
-/// intrinsics, never `_mm512_fmadd_ps` — so it agrees with the other
-/// backends bit for bit.
+/// The AVX-512 backend: every body compiled with `avx512f` enabled.
+/// Public for the bit-identity suite; the caller must verify the
+/// feature.
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
-    use super::a_elem_raw;
-    use std::arch::x86_64::*;
-
-    /// Lanes of one vector.
-    const W: usize = 16;
-
-    /// AVX-512 [`super::gemm_panel`]: register tiles of 32 columns (two
-    /// vectors per row), then 16-column tiles whose last one is masked
-    /// to the ragged end, so no column runs scalar. The `C` accumulators
-    /// stay in registers across the whole `k0..k1` sweep, as in the
-    /// AVX2 panel.
-    ///
-    /// # Safety
-    /// Requires AVX-512F. `c.len() == rr * n`, `rr` in `1..=4`,
-    /// `b.len() >= k1 * n`, `bias` (when present) indexable at
-    /// `gr + rr - 1`, and `a` indexable per [`super::a_elem`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gemm_panel<const TRANS: bool>(
-        c: &mut [f32],
-        n: usize,
-        rr: usize,
-        a: &[f32],
-        lda: usize,
-        gr: usize,
-        b: &[f32],
-        k0: usize,
-        k1: usize,
-        j0: usize,
-        j1: usize,
-        init: bool,
-        bias: Option<&[f32]>,
-    ) {
-        match rr {
-            4 => panel_rr::<TRANS, 4>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
-            3 => panel_rr::<TRANS, 3>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
-            2 => panel_rr::<TRANS, 2>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
-            _ => panel_rr::<TRANS, 1>(c, n, a, lda, gr, b, k0, k1, j0, j1, init, bias),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn panel_rr<const TRANS: bool, const RR: usize>(
-        c: &mut [f32],
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        gr: usize,
-        b: &[f32],
-        k0: usize,
-        k1: usize,
-        j0: usize,
-        j1: usize,
-        init: bool,
-        bias: Option<&[f32]>,
-    ) {
-        let mut j = j0;
-        while j + 2 * W <= j1 {
-            tile::<TRANS, RR, 2>(c, n, a, lda, gr, b, k0, k1, init, bias, j, [!0; 2]);
-            j += 2 * W;
-        }
-        while j < j1 {
-            let live = (j1 - j).min(W);
-            let mask = ((1u32 << live) - 1) as __mmask16;
-            tile::<TRANS, RR, 1>(c, n, a, lda, gr, b, k0, k1, init, bias, j, [mask]);
-            j += W;
-        }
-    }
-
-    /// One `RR x (NV*16)` register tile of `C` starting at column `j`,
-    /// swept over `k0..k1` entirely in registers. Vector `v` touches only
-    /// the columns its mask `m[v]` keeps; the masked-off lanes load
-    /// zeros, compute garbage nobody stores, and read no memory.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn tile<const TRANS: bool, const RR: usize, const NV: usize>(
-        c: &mut [f32],
-        n: usize,
-        a: &[f32],
-        lda: usize,
-        gr: usize,
-        b: &[f32],
-        k0: usize,
-        k1: usize,
-        init: bool,
-        bias: Option<&[f32]>,
-        j: usize,
-        m: [__mmask16; NV],
-    ) {
-        let last = if bias.is_some() { k1 - 1 } else { k1 };
-        let b_row = |kk: usize| -> [__m512; NV] {
-            std::array::from_fn(|v| _mm512_maskz_loadu_ps(m[v], b.as_ptr().add(kk * n + j + v * W)))
-        };
-        let mut kk = k0;
-        let mut acc: [[__m512; NV]; RR];
-        if init && kk < k1 {
-            let zero = _mm512_setzero_ps();
-            let bv = b_row(kk);
-            acc = std::array::from_fn(|r| {
-                let ar = _mm512_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
-                std::array::from_fn(|v| _mm512_add_ps(zero, _mm512_mul_ps(ar, bv[v])))
-            });
-            if kk == last {
-                let bs = bias.expect("bias step");
-                for (r, row) in acc.iter_mut().enumerate() {
-                    let vb = _mm512_set1_ps(*bs.get_unchecked(gr + r));
-                    for lane in row.iter_mut() {
-                        *lane = _mm512_add_ps(*lane, vb);
-                    }
-                }
-            }
-            kk += 1;
-        } else {
-            acc = std::array::from_fn(|r| {
-                std::array::from_fn(|v| {
-                    _mm512_maskz_loadu_ps(m[v], c.as_ptr().add(r * n + j + v * W))
-                })
-            });
-        }
-        while kk < last {
-            let bv = b_row(kk);
-            for (r, row) in acc.iter_mut().enumerate() {
-                let var = _mm512_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
-                for (lane, &bvv) in row.iter_mut().zip(bv.iter()) {
-                    *lane = _mm512_add_ps(*lane, _mm512_mul_ps(var, bvv));
-                }
-            }
-            kk += 1;
-        }
-        if kk < k1 {
-            let bs = bias.expect("bias step");
-            let bv = b_row(kk);
-            for (r, row) in acc.iter_mut().enumerate() {
-                let var = _mm512_set1_ps(a_elem_raw::<TRANS>(a, lda, gr + r, kk));
-                let vb = _mm512_set1_ps(*bs.get_unchecked(gr + r));
-                for (lane, &bvv) in row.iter_mut().zip(bv.iter()) {
-                    *lane = _mm512_add_ps(_mm512_add_ps(*lane, _mm512_mul_ps(var, bvv)), vb);
-                }
-            }
-        }
-        for (r, row) in acc.iter().enumerate() {
-            for (v, &lane) in row.iter().enumerate() {
-                _mm512_mask_storeu_ps(c.as_mut_ptr().add(r * n + j + v * W), m[v], lane);
-            }
-        }
-    }
+    vector_backend!("avx512f", 16);
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //! Buffers keep their capacity across the clear/resize cycle, so after
 //! a warmup pass over the largest shapes in play, steady-state traffic
 //! through the pools performs no heap allocation. Pools are bounded
-//! ([`MAX_POOLED`] buffers each); overflow buffers are simply dropped.
+//! (`MAX_POOLED` buffers each); overflow buffers are simply dropped.
 
 use std::sync::Mutex;
 

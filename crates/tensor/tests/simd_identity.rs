@@ -2,16 +2,16 @@
 //!
 //! Every kernel in `adapex_tensor::simd` is pinned three ways: a scalar
 //! reference (inlined here as plain loops), the portable backend, and —
-//! on hosts with AVX2 — the vector backend called directly; the GEMM
-//! panel also against its sixteen-lane AVX-512 body where the host has
-//! it, and the fake-quant, mask and fold kernels also through the
-//! dispatched entry point under every backend the host can force.
-//! Agreement is asserted on the raw bit patterns, over aligned and
-//! unaligned slices, lengths that exercise the remainder lanes, and
-//! inputs dense in exact ±0.0 — where the GEMM panel, which has no
-//! zero-skip branch, must still equal a reference that skips every zero
-//! `A` term, and where `max` must pick the same zero on every path — and
-//! inputs holding NaN.
+//! on hosts with AVX2 and AVX-512 — each vector build called directly;
+//! the fake-quant, mask and fold kernels also through the dispatched
+//! entry point under every backend the host can force. Agreement is
+//! asserted on the raw bit patterns, over aligned and unaligned slices,
+//! lengths that exercise the remainder lanes, and inputs dense in exact
+//! ±0.0 — where the GEMM panel, which has no zero-skip branch, must
+//! still equal a reference that skips every zero `A` term, and where
+//! `max` must pick the same zero on every path — and inputs holding NaN.
+//! The GEMM panel is drawn on interior k-panels too, and its entry
+//! checks must reject a `b` too short for `k1` under every backend.
 
 use adapex_tensor::simd::{self, portable, Backend};
 use proptest::prelude::*;
@@ -43,6 +43,26 @@ fn has_avx512() -> bool {
     {
         false
     }
+}
+
+/// Runs `$body` once per vector build of the maps this host can run,
+/// with `$m` naming its module and `$build` its name.
+macro_rules! vector_builds {
+    (|$m:ident, $build:ident| $body:block) => {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if has_avx2() {
+                use avx2 as $m;
+                let $build = "avx2";
+                $body
+            }
+            if has_avx512() {
+                use avx512 as $m;
+                let $build = "avx512";
+                $body
+            }
+        }
+    };
 }
 
 /// Finite values mixed with exact ±0.0.
@@ -174,19 +194,20 @@ fn check_folds(init: f32, x: &[f32]) -> Result<(), TestCaseError> {
         want_abs,
         "portable fold_max_abs"
     );
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
+    vector_builds!(|m, build| {
         prop_assert_eq!(
-            unsafe { avx2::fold_max(init, x) }.to_bits(),
+            unsafe { m::fold_max(init, x) }.to_bits(),
             want_max,
-            "avx2 fold_max"
+            "{} fold_max",
+            build
         );
         prop_assert_eq!(
-            unsafe { avx2::fold_max_abs(init.abs(), x) }.to_bits(),
+            unsafe { m::fold_max_abs(init.abs(), x) }.to_bits(),
             want_abs,
-            "avx2 fold_max_abs"
+            "{} fold_max_abs",
+            build
         );
-    }
+    });
     under_each_backend(|backend| {
         prop_assert_eq!(
             simd::fold_max(init, x).to_bits(),
@@ -298,18 +319,17 @@ proptest! {
         portable::div_scalar(&mut got_div, d);
         prop_assert_eq!(bits(&got_div), bits(&want_div), "portable div_scalar");
 
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
+        vector_builds!(|m, build| {
             let mut got = x.to_vec();
-            unsafe { avx2::fake_quant_slice(&mut got, scale, lo, hi) };
-            prop_assert_eq!(bits(&got), bits(&want), "avx2 fake_quant");
+            unsafe { m::fake_quant_slice(&mut got, scale, lo, hi) };
+            prop_assert_eq!(bits(&got), bits(&want), "{} fake_quant", build);
             let mut got_mask = vec![0.0f32; x.len()];
-            unsafe { avx2::range_mask_slice(&mut got_mask, x, lo, hi) };
-            prop_assert_eq!(bits(&got_mask), bits(&want_mask), "avx2 range_mask");
+            unsafe { m::range_mask_slice(&mut got_mask, x, lo, hi) };
+            prop_assert_eq!(bits(&got_mask), bits(&want_mask), "{} range_mask", build);
             let mut got_div = x.to_vec();
-            unsafe { avx2::div_scalar(&mut got_div, d) };
-            prop_assert_eq!(bits(&got_div), bits(&want_div), "avx2 div_scalar");
-        }
+            unsafe { m::div_scalar(&mut got_div, d) };
+            prop_assert_eq!(bits(&got_div), bits(&want_div), "{} div_scalar", build);
+        });
 
         under_each_backend(|backend| {
             let mut got = x.to_vec();
@@ -383,29 +403,24 @@ proptest! {
         prop_assert_eq!(bits(&got_w), bits(&want_w), "portable sgd w");
         prop_assert_eq!(bits(&got_v), bits(&want_v), "portable sgd v");
 
-        #[cfg(target_arch = "x86_64")]
-        if has_avx2() {
+        vector_builds!(|m, build| {
             let mut got = vec![0.0f32; len];
-            unsafe { avx2::normalize_affine(&mut got, src, mean, inv_std, g, b) };
-            prop_assert_eq!(bits(&got), bits(&want), "avx2 normalize_affine");
+            unsafe { m::normalize_affine(&mut got, src, mean, inv_std, g, b) };
+            prop_assert_eq!(bits(&got), bits(&want), "{} normalize_affine", build);
             let mut got_xh = vec![0.0f32; len];
             let mut got_o = vec![0.0f32; len];
-            unsafe {
-                avx2::normalize_affine_xhat(&mut got_o, &mut got_xh, src, mean, inv_std, g, b)
-            };
-            prop_assert_eq!(bits(&got_o), bits(&want_o), "avx2 xhat out");
-            prop_assert_eq!(bits(&got_xh), bits(&want_xh), "avx2 xhat");
+            unsafe { m::normalize_affine_xhat(&mut got_o, &mut got_xh, src, mean, inv_std, g, b) };
+            prop_assert_eq!(bits(&got_o), bits(&want_o), "{} xhat out", build);
+            prop_assert_eq!(bits(&got_xh), bits(&want_xh), "{} xhat", build);
             let mut got_dx = vec![0.0f32; len];
-            unsafe {
-                avx2::bn_backward_dx(&mut got_dx, dy, &want_xh, coeff, count, sum_dy, sum_dy_xhat)
-            };
-            prop_assert_eq!(bits(&got_dx), bits(&want_dx), "avx2 bn_backward_dx");
+            unsafe { m::bn_backward_dx(&mut got_dx, dy, &want_xh, coeff, count, sum_dy, sum_dy_xhat) };
+            prop_assert_eq!(bits(&got_dx), bits(&want_dx), "{} bn_backward_dx", build);
             let mut got_w = src.to_vec();
             let mut got_v = v0[off..off + len].to_vec();
-            unsafe { avx2::sgd_update(&mut got_w, dy, &mut got_v, lr, momentum, wd) };
-            prop_assert_eq!(bits(&got_w), bits(&want_w), "avx2 sgd w");
-            prop_assert_eq!(bits(&got_v), bits(&want_v), "avx2 sgd v");
-        }
+            unsafe { m::sgd_update(&mut got_w, dy, &mut got_v, lr, momentum, wd) };
+            prop_assert_eq!(bits(&got_w), bits(&want_w), "{} sgd w", build);
+            prop_assert_eq!(bits(&got_v), bits(&want_v), "{} sgd v", build);
+        });
     }
 
     /// The max folds equal the select-rule reference ([`ref_fold`]) on
@@ -422,21 +437,22 @@ proptest! {
         check_folds(f32::NEG_INFINITY, &ZERO_SIGN_FOLD)?;
     }
 
-    /// The register-tiled AVX2 and AVX-512 GEMM panels agree bit for bit
-    /// with the portable three-phase panel for both A layouts, interior
-    /// column
-    /// windows, bias folding, and the first-k-step write (C starts as NaN
-    /// garbage when `init`), at widths on both sides of the 8-, 16- and
-    /// 32-column tiles. All equal a per-element reference that
-    /// skips every zero `A` term of the middle steps: on finite operands
-    /// and a C that does not start at −0, running those terms changes
-    /// no bit.
+    /// The AVX2 and AVX-512 builds of the GEMM panel agree bit for bit
+    /// with the portable build for both A layouts, interior column
+    /// windows, bias folding, the first-k-step write (C starts as NaN
+    /// garbage when `init`) and, without it, interior k-panels (`k0 > 0`,
+    /// as `gemm_rows` issues past `KC`), at widths on both sides of the
+    /// 4-, 8-, 16- and 32-column tiles. All equal a per-element reference
+    /// that skips every zero `A` term of the middle steps: on finite
+    /// operands and a C that does not start at −0, running those terms
+    /// changes no bit.
     #[test]
     fn gemm_panel_dispatch_paths_agree(
         rr in 1usize..5,
         gr in 0usize..3,
         n in 1usize..72,
         k in 1usize..16,
+        k0_draw in 0usize..16,
         trans in any::<bool>(),
         with_bias in any::<bool>(),
         init in any::<bool>(),
@@ -452,6 +468,9 @@ proptest! {
         let bias_vec: Vec<f32> = (0..rows).map(|r| 0.25 * r as f32 - 0.5).collect();
         let bias = if with_bias { Some(&bias_vec[..]) } else { None };
         let (j0, j1) = if window && n > 2 { (1, n - 1) } else { (0, n) };
+        // A panel that writes its first step starts at `k0 = 0`; one that
+        // accumulates may start anywhere inside `0..k`.
+        let k0 = if init { 0 } else { k0_draw % k };
 
         // When not initializing, both paths must accumulate onto the
         // same prior C; when initializing, NaN garbage must be
@@ -467,22 +486,22 @@ proptest! {
             match (backend, trans) {
                 #[cfg(target_arch = "x86_64")]
                 (Backend::Avx512, true) => unsafe {
-                    avx512::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias)
+                    avx512::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, k0, k, j0, j1, init, bias)
                 },
                 #[cfg(target_arch = "x86_64")]
                 (Backend::Avx512, false) => unsafe {
-                    avx512::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias)
+                    avx512::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, k0, k, j0, j1, init, bias)
                 },
                 #[cfg(target_arch = "x86_64")]
                 (Backend::Avx2, true) => unsafe {
-                    avx2::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias)
+                    avx2::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, k0, k, j0, j1, init, bias)
                 },
                 #[cfg(target_arch = "x86_64")]
                 (Backend::Avx2, false) => unsafe {
-                    avx2::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias)
+                    avx2::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, k0, k, j0, j1, init, bias)
                 },
-                (_, true) => portable::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias),
-                (_, false) => portable::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, 0, k, j0, j1, init, bias),
+                (_, true) => portable::gemm_panel::<true>(&mut c, n, rr, a, lda, gr, b, k0, k, j0, j1, init, bias),
+                (_, false) => portable::gemm_panel::<false>(&mut c, n, rr, a, lda, gr, b, k0, k, j0, j1, init, bias),
             }
             c
         };
@@ -493,11 +512,11 @@ proptest! {
         for r in 0..rr {
             for j in j0..j1 {
                 let c = &mut skipping[r * n + j];
-                for kk in 0..k {
+                for kk in k0..k {
                     let av = a_at(gr + r, kk);
                     let t = av * b[kk * n + j];
                     let bias_step = with_bias && kk == k - 1;
-                    if init && kk == 0 {
+                    if init && kk == k0 {
                         *c = 0.0 + t;
                         if bias_step {
                             *c += bias_vec[gr + r];
@@ -566,4 +585,33 @@ fn dispatched_equals_forced_portable() {
 
     assert_eq!(bits(&dispatched_gemm), bits(&forced_gemm));
     assert_eq!(bits(&dispatched_quant), bits(&forced_quant));
+}
+
+/// The panel's preconditions are asserted at entry under every backend:
+/// a `b` holding one k-step of 16 columns while `k1 = 2`, or an `a`
+/// without the element of the last row and step, panics instead of
+/// being read past its end by a vector body's unchecked loads.
+#[test]
+fn gemm_panel_rejects_short_operands_under_every_backend() {
+    let (a, b) = ([1.0f32; 2], [1.0f32; 16]);
+    let short_b = || {
+        let mut c = [0.0f32; 16];
+        simd::gemm_panel::<false>(&mut c, 16, 1, &a, 2, 0, &b, 0, 2, 0, 16, true, None);
+    };
+    let short_a = || {
+        let mut c = [0.0f32; 32];
+        simd::gemm_panel::<false>(&mut c, 16, 2, &a, 2, 0, &[1.0; 32], 0, 2, 0, 16, true, None);
+    };
+    let mut unchecked = Vec::new();
+    let swept = under_each_backend(|backend| {
+        if std::panic::catch_unwind(short_b).is_ok() {
+            unchecked.push(format!("{backend:?}: b"));
+        }
+        if std::panic::catch_unwind(short_a).is_ok() {
+            unchecked.push(format!("{backend:?}: a"));
+        }
+        Ok(())
+    });
+    assert!(swept.is_ok());
+    assert!(unchecked.is_empty(), "read past the end: {unchecked:?}");
 }
