@@ -136,14 +136,22 @@ impl LabeledImages {
     /// Gathers the images at `indices` into one contiguous buffer plus the
     /// matching labels — the mini-batch layout the training loop consumes.
     pub fn gather(&self, indices: &[usize]) -> (Vec<f32>, Vec<usize>) {
-        let len = self.image_len();
-        let mut data = Vec::with_capacity(indices.len() * len);
+        let mut data = Vec::with_capacity(indices.len() * self.image_len());
         let mut labels = Vec::with_capacity(indices.len());
+        self.gather_into(indices, &mut data, &mut labels);
+        (data, labels)
+    }
+
+    /// [`LabeledImages::gather`] into the caller's buffers, which it
+    /// clears first: buffers with room for the batch take it without
+    /// allocating.
+    pub fn gather_into(&self, indices: &[usize], data: &mut Vec<f32>, labels: &mut Vec<usize>) {
+        data.clear();
+        labels.clear();
         for &i in indices {
             data.extend_from_slice(self.image(i));
             labels.push(self.labels[i]);
         }
-        (data, labels)
     }
 }
 

@@ -22,6 +22,7 @@ use crate::network::EarlyExitNetwork;
 use crate::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
 use adapex_dataset::LabeledImages;
 use adapex_tensor::parallel::num_threads;
+use adapex_tensor::workspace::{take_f32_uninit, take_usize_from};
 use serde::{Deserialize, Serialize};
 
 /// Default batch size used when sweeping a dataset through the network.
@@ -161,9 +162,12 @@ pub fn evaluate_exits_with(
     let mut correct = vec![Vec::with_capacity(images.len()); exits];
     let mut confidence = vec![Vec::with_capacity(images.len()); exits];
     let (mut verdicts, mut scores) = (BatchVerdicts::default(), Vec::new());
+    let mut labels = Vec::with_capacity(cfg.batch.max(1));
     for batch in images.batches(cfg.batch.max(1), None) {
-        let (pixels, labels) = images.gather(&batch);
-        let x = Activation::new(pixels, batch.len(), vec![c, h, w]);
+        // Batch buffers come from the pools the activation returns them to.
+        let mut pixels = take_f32_uninit(batch.len() * c * h * w);
+        images.gather_into(&batch, &mut pixels, &mut labels);
+        let x = Activation::new(pixels, batch.len(), take_usize_from(&[c, h, w]));
         scores.resize(batch.len() * exits, (0, 0.0));
         exec.run_scored(&x, &mut verdicts, &mut scores);
         for (row, &label) in scores.chunks_exact(exits).zip(&labels) {

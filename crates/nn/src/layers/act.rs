@@ -1,4 +1,4 @@
-use super::{ActQuant, Activation};
+use super::{ActQuant, Activation, BackwardCache};
 use crate::quant::QuantSpec;
 use adapex_tensor::simd;
 use serde::{Deserialize, Serialize};
@@ -14,12 +14,10 @@ pub struct QuantReLU {
     /// Upper clipping bound (the learned `alpha` in PACT-style schemes;
     /// fixed here).
     pub clip: f32,
-    /// Backward-pass cache; the mask buffer persists across batches and
-    /// is only built in training mode.
+    /// Backward-pass cache (see [`BackwardCache`]); the mask is only
+    /// built in training mode.
     #[serde(skip)]
-    cache: ActCache,
-    #[serde(skip)]
-    cache_valid: bool,
+    pub(super) cache: BackwardCache<ActCache>,
 }
 
 impl PartialEq for QuantReLU {
@@ -29,8 +27,8 @@ impl PartialEq for QuantReLU {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct ActCache {
+#[derive(Debug, Default)]
+pub(super) struct ActCache {
     mask: Vec<f32>,
     n: usize,
     dims: Vec<usize>,
@@ -48,8 +46,7 @@ impl QuantReLU {
         QuantReLU {
             spec,
             clip,
-            cache: ActCache::default(),
-            cache_valid: false,
+            cache: BackwardCache::default(),
         }
     }
 
@@ -91,16 +88,15 @@ impl QuantReLU {
         if train {
             // `range_mask_slice` writes every element: only the length
             // is adjusted.
-            let mask = &mut self.cache.mask;
-            mask.resize(x.data.len(), 0.0);
-            simd::range_mask_slice(mask, &x.data, 0.0, self.clip);
-            self.cache.n = x.n;
-            self.cache.dims.clear();
-            self.cache.dims.extend_from_slice(&x.dims);
-            self.cache_valid = true;
+            let cache = self.cache.fill();
+            cache.mask.resize(x.data.len(), 0.0);
+            simd::range_mask_slice(&mut cache.mask, &x.data, 0.0, self.clip);
+            cache.n = x.n;
+            cache.dims.clear();
+            cache.dims.extend_from_slice(&x.dims);
         } else {
             // Eval skips building the STE mask; no backward will run.
-            self.cache_valid = false;
+            self.cache.invalidate();
         }
         out
     }
@@ -112,8 +108,7 @@ impl QuantReLU {
     /// Panics if no training-mode forward preceded this call, or on a
     /// gradient whose length is not the cached input's.
     pub fn backward(&mut self, grad_out: &Activation) -> Activation {
-        assert!(self.cache_valid, "activation backward requires cached forward");
-        self.cache_valid = false;
+        self.cache.consume("activation");
         assert_eq!(grad_out.data.len(), self.cache.mask.len(), "activation grad length");
         // Every element is written below.
         let mut grad_in = Activation::for_overwrite(self.cache.n, &self.cache.dims);

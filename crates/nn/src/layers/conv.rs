@@ -1,4 +1,4 @@
-use super::{Activation, Param};
+use super::{Activation, BackwardCache, Derived, Param};
 use crate::quant::{self, QuantSpec};
 use super::norm::add_channel_sums;
 use adapex_tensor::conv::{im2col_into, ConvGeometry};
@@ -55,15 +55,12 @@ pub struct QuantConv2d {
     pub bias: Param,
     /// Weight quantizer (2-bit signed for CNVW2A2).
     pub weight_spec: QuantSpec,
-    /// Backward-pass cache; buffers persist across batches so steady-state
-    /// training reuses them.
+    /// Backward-pass cache (see [`BackwardCache`]).
     #[serde(skip)]
-    cache: ConvCache,
-    #[serde(skip)]
-    cache_valid: bool,
+    pub(super) cache: BackwardCache<ConvCache>,
     /// Quantized-weight view, keyed by the weight [`Param`] version.
     #[serde(skip)]
-    qcache: Option<QCache>,
+    qcache: Derived<Option<QCache>>,
     /// Sends this layer's int2-eligible forwards down the f32-over-codes
     /// arm instead of the popcount engine. Both are bit-identical, and
     /// nothing in the workspace sets it outside tests: the differential
@@ -88,8 +85,8 @@ impl PartialEq for QuantConv2d {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct ConvCache {
+#[derive(Debug, Default)]
+pub(super) struct ConvCache {
     input: Vec<f32>,
     n: usize,
     in_hw: (usize, usize),
@@ -98,7 +95,7 @@ struct ConvCache {
 }
 
 /// Quantized view of the weight tensor at one [`Param`] version.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct QCache {
     version: u64,
     qweight: Vec<f32>,
@@ -132,9 +129,8 @@ impl QuantConv2d {
             weight: Param::new(weight),
             bias: Param::new(vec![0.0; c_out]),
             weight_spec,
-            cache: ConvCache::default(),
-            cache_valid: false,
-            qcache: None,
+            cache: BackwardCache::default(),
+            qcache: Derived::default(),
             prefer_f32_codes: false,
         }
     }
@@ -156,7 +152,7 @@ impl QuantConv2d {
             &mut qc.scales,
         );
         qc.version = version;
-        self.qcache = Some(qc);
+        *self.qcache = Some(qc);
     }
 
     /// Extends the quantized-weight view with the int2 engine's derived
@@ -298,13 +294,13 @@ impl QuantConv2d {
     /// which the two forward entry points provide differently.
     fn cache_for_backward(&mut self, n: usize, in_hw: (usize, usize)) {
         let qc = self.qcache.as_ref().expect("qcache ensured by run_forward");
-        self.cache.n = n;
-        self.cache.in_hw = in_hw;
-        self.cache.qweight.clear();
-        self.cache.qweight.extend_from_slice(&qc.qweight);
-        self.cache.scales.clear();
-        self.cache.scales.extend_from_slice(&qc.scales);
-        self.cache_valid = true;
+        let cache = self.cache.fill();
+        cache.n = n;
+        cache.in_hw = in_hw;
+        cache.qweight.clear();
+        cache.qweight.extend_from_slice(&qc.qweight);
+        cache.scales.clear();
+        cache.scales.extend_from_slice(&qc.scales);
     }
 
     /// Forward pass over a batch.
@@ -321,11 +317,12 @@ impl QuantConv2d {
         let int2_scale = self.int2_act_scale(x);
         let out = self.run_forward(x, int2_scale);
         if train {
-            self.cache.input.clear();
-            self.cache.input.extend_from_slice(&x.data);
+            let input = &mut self.cache.fill().input;
+            input.clear();
+            input.extend_from_slice(&x.data);
             self.cache_for_backward(x.n, (x.dims[1], x.dims[2]));
         } else {
-            self.cache_valid = false;
+            self.cache.invalidate();
         }
         out
     }
@@ -342,7 +339,7 @@ impl QuantConv2d {
         let (n, hw) = (x.n, (x.dims[1], x.dims[2]));
         let (data, _, dims) = x.into_parts();
         recycle_usize(dims);
-        recycle_f32(std::mem::replace(&mut self.cache.input, data));
+        recycle_f32(std::mem::replace(&mut self.cache.fill().input, data));
         self.cache_for_backward(n, hw);
         out
     }
@@ -454,8 +451,7 @@ impl QuantConv2d {
         workers: usize,
         want_dx: bool,
     ) -> Option<Activation> {
-        assert!(self.cache_valid, "conv backward requires cached forward");
-        self.cache_valid = false;
+        self.cache.consume("conv");
         let (h, w) = self.cache.in_hw;
         let oh = self.geom.output_dim(h).expect("cached geometry is valid");
         let ow = self.geom.output_dim(w).expect("cached geometry is valid");
@@ -715,6 +711,19 @@ mod tests {
         let y3 = conv.forward(&x, false);
         assert_ne!(conv.qcache.as_ref().unwrap().version, v1, "cache refreshed");
         assert_ne!(y1, y3);
+    }
+
+    /// Params assigned in place of a layer's own (what pruning surgery
+    /// does) carry a version of their own, so the quantized view of the
+    /// old weights is not taken for theirs.
+    #[test]
+    fn assigned_params_are_quantized_afresh() {
+        let mut conv = small_conv(2);
+        let x = Activation::new((0..2 * 4 * 4).map(|v| (v as f32 * 0.7).sin()).collect(), 1, vec![2, 4, 4]);
+        conv.forward(&x, false);
+        let mut other = QuantConv2d::new(2, 3, conv.geom, conv.weight_spec, &mut rng_from_seed(9));
+        conv.weight = other.weight.clone();
+        assert_eq!(conv.forward(&x, false), other.forward(&x, false));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use super::{Activation, Param};
+use super::{Activation, BackwardCache, Derived, Param};
 use crate::quant::{self, QuantSpec};
 use adapex_tensor::gemm::{gemm, gemm_a_bt, gemm_at_b};
 use adapex_tensor::int2::{self, OutMajor};
@@ -25,14 +25,12 @@ pub struct QuantLinear {
     pub bias: Param,
     /// Weight quantizer.
     pub weight_spec: QuantSpec,
-    /// Backward-pass cache; buffers persist across batches.
+    /// Backward-pass cache (see [`BackwardCache`]).
     #[serde(skip)]
-    cache: LinearCache,
-    #[serde(skip)]
-    cache_valid: bool,
+    pub(super) cache: BackwardCache<LinearCache>,
     /// Quantized-weight view, keyed by the weight [`Param`] version.
     #[serde(skip)]
-    qcache: Option<QCache>,
+    qcache: Derived<Option<QCache>>,
 }
 
 impl PartialEq for QuantLinear {
@@ -46,8 +44,8 @@ impl PartialEq for QuantLinear {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct LinearCache {
+#[derive(Debug, Default)]
+pub(super) struct LinearCache {
     input: Vec<f32>,
     n: usize,
     qweight: Vec<f32>,
@@ -55,7 +53,7 @@ struct LinearCache {
 }
 
 /// Quantized view of the weight tensor at one [`Param`] version.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct QCache {
     version: u64,
     qweight: Vec<f32>,
@@ -83,9 +81,8 @@ impl QuantLinear {
             weight: Param::new(weight),
             bias: Param::new(vec![0.0; out_features]),
             weight_spec,
-            cache: LinearCache::default(),
-            cache_valid: false,
-            qcache: None,
+            cache: BackwardCache::default(),
+            qcache: Derived::default(),
         }
     }
 
@@ -105,7 +102,7 @@ impl QuantLinear {
             &mut qc.scales,
         );
         qc.version = version;
-        self.qcache = Some(qc);
+        *self.qcache = Some(qc);
     }
 
     /// Extends the quantized-weight view with the int2 engine's packed
@@ -176,14 +173,14 @@ impl QuantLinear {
     /// fake-quant weights, per-row scales) after a training forward.
     fn cache_for_backward(&mut self, x: &Activation) {
         let qc = self.qcache.as_ref().expect("qcache ensured by forward");
-        self.cache.input.clear();
-        self.cache.input.extend_from_slice(&x.data);
-        self.cache.n = x.n;
-        self.cache.qweight.clear();
-        self.cache.qweight.extend_from_slice(&qc.qweight);
-        self.cache.scales.clear();
-        self.cache.scales.extend_from_slice(&qc.scales);
-        self.cache_valid = true;
+        let cache = self.cache.fill();
+        cache.input.clear();
+        cache.input.extend_from_slice(&x.data);
+        cache.n = x.n;
+        cache.qweight.clear();
+        cache.qweight.extend_from_slice(&qc.qweight);
+        cache.scales.clear();
+        cache.scales.extend_from_slice(&qc.scales);
     }
 
     /// Forward pass: `y = x W^T + b`.
@@ -208,7 +205,7 @@ impl QuantLinear {
             if train {
                 self.cache_for_backward(x);
             } else {
-                self.cache_valid = false;
+                self.cache.invalidate();
             }
             return out;
         }
@@ -231,7 +228,7 @@ impl QuantLinear {
         if train {
             self.cache_for_backward(x);
         } else {
-            self.cache_valid = false;
+            self.cache.invalidate();
         }
         out
     }
@@ -242,8 +239,7 @@ impl QuantLinear {
     ///
     /// Panics if no training-mode forward preceded this call.
     pub fn backward(&mut self, grad_out: &Activation) -> Activation {
-        assert!(self.cache_valid, "linear backward requires cached forward");
-        self.cache_valid = false;
+        self.cache.consume("linear");
         let n = self.cache.n;
         assert_eq!(grad_out.n, n, "grad batch size");
         assert_eq!(grad_out.sample_len(), self.out_features, "grad features");

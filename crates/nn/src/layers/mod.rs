@@ -26,6 +26,7 @@ use adapex_tensor::workspace::{
 };
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Quantization-grid metadata attached to an [`Activation`] by the layer
 /// that produced it.
@@ -148,13 +149,97 @@ impl Drop for Activation {
     }
 }
 
+/// State a layer derives from its weights (a quantized weight view):
+/// not serialized, not compared and not cloned. A clone starts from
+/// `T::default()` and derives again on first use, so copying a layer
+/// copies its weights and nothing else.
+#[derive(Debug, Default)]
+pub(crate) struct Derived<T>(T);
+
+impl<T: Default> Clone for Derived<T> {
+    fn clone(&self) -> Self {
+        Derived::default()
+    }
+}
+
+impl<T> std::ops::Deref for Derived<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T> std::ops::DerefMut for Derived<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.0
+    }
+}
+
+/// A layer's backward-pass cache. A training forward fills it through
+/// [`BackwardCache::fill`], which marks it valid; the backward after it
+/// reads it and [`BackwardCache::consume`]s it. Its buffers outlive the
+/// batch, so a training loop refills them without allocating, until
+/// [`BackwardCache::release`] frees them (`Trainer::fit` does so when it
+/// returns). A clone is empty and invalid: copying a layer never copies
+/// training state, and a clone's backward panics like any backward
+/// without a training forward before it.
+#[derive(Debug, Default)]
+pub(crate) struct BackwardCache<T> {
+    state: T,
+    valid: bool,
+}
+
+impl<T: Default> Clone for BackwardCache<T> {
+    fn clone(&self) -> Self {
+        BackwardCache::default()
+    }
+}
+
+impl<T> std::ops::Deref for BackwardCache<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.state
+    }
+}
+
+impl<T: Default> BackwardCache<T> {
+    /// The buffers, for a training forward to refill; marks the cache
+    /// valid.
+    pub(crate) fn fill(&mut self) -> &mut T {
+        self.valid = true;
+        &mut self.state
+    }
+
+    /// Marks the cache stale and keeps its buffers (an eval forward).
+    pub(crate) fn invalidate(&mut self) {
+        self.valid = false;
+    }
+
+    /// Marks the cache consumed by one backward pass of `layer`; the
+    /// state stays readable until the next forward.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless a training forward filled the cache since the last
+    /// backward.
+    pub(crate) fn consume(&mut self, layer: &str) {
+        assert!(self.valid, "{layer} backward requires cached forward");
+        self.valid = false;
+    }
+
+    /// Frees the buffers; the cache is empty and invalid again.
+    pub(crate) fn release(&mut self) {
+        *self = BackwardCache::default();
+    }
+}
+
 /// A trainable parameter: full-precision value, gradient accumulator and
 /// momentum buffer of equal length.
 ///
-/// The private `version` counter lets layers cache values derived from
-/// `value` (e.g. quantized weight views): it bumps on every
+/// The private `version` stamp lets layers cache values derived from
+/// `value` (e.g. quantized weight views): it changes on every
 /// [`Param::sgd_step`], and code that mutates `value` directly must call
-/// [`Param::touch`]. Equality ignores the counter — two params with the
+/// [`Param::touch`]. Equality ignores the stamp — two params with the
 /// same numbers are equal regardless of their mutation history.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Param {
@@ -165,11 +250,24 @@ pub struct Param {
     pub grad: Vec<f32>,
     /// SGD momentum buffer.
     pub velocity: Vec<f32>,
-    /// Mutation counter for derived-value caches. Not serialized: a
-    /// deserialized param restarts at 0 and its consumers' caches
-    /// (also unserialized) restart empty, so no stale pairing exists.
+    /// Mutation stamp for derived-value caches. Not serialized: a
+    /// deserialized param draws a fresh one.
     #[serde(skip)]
-    version: u64,
+    version: Version,
+}
+
+/// A [`Param`] state's stamp, drawn from one process-wide counter: no
+/// two params, and no two states of one param, share a stamp, so a view
+/// derived from one set of weights never passes for another's (surgery
+/// that gives a layer new params, a param assigned from elsewhere).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Version(u64);
+
+impl Default for Version {
+    fn default() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        Version(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
 }
 
 impl PartialEq for Param {
@@ -188,7 +286,7 @@ impl Param {
             value,
             grad: vec![0.0; len],
             velocity: vec![0.0; len],
-            version: 1,
+            version: Version::default(),
         }
     }
 
@@ -202,16 +300,16 @@ impl Param {
         self.value.is_empty()
     }
 
-    /// Current mutation-counter value. Caches derived from
-    /// [`Param::value`] stay valid while this is unchanged.
+    /// Current mutation stamp. Caches derived from [`Param::value`]
+    /// stay valid while this is unchanged; a clone shares it.
     pub fn version(&self) -> u64 {
-        self.version
+        self.version.0
     }
 
     /// Records a direct mutation of [`Param::value`], invalidating
     /// derived-value caches. [`Param::sgd_step`] calls this itself.
     pub fn touch(&mut self) {
-        self.version = self.version.wrapping_add(1);
+        self.version = Version::default();
     }
 
     /// Clears the gradient accumulator.
@@ -524,6 +622,19 @@ impl Layer {
             _ => {
                 self.backward(grad_out);
             }
+        }
+    }
+
+    /// Frees the layer's backward cache. A backward needs a training
+    /// forward again after this.
+    pub(crate) fn release_cache(&mut self) {
+        match self {
+            Layer::Conv(l) => l.cache.release(),
+            Layer::Linear(l) => l.cache.release(),
+            Layer::Pool(l) => l.cache.release(),
+            Layer::Norm(l) => l.cache.release(),
+            Layer::Act(l) => l.cache.release(),
+            Layer::Flatten => {}
         }
     }
 

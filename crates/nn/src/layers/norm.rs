@@ -1,4 +1,4 @@
-use super::{Activation, Param};
+use super::{Activation, BackwardCache, Param};
 use adapex_tensor::simd;
 use adapex_tensor::workspace::with_workspace;
 use serde::{Deserialize, Serialize};
@@ -35,11 +35,9 @@ pub struct BatchNorm {
     pub momentum: f32,
     /// Numerical-stability epsilon.
     pub eps: f32,
-    /// Backward-pass cache; buffers persist across batches.
+    /// Backward-pass cache (see [`BackwardCache`]).
     #[serde(skip)]
-    cache: NormCache,
-    #[serde(skip)]
-    cache_valid: bool,
+    pub(super) cache: BackwardCache<NormCache>,
 }
 
 impl PartialEq for BatchNorm {
@@ -55,8 +53,8 @@ impl PartialEq for BatchNorm {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct NormCache {
+#[derive(Debug, Default)]
+pub(super) struct NormCache {
     xhat: Vec<f32>,
     inv_std: Vec<f32>,
     n: usize,
@@ -74,8 +72,7 @@ impl BatchNorm {
             running_var: vec![1.0; channels],
             momentum: 0.1,
             eps: 1e-5,
-            cache: NormCache::default(),
-            cache_valid: false,
+            cache: BackwardCache::default(),
         }
     }
 
@@ -115,7 +112,7 @@ impl BatchNorm {
             // Eval normalizes against the running statistics directly; no
             // xhat buffer is materialized since no backward will run, and
             // every output element is written below.
-            self.cache_valid = false;
+            self.cache.invalidate();
             let mut out = Activation::for_overwrite(x.n, &x.dims);
             for i in 0..x.n {
                 let s = &x.data[i * sample_len..(i + 1) * sample_len];
@@ -158,11 +155,12 @@ impl BatchNorm {
                     (1.0 - self.momentum) * self.running_var[c] + self.momentum * var[c];
             }
 
-            self.cache.inv_std.clear();
-            self.cache
+            let cache = self.cache.fill();
+            cache.inv_std.clear();
+            cache
                 .inv_std
                 .extend(var.iter().map(|&v| 1.0 / (v + self.eps).sqrt()));
-            let xhat = &mut self.cache.xhat;
+            let xhat = &mut cache.xhat;
             if xhat.len() > x.data.len() {
                 xhat.truncate(x.data.len());
             } else {
@@ -171,7 +169,7 @@ impl BatchNorm {
             for i in 0..x.n {
                 let s = &x.data[i * sample_len..(i + 1) * sample_len];
                 let o = &mut out.data[i * sample_len..(i + 1) * sample_len];
-                let xh = &mut self.cache.xhat[i * sample_len..(i + 1) * sample_len];
+                let xh = &mut cache.xhat[i * sample_len..(i + 1) * sample_len];
                 for (c, (o_ch, xh_ch)) in o
                     .chunks_exact_mut(spatial)
                     .zip(xh.chunks_exact_mut(spatial))
@@ -179,16 +177,15 @@ impl BatchNorm {
                 {
                     let g = self.gamma.value[c];
                     let b = self.beta.value[c];
-                    let (m, istd) = (mean[c], self.cache.inv_std[c]);
+                    let (m, istd) = (mean[c], cache.inv_std[c]);
                     let s_ch = &s[c * spatial..(c + 1) * spatial];
                     simd::normalize_affine_xhat(o_ch, xh_ch, s_ch, m, istd, g, b);
                 }
             }
+            cache.n = x.n;
+            cache.dims.clear();
+            cache.dims.extend_from_slice(&x.dims);
         });
-        self.cache.n = x.n;
-        self.cache.dims.clear();
-        self.cache.dims.extend_from_slice(&x.dims);
-        self.cache_valid = true;
         out
     }
 
@@ -198,8 +195,7 @@ impl BatchNorm {
     ///
     /// Panics if no training-mode forward preceded this call.
     pub fn backward(&mut self, grad_out: &Activation) -> Activation {
-        assert!(self.cache_valid, "batchnorm backward requires cached forward");
-        self.cache_valid = false;
+        self.cache.consume("batchnorm");
         let spatial = self.spatial(&self.cache.dims);
         let count = (self.cache.n * spatial) as f32;
         let sample_len: usize = self.cache.dims.iter().product();

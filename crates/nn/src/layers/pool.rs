@@ -1,4 +1,4 @@
-use super::Activation;
+use super::{Activation, BackwardCache};
 use adapex_tensor::conv::ConvGeometry;
 use serde::{Deserialize, Serialize};
 
@@ -24,12 +24,10 @@ pub(super) fn out_hw(kernel: usize, in_dims: &[usize]) -> (usize, usize) {
 pub struct MaxPool2d {
     /// Window size and stride.
     pub kernel: usize,
-    /// Backward-pass cache; the argmax buffer persists across batches and
-    /// is only recorded in training mode.
+    /// Backward-pass cache (see [`BackwardCache`]); the argmax buffer is
+    /// only recorded in training mode.
     #[serde(skip)]
-    cache: PoolCache,
-    #[serde(skip)]
-    cache_valid: bool,
+    pub(super) cache: BackwardCache<PoolCache>,
 }
 
 impl PartialEq for MaxPool2d {
@@ -39,8 +37,8 @@ impl PartialEq for MaxPool2d {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct PoolCache {
+#[derive(Debug, Default)]
+pub(super) struct PoolCache {
     argmax: Vec<usize>,
     in_dims: Vec<usize>,
     n: usize,
@@ -56,8 +54,7 @@ impl MaxPool2d {
         assert!(kernel > 0, "pool kernel must be positive");
         MaxPool2d {
             kernel,
-            cache: PoolCache::default(),
-            cache_valid: false,
+            cache: BackwardCache::default(),
         }
     }
 
@@ -76,11 +73,19 @@ impl MaxPool2d {
         // A max over grid values stays on the grid.
         out.quant = x.quant;
         let sample_in = x.sample_len();
-        let argmax = &mut self.cache.argmax;
-        if train {
-            argmax.clear();
-            argmax.resize(out.data.len(), 0);
-        }
+        // Eval records no argmax, so it never writes this empty slice.
+        let argmax: &mut [usize] = if train {
+            let cache = self.cache.fill();
+            cache.argmax.clear();
+            cache.argmax.resize(out.data.len(), 0);
+            cache.in_dims.clear();
+            cache.in_dims.extend_from_slice(&x.dims);
+            cache.n = x.n;
+            &mut cache.argmax
+        } else {
+            self.cache.invalidate();
+            &mut []
+        };
         for i in 0..x.n {
             let img = x.sample(i);
             let base_out = i * c * oh * ow;
@@ -119,14 +124,6 @@ impl MaxPool2d {
                 }
             }
         }
-        if train {
-            self.cache.in_dims.clear();
-            self.cache.in_dims.extend_from_slice(&x.dims);
-            self.cache.n = x.n;
-            self.cache_valid = true;
-        } else {
-            self.cache_valid = false;
-        }
         out
     }
 
@@ -136,8 +133,7 @@ impl MaxPool2d {
     ///
     /// Panics if no training-mode forward preceded this call.
     pub fn backward(&mut self, grad_out: &Activation) -> Activation {
-        assert!(self.cache_valid, "pool backward requires cached forward");
-        self.cache_valid = false;
+        self.cache.consume("pool");
         let mut grad_in = Activation::zeros(self.cache.n, &self.cache.in_dims);
         for (o, &src) in self.cache.argmax.iter().enumerate() {
             grad_in.data[src] += grad_out.data[o];

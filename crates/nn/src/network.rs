@@ -170,6 +170,16 @@ impl EarlyExitNetwork {
         }
     }
 
+    /// Frees every layer's backward cache; [`crate::train::Trainer::fit`]
+    /// calls this when it returns, so a trained network holds its
+    /// weights and no batch of training state.
+    pub(crate) fn release_caches(&mut self) {
+        let exits = self.exits.iter_mut().flat_map(|e| &mut e.layers);
+        for layer in self.backbone.iter_mut().chain(exits) {
+            layer.release_cache();
+        }
+    }
+
     /// Clears all gradient accumulators.
     pub fn zero_grad(&mut self) {
         self.for_each_param(|p| p.zero_grad());

@@ -168,11 +168,13 @@ pub struct BatchExecutor {
 }
 
 impl BatchExecutor {
-    /// Builds an executor around `net` (cloned per worker) and, under
+    /// Builds an executor around `net` (cloned per worker; a clone holds
+    /// the weights only, and derives its quantized views on its first
+    /// batch) and, under
     /// [`EnginePlan::Auto`], folds the net into its streamlined plan.
     pub fn new(net: &EarlyExitNetwork, cfg: &ExecutorConfig) -> Self {
-        // Folded from a throwaway clone: the weight views the fold
-        // derives stay out of the per-worker copies.
+        // Folded from a clone: the fold derives weight views on the net
+        // it reads, and `net` is borrowed.
         let plan = (cfg.engine == EnginePlan::Auto)
             .then(|| StreamPlan::build(&mut net.clone()))
             .flatten();

@@ -12,6 +12,7 @@ use crate::network::EarlyExitNetwork;
 use crate::optim::{Sgd, StepDecay};
 use adapex_dataset::{augment_batch, AugmentConfig, DatasetKind, SyntheticDataset};
 use adapex_tensor::rng::rng_from_seed;
+use adapex_tensor::workspace::{take_f32_uninit, take_usize_from};
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
@@ -101,7 +102,9 @@ impl Trainer {
     }
 
     /// Trains `net` on `data.train` in place; `seed` drives shuffling and
-    /// augmentation.
+    /// augmentation. The layers' backward caches keep their buffers from
+    /// batch to batch and are freed on return: the trained network holds
+    /// its weights and no training state.
     pub fn fit(&self, net: &mut EarlyExitNetwork, data: &SyntheticDataset, seed: u64) -> TrainHistory {
         let cfg = &self.config;
         let weights = cfg
@@ -123,6 +126,7 @@ impl Trainer {
         let (c, h, w) = data.train.dims();
         let mut rng = rng_from_seed(seed);
         let mut order: Vec<usize> = (0..data.train.len()).collect();
+        let mut labels = Vec::with_capacity(cfg.batch_size);
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
         let mut last_acc_num = 0.0f64;
         let mut last_acc_den = 0usize;
@@ -138,11 +142,14 @@ impl Trainer {
                 last_acc_den = 0;
             }
             for batch in data.train.batches(cfg.batch_size, Some(&order)) {
-                let (mut pixels, labels) = data.train.gather(&batch);
+                // The batch buffer comes from the pool the activation
+                // returns it to.
+                let mut pixels = take_f32_uninit(batch.len() * c * h * w);
+                data.train.gather_into(&batch, &mut pixels, &mut labels);
                 if cfg.augment {
                     augment_batch(&mut pixels, c, h, w, augment_cfg, &mut rng);
                 }
-                let x = Activation::new(pixels, batch.len(), vec![c, h, w]);
+                let x = Activation::new(pixels, batch.len(), take_usize_from(&[c, h, w]));
                 let outputs = net.forward(&x, true);
                 let mut joint_loss = 0.0f32;
                 let mut grads = Vec::with_capacity(outputs.len());
@@ -164,6 +171,7 @@ impl Trainer {
             }
             epoch_losses.push(epoch_loss / batches.max(1) as f32);
         }
+        net.release_caches();
         TrainHistory {
             epoch_losses,
             final_train_accuracy: if last_acc_den == 0 {

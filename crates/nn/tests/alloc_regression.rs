@@ -13,23 +13,32 @@
 //! shuffle, the network container's per-forward `Vec` of exit outputs) is
 //! deliberately outside the window: those are per-batch-count, not
 //! per-element, costs.
+//!
+//! The same allocator counts bytes too, which pins the other half of the
+//! contract: no training state outlives `Trainer::fit` or survives a
+//! clone.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Mutex;
 
+use adapex_dataset::{DatasetKind, SyntheticConfig};
 use adapex_nn::cnv::{CnvConfig, ExitsConfig};
+use adapex_nn::eval::{evaluate_exits_with, EvalConfig};
 use adapex_nn::layers::{
     Activation, BatchNorm, Layer, MaxPool2d, QuantConv2d, QuantLinear, QuantReLU,
 };
 use adapex_nn::loss::cross_entropy_with_grad;
 use adapex_nn::serve::{BatchExecutor, BatchVerdicts, EnginePlan, ExecutorConfig};
 use adapex_nn::quant::QuantSpec;
+use adapex_nn::train::{TrainConfig, Trainer};
 use adapex_tensor::conv::ConvGeometry;
 use adapex_tensor::rng::{normal_tensor, rng_from_seed};
+use adapex_tensor::workspace::pool_counts;
 
-/// Counts every allocator entry point; frees are not counted (recycling
-/// pools may legitimately drop overflow buffers). The count is
+/// Counts every allocator entry point and the bytes each asks for
+/// (a `realloc` counts its new size); frees are not counted (recycling
+/// pools may legitimately drop overflow buffers). The counts are
 /// per-thread: the measured hot path is single-threaded
 /// (`ADAPEX_THREADS=1`), and a global counter would pick up unrelated
 /// allocations from the harness starting the *other* test's thread
@@ -38,6 +47,7 @@ struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Allocations observed on the calling thread so far. `try_with`: the
@@ -47,21 +57,27 @@ fn thread_allocs() -> usize {
     ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
-fn count_alloc() {
+/// Bytes the calling thread has asked the allocator for so far.
+fn thread_bytes() -> usize {
+    BYTES.try_with(Cell::get).unwrap_or(0)
+}
+
+fn count_alloc(bytes: usize) {
     let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -72,7 +88,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Serializes the two tests: they share the global workspace pools, and a
+/// Serializes the tests: they share the global workspace pools, and a
 /// concurrently running test stealing pooled buffers mid-measurement would
 /// register as spurious allocations.
 static POOLS: Mutex<()> = Mutex::new(());
@@ -358,4 +374,117 @@ fn steady_state_eval_forward_does_not_allocate() {
         "steady-state eval forwards allocated {} times",
         after - before
     );
+}
+
+/// Bytes one `clone` of `value` allocates on this thread.
+fn clone_bytes<T: Clone>(value: &T) -> usize {
+    let before = thread_bytes();
+    let copy = value.clone();
+    let bytes = thread_bytes() - before;
+    drop(copy);
+    bytes
+}
+
+/// A trained network is its weights: `Trainer::fit` frees every backward
+/// cache when it returns, so cloning the trained CNV-8 allocates no more
+/// than cloning a freshly built one (before the caches were released and
+/// left out of clones, 7.76 MB against 0.44 MB at 32×32), and the next
+/// backward finds no cached forward.
+#[test]
+fn no_training_state_survives_fit() {
+    let _guard = POOLS.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("ADAPEX_THREADS", "1");
+
+    let data = SyntheticConfig::new(DatasetKind::Cifar10Like)
+        .with_sizes(32, 8)
+        .with_seed(5)
+        .generate();
+    let build = || CnvConfig::scaled(8).build_early_exit(10, &ExitsConfig::paper_default(), 3);
+    let fresh = build();
+    let mut net = build();
+    let train = TrainConfig {
+        epochs: 1,
+        ..TrainConfig::fast()
+    };
+    Trainer::new(train).fit(&mut net, &data, 1);
+
+    let (trained, untrained) = (clone_bytes(&net), clone_bytes(&fresh));
+    assert!(
+        trained <= untrained,
+        "cloning the trained net allocated {trained} bytes, a fresh one {untrained}"
+    );
+
+    let grads: Vec<Activation> = net
+        .forward(&Activation::zeros(2, &net.input_dims), false)
+        .iter()
+        .map(|o| Activation::zeros(o.n, &o.dims))
+        .collect();
+    let backward = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| net.backward(&grads)));
+    let message = backward.expect_err("a backward after fit found cached training state");
+    let text = message.downcast_ref::<String>().map_or("", String::as_str);
+    assert!(text.contains("requires cached forward"), "{text}");
+}
+
+/// A clone taken between a training forward and its backward carries no
+/// cache: for every layer kind with one, the clone's backward panics
+/// while the original's runs.
+#[test]
+fn a_clone_between_forward_and_backward_has_no_cache() {
+    let _guard = POOLS.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("ADAPEX_THREADS", "1");
+
+    let mut layers = build_stack();
+    let mut rng = rng_from_seed(31);
+    let mut cur = Activation::new(
+        normal_tensor(&[2 * 3 * 32 * 32], 0.0, 1.0, &mut rng).into_vec(),
+        2,
+        vec![3, 32, 32],
+    );
+    for layer in layers.iter_mut().filter(|l| !matches!(l, Layer::Flatten)) {
+        let y = layer.forward_owned(cur, true);
+        let grad = Activation::zeros(y.n, &y.dims);
+        let mut copy = layer.clone();
+        let copied = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| copy.backward(&grad)));
+        let message = copied.expect_err("a clone ran a backward without a forward");
+        let text = message.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(text.contains("requires cached forward"), "{:?}: {text}", layer.spec());
+        layer.backward(&grad);
+        cur = if let Layer::Pool(_) = layer {
+            // The classifier after the pool takes the flattened map.
+            let (data, n, dims) = y.into_parts();
+            Activation::new(data, n, vec![dims.iter().product()])
+        } else {
+            y
+        };
+    }
+}
+
+/// Training and evaluation return every pooled buffer they take: over
+/// back-to-back generations of fresh nets the buffer pools hold no more
+/// than after the first. Before each batch's pixels and `dims` came from
+/// the pools, every training and eval batch left one more buffer in
+/// each.
+#[test]
+fn pools_stay_flat_across_fits() {
+    let _guard = POOLS.lock().unwrap_or_else(|e| e.into_inner());
+    std::env::set_var("ADAPEX_THREADS", "1");
+
+    let data = SyntheticConfig::new(DatasetKind::Cifar10Like)
+        .with_sizes(48, 24)
+        .with_seed(7)
+        .generate();
+    let generation = |seed: u64| {
+        let mut net = CnvConfig::tiny().build_early_exit(10, &ExitsConfig::paper_default(), seed);
+        Trainer::new(TrainConfig::fast()).fit(&mut net, &data, seed);
+        evaluate_exits_with(&mut net, &data.test, EvalConfig { batch: 8, jobs: 1 });
+        pool_counts()
+    };
+    let counts: Vec<_> = (1..4).map(generation).collect();
+    let first = counts[0];
+    for next in &counts[1..] {
+        assert!(
+            next.usize_buffers <= first.usize_buffers && next.f32_buffers <= first.f32_buffers,
+            "pools grew from {first:?} to {next:?}"
+        );
+    }
 }

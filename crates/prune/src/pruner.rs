@@ -300,6 +300,31 @@ mod tests {
         }
     }
 
+    /// A pruned copy quantizes its own, pruned weights. Surgery gives
+    /// every pruned layer fresh [`adapex_nn::layers::Param`]s at the
+    /// version a freshly built net's weights have, so a quantized view
+    /// that came along with the copy from an evaluated fresh net would
+    /// pass for current; a clone carries no such view.
+    #[test]
+    fn pruning_an_evaluated_net_requantizes_the_copy() {
+        let mut net = CnvConfig::tiny().build_early_exit(10, &ExitsConfig::paper_default(), 1);
+        let x = Activation::new(
+            (0..2 * 3 * 32 * 32).map(|v| (v as f32 * 0.01).sin()).collect(),
+            2,
+            vec![3, 32, 32],
+        );
+        net.forward(&x, false);
+        let (mut pruned, _) = Pruner::new(PruneConfig {
+            rate: 0.5,
+            prune_exits: true,
+        })
+        .prune(&net, &ConstraintMap::uniform(2, 2));
+        // Touching every param forces a fresh quantized view.
+        let mut reference = pruned.clone();
+        reference.for_each_param(|p| p.touch());
+        assert_eq!(pruned.forward(&x, false), reference.forward(&x, false));
+    }
+
     #[test]
     fn pruned_network_trains() {
         // Backward must work on the re-stitched structure too.

@@ -428,19 +428,21 @@ impl<'a> WgradOps<'a> {
         }
     }
 
-    /// Offsets of the reads of taps `t0..t0 + R` at output pixel
-    /// `(0, 0)`.
+    /// Offsets of the reads of the `R` taps from `tap` on at output
+    /// pixel `(0, 0)`, stepping `tap` (`[ci, ky, kx]`) past them: the
+    /// tiles walk the taps in order, so no tile divides to find its
+    /// first one.
     #[inline(always)]
-    fn origins<const R: usize>(&self, t0: usize) -> [usize; R] {
+    fn origins<const R: usize>(&self, tap: &mut [usize; 3]) -> [usize; R] {
         let (k, plane) = (self.sh.k, (self.sh.h + 2 * self.sh.pad) * self.row);
-        let (mut ci, mut ky, mut kx) = (t0 / (k * k), t0 / k % k, t0 % k);
+        let [ci, ky, kx] = tap;
         std::array::from_fn(|_| {
-            let at = ci * plane + ky * self.row + kx;
-            kx += 1;
-            if kx == k {
-                (kx, ky) = (0, ky + 1);
-                if ky == k {
-                    (ky, ci) = (0, ci + 1);
+            let at = *ci * plane + *ky * self.row + *kx;
+            *kx += 1;
+            if *kx == k {
+                (*kx, *ky) = (0, *ky + 1);
+                if *ky == k {
+                    (*ky, *ci) = (0, *ci + 1);
                 }
             }
             at
@@ -594,9 +596,9 @@ fn weight_grad<const L: usize, const N: usize>(
     let mut co = 0;
     while co < c_out {
         let (width, nv) = tile(c_out - co);
-        let mut t = 0;
+        let (mut t, mut tap) = (0, [0; 3]);
         while t < sh.kk {
-            let at = (t, co);
+            let at = (t, co, &mut tap);
             t += match (nv, sh.kk - t) {
                 (0, 6..) => wgrad_tile::<6, 1, N>(ops, dw_t, at),
                 (0, 3..) => wgrad_tile::<3, 1, N>(ops, dw_t, at),
@@ -612,18 +614,20 @@ fn weight_grad<const L: usize, const N: usize>(
     }
 }
 
-/// Taps `t0..t0 + R` by output channels `co0..co0 + L·NV` (those below
-/// `c_out` stored); returns `R`.
+/// Taps `t0..t0 + R` (`tap` is `t0`'s cursor, stepped past them) by
+/// output channels `co0..co0 + L·NV` (those below `c_out` stored);
+/// returns `R`. On a map of a pixel or a few the per-tile work is most
+/// of the cost, so none of it divides or bounds-checks a store.
 #[inline(always)]
 fn wgrad_tile<const R: usize, const NV: usize, const L: usize>(
     ops: WgradOps,
     dw_t: &mut [f32],
-    (t0, co0): (usize, usize),
+    (t0, co0, tap): (usize, usize, &mut [usize; 3]),
 ) -> usize {
     let sh = ops.sh;
     // SAFETY (every read below): `co0 + L·NV <= ld`, so every vector
     // lies in a row of `dYᵀ`; each tap's read lies in the (padded) image.
-    let xs = ops.origins::<R>(t0).map(|at| unsafe { ops.x.as_ptr().add(at) });
+    let xs = ops.origins::<R>(tap).map(|at| unsafe { ops.x.as_ptr().add(at) });
     let mut acc = [[[0.0f32; L]; NV]; R];
     let mut bp = unsafe { ops.dyt.as_ptr().add(co0) };
     for oy in 0..sh.oh {
@@ -643,11 +647,17 @@ fn wgrad_tile<const R: usize, const NV: usize, const L: usize>(
             bp = bp.wrapping_add(ops.ld);
         }
     }
+    let live: [usize; NV] = std::array::from_fn(|v| sh.c_out.saturating_sub(co0 + v * L).min(L));
+    assert!(t0 + R <= sh.kk && co0 < sh.c_out && dw_t.len() == sh.kk * sh.c_out);
     each_row!(r < R, {
+        // SAFETY: tap `t0 + r` is a row of `dw_t` (`[kk, c_out]`), and
+        // vector `v` writes its `live[v]` channels below `c_out` in it.
+        let row = unsafe { dw_t.as_mut_ptr().add((t0 + r) * sh.c_out + co0) };
         for (v, &lanes) in acc[r].iter().enumerate() {
-            let live = sh.c_out.saturating_sub(co0 + v * L).min(L);
-            if live > 0 {
-                store(&mut dw_t[(t0 + r) * sh.c_out + co0 + v * L..], lanes, live);
+            match live[v] {
+                0 => {}
+                l if l == L => unsafe { row.add(v * L).cast::<[f32; L]>().write_unaligned(lanes) },
+                l => store_part(unsafe { std::slice::from_raw_parts_mut(row.add(v * L), l) }, &lanes, l),
             }
         }
     });

@@ -416,9 +416,11 @@ struct Panel<'a> {
 /// ragged end is one more tile whose last vector is shifted left to end
 /// inside the row (its lanes over columns already done are computed
 /// and dropped). A row narrower than `L` runs the same plan at `N`
-/// lanes, and one narrower than `N` a column at a time. Lanes map 1:1
-/// onto `C` elements and each element takes the per-element sequence
-/// of [`gemm_panel`], so every `L` gives the same bits.
+/// lanes, and one narrower than `N` a column at a time — except that
+/// where `L = 2N`, a window of `N + 1 ..= L - 1` columns is one `L`-lane
+/// vector ([`tile_narrow`]). Lanes map 1:1 onto `C` elements and each
+/// element takes the per-element sequence of [`gemm_panel`], so every
+/// `L` gives the same bits.
 ///
 /// The asserts at entry are the panel's preconditions; they make every
 /// unchecked load in the tiles sound.
@@ -470,6 +472,14 @@ pub(crate) fn gemm_tile<const TRANS: bool, const L: usize, const N: usize>(
     }
     if n >= L {
         columns!(L)
+    } else if L == 2 * N && j1 - j0 > N {
+        let w = j1 - j0;
+        match rr {
+            4 => tile_narrow::<TRANS, 4, L, N>(c, &p, j0, w),
+            3 => tile_narrow::<TRANS, 3, L, N>(c, &p, j0, w),
+            2 => tile_narrow::<TRANS, 2, L, N>(c, &p, j0, w),
+            _ => tile_narrow::<TRANS, 1, L, N>(c, &p, j0, w),
+        }
     } else if n >= N {
         columns!(N)
     } else {
@@ -533,36 +543,17 @@ fn tile<const TRANS: bool, const RR: usize, const NV: usize, const L: usize, con
     at: [usize; NV],
     (lo, hi): (usize, usize),
 ) {
-    let Panel { n, k0, k1, init, bias, .. } = *p;
+    let n = p.n;
     // SAFETY (every unchecked access below): `at[v] + L <= n`,
     // `b.len() >= k1·n` and `c.len() == RR·n`, so each vector lies in a
-    // row of `B` or of `C`; `gemm_tile`'s asserts cover `a` and `bias`
-    // for rows `gr..gr + RR` and steps `k0..k1`.
+    // row of `B` or of `C`.
     let b_row = |kk: usize| -> [[f32; L]; NV] {
         std::array::from_fn(|v| unsafe { p.b.as_ptr().add(kk * n + at[v]).cast::<[f32; L]>().read_unaligned() })
     };
     let c = c.as_mut_ptr();
     let c_at = |r: usize, v: usize| unsafe { c.add(r * n + at[v]).cast::<[f32; L]>() };
-    let a_at = |r: usize, kk: usize| unsafe { a_elem::<TRANS>(p.a, p.lda, p.gr + r, kk) };
-    let bias_at = |bs: &[f32], r: usize| unsafe { *bs.get_unchecked(p.gr + r) };
-    let last = if bias.is_some() { k1 - 1 } else { k1 };
-    let mut kk = k0;
     let mut acc = [[[0.0f32; L]; NV]; RR];
-    if init {
-        let bv = b_row(kk);
-        each_row!(r < RR, {
-            let ar = a_at(r, kk);
-            lanes(&mut acc[r], |v, l, x| *x = 0.0 + ar * bv[v][l]);
-        });
-        if kk == last {
-            let bs = bias.expect("bias step");
-            each_row!(r < RR, {
-                let br = bias_at(bs, r);
-                lanes(&mut acc[r], |_, _, x| *x += br);
-            });
-        }
-        kk += 1;
-    } else {
+    if !p.init {
         each_row!(r < RR, {
             for (v, row) in acc[r].iter_mut().enumerate() {
                 // SAFETY: as above.
@@ -570,22 +561,7 @@ fn tile<const TRANS: bool, const RR: usize, const NV: usize, const L: usize, con
             }
         });
     }
-    while kk < last {
-        let bv = b_row(kk);
-        each_row!(r < RR, {
-            let ar = a_at(r, kk);
-            lanes(&mut acc[r], |v, l, x| *x += ar * bv[v][l]);
-        });
-        kk += 1;
-    }
-    if kk < k1 {
-        let bs = bias.expect("bias step");
-        let bv = b_row(kk);
-        each_row!(r < RR, {
-            let (ar, br) = (a_at(r, kk), bias_at(bs, r));
-            lanes(&mut acc[r], |v, l, x| *x = (*x + ar * bv[v][l]) + br);
-        });
-    }
+    sweep::<TRANS, RR, NV, L>(p, &mut acc, b_row);
     // The lanes the last vector stores, as one vector select.
     let mut keep = [true; L];
     if PART {
@@ -607,6 +583,135 @@ fn tile<const TRANS: bool, const RR: usize, const NV: usize, const L: usize, con
             unsafe { c_at(r, v).write_unaligned(out) };
         });
     });
+}
+
+/// A tile of one `L`-lane vector over the `w = j1 - j0` columns of a
+/// row narrower than `L` but wider than `H = L / 2`: lane `l` holds
+/// column `j0 + l`, and the lanes from `w` on compute values nobody
+/// stores. One multiply and one add per row and step, where two
+/// `H`-lane vectors take two of each. A step whose `L` elements from
+/// `(kk, j0)` on lie inside `B` loads them as one vector (its lanes past
+/// the row read the next one); the steps past those — the last one or
+/// two — and `C` go through [`narrow_load`] and [`narrow_store`]. The
+/// two runs of steps are two sweeps over the same accumulators.
+#[inline(always)]
+fn tile_narrow<const TRANS: bool, const RR: usize, const L: usize, const H: usize>(
+    c: &mut [f32],
+    p: &Panel,
+    j0: usize,
+    w: usize,
+) {
+    let Panel { n, k0, k1, init, bias, .. } = *p;
+    // Steps `k0..fit` read whole vectors: `kk·n + j0 + L <= b.len()`.
+    let fit = (p.b.len() - j0).checked_sub(L).map_or(k0, |room| k1.min(room / n + 1).max(k0));
+    let b = p.b.as_ptr();
+    // SAFETY (every access below): whole vectors are read at steps
+    // below `fit` only; `narrow_load`/`narrow_store` touch columns
+    // `j0..j0 + w` of a row, which `j0 + w <= n`, `b.len() >= k1·n` and
+    // `c.len() == RR·n` keep inside `B` or `C`.
+    let whole = |kk: usize| [unsafe { b.add(kk * n + j0).cast::<[f32; L]>().read_unaligned() }];
+    let narrow = |kk: usize| [unsafe { narrow_load::<L, H>(b.add(kk * n + j0), w) }];
+    let c = c.as_mut_ptr();
+    let mut acc = [[[0.0f32; L]; 1]; RR];
+    if !init {
+        each_row!(r < RR, {
+            acc[r][0] = unsafe { narrow_load::<L, H>(c.add(r * n + j0), w) };
+        });
+    }
+    if fit > k0 {
+        let head = Panel { k1: fit, bias: bias.filter(|_| fit == k1), ..*p };
+        sweep::<TRANS, RR, 1, L>(&head, &mut acc, whole);
+    }
+    if fit < k1 {
+        let tail = Panel { k0: fit, init: init && fit == k0, ..*p };
+        sweep::<TRANS, RR, 1, L>(&tail, &mut acc, narrow);
+    }
+    each_row!(r < RR, {
+        unsafe { narrow_store::<L, H>(c.add(r * n + j0), w, acc[r][0]) };
+    });
+}
+
+/// The `w` elements at `src` (`H <= w <= L = 2H`) in lanes `0..w` of a
+/// vector whose other lanes are zero, read as two `H`-lane halves that
+/// overlap where `w < L`.
+///
+/// # Safety
+///
+/// `src..src + w` must be readable.
+#[inline(always)]
+unsafe fn narrow_load<const L: usize, const H: usize>(src: *const f32, w: usize) -> [f32; L] {
+    let mut v = [0.0f32; L];
+    let to = v.as_mut_ptr();
+    to.cast::<[f32; H]>().write_unaligned(src.cast::<[f32; H]>().read_unaligned());
+    to.add(w - H)
+        .cast::<[f32; H]>()
+        .write_unaligned(src.add(w - H).cast::<[f32; H]>().read_unaligned());
+    v
+}
+
+/// Writes lanes `0..w` of `lanes` (`H <= w <= L = 2H`) to `dst` as two
+/// `H`-lane halves that overlap where `w < L`.
+///
+/// # Safety
+///
+/// `dst..dst + w` must be writable.
+#[inline(always)]
+unsafe fn narrow_store<const L: usize, const H: usize>(dst: *mut f32, w: usize, lanes: [f32; L]) {
+    let from = lanes.as_ptr();
+    dst.cast::<[f32; H]>().write_unaligned(from.cast::<[f32; H]>().read_unaligned());
+    dst.add(w - H)
+        .cast::<[f32; H]>()
+        .write_unaligned(from.add(w - H).cast::<[f32; H]>().read_unaligned());
+}
+
+/// The `k0..k1` sweep of one register tile with the per-element
+/// sequence of [`gemm_panel`]: `acc` holds the tile's `C` on entry when
+/// the panel does not `init`, and the finished tile on return; vector
+/// `v` of step `kk` is `b_row(kk)[v]`.
+#[inline(always)]
+fn sweep<const TRANS: bool, const RR: usize, const NV: usize, const L: usize>(
+    p: &Panel,
+    acc: &mut [[[f32; L]; NV]; RR],
+    b_row: impl Fn(usize) -> [[f32; L]; NV],
+) {
+    let Panel { k0, k1, init, bias, .. } = *p;
+    // SAFETY: `gemm_tile`'s asserts cover `a` and `bias` for rows
+    // `gr..gr + RR` and steps `k0..k1`.
+    let a_at = |r: usize, kk: usize| unsafe { a_elem::<TRANS>(p.a, p.lda, p.gr + r, kk) };
+    let bias_at = |bs: &[f32], r: usize| unsafe { *bs.get_unchecked(p.gr + r) };
+    let last = if bias.is_some() { k1 - 1 } else { k1 };
+    let mut kk = k0;
+    if init {
+        let bv = b_row(kk);
+        each_row!(r < RR, {
+            let ar = a_at(r, kk);
+            lanes(&mut acc[r], |v, l, x| *x = 0.0 + ar * bv[v][l]);
+        });
+        if kk == last {
+            let bs = bias.expect("bias step");
+            each_row!(r < RR, {
+                let br = bias_at(bs, r);
+                lanes(&mut acc[r], |_, _, x| *x += br);
+            });
+        }
+        kk += 1;
+    }
+    while kk < last {
+        let bv = b_row(kk);
+        each_row!(r < RR, {
+            let ar = a_at(r, kk);
+            lanes(&mut acc[r], |v, l, x| *x += ar * bv[v][l]);
+        });
+        kk += 1;
+    }
+    if kk < k1 {
+        let bs = bias.expect("bias step");
+        let bv = b_row(kk);
+        each_row!(r < RR, {
+            let (ar, br) = (a_at(r, kk), bias_at(bs, r));
+            lanes(&mut acc[r], |v, l, x| *x = (*x + ar * bv[v][l]) + br);
+        });
+    }
 }
 
 /// Applies `f(v, l, lane)` to every lane of one tile row, as
@@ -774,8 +879,8 @@ pub mod portable {
 
 /// The entry points of one vector backend, `$lanes` lanes wide: the
 /// maps and folds of [`portable`], and the GEMM panel's tile at
-/// `$lanes` lanes (eight on rows narrower than that: a half-masked
-/// 512-bit op loses to a full 256-bit one).
+/// `$lanes` lanes (eight on rows of at most eight columns: a
+/// half-masked 512-bit op loses to a full 256-bit one).
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_macros))]
 macro_rules! vector_backend {
     ($feature:literal, $lanes:literal) => {

@@ -16,15 +16,19 @@
 //!
 //! Buffers keep their capacity across the clear/resize cycle, so after
 //! a warmup pass over the largest shapes in play, steady-state traffic
-//! through the pools performs no heap allocation. Pools are bounded
-//! (`MAX_POOLED` buffers each); overflow buffers are simply dropped.
+//! through the pools performs no heap allocation. Pools are bounded in
+//! count (`MAX_POOLED` buffers each, of any capacity), not in bytes;
+//! overflow buffers are simply dropped. [`pool_counts`] reports what
+//! they hold.
 
 use std::sync::Mutex;
 
 /// Upper bound on the number of buffers each pool retains. High enough
 /// for a full training step's activations plus one workspace per worker
-/// thread; low enough that the retained memory stays a small multiple
-/// of one batch's working set.
+/// thread. It bounds the count, not the bytes: a buffer keeps whatever
+/// capacity it last grew to, so the retained memory is at most 256 of
+/// the largest buffers ever recycled. Traffic that returns every buffer
+/// it takes keeps the pools at the few dozen one batch needs.
 const MAX_POOLED: usize = 256;
 
 static F32_POOL: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
@@ -169,6 +173,29 @@ pub fn recycle_usize(v: Vec<usize>) {
         if pool.len() < MAX_POOLED {
             pool.push(v);
         }
+    }
+}
+
+/// What the buffer pools hold at one moment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolCounts {
+    /// Buffers in the `f32` pool.
+    pub f32_buffers: usize,
+    /// Their summed capacity, in bytes.
+    pub f32_bytes: usize,
+    /// Buffers in the `usize` pool.
+    pub usize_buffers: usize,
+}
+
+/// Counts the buffers the [`take_f32`] and [`take_usize_from`] pools
+/// hold now: a loop that returns as many buffers as it takes leaves
+/// them unchanged.
+pub fn pool_counts() -> PoolCounts {
+    let f32_pool = F32_POOL.lock().unwrap_or_else(|e| e.into_inner());
+    PoolCounts {
+        f32_buffers: f32_pool.len(),
+        f32_bytes: f32_pool.iter().map(|v| v.capacity() * 4).sum(),
+        usize_buffers: USIZE_POOL.lock().unwrap_or_else(|e| e.into_inner()).len(),
     }
 }
 
