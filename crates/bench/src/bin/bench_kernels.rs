@@ -328,7 +328,7 @@ fn stem_rows() -> [BackendRow; 2] {
         .collect();
     let domain = vec![[-1e30f32, 1e30]; c_out];
     let mut coded = vec![0u64; c_out * side * 2 * int2::image_row_words(side, 0)];
-    let mut acc_ws = Vec::new();
+    let (mut acc_ws, mut pad_ws) = (Vec::new(), Vec::new());
     let stem = time_int2_backends(
         "stem_conv1_w8",
         || {
@@ -345,6 +345,7 @@ fn stem_rows() -> [BackendRow; 2] {
                 0,
                 &mut coded,
                 &mut acc_ws,
+                &mut pad_ws,
             );
             assert!(inside, "the bench image stays in range");
         },

@@ -34,7 +34,7 @@ pub struct EvalConfig {
     /// Samples per forward batch (default [`EVAL_BATCH`]).
     pub batch: usize,
     /// Worker threads; `0` resolves to
-    /// [`num_threads`](adapex_tensor::parallel::num_threads).
+    /// [`adapex_tensor::parallel::num_threads`].
     pub jobs: usize,
 }
 

@@ -278,7 +278,18 @@ impl QuantConv2d {
                             int2::requantize_rows(y, pixels, cs, bias);
                         }
                         _ => {
-                            int2::conv_f32_acc(img, c_in, h, w, geom, qw, bias, None, y);
+                            int2::conv_f32_acc(
+                                img,
+                                c_in,
+                                h,
+                                w,
+                                geom,
+                                qw,
+                                bias,
+                                None,
+                                y,
+                                &mut ws.cols,
+                            );
                         }
                     }
                 }
@@ -425,7 +436,7 @@ impl QuantConv2d {
 
     /// [`QuantConv2d::backward`] with an explicit worker count.
     ///
-    /// The batch is cut into fixed [`BWD_CHUNK`]-sample chunks. Each
+    /// The batch is cut into fixed `BWD_CHUNK`-sample chunks. Each
     /// chunk's `(dW, db)` partial is accumulated sample-by-sample, and
     /// the partials are folded into the parameter gradients in
     /// chunk-index order. Chunk boundaries and the reduction order thus

@@ -76,7 +76,7 @@ use adapex_tensor::workspace::{recycle_f32, recycle_usize, take_f32_from, take_f
 /// Which walk of the net the executor runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnginePlan {
-    /// The streamlined path wherever [`StreamPlan::build`] covers the
+    /// The streamlined path wherever `StreamPlan::build` covers the
     /// net (see the module docs), the layer loop elsewhere. The serving
     /// default.
     Auto,

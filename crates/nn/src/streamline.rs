@@ -174,8 +174,9 @@ struct Stage {
 /// executor allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct StreamScratch {
-    /// The stem epilogue's normalize buffer, one channel long; only an
-    /// image off the folded ranges touches it.
+    /// The stem's zero-padded image while its conv runs, then, for an
+    /// image off the folded ranges, the epilogue's normalize buffer,
+    /// one channel long.
     z: Vec<f32>,
     windows: Vec<u64>,
     acc: Vec<f32>,
@@ -670,7 +671,7 @@ impl StreamPlan {
         sc.stem_out.resize(m.words(), 0);
         if int2::conv_f32_codes(
             img, st.c_in, h, w, st.geom, &st.qweight, &st.bias, &st.steps, &st.domain, m.pad,
-            &mut sc.stem_out, acc,
+            &mut sc.stem_out, acc, &mut sc.z,
         ) {
             return;
         }

@@ -47,7 +47,7 @@
 //!   element from a smaller output pixel.
 
 use crate::conv::ConvGeometry;
-use crate::simd::{dispatch, each_row, target_build};
+use crate::simd::{dispatch, each_row, store_part, target_build};
 
 /// Largest kernel the flat route serves; its per-tap lane masks live in
 /// a stack array of `FLAT_MAX_K²` entries.
@@ -665,22 +665,14 @@ fn wgrad_tile<const R: usize, const NV: usize, const L: usize>(
 }
 
 /// Stores the first `live` lanes of the by-value vector `lanes` to
-/// `dst`: one whole-vector write when that is every lane, else a copy
-/// out of line. Any lane-wise use of a tile's vector in line — a store
-/// through a reference with a runtime length, a per-lane select —
-/// splits the tile out of its vector registers.
+/// `dst`: one whole-vector write when that is every lane, else
+/// [`store_part`].
 #[inline(always)]
 fn store<const L: usize>(dst: &mut [f32], lanes: [f32; L], live: usize) {
     match dst.first_chunk_mut::<L>() {
         Some(whole) if live == L => *whole = lanes,
         _ => store_part(dst, &lanes, live),
     }
-}
-
-#[cold]
-#[inline(never)]
-fn store_part<const L: usize>(dst: &mut [f32], lanes: &[f32; L], live: usize) {
-    dst[..live].copy_from_slice(&lanes[..live]);
 }
 
 /// The entry points of one backend: `$l` lanes, `$n` on weight-gradient

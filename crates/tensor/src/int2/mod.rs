@@ -5,7 +5,8 @@
 //! executes those layers the way the FINN MVTU RTL does: operands are
 //! packed into `u64` bit-plane words and the inner product becomes four
 //! AND+popcount streams combined with small shifts. One kernel per file,
-//! its portable, AVX2 and AVX-512 bodies side by side:
+//! its portable, AVX2 and AVX-512 bodies side by side (the stem's: one
+//! portable body, compiled for each backend):
 //!
 //! * [`layout`] — the bit-plane operand layout and its sizes;
 //! * [`pack`] — the one quantize rule, the weight/activation packers and
@@ -18,7 +19,9 @@
 //!   in the code domain ([`threshold_pool_pack_int2`], [`CodeSteps`]);
 //! * [`pool`] — max-pool on packed codes ([`pool_image_int2`]);
 //! * [`stem`] — the direct f32 convolution of a raw image
-//!   ([`conv_f32_acc`]), the one f32 kernel here.
+//!   ([`conv_f32_acc`]), the one f32 kernel here, its builds emitted by
+//!   [`crate::simd`]'s `target_build!` and dispatched on this module's
+//!   backend.
 //!
 //! This file composes them — [`conv_int2_direct`] (pack → gather → GEMM,
 //! f32 out), [`conv_int2_codes`] (gather → GEMM → threshold unit,
@@ -286,13 +289,13 @@ pub fn conv_int2_codes(
 
 /// The stem as a threshold unit: a raw f32 image in, the packed 2-bit
 /// code map of its first `Conv → Norm → Act` group out. The direct f32
-/// conv ([`conv_f32_acc`], bit-identical to im2col + the f32 GEMM)
-/// writes the accumulators into `acc_ws` — `[steps.len(), oh·ow]`, a few
-/// KB that stay in L1 — and hands them to [`threshold_pool_pack_int2`]
-/// at pool 1, which writes `out` in [`pack_image_int2`]'s layout at
-/// padding `out_pad`. The streamlined twin of im2col → GEMM → BatchNorm
-/// → QuantReLU → [`pack_image_int2`], for steps folded by
-/// [`CodeSteps::bisect`].
+/// conv ([`conv_f32_acc`], bit-identical to im2col + the f32 GEMM, its
+/// zero-padded image in `pad_ws`) writes the accumulators into `acc_ws`
+/// — `[steps.len(), oh·ow]`, a few KB that stay in L1 — and hands them
+/// to [`threshold_pool_pack_int2`] at pool 1, which writes `out` in
+/// [`pack_image_int2`]'s layout at padding `out_pad`. The streamlined
+/// twin of im2col → GEMM → BatchNorm → QuantReLU → [`pack_image_int2`],
+/// for steps folded by [`CodeSteps::bisect`].
 ///
 /// Returns `false`, leaving `out` unwritten, when some accumulator lies
 /// outside its channel's `domain` — the range the steps hold on; `acc_ws`
@@ -317,12 +320,13 @@ pub fn conv_f32_codes(
     out_pad: usize,
     out: &mut [u64],
     acc_ws: &mut Vec<f32>,
+    pad_ws: &mut Vec<f32>,
 ) -> bool {
     let oh = geom.output_dim(h).expect("window must fit");
     let ow = geom.output_dim(w).expect("window must fit");
     // The conv writes every accumulator, so stale contents are fine.
     acc_ws.resize(steps.len() * oh * ow, 0.0);
-    if !conv_f32_acc(img, c_in, h, w, geom, weight, bias, Some(domain), acc_ws) {
+    if !conv_f32_acc(img, c_in, h, w, geom, weight, bias, Some(domain), acc_ws, pad_ws) {
         return false;
     }
     threshold_pool_pack_int2(acc_ws, steps, oh, ow, 1, out_pad, out);

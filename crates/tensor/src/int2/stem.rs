@@ -11,29 +11,36 @@
 //! multiply and add (no FMA), the bias added after the last tap — and a
 //! tap in the padding multiplies a literal `0.0`, as the GEMM multiplies
 //! the zero im2col wrote there. Lanes map 1:1 onto output pixels and no
-//! value ever crosses a lane, so the vector width never enters a result:
-//! the AVX-512 body runs sixteen pixels, the AVX2 one eight, the
-//! portable one a pixel at a time, all with the same bits.
+//! value ever crosses a lane, so the vector width never enters a result.
+//! One body, written once in portable Rust with a const lane width,
+//! computes the same bits in every build: AVX-512 (16 lanes), AVX2 (8)
+//! and portable (4), emitted by the `target_build!` macro of
+//! [`crate::simd`] and dispatched on [`super::active_backend`].
 //!
-//! A tap's pixels are one masked load of the input row (stride 1) or a
-//! masked gather (stride > 1); the masked-off lanes — padding columns
-//! and a ragged row end — read nothing, so no load reaches past the
-//! image. A tile of output channels accumulates in registers over every
-//! tap and is stored once into the caller's map.
+//! The body first copies the image into a caller-owned scratch, with
+//! zero rows and columns for the padding and slack at the end, so every
+//! stride-1 tap of a tile is one plain load of contiguous pixels: lanes
+//! past a row's end read the next rows and compute values nobody keeps.
+//! A stride > 1 reads each lane by index. A tile of up to eight output
+//! channels by up to two vectors accumulates in registers over every tap
+//! and is stored whole — the lanes past its row land in later rows of
+//! the same channel, which later tiles rewrite, since rows run in
+//! ascending order — except a vector that would reach past its
+//! channel's map, which copies its live lanes out of line.
 //!
 //! Each channel may come with an accumulator range `[lo, hi]`: the range
 //! on which the caller's folded thresholds reproduce its epilogue (see
-//! [`super::CodeSteps::bisect`]). The bodies compare every accumulator
-//! against its channel's range on the way out of the registers and
-//! report whether all of them lie inside. NaN lies in no range (the
-//! compares are ordered). A caller that only wants the accumulators
-//! (the layer path's f32 route) passes no ranges and nothing is
-//! compared.
+//! [`super::CodeSteps::bisect`]). After the tiles, one pass over the map
+//! reports whether every accumulator lies inside its channel's range.
+//! NaN lies in no range (the compares are ordered). A caller that only
+//! wants the accumulators (the layer path's f32 route) passes no ranges
+//! and nothing is compared.
 
 use super::Backend;
 use crate::conv::ConvGeometry;
+use crate::simd::{each_row, store_part, target_build};
 
-/// Validated shape of one stem conv, shared by the backend bodies.
+/// Validated shape of one stem conv.
 struct StemShape {
     c_in: usize,
     h: usize,
@@ -43,6 +50,9 @@ struct StemShape {
     pad: usize,
     oh: usize,
     ow: usize,
+    /// Height and width of the zero-padded image.
+    hp: usize,
+    wp: usize,
     /// Reduction depth `c_in·k²`.
     kk: usize,
     c_out: usize,
@@ -67,7 +77,7 @@ impl StemShape {
         let ow = geom
             .output_dim(w)
             .expect("conv_f32_acc: window must fit input width");
-        let (k, c_out) = (geom.kernel, bias.len());
+        let (k, pad, c_out) = (geom.kernel, geom.padding, bias.len());
         let kk = c_in * k * k;
         assert!(kk > 0, "conv_f32_acc: empty reduction");
         assert_eq!(
@@ -95,31 +105,37 @@ impl StemShape {
             w,
             k,
             stride: geom.stride,
-            pad: geom.padding,
+            pad,
             oh,
             ow,
+            hp: h + 2 * pad,
+            wp: w + 2 * pad,
             kk,
             c_out,
         }
     }
 
-    /// Input row tap row `ky` of output row `oy` reads; `None` in the
-    /// padding.
-    #[inline(always)]
-    fn in_row(&self, oy: usize, ky: usize) -> Option<usize> {
-        (oy * self.stride + ky)
-            .checked_sub(self.pad)
-            .filter(|&iy| iy < self.h)
-    }
-
-    /// Lanes `lo..hi` of a run of `n <= lanes` stride-1 output pixels
-    /// starting at `ox` whose tap column `kx` lies inside the image.
-    #[inline(always)]
-    fn unit_stride_lanes(&self, ox: usize, kx: usize, n: usize) -> (usize, usize) {
-        let start = (ox + kx) as isize - self.pad as isize;
-        let lo = (-start).clamp(0, n as isize) as usize;
-        let hi = (self.w as isize - start).clamp(lo as isize, n as isize) as usize;
-        (lo, hi)
+    /// Copies `img` into `x` zero-padded, `[c_in, hp, wp]`, followed by
+    /// enough zeros that a tile of `lanes` pixels starting at any output
+    /// column reads inside `x`: past the image's last read, a tile's
+    /// lanes reach at most `(lanes - 1)·stride` further.
+    fn pad_image<'a>(&self, img: &[f32], lanes: usize, x: &'a mut Vec<f32>) -> &'a [f32] {
+        let (hp, wp, pad) = (self.hp, self.wp, self.pad);
+        x.clear();
+        if pad == 0 {
+            // One copy, no zero fill of what it overwrites.
+            x.extend_from_slice(img);
+        } else {
+            x.resize(self.c_in * hp * wp, 0.0);
+            for (ci, plane) in img.chunks_exact(self.h * self.w).enumerate() {
+                for (iy, row) in plane.chunks_exact(self.w).enumerate() {
+                    let at = (ci * hp + iy + pad) * wp + pad;
+                    x[at..at + self.w].copy_from_slice(row);
+                }
+            }
+        }
+        x.resize(x.len() + (lanes - 1) * self.stride, 0.0);
+        x
     }
 }
 
@@ -129,7 +145,8 @@ impl StemShape {
 /// row-major, im2col's depth order) for every input, non-finite ones
 /// included. Returns whether every accumulator lies in its channel's
 /// `domain[co] = [lo, hi]` (`lo <= y <= hi`; NaN never does), `true`
-/// with no `domain`. `acc` is written in full either way.
+/// with no `domain`. `acc` is written in full either way; `scratch`
+/// (the zero-padded image) is resized and overwritten.
 ///
 /// # Panics
 ///
@@ -146,374 +163,191 @@ pub fn conv_f32_acc(
     bias: &[f32],
     domain: Option<&[[f32; 2]]>,
     acc: &mut [f32],
+    scratch: &mut Vec<f32>,
 ) -> bool {
     dispatch!(
         avx512,
-        conv_f32_acc(img, c_in, h, w, geom, weight, bias, domain, acc)
+        conv_f32_acc(img, c_in, h, w, geom, weight, bias, domain, acc, scratch)
     )
 }
 
-/// The scalar stem conv; [`super::portable`] re-exports it.
-pub mod portable {
-    use super::StemShape;
-    use crate::conv::ConvGeometry;
+/// The one body of [`conv_f32_acc`] at `L` lanes: tiles of up to eight
+/// channels by up to `NV` vectors, one vector where a row's remaining
+/// pixels fit in it.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn stem<const L: usize, const NV: usize>(
+    img: &[f32],
+    c_in: usize,
+    h: usize,
+    w: usize,
+    geom: ConvGeometry,
+    weight: &[f32],
+    bias: &[f32],
+    domain: Option<&[[f32; 2]]>,
+    acc: &mut [f32],
+    scratch: &mut Vec<f32>,
+) -> bool {
+    let sh = StemShape::new(img, c_in, h, w, geom, weight, bias, domain, acc);
+    let x = sh.pad_image(img, NV * L, scratch);
+    if sh.stride == 1 {
+        tiles::<L, NV, true>(&sh, x, weight, bias, acc);
+    } else {
+        tiles::<L, NV, false>(&sh, x, weight, bias, acc);
+    }
+    let pixels = sh.oh * sh.ow;
+    domain.is_none_or(|domain| {
+        acc.chunks_exact(pixels).zip(domain).all(|(ys, &[lo, hi])| {
+            ys.iter()
+                .map(|&y| !((lo <= y) & (y <= hi)) as u32)
+                .sum::<u32>()
+                == 0
+        })
+    })
+}
 
-    /// Single-backend entry with the same contract as
-    /// [`super::conv_f32_acc`]: one output element at a time.
-    #[allow(clippy::too_many_arguments)]
-    pub fn conv_f32_acc(
-        img: &[f32],
-        c_in: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeometry,
-        weight: &[f32],
-        bias: &[f32],
-        domain: Option<&[[f32; 2]]>,
-        acc: &mut [f32],
-    ) -> bool {
-        let sh = StemShape::new(img, c_in, h, w, geom, weight, bias, domain, acc);
-        let (k, pixels) = (sh.k, sh.oh * sh.ow);
-        let mut inside = true;
-        for (co, out) in acc.chunks_exact_mut(pixels).enumerate() {
-            let taps = &weight[co * sh.kk..(co + 1) * sh.kk];
-            let range = domain.map(|d| d[co]);
-            for oy in 0..sh.oh {
-                for ox in 0..sh.ow {
-                    let mut y = 0.0f32;
-                    for ci in 0..sh.c_in {
-                        for ky in 0..k {
-                            let row = sh
-                                .in_row(oy, ky)
-                                .map(|iy| &img[(ci * sh.h + iy) * sh.w..][..sh.w]);
-                            for kx in 0..k {
-                                let ix = (ox * sh.stride + kx).checked_sub(sh.pad);
-                                let x = match (row, ix) {
-                                    (Some(row), Some(ix)) if ix < sh.w => row[ix],
-                                    _ => 0.0,
-                                };
-                                y += taps[(ci * k + ky) * k + kx] * x;
-                            }
-                        }
-                    }
-                    y += bias[co];
-                    inside &= range.is_none_or(|[lo, hi]| lo <= y && y <= hi);
-                    out[oy * sh.ow + ox] = y;
-                }
+/// Every tile of the map, in ascending rows; `UNIT` when the stride is
+/// 1.
+#[inline(always)]
+fn tiles<const L: usize, const NV: usize, const UNIT: bool>(
+    sh: &StemShape,
+    x: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    acc: &mut [f32],
+) {
+    for oy in 0..sh.oh {
+        for ox in (0..sh.ow).step_by(NV * L) {
+            // `NV == 1` drops the two-vector arms from builds that never
+            // take them.
+            let two = NV > 1 && sh.ow - ox > L;
+            let mut co = 0;
+            while co < sh.c_out {
+                let at = (co, oy, ox);
+                co += match (two, sh.c_out - co) {
+                    (true, 8..) => tile::<8, 2, L, UNIT>(sh, x, weight, bias, acc, at),
+                    (true, 4..) => tile::<4, 2, L, UNIT>(sh, x, weight, bias, acc, at),
+                    (true, _) => tile::<1, 2, L, UNIT>(sh, x, weight, bias, acc, at),
+                    (false, 8..) => tile::<8, 1, L, UNIT>(sh, x, weight, bias, acc, at),
+                    (false, 4..) => tile::<4, 1, L, UNIT>(sh, x, weight, bias, acc, at),
+                    (false, _) => tile::<1, 1, L, UNIT>(sh, x, weight, bias, acc, at),
+                };
             }
         }
-        inside
     }
 }
 
-/// The AVX2 stem conv; [`super::avx2`] re-exports it.
+/// Channels `co..co + CB` at output pixels `ox..` of row `oy`, vector
+/// `v` holding pixels `ox + L·v ..`; returns `CB`.
+#[inline(always)]
+fn tile<const CB: usize, const NV: usize, const L: usize, const UNIT: bool>(
+    sh: &StemShape,
+    x: &[f32],
+    weight: &[f32],
+    bias: &[f32],
+    acc: &mut [f32],
+    (co, oy, ox): (usize, usize, usize),
+) -> usize {
+    let (k, s, kk) = (sh.k, sh.stride, sh.kk);
+    let mut y = [[[0.0f32; L]; NV]; CB];
+    // SAFETY (every read below): `pad_image` sized `x` so that each
+    // lane of a tile at an output pixel of the map reads inside it, and
+    // `(co + j)·kk + t` indexes `weight` (`[c_out, kk]`, asserted by
+    // `StemShape::new`) for `co + j < c_out` and `t < kk`.
+    let corner = unsafe { x.as_ptr().add(oy * s * sh.wp + ox * s) };
+    let mut t = 0;
+    for ci in 0..sh.c_in {
+        for ky in 0..k {
+            let row = unsafe { corner.add((ci * sh.hp + ky) * sh.wp) };
+            for kx in 0..k {
+                // `L` pixels `s` apart, one plain load at stride 1.
+                let xv: [[f32; L]; NV] = std::array::from_fn(|v| unsafe {
+                    let p = row.add(kx + v * L * s);
+                    match UNIT {
+                        true => p.cast::<[f32; L]>().read_unaligned(),
+                        false => std::array::from_fn(|l| *p.add(l * s)),
+                    }
+                });
+                each_row!(j < CB, {
+                    let wv = unsafe { *weight.get_unchecked((co + j) * kk + t) };
+                    for (yv, xv) in y[j].iter_mut().zip(&xv) {
+                        for (a, &b) in yv.iter_mut().zip(xv) {
+                            *a += wv * b;
+                        }
+                    }
+                });
+                t += 1;
+            }
+        }
+    }
+    let pixels = sh.oh * sh.ow;
+    let n = sh.ow - ox;
+    each_row!(j < CB, {
+        let map = &mut acc[(co + j) * pixels..][..pixels];
+        for (v, mut out) in y[j].into_iter().enumerate() {
+            for a in &mut out {
+                *a += bias[co + j];
+            }
+            let live = n.saturating_sub(v * L).min(L);
+            if live > 0 {
+                store(&mut map[oy * sh.ow + ox + v * L..], out, live);
+            }
+        }
+    });
+    CB
+}
+
+/// Stores the by-value vector `lanes` at the start of `dst`, the rest of
+/// its channel's map: whole where the map has room for it (any lane
+/// past `live` lies in a later row, rewritten by a later tile), else
+/// only its `live` lanes, out of line.
+#[inline(always)]
+fn store<const L: usize>(dst: &mut [f32], lanes: [f32; L], live: usize) {
+    match dst.first_chunk_mut::<L>() {
+        Some(whole) => *whole = lanes,
+        None => store_part(dst, &lanes, live),
+    }
+}
+
+/// The entry point of one backend: `$l` lanes, tiles of up to `$nv`
+/// vectors.
+macro_rules! stem_backend {
+    ($feature:tt, $l:literal, $nv:literal) => {
+        target_build! { $feature;
+            fn conv_f32_acc(
+                img: &[f32],
+                c_in: usize,
+                h: usize,
+                w: usize,
+                geom: ConvGeometry,
+                weight: &[f32],
+                bias: &[f32],
+                domain: Option<&[[f32; 2]]>,
+                acc: &mut [f32],
+                scratch: &mut Vec<f32>,
+            ) -> bool = super::stem::<$l, $nv>;
+        }
+    };
+}
+
+/// The baseline build, four lanes wide; [`super::portable`] re-exports
+/// it.
+pub mod portable {
+    use super::*;
+    stem_backend!(portable, 4, 1);
+}
+
+/// The AVX2 build, eight lanes wide; [`super::avx2`] re-exports it.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::StemShape;
-    use crate::conv::ConvGeometry;
-    use std::arch::x86_64::*;
-
-    /// Single-backend entry with the same contract as
-    /// [`super::conv_f32_acc`]: eight output pixels per vector, a tile
-    /// of up to eight channels in registers.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn conv_f32_acc(
-        img: &[f32],
-        c_in: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeometry,
-        weight: &[f32],
-        bias: &[f32],
-        domain: Option<&[[f32; 2]]>,
-        acc: &mut [f32],
-    ) -> bool {
-        let sh = StemShape::new(img, c_in, h, w, geom, weight, bias, domain, acc);
-        let mut inside = true;
-        for oy in 0..sh.oh {
-            for ox in (0..sh.ow).step_by(8) {
-                let n = (sh.ow - ox).min(8);
-                let mut co = 0;
-                while co < sh.c_out {
-                    let at = (co, oy, ox, n);
-                    let (cb, ok) = match sh.c_out - co {
-                        8.. => (8, tile::<8>(&sh, img, weight, bias, domain, acc, at)),
-                        4..=7 => (4, tile::<4>(&sh, img, weight, bias, domain, acc, at)),
-                        _ => (1, tile::<1>(&sh, img, weight, bias, domain, acc, at)),
-                    };
-                    inside &= ok;
-                    co += cb;
-                }
-            }
-        }
-        inside
-    }
-
-    /// Lanes `lo..hi` of eight as a `maskload`/`maskstore` mask.
-    #[inline(always)]
-    unsafe fn lane_mask(lo: usize, hi: usize) -> __m256i {
-        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        _mm256_andnot_si256(
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(lo as i32), lane),
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(hi as i32), lane),
-        )
-    }
-
-    /// Channels `co..co + CB` at output pixels `ox..ox + n` of row `oy`.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn tile<const CB: usize>(
-        sh: &StemShape,
-        img: &[f32],
-        weight: &[f32],
-        bias: &[f32],
-        domain: Option<&[[f32; 2]]>,
-        acc: &mut [f32],
-        (co, oy, ox, n): (usize, usize, usize, usize),
-    ) -> bool {
-        let (k, s, kk) = (sh.k, sh.stride, sh.kk);
-        // Input column of each lane at tap column 0 (stride > 1 only).
-        let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-        let col0 = _mm256_sub_epi32(
-            _mm256_mullo_epi32(
-                _mm256_add_epi32(lane, _mm256_set1_epi32(ox as i32)),
-                _mm256_set1_epi32(s as i32),
-            ),
-            _mm256_set1_epi32(sh.pad as i32),
-        );
-        let live = _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), lane);
-        // Eight stride-1 pixels whose every tap column lies inside the
-        // image (a CNV stem's row but its ragged end): plain loads.
-        let interior = s == 1 && n == 8 && ox >= sh.pad && ox + 7 + k <= sh.w + sh.pad;
-        let taps = weight.as_ptr().add(co * kk);
-        let mut y = [_mm256_setzero_ps(); CB];
-        let mut t = 0;
-        for ci in 0..sh.c_in {
-            for ky in 0..k {
-                let row = sh
-                    .in_row(oy, ky)
-                    .map(|iy| img.as_ptr().add((ci * sh.h + iy) * sh.w));
-                for kx in 0..k {
-                    let x = match row {
-                        None => _mm256_setzero_ps(),
-                        // SAFETY: columns `ox + kx - pad ..+ 8` lie inside
-                        // the row (`interior`).
-                        Some(row) if interior => _mm256_loadu_ps(row.add(ox + kx - sh.pad)),
-                        Some(row) if s == 1 => {
-                            let (lo, hi) = sh.unit_stride_lanes(ox, kx, n);
-                            // SAFETY: only lanes `lo..hi` are read, each
-                            // at a column inside the row; the base may
-                            // lie outside it, hence `wrapping_offset`.
-                            let base = row.wrapping_offset((ox + kx) as isize - sh.pad as isize);
-                            _mm256_maskload_ps(base, lane_mask(lo, hi))
-                        }
-                        Some(row) => {
-                            let cols = _mm256_add_epi32(col0, _mm256_set1_epi32(kx as i32));
-                            let inside = _mm256_andnot_si256(
-                                _mm256_cmpgt_epi32(_mm256_setzero_si256(), cols),
-                                _mm256_cmpgt_epi32(_mm256_set1_epi32(sh.w as i32), cols),
-                            );
-                            // SAFETY: the gather reads only lanes whose
-                            // column lies inside the row.
-                            _mm256_mask_i32gather_ps::<4>(
-                                _mm256_setzero_ps(),
-                                row,
-                                cols,
-                                _mm256_castsi256_ps(_mm256_and_si256(inside, live)),
-                            )
-                        }
-                    };
-                    for (j, yj) in y.iter_mut().enumerate() {
-                        let wv = _mm256_set1_ps(*taps.add(j * kk + t));
-                        *yj = _mm256_add_ps(*yj, _mm256_mul_ps(wv, x));
-                    }
-                    t += 1;
-                }
-            }
-        }
-        let (pixels, at) = (sh.oh * sh.ow, oy * sh.ow + ox);
-        let keep = (1i32 << n) - 1;
-        let mut inside = true;
-        for (j, &yj) in y.iter().enumerate() {
-            let v = _mm256_add_ps(yj, _mm256_set1_ps(bias[co + j]));
-            if let Some(domain) = domain {
-                let [lo, hi] = domain[co + j];
-                let ok = _mm256_and_ps(
-                    _mm256_cmp_ps::<_CMP_GE_OQ>(v, _mm256_set1_ps(lo)),
-                    _mm256_cmp_ps::<_CMP_LE_OQ>(v, _mm256_set1_ps(hi)),
-                );
-                inside &= _mm256_movemask_ps(ok) & keep == keep;
-            }
-            // SAFETY: the live lanes are pixels `ox..ox + n` of row `oy`
-            // of channel `co + j`, inside `acc` (checked by the shape).
-            _mm256_maskstore_ps(acc.as_mut_ptr().add((co + j) * pixels + at), live, v);
-        }
-        inside
-    }
+    use super::*;
+    stem_backend!("avx2", 8, 1);
 }
 
-/// The AVX-512 stem conv; [`super::avx512`] re-exports it.
+/// The AVX-512 build, sixteen lanes wide and two vectors to a tile (a
+/// CNV stem's 30-pixel row); [`super::avx512`] re-exports it.
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
-    use super::StemShape;
-    use crate::conv::ConvGeometry;
-    use std::arch::x86_64::*;
-
-    /// Single-backend entry with the same contract as
-    /// [`super::conv_f32_acc`]: sixteen output pixels per vector, a
-    /// ragged row end and the padding columns being load masks, a tile
-    /// of up to two vectors (a CNV stem's 30-pixel row) by eight
-    /// channels in registers.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F.
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn conv_f32_acc(
-        img: &[f32],
-        c_in: usize,
-        h: usize,
-        w: usize,
-        geom: ConvGeometry,
-        weight: &[f32],
-        bias: &[f32],
-        domain: Option<&[[f32; 2]]>,
-        acc: &mut [f32],
-    ) -> bool {
-        let sh = StemShape::new(img, c_in, h, w, geom, weight, bias, domain, acc);
-        let mut inside = true;
-        for oy in 0..sh.oh {
-            for ox in (0..sh.ow).step_by(32) {
-                let n = (sh.ow - ox).min(32);
-                let mut co = 0;
-                while co < sh.c_out {
-                    let at = (co, oy, ox, n);
-                    let args = (&sh, img, weight, bias, domain);
-                    let (cb, ok) = match (n > 16, sh.c_out - co) {
-                        (true, 8..) => (8, tile::<2, 8>(args, acc, at)),
-                        (true, 4..=7) => (4, tile::<2, 4>(args, acc, at)),
-                        (true, _) => (1, tile::<2, 1>(args, acc, at)),
-                        (false, 8..) => (8, tile::<1, 8>(args, acc, at)),
-                        (false, 4..=7) => (4, tile::<1, 4>(args, acc, at)),
-                        (false, _) => (1, tile::<1, 1>(args, acc, at)),
-                    };
-                    inside &= ok;
-                    co += cb;
-                }
-            }
-        }
-        inside
-    }
-
-    /// The low `n <= 32` bits set.
-    #[inline(always)]
-    fn low32(n: usize) -> u32 {
-        ((1u64 << n) - 1) as u32
-    }
-
-    /// The read-only operands of one call.
-    type Args<'a> = (
-        &'a StemShape,
-        &'a [f32],
-        &'a [f32],
-        &'a [f32],
-        Option<&'a [[f32; 2]]>,
-    );
-
-    /// Channels `co..co + CB` at output pixels `ox..ox + n` of row `oy`,
-    /// `n <= 16·NV`: vector `v` holds pixels `ox + 16v ..`.
-    #[target_feature(enable = "avx512f")]
-    #[inline]
-    unsafe fn tile<const NV: usize, const CB: usize>(
-        (sh, img, weight, bias, domain): Args,
-        acc: &mut [f32],
-        (co, oy, ox, n): (usize, usize, usize, usize),
-    ) -> bool {
-        let (k, s, kk) = (sh.k, sh.stride, sh.kk);
-        let live = low32(n);
-        let lanes = |v: usize| (live >> (16 * v)) as u16;
-        // Input column of each lane at tap column 0 (stride > 1 only).
-        let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
-        let col0: [__m512i; NV] = std::array::from_fn(|v| {
-            let first = (ox + 16 * v) as i32;
-            _mm512_sub_epi32(
-                _mm512_mullo_epi32(
-                    _mm512_add_epi32(lane, _mm512_set1_epi32(first)),
-                    _mm512_set1_epi32(s as i32),
-                ),
-                _mm512_set1_epi32(sh.pad as i32),
-            )
-        });
-        let taps = weight.as_ptr().add(co * kk);
-        let mut y = [[_mm512_setzero_ps(); NV]; CB];
-        let mut t = 0;
-        for ci in 0..sh.c_in {
-            for ky in 0..k {
-                let row = sh
-                    .in_row(oy, ky)
-                    .map(|iy| img.as_ptr().add((ci * sh.h + iy) * sh.w));
-                for kx in 0..k {
-                    let x: [__m512; NV] = match row {
-                        None => [_mm512_setzero_ps(); NV],
-                        Some(row) if s == 1 => {
-                            let (lo, hi) = sh.unit_stride_lanes(ox, kx, n);
-                            let inside = low32(hi) & !low32(lo);
-                            // SAFETY: only lanes `lo..hi` are read, each
-                            // at a column inside the row; the base may
-                            // lie outside it, hence `wrapping_offset`.
-                            let base = row.wrapping_offset((ox + kx) as isize - sh.pad as isize);
-                            std::array::from_fn(|v| {
-                                _mm512_maskz_loadu_ps(
-                                    (inside >> (16 * v)) as u16,
-                                    base.wrapping_add(16 * v),
-                                )
-                            })
-                        }
-                        Some(row) => std::array::from_fn(|v| {
-                            let cols = _mm512_add_epi32(col0[v], _mm512_set1_epi32(kx as i32));
-                            let m = lanes(v)
-                                & _mm512_cmpge_epi32_mask(cols, _mm512_setzero_si512())
-                                & _mm512_cmplt_epi32_mask(cols, _mm512_set1_epi32(sh.w as i32));
-                            // SAFETY: the gather reads only lanes whose
-                            // column lies inside the row.
-                            _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), m, cols, row)
-                        }),
-                    };
-                    for (j, yj) in y.iter_mut().enumerate() {
-                        let wv = _mm512_set1_ps(*taps.add(j * kk + t));
-                        for (yv, &xv) in yj.iter_mut().zip(&x) {
-                            *yv = _mm512_add_ps(*yv, _mm512_mul_ps(wv, xv));
-                        }
-                    }
-                    t += 1;
-                }
-            }
-        }
-        let (pixels, at) = (sh.oh * sh.ow, oy * sh.ow + ox);
-        let mut inside = true;
-        for (j, yj) in y.iter().enumerate() {
-            let b = _mm512_set1_ps(bias[co + j]);
-            let range = domain.map(|d| d[co + j].map(|e| _mm512_set1_ps(e)));
-            for (v, &yv) in yj.iter().enumerate() {
-                let (keep, out) = (lanes(v), _mm512_add_ps(yv, b));
-                if let Some([lo, hi]) = range {
-                    let ok = _mm512_mask_cmp_ps_mask::<_CMP_GE_OQ>(keep, out, lo)
-                        & _mm512_mask_cmp_ps_mask::<_CMP_LE_OQ>(keep, out, hi);
-                    inside &= ok == keep;
-                }
-                // SAFETY: the kept lanes are pixels of row `oy` of
-                // channel `co + j`, inside `acc` (checked by the shape).
-                let dst = acc.as_mut_ptr().add((co + j) * pixels + at + 16 * v);
-                _mm512_mask_storeu_ps(dst, keep, out);
-            }
-        }
-        inside
-    }
+    use super::*;
+    stem_backend!("avx512f", 16, 2);
 }

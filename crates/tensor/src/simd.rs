@@ -18,7 +18,9 @@
 //! for each listed signature an `unsafe fn` under `#[target_feature]`
 //! that calls the `#[inline(always)]` body, so the compiler builds that
 //! source in place for the feature. [`crate::conv_grad`] builds its
-//! kernels the same way, and one `dispatch!` picks a backend for both.
+//! kernels the same way, and one `dispatch!` picks a backend for both;
+//! the stem's direct conv ([`crate::int2::conv_f32_acc`]) too, on the
+//! int2 dispatcher.
 //!
 //! All paths are **bit-identical** on every input, NaN and ±0 included,
 //! which keeps every result thread-count- and dispatch-invariant (the
@@ -47,7 +49,8 @@
 //! The integer sibling of this module is [`crate::int2`]: the bit-packed
 //! popcount GEMM reuses the same [`Backend`]/override dispatch scheme,
 //! but gets cross-backend bit-identity for free from integer arithmetic
-//! instead of the rules above, and keeps hand-written intrinsic bodies.
+//! instead of the rules above, and keeps hand-written intrinsic bodies
+//! for its integer kernels.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -209,12 +212,12 @@ pub(crate) use dispatch;
 /// under `portable` it is the safe baseline build.
 macro_rules! target_build {
     (portable; $(
-        fn $name:ident $(<$(const $g:ident: $gt:ty),*>)? ($($arg:ident: $ty:ty),* $(,)?)
+        fn $name:ident $(<$(const $g:ident: $gt:ty),*>)? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?
             = $body:expr $(, $extra:expr)*;
     )*) => {$(
         /// The one body, compiled for the baseline target.
         #[allow(clippy::too_many_arguments)]
-        pub fn $name $(<$(const $g: $gt),*>)? ($($arg: $ty),*) {
+        pub fn $name $(<$(const $g: $gt),*>)? ($($arg: $ty),*) $(-> $ret)? {
             $body($($arg,)* $($extra),*)
         }
     )*};
@@ -530,6 +533,16 @@ macro_rules! each_row {
     })*};
 }
 pub(crate) use each_row;
+
+/// Copies the first `live` lanes of a tile's vector to `dst`, out of
+/// line: any lane-wise use of a tile's vector in line — a store through
+/// a reference with a runtime length, a per-lane select — splits the
+/// tile out of its vector registers.
+#[cold]
+#[inline(never)]
+pub(crate) fn store_part<const L: usize>(dst: &mut [f32], lanes: &[f32; L], live: usize) {
+    dst[..live].copy_from_slice(&lanes[..live]);
+}
 
 /// One register tile: vector `v` covers columns `at[v]..at[v] + L`;
 /// with `PART`, the last one stores only its lanes `keep.0..keep.1` (a

@@ -1123,7 +1123,26 @@ fn same_accumulators(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()))
 }
 
-type StemFn = unsafe fn(&[f32], usize, usize, usize, ConvGeometry, &[f32], &[f32], Option<&[[f32; 2]]>, &mut [f32]) -> bool;
+type StemFn = unsafe fn(
+    &[f32],
+    usize,
+    usize,
+    usize,
+    ConvGeometry,
+    &[f32],
+    &[f32],
+    Option<&[[f32; 2]]>,
+    &mut [f32],
+    &mut Vec<f32>,
+) -> bool;
+
+/// The bits of the floats a stem body finds behind its map: a NaN no
+/// arithmetic produces, so a stray store shows whatever it writes.
+const PAST_THE_MAP: u32 = 0x7fa5_a5a5;
+
+/// Floats behind the map, more than the widest tile (two vectors of
+/// sixteen) could reach.
+const TAIL: usize = 32;
 
 fn stem_bodies(test: &str) -> Vec<(&'static str, StemFn)> {
     bodies!(test, StemFn, conv_f32_acc, [avx2 if has_avx2, avx512 if has_avx512])
@@ -1139,10 +1158,13 @@ proptest! {
     /// they all lie in their channel's folded range; the dispatched
     /// `conv_f32_codes`, under every forced backend, then writes the
     /// oracle's packed codes exactly when they do. With no ranges a body
-    /// writes the same accumulators and reports `true`. Kernels 1–5,
-    /// strides 1–2, paddings 0–2, 1–4 input and 1–17 output channels,
-    /// rows ragged against 8, 16 and 32 lanes, over pixels and weights
-    /// that include ±0, subnormals, huge and non-finite values.
+    /// writes the same accumulators and reports `true`. Either way a
+    /// body writes nothing past its map, though it stores whole vectors
+    /// that run past a row, and it finds stale values in its scratch.
+    /// Kernels 1–5, strides 1–2, paddings 0–2, 1–4 input and 1–17
+    /// output channels, rows ragged against 8, 16 and 32 lanes, over
+    /// pixels and weights that include ±0, subnormals, huge and
+    /// non-finite values.
     #[test]
     fn stem_conv_codes_equal_im2col_gemm_epilogue_pack(
         c_in in 1usize..5,
@@ -1196,22 +1218,28 @@ proptest! {
             want.extend(packed);
         }
 
+        let len = c_out * pixels;
+        let untouched = |big: &[f32]| big[len..].iter().all(|v| v.to_bits() == PAST_THE_MAP);
+        let mut scratch = vec![f32::NAN; 5];
         for (name, body) in stem_bodies("stem_conv_codes_equal_im2col_gemm_epilogue_pack") {
-            let mut acc = vec![f32::NAN; c_out * pixels];
-            let ok = unsafe { body(img, c_in, h, w, geom, &weight, &bias, Some(&domain), &mut acc) };
-            prop_assert!(same_accumulators(&acc, &y), "{} accumulators", name);
+            let mut big = vec![f32::from_bits(PAST_THE_MAP); len + TAIL];
+            let ok = unsafe { body(img, c_in, h, w, geom, &weight, &bias, Some(&domain), &mut big[..len], &mut scratch) };
+            prop_assert!(untouched(&big), "{} wrote past its map", name);
+            prop_assert!(same_accumulators(&big[..len], &y), "{} accumulators", name);
             prop_assert_eq!(ok, inside, "{} range verdict", name);
-            let mut acc = vec![f32::NAN; c_out * pixels];
-            let ok = unsafe { body(img, c_in, h, w, geom, &weight, &bias, None, &mut acc) };
-            prop_assert!(same_accumulators(&acc, &y), "{} accumulators, no ranges", name);
+            let mut big = vec![f32::from_bits(PAST_THE_MAP); len + TAIL];
+            let ok = unsafe { body(img, c_in, h, w, geom, &weight, &bias, None, &mut big[..len], &mut scratch) };
+            prop_assert!(untouched(&big), "{} wrote past its map, no ranges", name);
+            prop_assert!(same_accumulators(&big[..len], &y), "{} accumulators, no ranges", name);
             prop_assert!(ok, "{} verdict with no ranges", name);
         }
         let _switch = BACKEND_SWITCH.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
         for backend in backends() {
             int2::override_backend(Some(backend));
-            let (mut got, mut acc_ws) = (vec![!0u64; want.len()], vec![f32::NAN; 3]);
+            let (mut got, mut acc_ws, mut pad_ws) = (vec![!0u64; want.len()], vec![f32::NAN; 3], vec![f32::NAN; 3]);
             let ok = int2::conv_f32_codes(
                 img, c_in, h, w, geom, &weight, &bias, &steps, &domain, out_pad, &mut got, &mut acc_ws,
+                &mut pad_ws,
             );
             int2::override_backend(None);
             prop_assert_eq!(ok, inside, "{:?} range verdict", backend);
